@@ -34,7 +34,7 @@ import json
 import os
 from typing import List, Optional, Tuple
 
-from repro.trace.writer import validate_event
+from repro.trace.writer import _decode_line
 
 #: ``poll`` reads at most this many bytes per call, so one poll of a
 #: huge backlog cannot stall an event loop for unbounded time.
@@ -82,12 +82,11 @@ class TraceTail:
             if not text:
                 continue
             try:
-                payload = json.loads(text)
+                payload = _decode_line(text)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{self.path}: corrupt complete trace line at byte "
                     f"offset {self._offset - len(raw) - 1}: {exc}") from exc
-            validate_event(payload)
             self.events_seen += 1
             if self.categories is None or payload["cat"] in self.categories:
                 out.append((text, payload))

@@ -40,6 +40,7 @@ import hashlib
 import json
 import warnings
 from collections import deque
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError
@@ -116,10 +117,10 @@ class TraceWriter:
     """
 
     __slots__ = ("categories", "events", "_engine", "_ring", "_stream",
-                 "_owns_stream", "emitted", "_pending", "_flush_every")
+                 "_owns_stream", "emitted")
 
     def __init__(self, *, stream=None, categories: Optional[Iterable[str]] = None,
-                 ring: int = 0, keep: bool = False, flush_every: int = 1):
+                 ring: int = 0, keep: bool = False):
         if categories is not None:
             categories = frozenset(categories)
             unknown = sorted(categories - _CATEGORY_SET)
@@ -130,8 +131,6 @@ class TraceWriter:
         self.categories = categories
         if ring < 0:
             raise ConfigurationError("trace ring size must be >= 0")
-        if flush_every < 1:
-            raise ConfigurationError("trace flush_every must be >= 1")
         self._ring = deque(maxlen=ring) if ring else None
         self._stream = stream
         self._owns_stream = False
@@ -139,16 +138,10 @@ class TraceWriter:
         self._engine = None
         #: Total events recorded (post-filter), for tests and stats.
         self.emitted = 0
-        #: Deferred stream rows: payloads recorded but not yet encoded.
-        #: Serialization is batched at flush points; ``flush_every=1``
-        #: (the default) keeps the historical one-line-per-emit flush
-        #: so ``tail -f`` readers never fall behind the simulation.
-        self._pending: List[dict] = []
-        self._flush_every = flush_every
 
     @classmethod
     def to_path(cls, path: str, *, categories=None, ring: int = 0,
-                keep: bool = False, flush_every: int = 1) -> "TraceWriter":
+                keep: bool = False) -> "TraceWriter":
         """Open ``path`` for writing and stream events into it.
 
         The constructor runs (and validates its arguments) *before* the
@@ -157,8 +150,7 @@ class TraceWriter:
         is always UTF-8, regardless of platform locale, so a trace
         written on one machine and served from another is byte-identical.
         """
-        writer = cls(stream=None, categories=categories, ring=ring,
-                     keep=keep, flush_every=flush_every)
+        writer = cls(stream=None, categories=categories, ring=ring, keep=keep)
         writer._stream = open(path, "w", encoding="utf-8")
         writer._owns_stream = True
         return writer
@@ -180,9 +172,9 @@ class TraceWriter:
         """Record one event (dropped silently if ``cat`` is filtered).
 
         Zero-allocation contract: the kwargs dict that the call itself
-        creates *is* the stored payload — no second dict is built, no
-        per-event encoder is constructed, and in deferred stream mode
-        (``flush_every > 1``) no JSON is produced here at all. Field
+        creates *is* the stored payload — no second dict is built and no
+        per-event encoder is constructed. In stream mode the payload is
+        encoded exactly once, written as one line and flushed. Field
         order in the payload is irrelevant: every encoder downstream
         (:func:`encode_event`, :func:`trace_hash`) sorts keys.
         """
@@ -206,37 +198,16 @@ class TraceWriter:
             self.events.append(payload)
         if self._ring is not None:
             self._ring.append(payload)
-        if self._stream is not None:
-            pending = self._pending
-            pending.append(payload)
-            if len(pending) >= self._flush_every:
-                self.flush()
-
-    def flush(self) -> None:
-        """Batch-encode and write any deferred stream rows.
-
-        Serialization cost is paid here, off the per-event hot path.
-        The concatenated output is byte-identical to the historical
-        one-``write``-per-event form; one OS flush covers the batch.
-        """
-        pending = self._pending
-        if pending:
-            stream = self._stream
-            if stream is not None:
-                encode = encode_event
-                stream.write("".join(
-                    [encode(payload) + "\n" for payload in pending]))
-                stream.flush()  # safe for tail -f mid-simulation
-            pending.clear()
+        stream = self._stream
+        if stream is not None:
+            stream.write(encode_event(payload) + "\n")
+            stream.flush()  # one whole line per emit: safe for tail -f
 
     # -- retrieval ------------------------------------------------------------
 
     def snapshot(self) -> List[dict]:
         """The last-N events for crash reports (ring if bounded, else
-        the kept tail, else empty). Deferred stream rows are flushed
-        first so the on-disk trace is current when a crash report is
-        being assembled around this snapshot."""
-        self.flush()
+        the kept tail, else empty)."""
         if self._ring is not None:
             return list(self._ring)
         if self.events is not None:
@@ -244,9 +215,8 @@ class TraceWriter:
         return []
 
     def close(self) -> None:
-        """Flush deferred rows, then close the stream if this writer
-        opened it. A borrowed stream is flushed but left open."""
-        self.flush()
+        """Close the stream if this writer opened it. A borrowed stream
+        is left open; every line on it is already flushed."""
         if self._owns_stream and self._stream is not None:
             self._stream.close()
             self._stream = None
@@ -256,16 +226,29 @@ class TraceWriter:
 # -- encoding / verification helpers -----------------------------------------
 
 
-#: One shared compact encoder. ``json.dumps`` with non-default options
-#: builds a fresh ``JSONEncoder`` on every call; caching one keeps the
-#: per-line cost to the encode itself. Output is byte-identical to
-#: ``json.dumps(payload, separators=(",", ":"), sort_keys=True)``.
+#: The reference encoder for trace lines. Its ``encode`` rebuilds a C
+#: encoder and a circular-reference ``markers`` dict on every call, so
+#: it only encodes when the interpreter's ``json`` has no C accelerator.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+#: ``_ENCODER``'s options compiled once into the C encoder: compact
+#: separators, sorted keys, ``ensure_ascii``, ``allow_nan`` and a
+#: ``default`` that raises ``TypeError``. Output is byte-identical to
+#: ``json.dumps(payload, separators=(",", ":"), sort_keys=True)``.
+#: ``markers`` is ``None`` (no cycle check): events are flat, and a
+#: dict shared across calls would keep the ids of a failed encode and
+#: later report a false cycle for a new object at the same address.
+_ITERENCODE = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def encode_event(payload: dict) -> str:
     """One event as a compact, key-sorted JSON line (no newline)."""
-    return _ENCODER.encode(payload)
+    if _ITERENCODE is None:
+        return _ENCODER.encode(payload)
+    return "".join(_ITERENCODE(payload, 0))
 
 
 def validate_event(payload: dict) -> None:
@@ -282,7 +265,10 @@ def validate_event(payload: dict) -> None:
             or not isinstance(payload["cycle"], int)
             or payload["cycle"] < 0):
         raise ValueError(f"bad cycle stamp: {payload!r}")
-    if payload["cat"] not in _CATEGORY_SET:
+    # The str check comes first: an unhashable cat (a list, a dict)
+    # would make the set lookup raise TypeError instead.
+    if (not isinstance(payload["cat"], str)
+            or payload["cat"] not in _CATEGORY_SET):
         raise ValueError(f"unknown category {payload['cat']!r}: {payload!r}")
     if not isinstance(payload["event"], str) or not payload["event"]:
         raise ValueError(f"bad event name: {payload!r}")
@@ -311,10 +297,41 @@ def trace_hash(events: Iterable[dict]) -> str:
     benchmark comparison.
     """
     digest = hashlib.sha256()
+    update = digest.update
     for payload in events:
-        digest.update(encode_event(payload).encode("utf-8"))
-        digest.update(b"\n")
+        update((encode_event(payload) + "\n").encode())
     return digest.hexdigest()
+
+
+#: The C scanner behind ``json.loads``: one call parses one value.
+_SCAN_ONCE = json.decoder.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> dict:
+    """Parse and validate one stripped trace line.
+
+    Accepts and rejects exactly what ``validate_event(json.loads(line))``
+    does, raising ``json.JSONDecodeError`` for a line that is not JSON
+    and ``ValueError`` for one that is not a schema-valid event. The
+    fast path calls the scanner directly and accepts only the common
+    case: a flat object of scalars spanning the whole line whose stamps
+    are valid. Everything else (a torn or trailing-data line, a BOM,
+    list fields, any schema error) takes the reference path, so error
+    types and messages are the reference's own.
+    """
+    try:
+        payload, end = _SCAN_ONCE(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        payload, end = None, -1
+    if (end == len(line) and type(payload) is dict
+            and _PASSTHROUGH_TYPES.issuperset(map(type, payload.values()))
+            and type(payload.get("cycle")) is int and payload["cycle"] >= 0
+            and payload.get("cat") in _CATEGORY_SET
+            and type(payload.get("event")) is str and payload["event"]):
+        return payload
+    payload = json.loads(line)
+    validate_event(payload)
+    return payload
 
 
 def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
@@ -339,7 +356,7 @@ def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
         if not line:
             continue
         try:
-            payload = json.loads(line)
+            payload = _decode_line(line)
         except json.JSONDecodeError as exc:
             if tolerant_tail and lineno == last_lineno:
                 warnings.warn(
@@ -347,8 +364,6 @@ def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
                     f"(live stream mid-write?)", UserWarning, stacklevel=2)
                 break
             raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-        try:
-            validate_event(payload)
         except ValueError:
             if tolerant_tail and lineno == last_lineno:
                 warnings.warn(

@@ -4,8 +4,11 @@ is behavior-identical" contract."""
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ConfigurationError,
@@ -19,8 +22,8 @@ from repro import (
     run_timesliced_monitoring,
     trace_hash,
 )
-from repro.trace import CATEGORIES, DEFAULT_RING_EVENTS, read_trace
-from repro.trace.writer import encode_event, validate_event
+from repro.trace import CATEGORIES, DEFAULT_RING_EVENTS, TraceTail, read_trace
+from repro.trace.writer import _decode_line, encode_event, validate_event
 
 
 class TestTraceFilterParsing:
@@ -322,3 +325,188 @@ class TestBoolCycleStamp:
         # legitimately carry booleans.
         validate_event({"cycle": 1, "cat": "engine", "event": "x",
                         "resumed": True})
+
+
+class TestSingleWritePath:
+    """The deferred ``flush_every`` batching is gone: stream mode always
+    encodes, writes and flushes one line per emit."""
+
+    def test_flush_every_is_not_an_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            TraceWriter(flush_every=2)
+        with pytest.raises(TypeError):
+            TraceWriter.to_path(str(tmp_path / "t.jsonl"), flush_every=2)
+        assert not (tmp_path / "t.jsonl").exists()
+
+
+class TestUnhashableCategory:
+    """Regression: an unhashable ``cat`` (a list or an object) made
+    ``validate_event`` raise ``TypeError`` from the category-set lookup,
+    so the tolerant reader crashed on such a final line instead of
+    skipping it."""
+
+    @pytest.mark.parametrize("cat", [["engine"], {}, {"engine": 1}])
+    def test_validate_event_raises_value_error(self, cat):
+        with pytest.raises(ValueError, match="unknown category"):
+            validate_event({"cycle": 1, "cat": cat, "event": "x"})
+
+    def _trace_ending_in_list_cat(self, tmp_path):
+        good = encode_event({"cycle": 1, "cat": "engine", "event": "x"})
+        path = tmp_path / "t.jsonl"
+        path.write_text(f'{good}\n{{"cat":["engine"],"cycle":2,"event":"x"}}',
+                        encoding="utf-8")
+        return str(path)
+
+    def test_tolerant_read_skips_the_final_line(self, tmp_path):
+        path = self._trace_ending_in_list_cat(tmp_path)
+        with pytest.warns(UserWarning, match="schema-invalid final"):
+            events = read_trace(path, tolerant_tail=True)
+        assert [event["cycle"] for event in events] == [1]
+
+    def test_strict_read_raises_value_error(self, tmp_path):
+        path = self._trace_ending_in_list_cat(tmp_path)
+        with pytest.raises(ValueError, match="unknown category"):
+            read_trace(path)
+
+    def test_tail_raises_value_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"cat":{},"cycle":1,"event":"x"}\n')
+        with TraceTail(str(path)) as tail:
+            with pytest.raises(ValueError, match="unknown category"):
+                tail.poll()
+
+
+def _reference_decode(line):
+    payload = json.loads(line)
+    validate_event(payload)
+    return payload
+
+
+def _outcome(decode, line):
+    """What ``decode`` does with ``line``: the payload's repr (NaN-safe,
+    and 1, 1.0 and true stay distinct) or the exception's type and text."""
+    try:
+        return "ok", repr(decode(line))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_VALID = '{"cat":"engine","cycle":1,"event":"x"}'
+
+#: Lines that probe every branch of the fast path and its fallback.
+DECODER_CORPUS = [
+    _VALID,
+    '{"cycle":1,"cat":"engine","event":"x","tid":2,"ok":true,"v":null}',
+    '{ "cycle" : 1 , "cat" : "ca" , "event" : "x" , "f" : 1.5e3 }',
+    '{"cycle":2,"cat":"eng',                            # torn
+    '{"cycle":2,"cat":"engine","event":"x"',            # torn at the end
+    _VALID + " {}",                                     # trailing data
+    _VALID + "x",
+    _VALID + " ",
+    " " + _VALID,
+    "\ufeff" + _VALID,                                  # BOM
+    '{"cycle":1,"cat":"engine","event":"x","v":NaN}',
+    '{"cycle":1,"cat":"engine","event":"x","v":Infinity}',
+    '{"cycle":1,"cat":"engine","event":"x","v":-Infinity}',
+    '{"cycle":true,"cat":"engine","event":"x"}',
+    '{"cycle":-1,"cat":"engine","event":"x"}',
+    '{"cycle":1.0,"cat":"engine","event":"x"}',
+    '{"cycle":"1","cat":"engine","event":"x"}',
+    '{"cycle":NaN,"cat":"engine","event":"x"}',
+    '{"cycle":1,"cat":"engine","event":""}',
+    '{"cycle":1,"cat":"engine","event":7}',
+    '{"cycle":1,"cat":"engine"}',
+    '{"cat":"engine","event":"x"}',
+    '{"cycle":1,"cat":"wat","event":"x"}',
+    '{"cycle":1,"cat":null,"event":"x"}',
+    '{"cycle":1,"cat":["engine"],"event":"x"}',
+    '{"cycle":1,"cat":{},"event":"x"}',
+    '{"cycle":1,"cat":"engine","event":"x","d":{"nested":1}}',
+    '{"cycle":1,"cat":"engine","event":"x","l":[1,[2,["a",null]]]}',
+    '{"cycle":1,"cat":"engine","event":"x","l":[{"a":1}]}',
+    r'{"cycle":1,"cat":"engine","event":"caf\u00e9 \u2713"}',
+    '{"cycle":1,"cat":"engine","event":"café ✓ 😀"}',
+    '{"cycle":1,"cycle":-1,"cat":"engine","event":"x"}',
+    '[1,2,3]',
+    '"engine"',
+    "1",
+    "null",
+    "{}",
+    "",
+    "not json at all",
+]
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(alphabet=st.sampled_from('"\\/\n\r\t\x00\x1f\u2028é✓😀ab'))
+            | st.text())
+_FIELD_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                             max_leaves=8)
+
+
+@st.composite
+def _valid_events(draw):
+    fields = draw(st.dictionaries(
+        st.text().filter(lambda key: key not in ("cycle", "cat", "event")),
+        _FIELD_VALUES, max_size=5))
+    return dict(fields, cycle=draw(st.integers(min_value=0)),
+                cat=draw(st.sampled_from(CATEGORIES)),
+                event=draw(st.text(min_size=1)))
+
+
+class TestDecoderEquivalence:
+    """``_decode_line`` must accept exactly the lines the reference
+    ``validate_event(json.loads(line))`` accepts, return equal payloads,
+    and raise the same exception with the same message."""
+
+    @pytest.mark.parametrize("line", DECODER_CORPUS)
+    def test_corpus(self, line):
+        assert _outcome(_decode_line, line) == _outcome(_reference_decode, line)
+
+    def test_corpus_covers_every_outcome(self):
+        outcomes = {_outcome(_reference_decode, line)[0]
+                    for line in DECODER_CORPUS}
+        assert {"ok", ValueError, json.JSONDecodeError} <= outcomes
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_events(), st.booleans())
+    def test_schema_valid_events(self, event, compact):
+        line = encode_event(event) if compact else json.dumps(event)
+        assert _outcome(_decode_line, line) == _outcome(_reference_decode, line)
+        assert _outcome(_decode_line, line)[0] == "ok"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_events(), st.integers(min_value=0))
+    def test_torn_lines(self, event, cut):
+        line = encode_event(event)
+        line = line[:cut % (len(line) + 1)]
+        assert _outcome(_decode_line, line) == _outcome(_reference_decode, line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, line):
+        assert _outcome(_decode_line, line) == _outcome(_reference_decode, line)
+
+
+_JSON_PAYLOADS = st.dictionaries(st.text(), _FIELD_VALUES, max_size=6)
+
+
+class TestEncoderByteIdentity:
+    """The cached C encoder writes exactly what ``json.dumps`` with the
+    trace options writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert encode_event(payload) == json.dumps(
+            payload, separators=(",", ":"), sort_keys=True)
+
+    def test_non_finite_floats(self):
+        payload = {"a": math.nan, "b": math.inf, "c": -math.inf}
+        assert encode_event(payload) == '{"a":NaN,"b":Infinity,"c":-Infinity}'
+
+    def test_non_serializable_value_raises_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_event({"cycle": 1, "x": object()})
+        # A failed encode leaves no state behind.
+        assert encode_event({"cycle": 1}) == '{"cycle":1}'

@@ -90,3 +90,15 @@ class TestWideSweep:
                                      length=length)
         bad = [report for report in reports if not report.ok]
         assert not bad, "\n\n".join(report.summary() for report in bad)
+
+
+class TestKnownSimulatorBugs:
+    """Pinned open bugs: each test asserts the correct behaviour and is
+    a strict xfail, so the change that fixes the bug must flip it."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="MemCheck register metadata of both monitored "
+                              "schemes differs from the replay oracle's")
+    def test_memcheck_program_20168_matches_the_oracle(self):
+        report = differential_check(20168, "memcheck")
+        assert report.ok, report.summary()

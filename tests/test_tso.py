@@ -9,7 +9,9 @@ TaintCheck's answers consistent with a store-buffer-aware reference.
 import pytest
 
 from repro import (
+    DeadlockError,
     MemoryModel,
+    ScalePreset,
     SimulationConfig,
     TaintCheck,
     build_workload,
@@ -216,3 +218,14 @@ class TestLockSetTso:
         assert hex(self.LINE_X) in raced
         assert hex(self.LINE_Y) in raced
         assert result.lifeguard_obj.unhandled_kinds == set()
+
+
+class TestKnownTsoDeadlock:
+    @pytest.mark.xfail(strict=True, raises=DeadlockError,
+                       reason="4-thread parallel monitoring under TSO "
+                              "deadlocks on an arc/ConflictAlert wait cycle")
+    def test_four_thread_lu_completes_under_tso(self):
+        workload = build_workload("lu", 4, ScalePreset.TINY, 1)
+        result = run_parallel_monitoring(workload, TaintCheck,
+                                         tso_config(4))
+        assert result.instructions > 0
