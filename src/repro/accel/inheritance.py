@@ -43,6 +43,20 @@ MAX_SOURCES = 2
 #: Maximum live-register OR-terms one register row can hold.
 MAX_REG_TERMS = 2
 
+#: Record kind -> event name delivered with IT disabled (a versioned
+#: load becomes ``load_versioned``); other kinds deliver nothing.
+_PASSTHROUGH_EVENTS = {
+    RecordKind.LOAD: "load",
+    RecordKind.STORE: "store",
+    RecordKind.RMW: "rmw",
+    RecordKind.MOVRR: "movrr",
+    RecordKind.ALU: "alu",
+    RecordKind.LOADI: "loadi",
+    RecordKind.CRITICAL_USE: "critical",
+    RecordKind.HL_BEGIN: "hl",
+    RecordKind.HL_END: "hl",
+}
+
 
 class _Row:
     """One IT table row; see the module docstring."""
@@ -254,26 +268,12 @@ class InheritanceTracking:
 
     def _passthrough(self, record: Record) -> List[tuple]:
         """IT disabled: every record becomes a plain delivered event."""
-        kind = record.kind
-        if kind == RecordKind.LOAD:
-            if record.consume_version is not None:
-                return [("load_versioned", record)]
-            return [("load", record)]
-        if kind == RecordKind.STORE:
-            return [("store", record)]
-        if kind == RecordKind.RMW:
-            return [("rmw", record)]
-        if kind == RecordKind.MOVRR:
-            return [("movrr", record)]
-        if kind == RecordKind.ALU:
-            return [("alu", record)]
-        if kind == RecordKind.LOADI:
-            return [("loadi", record)]
-        if kind == RecordKind.CRITICAL_USE:
-            return [("critical", record)]
-        if kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
-            return [("hl", record)]
-        return []
+        name = _PASSTHROUGH_EVENTS.get(record.kind)
+        if name is None:
+            return []
+        if name == "load" and record.consume_version is not None:
+            name = "load_versioned"
+        return [(name, record)]
 
     # -- flushing --------------------------------------------------------------
 

@@ -44,9 +44,26 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.capture.events import Record, RecordKind
 from repro.common.errors import SimulationError, TraceFormatError
+from repro.isa.instructions import HLEventKind
 
 _SIZE_CODES = {1: 0, 2: 1, 4: 2, 8: 3}
 _SIZE_FROM_CODE = {code: size for size, code in _SIZE_CODES.items()}
+
+_RECORD_KINDS = {int(kind): kind for kind in RecordKind}
+_HL_KINDS = {int(kind): kind for kind in HLEventKind}
+
+#: Header kind bits -> record kind. ``0x0F`` escapes kinds >= 16 (the
+#: real kind rides in the CA extras section); None marks bit patterns
+#: no encoder writes.
+_KIND_FROM_BITS = tuple(
+    RecordKind.CA_MARK if bits == 0x0F else _RECORD_KINDS.get(bits)
+    for bits in range(16))
+
+_STORE = RecordKind.STORE
+_MOVRR = RecordKind.MOVRR
+_ALU = RecordKind.ALU
+_LOADI = RecordKind.LOADI
+_CRITICAL_USE = RecordKind.CRITICAL_USE
 
 #: Supported dependence-arc codecs (see the module docstring).
 ARC_CODECS = ("rid_delta", "last_recv", "absolute")
@@ -88,11 +105,15 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
+def _truncated(offset: int, length: int):
+    raise TraceFormatError(
+        f"truncated record stream: need a byte at offset {offset}, "
+        f"have {length}")
+
+
 def _read_byte(data: bytes, offset: int) -> Tuple[int, int]:
     if offset >= len(data):
-        raise TraceFormatError(
-            f"truncated record stream: need a byte at offset {offset}, "
-            f"have {len(data)}")
+        _truncated(offset, len(data))
     return data[offset], offset + 1
 
 
@@ -261,70 +282,97 @@ class RecordDecoder:
         self._last_recv = {}
         self._rid = 0
 
-    def decode(self, data: bytes) -> Tuple[Record, int]:
-        """Decode one record; returns (record, bytes consumed)."""
-        offset = 0
-        header, offset = _read_byte(data, offset)
-        kind_bits = header & 0x0F
-        size = _SIZE_FROM_CODE[(header >> 4) & 0x03]
+    def decode(self, data: bytes, offset: int = 0) -> Tuple[Record, int]:
+        """Decode the record starting at ``offset``; returns (record, end).
 
-        self._rid += 1
-        kind = RecordKind(kind_bits) if kind_bits != 0x0F else None
-        record = Record(self.tid, self._rid,
-                        kind if kind is not None else RecordKind.CA_MARK)
-
-        if header & _FLAG_DELTA:
-            raw, offset = _read_varint(data, offset)
-            self._last_addr += _unzigzag(raw)
-            record.addr = self._last_addr
-            record.size = size
-            reg, offset = _read_byte(data, offset)
-            if kind == RecordKind.STORE:
-                record.rs1 = reg & 0x0F
-            else:
-                record.rd = reg & 0x0F
-        elif kind in (RecordKind.MOVRR, RecordKind.ALU):
-            regs, offset = _read_byte(data, offset)
-            record.rd = regs & 0x0F
-            record.rs1 = (regs >> 4) & 0x0F
-            if kind == RecordKind.ALU:
-                rs2, offset = _read_byte(data, offset)
-                record.rs2 = None if rs2 == 0xFF else rs2
-        elif kind == RecordKind.LOADI:
-            reg, offset = _read_byte(data, offset)
-            record.rd = reg & 0x0F
-        elif kind == RecordKind.CRITICAL_USE:
-            reg, offset = _read_byte(data, offset)
-            record.rs1 = reg & 0x0F
-
-        if header & _FLAG_EXTRAS:
-            length, offset = _read_varint(data, offset)
-            if offset + length > len(data):
+        ``end`` is the offset just past the record, so a stream decodes
+        by feeding each end back in, without slicing ``data``. With the
+        default ``offset=0`` it is also the number of bytes consumed.
+        Error messages give offsets into ``data`` itself.
+        """
+        # Single-byte varints and register bytes are read inline, and
+        # ``offset`` moves past a byte only after reading it, so an
+        # IndexError names the missing byte. _read_varint takes
+        # multi-byte values.
+        try:
+            header = data[offset]
+            kind = _KIND_FROM_BITS[header & 0x0F]
+            if kind is None:
                 raise TraceFormatError(
-                    f"truncated extras block: {length} bytes declared, "
-                    f"{len(data) - offset} available")
-            self._decode_extras(record, data[offset:offset + length])
-            offset += length
-        return record, offset
+                    f"invalid record kind {header & 0x0F} in header byte "
+                    f"{header:#04x} at offset {offset}")
+            offset += 1
+            self._rid += 1
+            record = Record(self.tid, self._rid, kind)
+            if header & _FLAG_DELTA:
+                raw = data[offset]
+                if raw < 0x80:
+                    offset += 1
+                else:
+                    raw, offset = _read_varint(data, offset)
+                self._last_addr += _unzigzag(raw)
+                record.addr = self._last_addr
+                record.size = _SIZE_FROM_CODE[(header >> 4) & 0x03]
+                if kind is _STORE:
+                    record.rs1 = data[offset] & 0x0F
+                else:
+                    record.rd = data[offset] & 0x0F
+                offset += 1
+            elif kind is _MOVRR or kind is _ALU:
+                regs = data[offset]
+                record.rd = regs & 0x0F
+                record.rs1 = (regs >> 4) & 0x0F
+                offset += 1
+                if kind is _ALU:
+                    rs2 = data[offset]
+                    record.rs2 = None if rs2 == 0xFF else rs2
+                    offset += 1
+            elif kind is _LOADI:
+                record.rd = data[offset] & 0x0F
+                offset += 1
+            elif kind is _CRITICAL_USE:
+                record.rs1 = data[offset] & 0x0F
+                offset += 1
+            if not header & _FLAG_EXTRAS:
+                return record, offset
+            length = data[offset]
+            if length < 0x80:
+                offset += 1
+            else:
+                length, offset = _read_varint(data, offset)
+        except IndexError:
+            _truncated(offset, len(data))
+        end = offset + length
+        if end > len(data):
+            raise TraceFormatError(
+                f"truncated extras block at offset {offset}: {length} "
+                f"bytes declared, {len(data) - offset} available")
+        self._decode_extras(record, data, offset, end)
+        return record, end
 
-    def _decode_extras(self, record: Record, extras: bytes) -> None:
-        offset = 0
-        from repro.isa.instructions import HLEventKind
-        while offset < len(extras):
-            tag = extras[offset]
+    def _decode_extras(self, record: Record, data: bytes, offset: int,
+                       end: int) -> None:
+        """Decode the extras block ``data[offset:end]`` into ``record``."""
+        while offset < end:
+            tag = data[offset]
             offset += 1
             if tag == _X_CA:
-                raw_kind, offset = _read_varint(extras, offset)
-                record.kind = RecordKind(raw_kind)
-                ca_id, offset = _read_varint(extras, offset)
+                raw_kind, offset = _read_varint(data, offset)
+                kind = _RECORD_KINDS.get(raw_kind)
+                if kind is None:
+                    raise TraceFormatError(
+                        f"invalid record kind {raw_kind} in the CA extras "
+                        f"section ending at offset {offset}")
+                record.kind = kind
+                ca_id, offset = _read_varint(data, offset)
                 record.ca_id = ca_id or None
-                issuer, offset = _read_byte(extras, offset)
+                issuer, offset = _read_byte(data, offset)
                 record.ca_issuer = bool(issuer)
             elif tag == _X_ARCS:
-                count, offset = _read_varint(extras, offset)
+                count, offset = _read_varint(data, offset)
                 for _ in range(count):
-                    src_tid, offset = _read_varint(extras, offset)
-                    raw, offset = _read_varint(extras, offset)
+                    src_tid, offset = _read_varint(data, offset)
+                    raw, offset = _read_varint(data, offset)
                     if self.arc_codec == "rid_delta":
                         src_rid = record.rid - _unzigzag(raw)
                     elif self.arc_codec == "last_recv":
@@ -335,39 +383,57 @@ class RecordDecoder:
                         src_rid = raw
                     record.add_arc(src_tid, src_rid)
             elif tag == _X_HL:
-                raw_hl, offset = _read_varint(extras, offset)
-                record.hl_kind = HLEventKind(raw_hl) if raw_hl else None
-                count, offset = _read_varint(extras, offset)
+                raw_hl, offset = _read_varint(data, offset)
+                if raw_hl:
+                    hl_kind = _HL_KINDS.get(raw_hl)
+                    if hl_kind is None:
+                        raise TraceFormatError(
+                            f"invalid high-level event kind {raw_hl} "
+                            f"ending at offset {offset}")
+                    record.hl_kind = hl_kind
+                count, offset = _read_varint(data, offset)
                 ranges = []
                 for _ in range(count):
-                    start, offset = _read_varint(extras, offset)
-                    length, offset = _read_varint(extras, offset)
+                    start, offset = _read_varint(data, offset)
+                    length, offset = _read_varint(data, offset)
                     ranges.append((start, length))
                 record.ranges = tuple(ranges)
             elif tag == _X_CONSUME:
-                version_id, offset = _read_varint(extras, offset)
-                base, offset = _read_varint(extras, offset)
-                length, offset = _read_varint(extras, offset)
+                version_id, offset = _read_varint(data, offset)
+                base, offset = _read_varint(data, offset)
+                length, offset = _read_varint(data, offset)
                 record.consume_version = (version_id, base, length)
             elif tag == _X_PRODUCE:
-                count, offset = _read_varint(extras, offset)
+                count, offset = _read_varint(data, offset)
                 produced = []
                 for _ in range(count):
-                    version_id, offset = _read_varint(extras, offset)
-                    base, offset = _read_varint(extras, offset)
-                    length, offset = _read_varint(extras, offset)
+                    version_id, offset = _read_varint(data, offset)
+                    base, offset = _read_varint(data, offset)
+                    length, offset = _read_varint(data, offset)
                     produced.append((version_id, base, length))
                 record.produce_versions = produced
             elif tag == _X_CRITICAL:
-                length, offset = _read_varint(extras, offset)
-                if offset + length > len(extras):
+                length, offset = _read_varint(data, offset)
+                if offset + length > end:
                     raise TraceFormatError(
-                        f"truncated critical-kind payload: {length} bytes "
-                        f"declared, {len(extras) - offset} available")
-                record.critical_kind = extras[offset:offset + length].decode()
+                        f"truncated critical-kind payload at offset "
+                        f"{offset}: {length} bytes declared, "
+                        f"{end - offset} available")
+                try:
+                    record.critical_kind = str(data[offset:offset + length],
+                                               "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TraceFormatError(
+                        f"critical-kind payload at offset {offset} is not "
+                        f"UTF-8: {exc}") from None
                 offset += length
             else:
-                raise TraceFormatError(f"unknown extras tag {tag}")
+                raise TraceFormatError(
+                    f"unknown extras tag {tag} at offset {offset - 1}")
+        if offset != end:
+            raise TraceFormatError(
+                f"extras block overruns its declared end at offset {end} "
+                f"(decoding reached offset {offset})")
 
 
 def encode_stream(records: Iterable[Record],
@@ -383,25 +449,28 @@ def decode_stream(data: bytes, tid: int,
 
     Any corruption — a stream cut mid-record, an over-long varint, an
     extras block announcing more bytes than remain, an invalid record
-    kind — raises :class:`~repro.common.errors.TraceFormatError` with
-    the stream offset, never a bare ``IndexError``.
+    or high-level kind, a critical kind that is not UTF-8 — raises
+    :class:`~repro.common.errors.TraceFormatError` naming the record
+    number and its absolute stream offset, never a bare ``IndexError``
+    or ``ValueError``.
     """
-    decoder = RecordDecoder(tid, arc_codec=arc_codec)
-    records = []
+    decode = RecordDecoder(tid, arc_codec=arc_codec).decode
+    records: List[Record] = []
+    append = records.append
     offset = 0
-    while offset < len(data):
-        try:
-            record, consumed = decoder.decode(data[offset:])
-        except TraceFormatError as exc:
-            raise TraceFormatError(
-                f"record #{len(records) + 1} at stream offset {offset}: "
-                f"{exc}") from None
-        except (IndexError, ValueError, UnicodeDecodeError) as exc:
-            raise TraceFormatError(
-                f"corrupt record #{len(records) + 1} at stream offset "
-                f"{offset}: {exc}") from exc
-        offset += consumed
-        records.append(record)
+    end = len(data)
+    try:
+        while offset < end:
+            record, offset = decode(data, offset)
+            append(record)
+    except TraceFormatError as exc:
+        raise TraceFormatError(
+            f"record #{len(records) + 1} at stream offset {offset}: "
+            f"{exc}") from None
+    except (IndexError, ValueError) as exc:
+        raise TraceFormatError(
+            f"corrupt record #{len(records) + 1} at stream offset "
+            f"{offset}: {exc}") from exc
     return records
 
 

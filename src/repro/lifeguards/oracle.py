@@ -11,31 +11,65 @@ accelerators and all — must end with exactly the same metadata.
 This is the testing backbone of the reproduction: any ordering bug
 (a lost arc, a mis-flushed IT row, a CA barrier that releases too early)
 shows up as a fingerprint mismatch.
+
+The replay splits into a lifeguard-independent half and a per-lifeguard
+half: :func:`linearize` and :func:`deliver` turn a trace into its
+delivered-event stream, which :func:`replay_events` then feeds to one
+lifeguard. A caller replaying one trace under several lifeguards (the
+archive replay engine) builds the stream once and shares it.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, List
 
 from repro.accel.inheritance import InheritanceTracking
 from repro.capture.events import Record, RecordKind
 from repro.lifeguards.base import Lifeguard
 
+_COHERENCE_ORDER = attrgetter("commit_time", "tid", "rid")
+
 
 def linearize(trace: Iterable[Record]) -> List[Record]:
     """Sort a trace into its global coherence order."""
     records = [r for r in trace if r.commit_time is not None]
-    records.sort(key=lambda r: (r.commit_time, r.tid, r.rid))
+    records.sort(key=_COHERENCE_ORDER)
     return records
+
+
+def deliver(ordered_records: Iterable[Record]) -> List[tuple]:
+    """The unaccelerated delivered-event stream of ordered records.
+
+    CA marks are dropped (they carry no lifeguard semantics of their
+    own) and every other record goes through the disabled-IT
+    passthrough, exactly as plain delivery hardware would hand it to
+    any lifeguard. Nothing here depends on which lifeguard listens, so
+    one stream serves any number of :func:`replay_events` calls; they
+    never mutate it.
+    """
+    process = InheritanceTracking(enabled=False).process
+    events: List[tuple] = []
+    for record in ordered_records:
+        if record.kind != RecordKind.CA_MARK:
+            events.extend(process(record))
+    return events
 
 
 #: Events buffered per handle_block call in the batched oracle replay.
 REPLAY_BLOCK_EVENTS = 256
 
 
-def replay(trace: Iterable[Record], lifeguard_factory: Callable[[], Lifeguard],
-           backend: str = "event") -> Lifeguard:
-    """Replay a trace sequentially; returns the populated lifeguard.
+def replay_events(events: Iterable[tuple],
+                  lifeguard_factory: Callable[[], Lifeguard],
+                  backend: str = "event") -> Lifeguard:
+    """Feed a delivered-event stream to a fresh lifeguard; returns it.
+
+    Each event passes the lifeguard's ``wants`` filter, mirroring the
+    delivery hardware's event filtering, before its handler runs. A
+    ``load_versioned`` event is handed over as a new tuple carrying the
+    metadata snapshot the load observes, so ``events`` itself is never
+    modified and may be shared between replays.
 
     ``backend="batched"`` groups consecutive delivered events (across
     records — the oracle has no per-record timing to preserve) into
@@ -47,35 +81,44 @@ def replay(trace: Iterable[Record], lifeguard_factory: Callable[[], Lifeguard],
     if backend not in ("event", "batched"):
         raise ValueError(f"unknown replay backend {backend!r}")
     lifeguard = lifeguard_factory()
-    passthrough = InheritanceTracking(enabled=False)
+    wants = lifeguard.wants
+    handle = lifeguard.handle
     block: List[tuple] = []
     batched = backend == "batched"
-    for record in linearize(trace):
-        if record.kind == RecordKind.CA_MARK:
-            continue  # CA marks carry no lifeguard semantics of their own
-        for event in passthrough.process(record):
-            if not lifeguard.wants(event):
-                continue  # mirror the delivery hardware's event filtering
-            if event[0] == "load_versioned":
-                # The oracle replays in true coherence order, so the
-                # "current" metadata *is* the version the load must see
-                # — including this block's still-pending writes.
-                if block:
-                    lifeguard.handle_block(block)
-                    block.clear()
-                rec = event[1]
-                snapshot = lifeguard.metadata.snapshot_range(rec.addr, rec.size)
-                event = ("load_versioned", rec, (rec.addr, rec.size, snapshot))
-            if batched:
-                block.append(event)
-                if len(block) >= REPLAY_BLOCK_EVENTS:
-                    lifeguard.handle_block(block)
-                    block.clear()
-            else:
-                lifeguard.handle(event)
+    for event in events:
+        if not wants(event):
+            continue
+        if event[0] == "load_versioned":
+            # The oracle replays in true coherence order, so the
+            # "current" metadata *is* the version the load must see
+            # — including this block's still-pending writes.
+            if block:
+                lifeguard.handle_block(block)
+                block.clear()
+            rec = event[1]
+            snapshot = lifeguard.metadata.snapshot_range(rec.addr, rec.size)
+            event = ("load_versioned", rec, (rec.addr, rec.size, snapshot))
+        if batched:
+            block.append(event)
+            if len(block) >= REPLAY_BLOCK_EVENTS:
+                lifeguard.handle_block(block)
+                block.clear()
+        else:
+            handle(event)
     if block:
         lifeguard.handle_block(block)
     return lifeguard
+
+
+def replay(trace: Iterable[Record], lifeguard_factory: Callable[[], Lifeguard],
+           backend: str = "event") -> Lifeguard:
+    """Replay a trace sequentially; returns the populated lifeguard.
+
+    ``replay_events(deliver(linearize(trace)), ...)``: see
+    :func:`replay_events` for the delivery contract and ``backend``.
+    """
+    return replay_events(deliver(linearize(trace)), lifeguard_factory,
+                         backend=backend)
 
 
 def fingerprints_match(lhs: Lifeguard, rhs: Lifeguard) -> bool:

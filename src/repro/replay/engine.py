@@ -5,7 +5,9 @@ ParaLog's central claim is that the captured inter-thread order is
 a :class:`~repro.replay.format.TraceReader` reconstructs the delivered
 event order from an on-disk archive, and :func:`replay_archive` feeds it
 to a fresh lifeguard through the same unaccelerated delivery path the
-sequential oracle uses (:func:`repro.lifeguards.oracle.replay`). One
+sequential oracle uses (:func:`repro.lifeguards.oracle.deliver`, built
+once per reader, then :func:`~repro.lifeguards.oracle.replay_events`
+per lifeguard). One
 expensive capture becomes N cheap analyses: :func:`replay_all` fans a
 single archive out to every registered lifeguard, optionally in
 parallel worker processes via :mod:`repro.jobs`.
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.common.config import SimulationConfig
 from repro.cpu.os_model import AddressLayout
 from repro.lifeguards import LIFEGUARDS
-from repro.lifeguards.oracle import replay
+from repro.lifeguards.oracle import replay_events
 from repro.platform import run_parallel_monitoring
 from repro.replay.format import TraceReader, canonical_json, write_archive
 
@@ -76,8 +78,9 @@ def replay_archive(archive, lifeguard: str,
     """Replay one archive through one lifeguard, no CMP re-simulation.
 
     ``archive`` is a path or an open :class:`TraceReader` (pass the
-    reader when replaying the same file under several lifeguards to
-    amortize decode). The delivered order is the archive's global
+    reader when replaying the same file under several lifeguards: its
+    decoded records, delivered-event stream and retire orders are built
+    once and shared). The delivered order is the archive's global
     coherence linearization — exactly what the sequential oracle
     consumes, and proven fingerprint-identical to live parallel
     monitoring by the differential harness. ``backend="batched"``
@@ -90,19 +93,19 @@ def replay_archive(archive, lifeguard: str,
     reader = archive if isinstance(archive, TraceReader) \
         else TraceReader(archive)
     factory = lifeguard_replay_factory(lifeguard)
-    records = reader.all_records()
-    populated = replay(records, lambda: factory(heap_range=_HEAP_RANGE),
-                       backend=backend)
+    populated = replay_events(reader.delivered(),
+                              lambda: factory(heap_range=_HEAP_RANGE),
+                              backend=backend)
+    retire_orders = reader.retire_orders()
     return ReplayResult(
         archive=reader.path,
         lifeguard=lifeguard,
         verdicts=verdict_projection(populated.violations, lifeguard),
         fingerprint=populated.metadata_fingerprint(),
-        retire_orders={tid: [record.rid for record in reader.records(tid)]
-                       for tid in reader.tids()},
+        retire_orders={tid: list(rids) for tid, rids in retire_orders.items()},
         violations=[(v.kind, v.tid, v.rid, v.detail)
                     for v in populated.violations],
-        records=len(records),
+        records=sum(len(rids) for rids in retire_orders.values()),
     )
 
 

@@ -39,15 +39,16 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.capture.compression import (
-    RecordDecoder,
     RecordEncoder,
     _read_varint,
     _unzigzag,
     _write_varint,
     _zigzag,
+    decode_stream,
 )
 from repro.capture.events import Record
 from repro.common.errors import TraceFormatError
+from repro.lifeguards.oracle import deliver, linearize
 
 #: PNG-style magic: high-bit byte (binary-vs-text probes), name, CRLF/LF
 #: and ^Z so accidental text-mode mangling is detected immediately.
@@ -277,6 +278,9 @@ class TraceReader:
     with commit times restored; :func:`linearized` merges all streams
     into the run's global coherence order — the exact order the
     sequential oracle (and therefore any lifeguard replay) consumes.
+    :meth:`delivered` and :meth:`retire_orders` compute the
+    lifeguard-independent half of a replay once per reader, so every
+    lifeguard replayed from one reader shares them.
     """
 
     def __init__(self, path: str):
@@ -315,6 +319,8 @@ class TraceReader:
         self.manifest = manifest
         self._blobs: Dict[int, Tuple[bytes, bytes]] = {}
         self._decoded: Dict[int, List[Record]] = {}
+        self._delivered: Optional[List[tuple]] = None
+        self._retire_orders: Optional[Dict[int, List[int]]] = None
         for entry in manifest["streams"]:
             record_blob = data[offset:offset + entry["record_bytes"]]
             offset += entry["record_bytes"]
@@ -364,13 +370,12 @@ class TraceReader:
         record_blob, commit_blob = self._blobs[tid]
         entry = next(e for e in self.manifest["streams"]
                      if e["tid"] == tid)
-        decoder = RecordDecoder(tid, arc_codec=self.manifest["arc_codec"])
-        records: List[Record] = []
-        offset = 0
-        while offset < len(record_blob):
-            record, consumed = decoder.decode(record_blob[offset:])
-            offset += consumed
-            records.append(record)
+        try:
+            records = decode_stream(record_blob, tid,
+                                    arc_codec=self.manifest["arc_codec"])
+        except TraceFormatError as exc:
+            raise TraceFormatError(
+                f"{self.path}: t{tid} record blob: {exc}") from None
         if len(records) != entry["records"]:
             raise TraceFormatError(
                 f"{self.path}: t{tid} decoded {len(records)} records, "
@@ -390,9 +395,28 @@ class TraceReader:
 
     def linearized(self) -> List[Record]:
         """All records merged into the global coherence order."""
-        combined = self.all_records()
-        combined.sort(key=lambda r: (r.commit_time, r.tid, r.rid))
-        return combined
+        return linearize(self.all_records())
+
+    def delivered(self) -> List[tuple]:
+        """The archive's delivered-event stream, built once and cached.
+
+        :func:`~repro.lifeguards.oracle.deliver` over :meth:`linearized`
+        — everything about a replay that does not depend on the
+        lifeguard. Every call returns the same list, which each
+        lifeguard replay of this reader reads and none may modify.
+        """
+        if self._delivered is None:
+            self._delivered = deliver(self.linearized())
+        return self._delivered
+
+    def retire_orders(self) -> Dict[int, List[int]]:
+        """Per-thread retired rid order, built once and cached (shared
+        like :meth:`delivered`: copy before modifying)."""
+        if self._retire_orders is None:
+            self._retire_orders = {
+                tid: [record.rid for record in self.records(tid)]
+                for tid in self.tids()}
+        return self._retire_orders
 
     def bytes_per_instruction(self) -> float:
         """Archived stream bytes per retired instruction (0.0 if the

@@ -7,18 +7,26 @@ adversarial numeric values: varint byte-count boundaries (127/128,
 16383/16384, ...), negative zigzag deltas from descending addresses,
 and address walks that straddle shadow-chunk boundaries. A second
 property pins encoded-size monotonicity: appending a record never
-shrinks (or leaves unchanged) the encoded stream.
+shrinks (or leaves unchanged) the encoded stream. Two more pin the
+in-place decoder: ``decode(data, offset)`` yields the same records and
+end offsets as decoding slice by slice, and a truncated stream reports
+the cut record's absolute stream offset.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.compression import (
     ARC_CODECS,
+    RecordDecoder,
     RecordEncoder,
     decode_stream,
     encode_stream,
 )
 from repro.capture.events import Record, RecordKind
+from repro.common.errors import TraceFormatError
 from repro.isa.instructions import HLEventKind
 
 #: Values straddling every varint byte-count boundary the codec can hit,
@@ -118,6 +126,62 @@ def test_roundtrip_over_full_vocabulary(stream, codec):
     decoded = decode_stream(encode_stream(stream, arc_codec=codec), 0,
                             arc_codec=codec)
     assert [_fields(r) for r in stream] == [_fields(r) for r in decoded]
+
+
+def _slice_and_consume(data, codec):
+    """The reference loop: decode each record from a fresh slice of the
+    remaining bytes (``offset=0``) and advance by the bytes consumed."""
+    decoder = RecordDecoder(0, arc_codec=codec)
+    records, ends, offset = [], [], 0
+    while offset < len(data):
+        record, consumed = decoder.decode(data[offset:])
+        offset += consumed
+        records.append(record)
+        ends.append(offset)
+    return records, ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=streams, codec=st.sampled_from(ARC_CODECS))
+def test_offset_decoding_matches_slice_and_consume(stream, codec):
+    data = encode_stream(_with_stream_rids(stream), arc_codec=codec)
+    expected, expected_ends = _slice_and_consume(data, codec)
+    decoder = RecordDecoder(0, arc_codec=codec)
+    records, ends, offset = [], [], 0
+    while offset < len(data):
+        record, offset = decoder.decode(data, offset)
+        records.append(record)
+        ends.append(offset)
+    assert ends == expected_ends
+    assert [_fields(r) for r in records] == [_fields(r) for r in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=st.lists(records(), min_size=1, max_size=12),
+       codec=st.sampled_from(ARC_CODECS), data=st.data())
+def test_truncation_reports_absolute_stream_offset(stream, codec, data):
+    encoder = RecordEncoder(arc_codec=codec)
+    chunks = [encoder.encode(r) for r in _with_stream_rids(stream)]
+    blob = b"".join(chunks)
+    starts = [sum(len(c) for c in chunks[:i]) for i in range(len(chunks))]
+    cut = data.draw(st.integers(min_value=1, max_value=len(blob) - 1)
+                    if len(blob) > 1 else st.just(1))
+    cut_index = max(i for i, start in enumerate(starts) if start < cut)
+    if starts[cut_index] + len(chunks[cut_index]) == cut:
+        # A cut on a record boundary is a shorter valid stream.
+        assert len(decode_stream(blob[:cut], 0, arc_codec=codec)) \
+            == cut_index + 1
+        return
+    start = starts[cut_index]
+    with pytest.raises(TraceFormatError) as info:
+        decode_stream(blob[:cut], 0, arc_codec=codec)
+    message = str(info.value)
+    assert message.startswith(
+        f"record #{cut_index + 1} at stream offset {start}: ")
+    # Offsets inside the message are stream offsets too: none points
+    # before the cut record or past the cut.
+    offsets = [int(v) for v in re.findall(r"offset (\d+)", message)]
+    assert all(start <= value <= cut for value in offsets), message
 
 
 @settings(max_examples=100, deadline=None)

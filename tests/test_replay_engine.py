@@ -8,13 +8,20 @@ byte. Slow tier (``-m slow``): the 25-seed × 4-lifeguard acceptance
 sweep from the PR's acceptance criteria.
 """
 
+import json
+
 import pytest
 
+import repro.replay.format
+from repro.common.config import MemoryModel, SimulationConfig
+from repro.cpu.os_model import AddressLayout
 from repro.lifeguards import LIFEGUARDS
+from repro.lifeguards.oracle import replay
 from repro.replay import (
     TraceReader,
     canonical_json,
     capture_archive,
+    lifeguard_replay_factory,
     replay_all,
     replay_archive,
     replay_payload,
@@ -60,6 +67,78 @@ class TestReplayArchive:
         assert meta["lifeguard"] == "addrcheck"
         assert meta["scheme"] == "parallel"
         assert meta["instructions"] > 0
+
+
+def _canonical(value) -> str:
+    """Canonical JSON after a JSON round trip (int keys become strings,
+    as in a payload)."""
+    return canonical_json(json.loads(canonical_json(value)))
+
+
+def _payloads(reader, names):
+    return {name: canonical_json(replay_payload(replay_archive(reader, name)))
+            for name in names}
+
+
+class TestSharedDeliveredStream:
+    """Every lifeguard replayed from one reader reads the same cached
+    delivered-event stream; none of them may see another's effects."""
+
+    @pytest.fixture(params=[MemoryModel.SC, MemoryModel.TSO],
+                    ids=["sc", "tso"])
+    def archive(self, request, tmp_path):
+        # Seed 0 with 3 threads under TSO delivers versioned loads, the
+        # events whose snapshot rewrite must not touch the shared list.
+        config = SimulationConfig.for_threads(3, memory_model=request.param)
+        path = tmp_path / "s.plog"
+        capture_archive(path, 0, nthreads=3, config=config)
+        delivered = TraceReader(path).delivered()
+        versioned = sum(event[0] == "load_versioned" for event in delivered)
+        assert (versioned > 0) == (request.param is MemoryModel.TSO)
+        return path
+
+    def test_shared_reader_matches_fresh_readers_and_oracle(self, archive):
+        names = sorted(LIFEGUARDS)
+        fresh = {name: _payloads(TraceReader(archive), [name])[name]
+                 for name in names}
+        for order in (names, names[::-1]):
+            assert _payloads(TraceReader(archive), order) == fresh
+        records = TraceReader(archive).all_records()
+        for name in names:
+            factory = lifeguard_replay_factory(name)
+            oracle = replay(records, lambda: factory(
+                heap_range=AddressLayout.heap_range()))
+            payload = json.loads(fresh[name])
+            assert (_canonical(oracle.metadata_fingerprint())
+                    == canonical_json(payload["fingerprint"]))
+            assert (_canonical([(v.kind, v.tid, v.rid, v.detail)
+                                for v in oracle.violations])
+                    == canonical_json(payload["violations"]))
+
+    def test_stream_built_once_and_left_unchanged(self, archive,
+                                                  monkeypatch):
+        calls = []
+        real_deliver = repro.replay.format.deliver
+
+        def counting_deliver(records):
+            calls.append(1)
+            return real_deliver(records)
+
+        monkeypatch.setattr(repro.replay.format, "deliver",
+                            counting_deliver)
+        reader = TraceReader(archive)
+        delivered = reader.delivered()
+        before = list(delivered)
+        fields = [(event[0], event[1].kind, event[1].addr, event[1].rd,
+                   event[1].consume_version) for event in delivered]
+        _payloads(reader, sorted(LIFEGUARDS))
+        assert calls == [1]
+        assert reader.delivered() is delivered
+        assert len(delivered) == len(before)
+        assert all(now is then for now, then in zip(delivered, before))
+        assert fields == [(event[0], event[1].kind, event[1].addr,
+                           event[1].rd, event[1].consume_version)
+                          for event in delivered]
 
 
 class TestReplayAll:

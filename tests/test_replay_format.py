@@ -5,23 +5,28 @@ path (magic, versions, digests, truncation, trailing bytes), and the
 transitive-reduction-vs-naive arc accounting the perf gate relies on.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.capture.compression import _X_HL
 from repro.capture.events import Record, RecordKind
 from repro.common.config import SimulationConfig
 from repro.common.errors import TraceFormatError
+from repro.isa.instructions import HLEventKind
 from repro.replay import (
     ARCHIVE_ARC_CODEC,
     FORMAT_VERSION,
     MAGIC,
     TraceReader,
+    canonical_json,
     capture_archive,
     config_digest,
+    replay_archive,
     write_archive,
 )
-from repro.replay.format import _write_varint
+from repro.replay.format import _read_varint, _write_varint
 
 
 def _mem(tid, rid, kind, addr, reg, commit_time):
@@ -234,3 +239,88 @@ class TestRejection:
         path, _data = _archive_bytes(tmp_path)
         with pytest.raises(TraceFormatError, match="no stream for tid"):
             TraceReader(path).records(7)
+
+
+def _redigested_archive(path, trace, patch):
+    """Archive ``trace`` (one thread), apply ``patch`` to its record
+    blob, and re-digest it so the archive opens: only decoding can tell
+    the blob is bad."""
+    write_archive(path, trace, nthreads=1)
+    data = path.read_bytes()
+    manifest_len, offset = _read_varint(data, len(MAGIC) + 1)
+    manifest = json.loads(data[offset:offset + manifest_len])
+    offset += manifest_len
+    entry = manifest["streams"][0]
+    blob = bytearray(data[offset:offset + entry["record_bytes"]])
+    patch(blob)
+    entry["record_sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_blob = canonical_json(manifest).encode()
+    out = bytearray(MAGIC)
+    out.append(FORMAT_VERSION)
+    _write_varint(out, len(manifest_blob))
+    out.extend(manifest_blob)
+    out.extend(blob)
+    out.extend(data[offset + entry["record_bytes"]:])
+    path.write_bytes(out)
+    return path
+
+
+def _load_then(record):
+    """A one-thread trace: a load (3 encoded bytes: header, one-byte
+    address delta, register), then ``record``; commit times in order."""
+    trace = [_mem(0, 1, RecordKind.LOAD, 0x20, 1, 1), record]
+    record.commit_time = 2
+    return trace
+
+
+def _set_kind_bits(blob):
+    assert blob[3] & 0x0F == int(RecordKind.LOAD)
+    blob[3] = (blob[3] & 0xF0) | 12
+
+
+def _hl_record():
+    record = Record(0, 2, RecordKind.HL_BEGIN)
+    record.hl_kind = HLEventKind.MALLOC
+    return record
+
+
+def _set_hl_kind(blob):
+    # Record #2: header, extras length, HL tag, then the HL kind.
+    assert blob[5] == _X_HL and blob[6] == int(HLEventKind.MALLOC)
+    blob[6] = 0x7F
+
+
+def _critical_record():
+    record = Record(0, 2, RecordKind.CRITICAL_USE)
+    record.rs1 = 1
+    record.critical_kind = "ab"
+    return record
+
+
+def _break_utf8(blob):
+    blob[blob.index(b"ab")] = 0xFF
+
+
+class TestCorruptRecordBlob:
+    """A digest-valid archive whose record blob holds a value no encoder
+    writes fails with a TraceFormatError naming the record and its
+    stream offset, never a bare ValueError."""
+
+    @pytest.mark.parametrize("second, patch, detail", [
+        (lambda: _mem(0, 2, RecordKind.LOAD, 0x24, 2, None),
+         _set_kind_bits, "invalid record kind 12"),
+        (_hl_record, _set_hl_kind, "invalid high-level event kind 127"),
+        (_critical_record, _break_utf8, "not UTF-8"),
+    ], ids=["header-kind", "hl-kind", "critical-utf8"])
+    def test_invalid_value_is_a_format_error(self, tmp_path, second, patch,
+                                             detail):
+        path = _redigested_archive(tmp_path / "bad.plog",
+                                   _load_then(second()), patch)
+        reader = TraceReader(path)
+        with pytest.raises(TraceFormatError) as info:
+            reader.records(0)
+        message = str(info.value)
+        assert "t0 record blob: record #2 at stream offset 3" in message
+        assert detail in message
+        with pytest.raises(TraceFormatError):
+            replay_archive(reader, "taintcheck")
