@@ -27,6 +27,11 @@ references it; address terms stay valid through:
 * high-level conflicts — ConflictAlert records flush the whole table
   (Section 4.3).
 
+Delayed advertising asks for the minimum held RID after every record,
+so the table caches it per thread: inserting a row can only lower the
+cached floor, and only removing or replacing the row that holds it
+forces a rescan (see :meth:`InheritanceTracking.min_held_rid`).
+
 Delivered events are plain tuples; the vocabulary is documented in
 :mod:`repro.lifeguards.base`.
 """
@@ -36,12 +41,25 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.capture.events import Record, RecordKind
-from repro.memory.address import ranges_overlap
 
 #: Maximum inherits-from addresses one register row can hold.
 MAX_SOURCES = 2
 #: Maximum live-register OR-terms one register row can hold.
 MAX_REG_TERMS = 2
+
+_LOAD = RecordKind.LOAD
+_STORE = RecordKind.STORE
+_RMW = RecordKind.RMW
+_MOVRR = RecordKind.MOVRR
+_ALU = RecordKind.ALU
+_LOADI = RecordKind.LOADI
+_CRITICAL_USE = RecordKind.CRITICAL_USE
+_HL_BEGIN = RecordKind.HL_BEGIN
+_HL_END = RecordKind.HL_END
+_THREAD_EXIT = RecordKind.THREAD_EXIT
+
+#: Marks a thread whose cached RID floor must be recomputed.
+_STALE = object()
 
 #: Record kind -> event name delivered with IT disabled (a versioned
 #: load becomes ``load_versioned``); other kinds deliver nothing.
@@ -69,14 +87,6 @@ class _Row:
         self.rid = rid  # oldest source RID (None if no address terms)
 
 
-def _merge_rids(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class InheritanceTracking:
     """The IT table for one lifeguard hardware context.
 
@@ -89,6 +99,11 @@ class InheritanceTracking:
     def __init__(self, enabled: bool = True, tracer=None, owner: str = ""):
         self.enabled = enabled
         self._rows: Dict[Tuple[int, int], _Row] = {}
+        #: tid -> the smallest RID its rows hold (None: they hold none).
+        #: Every cached value is exact; a tid missing here is stale and
+        #: :meth:`min_held_rid` rescans it. Rows change only through
+        #: :meth:`_put` and :meth:`_pop`, which keep this invariant.
+        self._floor: Dict[int, Optional[int]] = {}
         #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events);
         #: ``owner`` names the lifeguard core this table belongs to.
         self.tracer = tracer
@@ -121,148 +136,194 @@ class InheritanceTracking:
             return out
         return self._process_enabled(record)
 
+    def bound_process(self):
+        """:meth:`process` with its enabled/tracer checks resolved once,
+        for a consumer that feeds every record of a run through it."""
+        if self.tracer is not None:
+            return self.process
+        if not self.enabled:
+            return self._passthrough
+        return self._process_enabled
+
     def _process_enabled(self, record: Record) -> List[tuple]:
         kind = record.kind
         tid = record.tid
-        out: List[tuple] = []
 
-        if kind == RecordKind.LOAD:
+        if kind == _LOAD:
             if record.consume_version is not None:
                 # TSO: versioned loads are always delivered, along with any
                 # pending state that inherits from the same address.
-                out.extend(self.flush_overlapping(record.addr, record.size))
+                out = self.flush_overlapping(record.addr, record.size)
                 out.extend(self._flush_referencing(tid, record.rd))
                 out.append(("load_versioned", record))
-                self._rows.pop((tid, record.rd), None)
-            else:
-                # Absorbing never touches the lifeguard's register value,
-                # so rows referencing rd stay valid (they refer to the
-                # stored metadata, which only handler execution changes).
-                self._rows[(tid, record.rd)] = _Row(
-                    ((record.addr, record.size),), (), record.rid)
-                self.absorbed_events += 1
-                # The *check* half of the load is still delivered: check
-                # lifeguards (MemCheck, AddrCheck) must inspect every
-                # access even when its propagation is deferred; pure
-                # propagation lifeguards (TaintCheck) decline the event
-                # and it costs nothing. The Idempotent Filter is the
-                # accelerator that absorbs these.
-                out.append(("load_check", record))
-
-        elif kind == RecordKind.MOVRR:
-            out.extend(self._absorb_copy(tid, record.rd, record.rs1))
-
-        elif kind == RecordKind.ALU:
-            out.extend(self._process_alu(record))
-
-        elif kind == RecordKind.LOADI:
-            self._rows[(tid, record.rd)] = _Row((), (), None)
+                self._pop((tid, record.rd))
+                return out
+            # Absorbing never touches the lifeguard's register value,
+            # so rows referencing rd stay valid (they refer to the
+            # stored metadata, which only handler execution changes).
+            self._put(tid, record.rd,
+                      _Row(((record.addr, record.size),), (), record.rid))
             self.absorbed_events += 1
+            # The *check* half of the load is still delivered: check
+            # lifeguards (MemCheck, AddrCheck) must inspect every
+            # access even when its propagation is deferred; pure
+            # propagation lifeguards (TaintCheck) decline the event
+            # and it costs nothing. The Idempotent Filter is the
+            # accelerator that absorbs these.
+            return [("load_check", record)]
 
-        elif kind == RecordKind.STORE:
-            out.extend(self._process_store(record))
+        if kind == _ALU:
+            return self._process_alu(record)
 
-        elif kind == RecordKind.RMW:
-            out.extend(self.flush_overlapping(record.addr, record.size))
+        if kind == _STORE:
+            return self._process_store(record)
+
+        if kind == _MOVRR:
+            return self._absorb_copy(tid, record.rd, record.rs1)
+
+        if kind == _LOADI:
+            self._put(tid, record.rd, _Row((), (), None))
+            self.absorbed_events += 1
+            return []
+
+        if kind == _RMW:
+            out = self.flush_overlapping(record.addr, record.size)
             out.extend(self._flush_referencing(tid, record.rd))
-            self._rows.pop((tid, record.rd), None)
+            self._pop((tid, record.rd))
             out.append(("rmw", record))
+            return out
 
-        elif kind == RecordKind.CRITICAL_USE:
-            out.extend(self._flush_reg(tid, record.rs1))
+        if kind == _CRITICAL_USE:
+            out = self._flush_reg(tid, record.rs1)
             out.append(("critical", record))
+            return out
 
-        elif kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
-            out.append(("hl", record))
+        if kind == _HL_BEGIN or kind == _HL_END:
+            return [("hl", record)]
 
-        elif kind == RecordKind.THREAD_EXIT:
-            out.extend(self.flush_thread(tid))
+        if kind == _THREAD_EXIT:
+            return self.flush_thread(tid)
 
         # NOP and CA_MARK records deliver nothing through IT; CA-triggered
         # flushes are driven by the consumer pipeline via flush_all().
-        return out
+        return []
+
+    # -- the table ------------------------------------------------------------
+
+    def _put(self, tid: int, reg: int, row: _Row) -> None:
+        """Install ``row`` for ``(tid, reg)``, keeping the floor exact."""
+        key = (tid, reg)
+        rows = self._rows
+        old = rows.get(key)
+        rows[key] = row
+        floor = self._floor
+        held = floor.get(tid, _STALE)
+        if held is _STALE:
+            return
+        rid = row.rid
+        if rid is not None and (held is None or rid <= held):
+            floor[tid] = rid  # a new row can only lower the floor
+        elif old is not None and held is not None and old.rid == held:
+            del floor[tid]  # replaced the row holding the floor
+
+    def _pop(self, key: Tuple[int, int]) -> Optional[_Row]:
+        """Remove and return ``key``'s row, keeping the floor exact."""
+        row = self._rows.pop(key, None)
+        if row is not None and row.rid is not None:
+            floor = self._floor
+            if floor.get(key[0]) == row.rid:
+                del floor[key[0]]  # removed the row holding the floor
+        return row
 
     # -- absorption helpers ------------------------------------------------------
 
     def _absorb_copy(self, tid: int, rd: int, rs: int) -> List[tuple]:
         """rd <- rs for moves and unary computation (always absorbable)."""
-        if rd == rs:
-            # A unary in-place update keeps the existing row (or live
-            # metadata) semantically unchanged for OR-propagation.
-            self.absorbed_events += 1
-            return []
-        src = self._rows.get((tid, rs))
-        if src is not None:
-            self._rows[(tid, rd)] = _Row(src.sources, src.regs, src.rid)
-        else:
-            # rs is live: defer by referencing its current metadata.
-            self._rows[(tid, rd)] = _Row((), (rs,), None)
+        if rd != rs:
+            src = self._rows.get((tid, rs))
+            if src is not None:
+                self._put(tid, rd, _Row(src.sources, src.regs, src.rid))
+            else:
+                # rs is live: defer by referencing its current metadata.
+                self._put(tid, rd, _Row((), (rs,), None))
+        # (rd == rs: a unary in-place update keeps the existing row, or
+        # live metadata, semantically unchanged for OR-propagation.)
         self.absorbed_events += 1
         return []
-
-    def _term_of(self, tid: int, reg: int) -> _Row:
-        row = self._rows.get((tid, reg))
-        if row is not None:
-            return row
-        return _Row((), (reg,), None)
 
     def _process_alu(self, record: Record) -> List[tuple]:
         tid = record.tid
         rd = record.rd
-        out: List[tuple] = []
-        if record.rs2 is None:
-            out.extend(self._absorb_copy(tid, rd, record.rs1))
-            return out
+        rs1 = record.rs1
+        rs2 = record.rs2
+        if rs2 is None:
+            return self._absorb_copy(tid, rd, rs1)
 
-        term1 = self._term_of(tid, record.rs1)
-        term2 = self._term_of(tid, record.rs2)
-        sources = list(term1.sources)
-        for source in term2.sources:
-            if source not in sources:
-                sources.append(source)
-        regs = list(term1.regs)
-        for reg in term2.regs:
-            if reg not in regs:
-                regs.append(reg)
+        # A register without a row is one live-register term.
+        rows = self._rows
+        row1 = rows.get((tid, rs1))
+        row2 = rows.get((tid, rs2))
+        if row1 is None:
+            sources, regs, rid = (), (rs1,), None
+        else:
+            sources, regs, rid = row1.sources, row1.regs, row1.rid
+        if row2 is None:
+            if rs2 not in regs:
+                regs += (rs2,)
+        else:
+            for source in row2.sources:
+                if source not in sources:
+                    sources += (source,)
+            for reg in row2.regs:
+                if reg not in regs:
+                    regs += (reg,)
+            rid2 = row2.rid
+            if rid2 is not None and (rid is None or rid2 < rid):
+                rid = rid2
         if len(sources) <= MAX_SOURCES and len(regs) <= MAX_REG_TERMS:
             # A self-reference (rd in regs, the accumulator pattern) is
             # sound: it denotes rd's *stored* metadata, which stays
             # untouched until this row itself materializes.
-            self._rows[(tid, rd)] = _Row(
-                tuple(sources), tuple(regs), _merge_rids(term1.rid, term2.rid))
+            self._put(tid, rd, _Row(sources, regs, rid))
             self.absorbed_events += 1
-            return out
+            return []
         # Cannot track the merge: materialize the source rows so their
         # register metadata is live, then deliver the computation.
-        out.extend(self._flush_reg(tid, record.rs1))
-        if record.rs2 != record.rs1:
-            out.extend(self._flush_reg(tid, record.rs2))
+        out = self._flush_reg(tid, rs1)
+        if rs2 != rs1:
+            out.extend(self._flush_reg(tid, rs2))
         out.extend(self._flush_referencing(tid, rd))
-        self._rows.pop((tid, rd), None)
+        self._pop((tid, rd))
         out.append(("alu", record))
         return out
 
     def _process_store(self, record: Record) -> List[tuple]:
         tid = record.tid
-        target = (record.addr, record.size)
+        addr = record.addr
+        size = record.size
+        key = (tid, record.rs1)
         # The consuming register's row performs its deferred reads inside
         # the mem_inherit handler, *before* the write — so it need not be
         # pre-flushed, unless a source only partially overlaps the target
         # (the row would go stale after the write).
         skip = None
-        row = self._rows.get((tid, record.rs1))
-        if row is not None and all(
-                source == target
-                for source in row.sources
-                if ranges_overlap(source[0], source[1], record.addr, record.size)):
-            skip = (tid, record.rs1)
-        out = self.flush_overlapping(record.addr, record.size, skip=skip)
-        row = self._rows.get((tid, record.rs1))
+        row = self._rows.get(key)
+        if row is not None:
+            skip = key
+            end = addr + size
+            for source in row.sources:
+                src_addr, src_size = source
+                if (src_addr < end and addr < src_addr + src_size
+                        and (src_addr != addr or src_size != size)):
+                    skip = None
+                    break
+        out = self.flush_overlapping(addr, size, skip=skip)
+        row = self._rows.get(key)
         if row is None:
             out.append(("store", record))
         else:
-            out.append(("mem_inherit", record.addr, record.size,
-                        row.sources, row.regs, record))
+            out.append(("mem_inherit", addr, size, row.sources, row.regs,
+                        record))
             self.delivered_condensed += 1
         return out
 
@@ -278,17 +339,16 @@ class InheritanceTracking:
     # -- flushing --------------------------------------------------------------
 
     def _flush_row(self, key: Tuple[int, int]) -> List[tuple]:
-        row = self._rows.pop(key, None)
+        row = self._pop(key)
         if row is None:
             return []
         self.row_flushes += 1
         tid, reg = key
-        out: List[tuple] = []
         # Materializing this row *writes* reg's stored metadata, so rows
         # that reference reg's current value must materialize first (the
         # recursion terminates: each row is popped exactly once, and this
         # row is already out of the table).
-        out.extend(self._flush_referencing(tid, reg))
+        out = self._flush_referencing(tid, reg)
         out.append(("reg_inherit", tid, reg, row.sources, row.regs))
         return out
 
@@ -320,13 +380,14 @@ class InheritanceTracking:
         event doing the overwrite — the store that consumes it.
         """
         out: List[tuple] = []
-        victims = [
-            key
-            for key, row in self._rows.items()
-            if key != skip
-            and any(ranges_overlap(src_addr, src_size, addr, size)
-                    for src_addr, src_size in row.sources)
-        ]
+        end = addr + size
+        victims = []
+        for key, row in self._rows.items():
+            for src_addr, src_size in row.sources:
+                if src_addr < end and addr < src_addr + src_size:
+                    if key != skip:
+                        victims.append(key)
+                    break
         for key in victims:
             out.extend(self._flush_row(key))
         return out
@@ -389,14 +450,20 @@ class InheritanceTracking:
         """The smallest RID still cached for ``tid`` (None when nothing is).
 
         The thread's advertised progress must stay below this value —
-        the delayed-advertising rule of Section 4.2.
+        the delayed-advertising rule of Section 4.2. Served from the
+        per-thread cache; only the first call after the row holding the
+        floor left the table scans the rows.
         """
-        held = [
-            row.rid
-            for key, row in self._rows.items()
-            if key[0] == tid and row.rid is not None
-        ]
-        return min(held) if held else None
+        held = self._floor.get(tid, _STALE)
+        if held is _STALE:
+            held = None
+            for (row_tid, _reg), row in self._rows.items():
+                rid = row.rid
+                if (row_tid == tid and rid is not None
+                        and (held is None or rid < held)):
+                    held = rid
+            self._floor[tid] = held
+        return held
 
     @property
     def row_count(self) -> int:

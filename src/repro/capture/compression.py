@@ -163,6 +163,18 @@ class RecordEncoder:
         #: Dependence arcs encoded.
         self.arcs = 0
 
+    def snapshot(self) -> tuple:
+        """Everything :meth:`encode` advances: the delta contexts and the
+        statistics. :meth:`restore` rolls the encoder back to it."""
+        return (self._last_addr, dict(self._last_recv), self.records,
+                self.bytes, self.arc_bytes, self.arcs)
+
+    def restore(self, state: tuple) -> None:
+        """Undo every :meth:`encode` since ``state`` was snapshotted."""
+        (self._last_addr, last_recv, self.records, self.bytes,
+         self.arc_bytes, self.arcs) = state
+        self._last_recv = dict(last_recv)
+
     def encode(self, record: Record) -> bytes:
         out = bytearray()
         kind = int(record.kind)

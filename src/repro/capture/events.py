@@ -52,6 +52,14 @@ _VERSION_ANNOTATION_BYTES = 8
 _HIGHLEVEL_KINDS = frozenset(
     {RecordKind.HL_BEGIN, RecordKind.HL_END, RecordKind.CA_MARK}
 )
+_MEMORY_KINDS = frozenset({RecordKind.LOAD, RecordKind.STORE, RecordKind.RMW})
+_WRITE_KINDS = frozenset({RecordKind.STORE, RecordKind.RMW})
+
+#: ``OpKind`` value -> the record kind of the same value, so
+#: :meth:`Record.from_op` indexes a tuple instead of calling the enum.
+_KIND_OF_OP = tuple(
+    RecordKind(int(op_kind)) if op_kind else None
+    for op_kind in range(max(OpKind) + 1))
 
 
 class Record:
@@ -113,7 +121,12 @@ class Record:
 
     @classmethod
     def from_op(cls, tid: int, rid: int, op: MicroOp) -> "Record":
-        record = cls(tid, rid, RecordKind(int(op.kind)))
+        # One record per retired instruction: every slot is set exactly
+        # once here, rather than defaulted by __init__ and overwritten.
+        record = cls.__new__(cls)
+        record.tid = tid
+        record.rid = rid
+        record.kind = _KIND_OF_OP[op.kind]
         record.addr = op.addr
         record.size = op.size
         record.rd = op.rd
@@ -122,15 +135,22 @@ class Record:
         record.hl_kind = op.hl_kind
         record.ranges = op.ranges or ()
         record.critical_kind = op.critical_kind
+        record.arcs = None
+        record.reduced_arcs = None
+        record.ca_id = None
+        record.ca_issuer = False
+        record.consume_version = None
+        record.produce_versions = None
+        record.commit_time = None
         return record
 
     @property
     def is_memory(self) -> bool:
-        return self.kind in (RecordKind.LOAD, RecordKind.STORE, RecordKind.RMW)
+        return self.kind in _MEMORY_KINDS
 
     @property
     def is_write(self) -> bool:
-        return self.kind in (RecordKind.STORE, RecordKind.RMW)
+        return self.kind in _WRITE_KINDS
 
     def add_arc(self, src_tid: int, src_rid: int) -> None:
         if self.arcs is None:

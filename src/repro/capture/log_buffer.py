@@ -13,7 +13,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.capture.events import Record, record_size_bytes
+from repro.capture.events import (
+    _BASE_RECORD_BYTES,
+    _HIGHLEVEL_KINDS,
+    Record,
+    record_size_bytes,
+)
 from repro.common.config import LogBufferConfig
 from repro.cpu.engine import Condition, Engine
 
@@ -22,7 +27,7 @@ class LogBuffer:
     """Bounded FIFO of event records with byte-occupancy accounting."""
 
     __slots__ = ("engine", "capacity_bytes", "name", "faults", "records_lost",
-                 "_queue", "_occupied_bytes", "_encoder", "not_full",
+                 "_queue", "_sizes", "_occupied_bytes", "_encoder", "not_full",
                  "not_empty", "closed", "total_records", "total_bytes",
                  "peak_bytes")
 
@@ -36,7 +41,10 @@ class LogBuffer:
         self.faults = faults
         #: Records silently lost to an injected ``log_append:drop`` fault.
         self.records_lost = 0
+        # Records and their charged sizes, in parallel FIFOs (no
+        # per-record entry tuple).
         self._queue = deque()
+        self._sizes = deque()
         self._occupied_bytes = 0
         self._encoder = None
         if config.use_codec:
@@ -66,21 +74,24 @@ class LogBuffer:
                 # "drop": accept the record but lose it — trace loss.
                 self.records_lost += 1
                 return True
-        if self._encoder is not None:
-            # Encode tentatively: a failed append must not advance the
-            # encoder's delta context or its statistics.
-            saved = (self._encoder._last_addr, self._encoder.records,
-                     self._encoder.bytes)
-            size = len(self._encoder.encode(record))
-            if self._occupied_bytes + size > self.capacity_bytes:
-                (self._encoder._last_addr, self._encoder.records,
-                 self._encoder.bytes) = saved
-                return False
-        else:
+        encoder = self._encoder
+        if encoder is not None:
+            # Encode tentatively: a record that does not fit must leave
+            # the encoder exactly as it was (delta contexts and stats).
+            saved = encoder.snapshot()
+            size = len(encoder.encode(record))
+        elif (record.arcs or record.kind in _HIGHLEVEL_KINDS
+              or record.consume_version is not None
+              or record.produce_versions):
             size = record_size_bytes(record)
+        else:
+            size = _BASE_RECORD_BYTES  # the common case, sized inline
         if self._occupied_bytes + size > self.capacity_bytes:
+            if encoder is not None:
+                encoder.restore(saved)
             return False
-        self._queue.append((record, size))
+        self._queue.append(record)
+        self._sizes.append(size)
         self._occupied_bytes += size
         self.total_records += 1
         self.total_bytes += size
@@ -99,11 +110,11 @@ class LogBuffer:
     def peek(self) -> Optional[Record]:
         if not self._queue:
             return None
-        return self._queue[0][0]
+        return self._queue[0]
 
     def pop(self) -> Record:
-        record, size = self._queue.popleft()
-        self._occupied_bytes -= size
+        record = self._queue.popleft()
+        self._occupied_bytes -= self._sizes.popleft()
         self.not_full.notify_all(self.engine)
         return record
 

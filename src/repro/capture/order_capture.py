@@ -56,7 +56,12 @@ class OrderCapture:
         self.current_rids = current_rids
         self.current_rids.setdefault(tid, 0)
         self._last_recv: Dict[int, int] = {}
-        self._pending = deque()  # (record, finalized: bool-in-list for mutability)
+        #: Retired records awaiting in-order commit to the log.
+        self._pending = deque()
+        #: The pending TSO stores whose arcs are not known yet (drain
+        #: finalizes them). Empty under SC, so a flush there only
+        #: checks that this set is empty.
+        self._unfinalized = set()
         self._trace = trace
         #: The store record currently being drained (TSO versioning hook).
         self.draining_record: Optional[Record] = None
@@ -68,9 +73,11 @@ class OrderCapture:
 
     def begin_record(self, op: MicroOp) -> Record:
         """Create the record for a retiring micro-op and advance the counter."""
-        rid = self.current_rids[self.tid] + 1
-        self.current_rids[self.tid] = rid
-        return Record.from_op(self.tid, rid, op)
+        tid = self.tid
+        current_rids = self.current_rids
+        rid = current_rids[tid] + 1
+        current_rids[tid] = rid
+        return Record.from_op(tid, rid, op)
 
     def attach_conflicts(self, record: Record, conflicts) -> None:
         """Turn coherence conflicts into (reduced) dependence arcs."""
@@ -118,19 +125,19 @@ class OrderCapture:
         """Queue a retired record for in-order commit to the log."""
         if finalized:
             record.commit_time = next(_GLOBAL_SEQ)
-        self._pending.append([record, finalized])
+        else:
+            self._unfinalized.add(record)
+        self._pending.append(record)
 
     def finalize_store(self, record: Record, conflicts) -> None:
         """TSO: a buffered store drained; its arcs are now known."""
+        if record not in self._unfinalized:
+            # Already flushed records cannot be finalized late; enqueue
+            # order guarantees it is pending, so reaching here is a bug.
+            raise AssertionError("finalize_store: record not pending")
+        self._unfinalized.remove(record)
         self.attach_conflicts(record, conflicts)
         record.commit_time = next(_GLOBAL_SEQ)
-        for slot in self._pending:
-            if slot[0] is record:
-                slot[1] = True
-                return
-        # Already flushed records cannot be finalized late; enqueue order
-        # guarantees we find it, so reaching here is a bug.
-        raise AssertionError("finalize_store: record not pending")
 
     def flush(self) -> bool:
         """Commit the finalized prefix of the pending queue to the log.
@@ -138,15 +145,19 @@ class OrderCapture:
         Returns False if a finalized record did not fit (log full) — the
         caller must wait on ``log.not_full`` and retry.
         """
-        while self._pending:
-            record, finalized = self._pending[0]
-            if not finalized:
+        pending = self._pending
+        unfinalized = self._unfinalized
+        try_append = self.log.try_append
+        trace = self._trace
+        while pending:
+            record = pending[0]
+            if unfinalized and record in unfinalized:
                 return True
-            if not self.log.try_append(record):
+            if not try_append(record):
                 return False
-            if self._trace is not None:
-                self._trace.append(record)
-            self._pending.popleft()
+            if trace is not None:
+                trace.append(record)
+            pending.popleft()
         return True
 
     @property
@@ -161,21 +172,24 @@ class OrderCapture:
         stores have drained (their arcs can otherwise point past the
         barrier and deadlock the consumers).
         """
-        for pending_record, finalized in self._pending:
+        unfinalized = self._unfinalized
+        if not unfinalized:
+            return False
+        for pending_record in self._pending:
             if pending_record is record:
                 return False
-            if not finalized:
+            if pending_record in unfinalized:
                 return True
         return False
 
     def pending_unfinalized_stores(self) -> int:
-        return sum(1 for _, finalized in self._pending if not finalized)
+        return len(self._unfinalized)
 
     # -- TSO versioning support ----------------------------------------------------
 
     def find_pending_load(self, line: int, line_bytes: int) -> Optional[Record]:
         """Newest pending LOAD record touching ``line`` (annotation target)."""
-        for record, _finalized in reversed(self._pending):
+        for record in reversed(self._pending):
             if (record.kind == RecordKind.LOAD
                     and record.addr is not None
                     and record.addr // line_bytes == line):

@@ -128,6 +128,14 @@ class TsoStoreBuffer:
 
 _FETCH, _EXECUTE, _COMMIT, _FINISH = range(4)
 
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_RMW = OpKind.RMW
+_NOP = OpKind.NOP
+_HL_BEGIN = OpKind.HL_BEGIN
+_HL_END = OpKind.HL_END
+_THREAD_EXIT = OpKind.THREAD_EXIT
+
 
 class AppCore(CoreActor):
     """One application thread pinned to one core (parallel monitoring)."""
@@ -191,9 +199,10 @@ class AppCore(CoreActor):
             return self._finish_step()
 
         if phase == _FETCH:
-            fence_wait = self._ca_fence_gate()
-            if fence_wait is not None:
-                return fence_wait
+            if self._ca_fence is not None:
+                fence_wait = self._ca_fence_gate()
+                if fence_wait is not None:
+                    return fence_wait
             if self._containment_rid is not None:
                 table = self.hooks.progress_table
                 if table is not None and table.get(self.tid) < self._containment_rid:
@@ -204,12 +213,14 @@ class AppCore(CoreActor):
             self._result = None
             self._phase = _EXECUTE
 
-        stall = self._tso_pre_stall()
-        if stall is not None:
-            return stall
+        if self.store_buffer is not None:
+            stall = self._tso_pre_stall()
+            if stall is not None:
+                return stall
         latency = self._execute()
         self.instructions_retired += 1
-        self.engine.note_retire()
+        engine = self.engine
+        engine.last_retire = engine.now  # Engine.note_retire, inlined
         self._phase = _COMMIT
         return ("delay", latency, "execute")
 
@@ -250,21 +261,21 @@ class AppCore(CoreActor):
         return ("wait", buffer.not_full, "execute", f"CA fence on t{tid}")
 
     def _tso_pre_stall(self):
+        """The store-buffer stalls (called only when a buffer exists)."""
         buffer = self.store_buffer
-        if buffer is None:
-            return None
         op = self._op
-        if op.kind == OpKind.STORE and buffer.full:
+        kind = op.kind
+        if kind == _STORE and buffer.full:
             return ("wait", buffer.not_full, "execute", "store buffer full")
-        if op.kind == OpKind.RMW and not buffer.empty:
+        if kind == _RMW and not buffer.empty:
             return ("wait", buffer.empty_cond, "execute", "RMW fence")
-        if (op.kind in (OpKind.HL_BEGIN, OpKind.HL_END)
+        if ((kind == _HL_BEGIN or kind == _HL_END)
                 and not buffer.empty and self._will_broadcast(op)):
             # A CA broadcast is a serializing event: the issuer's own
             # buffered stores must drain first so all its pre-event arcs
             # exist before the marks are inserted.
             return ("wait", buffer.empty_cond, "execute", "CA serialize")
-        if (op.kind == OpKind.LOAD and buffer.overlaps(op.addr, op.size)
+        if (kind == _LOAD and buffer.overlaps(op.addr, op.size)
                 and buffer.forward_value(op.addr, op.size) is None):
             return ("wait", buffer.empty_cond, "execute", "partial forward")
         return None
@@ -272,7 +283,7 @@ class AppCore(CoreActor):
     def _will_broadcast(self, op) -> bool:
         if self.hooks.ca_hub is None or op.value == 1:
             return False
-        phase = HLPhase.BEGIN if op.kind == OpKind.HL_BEGIN else HLPhase.END
+        phase = HLPhase.BEGIN if op.kind == _HL_BEGIN else HLPhase.END
         return (op.hl_kind, phase) in self.hooks.ca_subscriptions
 
     # -- execution ------------------------------------------------------------------------
@@ -280,63 +291,68 @@ class AppCore(CoreActor):
     def _execute(self) -> int:
         op = self._op
         kind = op.kind
-        record = self.capture.begin_record(op)
+        capture = self.capture
+        record = capture.begin_record(op)
         latency = 1
 
-        if kind == OpKind.LOAD:
+        # A conflict-free access (every L1 hit) has no arcs to attach.
+        if kind == _LOAD:
             forwarded = (self.store_buffer.forward_value(op.addr, op.size)
                          if self.store_buffer is not None else None)
             if forwarded is not None:
                 self._result = forwarded
-                self.capture.enqueue(record)
+                capture.enqueue(record)
             else:
                 result = self.memsys.access(self.core_id, op.addr, op.size,
                                             False, record.rid)
-                self.capture.attach_conflicts(record, result.conflicts)
+                if result.conflicts:
+                    capture.attach_conflicts(record, result.conflicts)
                 self._result = self.memory.read(op.addr, op.size)
                 latency = result.latency
-                self.capture.enqueue(record)
+                capture.enqueue(record)
 
-        elif kind == OpKind.STORE:
+        elif kind == _STORE:
             if self.store_buffer is not None:
-                self.capture.enqueue(record, finalized=False)
+                capture.enqueue(record, finalized=False)
                 self.store_buffer.push(
                     StoreBufferEntry(op.addr, op.size, op.value, record))
             else:
                 result = self.memsys.access(self.core_id, op.addr, op.size,
                                             True, record.rid)
-                self.capture.attach_conflicts(record, result.conflicts)
+                if result.conflicts:
+                    capture.attach_conflicts(record, result.conflicts)
                 self.memory.write(op.addr, op.size, op.value)
                 latency = result.latency
-                self.capture.enqueue(record)
+                capture.enqueue(record)
 
-        elif kind == OpKind.RMW:
+        elif kind == _RMW:
             result = self.memsys.access(self.core_id, op.addr, op.size,
                                         True, record.rid)
-            self.capture.attach_conflicts(record, result.conflicts)
+            if result.conflicts:
+                capture.attach_conflicts(record, result.conflicts)
             self._result = self.memory.read(op.addr, op.size)
             self.memory.write(op.addr, op.size, op.value)
             latency = result.latency + 2  # atomic read-modify-write penalty
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
-        elif kind == OpKind.NOP:
+        elif kind == _NOP:
             latency = op.value if op.value else 1
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
-        elif kind in (OpKind.HL_BEGIN, OpKind.HL_END):
+        elif kind == _HL_BEGIN or kind == _HL_END:
             latency = 1 + self._maybe_broadcast(op, record)
-            self.capture.enqueue(record)
-            if (kind == OpKind.HL_BEGIN
+            capture.enqueue(record)
+            if (kind == _HL_BEGIN
                     and op.hl_kind in self.hooks.containment_kinds):
                 self._containment_rid = record.rid
 
-        elif kind == OpKind.THREAD_EXIT:
+        elif kind == _THREAD_EXIT:
             if self.hooks.ca_hub is not None:
                 self.hooks.ca_hub.thread_exited(self.tid)
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
         else:  # MOVRR, ALU, LOADI, CRITICAL_USE
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
         return latency
 
@@ -437,6 +453,7 @@ class TimeslicedAppCore(CoreActor):
         self._order: List[int] = sorted(self._threads)
         self._current: Optional[int] = None
         self._slice_used = 0
+        self._quantum = config.timeslice_quantum
         self._op = None
         self._phase = _FETCH
         self.instructions_retired = 0
@@ -470,7 +487,7 @@ class TimeslicedAppCore(CoreActor):
             start = live.index(self._current)
         for offset in range(len(live)):
             tid = live[(start + offset) % len(live)]
-            if offset == 0 and self._slice_used >= self.config.timeslice_quantum:
+            if offset == 0 and self._slice_used >= self._quantum:
                 continue  # quantum expired: prefer someone else
             if self._runnable(tid):
                 return (tid, tid != self._current)
@@ -507,14 +524,22 @@ class TimeslicedAppCore(CoreActor):
             return self._finish_step()
 
         if phase == _FETCH:
-            tid, info = self._pick_thread()
-            if tid is None:
-                if info is None:
-                    self._phase = _FINISH
-                    return self._finish_step()
-                table = self.hooks.progress_table
-                return ("wait", table.condition(info),
-                        "wait_containment", f"t{info} containment")
+            tid = self._current
+            state = self._threads.get(tid)
+            # While its quantum lasts, a live, uncontained current thread
+            # keeps the core: exactly what _pick_thread would decide.
+            if (state is None or state["exited"]
+                    or state["containment"] is not None
+                    or self._slice_used >= self._quantum):
+                tid, info = self._pick_thread()
+                if tid is None:
+                    if info is None:
+                        self._phase = _FINISH
+                        return self._finish_step()
+                    table = self.hooks.progress_table
+                    return ("wait", table.condition(info),
+                            "wait_containment", f"t{info} containment")
+                state = self._threads[tid]
             switch_cost = 0
             if tid != self._current:
                 if self._current is not None:
@@ -523,14 +548,15 @@ class TimeslicedAppCore(CoreActor):
                 self._current = tid
                 self._slice_used = 0
             self._op = self._next_op(tid)
-            self._threads[tid]["result"] = None
+            state["result"] = None
             self._phase = _EXECUTE
             if switch_cost:
                 return ("delay", switch_cost, "execute")
 
         latency = self._execute(self._current)
         self.instructions_retired += 1
-        self.engine.note_retire()
+        engine = self.engine
+        engine.last_retire = engine.now  # Engine.note_retire, inlined
         self._slice_used += 1
         self._phase = _COMMIT
         return ("delay", latency, "execute")
@@ -550,33 +576,33 @@ class TimeslicedAppCore(CoreActor):
         record = capture.begin_record(op)
         latency = 1
 
-        if kind == OpKind.LOAD:
+        if kind == _LOAD:
             result = self.memsys.access(self.core_id, op.addr, op.size,
                                         False, record.rid)
             state["result"] = self.memory.read(op.addr, op.size)
             latency = result.latency
-        elif kind == OpKind.STORE:
+        elif kind == _STORE:
             result = self.memsys.access(self.core_id, op.addr, op.size,
                                         True, record.rid)
             self.memory.write(op.addr, op.size, op.value)
             latency = result.latency
-        elif kind == OpKind.RMW:
+        elif kind == _RMW:
             result = self.memsys.access(self.core_id, op.addr, op.size,
                                         True, record.rid)
             state["result"] = self.memory.read(op.addr, op.size)
             self.memory.write(op.addr, op.size, op.value)
             latency = result.latency + 2
-        elif kind == OpKind.NOP:
+        elif kind == _NOP:
             latency = op.value if op.value else 1
             if op.value and op.value > 1:
                 # A spin-wait pause on a time-sliced machine yields the
                 # CPU (pthread spin-then-block): burning the quantum in a
                 # spin loop would deadlock progress for whole quanta.
-                self._slice_used = self.config.timeslice_quantum
-        elif kind == OpKind.HL_BEGIN:
+                self._slice_used = self._quantum
+        elif kind == _HL_BEGIN:
             if op.hl_kind in self.hooks.containment_kinds:
                 state["containment"] = record.rid
-                self._slice_used = self.config.timeslice_quantum  # deschedule
+                self._slice_used = self._quantum  # deschedule
 
         capture.enqueue(record)
         return latency

@@ -30,11 +30,6 @@ advance of ``now``, *before* any callback at the new time executes, so a
 promoted (earlier-scheduled) callback always lands in its slot ahead of
 any same-cycle callback scheduled later.
 
-Setting ``REPRO_HEAP_SCHEDULER=1`` in the environment (read at
-``Engine()`` construction) selects the legacy ``heapq`` scheduler,
-retained for one release so CI can diff the two implementations'
-trace hashes; it will be removed once the calendar queue has soaked.
-
 Backends: the default ``event`` backend schedules every nonzero delay
 through the queue. The ``batched`` backend lets an actor *advance
 time inline* (:meth:`Engine.try_advance`) when no other event could
@@ -59,7 +54,6 @@ with progress-table and log-buffer snapshots.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -71,10 +65,6 @@ from repro.common.stats import TimeBuckets
 #: system or cost model produces; longer delays take the overflow heap.
 _RING_SIZE = 1024
 _RING_MASK = _RING_SIZE - 1
-
-#: Environment variable selecting the legacy heapq scheduler (read at
-#: Engine construction, so tests can monkeypatch it per-engine).
-HEAP_SCHEDULER_ENV = "REPRO_HEAP_SCHEDULER"
 
 
 class Watchdog:
@@ -104,18 +94,25 @@ BACKENDS = ("event", "batched")
 class Engine:
     """Calendar-queue event scheduler + actor lifecycle tracking."""
 
-    def __new__(cls, *args, **kwargs):
-        if cls is Engine and os.environ.get(HEAP_SCHEDULER_ENV) == "1":
-            cls = _HeapEngine
-        return object.__new__(cls)
-
     def __init__(self, watchdog: Optional[Watchdog] = None, tracer=None,
                  backend: str = "event"):
         if backend not in BACKENDS:
             raise SimulationError(
                 f"unknown engine backend {backend!r}; expected one of {BACKENDS}")
         self.now = 0
-        self._init_scheduler()
+        # Ring slots start as None and get a deque on first use; once
+        # created, a slot's deque is reused for the life of the engine
+        # (the ring wraps), so the steady-state event path never
+        # allocates an entry object — the callback itself is the entry.
+        self._ring: List[Optional[deque]] = [None] * _RING_SIZE
+        self._ring_count = 0
+        #: Lower bound on the earliest pending ring event's cycle; lets
+        #: empty-slot scans resume where the last one stopped instead of
+        #: rescanning from ``now`` (critical for ``try_advance``, which
+        #: probes ahead on every batched delay).
+        self._floor = 0
+        self._overflow: List = []
+        self._seq = 0
         self._actors: List["CoreActor"] = []
         #: Registered actors that have not finished yet. Maintained by
         #: :meth:`register` and :meth:`note_finish` so the watchdog's
@@ -150,21 +147,6 @@ class Engine:
         #: (``last_retired`` / ``progress`` / ``log_occupancy`` /
         #: ``injected``) merged into a raised :class:`DeadlockError`.
         self.diagnostics_provider: Optional[Callable[[], dict]] = None
-
-    def _init_scheduler(self) -> None:
-        # Ring slots start as None and get a deque on first use; once
-        # created, a slot's deque is reused for the life of the engine
-        # (the ring wraps), so the steady-state event path never
-        # allocates an entry object — the callback itself is the entry.
-        self._ring: List[Optional[deque]] = [None] * _RING_SIZE
-        self._ring_count = 0
-        #: Lower bound on the earliest pending ring event's cycle; lets
-        #: empty-slot scans resume where the last one stopped instead of
-        #: rescanning from ``now`` (critical for ``try_advance``, which
-        #: probes ahead on every batched delay).
-        self._floor = 0
-        self._overflow: List = []
-        self._seq = 0
 
     @property
     def pending_events(self) -> int:
@@ -419,84 +401,6 @@ class Engine:
         )
 
 
-class _HeapEngine(Engine):
-    """Legacy global-heap scheduler (pre-calendar-queue), kept one
-    release behind ``REPRO_HEAP_SCHEDULER=1`` so CI can diff the two
-    implementations' schedules byte-for-byte. Do not use it for new
-    work; it exists purely as an equivalence oracle.
-    """
-
-    def _init_scheduler(self) -> None:
-        self._heap: List = []
-        self._seq = 0
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback))
-        self._seq += 1
-
-    def try_advance(self, cycles: int) -> bool:
-        target = self.now + cycles
-        heap = self._heap
-        if heap and heap[0][0] <= target:
-            return False
-        max_cycles = self._run_max_cycles
-        if max_cycles is not None and target > max_cycles:
-            return False
-        window = self._run_window
-        if (window and self.now - self.last_retire > window
-                and self._unfinished):
-            return False
-        self.now = target
-        self.batch_advances += 1
-        return True
-
-    def run(self, max_cycles: Optional[int] = None) -> int:
-        watchdog = self.watchdog
-        window = watchdog.window if watchdog is not None else 0
-        heap = self._heap
-        heappop = heapq.heappop
-        popped = 0
-        self._run_max_cycles = max_cycles
-        self._run_window = window
-        try:
-            while heap:
-                time = heap[0][0]
-                if max_cycles is not None and time > max_cycles:
-                    self.now = time
-                    raise SimulationTimeout(
-                        f"simulation exceeded max_cycles={max_cycles} "
-                        f"at cycle {time} with {len(heap)} pending events",
-                        cycle=time, pending_events=len(heap),
-                    )
-                entry = heappop(heap)
-                self.now = time
-                popped += 1
-                entry[2]()
-                if (window and self.now - self.last_retire > window
-                        and self._unfinished):
-                    raise self._diagnose(
-                        f"livelock: no actor retired anything for "
-                        f"{self.now - self.last_retire} cycles (window="
-                        f"{window}) while events kept firing",
-                        kind="livelock",
-                    )
-        finally:
-            self.events_popped += popped
-            self._run_max_cycles = None
-            self._run_window = 0
-        blocked = [a for a in self._actors if not a.finished]
-        if blocked:
-            raise self._diagnose(
-                "simulation deadlocked with blocked actors", kind="deadlock")
-        return self.now
-
-
 def find_cycle(graph: Dict[str, List[str]]) -> Optional[List[str]]:
     """Find one cycle in a directed graph; returns its node list or None.
 
@@ -650,9 +554,12 @@ class CoreActor:
     def _run(self) -> None:
         # Hot trampoline: locals for everything touched per step. `step`
         # and `_run` come from the instance dict (pre-bound in __init__),
-        # so no bound-method allocation happens on this path.
+        # so no bound-method allocation happens on this path. Positive
+        # delays go straight into the bucket dict; anything else takes
+        # TimeBuckets.charge, which rejects negative cycles.
         engine = self.engine
         step = self.step
+        buckets = self.buckets.buckets
         charge = self.buckets.charge
         batched = engine.batched
         schedule = engine.schedule
@@ -663,7 +570,10 @@ class CoreActor:
             if kind == "delay":
                 cycles = action[1]
                 if cycles:
-                    charge(action[2], cycles)
+                    if cycles > 0:
+                        buckets[action[2]] += cycles
+                    else:
+                        charge(action[2], cycles)
                     if not (batched and engine.try_advance(cycles)):
                         schedule(cycles, run)
                         return

@@ -42,6 +42,11 @@ from repro.lifeguards.base import Lifeguard, hl_phase_of
 
 _FETCH, _ORDER, _PROCESS, _FINAL = range(4)
 
+_CA_MARK = RecordKind.CA_MARK
+_NOP = RecordKind.NOP
+_HL_BEGIN = RecordKind.HL_BEGIN
+_HL_END = RecordKind.HL_END
+
 
 class LifeguardCore(CoreActor):
     """Consumes one event stream and runs one lifeguard thread."""
@@ -89,6 +94,8 @@ class LifeguardCore(CoreActor):
             enabled=use_mtlb and lifeguard.uses_mtlb,
             tracer=tracer, owner=name,
         )
+        #: IT's per-record entry point, resolved once (see bound_process).
+        self._it_process = self.it.bound_process()
         if enforce_arcs is None:
             enforce_arcs = lifeguard.needs_instruction_arcs
         self.enforce_arcs = enforce_arcs
@@ -102,9 +109,7 @@ class LifeguardCore(CoreActor):
         self._processed: Dict[int, int] = {}
         self._stall_flushed = False
         self._ca_arrived = False
-        #: (tid, rid) of the most recently retired record, for crash
-        #: reports (None until the first record retires).
-        self.last_retired = None
+        self._last_record: Optional[Record] = None
         # Statistics
         self.records_processed = 0
         self.events_delivered = 0
@@ -146,16 +151,21 @@ class LifeguardCore(CoreActor):
             return self._final_step()
 
         if phase == _ORDER:
-            blocked = self._order_gate(self._rec)
-            if blocked is not None:
-                self._phase = _ORDER
-                if blocked[0] == "wait" and self._stall_started is None:
-                    self._stall_started = self.engine.now
-                return blocked
-            if self._stall_started is not None:
-                self.stall_durations.append(
-                    self.engine.now - self._stall_started)
-                self._stall_started = None
+            record = self._rec
+            # Only arcs, a consume-version or a ConflictAlert id can hold
+            # a record back; every other record skips the gate.
+            if (record.arcs or record.consume_version is not None
+                    or record.ca_id is not None):
+                blocked = self._order_gate(record)
+                if blocked is not None:
+                    self._phase = _ORDER
+                    if blocked[0] == "wait" and self._stall_started is None:
+                        self._stall_started = self.engine.now
+                    return blocked
+                if self._stall_started is not None:
+                    self.stall_durations.append(
+                        self.engine.now - self._stall_started)
+                    self._stall_started = None
 
         if self.faults is not None:
             fault = self.faults.fire(
@@ -178,17 +188,27 @@ class LifeguardCore(CoreActor):
             self.ca_hub.mark_complete(record.ca_id)
         self._ca_arrived = False
         self._stall_flushed = False
-        self._processed[record.tid] = record.rid
+        tid = record.tid
+        rid = record.rid
+        self._processed[tid] = rid
         self.records_processed += 1
-        self.last_retired = (record.tid, record.rid)
-        self.engine.note_retire()
+        self._last_record = record
+        engine = self.engine
+        engine.last_retire = engine.now  # Engine.note_retire, inlined
         if self.tracer is not None:
             self.tracer.emit("engine", "retire", actor=self.name,
-                             tid=record.tid, rid=record.rid,
-                             kind=record.kind)
-        cycles += self._publish(record.tid)
+                             tid=tid, rid=rid, kind=record.kind)
+        if self.progress_table is not None:
+            cycles += self._publish(tid, rid)
         self._phase = _FETCH
         return ("delay", max(cycles, 1), "useful")
+
+    @property
+    def last_retired(self):
+        """(tid, rid) of the most recently retired record, for crash
+        reports (None until the first record retires)."""
+        record = self._last_record
+        return None if record is None else (record.tid, record.rid)
 
     def _final_step(self):
         if self._phase > _FINAL:
@@ -238,7 +258,7 @@ class LifeguardCore(CoreActor):
                         "wait_dependence", f"version {version_id}")
 
         # 3. ConflictAlert barrier: participant side.
-        if record.kind == RecordKind.CA_MARK and self.ca_hub is not None:
+        if record.kind == _CA_MARK and self.ca_hub is not None:
             state = self.ca_hub.state(record.ca_id)
             if not self._ca_arrived:
                 cost = self._accel_conflict_flush(record)
@@ -292,10 +312,11 @@ class LifeguardCore(CoreActor):
                                      rid=record.rid, version=version_id,
                                      addr=addr, size=length)
 
-        if record.kind == RecordKind.CA_MARK:
+        kind = record.kind
+        if kind == _CA_MARK:
             return cost + 1
 
-        if record.kind == RecordKind.NOP:
+        if kind == _NOP:
             return cost
 
         if (record.critical_kind == "allocator" and record.is_memory
@@ -305,7 +326,7 @@ class LifeguardCore(CoreActor):
             # bypass the accelerators and the handlers entirely.
             return cost
 
-        if record.kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
+        if kind == _HL_BEGIN or kind == _HL_END:
             # High-level events conflict with accelerator state *locally*
             # too (Section 4.1's MEMCHECK example): apply the lifeguard's
             # configured flushes before the event's handler runs.
@@ -322,7 +343,7 @@ class LifeguardCore(CoreActor):
         # metadata-access order are identical by the handle_block
         # contract; only the number of Python-level dispatches shrinks.
         block = [] if self._batched else None
-        for event in self.it.process(record):
+        for event in self._it_process(record):
             if not lifeguard.wants(event):
                 continue  # no handler registered: hardware drops the event
             if event[0] == "load_versioned" and len(event) == 2:
@@ -436,11 +457,9 @@ class LifeguardCore(CoreActor):
 
     # -- progress publication -----------------------------------------------------------------------
 
-    def _publish(self, tid: int) -> int:
-        """Publish (possibly delayed) progress for ``tid``; returns flush cost."""
-        if self.progress_table is None:
-            return 0
-        processed = self._processed.get(tid, 0)
+    def _publish(self, tid: int, processed: int) -> int:
+        """Publish (possibly delayed) progress for ``tid``, whose last
+        processed RID is ``processed``; returns the flush cost."""
         if not self.delayed_advertising:
             self.progress_table.publish(tid, processed)
             return 0
@@ -466,16 +485,15 @@ class LifeguardCore(CoreActor):
         return cost
 
     def _advertise_target(self, tid: int, processed: int) -> int:
-        held = []
-        it_min = self.it.min_held_rid(tid)
-        if it_min is not None:
-            held.append(it_min)
-        if_min = self.iff.min_held_rid()
-        if if_min is not None:
-            held.append(if_min)
-        if not held:
+        """``min(RIDs held by IT/IF) - 1``, clamped by ``processed``."""
+        held = self.it.min_held_rid(tid)
+        if self.iff.track_rids:
+            if_min = self.iff.min_held_rid()
+            if if_min is not None and (held is None or if_min < held):
+                held = if_min
+        if held is None or held > processed:
             return processed
-        return min(min(held) - 1, processed)
+        return held - 1
 
     def _publish_accurate(self) -> None:
         if self.progress_table is None:

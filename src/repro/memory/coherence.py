@@ -58,7 +58,12 @@ class Conflict:
 
 
 class AccessResult:
-    """Latency and conflict sources of one memory access."""
+    """Latency and conflict sources of one memory access.
+
+    Conflict-free L1 hits all return one shared instance per memory
+    system (:attr:`CoherentMemorySystem.l1_hit`), so callers must treat
+    a result as read-only: never mutate ``conflicts`` or ``latency``.
+    """
 
     __slots__ = ("latency", "conflicts")
 
@@ -98,6 +103,11 @@ class CoherentMemorySystem:
         self._miss_latency = (config.l1_config.access_latency
                               + config.l2_config.access_latency)
         self._memory_latency = config.memory_latency
+        #: The result of every L1 hit: hits cause no coherence traffic,
+        #: hence no conflicts, and all cost the L1 latency. Shared and
+        #: read-only (see :class:`AccessResult`), so a hit allocates
+        #: nothing.
+        self.l1_hit = AccessResult(self._l1_latency)
         self._evicted_tags = {}  # line -> (last_writer, readers)
         #: Optional TSO hook: called as f(write_core, line, reader_conflicts)
         #: and returns the set of reader cores whose WAR arcs should be
@@ -118,11 +128,12 @@ class CoherentMemorySystem:
         line tags so later conflicting accesses can point their arcs at
         this instruction.
         """
-        if addr // self.line_bytes != (addr + size - 1) // self.line_bytes:
+        line_bytes = self.line_bytes
+        line = addr // line_bytes
+        if line != (addr + size - 1) // line_bytes:
             raise SimulationError(
                 f"access crosses a line: addr={addr:#x} size={size}"
             )
-        line = addr // self.line_bytes
         if is_write:
             return self._write(core, line, rid)
         return self._read(core, line, rid)
@@ -183,7 +194,7 @@ class CoherentMemorySystem:
             if entry is None:
                 raise SimulationError("inclusion violated: L1 hit without L2 entry")
             entry.readers[core] = rid
-            return AccessResult(self._l1_latency)
+            return self.l1_hit
 
         self.l1_misses[core] += 1
         latency = self._miss_latency
@@ -220,7 +231,7 @@ class CoherentMemorySystem:
             entry.readers.clear()
             entry.owner = core
             entry.sharers = {core}
-            return AccessResult(self._l1_latency)
+            return self.l1_hit
 
         # Shared upgrade or outright miss: coherence traffic happens.
         self.l1_misses[core] += 1

@@ -545,85 +545,6 @@ def backend_equivalence_check(seed: int, lifeguard: str = "taintcheck",
     return report
 
 
-def scheduler_equivalence_check(seed: int, lifeguard: str = "taintcheck",
-                                nthreads: int = 2, length: int = 18,
-                                scheme: str = "parallel",
-                                backend: str = "event",
-                                config: SimulationConfig = None) -> DiffReport:
-    """Run one seeded program under the calendar-queue scheduler and the
-    ``REPRO_HEAP_SCHEDULER=1`` legacy heap fallback; require bit-identical
-    observable behavior.
-
-    The calendar queue replaces the global ``(cycle, seq)`` heap with
-    per-cycle FIFO buckets; its correctness claim is that the delivered
-    event order — and therefore *every* downstream artifact — is
-    unchanged. This check holds it to the same standard as
-    :func:`backend_equivalence_check`, with **no** exempted counters:
-    the full flight-recorder trace must hash identically, and every perf
-    counter (including ``events_popped`` and ``batch_advances``) must
-    agree, because the two schedulers serve exactly the same events.
-    """
-    import os as _os
-
-    from repro.cpu.engine import HEAP_SCHEDULER_ENV
-    from repro.trace.writer import trace_hash
-
-    program = RacyProgram.generate(seed, nthreads=nthreads, length=length)
-    factory = lifeguard_factory(lifeguard)
-    config = config or SimulationConfig.for_threads(nthreads)
-    runner = {"parallel": run_parallel_monitoring,
-              "timesliced": run_timesliced_monitoring}[scheme]
-    report = DiffReport(seed=seed, lifeguard=lifeguard, nthreads=nthreads)
-    results, hashes = {}, {}
-    saved = _os.environ.get(HEAP_SCHEDULER_ENV)
-    try:
-        for label, env in (("calendar", None), ("heap", "1")):
-            if env is None:
-                _os.environ.pop(HEAP_SCHEDULER_ENV, None)
-            else:
-                _os.environ[HEAP_SCHEDULER_ENV] = env
-            tracer = TraceWriter(keep=True)
-            results[label] = runner(program.workload(), factory, config,
-                                    keep_trace=True, tracer=tracer,
-                                    backend=backend)
-            tracer.close()
-            hashes[label] = trace_hash(tracer.events)
-            result = results[label]
-            report.verdicts[label] = verdict_projection(result.violations,
-                                                        lifeguard)
-            report.instructions[label] = result.instructions
-            report.perf[label] = dict(result.stats.get("perf", {}),
-                                      sim_cycles=result.total_cycles)
-    finally:
-        if saved is None:
-            _os.environ.pop(HEAP_SCHEDULER_ENV, None)
-        else:
-            _os.environ[HEAP_SCHEDULER_ENV] = saved
-
-    calendar, heap = results["calendar"], results["heap"]
-    if hashes["calendar"] != hashes["heap"]:
-        report.failures.append(
-            "flight-recorder trace hashes diverge between schedulers: "
-            f"calendar={hashes['calendar'][:16]} heap={hashes['heap'][:16]}")
-    as_fields = lambda result: [(v.kind, v.tid, v.rid, v.detail)
-                                for v in result.violations]
-    if as_fields(calendar) != as_fields(heap):
-        report.failures.append("violation lists diverge between schedulers")
-    if (calendar.lifeguard_obj.metadata_fingerprint()
-            != heap.lifeguard_obj.metadata_fingerprint()):
-        report.failures.append(
-            "metadata fingerprints diverge between schedulers")
-    if (calendar.app_buckets, calendar.lifeguard_buckets) != \
-            (heap.app_buckets, heap.lifeguard_buckets):
-        report.failures.append("cycle buckets diverge between schedulers")
-    if report.perf["calendar"] != report.perf["heap"]:
-        report.failures.append(
-            "perf counters diverge between schedulers:\n"
-            f"      calendar: {report.perf['calendar']}\n"
-            f"      heap:     {report.perf['heap']}")
-    return report
-
-
 def report_payload(report: DiffReport) -> dict:
     """A :class:`DiffReport` as pure JSON types.
 

@@ -273,3 +273,107 @@ class TestTimeslicedCore:
         assert released.get("done")
         # The spinner yielded well before burning a whole quantum.
         assert core.context_switches >= 2
+
+
+class PickCheckedCore(TimeslicedAppCore):
+    """A time-sliced core that checks its scheduling fast path.
+
+    While the current thread keeps the core without a call to
+    ``_pick_thread`` (quantum left, runnable, no containment), this asks
+    ``_pick_thread`` anyway — side-effect free in that state — and
+    requires the same decision: the same thread, no context switch.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.slow_picks = 0
+        self.fast_picks = 0
+        self._picked = False
+
+    def _pick_thread(self):
+        self._picked = True
+        self.slow_picks += 1
+        return super()._pick_thread()
+
+    def _next_op(self, tid):
+        if not self._picked:
+            self.fast_picks += 1
+            assert TimeslicedAppCore._pick_thread(self) == (tid, False)
+        self._picked = False
+        return super()._next_op(tid)
+
+
+class TestTimeslicedFastPath:
+    """Each case pins the schedule (the tids of the log in order), the
+    context switches and the cycle count that ``_pick_thread`` alone
+    produced before the current thread could skip it."""
+
+    @staticmethod
+    def nops(count):
+        def program(api):
+            for _ in range(count):
+                yield from api.nop()
+        return program
+
+    @staticmethod
+    def writer(api):
+        yield from api.syscall_write(ADDR, 4)
+        for _ in range(3):
+            yield from api.nop()
+
+    def run(self, programs, quantum, release=None):
+        config = SimulationConfig.for_threads(len(programs)).replace(
+            timeslice_quantum=quantum)
+        engine = Engine()
+        log = LogBuffer(engine, config.log_config, "log")
+        progress = ProgressTable(engine, list(range(len(programs))))
+        core = PickCheckedCore(
+            engine, "app", core_id=0,
+            programs={tid: program(ThreadApi(tid))
+                      for tid, program in enumerate(programs)},
+            captures={tid: OrderCapture(tid, config, log, {}, {})
+                      for tid in range(len(programs))},
+            memsys=CoherentMemorySystem(config, num_cores=2),
+            memory=MainMemory(), config=config,
+            hooks=MonitoringHooks(
+                progress_table=progress,
+                containment_kinds=frozenset({HLEventKind.SYSCALL_WRITE})),
+            log=log)
+        if release is not None:
+            # The lifeguard "processes" thread 0's syscall at `release`.
+            engine.schedule(release, lambda: progress.publish(0, 10))
+        core.start()
+        total = engine.run()
+        order = []
+        while len(log):
+            order.append(log.pop().tid)
+        assert core.fast_picks > 0
+        return order, core.context_switches, total, core
+
+    def test_quantum_expiry_with_one_runnable_thread(self):
+        order, switches, total, core = self.run(
+            [self.nops(20), self.nops(2)], quantum=4)
+        # Once thread 1 exits, thread 0 keeps the core across every
+        # quantum expiry (each one goes through _pick_thread) without
+        # counting a context switch.
+        assert order == [0] * 4 + [1] * 3 + [0] * 17
+        assert (switches, total) == (2, 424)
+        assert core.slow_picks > 3
+
+    def test_current_thread_blocked_by_containment(self):
+        order, switches, total, _ = self.run(
+            [self.writer, self.nops(6)], quantum=4, release=200)
+        assert order == [0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0]
+        assert (switches, total) == (4, 813)
+
+    def test_only_thread_blocked_by_containment(self):
+        order, switches, total, _ = self.run([self.writer], quantum=4,
+                                             release=200)
+        assert order == [0] * 6
+        assert (switches, total) == (0, 205)
+
+    def test_current_thread_exits_mid_quantum(self):
+        order, switches, total, _ = self.run(
+            [self.nops(1), self.nops(5)], quantum=8)
+        assert order == [0, 0, 1, 1, 1, 1, 1, 1]
+        assert (switches, total) == (1, 208)

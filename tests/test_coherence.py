@@ -186,3 +186,45 @@ class TestErrors:
         stats = memsys.stats_snapshot()
         assert stats["l1_misses"][0] == 1
         assert stats["l1_hits"][0] == 1
+
+
+class TestSharedHitResult:
+    """Every conflict-free L1 hit returns one shared, read-only
+    :class:`AccessResult`; no caller may mutate it."""
+
+    def test_read_and_write_hits_share_one_result(self, memsys):
+        memsys.access(0, ADDR, 4, True, 1)
+        read_hit = memsys.access(0, ADDR, 4, False, 2)
+        write_hit = memsys.access(0, ADDR + 4, 4, True, 3)
+        assert read_hit is write_hit is memsys.l1_hit
+        assert memsys.access(1, ADDR, 4, False, 1) is not memsys.l1_hit
+
+    @pytest.mark.parametrize("memory_model", ["SC", "TSO"])
+    @pytest.mark.parametrize("scheme", ["parallel", "timesliced"])
+    def test_shared_hit_result_survives_a_full_run(self, monkeypatch,
+                                                   memory_model, scheme):
+        from repro import MemoryModel, ScalePreset
+        from repro.lifeguards import LIFEGUARDS
+        from repro.platform import (run_parallel_monitoring,
+                                    run_timesliced_monitoring)
+        from repro.workloads import build_workload
+
+        created = []
+        original_init = CoherentMemorySystem.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(CoherentMemorySystem, "__init__", recording_init)
+        config = SimulationConfig.for_threads(2).replace(
+            memory_model=MemoryModel[memory_model])
+        runner = {"parallel": run_parallel_monitoring,
+                  "timesliced": run_timesliced_monitoring}[scheme]
+        runner(build_workload("blackscholes", 2, ScalePreset.TINY, 1),
+               LIFEGUARDS["taintcheck"], config)
+        (machine_memsys,) = created
+        assert sum(machine_memsys.l1_hits) > 0
+        hit = machine_memsys.l1_hit
+        assert hit.conflicts == []
+        assert hit.latency == config.l1_config.access_latency

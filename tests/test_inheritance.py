@@ -7,6 +7,7 @@ advertising's min-RID bookkeeping.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accel.inheritance import MAX_SOURCES, InheritanceTracking
 from repro.capture.events import Record
@@ -305,3 +306,101 @@ class TestPassthrough:
         it, stream = InheritanceTracking(enabled=False), Stream()
         assert it.process(stream.record(thread_exit())) == []
         assert it.row_count == 0
+
+
+# ---------------------------------------------------------------------------
+# The cached delayed-advertising floor
+# ---------------------------------------------------------------------------
+
+_REGS = st.integers(0, 4)
+#: Aligned slots over three cache lines; an 8-byte access covers two
+#: 4-byte ones, so stores flush rows they only partly overlap.
+_ADDRS = st.sampled_from([0x100, 0x108, 0x110, 0x140, 0x148, 0x180])
+_SIZES = st.sampled_from([4, 8])
+
+
+def _it_steps(tids):
+    tid = st.sampled_from(tids)
+    return st.lists(st.one_of(
+        st.tuples(st.just("load"), tid, _REGS, _ADDRS, _SIZES, st.booleans()),
+        st.tuples(st.just("alu"), tid, _REGS, _REGS, st.none() | _REGS),
+        st.tuples(st.just("movrr"), tid, _REGS, _REGS),
+        st.tuples(st.just("loadi"), tid, _REGS),
+        st.tuples(st.just("store"), tid, _REGS, _ADDRS, _SIZES),
+        st.tuples(st.just("rmw"), tid, _REGS, _ADDRS),
+        st.tuples(st.just("flush_all")),
+        st.tuples(st.just("flush_rid_holding")),
+        st.tuples(st.just("flush_stale"), tid, st.integers(0, 6)),
+        st.tuples(st.just("flush_thread"), tid),
+    ), max_size=60)
+
+
+def _scanned_floor(it, tid):
+    """The reference: a brute-force scan of the rows."""
+    held = [row.rid for (row_tid, _reg), row in it._rows.items()
+            if row_tid == tid and row.rid is not None]
+    return min(held) if held else None
+
+
+def _drive(it, tids, steps):
+    streams = {tid: Stream(tid) for tid in tids}
+    for step in steps:
+        name = step[0]
+        if name == "load":
+            _, tid, rd, addr, size, versioned = step
+            record = streams[tid].record(load(rd, addr, size))
+            if versioned:
+                record.consume_version = (1, addr, size)
+            it.process(record)
+        elif name == "alu":
+            _, tid, rd, rs1, rs2 = step
+            it.process(streams[tid].record(alu(rd, rs1, rs2)))
+        elif name == "movrr":
+            it.process(streams[step[1]].record(movrr(step[2], step[3])))
+        elif name == "loadi":
+            it.process(streams[step[1]].record(loadi(step[2])))
+        elif name == "store":
+            _, tid, rs, addr, size = step
+            it.process(streams[tid].record(store(addr, rs, size=size)))
+        elif name == "rmw":
+            it.process(streams[step[1]].record(rmw(step[2], step[3], 1)))
+        elif name == "flush_stale":
+            _, tid, lag = step
+            it.flush_stale(tid, max(0, streams[tid].rid - lag))
+        elif name == "flush_thread":
+            it.flush_thread(step[1])
+        else:
+            getattr(it, name)()
+        for tid in tids:
+            assert it.min_held_rid(tid) == _scanned_floor(it, tid), step
+
+
+class TestCachedFloor:
+    """``min_held_rid`` answers from a per-thread cache that inserts
+    lower and removals of the floor row invalidate; after every step it
+    must equal a scan of the rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_it_steps([0]))
+    def test_single_thread_stream(self, steps):
+        # The parallel shape: one lifeguard core per application thread.
+        _drive(InheritanceTracking(), [0], steps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_it_steps([0, 1, 2]))
+    def test_interleaved_threads(self, steps):
+        # The time-sliced shape: one table, rows of several threads.
+        _drive(InheritanceTracking(), [0, 1, 2], steps)
+
+    def test_replacing_the_floor_row_rescans(self):
+        it, stream = InheritanceTracking(), Stream()
+        it.process(stream.record(load(R0, 0x100)))  # rid 1: the floor
+        it.process(stream.record(load(R1, 0x104)))  # rid 2
+        assert it.min_held_rid(0) == 1
+        it.process(stream.record(loadi(R0)))  # replaces the rid-1 row
+        assert it.min_held_rid(0) == 2
+        it.process(stream.record(movrr(R2, R1)))  # copies rid 2
+        it.process(stream.record(loadi(R1)))
+        assert it.min_held_rid(0) == 2  # still held, via R2
+        it.flush_all()
+        assert it.min_held_rid(0) is None

@@ -2,13 +2,23 @@
 
 import pytest
 
+from repro.capture.conflict_alert import CAHub
 from repro.capture.events import Record, RecordKind
 from repro.capture.log_buffer import LogBuffer
+from repro.capture.order_capture import OrderCapture
 from repro.common.config import LogBufferConfig, SimulationConfig
 from repro.cpu.engine import Engine
 from repro.cpu.lifeguard_core import LifeguardCore
 from repro.enforce.progress import ProgressTable
-from repro.isa.instructions import HLEventKind, alu, load, loadi, store
+from repro.enforce.versions import VersionStore
+from repro.isa.instructions import (
+    HLEventKind,
+    alu,
+    hl_begin,
+    load,
+    loadi,
+    store,
+)
 from repro.isa.registers import R0, R1
 from repro.lifeguards.taintcheck import TaintCheck
 from repro.memory.coherence import CoherentMemorySystem
@@ -170,3 +180,89 @@ class TestHighLevelRecords:
         # flushed before the free handler cleared the range's taint.
         assert harness.core.it.row_count == 0
         assert harness.core.it.full_flushes >= 1
+
+
+class TestOrderGate:
+    """Only records carrying arcs, a consume-version or a ConflictAlert
+    id can be held back, so only they enter the order gate — and each
+    kind must still stall there until its condition is met."""
+
+    FREE_RANGE = ((0x100, 4),)
+
+    def counting_gate(self, harness):
+        gated = []
+        original = harness.core._order_gate
+        harness.core._order_gate = lambda record: (
+            gated.append(record.rid), original(record))[1]
+        return gated
+
+    def ca_hub(self, harness, issuer):
+        """A hub with lifeguard threads 0 and 1; one CA broadcast from
+        ``issuer`` puts its CA_MARK into the other thread's capture."""
+        hub = CAHub(harness.engine)
+        captures = {tid: OrderCapture(tid, harness.config, harness.log, {},
+                                      {})
+                    for tid in (0, 1)}
+        for tid, capture in captures.items():
+            hub.register(tid, capture)
+        ca_id = hub.broadcast(issuer, HLEventKind.FREE, RecordKind.HL_BEGIN,
+                              self.FREE_RANGE)
+        harness.core.ca_hub = hub
+        return hub, ca_id, captures
+
+    def test_plain_records_skip_the_gate(self):
+        harness = Harness()
+        gated = self.counting_gate(harness)
+        harness.feed(load(R0, 0x100))
+        harness.feed(loadi(R1))
+        harness.feed(store(0x200, R0, value=1), arcs=[(1, 0)])
+        harness.run()
+        assert gated == [3]
+        assert harness.core.records_processed == 3
+
+    def test_consume_version_stalls_until_produced(self):
+        harness = Harness()
+        versions = VersionStore(harness.engine)
+        harness.core.version_store = versions
+        gated = self.counting_gate(harness)
+        record = Record.from_op(0, 1, load(R0, 0x100))
+        record.consume_version = (7, 0x100, 4)
+        assert harness.log.try_append(record)
+        harness.log.close()
+        harness.core.start()
+        snapshot = harness.lifeguard.snapshot_metadata(0x100, 4)
+        harness.engine.schedule(
+            300, lambda: versions.produce(7, 0x100, 4, snapshot))
+        assert harness.engine.run() >= 300
+        assert gated and set(gated) == {1}
+        assert harness.core.dependence_stalls == 1
+        assert harness.core.buckets.get("wait_dependence") > 0
+        assert versions.consumed == 1
+
+    def test_ca_mark_stalls_until_the_issuer_completes(self):
+        harness = Harness()
+        hub, ca_id, captures = self.ca_hub(harness, issuer=1)
+        assert captures[0].flush() and len(harness.log) == 1
+        assert harness.log.peek().kind == RecordKind.CA_MARK
+        harness.log.close()
+        harness.core.start()
+        harness.engine.schedule(300, lambda: hub.mark_complete(ca_id))
+        assert harness.engine.run() >= 300
+        assert hub.state(ca_id).arrived == {0}
+        assert harness.core.ca_stalls == 1
+        assert harness.core.buckets.get("wait_dependence") > 0
+
+    def test_ca_issuer_stalls_until_every_participant_arrives(self):
+        harness = Harness()
+        hub, ca_id, _captures = self.ca_hub(harness, issuer=0)
+        record = Record.from_op(0, 1, hl_begin(HLEventKind.FREE,
+                                               ranges=self.FREE_RANGE))
+        record.ca_id = ca_id
+        record.ca_issuer = True
+        assert harness.log.try_append(record)
+        harness.log.close()
+        harness.core.start()
+        harness.engine.schedule(300, lambda: hub.lifeguard_arrive(ca_id, 1))
+        assert harness.engine.run() >= 300
+        assert harness.core.ca_stalls == 1
+        assert hub.state(ca_id).complete

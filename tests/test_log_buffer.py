@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.capture.compression import RecordEncoder
 from repro.capture.events import Record, RecordKind, record_size_bytes
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import LogBufferConfig
 from repro.cpu.engine import Engine
+from repro.isa.instructions import load
+from repro.isa.registers import R0, R1
 
 
 def make_record(rid=1, kind=RecordKind.LOAD, arcs=0):
@@ -119,3 +122,49 @@ class TestLogBuffer:
         log.pop()
         engine.run()
         assert fired
+
+
+def encoder_state(encoder):
+    return (encoder.records, encoder.bytes, encoder.arcs, encoder.arc_bytes,
+            encoder._last_addr, encoder._last_recv)
+
+
+class TestCodecLog:
+    """With ``use_codec=True`` records are really encoded; a record that
+    does not fit must leave the encoder exactly as it was."""
+
+    def test_rejected_record_with_arcs_leaves_encoder_untouched(self):
+        log = LogBuffer(Engine(), LogBufferConfig(size_bytes=8,
+                                                  use_codec=True), "log")
+        first = Record.from_op(0, 1, load(R0, 0x100))
+        assert log.try_append(first)
+        rejected = Record.from_op(0, 2, load(R1, 0x4000))
+        for src_rid in (10, 20, 30, 40):
+            rejected.add_arc(1, src_rid)
+        assert not log.try_append(rejected)
+        assert len(log) == 1 and log.total_records == 1
+
+        reference = RecordEncoder()
+        reference.encode(first)
+        assert encoder_state(log._encoder) == encoder_state(reference)
+        follower = Record.from_op(0, 2, load(R1, 0x104))
+        follower.add_arc(1, 5)
+        assert log._encoder.encode(follower) == reference.encode(follower)
+
+    def test_snapshot_restore_covers_every_delta_context(self):
+        def arc_record(rid, addr, src_rid):
+            record = Record.from_op(0, rid, load(R0, addr))
+            record.add_arc(1, src_rid)
+            return record
+
+        encoder = RecordEncoder(arc_codec="last_recv")
+        reference = RecordEncoder(arc_codec="last_recv")
+        for target in (encoder, reference):
+            target.encode(arc_record(1, 0x100, 3))
+        saved = encoder.snapshot()
+        encoder.encode(arc_record(2, 0x900, 7))
+        assert encoder_state(encoder) != encoder_state(reference)
+        encoder.restore(saved)
+        assert encoder_state(encoder) == encoder_state(reference)
+        probe = arc_record(2, 0x104, 9)
+        assert encoder.encode(probe) == reference.encode(probe)

@@ -182,3 +182,65 @@ class TestCARecords:
         assert record.rid == 1
         capture.flush()
         assert log.pop() is record
+
+
+class TestTsoPending:
+    """Under TSO stores wait, unfinalized, in the pending queue until
+    their store-buffer drain; loads and marks queue behind them."""
+
+    def test_stores_finalized_out_of_order_commit_in_order(self):
+        capture, log, _ = make_capture()
+        first = capture.begin_record(store(0x100, R0))
+        second = capture.begin_record(store(0x140, R0))
+        later = capture.begin_record(load(R0, 0x180))
+        capture.enqueue(first, finalized=False)
+        capture.enqueue(second, finalized=False)
+        capture.enqueue(later)
+        capture.finalize_store(second, [])
+        assert capture.flush()
+        assert len(log) == 0  # the older store still blocks the head
+        assert capture.pending_unfinalized_stores() == 1
+        capture.finalize_store(first, [])
+        assert capture.flush()
+        assert [log.pop() for _ in range(3)] == [first, second, later]
+        assert capture.fully_committed
+        assert capture.pending_unfinalized_stores() == 0
+
+    def test_has_unfinalized_before(self):
+        capture, _, _ = make_capture()
+        older = capture.begin_record(store(0x100, R0))
+        capture.enqueue(older, finalized=False)
+        mark = capture.insert_ca_record(
+            1, HLEventKind.FREE, RecordKind.HL_BEGIN, (), 1)
+        newer = capture.begin_record(store(0x140, R0))
+        capture.enqueue(newer, finalized=False)
+        assert capture.has_unfinalized_before(mark)
+        assert not capture.has_unfinalized_before(older)
+        capture.finalize_store(older, [])
+        # Only a store *after* the mark is still waiting.
+        assert not capture.has_unfinalized_before(mark)
+        assert capture.has_unfinalized_before(object())  # not pending
+
+    def test_pending_unfinalized_stores_counts_waiting_stores(self):
+        capture, _, _ = make_capture()
+        assert capture.pending_unfinalized_stores() == 0
+        stores = [capture.begin_record(store(0x100 + 64 * i, R0))
+                  for i in range(3)]
+        for record in stores:
+            capture.enqueue(record, finalized=False)
+        capture.enqueue(capture.begin_record(load(R0, 0x400)))
+        assert capture.pending_unfinalized_stores() == 3
+        capture.finalize_store(stores[1], [])
+        assert capture.pending_unfinalized_stores() == 2
+
+    def test_finalizing_a_record_that_is_not_pending_raises(self):
+        capture, _, _ = make_capture()
+        record = capture.begin_record(store(0x100, R0))
+        capture.enqueue(record, finalized=False)
+        capture.finalize_store(record, [])
+        assert capture.flush() and capture.fully_committed
+        with pytest.raises(AssertionError, match="not pending"):
+            capture.finalize_store(record, [])
+        never_queued = capture.begin_record(store(0x140, R0))
+        with pytest.raises(AssertionError, match="not pending"):
+            capture.finalize_store(never_queued, [])

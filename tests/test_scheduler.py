@@ -1,25 +1,13 @@
 """Calendar-queue scheduler tests: FIFO invariants, overflow promotion,
-budget/watchdog parity with the legacy ``REPRO_HEAP_SCHEDULER=1`` heap
-implementation, and full scheduler-equivalence sweeps."""
+and budget/watchdog trips on exactly the cycle (and with exactly the
+crash-report contents) the global ``(cycle, seq)`` heap it replaced
+produced."""
 
 import pytest
 
 from repro.common.errors import DeadlockError, SimulationError, \
     SimulationTimeout
-from repro.cpu.engine import _RING_SIZE, HEAP_SCHEDULER_ENV, CoreActor, \
-    Engine, Watchdog, _HeapEngine
-
-
-def both_engines(monkeypatch, **kwargs):
-    """One calendar-queue engine and one legacy heap engine, same config."""
-    monkeypatch.delenv(HEAP_SCHEDULER_ENV, raising=False)
-    calendar = Engine(**kwargs)
-    assert type(calendar) is Engine
-    monkeypatch.setenv(HEAP_SCHEDULER_ENV, "1")
-    heap = Engine(**kwargs)
-    assert type(heap) is _HeapEngine
-    monkeypatch.delenv(HEAP_SCHEDULER_ENV, raising=False)
-    return calendar, heap
+from repro.cpu.engine import _RING_SIZE, CoreActor, Engine, Watchdog
 
 
 class UncomparableCallback:
@@ -60,11 +48,13 @@ class TestBucketFifo:
         assert engine.now == _RING_SIZE + 7
         assert order == list(range(10))
 
-    def test_negative_delay_rejected_both_schedulers(self, monkeypatch):
-        calendar, heap = both_engines(monkeypatch)
-        for engine in (calendar, heap):
+    def test_negative_delay_rejected_both_schedulers(self):
+        # Both the ring path and the far-future overflow path.
+        engine = Engine()
+        for delay in (-1, -_RING_SIZE - 1):
             with pytest.raises(SimulationError):
-                engine.schedule(-1, lambda: None)
+                engine.schedule(delay, lambda: None)
+        assert engine.pending_events == 0
 
     def test_promoted_event_precedes_same_cycle_late_schedule(self):
         # An event scheduled at t=0 for cycle 2000 (via the overflow
@@ -128,7 +118,9 @@ class SpinnerNoRetire(CoreActor):
 
 class TestHeapParity:
     """The calendar queue must trip budgets and watchdogs on exactly the
-    cycle — with exactly the crash-report contents — the heap did."""
+    cycle — with exactly the crash-report contents — the heap did. The
+    expected values are the heap scheduler's outcomes, which follow
+    from the strides alone."""
 
     # Strides and budgets straddling the ring-wrap boundary at 1024.
     CASES = [(7, 100), (7, 1023), (7, 1024), (7, 1025),
@@ -136,63 +128,56 @@ class TestHeapParity:
 
     @pytest.mark.parametrize("stride,budget", CASES)
     @pytest.mark.parametrize("backend", ["event", "batched"])
-    def test_budget_trip_parity(self, monkeypatch, stride, budget, backend):
-        outcomes = []
-        for engine in both_engines(monkeypatch, backend=backend):
-            Forever(engine, "f", stride).start()
-            with pytest.raises(SimulationTimeout) as exc:
-                engine.run(max_cycles=budget)
-            outcomes.append((exc.value.cycle, exc.value.pending_events,
-                             str(exc.value), engine.now,
-                             engine.events_popped))
-        assert outcomes[0] == outcomes[1]
+    def test_budget_trip_parity(self, stride, budget, backend):
+        engine = Engine(backend=backend)
+        Forever(engine, "f", stride).start()
+        with pytest.raises(SimulationTimeout) as exc:
+            engine.run(max_cycles=budget)
+        # The first step past the budget trips; every earlier step ran
+        # (one queue service each, or one in all when batched).
+        steps = budget // stride + 1
+        trip = steps * stride
+        assert (exc.value.cycle, exc.value.pending_events, str(exc.value),
+                engine.now, engine.events_popped) == (
+            trip, 1,
+            f"simulation exceeded max_cycles={budget} at cycle {trip} "
+            f"with 1 pending events",
+            trip, steps if backend == "event" else 1)
 
     @pytest.mark.parametrize("backend", ["event", "batched"])
-    def test_budget_retrip_on_resume_parity(self, monkeypatch, backend):
+    def test_budget_retrip_on_resume_parity(self, backend):
         # Resuming with a still-exceeded budget must re-trip on the same
         # already-committed cycle, not silently execute the event.
-        for engine in both_engines(monkeypatch, backend=backend):
-            Forever(engine, "f", 7).start()
-            with pytest.raises(SimulationTimeout) as first:
-                engine.run(max_cycles=100)
-            with pytest.raises(SimulationTimeout) as second:
-                engine.run(max_cycles=100)
-            assert second.value.cycle == first.value.cycle
-            assert second.value.pending_events == first.value.pending_events
+        engine = Engine(backend=backend)
+        Forever(engine, "f", 7).start()
+        with pytest.raises(SimulationTimeout) as first:
+            engine.run(max_cycles=100)
+        with pytest.raises(SimulationTimeout) as second:
+            engine.run(max_cycles=100)
+        assert first.value.cycle == second.value.cycle == 105
+        assert first.value.pending_events == second.value.pending_events == 1
 
-    def test_livelock_trip_parity(self, monkeypatch):
-        outcomes = []
-        for engine in both_engines(monkeypatch, watchdog=Watchdog(window=50)):
-            SpinnerNoRetire(engine, "spin").start()
-            with pytest.raises(DeadlockError) as exc:
-                engine.run()
-            outcomes.append((exc.value.kind, exc.value.waiting,
-                             str(exc.value), engine.now))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == "livelock"
+    def test_livelock_trip_parity(self):
+        engine = Engine(watchdog=Watchdog(window=50))
+        SpinnerNoRetire(engine, "spin").start()
+        with pytest.raises(DeadlockError) as exc:
+            engine.run()
+        assert exc.value.kind == "livelock"
+        assert exc.value.waiting == {"spin": "not waiting (busy)"}
+        assert str(exc.value) == (
+            "livelock: no actor retired anything for 60 cycles (window=50) "
+            "while events kept firing | waiting: spin: not waiting (busy)")
+        assert engine.now == 60
 
-    def test_batched_coalescing_counters_match(self, monkeypatch):
-        # try_advance accept/refuse decisions are semantically identical,
-        # so the batched backend's counters must agree between schedulers.
-        counters = []
-        for engine in both_engines(monkeypatch, backend="batched"):
-            order = []
-            Forever(engine, "f", 100).start()
-            # A second event stream forces periodic refusals.
-            engine.schedule(250, lambda: order.append(engine.now))
-            engine.schedule(950, lambda: order.append(engine.now))
-            with pytest.raises(SimulationTimeout):
-                engine.run(max_cycles=1000)
-            counters.append((engine.now, engine.events_popped,
-                             engine.batch_advances, order))
-        assert counters[0] == counters[1]
-
-
-class TestSchedulerEquivalence:
-    @pytest.mark.parametrize("backend", ["event", "batched"])
-    def test_trace_identical_across_schedulers(self, backend):
-        from repro.trace.diff import scheduler_equivalence_check
-
-        for seed in range(3):
-            report = scheduler_equivalence_check(seed, backend=backend)
-            assert report.ok, report.summary()
+    def test_batched_coalescing_counters_match(self):
+        # try_advance refuses exactly when another event interleaves.
+        engine = Engine(backend="batched")
+        order = []
+        Forever(engine, "f", 100).start()
+        # A second event stream forces periodic refusals.
+        engine.schedule(250, lambda: order.append(engine.now))
+        engine.schedule(950, lambda: order.append(engine.now))
+        with pytest.raises(SimulationTimeout):
+            engine.run(max_cycles=1000)
+        assert (engine.now, engine.events_popped, engine.batch_advances,
+                order) == (1100, 5, 8, [250, 950])
