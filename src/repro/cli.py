@@ -36,11 +36,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.common.argtypes import non_negative_int, positive_int
 from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
     SimulationConfig
 from repro.common.errors import ConfigurationError, SimulationError, \
     SimulationTimeout
-from repro.cpu.engine import BACKENDS, Watchdog
+from repro.cpu.engine import Watchdog
 from repro.faults import (
     EXIT_ABNORMAL,
     EXIT_BUDGET_EXCEEDED,
@@ -80,7 +81,7 @@ from repro.workloads import PAPER_BENCHMARKS, WORKLOADS, build_workload
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=2,
+    parser.add_argument("--threads", type=positive_int, default=2,
                         help="application threads (default 2)")
     parser.add_argument("--scale", choices=[s.value for s in ScalePreset],
                         default="tiny", help="workload scale preset")
@@ -92,20 +93,10 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
                         default="taintcheck")
     parser.add_argument("--benchmarks", nargs="*", default=None,
                         help="benchmark subset (default: the Table 1 suite)")
-    parser.add_argument("--max-threads", type=int, default=4)
+    parser.add_argument("--max-threads", type=positive_int, default=4)
     parser.add_argument("--scale", choices=[s.value for s in ScalePreset],
                         default="tiny")
     parser.add_argument("--seed", type=int, default=1)
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=list(BACKENDS),
-                        default="event",
-                        help="engine execution backend (default event; "
-                             "batched coalesces same-actor events and "
-                             "delivers log blocks through the lifeguards' "
-                             "bulk entry points — results are "
-                             "byte-identical)")
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", help="print the Table 1 configuration") \
-        .add_argument("--threads", type=int, default=8)
+        .add_argument("--threads", type=positive_int, default=8)
 
     run_parser = sub.add_parser("run", help="run one monitored workload")
     run_parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -148,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
                             default="per_block")
     run_parser.add_argument("--no-accel", action="store_true",
                             help="disable IT/IF/M-TLB")
-    _add_backend(run_parser)
     run_parser.add_argument("--max-cycles", type=int, default=None,
                             help="abort with exit code 4 past this "
                                  "simulated cycle budget")
-    run_parser.add_argument("--watchdog", type=int, default=None,
+    run_parser.add_argument("--watchdog", type=non_negative_int,
+                            default=None,
                             metavar="WINDOW",
                             help="enable the livelock watchdog with this "
                                  "cycle window")
@@ -191,17 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="cross-scheme differential sweep over seeded racy "
                      "programs (repro.trace.diff)")
-    diff.add_argument("--seeds", type=int, default=25, metavar="N",
+    diff.add_argument("--seeds", type=non_negative_int, default=25,
+                      metavar="N",
                       help="run seeds 0..N-1 (default 25)")
     diff.add_argument("--lifeguards", nargs="*", default=None,
                       choices=sorted(LIFEGUARDS),
                       help="lifeguard subset (default: all)")
-    diff.add_argument("--threads", type=int, default=2)
+    diff.add_argument("--threads", type=positive_int, default=2)
     diff.add_argument("--length", type=int, default=18,
                       help="random ops per thread script (default 18)")
     diff.add_argument("--output", metavar="PATH", default=None,
                       help="write the merged report payloads as JSON")
-    _add_backend(diff)
     _add_jobs(diff)
     diff.add_argument("--checkpoint", metavar="PATH", default=None,
                       help="JSONL checkpoint for interrupted-sweep resume")
@@ -249,10 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lifeguard monitoring the capture run "
                               "(default taintcheck; the archive itself "
                               "replays under any lifeguard)")
-    archive.add_argument("--threads", type=int, default=2)
+    archive.add_argument("--threads", type=positive_int, default=2)
     archive.add_argument("--length", type=int, default=18,
                          help="random ops per thread script (default 18)")
-    _add_backend(archive)
 
     rep = sub.add_parser(
         "replay", help="replay many: re-monitor a trace archive from "
@@ -270,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--output", metavar="PATH", default=None,
                      help="write the per-lifeguard replay payloads as "
                           "JSON (canonical form)")
-    _add_backend(rep)
     _add_jobs(rep)
 
     headline = sub.add_parser("headline", help="the abstract's claims")
@@ -278,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swaptions = sub.add_parser("swaptions",
                                help="the Section 7 swaptions analysis")
-    swaptions.add_argument("--threads", type=int, default=4)
+    swaptions.add_argument("--threads", type=positive_int, default=4)
     swaptions.add_argument("--scale",
                            choices=[s.value for s in ScalePreset],
                            default="tiny")
@@ -346,20 +335,19 @@ def _cmd_run(args) -> int:
                       "(no monitoring pipeline to fault)", file=sys.stderr)
             result = run_no_monitoring(workload, config, watchdog=watchdog,
                                        max_cycles=args.max_cycles,
-                                       tracer=tracer, backend=args.backend)
+                                       tracer=tracer)
         elif args.scheme == "timesliced":
             result = run_timesliced_monitoring(
                 workload, lifeguard, config, fault_plan=fault_plan,
                 watchdog=watchdog, max_cycles=args.max_cycles,
-                tracer=tracer, backend=args.backend)
+                tracer=tracer)
         else:
             accel = (AcceleratorConfig.all_off() if args.no_accel
                      else AcceleratorConfig.all_on())
             result = run_parallel_monitoring(
                 workload, lifeguard, config, accel=accel,
                 fault_plan=fault_plan, watchdog=watchdog,
-                max_cycles=args.max_cycles, tracer=tracer,
-                backend=args.backend)
+                max_cycles=args.max_cycles, tracer=tracer)
     except SimulationError as exc:
         # DeadlockError and SimulationTimeout both derive from
         # SimulationError; so do the integrity checks (lost CA
@@ -451,7 +439,7 @@ def _cmd_diff(args) -> int:
             executor=args.executor, heartbeat=args.heartbeat,
             backoff=backoff, worker_faults=worker_faults,
             fault_seed=args.fault_seed, shard_dir=args.shards,
-            tracer=tracer, backend=args.backend)
+            tracer=tracer)
     except KeyboardInterrupt:
         # The runner already synced the checkpoint; exit with the
         # documented abnormal code so scripts can distinguish an
@@ -483,7 +471,7 @@ def _cmd_archive(args) -> int:
 
     result, manifest = capture_archive(
         args.output, args.seed, lifeguard=args.lifeguard,
-        nthreads=args.threads, length=args.length, backend=args.backend)
+        nthreads=args.threads, length=args.length)
     manifest_path = write_manifest_json(manifest,
                                         args.output + ".manifest.json")
     totals = manifest["totals"]
@@ -519,8 +507,7 @@ def _cmd_replay(args) -> int:
     try:
         reader = TraceReader(args.archive)
         payloads = replay_all(args.archive, lifeguards=names,
-                              jobs=args.jobs, executor=args.executor,
-                              backend=args.backend)
+                              jobs=args.jobs, executor=args.executor)
     except (TraceFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -551,8 +538,7 @@ def _cmd_replay(args) -> int:
                 return 2
         report = replay_differential_check(
             meta["seed"], lifeguard=meta["lifeguard"],
-            nthreads=meta["nthreads"], length=meta["length"],
-            backend=args.backend)
+            nthreads=meta["nthreads"], length=meta["length"])
         print(report.summary())
         if not report.ok:
             return 1

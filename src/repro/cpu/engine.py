@@ -30,18 +30,6 @@ advance of ``now``, *before* any callback at the new time executes, so a
 promoted (earlier-scheduled) callback always lands in its slot ahead of
 any same-cycle callback scheduled later.
 
-Backends: the default ``event`` backend schedules every nonzero delay
-through the queue. The ``batched`` backend lets an actor *advance
-time inline* (:meth:`Engine.try_advance`) when no other event could
-possibly interleave — the earliest pending event lies strictly after
-the actor's target time — so a core executes straight-line instruction
-runs without a queue round-trip per step. Because the advance is
-refused whenever any event at or before the target exists, every
-observable interleaving (and therefore every trace, verdict and
-fingerprint) is identical between the two backends; only
-:attr:`Engine.events_popped` (fewer queue services) and
-:attr:`Engine.batch_advances` differ.
-
 Failure diagnosis: a drained queue with blocked actors is a classic
 deadlock; an optional :class:`Watchdog` additionally detects *livelock*
 (events keep firing but no actor retires a record for a whole cycle
@@ -87,18 +75,10 @@ class Watchdog:
         return f"Watchdog(window={self.window})"
 
 
-#: Valid :class:`Engine` execution backends.
-BACKENDS = ("event", "batched")
-
-
 class Engine:
     """Calendar-queue event scheduler + actor lifecycle tracking."""
 
-    def __init__(self, watchdog: Optional[Watchdog] = None, tracer=None,
-                 backend: str = "event"):
-        if backend not in BACKENDS:
-            raise SimulationError(
-                f"unknown engine backend {backend!r}; expected one of {BACKENDS}")
+    def __init__(self, watchdog: Optional[Watchdog] = None, tracer=None):
         self.now = 0
         # Ring slots start as None and get a deque on first use; once
         # created, a slot's deque is reused for the life of the engine
@@ -106,11 +86,6 @@ class Engine:
         # allocates an entry object — the callback itself is the entry.
         self._ring: List[Optional[deque]] = [None] * _RING_SIZE
         self._ring_count = 0
-        #: Lower bound on the earliest pending ring event's cycle; lets
-        #: empty-slot scans resume where the last one stopped instead of
-        #: rescanning from ``now`` (critical for ``try_advance``, which
-        #: probes ahead on every batched delay).
-        self._floor = 0
         self._overflow: List = []
         self._seq = 0
         self._actors: List["CoreActor"] = []
@@ -121,18 +96,8 @@ class Engine:
         #: Actors that already called :meth:`note_finish` (double-finish
         #: guard — a second call would silently corrupt ``_unfinished``).
         self._finished_actors = set()
-        #: Execution backend; ``batched`` enables :meth:`try_advance`.
-        self.backend = backend
-        self.batched = backend == "batched"
         #: Total events popped off the time queue (perf-harness metric).
         self.events_popped = 0
-        #: Delays committed inline by the batched backend instead of
-        #: through the queue (perf-harness metric; 0 under ``event``).
-        self.batch_advances = 0
-        # Budget/watchdog state mirrored for try_advance while run() is
-        # active (the inline path must honour both exactly).
-        self._run_max_cycles: Optional[int] = None
-        self._run_window = 0
         #: Optional livelock detector; may also be attached after init.
         self.watchdog = watchdog
         #: Optional :class:`~repro.trace.TraceWriter`; actors emit
@@ -182,8 +147,6 @@ class Engine:
                 slot = ring[index] = deque()
             slot.append(callback)
             self._ring_count += 1
-            if cycle < self._floor:
-                self._floor = cycle
         else:
             self._seq += 1
             heapq.heappush(self._overflow,
@@ -198,63 +161,12 @@ class Engine:
         """
         self.last_retire = self.now
 
-    def try_advance(self, cycles: int) -> bool:
-        """Batched backend: commit a delay inline when nothing interleaves.
-
-        Returns True (and advances :attr:`now`) only when no pending
-        event fires at or before the target time — strictly after, because
-        an equal-time event was scheduled earlier and must run first.
-        Refuses (falling back to the queue) when the advance would cross
-        ``max_cycles`` (so :class:`SimulationTimeout` fires with identical
-        pending-event state) or when the watchdog's livelock condition
-        already holds at the *current* time (matching the event backend's
-        post-callback check exactly).
-        """
-        now = self.now
-        target = now + cycles
-        overflow = self._overflow
-        if overflow and overflow[0][0] <= target:
-            return False
-        max_cycles = self._run_max_cycles
-        if max_cycles is not None and target > max_cycles:
-            return False
-        window = self._run_window
-        if (window and now - self.last_retire > window
-                and self._unfinished):
-            return False
-        if self._ring_count:
-            floor = self._floor
-            if floor <= target:
-                # Scan the slots covering [max(now, floor), target] (the
-                # ring invariant bounds this to one slot per cycle; the
-                # floor invariant clears everything before it). With
-                # pending ring events and target at/past the ring
-                # horizon, the full-window scan necessarily finds one
-                # and refuses. Either way the floor advances, so the
-                # next probe resumes where this one stopped.
-                ring = self._ring
-                last = min(target, now + _RING_MASK)
-                t = floor if floor > now else now
-                while t <= last:
-                    if ring[t & _RING_MASK]:
-                        self._floor = t
-                        return False
-                    t += 1
-                self._floor = last + 1
-        self.now = target
-        if overflow and overflow[0][0] < target + _RING_SIZE:
-            self._promote(target)
-        self.batch_advances += 1
-        return True
-
     def _promote(self, now: int) -> None:
         """Move overflow events that entered the ring horizon into slots."""
         overflow = self._overflow
         ring = self._ring
         horizon = now + _RING_SIZE
         heappop = heapq.heappop
-        if overflow[0][0] < self._floor:
-            self._floor = overflow[0][0]
         while overflow and overflow[0][0] < horizon:
             entry = heappop(overflow)
             index = entry[0] & _RING_MASK
@@ -284,8 +196,6 @@ class Engine:
         mask = _RING_MASK
         overflow = self._overflow
         popped = 0
-        self._run_max_cycles = max_cycles
-        self._run_window = window
         try:
             # Entry check: a resumed run whose budget is still exceeded
             # must re-trip on the already-committed tripping cycle before
@@ -307,12 +217,9 @@ class Engine:
                     # amortised over the cycles actually simulated), else
                     # fast-forward straight to the overflow head.
                     if self._ring_count:
-                        t = self._floor
-                        if t <= now:
-                            t = now + 1
+                        t = now + 1
                         while not ring[t & mask]:
                             t += 1
-                        self._floor = t
                     else:
                         t = overflow[0][0]
                     if overflow and overflow[0][0] < t + _RING_SIZE:
@@ -331,24 +238,16 @@ class Engine:
                     self._ring_count -= 1
                     popped += 1
                     callback()
-                    # `self.now`, not `now`: a batched-backend callback
-                    # may have advanced time inline past this slot.
-                    if (window and self.now - self.last_retire > window
+                    if (window and now - self.last_retire > window
                             and self._unfinished):
                         raise self._diagnose(
                             f"livelock: no actor retired anything for "
-                            f"{self.now - self.last_retire} cycles (window="
+                            f"{now - self.last_retire} cycles (window="
                             f"{window}) while events kept firing",
                             kind="livelock",
                         )
-                    if self.now != now:
-                        # Inline advance moved time: this slot's index now
-                        # maps to a future cycle — resume from the top.
-                        break
         finally:
             self.events_popped += popped
-            self._run_max_cycles = None
-            self._run_window = 0
         blocked = [a for a in self._actors if not a.finished]
         if blocked:
             raise self._diagnose(
@@ -561,7 +460,6 @@ class CoreActor:
         step = self.step
         buckets = self.buckets.buckets
         charge = self.buckets.charge
-        batched = engine.batched
         schedule = engine.schedule
         run = self._run
         while True:
@@ -574,11 +472,8 @@ class CoreActor:
                         buckets[action[2]] += cycles
                     else:
                         charge(action[2], cycles)
-                    if not (batched and engine.try_advance(cycles)):
-                        schedule(cycles, run)
-                        return
-                    # Batched backend: time committed inline — keep
-                    # stepping without a queue round-trip.
+                    schedule(cycles, run)
+                    return
                 # Zero-cost transition: keep stepping inline.
             elif kind == "wait":
                 _, condition, bucket, reason = action

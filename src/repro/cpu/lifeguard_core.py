@@ -70,7 +70,6 @@ class LifeguardCore(CoreActor):
         self._arc_record_cost = self.costs.arc_record_cost
         self._dispatch_cost = self.costs.dispatch_cost
         self._advert_threshold = config.delayed_advertising_threshold
-        self._batched = engine.batched
         self.progress_table = progress_table
         self.ca_hub = ca_hub
         self.version_store = version_store
@@ -335,14 +334,6 @@ class LifeguardCore(CoreActor):
         lifeguard = self.lifeguard
         iff = self.iff
         dispatch_cost = self._dispatch_cost
-        # Batched backend: delivery decisions (wants / version consume /
-        # IF check / IF invalidation) never depend on handler effects
-        # within a record — handlers touch only lifeguard metadata and
-        # registers, which no gate reads — so the eligible events are
-        # collected and handed to handle_block() in one call. Costs and
-        # metadata-access order are identical by the handle_block
-        # contract; only the number of Python-level dispatches shrinks.
-        block = [] if self._batched else None
         for event in self._it_process(record):
             if not lifeguard.wants(event):
                 continue  # no handler registered: hardware drops the event
@@ -362,18 +353,9 @@ class LifeguardCore(CoreActor):
             if (lifeguard.if_invalidate_on_write and record.is_write
                     and record.addr is not None):
                 iff.invalidate_overlapping(record.addr, record.size)
-            if block is not None:
-                block.append(event)
-                continue
             handler_cost, accesses = lifeguard.handle(event)
             cost += dispatch_cost + handler_cost
             self.events_delivered += 1
-            if accesses:
-                latency += self._metadata_access_cycles(accesses)
-        if block:
-            handler_cost, accesses = lifeguard.handle_block(block)
-            cost += dispatch_cost * len(block) + handler_cost
-            self.events_delivered += len(block)
             if accesses:
                 latency += self._metadata_access_cycles(accesses)
         return cost + latency

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from repro.isa.instructions import HLEventKind, HLPhase
 from repro.lifeguards.base import Lifeguard, hl_phase_of
-from repro.lifeguards.metadata import NP_MIN_BATCH
 
 ALLOCATED = 1
 UNALLOCATED = 0
-
-#: Event kinds whose AddrCheck handler is a pure allocated-bits check.
-_CHECK_KINDS = frozenset(("load", "store", "rmw", "load_check"))
 
 
 class AddrCheck(Lifeguard):
@@ -125,60 +121,6 @@ class AddrCheck(Lifeguard):
 
         # Register-only traffic carries no allocation information.
         return self.unhandled(event)
-
-    def handle_block(self, events):
-        """Vectorize runs of consecutive access checks.
-
-        Every access-check handler only *reads* the allocated bit (the
-        metadata changes exclusively on malloc/free HL events), so any
-        run of heap load/store/rmw/load_check events is one
-        :meth:`MetadataMap.bits_all_set_many` gather — a single required
-        ALLOCATED bit on a 1-bit map is exactly ``all_equal(...,
-        ALLOCATED)``. Violations keep per-event order and detail text.
-        """
-        n = len(events)
-        if n == 1:
-            cost, accesses = self.handle(events[0])
-            return (cost, list(accesses))
-        total = 0
-        accesses = []
-        handle = self.handle
-        body_cost = self.costs.handler_body_cost
-        i = 0
-        while i < n:
-            event = events[i]
-            if event[0] not in _CHECK_KINDS or not self.in_heap(event[1].addr):
-                cost, event_accesses = handle(event)
-                total += cost
-                if event_accesses:
-                    accesses.extend(event_accesses)
-                i += 1
-                continue
-            j = i + 1
-            while (j < n and events[j][0] in _CHECK_KINDS
-                   and self.in_heap(events[j][1].addr)):
-                j += 1
-            if j - i < NP_MIN_BATCH:
-                for k in range(i, j):
-                    cost, event_accesses = handle(events[k])
-                    total += cost
-                    accesses.extend(event_accesses)
-            else:
-                run = events[i:j]
-                allocated = self.metadata.bits_all_set_many(
-                    [(event[1].addr, event[1].size) for event in run],
-                    ALLOCATED)
-                for k, event in enumerate(run):
-                    rec = event[1]
-                    if not allocated[k]:
-                        self.violation(
-                            "unallocated-access", rec.tid, rec.rid,
-                            f"{event[0]} of {rec.size} bytes at {rec.addr:#x}",
-                        )
-                    total += body_cost
-                    accesses.append((rec.addr, rec.size, False))
-            i = j
-        return (total, accesses)
 
     def if_key(self, event):
         """Heap access checks are idempotent between allocation events.

@@ -121,28 +121,6 @@ class Lifeguard:
         """Apply one delivered event; returns (cost, timed accesses)."""
         raise NotImplementedError
 
-    def handle_block(self, events: list) -> Tuple[int, list]:
-        """Apply a block of delivered events in one call.
-
-        The batched backend's entry point: semantically equivalent to
-        calling :meth:`handle` on each event in order and concatenating
-        the results — ``(sum of costs, accesses in delivery order)``.
-        The base implementation *is* that loop, so equivalence holds by
-        construction; subclasses override it to vectorize read-only
-        runs (consecutive events that read metadata without writing it)
-        through the :class:`MetadataMap` bulk kernels, and must preserve
-        per-event costs, access lists, and violation order exactly.
-        """
-        total = 0
-        accesses: list = []
-        handle = self.handle
-        for event in events:
-            cost, event_accesses = handle(event)
-            total += cost
-            if event_accesses:
-                accesses.extend(event_accesses)
-        return (total, accesses)
-
     def wants(self, event: tuple) -> bool:
         """Does this lifeguard register a handler for the event?
 

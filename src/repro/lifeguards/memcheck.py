@@ -22,13 +22,9 @@ from __future__ import annotations
 
 from repro.isa.instructions import HLEventKind, HLPhase
 from repro.lifeguards.base import Lifeguard, hl_phase_of
-from repro.lifeguards.metadata import NP_MIN_BATCH
 
 ADDRESSABLE = 0b01
 INITIALIZED = 0b10
-
-#: Event kinds whose MemCheck handler only reads metadata.
-_READONLY_KINDS = frozenset(("load", "load_check"))
 
 
 class MemCheck(Lifeguard):
@@ -197,66 +193,6 @@ class MemCheck(Lifeguard):
             return self._handle_highlevel(event[1])
 
         return self.unhandled(event)
-
-    def handle_block(self, events):
-        """Vectorize runs of consecutive loads / deferred load checks.
-
-        Both handlers only read metadata (stores are what initialize
-        bytes), so a run gathers the per-access ADDRESSABLE and
-        INITIALIZED conjunctions with two
-        :meth:`MetadataMap.bits_all_set_many` calls. Non-heap accesses
-        ride along in the run (the gather has no side effects) and are
-        forced to the always-addressable/always-defined result that
-        :meth:`_check_load` and :meth:`_defined` give them.
-        """
-        n = len(events)
-        if n == 1:
-            cost, accesses = self.handle(events[0])
-            return (cost, list(accesses))
-        total = 0
-        accesses = []
-        handle = self.handle
-        body_cost = self.costs.handler_body_cost
-        i = 0
-        while i < n:
-            if events[i][0] not in _READONLY_KINDS:
-                cost, event_accesses = handle(events[i])
-                total += cost
-                if event_accesses:
-                    accesses.extend(event_accesses)
-                i += 1
-                continue
-            j = i + 1
-            while j < n and events[j][0] in _READONLY_KINDS:
-                j += 1
-            if j - i < NP_MIN_BATCH:
-                for k in range(i, j):
-                    cost, event_accesses = handle(events[k])
-                    total += cost
-                    accesses.extend(event_accesses)
-            else:
-                run = events[i:j]
-                pairs = [(event[1].addr, event[1].size) for event in run]
-                addressable = self.metadata.bits_all_set_many(
-                    pairs, ADDRESSABLE)
-                initialized = self.metadata.bits_all_set_many(
-                    pairs, INITIALIZED)
-                for k, event in enumerate(run):
-                    rec = event[1]
-                    heap = self.in_heap(rec.addr)
-                    if heap and not addressable[k]:
-                        self.violation("unaddressable-load", rec.tid, rec.rid,
-                                       f"load at {rec.addr:#x}")
-                    elif heap and not initialized[k]:
-                        self.violation("uninitialized-load", rec.tid, rec.rid,
-                                       f"load at {rec.addr:#x}")
-                    if event[0] == "load":
-                        defined = (not heap) or initialized[k]
-                        self.regs(rec.tid)[rec.rd] = 1 if defined else 0
-                    total += body_cost
-                    accesses.append((rec.addr, rec.size, False))
-            i = j
-        return (total, accesses)
 
     def _handle_highlevel(self, rec):
         phase = hl_phase_of(rec)

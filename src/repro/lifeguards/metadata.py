@@ -38,33 +38,10 @@ Performance notes (the semantic view sits on the handler hot path):
 
 from __future__ import annotations
 
-import os
 import re
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common.errors import ConfigurationError
-
-# Optional numpy backend for the bulk kernels. The pure-bytearray paths
-# below are the reference implementation and stay fully supported (CI
-# runs the tier-1 suite without numpy); set REPRO_NO_NUMPY=1 to force
-# the fallback even when numpy is importable.
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the optional-deps job
-    _np = None
-
-#: True when the vectorized kernel paths are active.
-HAVE_NUMPY = _np is not None
-
-#: Minimum contiguous app-byte span before the numpy unpack/pack kernels
-#: beat the scalar paths (below this, numpy call overhead dominates).
-NP_MIN_SPAN = 16
-
-#: Minimum batch size before :meth:`MetadataMap.get_many` and friends
-#: switch to the vectorized gather kernels.
-NP_MIN_BATCH = 4
 
 #: Base of the simulated metadata virtual address region.
 META_BASE = 0x8000_0000
@@ -381,198 +358,21 @@ class MetadataMap:
                     if value:
                         yield (chunk_base + byte_index * per + slot, value)
 
-    # -- batched kernels -----------------------------------------------------------
-    #
-    # The bulk entry points below are what the lifeguards' handle_block
-    # implementations call for a delivered log-buffer block. Each has a
-    # scalar reference path (`_py` suffix or a plain loop over the
-    # scalar API) and a numpy path that must be value-identical; the
-    # kernel property tests compare the two across chunk boundaries.
-
-    def get_many(self, accesses: Sequence[Tuple[int, int]]) -> List[int]:
-        """OR-of-metadata for a batch of ``(app_addr, size)`` accesses.
-
-        Equivalent to ``[self.get_access(a, s) for a, s in accesses]``.
-        The vectorized path requires every access to land in one resident
-        chunk (the common case for a block of heap accesses); anything
-        else falls back per-access.
-        """
-        n = len(accesses)
-        if _np is None or n < NP_MIN_BATCH:
-            get_access = self.get_access
-            return [get_access(addr, size) for addr, size in accesses]
-        addrs = _np.fromiter((a for a, _ in accesses), dtype=_np.int64,
-                             count=n)
-        sizes = _np.fromiter((s for _, s in accesses), dtype=_np.int64,
-                             count=n)
-        chunk_no = int(addrs[0]) // CHUNK_APP_BYTES
-        base = chunk_no * CHUNK_APP_BYTES
-        offs = addrs - base
-        last = offs + sizes - 1
-        if int(offs.min()) < 0 or int(last.max()) >= CHUNK_APP_BYTES:
-            get_access = self.get_access
-            return [get_access(addr, size) for addr, size in accesses]
-        chunk = self._find_chunk(chunk_no)
-        if chunk is None:
-            return [0] * n
-        arr = _np.frombuffer(chunk, dtype=_np.uint8)
-        per = self._per_byte
-        bits = self.bits_per_byte
-        mask = self._mask
-        acc = _np.zeros(n, dtype=_np.uint8)
-        for k in range(int(sizes.max())):
-            live = sizes > k
-            idx = offs[live] + k
-            # The int64 shift count promotes the uint8 gather to int64;
-            # masked values fit a byte, so narrow before accumulating.
-            vals = (arr[idx // per] >> ((idx % per) * bits)) & mask
-            acc[live] |= vals.astype(_np.uint8)
-        return acc.tolist()
-
-    def bits_all_set_many(self, accesses: Sequence[Tuple[int, int]],
-                          required: int) -> List[bool]:
-        """Per access: does *every* app byte carry all ``required`` bits?
-
-        Equivalent to ``all(self.get(a + i) & required == required for i
-        in range(s))`` per access (vacuously True for size 0). This is
-        the batch form of the AND-style checks (AddrCheck "allocated",
-        MemCheck "addressable"/"initialized").
-        """
-        required &= self._mask
-        n = len(accesses)
-        if _np is None or n < NP_MIN_BATCH:
-            return [self._bits_all_set(addr, size, required)
-                    for addr, size in accesses]
-        addrs = _np.fromiter((a for a, _ in accesses), dtype=_np.int64,
-                             count=n)
-        sizes = _np.fromiter((s for _, s in accesses), dtype=_np.int64,
-                             count=n)
-        chunk_no = int(addrs[0]) // CHUNK_APP_BYTES
-        base = chunk_no * CHUNK_APP_BYTES
-        offs = addrs - base
-        last = offs + sizes - 1
-        if int(offs.min()) < 0 or int(last.max()) >= CHUNK_APP_BYTES:
-            return [self._bits_all_set(addr, size, required)
-                    for addr, size in accesses]
-        chunk = self._find_chunk(chunk_no)
-        if chunk is None:
-            # Untouched memory is all-zero: only required == 0 passes.
-            return [required == 0 or size == 0 for _, size in accesses]
-        arr = _np.frombuffer(chunk, dtype=_np.uint8)
-        per = self._per_byte
-        bits = self.bits_per_byte
-        mask = self._mask
-        ok = _np.ones(n, dtype=bool)
-        for k in range(int(sizes.max())):
-            live = sizes > k
-            idx = offs[live] + k
-            vals = (arr[idx // per] >> ((idx % per) * bits)) & mask
-            ok[live] &= (vals & required) == required
-        return ok.tolist()
-
-    def _bits_all_set(self, app_addr: int, size: int, required: int) -> bool:
-        get = self.get
-        return all(get(app_addr + i) & required == required
-                   for i in range(size))
-
-    def write_block(self, app_addr: int,
-                    values: Sequence[int]) -> None:
-        """Write one metadata value per app byte over a range.
-
-        The bulk inverse of :meth:`snapshot_range`: equivalent to
-        ``for i, v in enumerate(values): self.set(app_addr + i, v)``.
-        A span whose values are all zero never materializes an absent
-        chunk (same rule as scalar ``set``).
-        """
-        pos = 0
-        mask = self._mask
-        vectorize = _np is not None
-        for chunk_no, offset, span in self._spans(app_addr, len(values)):
-            vals = values[pos:pos + span]
-            pos += span
-            chunk = self._find_chunk(chunk_no)
-            if chunk is None:
-                if not any(vals):
-                    continue  # zeroing untouched memory: no-op
-                chunk = self._alloc_chunk(chunk_no)
-            if vectorize and span >= NP_MIN_SPAN:
-                self._pack_span_np(chunk, offset, span, vals)
-                continue
-            per = self._per_byte
-            bits = self.bits_per_byte
-            for i, value in enumerate(vals):
-                byte_index, slot = divmod(offset + i, per)
-                shift = slot * bits
-                chunk[byte_index] = (
-                    (chunk[byte_index] & ~(mask << shift))
-                    | ((value & mask) << shift))
-
-    def _pack_span_np(self, chunk: bytearray, offset: int, span: int,
-                      values: Sequence[int]) -> None:
-        """Vectorized pack of per-app-byte values into one chunk span."""
-        arr = _np.frombuffer(chunk, dtype=_np.uint8)
-        vals = _np.asarray(values, dtype=_np.uint8) & self._mask
-        per = self._per_byte
-        if per == 1:
-            arr[offset:offset + span] = vals
-            return
-        bits = self.bits_per_byte
-        # Extend to metadata-byte alignment with the existing slot values,
-        # overlay the new span, then re-pack whole metadata bytes.
-        start = (offset // per) * per
-        stop = -(-(offset + span) // per) * per
-        full = (arr[start // per:stop // per].repeat(per)
-                >> (_np.tile(_np.arange(per) * bits,
-                             (stop - start) // per))) & self._mask
-        full[offset - start:offset - start + span] = vals
-        packed = _np.bitwise_or.reduce(
-            full.reshape(-1, per).astype(_np.uint16)
-            << (_np.arange(per) * bits), axis=1)
-        arr[start // per:stop // per] = packed.astype(_np.uint8)
-
-    def copy_range(self, src_addr: int, dst_addr: int, length: int) -> None:
-        """Propagate metadata from one range to another (bulk memcpy).
-
-        Reads the whole source before writing (memcpy semantics: safe
-        for overlapping ranges). Equivalent to a scalar get/set loop
-        over a pre-read snapshot.
-        """
-        self.write_block(dst_addr, self.snapshot_range(src_addr, length))
-
     # -- TSO versioning ------------------------------------------------------------
-
-    def _unpack_span_py(self, chunk: bytearray, offset: int,
-                        span: int) -> List[int]:
-        """Per-app-byte metadata values of one chunk span (scalar path)."""
-        per = self._per_byte
-        bits = self.bits_per_byte
-        mask = self._mask
-        return [
-            (chunk[index // per] >> ((index % per) * bits)) & mask
-            for index in range(offset, offset + span)
-        ]
-
-    def _unpack_span_np(self, chunk: bytearray, offset: int,
-                        span: int) -> List[int]:
-        """Vectorized unpack: one gather + shift/mask over the span."""
-        arr = _np.frombuffer(chunk, dtype=_np.uint8)
-        idx = _np.arange(offset, offset + span)
-        vals = (arr[idx // self._per_byte]
-                >> ((idx % self._per_byte) * self.bits_per_byte)) & self._mask
-        return vals.tolist()
 
     def snapshot_range(self, app_addr: int, length: int) -> List[int]:
         """Copy the per-byte metadata of a range (versioned metadata)."""
         out: List[int] = []
-        vectorize = _np is not None
+        per = self._per_byte
+        bits = self.bits_per_byte
+        mask = self._mask
         for chunk_no, offset, span in self._spans(app_addr, length):
             chunk = self._find_chunk(chunk_no)
             if chunk is None:
                 out.extend([0] * span)
-            elif vectorize and span >= NP_MIN_SPAN:
-                out.extend(self._unpack_span_np(chunk, offset, span))
             else:
-                out.extend(self._unpack_span_py(chunk, offset, span))
+                out.extend([(chunk[index // per] >> ((index % per) * bits))
+                            & mask for index in range(offset, offset + span)])
         return out
 
     @staticmethod

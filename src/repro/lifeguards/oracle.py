@@ -56,13 +56,8 @@ def deliver(ordered_records: Iterable[Record]) -> List[tuple]:
     return events
 
 
-#: Events buffered per handle_block call in the batched oracle replay.
-REPLAY_BLOCK_EVENTS = 256
-
-
 def replay_events(events: Iterable[tuple],
-                  lifeguard_factory: Callable[[], Lifeguard],
-                  backend: str = "event") -> Lifeguard:
+                  lifeguard_factory: Callable[[], Lifeguard]) -> Lifeguard:
     """Feed a delivered-event stream to a fresh lifeguard; returns it.
 
     Each event passes the lifeguard's ``wants`` filter, mirroring the
@@ -70,55 +65,31 @@ def replay_events(events: Iterable[tuple],
     ``load_versioned`` event is handed over as a new tuple carrying the
     metadata snapshot the load observes, so ``events`` itself is never
     modified and may be shared between replays.
-
-    ``backend="batched"`` groups consecutive delivered events (across
-    records — the oracle has no per-record timing to preserve) into
-    blocks handed to :meth:`Lifeguard.handle_block`, whose contract is
-    handler-by-handler equivalence. A ``load_versioned`` event forces
-    the pending block to flush first: its snapshot must observe every
-    earlier handler's metadata writes.
     """
-    if backend not in ("event", "batched"):
-        raise ValueError(f"unknown replay backend {backend!r}")
     lifeguard = lifeguard_factory()
     wants = lifeguard.wants
     handle = lifeguard.handle
-    block: List[tuple] = []
-    batched = backend == "batched"
     for event in events:
         if not wants(event):
             continue
         if event[0] == "load_versioned":
             # The oracle replays in true coherence order, so the
-            # "current" metadata *is* the version the load must see
-            # — including this block's still-pending writes.
-            if block:
-                lifeguard.handle_block(block)
-                block.clear()
+            # "current" metadata *is* the version the load must see.
             rec = event[1]
             snapshot = lifeguard.metadata.snapshot_range(rec.addr, rec.size)
             event = ("load_versioned", rec, (rec.addr, rec.size, snapshot))
-        if batched:
-            block.append(event)
-            if len(block) >= REPLAY_BLOCK_EVENTS:
-                lifeguard.handle_block(block)
-                block.clear()
-        else:
-            handle(event)
-    if block:
-        lifeguard.handle_block(block)
+        handle(event)
     return lifeguard
 
 
-def replay(trace: Iterable[Record], lifeguard_factory: Callable[[], Lifeguard],
-           backend: str = "event") -> Lifeguard:
+def replay(trace: Iterable[Record],
+           lifeguard_factory: Callable[[], Lifeguard]) -> Lifeguard:
     """Replay a trace sequentially; returns the populated lifeguard.
 
     ``replay_events(deliver(linearize(trace)), ...)``: see
-    :func:`replay_events` for the delivery contract and ``backend``.
+    :func:`replay_events` for the delivery contract.
     """
-    return replay_events(deliver(linearize(trace)), lifeguard_factory,
-                         backend=backend)
+    return replay_events(deliver(linearize(trace)), lifeguard_factory)
 
 
 def fingerprints_match(lhs: Lifeguard, rhs: Lifeguard) -> bool:

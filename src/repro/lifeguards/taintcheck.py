@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.capture.events import RecordKind
 from repro.isa.instructions import HLEventKind, HLPhase
 from repro.lifeguards.base import Lifeguard, hl_phase_of
-from repro.lifeguards.metadata import NP_MIN_BATCH
 
 #: Taint value stored per byte (any nonzero bits mean tainted).
 TAINTED = 1
@@ -177,55 +176,6 @@ class TaintCheck(Lifeguard):
             return self._handle_highlevel(event[1])
 
         return self.unhandled(event)
-
-    # -- batched delivery ---------------------------------------------------------
-
-    def handle_block(self, events):
-        """Vectorize runs of consecutive plain loads.
-
-        A load only reads metadata and writes register state, so a run
-        of loads is order-independent on the metadata side and can be
-        gathered in one :meth:`MetadataMap.get_many` call; the race
-        check and register update still run per event, in order. Every
-        other event kind falls back to the scalar handler.
-        """
-        n = len(events)
-        if n == 1:
-            cost, accesses = self.handle(events[0])
-            return (cost, list(accesses))
-        total = 0
-        accesses = []
-        handle = self.handle
-        body_cost = self.costs.handler_body_cost
-        i = 0
-        while i < n:
-            if events[i][0] != "load":
-                cost, event_accesses = handle(events[i])
-                total += cost
-                if event_accesses:
-                    accesses.extend(event_accesses)
-                i += 1
-                continue
-            j = i + 1
-            while j < n and events[j][0] == "load":
-                j += 1
-            if j - i < NP_MIN_BATCH:
-                for k in range(i, j):
-                    cost, event_accesses = handle(events[k])
-                    total += cost
-                    accesses.extend(event_accesses)
-            else:
-                run = events[i:j]
-                taints = self.metadata.get_many(
-                    [(event[1].addr, event[1].size) for event in run])
-                for k, event in enumerate(run):
-                    rec = event[1]
-                    taint = taints[k] | self._race_taint(rec)
-                    self.regs(rec.tid)[rec.rd] = 1 if taint else 0
-                    total += body_cost
-                    accesses.append((rec.addr, rec.size, False))
-            i = j
-        return (total, accesses)
 
     # -- high-level events -------------------------------------------------------------
 

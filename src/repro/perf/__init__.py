@@ -9,7 +9,8 @@ schemes and reports, per scenario:
   number; see calibration below),
 * **sim_cycles** — simulated cycles summed across runs,
 * **instructions** — retired application instructions,
-* **events_popped** — discrete events the engine heap served,
+* **events_popped** — discrete events the engine's calendar queue
+  served,
 * **shadow_chunks_peak** / **shadow_chunk_allocs** — shadow-memory
   chunk residency and allocation churn in the lifeguard metadata map,
 
@@ -50,6 +51,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.common.argtypes import positive_int
 from repro.common.config import MemoryModel, ScalePreset, SimulationConfig
 from repro.isa.registers import R0, R1
 from repro.lifeguards import TaintCheck
@@ -112,20 +114,6 @@ def calibrate(rounds: int = 3) -> float:
 # Scenario runners — each returns {scheme: {metric: int}}
 # ---------------------------------------------------------------------------
 
-#: Engine backends a suite can run under (mirrors repro.cpu.engine).
-BACKENDS = ("event", "batched")
-
-
-def suite_key(suite: str, backend: str = "event") -> str:
-    """The report key for a (suite, backend) cell.
-
-    Event-backend suites keep their historical bare names, so existing
-    baselines stay comparable; batched suites get a ``-batched`` suffix
-    and are gated against their own same-name baseline.
-    """
-    return suite if backend == "event" else f"{suite}-{backend}"
-
-
 def _metrics_of(result) -> Dict[str, int]:
     perf = result.stats.get("perf", {})
     return {
@@ -162,22 +150,22 @@ def _tainted_factory(costs=None, heap_range=None):
     return lifeguard
 
 
-def run_figure5(backend: str = "event") -> Dict[str, Dict[str, int]]:
+def run_figure5() -> Dict[str, Dict[str, int]]:
     """Figure-5 TSO walkthrough under all three schemes."""
     config = SimulationConfig.for_threads(2, memory_model=MemoryModel.TSO)
     schemes = {}
     schemes["parallel"] = _metrics_of(run_parallel_monitoring(
-        _figure5_workload(), _tainted_factory, config, backend=backend))
+        _figure5_workload(), _tainted_factory, config))
     schemes["timesliced"] = _metrics_of(run_timesliced_monitoring(
-        _figure5_workload(), _tainted_factory, config, backend=backend))
+        _figure5_workload(), _tainted_factory, config))
     schemes["no_monitoring"] = _metrics_of(run_no_monitoring(
-        _figure5_workload(), config, backend=backend))
+        _figure5_workload(), config))
     return schemes
 
 
-def run_diff_sweep(seeds, backend: str = "event") -> Dict[str, Dict[str, int]]:
+def run_diff_sweep(seeds) -> Dict[str, Dict[str, int]]:
     """The cross-scheme differential sweep; every report must be ok."""
-    reports = differential_sweep(seeds, backend=backend)
+    reports = differential_sweep(seeds)
     bad = [r for r in reports if not r.ok]
     if bad:
         raise AssertionError(
@@ -198,25 +186,24 @@ def run_diff_sweep(seeds, backend: str = "event") -> Dict[str, Dict[str, int]]:
 
 
 def run_taint_large(nthreads: int = 4,
-                    scale: ScalePreset = ScalePreset.SMALL,
-                    backend: str = "event") -> Dict[str, Dict[str, int]]:
+                    scale: ScalePreset = ScalePreset.SMALL
+                    ) -> Dict[str, Dict[str, int]]:
     """A larger synthetic taint workload under all three schemes."""
     config = SimulationConfig.for_threads(nthreads)
     factory = TaintCheck
     schemes = {}
     schemes["parallel"] = _metrics_of(run_parallel_monitoring(
         build_workload("taint_pipeline", nthreads, scale, 1),
-        factory, config, backend=backend))
+        factory, config))
     schemes["timesliced"] = _metrics_of(run_timesliced_monitoring(
         build_workload("taint_pipeline", nthreads, scale, 1),
-        factory, config, backend=backend))
+        factory, config))
     schemes["no_monitoring"] = _metrics_of(run_no_monitoring(
-        build_workload("taint_pipeline", nthreads, scale, 1), config,
-        backend=backend))
+        build_workload("taint_pipeline", nthreads, scale, 1), config))
     return schemes
 
 
-def run_archive(seeds, backend: str = "event") -> Dict[str, Dict[str, int]]:
+def run_archive(seeds) -> Dict[str, Dict[str, int]]:
     """Record-once trace archiving over seeded racy programs.
 
     Live-captures each seed under parallel TaintCheck monitoring,
@@ -239,7 +226,7 @@ def run_archive(seeds, backend: str = "event") -> Dict[str, Dict[str, int]]:
     try:
         for seed in seeds:
             result, manifest = capture_archive(
-                os.path.join(tmp, f"seed{seed}.plog"), seed, backend=backend)
+                os.path.join(tmp, f"seed{seed}.plog"), seed)
             live = _metrics_of(result)
             for metric in ("sim_cycles", "instructions", "events_popped",
                            "shadow_chunk_allocs"):
@@ -266,26 +253,22 @@ def run_archive(seeds, backend: str = "event") -> Dict[str, Dict[str, int]]:
 # Suite assembly
 # ---------------------------------------------------------------------------
 
-def _suite_scenarios(suite: str,
-                     backend: str = "event") -> Dict[str, Callable]:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"valid: {', '.join(BACKENDS)}")
+def _suite_scenarios(suite: str) -> Dict[str, Callable]:
     if suite == "quick":
         return {
-            "figure5": lambda: run_figure5(backend=backend),
-            "diff_sweep": lambda: run_diff_sweep(range(5), backend=backend),
+            "figure5": run_figure5,
+            "diff_sweep": lambda: run_diff_sweep(range(5)),
             "taint_large": lambda: run_taint_large(
-                nthreads=3, scale=ScalePreset.TINY, backend=backend),
-            "archive": lambda: run_archive(range(5), backend=backend),
+                nthreads=3, scale=ScalePreset.TINY),
+            "archive": lambda: run_archive(range(5)),
         }
     if suite == "full":
         return {
-            "figure5": lambda: run_figure5(backend=backend),
-            "diff_sweep": lambda: run_diff_sweep(range(25), backend=backend),
+            "figure5": run_figure5,
+            "diff_sweep": lambda: run_diff_sweep(range(25)),
             "taint_large": lambda: run_taint_large(
-                nthreads=4, scale=ScalePreset.SMALL, backend=backend),
-            "archive": lambda: run_archive(range(25), backend=backend),
+                nthreads=4, scale=ScalePreset.SMALL),
+            "archive": lambda: run_archive(range(25)),
         }
     raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
 
@@ -309,7 +292,7 @@ def run_scenario(fn: Callable, repeats: int = 3) -> Dict[str, object]:
     """
     best_wall = None
     schemes = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         start = time.perf_counter()
         observed = fn()
         elapsed = time.perf_counter() - start
@@ -328,7 +311,7 @@ def run_scenario(fn: Callable, repeats: int = 3) -> Dict[str, object]:
     }
     return {
         "wall_seconds": round(best_wall, 4),
-        "repeats": max(1, repeats),
+        "repeats": repeats,
         "schemes": schemes,
         "metrics": totals,
         "rates": rates,
@@ -342,38 +325,32 @@ def _scenario_job(payload: dict) -> dict:
     the worker (callables don't cross process boundaries); everything in
     the returned dict except ``wall_seconds`` is deterministic.
     """
-    fn = _suite_scenarios(payload["suite"],
-                          payload.get("backend", "event"))[payload["name"]]
+    fn = _suite_scenarios(payload["suite"])[payload["name"]]
     return run_scenario(fn, repeats=payload["repeats"])
 
 
 def run_suite(suite: str = "quick", repeats: int = 3, jobs: int = 1,
               checkpoint_path: Optional[str] = None, resume: bool = False,
-              executor: str = "auto", tracer=None,
-              backend: str = "event") -> Dict[str, object]:
+              executor: str = "auto", tracer=None) -> Dict[str, object]:
     """Run every scenario in ``suite``; returns the suite result dict.
 
     ``jobs=1`` (the default) is the historical in-process loop and keeps
     ``BENCH_perf.json`` bit-identical; ``jobs=N`` fans the scenario
     matrix out over the :mod:`repro.jobs` executor (wall-clock numbers
     are then measured inside each worker, so rates stay meaningful).
-    ``backend`` selects the engine execution backend for every scenario
-    in the suite; job/checkpoint ids for non-event backends carry the
-    :func:`suite_key` suffix so backends never share checkpoint cells.
     """
     if (jobs == 1 and checkpoint_path is None and not resume
             and executor == "auto"):
         scenarios = {}
-        for name, fn in _suite_scenarios(suite, backend).items():
+        for name, fn in _suite_scenarios(suite).items():
             scenarios[name] = run_scenario(fn, repeats=repeats)
     else:
         from repro.jobs import Job, run_jobs
 
-        names = list(_suite_scenarios(suite, backend))
+        names = list(_suite_scenarios(suite))
         results = run_jobs(
-            [Job(f"{suite_key(suite, backend)}:{name}",
-                 {"suite": suite, "name": name, "repeats": repeats,
-                  "backend": backend})
+            [Job(f"{suite}:{name}",
+                 {"suite": suite, "name": name, "repeats": repeats})
              for name in names],
             _scenario_job, nworkers=jobs, checkpoint_path=checkpoint_path,
             resume=resume, executor=executor, tracer=tracer)
@@ -395,23 +372,15 @@ def run_suite(suite: str = "quick", repeats: int = 3, jobs: int = 1,
 def build_report(suites=("quick",), repeats: int = 3, jobs: int = 1,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
-                 executor: str = "auto",
-                 backends=("event",)) -> Dict[str, object]:
-    """Full machine-readable report (the ``BENCH_perf.json`` payload).
-
-    Each (suite, backend) cell lands under its :func:`suite_key` name:
-    event-backend suites keep the historical bare keys, batched suites
-    appear as ``quick-batched`` / ``full-batched`` alongside them.
-    """
+                 executor: str = "auto") -> Dict[str, object]:
+    """Full machine-readable report (the ``BENCH_perf.json`` payload)."""
     return {
         "schema": SCHEMA,
         "calibration_seconds": round(calibrate(), 4),
-        "suites": {suite_key(suite, backend):
-                   run_suite(suite, repeats=repeats, jobs=jobs,
-                             checkpoint_path=checkpoint_path,
-                             resume=resume, executor=executor,
-                             backend=backend)
-                   for suite in suites for backend in backends},
+        "suites": {suite: run_suite(suite, repeats=repeats, jobs=jobs,
+                                    checkpoint_path=checkpoint_path,
+                                    resume=resume, executor=executor)
+                   for suite in suites},
     }
 
 
@@ -521,8 +490,8 @@ def profile_scenario(fn: Callable, top: int = 25) -> str:
     return out.getvalue()
 
 
-def profile_report(suites, backends, top: int = 25) -> str:
-    """Profile every scenario of every (suite, backend) cell.
+def profile_report(suites, top: int = 25) -> str:
+    """Profile every scenario of every suite.
 
     Returns one text document (the ``BENCH_profile.txt`` payload) with a
     section per scenario — the artifact CI uploads so every perf PR can
@@ -530,11 +499,9 @@ def profile_report(suites, backends, top: int = 25) -> str:
     """
     sections = []
     for suite in suites:
-        for backend in backends:
-            key = suite_key(suite, backend)
-            for name, fn in _suite_scenarios(suite, backend).items():
-                sections.append(f"== {key} :: {name} ==\n"
-                                + profile_scenario(fn, top=top))
+        for name, fn in _suite_scenarios(suite).items():
+            sections.append(f"== {suite} :: {name} ==\n"
+                            + profile_scenario(fn, top=top))
     return "\n".join(sections)
 
 
@@ -606,11 +573,6 @@ def main(argv=None) -> int:
         description="ParaLog reproduction benchmark harness / perf gate")
     parser.add_argument("--suite", choices=SUITES + ("all",), default="quick",
                         help="scenario suite to run (default quick)")
-    parser.add_argument("--backend", choices=BACKENDS + ("both",),
-                        default="event",
-                        help="engine execution backend (default event); "
-                             "'both' runs every suite under each backend "
-                             "(batched cells land under '<suite>-batched')")
     parser.add_argument("--gate", action="store_true",
                         help="compare against the committed baseline and "
                              "exit 1 on regression")
@@ -619,7 +581,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", metavar="PATH", default=None,
                         help="where to write the fresh report "
                              "(default: the baseline path when not gating)")
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--repeats", type=positive_int, default=3,
                         help="wall-clock repetitions per scenario "
                              "(best-of; default 3)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -642,22 +604,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     suites = SUITES if args.suite == "all" else (args.suite,)
-    backends = BACKENDS if args.backend == "both" else (args.backend,)
     baseline_path = Path(args.baseline) if args.baseline else BASELINE_PATH
     regen = os.environ.get("REGEN_BASELINE") == "1"
 
     report = build_report(suites=suites, repeats=args.repeats,
                           jobs=args.jobs, checkpoint_path=args.checkpoint,
-                          resume=args.resume, executor=args.executor,
-                          backends=backends)
-    keys = [suite_key(suite, backend)
-            for suite in suites for backend in backends]
+                          resume=args.resume, executor=args.executor)
     try:
         committed = load_baseline(baseline_path)
     except (FileNotFoundError, ValueError, json.JSONDecodeError):
         committed = None
-    for key in keys:
-        print(format_suite(key, report["suites"][key], baseline=committed,
+    for suite in suites:
+        print(format_suite(suite, report["suites"][suite], baseline=committed,
                            cur_calib=report["calibration_seconds"]))
     print(f"calibration: {report['calibration_seconds']:.4f}s")
 
@@ -665,7 +623,7 @@ def main(argv=None) -> int:
         profile_path = (Path(args.output) if args.output
                         else baseline_path).with_name("BENCH_profile.txt")
         profile_path.write_text(
-            profile_report(suites, backends, top=args.profile_top))
+            profile_report(suites, top=args.profile_top))
         print(f"wrote profile report to {profile_path}")
 
     if args.gate and not regen:
@@ -676,8 +634,8 @@ def main(argv=None) -> int:
                   f"REGEN_BASELINE=1 python -m repro.perf first")
             return 2
         failures: List[str] = []
-        for key in keys:
-            failures.extend(gate(report, baseline, suite=key))
+        for suite in suites:
+            failures.extend(gate(report, baseline, suite=suite))
         if args.output:
             write_report(report, Path(args.output))
         if failures:

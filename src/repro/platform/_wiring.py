@@ -16,11 +16,9 @@ class Machine:
     """One simulated machine instance (engine + memory + OS)."""
 
     def __init__(self, config: SimulationConfig, num_cores: int,
-                 watchdog: Watchdog = None, tracer=None,
-                 backend: str = "event"):
+                 watchdog: Watchdog = None, tracer=None):
         self.config = config
-        self.engine = Engine(watchdog=watchdog, tracer=tracer,
-                             backend=backend)
+        self.engine = Engine(watchdog=watchdog, tracer=tracer)
         self.memory = MainMemory()
         self.memsys = CoherentMemorySystem(config, num_cores)
         self.os = OSRuntime(self.memory, config)
@@ -47,8 +45,7 @@ def collect_perf_stats(machine: Machine, lifeguard=None) -> Dict[str, int]:
     did: engine events popped, and (for monitored runs) shadow-memory
     chunk residency/allocation from the lifeguard's metadata map.
     """
-    perf: Dict[str, int] = {"events_popped": machine.engine.events_popped,
-                            "batch_advances": machine.engine.batch_advances}
+    perf: Dict[str, int] = {"events_popped": machine.engine.events_popped}
     if lifeguard is not None:
         metadata = lifeguard.metadata
         perf["shadow_chunks_peak"] = metadata.peak_chunks

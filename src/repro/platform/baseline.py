@@ -21,7 +21,7 @@ from repro.platform.results import RunResult
 
 def run_no_monitoring(workload, config: SimulationConfig = None,
                       watchdog=None, max_cycles=None,
-                      tracer=None, backend: str = "event") -> RunResult:
+                      tracer=None) -> RunResult:
     """Run a workload without any monitoring; the Figure 6 baseline.
 
     ``watchdog``/``max_cycles``/``tracer`` give the unmonitored run the
@@ -31,7 +31,7 @@ def run_no_monitoring(workload, config: SimulationConfig = None,
     """
     config = config or SimulationConfig.for_threads(workload.nthreads)
     machine = Machine(config, num_cores=workload.nthreads, watchdog=watchdog,
-                      tracer=tracer, backend=backend)
+                      tracer=tracer)
     programs = build_thread_programs(workload, machine)
     hooks = MonitoringHooks()  # no CA, no containment, no progress table
 

@@ -54,7 +54,6 @@ def run_parallel_monitoring(
     watchdog=None,
     max_cycles: Optional[int] = None,
     tracer=None,
-    backend: str = "event",
 ) -> RunResult:
     """Run a workload under ParaLog parallel monitoring.
 
@@ -69,9 +68,7 @@ def run_parallel_monitoring(
     :class:`~repro.common.errors.SimulationTimeout`. ``tracer`` (a
     :class:`~repro.trace.TraceWriter`) attaches the flight recorder to
     every instrumented component; like ``fault_plan``, None keeps all
-    hot paths untouched. ``backend`` selects the engine execution
-    backend (``"event"`` or ``"batched"``); both produce bit-identical
-    results — the batched backend is just faster.
+    hot paths untouched.
     """
     nthreads = workload.nthreads
     config = config or SimulationConfig.for_threads(nthreads)
@@ -83,7 +80,7 @@ def run_parallel_monitoring(
     faults = fault_plan if (fault_plan is not None and fault_plan.enabled) else None
 
     machine = Machine(config, num_cores=2 * nthreads, watchdog=watchdog,
-                      tracer=tracer, backend=backend)
+                      tracer=tracer)
     engine = machine.engine
     tids = list(range(nthreads))
 

@@ -46,14 +46,13 @@ def run_timesliced_monitoring(
     watchdog=None,
     max_cycles: Optional[int] = None,
     tracer=None,
-    backend: str = "event",
 ) -> RunResult:
     """Run a workload under the time-sliced monitoring baseline.
 
-    ``fault_plan``/``watchdog``/``max_cycles``/``tracer``/``backend``
-    mirror the parallel scheme's robustness and observability surface
-    (arc and CA trace events never fire here — a single interleaved
-    stream has neither).
+    ``fault_plan``/``watchdog``/``max_cycles``/``tracer`` mirror the
+    parallel scheme's robustness and observability surface (arc and CA
+    trace events never fire here — a single interleaved stream has
+    neither).
     """
     nthreads = workload.nthreads
     config = config or SimulationConfig.for_threads(nthreads)
@@ -63,8 +62,7 @@ def run_timesliced_monitoring(
     faults = fault_plan if (fault_plan is not None and fault_plan.enabled) else None
 
     # one app core, one lifeguard core
-    machine = Machine(config, num_cores=2, watchdog=watchdog, tracer=tracer,
-                      backend=backend)
+    machine = Machine(config, num_cores=2, watchdog=watchdog, tracer=tracer)
     engine = machine.engine
     tids = list(range(nthreads))
 

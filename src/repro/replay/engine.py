@@ -73,8 +73,7 @@ def lifeguard_replay_factory(name: str):
     return lifeguard_factory(name)
 
 
-def replay_archive(archive, lifeguard: str,
-                   backend: str = "event") -> ReplayResult:
+def replay_archive(archive, lifeguard: str) -> ReplayResult:
     """Replay one archive through one lifeguard, no CMP re-simulation.
 
     ``archive`` is a path or an open :class:`TraceReader` (pass the
@@ -83,10 +82,7 @@ def replay_archive(archive, lifeguard: str,
     once and shared). The delivered order is the archive's global
     coherence linearization — exactly what the sequential oracle
     consumes, and proven fingerprint-identical to live parallel
-    monitoring by the differential harness. ``backend="batched"``
-    delivers the events through the lifeguard's block entry point
-    (:meth:`~repro.lifeguards.base.Lifeguard.handle_block`); the payload
-    stays byte-identical to the event backend's.
+    monitoring by the differential harness.
     """
     from repro.trace.diff import verdict_projection
 
@@ -94,8 +90,7 @@ def replay_archive(archive, lifeguard: str,
         else TraceReader(archive)
     factory = lifeguard_replay_factory(lifeguard)
     populated = replay_events(reader.delivered(),
-                              lambda: factory(heap_range=_HEAP_RANGE),
-                              backend=backend)
+                              lambda: factory(heap_range=_HEAP_RANGE))
     retire_orders = reader.retire_orders()
     return ReplayResult(
         archive=reader.path,
@@ -139,13 +134,11 @@ def replay_job(payload: dict) -> dict:
     fails loudly in every process that touches it.
     """
     return replay_payload(
-        replay_archive(payload["archive"], payload["lifeguard"],
-                       backend=payload.get("backend", "event")))
+        replay_archive(payload["archive"], payload["lifeguard"]))
 
 
 def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
-               executor: str = "auto", tracer=None,
-               backend: str = "event") -> Dict[str, dict]:
+               executor: str = "auto", tracer=None) -> Dict[str, dict]:
     """Fan one archive out to many lifeguards; returns name -> payload.
 
     ``jobs=1`` replays in-process sharing one decoded reader; ``jobs=N``
@@ -161,17 +154,14 @@ def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
                          f"valid: {sorted(LIFEGUARDS)}")
     if jobs == 1 and executor == "auto":
         reader = TraceReader(archive_path)
-        return {name: replay_payload(replay_archive(reader, name,
-                                                    backend=backend))
+        return {name: replay_payload(replay_archive(reader, name))
                 for name in names}
 
     from repro.jobs import Job, run_jobs
 
-    marker = "" if backend == "event" else f":{backend}"
     results = run_jobs(
-        [Job(f"replay:{name}{marker}",
-             {"archive": str(archive_path), "lifeguard": name,
-              "backend": backend})
+        [Job(f"replay:{name}",
+             {"archive": str(archive_path), "lifeguard": name})
          for name in names],
         replay_job, nworkers=jobs, executor=executor, tracer=tracer)
     payloads: Dict[str, dict] = {}
@@ -186,8 +176,7 @@ def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
 
 def capture_archive(path: str, seed: int, lifeguard: str = "taintcheck",
                     nthreads: int = 2, length: int = 18,
-                    config: Optional[SimulationConfig] = None,
-                    backend: str = "event"):
+                    config: Optional[SimulationConfig] = None):
     """Run one seeded racy program live and archive its captured order.
 
     Returns ``(run_result, manifest)``. The archive records the
@@ -201,7 +190,7 @@ def capture_archive(path: str, seed: int, lifeguard: str = "taintcheck",
     factory = lifeguard_replay_factory(lifeguard)
     config = config or SimulationConfig.for_threads(nthreads)
     result = run_parallel_monitoring(program.workload(), factory, config,
-                                     keep_trace=True, backend=backend)
+                                     keep_trace=True)
     manifest = write_archive(
         path, result.trace, nthreads=nthreads, config=config,
         meta={

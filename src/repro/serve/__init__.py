@@ -13,8 +13,8 @@ run's ``stream``-mode JSONL trace with :class:`repro.trace.TraceTail`.
 Endpoints (all JSON unless noted):
 
 * ``POST /runs`` — submit a run (``workload``/``scheme``/``lifeguard``/
-  ``backend``/``seed``/...; the same vocabulary as ``python -m repro
-  run``); returns ``201`` with the new run's manifest.
+  ``seed``/...; the same vocabulary as ``python -m repro run``);
+  returns ``201`` with the new run's manifest.
 * ``GET /runs`` — list all runs with states
   (``queued|running|done|failed``).
 * ``GET /runs/{id}`` — one run's manifest (config + digest, state,

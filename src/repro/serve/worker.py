@@ -1,7 +1,7 @@
 """Run-config validation and the server's job worker.
 
 ``POST /runs`` payloads use the exact vocabulary of ``python -m repro
-run`` (workload/scheme/lifeguard/backend/seed/threads/scale/...), and
+run`` (workload/scheme/lifeguard/seed/threads/scale/...), and
 :func:`normalize_run_config` validates them with the same machinery the
 CLI uses — :class:`~repro.common.config.ScalePreset` /
 ``MemoryModel`` / ``CaptureMode`` enums, the
@@ -29,7 +29,7 @@ from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
     SimulationConfig
 from repro.common.errors import ConfigurationError, SimulationError, \
     SimulationTimeout
-from repro.cpu.engine import BACKENDS, Watchdog
+from repro.cpu.engine import Watchdog
 from repro.faults import EXIT_ABNORMAL, EXIT_BUDGET_EXCEEDED
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import (
@@ -47,8 +47,8 @@ from repro.workloads import WORKLOADS, build_workload
 #: Submission fields that shape the *simulation* (and therefore the
 #: trace bytes). Everything else — executor choice, job timeout — is
 #: service plumbing and stays out of the config digest.
-SIM_FIELDS = ("workload", "scheme", "lifeguard", "backend", "seed",
-              "threads", "scale", "memory_model", "capture", "no_accel",
+SIM_FIELDS = ("workload", "scheme", "lifeguard", "seed", "threads",
+              "scale", "memory_model", "capture", "no_accel",
               "max_cycles", "watchdog", "trace_filter")
 
 #: Service-level fields: how the job is executed, not what it computes.
@@ -57,7 +57,6 @@ JOB_FIELDS = ("executor", "timeout", "retries")
 _DEFAULTS: Dict[str, object] = {
     "scheme": "parallel",
     "lifeguard": "taintcheck",
-    "backend": "event",
     "seed": 1,
     "threads": 2,
     "scale": "tiny",
@@ -118,10 +117,6 @@ def normalize_run_config(payload: dict) -> dict:
         raise ConfigurationError(
             f"unknown lifeguard {config['lifeguard']!r}; valid: "
             f"{', '.join(sorted(LIFEGUARDS))}")
-    if config["backend"] not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {config['backend']!r}; valid: "
-            f"{', '.join(BACKENDS)}")
     for key, enum_cls in (("scale", ScalePreset),
                           ("memory_model", MemoryModel),
                           ("capture", CaptureMode)):
@@ -211,21 +206,19 @@ def execute_run(payload: dict) -> dict:
         if payload["scheme"] == "none":
             result = run_no_monitoring(
                 workload, config, watchdog=watchdog,
-                max_cycles=payload["max_cycles"], tracer=tracer,
-                backend=payload["backend"])
+                max_cycles=payload["max_cycles"], tracer=tracer)
         elif payload["scheme"] == "timesliced":
             result = run_timesliced_monitoring(
                 workload, LIFEGUARDS[payload["lifeguard"]], config,
                 watchdog=watchdog, max_cycles=payload["max_cycles"],
-                tracer=tracer, backend=payload["backend"])
+                tracer=tracer)
         else:
             accel = (AcceleratorConfig.all_off() if payload["no_accel"]
                      else AcceleratorConfig.all_on())
             result = run_parallel_monitoring(
                 workload, LIFEGUARDS[payload["lifeguard"]], config,
                 accel=accel, watchdog=watchdog,
-                max_cycles=payload["max_cycles"], tracer=tracer,
-                backend=payload["backend"])
+                max_cycles=payload["max_cycles"], tracer=tracer)
     except SimulationError as exc:
         error = f"{type(exc).__name__}: {exc}"
         exit_code = (EXIT_BUDGET_EXCEEDED

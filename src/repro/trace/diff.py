@@ -60,7 +60,6 @@ __all__ = [
     "DiffReport",
     "RacyProgram",
     "SHARED_SLOTS",
-    "backend_equivalence_check",
     "diff_job",
     "differential_check",
     "differential_sweep",
@@ -362,8 +361,7 @@ class DiffReport:
 def differential_check(seed: int, lifeguard: str = "taintcheck",
                        nthreads: int = 2, length: int = 18,
                        config: SimulationConfig = None,
-                       check_planted: bool = True,
-                       backend: str = "event") -> DiffReport:
+                       check_planted: bool = True) -> DiffReport:
     """Run one seeded racy program under all three schemes and compare."""
     program = RacyProgram.generate(seed, nthreads=nthreads, length=length)
     factory = lifeguard_factory(lifeguard)
@@ -377,7 +375,7 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
         tracer = TraceWriter(categories=("engine",), keep=True)
         results[scheme] = runners[scheme](
             program.workload(), factory, config, keep_trace=True,
-            tracer=tracer, backend=backend)
+            tracer=tracer)
         tracer.close()
         tracers[scheme] = tracer
         report.verdicts[scheme] = verdict_projection(
@@ -386,7 +384,7 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
         report.perf[scheme] = dict(
             results[scheme].stats.get("perf", {}),
             sim_cycles=results[scheme].total_cycles)
-    baseline = run_no_monitoring(program.workload(), config, backend=backend)
+    baseline = run_no_monitoring(program.workload(), config)
     report.instructions["no_monitoring"] = baseline.instructions
     report.perf["no_monitoring"] = dict(
         baseline.stats.get("perf", {}), sim_cycles=baseline.total_cycles)
@@ -403,8 +401,7 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
     for scheme in MONITORED_SCHEMES:
         result = results[scheme]
         oracle = replay(result.trace,
-                        lambda: factory(heap_range=_HEAP_RANGE),
-                        backend=backend)
+                        lambda: factory(heap_range=_HEAP_RANGE))
         if (result.lifeguard_obj.metadata_fingerprint()
                 != oracle.metadata_fingerprint()):
             report.failures.append(
@@ -472,79 +469,6 @@ def _check_planted(program: RacyProgram, lifeguard_name: str,
     return []
 
 
-#: Perf counters that legitimately differ between engine backends: the
-#: batched backend replaces heap pops with inline time advances, so
-#: these two trade off against each other while everything else — every
-#: cycle stamp, verdict, and shadow-memory counter — stays identical.
-BACKEND_DEPENDENT_COUNTERS = frozenset({"events_popped", "batch_advances"})
-
-
-def backend_equivalence_check(seed: int, lifeguard: str = "taintcheck",
-                              nthreads: int = 2, length: int = 18,
-                              scheme: str = "parallel",
-                              config: SimulationConfig = None) -> DiffReport:
-    """Run one seeded program under both engine backends and require
-    bit-identical observable behavior.
-
-    The strongest form of the batched backend's acceptance claim: the
-    full flight-recorder event stream (every category, every cycle
-    stamp) must hash identically, the violation lists must match
-    field-for-field, the metadata fingerprints must be equal, and every
-    perf counter outside :data:`BACKEND_DEPENDENT_COUNTERS` — including
-    total simulated cycles and per-core cycle buckets — must agree.
-    """
-    from repro.trace.writer import trace_hash
-
-    program = RacyProgram.generate(seed, nthreads=nthreads, length=length)
-    factory = lifeguard_factory(lifeguard)
-    config = config or SimulationConfig.for_threads(nthreads)
-    runner = {"parallel": run_parallel_monitoring,
-              "timesliced": run_timesliced_monitoring}[scheme]
-    report = DiffReport(seed=seed, lifeguard=lifeguard, nthreads=nthreads)
-    results, hashes = {}, {}
-    for backend in ("event", "batched"):
-        tracer = TraceWriter(keep=True)
-        results[backend] = runner(program.workload(), factory, config,
-                                  keep_trace=True, tracer=tracer,
-                                  backend=backend)
-        tracer.close()
-        hashes[backend] = trace_hash(tracer.events)
-        result = results[backend]
-        report.verdicts[backend] = verdict_projection(result.violations,
-                                                      lifeguard)
-        report.instructions[backend] = result.instructions
-        report.perf[backend] = dict(result.stats.get("perf", {}),
-                                    sim_cycles=result.total_cycles)
-
-    event, batched = results["event"], results["batched"]
-    if hashes["event"] != hashes["batched"]:
-        report.failures.append(
-            "flight-recorder trace hashes diverge between backends: "
-            f"event={hashes['event'][:16]} batched={hashes['batched'][:16]}")
-    as_fields = lambda result: [(v.kind, v.tid, v.rid, v.detail)
-                                for v in result.violations]
-    if as_fields(event) != as_fields(batched):
-        report.failures.append("violation lists diverge between backends")
-    if (event.lifeguard_obj.metadata_fingerprint()
-            != batched.lifeguard_obj.metadata_fingerprint()):
-        report.failures.append(
-            "metadata fingerprints diverge between backends")
-    if (event.app_buckets, event.lifeguard_buckets) != \
-            (batched.app_buckets, batched.lifeguard_buckets):
-        report.failures.append("cycle buckets diverge between backends")
-    comparable = {
-        backend: {key: value
-                  for key, value in report.perf[backend].items()
-                  if key not in BACKEND_DEPENDENT_COUNTERS}
-        for backend in results}
-    if comparable["event"] != comparable["batched"]:
-        report.failures.append(
-            "perf counters diverge between backends:\n"
-            f"      event:   {comparable['event']}\n"
-            f"      batched: {comparable['batched']}")
-    return report
-
-
 def report_payload(report: DiffReport) -> dict:
     """A :class:`DiffReport` as pure JSON types.
 
@@ -597,27 +521,21 @@ def diff_job(payload: dict) -> dict:
     report = differential_check(payload["seed"],
                                 lifeguard=payload["lifeguard"],
                                 nthreads=payload["nthreads"],
-                                length=payload["length"],
-                                backend=payload.get("backend", "event"))
+                                length=payload["length"])
     return report_payload(report)
 
 
 def sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
-               length: int = 18, backend: str = "event") -> list:
+               length: int = 18) -> list:
     """The canonical job list for a differential sweep: one job per
-    (seed, lifeguard) cell, ids stable across runs for checkpointing.
-
-    Event-backend ids are unchanged from before backends existed (so
-    old checkpoints keep resuming); batched cells carry a ``:batched``
-    marker so the two backends never share a checkpoint entry."""
+    (seed, lifeguard) cell, ids stable across runs for checkpointing."""
     from repro.jobs import Job
 
     lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
-    marker = "" if backend == "event" else f":{backend}"
     return [
-        Job(f"seed{seed:05d}:{name}:t{nthreads}:l{length}{marker}",
+        Job(f"seed{seed:05d}:{name}:t{nthreads}:l{length}",
             {"seed": seed, "lifeguard": name, "nthreads": nthreads,
-             "length": length, "backend": backend})
+             "length": length})
         for seed in seeds for name in lifeguards
     ]
 
@@ -645,8 +563,7 @@ def _record_fields(record, commit_base: int = 0) -> tuple:
 
 def replay_differential_check(seed: int, lifeguard: str = "taintcheck",
                               nthreads: int = 2, length: int = 18,
-                              archive_path: str = None,
-                              backend: str = "event") -> DiffReport:
+                              archive_path: str = None) -> DiffReport:
     """Live-monitor one seeded racy program, archive it, replay it.
 
     The strict acceptance check of the record-once/replay-many design:
@@ -683,11 +600,10 @@ def replay_differential_check(seed: int, lifeguard: str = "taintcheck",
     try:
         live, manifest = capture_archive(
             archive_path, seed, lifeguard=lifeguard, nthreads=nthreads,
-            length=length, backend=backend)
+            length=length)
         reader = TraceReader(archive_path)
-        first = replay_archive(reader, lifeguard, backend=backend)
-        second = replay_archive(TraceReader(archive_path), lifeguard,
-                                backend=backend)
+        first = replay_archive(reader, lifeguard)
+        second = replay_archive(TraceReader(archive_path), lifeguard)
 
         report.verdicts["live"] = verdict_projection(live.violations,
                                                      lifeguard)
@@ -827,33 +743,28 @@ def replay_diff_job(payload: dict) -> dict:
     report = replay_differential_check(payload["seed"],
                                        lifeguard=payload["lifeguard"],
                                        nthreads=payload["nthreads"],
-                                       length=payload["length"],
-                                       backend=payload.get("backend",
-                                                           "event"))
+                                       length=payload["length"])
     return report_payload(report)
 
 
 def replay_sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
-                      length: int = 18, backend: str = "event") -> list:
+                      length: int = 18) -> list:
     """Stable job list for a replay differential sweep (one job per
-    (seed, lifeguard) cell, ids checkpoint-stable across runs; batched
-    cells carry a ``:batched`` id marker like :func:`sweep_jobs`)."""
+    (seed, lifeguard) cell, ids checkpoint-stable across runs)."""
     from repro.jobs import Job
 
     lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
-    marker = "" if backend == "event" else f":{backend}"
     return [
-        Job(f"replay{seed:05d}:{name}:t{nthreads}:l{length}{marker}",
+        Job(f"replay{seed:05d}:{name}:t{nthreads}:l{length}",
             {"seed": seed, "lifeguard": name, "nthreads": nthreads,
-             "length": length, "backend": backend})
+             "length": length})
         for seed in seeds for name in lifeguards
     ]
 
 
 def replay_sweep(seeds, lifeguards=None, nthreads: int = 2,
                  length: int = 18, jobs: int = 1,
-                 executor: str = "auto", tracer=None,
-                 backend: str = "event") -> List[DiffReport]:
+                 executor: str = "auto", tracer=None) -> List[DiffReport]:
     """:func:`replay_differential_check` over a seed range.
 
     Returns reports in canonical (seed, lifeguard) order; callers assert
@@ -864,14 +775,13 @@ def replay_sweep(seeds, lifeguards=None, nthreads: int = 2,
     if jobs == 1 and executor == "auto":
         lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
         return [replay_differential_check(seed, lifeguard=name,
-                                          nthreads=nthreads, length=length,
-                                          backend=backend)
+                                          nthreads=nthreads, length=length)
                 for seed in seeds for name in lifeguards]
 
     from repro.jobs import run_jobs
 
     results = run_jobs(replay_sweep_jobs(seeds, lifeguards, nthreads,
-                                         length, backend=backend),
+                                         length),
                        replay_diff_job, nworkers=jobs, executor=executor,
                        tracer=tracer)
     reports = []
@@ -891,8 +801,8 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
                        timeout: float = None, retries: int = 1,
                        executor: str = "auto", heartbeat: float = None,
                        backoff=None, worker_faults=(), fault_seed: int = 0,
-                       shard_dir: str = None, tracer=None,
-                       backend: str = "event") -> List[DiffReport]:
+                       shard_dir: str = None,
+                       tracer=None) -> List[DiffReport]:
     """Run :func:`differential_check` over a seed range; returns all
     reports in canonical (seed, lifeguard) order (callers assert
     ``all(r.ok for r in reports)``).
@@ -909,13 +819,12 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
             and executor == "auto" and not worker_faults and not shard_dir):
         lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
         return [differential_check(seed, lifeguard=name, nthreads=nthreads,
-                                   length=length, backend=backend)
+                                   length=length)
                 for seed in seeds for name in lifeguards]
 
     from repro.jobs import DEFAULT_HEARTBEAT, run_jobs
 
-    results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length,
-                                  backend=backend),
+    results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length),
                        diff_job, nworkers=jobs, timeout=timeout,
                        retries=retries, checkpoint_path=checkpoint_path,
                        resume=resume, executor=executor,

@@ -22,6 +22,50 @@ class TestParser:
             build_parser().parse_args(["run", "nope"])
 
 
+class TestBadIntegerFlags:
+    """Out-of-range integers exit 2 with a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "lu", "--threads", "0"], "--threads: must be >= 1"),
+        (["run", "lu", "--threads", "-2"], "--threads: must be >= 1"),
+        (["run", "lu", "--watchdog", "-5"], "--watchdog: must be >= 0"),
+        (["diff", "--seeds", "1", "--threads", "0"],
+         "--threads: must be >= 1"),
+        (["diff", "--seeds", "-1"], "--seeds: must be >= 0"),
+        (["archive", "out.plog", "--threads", "0"],
+         "--threads: must be >= 1"),
+        (["table1", "--threads", "0"], "--threads: must be >= 1"),
+        (["swaptions", "--threads", "0"], "--threads: must be >= 1"),
+        (["figure6", "--max-threads", "0"], "--max-threads: must be >= 1"),
+        (["run", "lu", "--threads", "two"], "invalid int value: 'two'"),
+    ])
+    def test_rejected_by_argparse(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_watchdog_and_seeds_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["run", "lu", "--watchdog", "0"]).watchdog == 0
+        assert parse(["diff", "--seeds", "0"]).seeds == 0
+
+
+class TestRemovedBackendFlag:
+    @pytest.mark.parametrize("argv", [
+        ["run", "lu", "--backend", "event"],
+        ["diff", "--seeds", "1", "--backend", "event"],
+        ["archive", "out.plog", "--backend", "event"],
+        ["replay", "out.plog", "--backend", "event"],
+    ])
+    def test_backend_flag_is_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend event" in \
+            capsys.readouterr().err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

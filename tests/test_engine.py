@@ -557,51 +557,35 @@ class TestNotifyAllReentrancy:
         assert len(actor.trace) == 2
 
 
-class TestBatchedBackend:
-    """The batched backend must be observably identical to event mode."""
+class TestPinnedOutcomes:
+    """Exact step times, budget trips and watchdog verdicts of small runs."""
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown engine backend"):
-            Engine(backend="compiled")
-
-    def test_event_backend_never_batch_advances(self):
+    def test_single_actor_pops_one_event_per_delay(self):
         engine = Engine()
-        ScriptedActor(engine, "a", [("delay", 5, "x")] * 10).start()
-        engine.run()
-        assert engine.batch_advances == 0
+        actor = ScriptedActor(engine, "a", [("delay", 5, "x")] * 20)
+        actor.start()
+        assert engine.run() == 100
+        assert [t for t, _ in actor.trace] == list(range(0, 100, 5))
+        assert actor.buckets.get("x") == 100
+        # The start event plus one queue round-trip per delay.
+        assert engine.events_popped == 21
 
-    def test_single_actor_advances_inline(self):
-        event, batched = Engine(), Engine(backend="batched")
-        results = {}
-        for name, engine in (("event", event), ("batched", batched)):
-            actor = ScriptedActor(engine, "a", [("delay", 5, "x")] * 20)
-            actor.start()
-            results[name] = (engine.run(), list(actor.trace),
-                             actor.buckets.get("x"))
-        assert results["event"] == results["batched"]
-        # The lone actor's 20 delays need only the initial start event.
-        assert batched.batch_advances > 0
-        assert batched.events_popped < event.events_popped
+    def test_interleaved_actors_step_times(self):
+        engine = Engine()
+        a = ScriptedActor(engine, "a",
+                          [("delay", 3, "x"), ("delay", 7, "x"),
+                           ("delay", 2, "x"), ("delay", 11, "x")])
+        b = ScriptedActor(engine, "b",
+                          [("delay", 5, "x"), ("delay", 5, "x"),
+                           ("delay", 1, "x"), ("delay", 6, "x")])
+        a.start()
+        b.start()
+        assert engine.run() == 23
+        assert [t for t, _ in a.trace] == [0, 3, 10, 12]
+        assert [t for t, _ in b.trace] == [0, 5, 10, 11]
 
-    def test_interleaved_actors_identical_step_times(self):
-        def build(backend):
-            engine = Engine(backend=backend)
-            a = ScriptedActor(engine, "a",
-                              [("delay", 3, "x"), ("delay", 7, "x"),
-                               ("delay", 2, "x"), ("delay", 11, "x")])
-            b = ScriptedActor(engine, "b",
-                              [("delay", 5, "x"), ("delay", 5, "x"),
-                               ("delay", 1, "x"), ("delay", 6, "x")])
-            a.start()
-            b.start()
-            total = engine.run()
-            return total, a.trace, b.trace
-        assert build("event") == build("batched")
-
-    def test_equal_time_heap_event_blocks_inline_advance(self):
-        # Strict inequality: an equal-time event has a smaller seq and
-        # must run first, so try_advance must refuse.
-        engine = Engine(backend="batched")
+    def test_equal_time_events_run_in_schedule_order(self):
+        engine = Engine()
         order = []
         engine.schedule(5, lambda: order.append("scheduled"))
 
@@ -620,94 +604,100 @@ class TestBatchedBackend:
         engine.run()
         assert order == ["scheduled", "actor-done"]
 
-    def test_timeout_semantics_identical(self):
-        def trip(backend):
-            engine = Engine(backend=backend)
-            class Forever(CoreActor):
-                def step(self):
-                    return ("delay", 10, "x")
-            Forever(engine, "f").start()
-            with pytest.raises(SimulationTimeout) as exc:
-                engine.run(max_cycles=100)
-            return (exc.value.cycle, exc.value.pending_events, engine.now,
-                    engine.pending_events)
-        assert trip("event") == trip("batched")
+    def test_budget_trip(self):
+        engine = Engine()
 
-    def test_timeout_resume_identical(self):
-        def resume(backend):
-            engine = Engine(backend=backend)
-            class Countdown(CoreActor):
-                def __init__(self, e):
-                    super().__init__(e, "c")
-                    self.left = 5
-                    self.steps = []
-                def step(self):
-                    if not self.left:
-                        return ("done",)
-                    self.left -= 1
-                    self.steps.append(self.engine.now)
-                    return ("delay", 10, "x")
-            actor = Countdown(engine)
-            actor.start()
-            with pytest.raises(SimulationTimeout):
-                engine.run(max_cycles=25)
-            total = engine.run()
-            return total, actor.steps, actor.buckets.get("x")
-        assert resume("event") == resume("batched")
+        class Forever(CoreActor):
+            def step(self):
+                return ("delay", 10, "x")
 
-    def test_livelock_semantics_identical(self):
-        def livelock(backend):
-            engine = Engine(watchdog=Watchdog(window=100), backend=backend)
-            class Spinner(CoreActor):
-                def step(self):
-                    return ("delay", 10, "spin")
-            Spinner(engine, "s1").start()
-            with pytest.raises(DeadlockError) as exc:
-                engine.run(max_cycles=100_000)
-            return exc.value.kind, engine.now, str(exc.value)
-        assert livelock("event") == livelock("batched")
+        Forever(engine, "f").start()
+        with pytest.raises(SimulationTimeout) as exc:
+            engine.run(max_cycles=100)
+        assert (exc.value.cycle, exc.value.pending_events) == (110, 1)
+        assert (engine.now, engine.pending_events) == (110, 1)
 
-    def test_watchdog_quiet_when_retiring_identical(self):
-        def run(backend):
-            engine = Engine(watchdog=Watchdog(window=50), backend=backend)
-            class Worker(CoreActor):
-                def __init__(self, e):
-                    super().__init__(e, "w")
-                    self.left = 20
-                def step(self):
-                    if not self.left:
-                        return ("done",)
-                    self.left -= 1
-                    self.engine.note_retire()
-                    return ("delay", 40, "useful")
-            Worker(engine).start()
-            return engine.run()
-        assert run("event") == run("batched") == 800
+    def test_budget_trip_then_resume(self):
+        engine = Engine()
 
-    def test_condition_wakes_identical(self):
-        def run(backend):
-            engine = Engine(backend=backend)
-            condition = Condition("c")
-            waiter = ScriptedActor(engine, "w",
-                                   [("wait", condition, "blocked", "t"),
-                                    ("delay", 4, "x")])
-            waiter.start()
+        class Countdown(CoreActor):
+            def __init__(self, e):
+                super().__init__(e, "c")
+                self.left = 5
+                self.steps = []
+            def step(self):
+                if not self.left:
+                    return ("done",)
+                self.left -= 1
+                self.steps.append(self.engine.now)
+                return ("delay", 10, "x")
 
-            class Notifier(CoreActor):
-                def __init__(self, e):
-                    super().__init__(e, "n")
-                    self.fired = False
-                def step(self):
-                    if self.fired:
-                        return ("done",)
-                    self.fired = True
-                    return ("delay", 10, "y")
-                def on_finish(self):
-                    condition.notify_all(engine)
+        actor = Countdown(engine)
+        actor.start()
+        with pytest.raises(SimulationTimeout):
+            engine.run(max_cycles=25)
+        assert engine.run() == 50
+        assert actor.steps == [0, 10, 20, 30, 40]
+        assert actor.buckets.get("x") == 50
 
-            Notifier(engine).start()
-            total = engine.run()
-            shape = [(t, action[0]) for t, action in waiter.trace]
-            return (total, shape, waiter.buckets.get("blocked"),
-                    waiter.buckets.get("x"), waiter.finish_time)
-        assert run("event") == run("batched")
+    def test_livelock_window(self):
+        engine = Engine(watchdog=Watchdog(window=100))
+
+        class Spinner(CoreActor):
+            def step(self):
+                return ("delay", 10, "spin")
+
+        Spinner(engine, "s1").start()
+        with pytest.raises(DeadlockError) as exc:
+            engine.run(max_cycles=100_000)
+        assert exc.value.kind == "livelock"
+        assert engine.now == 110
+        assert str(exc.value) == (
+            "livelock: no actor retired anything for 110 cycles "
+            "(window=100) while events kept firing | waiting: s1: not "
+            "waiting (busy)")
+
+    def test_watchdog_quiet_when_retiring(self):
+        engine = Engine(watchdog=Watchdog(window=50))
+
+        class Worker(CoreActor):
+            def __init__(self, e):
+                super().__init__(e, "w")
+                self.left = 20
+            def step(self):
+                if not self.left:
+                    return ("done",)
+                self.left -= 1
+                self.engine.note_retire()
+                return ("delay", 40, "useful")
+
+        Worker(engine).start()
+        assert engine.run() == 800
+
+    def test_condition_wake(self):
+        engine = Engine()
+        condition = Condition("c")
+        waiter = ScriptedActor(engine, "w",
+                               [("wait", condition, "blocked", "t"),
+                                ("delay", 4, "x")])
+        waiter.start()
+
+        class Notifier(CoreActor):
+            def __init__(self, e):
+                super().__init__(e, "n")
+                self.fired = False
+            def step(self):
+                if self.fired:
+                    return ("done",)
+                self.fired = True
+                return ("delay", 10, "y")
+            def on_finish(self):
+                condition.notify_all(engine)
+
+        Notifier(engine).start()
+        assert engine.run() == 14
+        assert [(t, action[0]) for t, action in waiter.trace] == \
+            [(0, "wait"), (10, "delay")]
+        assert waiter.buckets.get("blocked") == 10
+        assert waiter.buckets.get("x") == 4
+        assert waiter.finish_time == 14

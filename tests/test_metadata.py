@@ -95,6 +95,58 @@ class TestSnapshots:
         assert MetadataMap.read_snapshot([1, 1], 0x100, 0x200, 4) == 0
 
 
+#: A window straddling one 64 KB chunk boundary.
+BOUNDARY_BASE = CHUNK_APP_BYTES - 96
+BOUNDARY_WINDOW = 256
+
+
+def _populate_boundary(metadata, seed=1234):
+    """Deterministic mixed pattern across the chunk boundary."""
+    state = seed
+    for addr in range(BOUNDARY_BASE, BOUNDARY_BASE + BOUNDARY_WINDOW):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        metadata.set(addr, state & ((1 << metadata.bits_per_byte) - 1))
+
+
+class TestSnapshotAcrossChunks:
+    """``snapshot_range`` against per-byte ``get`` at a chunk boundary,
+    for every ``bits_per_byte``."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_matches_per_byte_get(self, bits):
+        metadata = MetadataMap(bits)
+        _populate_boundary(metadata)
+        lo = BOUNDARY_BASE - 8
+        length = BOUNDARY_WINDOW + 16
+        assert metadata.snapshot_range(lo, length) == \
+            [metadata.get(addr) for addr in range(lo, lo + length)]
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_long_snapshot_matches_one_byte_snapshots(self, bits):
+        metadata = MetadataMap(bits)
+        _populate_boundary(metadata)
+        long = metadata.snapshot_range(BOUNDARY_BASE, BOUNDARY_WINDOW)
+        short = [metadata.snapshot_range(BOUNDARY_BASE + i, 1)[0]
+                 for i in range(BOUNDARY_WINDOW)]
+        assert long == short
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_snapshot_to_end_of_chunk(self, bits):
+        metadata = MetadataMap(bits)
+        _populate_boundary(metadata)
+        span = CHUNK_APP_BYTES - BOUNDARY_BASE
+        assert metadata.snapshot_range(BOUNDARY_BASE, span) == \
+            [metadata.get(BOUNDARY_BASE + i) for i in range(span)]
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_absent_chunk_reads_zero_without_allocating(self, bits):
+        metadata = MetadataMap(bits)
+        metadata.set(CHUNK_APP_BYTES - 1, 1)
+        snapshot = metadata.snapshot_range(CHUNK_APP_BYTES - 4, 12)
+        assert snapshot == [0, 0, 0, 1] + [0] * 8
+        assert metadata.resident_chunks == 1
+
+
 class TestSimulatedView:
     def test_sim_addr_linear_mapping(self):
         metadata = MetadataMap(2)

@@ -16,14 +16,13 @@ from repro.perf import (
     run_archive,
     run_figure5,
     run_scenario,
-    suite_key,
     write_report,
 )
 
 
-def _figure5_only(suite, backend="event"):
+def _figure5_only(suite):
     """Single-scenario suite table used to keep end-to-end tests fast."""
-    return {"figure5": lambda: run_figure5(backend=backend)}
+    return {"figure5": run_figure5}
 
 
 class TestScenarios:
@@ -165,33 +164,20 @@ class TestGate:
                    and "zero baseline" in line for line in failures)
 
 
-class TestSuiteKeys:
-    def test_event_backend_keeps_bare_name(self):
-        assert suite_key("quick") == "quick"
-        assert suite_key("full", "event") == "full"
+class TestCliValidation:
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_rejected(self, repeats, capsys):
+        with pytest.raises(SystemExit) as exc:
+            perf.main(["--repeats", repeats])
+        assert exc.value.code == 2
+        assert "--repeats: must be >= 1" in capsys.readouterr().err
 
-    def test_batched_backend_gets_suffix(self):
-        assert suite_key("quick", "batched") == "quick-batched"
-
-    def test_unknown_backend_rejected_by_suite_table(self):
-        with pytest.raises(ValueError, match="backend"):
-            perf._suite_scenarios("quick", "warp")
-
-    def test_build_report_keys_both_backends(self, monkeypatch):
-        monkeypatch.setattr(perf, "_suite_scenarios", _figure5_only)
-        report = build_report(suites=("quick",), repeats=1,
-                              backends=("event", "batched"))
-        assert set(report["suites"]) == {"quick", "quick-batched"}
-        event = report["suites"]["quick"]["scenarios"]["figure5"]
-        batched = report["suites"]["quick-batched"]["scenarios"]["figure5"]
-        # The backends agree on every simulated outcome; only the
-        # engine-mechanics counter (events_popped) may differ.
-        for metric in ("sim_cycles", "instructions", "shadow_chunks_peak",
-                       "shadow_chunk_allocs"):
-            assert (event["metrics"][metric]
-                    == batched["metrics"][metric]), metric
-        assert (batched["metrics"]["events_popped"]
-                <= event["metrics"]["events_popped"])
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            perf.main(["--backend", "both"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend both" in \
+            capsys.readouterr().err
 
 
 class TestBaselineIO:

@@ -127,14 +127,13 @@ class TestHeapParity:
              (13, 2 * _RING_SIZE + 5), (_RING_SIZE + 3, 3 * _RING_SIZE)]
 
     @pytest.mark.parametrize("stride,budget", CASES)
-    @pytest.mark.parametrize("backend", ["event", "batched"])
-    def test_budget_trip_parity(self, stride, budget, backend):
-        engine = Engine(backend=backend)
+    def test_budget_trip_parity(self, stride, budget):
+        engine = Engine()
         Forever(engine, "f", stride).start()
         with pytest.raises(SimulationTimeout) as exc:
             engine.run(max_cycles=budget)
         # The first step past the budget trips; every earlier step ran
-        # (one queue service each, or one in all when batched).
+        # (one queue service each).
         steps = budget // stride + 1
         trip = steps * stride
         assert (exc.value.cycle, exc.value.pending_events, str(exc.value),
@@ -142,13 +141,12 @@ class TestHeapParity:
             trip, 1,
             f"simulation exceeded max_cycles={budget} at cycle {trip} "
             f"with 1 pending events",
-            trip, steps if backend == "event" else 1)
+            trip, steps)
 
-    @pytest.mark.parametrize("backend", ["event", "batched"])
-    def test_budget_retrip_on_resume_parity(self, backend):
+    def test_budget_retrip_on_resume_parity(self):
         # Resuming with a still-exceeded budget must re-trip on the same
         # already-committed cycle, not silently execute the event.
-        engine = Engine(backend=backend)
+        engine = Engine()
         Forever(engine, "f", 7).start()
         with pytest.raises(SimulationTimeout) as first:
             engine.run(max_cycles=100)
@@ -168,16 +166,3 @@ class TestHeapParity:
             "livelock: no actor retired anything for 60 cycles (window=50) "
             "while events kept firing | waiting: spin: not waiting (busy)")
         assert engine.now == 60
-
-    def test_batched_coalescing_counters_match(self):
-        # try_advance refuses exactly when another event interleaves.
-        engine = Engine(backend="batched")
-        order = []
-        Forever(engine, "f", 100).start()
-        # A second event stream forces periodic refusals.
-        engine.schedule(250, lambda: order.append(engine.now))
-        engine.schedule(950, lambda: order.append(engine.now))
-        with pytest.raises(SimulationTimeout):
-            engine.run(max_cycles=1000)
-        assert (engine.now, engine.events_popped, engine.batch_advances,
-                order) == (1100, 5, 8, [250, 950])

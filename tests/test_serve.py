@@ -33,14 +33,13 @@ class TestNormalizeRunConfig:
         assert config["scheme"] == "parallel"
         assert config["lifeguard"] == "taintcheck"
         assert config["seed"] == 1 and config["threads"] == 2
-        assert config["backend"] == "event"
 
     @pytest.mark.parametrize("payload,fragment", [
         ({}, "workload"),
         ({"workload": "nope"}, "unknown workload"),
         ({"workload": "lu", "scheme": "bogus"}, "unknown scheme"),
         ({"workload": "lu", "lifeguard": "bogus"}, "unknown lifeguard"),
-        ({"workload": "lu", "backend": "bogus"}, "unknown backend"),
+        ({"workload": "lu", "backend": "event"}, "unknown run config fields"),
         ({"workload": "lu", "scale": "huge"}, "unknown scale"),
         ({"workload": "lu", "seed": True}, "must be an integer"),
         ({"workload": "lu", "threads": 0}, "must be >= 1"),
@@ -244,6 +243,12 @@ class TestEndpoints:
         status, _ = _post(f"{server.url}/runs", {"workload": "lu",
                                                  "surprise": 1})
         assert status == 400
+
+    def test_backend_field_rejected_400(self, server):
+        status, payload = _post(f"{server.url}/runs",
+                                {"workload": "lu", "backend": "event"})
+        assert status == 400
+        assert payload["error"] == "unknown run config fields ['backend']"
 
     def test_non_json_body_400(self, server):
         request = urllib.request.Request(
