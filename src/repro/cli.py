@@ -36,7 +36,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.argtypes import non_negative_int, positive_int
+from repro.common.argtypes import non_negative_int, positive_float, \
+    positive_int
 from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
     SimulationConfig
 from repro.common.errors import ConfigurationError, SimulationError, \
@@ -100,16 +101,9 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker processes for independent sweep cells "
                              "(default 1: serial, bit-identical output)")
-    parser.add_argument("--executor",
-                        choices=["auto", "inline", "pool", "socket"],
-                        default="auto",
-                        help="sweep backend (default auto: inline for "
-                             "--jobs 1, process pool otherwise; socket = "
-                             "TCP workers with heartbeat leases; every "
-                             "choice degrades gracefully)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,25 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSONL checkpoint for interrupted-sweep resume")
     diff.add_argument("--resume", action="store_true",
                       help="skip cells already in --checkpoint")
-    diff.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                      help="per-cell wall-clock timeout (workers only)")
-    diff.add_argument("--retries", type=int, default=1,
+    diff.add_argument("--timeout", type=positive_float, default=None,
+                      metavar="SEC",
+                      help="per-cell wall-clock timeout (runs the cells "
+                           "in worker processes)")
+    diff.add_argument("--retries", type=non_negative_int, default=1,
                       help="extra attempts per failing cell (default 1)")
-    diff.add_argument("--heartbeat", type=float, default=None, metavar="SEC",
-                      help="socket-worker heartbeat interval (default 0.5; "
-                           "a lease expires after 4 missed beats)")
     diff.add_argument("--backoff", metavar="BASE[:CAP]", default=None,
-                      help="retry/reassign backoff: base delay and optional "
+                      help="retry backoff: base delay and optional "
                            "cap in seconds (deterministic capped "
                            "exponential; default 0.1:5)")
-    diff.add_argument("--shards", metavar="DIR", default=None,
-                      help="per-worker JSONL result shards, unioned with "
-                           "the checkpoint on --resume")
     diff.add_argument("--inject-worker", action="append", default=[],
                       metavar="SITE:ACTION[:MOD...]",
                       help="chaos-inject a worker-level fault (repeatable), "
                            "e.g. worker:kill:after=2 or "
-                           "worker_heartbeat:drop:t1")
+                           "worker:hang:after=1:count=1:param=60; runs the "
+                           "cells in worker processes")
     diff.add_argument("--fault-seed", type=int, default=0,
                       help="seed for the worker fault plans")
     diff.add_argument("--trace", metavar="PATH", default=None,
@@ -418,6 +409,11 @@ def _cmd_diff(args) -> int:
                 raise ConfigurationError(
                     f"--inject-worker only accepts the worker sites "
                     f"{WORKER_FAULT_SITES}, not {fault.site!r}")
+            if fault.tid is not None:
+                raise ConfigurationError(
+                    "--inject-worker faults cannot target a tid (pool "
+                    "workers have no stable ids); scope them with "
+                    "after=/count=")
         if args.trace == "-":
             tracer = TraceWriter(
                 stream=sys.stdout,
@@ -435,10 +431,8 @@ def _cmd_diff(args) -> int:
             range(args.seeds), lifeguards=args.lifeguards or None,
             nthreads=args.threads, length=args.length, jobs=args.jobs,
             checkpoint_path=args.checkpoint, resume=args.resume,
-            timeout=args.timeout, retries=args.retries,
-            executor=args.executor, heartbeat=args.heartbeat,
-            backoff=backoff, worker_faults=worker_faults,
-            fault_seed=args.fault_seed, shard_dir=args.shards,
+            timeout=args.timeout, retries=args.retries, backoff=backoff,
+            worker_faults=worker_faults, fault_seed=args.fault_seed,
             tracer=tracer)
     except KeyboardInterrupt:
         # The runner already synced the checkpoint; exit with the
@@ -507,7 +501,7 @@ def _cmd_replay(args) -> int:
     try:
         reader = TraceReader(args.archive)
         payloads = replay_all(args.archive, lifeguards=names,
-                              jobs=args.jobs, executor=args.executor)
+                              jobs=args.jobs)
     except (TraceFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -542,6 +536,27 @@ def _cmd_replay(args) -> int:
         print(report.summary())
         if not report.ok:
             return 1
+    return 0
+
+
+def _cmd_figure(args, benches, scale) -> int:
+    """Regenerate one paper figure; exit 1 if a cell fails."""
+    try:
+        if args.command == "figure8":
+            print(render_figure8(figure8(args.lifeguard, benches,
+                                         args.max_threads, scale, args.seed,
+                                         jobs=args.jobs)))
+            return 0
+        counts = tuple(args.thread_counts
+                       or [t for t in (1, 2, 4, 8) if t <= args.max_threads])
+        figure, render = ((figure6, render_figure6)
+                          if args.command == "figure6"
+                          else (figure7, render_figure7))
+        print(render(figure(args.lifeguard, benches, counts, scale,
+                            args.seed, jobs=args.jobs)))
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -611,26 +626,8 @@ def _dispatch(argv) -> int:
     scale = ScalePreset(args.scale)
     benches = tuple(args.benchmarks or PAPER_BENCHMARKS)
 
-    if args.command == "figure6":
-        counts = tuple(args.thread_counts
-                       or [t for t in (1, 2, 4, 8) if t <= args.max_threads])
-        print(render_figure6(figure6(args.lifeguard, benches, counts, scale,
-                                     args.seed, jobs=args.jobs,
-                                     executor=args.executor)))
-        return 0
-    if args.command == "figure7":
-        counts = tuple(args.thread_counts
-                       or [t for t in (1, 2, 4, 8) if t <= args.max_threads])
-        print(render_figure7(figure7(args.lifeguard, benches, counts, scale,
-                                     args.seed, jobs=args.jobs,
-                                     executor=args.executor)))
-        return 0
-    if args.command == "figure8":
-        print(render_figure8(figure8(args.lifeguard, benches,
-                                     args.max_threads, scale, args.seed,
-                                     jobs=args.jobs,
-                                     executor=args.executor)))
-        return 0
+    if args.command in ("figure6", "figure7", "figure8"):
+        return _cmd_figure(args, benches, scale)
     if args.command == "headline":
         summary = headline_summary(benches, args.max_threads, scale,
                                    args.seed)

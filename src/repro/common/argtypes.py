@@ -1,12 +1,13 @@
 """``argparse`` ``type=`` validators shared by the command-line entry points.
 
-A bad integer flag must fail at parse time with argparse's usage error
+A bad numeric flag must fail at parse time with argparse's usage error
 (exit 2), not later as an uncaught simulator exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 
 
 def _bounded_int(text: str, minimum: int, what: str) -> int:
@@ -28,3 +29,16 @@ def positive_int(text: str) -> int:
 def non_negative_int(text: str) -> int:
     """An integer >= 0."""
     return _bounded_int(text, 0, ">= 0")
+
+
+def positive_float(text: str) -> float:
+    """A finite number > 0 (e.g. a wall-clock timeout in seconds)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value

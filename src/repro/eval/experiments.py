@@ -122,25 +122,20 @@ def _figure6_cell(payload: dict) -> Dict[str, int]:
 
 
 def _run_cells(figure: str, worker, payloads: List[dict], jobs: int,
-               tracer=None, executor: str = "auto") -> List[dict]:
-    """Run figure cells serially (``jobs=1``: plain in-process calls,
-    the historical path) or through the :mod:`repro.jobs` executor
-    (``executor`` selects the backend, e.g. ``"socket"``). Results come
-    back in the canonical ``payloads`` order either way — the simulator
-    is deterministic per seed, so both paths produce identical cell
-    values."""
-    if jobs == 1 and executor == "auto":
-        return [worker(payload) for payload in payloads]
-
+               tracer=None) -> List[dict]:
+    """Run figure cells through the :mod:`repro.jobs` executor (inline
+    at ``jobs=1``, worker processes otherwise). Results come back in the
+    canonical ``payloads`` order — the simulator is deterministic per
+    seed, so every ``jobs`` value produces identical cell values."""
     from repro.jobs import Job, run_jobs
 
+    # The index keeps ids unique when a caller repeats a benchmark.
     job_list = [
-        Job(f"{figure}:{p['lifeguard']}:{p['benchmark']}"
+        Job(f"{figure}:{index}:{p['lifeguard']}:{p['benchmark']}"
             f":t{p.get('threads', 0)}:s{p['seed']}", p)
-        for p in payloads
+        for index, p in enumerate(payloads)
     ]
-    results = run_jobs(job_list, worker, nworkers=jobs, executor=executor,
-                       tracer=tracer)
+    results = run_jobs(job_list, worker, nworkers=jobs, tracer=tracer)
     values = []
     for result in results:
         if not result.ok:
@@ -155,8 +150,7 @@ def figure6(lifeguard_name: str,
             benchmarks: Iterable[str] = PAPER_BENCHMARKS,
             thread_counts: Iterable[int] = DEFAULT_THREADS,
             scale: ScalePreset = ScalePreset.TINY,
-            seed: int = 1, jobs: int = 1, tracer=None,
-            executor: str = "auto") -> Figure6Result:
+            seed: int = 1, jobs: int = 1, tracer=None) -> Figure6Result:
     """Regenerate Figure 6 for one lifeguard.
 
     For k application threads the NO MONITORING, TIMESLICED and PARALLEL
@@ -173,8 +167,7 @@ def figure6(lifeguard_name: str,
          "threads": threads, "scale": scale.value, "seed": seed}
         for benchmark in benchmarks for threads in thread_counts
     ]
-    cells = _run_cells("figure6", _figure6_cell, payloads, jobs, tracer,
-                       executor=executor)
+    cells = _run_cells("figure6", _figure6_cell, payloads, jobs, tracer)
     result = Figure6Result(lifeguard=lifeguard_name, scale=scale)
     for payload, cell in zip(payloads, cells):
         result.cycles.setdefault(payload["benchmark"], {})[
@@ -239,8 +232,7 @@ def figure7(lifeguard_name: str,
             benchmarks: Iterable[str] = PAPER_BENCHMARKS,
             thread_counts: Iterable[int] = DEFAULT_THREADS,
             scale: ScalePreset = ScalePreset.TINY,
-            seed: int = 1, jobs: int = 1, tracer=None,
-            executor: str = "auto") -> Figure7Result:
+            seed: int = 1, jobs: int = 1, tracer=None) -> Figure7Result:
     """Regenerate Figure 7: parallel-monitoring slowdown decomposed into
     useful work, waiting-for-dependence and waiting-for-application,
     normalized to the same-thread-count unmonitored run."""
@@ -251,8 +243,7 @@ def figure7(lifeguard_name: str,
         for benchmark in tuple(benchmarks)
         for threads in tuple(thread_counts)
     ]
-    cells = _run_cells("figure7", _figure7_cell, payloads, jobs, tracer,
-                       executor=executor)
+    cells = _run_cells("figure7", _figure7_cell, payloads, jobs, tracer)
     result = Figure7Result(lifeguard=lifeguard_name, scale=scale)
     for payload, cell in zip(payloads, cells):
         result.breakdown.setdefault(payload["benchmark"], {})[
@@ -322,8 +313,7 @@ def figure8(lifeguard_name: str,
             scale: ScalePreset = ScalePreset.TINY,
             seed: int = 1,
             include_limited: Optional[bool] = None,
-            jobs: int = 1, tracer=None,
-            executor: str = "auto") -> Figure8Result:
+            jobs: int = 1, tracer=None) -> Figure8Result:
     """Regenerate Figure 8 for one lifeguard at a fixed thread count.
 
     Variants: NOT ACCELERATED (aggressive per-block dependence
@@ -341,8 +331,7 @@ def figure8(lifeguard_name: str,
          "include_limited": include_limited}
         for benchmark in tuple(benchmarks)
     ]
-    cells = _run_cells("figure8", _figure8_cell, payloads, jobs, tracer,
-                       executor=executor)
+    cells = _run_cells("figure8", _figure8_cell, payloads, jobs, tracer)
     result = Figure8Result(lifeguard=lifeguard_name, threads=threads,
                            scale=scale)
     for payload, cell in zip(payloads, cells):

@@ -21,21 +21,16 @@ site                      armed inside
 ``lifeguard``             :meth:`repro.cpu.lifeguard_core.LifeguardCore.step`
 ``stall_flush``           :meth:`repro.cpu.lifeguard_core.LifeguardCore._stall_flush`
 ``worker``                :func:`repro.jobs.workers.execute_job` (sweep workers)
-``worker_heartbeat``      the socket worker's heartbeat thread
-``worker_connect``        :func:`repro.jobs.workers.socket_worker_main`
 ========================  ====================================================
 
-The three ``worker*`` sites are the chaos harness for the sweep
-executors (:mod:`repro.jobs`): they are armed inside *worker processes*
-(pool or socket backend), and their ``tid`` scope addresses a socket
-worker id (pool workers have no stable ids — target them with
-``after``/``count`` instead, counted per worker process). Actions:
+The ``worker`` site is the chaos harness for the sweep executor
+(:mod:`repro.jobs`): it is armed inside the pool's *worker processes*,
+which have no stable ids, so it is scoped with ``after``/``count``
+(counted per worker process), never with ``tid``. Actions:
 ``worker:kill`` hard-exits the worker on its n-th job, ``worker:hang``
-sleeps ``param`` (default 3600) seconds inside the job while heartbeats
-keep flowing, ``worker:corrupt_result`` mangles the result value after
-its integrity digest was computed, ``worker_heartbeat:drop`` silently
-skips heartbeats so the lease expires, and ``worker_connect:refuse``
-exits before dialing the coordinator.
+sleeps ``param`` (default 3600) seconds inside the job until the hard
+deadline reaps it, and ``worker:corrupt_result`` mangles the result
+value after its integrity digest was computed.
 
 Determinism: injection decisions use the plan's *own*
 ``random.Random(seed)``, never the workload RNG, and a disabled plan
@@ -54,10 +49,10 @@ from repro.common.errors import ConfigurationError
 #: The hook-site names components may arm.
 FAULT_SITES = ("arc", "ca_mark", "log_append", "progress",
                "lifeguard", "stall_flush",
-               "worker", "worker_heartbeat", "worker_connect")
+               "worker")
 
 #: The subset armed inside sweep worker processes (:mod:`repro.jobs`).
-WORKER_FAULT_SITES = ("worker", "worker_heartbeat", "worker_connect")
+WORKER_FAULT_SITES = ("worker",)
 
 #: Actions each site understands (checked at plan construction).
 SITE_ACTIONS = {
@@ -68,8 +63,6 @@ SITE_ACTIONS = {
     "lifeguard": ("stall", "kill"),
     "stall_flush": ("skip",),
     "worker": ("kill", "hang", "corrupt_result"),
-    "worker_heartbeat": ("drop",),
-    "worker_connect": ("refuse",),
 }
 
 

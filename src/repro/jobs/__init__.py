@@ -1,28 +1,18 @@
 """Parallel sweep executor: deterministic fan-out over worker processes.
 
-See :mod:`repro.jobs.runner` for the execution model (deterministic
-merge order, leases, bounded retries with deterministic backoff,
-graceful backend degradation), :mod:`repro.jobs.executors` for the
-pluggable backends (``inline`` / ``pool`` / ``socket``),
-:mod:`repro.jobs.checkpoint` for the JSONL checkpoint/resume format and
-:mod:`repro.jobs.shards` for the Taurus-style per-worker result shards.
-The sweep surfaces that use it — ``repro.trace.diff`` seed sweeps, the
-``repro.perf`` scenario matrix, the ``repro.eval.experiments`` figure
-loops — all expose it as ``--jobs N`` (default 1: the historical
-serial path, bit-identical output) plus ``--executor``.
+See :mod:`repro.jobs.runner` for the execution model (the inline/pool
+rule, deterministic merge order, hard deadlines, bounded retries with
+deterministic backoff), :mod:`repro.jobs.executors` for the two
+backends and :mod:`repro.jobs.checkpoint` for the JSONL
+checkpoint/resume format. The sweep surfaces that use it —
+``repro.trace.diff`` seed sweeps, the ``repro.perf`` scenario matrix,
+the ``repro.eval.experiments`` figure loops — all expose it as
+``--jobs N`` (default 1: serial, bit-identical output).
 """
 
 from repro.jobs.backoff import BackoffPolicy
 from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
-from repro.jobs.executors import (
-    DEFAULT_HEARTBEAT,
-    EXECUTORS,
-    Executor,
-    ExecutorError,
-    ExecutorEvent,
-    executor_ladder,
-)
-from repro.jobs.leases import Lease, LeaseTable
+from repro.jobs.executors import Executor, ExecutorError, ExecutorEvent
 from repro.jobs.model import (
     EXIT_CRASHED,
     EXIT_ERROR,
@@ -35,13 +25,10 @@ from repro.jobs.model import (
     result_digest,
 )
 from repro.jobs.runner import JobRunner, run_jobs
-from repro.jobs.shards import ShardWriter, load_shards
 
 __all__ = [
     "BackoffPolicy",
     "CheckpointWriter",
-    "DEFAULT_HEARTBEAT",
-    "EXECUTORS",
     "EXIT_CRASHED",
     "EXIT_ERROR",
     "EXIT_OK",
@@ -52,13 +39,8 @@ __all__ = [
     "Job",
     "JobResult",
     "JobRunner",
-    "Lease",
-    "LeaseTable",
-    "ShardWriter",
     "TERMINAL_STATUSES",
-    "executor_ladder",
     "load_checkpoint",
-    "load_shards",
     "normalize_value",
     "result_digest",
     "run_jobs",

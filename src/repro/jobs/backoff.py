@@ -1,15 +1,15 @@
-"""Deterministic capped exponential backoff for retries and reassigns.
+"""Deterministic capped exponential backoff for retries.
 
 Before this module existed, ``run_jobs`` re-dispatched a failing job
 *immediately*: a job that crashed its worker (or a flaky host resource)
 was hammered again with zero delay, and the retry schedule depended on
-nothing at all. The fix is shared by both failure paths — ordinary
-bounded retries and lease-expiry reassignment — and is deliberately
-free of wall-clock randomness: the jittered delay for ``(job_id,
-attempt)`` is a pure function of the policy's seed, so a re-run of the
-same sweep sleeps the same delays in the same places, and two attempts
-of different jobs decorrelate without ever consulting ``random`` state
-that the simulator (or another job) might share.
+nothing at all. Every retry — after an error, a crash or a timeout —
+now waits out a delay that is deliberately free of wall-clock
+randomness: the jittered delay for ``(job_id, attempt)`` is a pure
+function of the policy's seed, so a re-run of the same sweep sleeps the
+same delays in the same places, and two attempts of different jobs
+decorrelate without ever consulting ``random`` state that the simulator
+(or another job) might share.
 """
 
 from __future__ import annotations

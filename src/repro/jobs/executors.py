@@ -1,44 +1,32 @@
-"""Pluggable sweep-executor backends behind one small protocol.
+"""The two sweep-executor backends behind one small protocol.
 
 A backend owns *where* jobs physically run; the scheduler
-(:mod:`repro.jobs.scheduler`) owns everything about *when* — leases,
-retries, backoff, merge order. The protocol between them is
+(:mod:`repro.jobs.scheduler`) owns everything about *when* — hard
+deadlines, retries, backoff, merge order. The protocol between them is
 event-based: the scheduler submits attempts while
 :meth:`Executor.can_accept` holds, then drains
 :class:`ExecutorEvent` batches from :meth:`Executor.poll`.
 
-Three backends, forming the degradation ladder ``socket → pool →
-inline``:
+The scheduler picks the backend from the sweep's inputs, never from a
+user option: the pool when there is more than one worker, a wall-clock
+timeout to enforce, or worker faults to arm; inline otherwise.
 
 * :class:`InlineExecutor` — jobs run synchronously in the scheduler's
-  process. The floor of the ladder: it cannot fail to start, enforces
-  no deadlines, and reproduces the historical serial loop bit-for-bit.
+  process, with no pickling and no deadline enforcement. It cannot fail
+  to start, so it is also where a pool that cannot run falls back to.
 * :class:`PoolExecutor` — the ``ProcessPoolExecutor`` path. A dead
   worker poisons the whole shared pool, so recovery re-runs every
   in-flight attempt in a single-worker *quarantine* pool to find the
   culprit (which stays quarantined for good), and a hung worker can
   only be reaped by tearing the pool down — innocent in-flight
   siblings come back as ``aborted`` events and are re-queued uncharged.
-* :class:`SocketExecutor` — worker processes dial a local TCP socket,
-  pull jobs, heartbeat while running and stream results
-  (:mod:`repro.jobs.workers`). Failure is *per-worker*: a dead or
-  leased-out worker is killed and respawned under a fresh, never-reused
-  worker id (elastic shrink when the respawn budget runs out), and no
-  sibling ever loses work. When every worker is gone and none can be
-  respawned, the backend raises :class:`ExecutorError` and the
-  scheduler falls down the ladder mid-run.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import selectors
 import signal
-import socket as socketlib
 import threading
 import time
-from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -51,20 +39,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults import Fault
 from repro.jobs.model import Job, normalize_value, result_digest
-from repro.jobs.workers import arm_pool_worker, pool_shim, socket_worker_main
-
-#: Backend names, in degradation-ladder order (most to least capable).
-EXECUTORS = ("socket", "pool", "inline")
-
-#: Default socket-backend heartbeat interval in seconds.
-DEFAULT_HEARTBEAT = 0.5
+from repro.jobs.workers import arm_pool_worker, pool_shim
 
 
 class ExecutorError(RuntimeError):
-    """A backend cannot start, or has irrecoverably lost every worker.
+    """The pool cannot start, or broke twice during one submit.
 
-    The scheduler reacts by re-queuing every outstanding attempt
-    (uncharged) and falling to the next backend down the ladder.
+    The scheduler reacts by re-queuing every in-flight attempt
+    (uncharged) and finishing the sweep inline.
     """
 
 
@@ -73,17 +55,14 @@ class ExecutorEvent:
     """One observation reported by a backend to the scheduler.
 
     ``kind`` is one of ``result`` (an attempt finished with ``status``
-    ok/error/crashed/timeout), ``heartbeat`` (renew the lease),
-    ``dispatched`` (a queued attempt was handed to ``worker_id``),
-    ``worker_lost`` (the worker owning ``attempt_id`` died),
-    ``aborted`` (an innocent attempt was collaterally cancelled —
-    re-queue without charging it), ``worker_spawned``, ``pool_broken``
-    and ``quarantine`` (informational, traced by the scheduler).
+    ok/error/crashed/timeout), ``aborted`` (an innocent attempt was
+    collaterally cancelled — re-queue without charging it),
+    ``pool_broken`` and ``quarantine`` (informational, traced by the
+    scheduler).
     """
 
     kind: str
     attempt_id: Optional[int] = None
-    worker_id: Optional[int] = None
     status: Optional[str] = None
     value: object = None
     digest: Optional[str] = None
@@ -92,18 +71,9 @@ class ExecutorEvent:
 
 
 class Executor:
-    """The backend protocol (see the module docstring).
-
-    Concrete backends override everything; the base class only fixes
-    the capability flags the scheduler keys off: whether workers
-    heartbeat (arms the lease deadline) and whether deadlines are
-    enforceable at all (the inline backend runs jobs on the scheduler's
-    own thread, so nothing can be reaped).
-    """
+    """The backend protocol (see the module docstring)."""
 
     name = "abstract"
-    supports_heartbeats = False
-    enforces_deadlines = True
 
     def start(self) -> None:
         """Bring the backend up; raise :class:`ExecutorError` if it
@@ -124,13 +94,9 @@ class Executor:
         raise NotImplementedError
 
     def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """Forcibly stop an attempt whose lease expired. Returns
-        collateral events (``aborted`` siblings, respawns); the caller
-        settles the killed attempt itself."""
-        raise NotImplementedError
-
-    def outstanding(self) -> List[int]:
-        """Attempt ids submitted but not yet resulted (for fallback)."""
+        """Forcibly stop an attempt past its hard deadline. Returns
+        collateral events (``aborted`` siblings); the caller settles the
+        killed attempt itself."""
         raise NotImplementedError
 
     def stop(self) -> None:
@@ -143,20 +109,17 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 class InlineExecutor(Executor):
-    """Serial in-process execution: the ladder's always-available floor.
+    """Serial in-process execution, always available.
 
     Jobs run synchronously inside :meth:`poll`, one at a time, with no
-    pickling and no deadline enforcement — bit-identical to the
-    historical ``nworkers=1`` loop. Worker-level chaos faults are
-    deliberately *not* armed here (a ``kill`` would take the
-    coordinator down with it); inline is the backend the chaos ladder
-    degrades *to*, so it must always succeed.
+    pickling and no deadline enforcement. Worker-level chaos faults are
+    never armed here (a ``kill`` would take the coordinator down with
+    it): a sweep with worker faults always asks for the pool.
     """
 
     name = "inline"
-    enforces_deadlines = False
 
-    def __init__(self, worker_fn: Callable, **_unused):
+    def __init__(self, worker_fn: Callable):
         self.worker_fn = worker_fn
         self._queued: Optional[Tuple[int, Job]] = None
 
@@ -190,13 +153,9 @@ class InlineExecutor(Executor):
                               digest=result_digest(value))]
 
     def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """Never called (no deadlines inline); defined for protocol
-        completeness."""
+        """Nothing to kill: an inline attempt has always finished by the
+        time the scheduler checks deadlines."""
         return []
-
-    def outstanding(self) -> List[int]:
-        """The queued attempt, if any."""
-        return [self._queued[0]] if self._queued is not None else []
 
     def stop(self) -> None:
         """Nothing to tear down."""
@@ -248,24 +207,21 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class PoolExecutor(Executor):
-    """The ``ProcessPoolExecutor`` backend (PR 4's path, refactored
-    behind the protocol). Crash recovery and quarantine semantics are
-    unchanged: a job id that broke a shared pool once only ever runs in
-    single-worker quarantine pools from then on."""
+    """The ``ProcessPoolExecutor`` backend. A job id that broke a shared
+    pool once only ever runs in single-worker quarantine pools from then
+    on."""
 
     name = "pool"
 
     def __init__(self, worker_fn: Callable, nworkers: int, *,
                  timeout: Optional[float] = None,
                  worker_faults: Tuple[Fault, ...] = (),
-                 fault_seed: int = 0,
-                 shard_dir: Optional[str] = None, **_unused):
+                 fault_seed: int = 0):
         self.worker_fn = worker_fn
         self.nworkers = nworkers
         self.timeout = timeout
         self.worker_faults = tuple(worker_faults or ())
         self.fault_seed = fault_seed
-        self.shard_dir = shard_dir
         self._pool: Optional[ProcessPoolExecutor] = None
         self._inflight: Dict[object, int] = {}  # future -> attempt_id
         self._jobs: Dict[int, Job] = {}         # attempt_id -> Job
@@ -275,11 +231,11 @@ class PoolExecutor(Executor):
     def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=max_workers, initializer=arm_pool_worker,
-            initargs=(self.worker_faults, self.fault_seed, self.shard_dir))
+            initargs=(self.worker_faults, self.fault_seed))
 
     def start(self) -> None:
         """Build the shared pool; unavailable multiprocessing (missing
-        sem_open, no fork) degrades to inline."""
+        sem_open, no fork) falls back to inline."""
         try:
             self._pool = self._make_pool(self.nworkers)
         except (NotImplementedError, OSError, ValueError) as exc:
@@ -395,7 +351,7 @@ class PoolExecutor(Executor):
             _terminate_pool(solo)
 
     def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """A lease expired: the worker is hung. Futures can't cancel a
+        """A hard deadline passed: the worker is hung. Futures can't cancel a
         *running* task, so tear the whole pool down, abort innocent
         in-flight siblings (re-queued uncharged by the scheduler) and
         rebuild."""
@@ -410,379 +366,8 @@ class PoolExecutor(Executor):
         self._pool = self._make_pool(self.nworkers)
         return events
 
-    def outstanding(self) -> List[int]:
-        """In-flight attempt ids (buffered results excluded)."""
-        return list(self._inflight.values())
-
     def stop(self) -> None:
         """Kill the shared pool."""
         if self._pool is not None:
             _terminate_pool(self._pool)
             self._pool = None
-
-
-# ---------------------------------------------------------------------------
-# socket
-# ---------------------------------------------------------------------------
-
-class _Conn:
-    """One accepted coordinator-side connection and its read buffer."""
-
-    __slots__ = ("sock", "rbuf", "worker_id")
-
-    def __init__(self, sock):
-        self.sock = sock
-        self.rbuf = b""
-        self.worker_id = None
-
-
-class _SocketWorker:
-    """Coordinator-side state of one spawned worker process."""
-
-    __slots__ = ("worker_id", "process", "conn", "ready", "attempt_id")
-
-    def __init__(self, worker_id, process):
-        self.worker_id = worker_id
-        self.process = process
-        self.conn: Optional[_Conn] = None
-        self.ready = False
-        self.attempt_id: Optional[int] = None
-
-
-class SocketExecutor(Executor):
-    """Worker processes over a local TCP socket, with heartbeats.
-
-    Workers dial in, pull jobs and stream results; the coordinator
-    never blocks on any single worker. A worker that dies (or is killed
-    for an expired lease) costs exactly its own in-flight job — the
-    scheduler reassigns it — and is respawned under a fresh worker id
-    until the respawn budget (``2 * nworkers`` by default) runs out,
-    after which the fleet gracefully shrinks. Fresh ids matter for
-    chaos determinism: a fault spec targeting ``t1`` dies with worker 1
-    instead of re-arming inside its replacement.
-    """
-
-    name = "socket"
-    supports_heartbeats = True
-
-    def __init__(self, worker_fn: Callable, nworkers: int, *,
-                 heartbeat: float = DEFAULT_HEARTBEAT,
-                 worker_faults: Tuple[Fault, ...] = (),
-                 fault_seed: int = 0,
-                 shard_dir: Optional[str] = None,
-                 connect_timeout: float = 15.0,
-                 max_respawns: Optional[int] = None, **_unused):
-        self.worker_fn = worker_fn
-        self.nworkers = nworkers
-        self.heartbeat = heartbeat
-        self.worker_faults = tuple(worker_faults or ())
-        self.fault_seed = fault_seed
-        self.shard_dir = shard_dir
-        self.connect_timeout = connect_timeout
-        self.max_respawns = (2 * nworkers if max_respawns is None
-                             else max_respawns)
-        self._listener = None
-        self._selector = None
-        self._workers: Dict[int, _SocketWorker] = {}
-        self._attempts: Dict[int, int] = {}  # attempt_id -> worker_id
-        self._queue = deque()                # (attempt_id, Job)
-        self._buffer: List[ExecutorEvent] = []
-        self._next_worker_id = 0
-        self._respawns = 0
-        self._started_at = None
-        self._ever_connected = False
-
-    def start(self) -> None:
-        """Bind the loopback listener and launch the worker fleet."""
-        try:
-            listener = socketlib.socket(socketlib.AF_INET,
-                                        socketlib.SOCK_STREAM)
-            listener.setsockopt(socketlib.SOL_SOCKET,
-                                socketlib.SO_REUSEADDR, 1)
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(self.nworkers + self.max_respawns + 1)
-        except OSError as exc:
-            raise ExecutorError(f"socket backend unavailable: {exc!r}")
-        listener.setblocking(False)
-        self._listener = listener
-        self._port = listener.getsockname()[1]
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ,
-                                ("listener", None))
-        self._started_at = time.monotonic()
-        for _ in range(self.nworkers):
-            self._spawn()
-
-    def _spawn(self) -> None:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        process = multiprocessing.Process(
-            target=socket_worker_main,
-            args=(self._port, self.worker_fn, worker_id, self.heartbeat,
-                  self.worker_faults, self.fault_seed, self.shard_dir),
-            daemon=True)
-        process.start()
-        self._workers[worker_id] = _SocketWorker(worker_id, process)
-        self._buffer.append(ExecutorEvent(kind="worker_spawned",
-                                          worker_id=worker_id))
-
-    def _respawn_or_shrink(self) -> None:
-        """Replace a lost worker under a fresh id, or shrink the fleet
-        once the respawn budget is spent."""
-        if self._respawns < self.max_respawns:
-            self._respawns += 1
-            self._spawn()
-
-    def can_accept(self) -> bool:
-        """Queue at most one job per currently idle, connected worker
-        (keeps submit-time leases honest: dispatch is near-immediate)."""
-        free = sum(1 for worker in self._workers.values()
-                   if worker.conn is not None and worker.ready
-                   and worker.attempt_id is None)
-        return len(self._queue) < free or (
-            not self._queue and not self._ever_connected
-            and bool(self._workers))
-
-    def submit(self, attempt_id: int, job: Job) -> None:
-        """Queue the attempt; it is wired to a ready worker on the next
-        dispatch pass."""
-        self._queue.append((attempt_id, job))
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        for worker_id in sorted(self._workers):
-            if not self._queue:
-                return
-            worker = self._workers[worker_id]
-            if (worker.conn is None or not worker.ready
-                    or worker.attempt_id is not None):
-                continue
-            attempt_id, job = self._queue[0]
-            message = {"type": "job", "attempt": attempt_id,
-                       "job_id": job.job_id, "payload": job.payload}
-            try:
-                worker.conn.sock.sendall(
-                    (json.dumps(message, separators=(",", ":"),
-                                sort_keys=True) + "\n").encode("utf-8"))
-            except OSError:
-                continue  # the read path will reap this worker
-            self._queue.popleft()
-            worker.ready = False
-            worker.attempt_id = attempt_id
-            self._attempts[attempt_id] = worker_id
-            self._buffer.append(ExecutorEvent(kind="dispatched",
-                                              attempt_id=attempt_id,
-                                              worker_id=worker_id))
-
-    def poll(self, timeout: Optional[float]) -> List[ExecutorEvent]:
-        """Pump the selector: accept dial-ins, read worker messages,
-        reap dead processes, dispatch queued work."""
-        self._dispatch()
-        events, self._buffer = self._buffer, []
-        for key, _mask in self._selector.select(0 if events else timeout):
-            tag, state = key.data
-            if tag == "listener":
-                self._accept()
-            else:
-                self._read(state, events)
-        self._reap_dead(events)
-        self._dispatch()
-        events.extend(self._buffer)
-        self._buffer = []
-        self._check_liveness()
-        return events
-
-    def _accept(self) -> None:
-        try:
-            sock, _addr = self._listener.accept()
-        except OSError:
-            return
-        sock.setblocking(False)
-        conn = _Conn(sock)
-        self._selector.register(sock, selectors.EVENT_READ, ("conn", conn))
-
-    def _read(self, conn: _Conn, events: List[ExecutorEvent]) -> None:
-        try:
-            data = conn.sock.recv(1 << 16)
-        except BlockingIOError:
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._drop_conn(conn, events, reason="connection lost")
-            return
-        conn.rbuf += data
-        while b"\n" in conn.rbuf:
-            line, conn.rbuf = conn.rbuf.split(b"\n", 1)
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a frame torn by a dying worker
-            self._handle_message(conn, message, events)
-
-    def _handle_message(self, conn: _Conn, message: dict,
-                        events: List[ExecutorEvent]) -> None:
-        kind = message.get("type")
-        worker_id = message.get("worker")
-        worker = self._workers.get(worker_id)
-        if kind == "hello":
-            if worker is not None:
-                conn.worker_id = worker_id
-                worker.conn = conn
-                self._ever_connected = True
-            return
-        if worker is None or worker.conn is not conn:
-            return  # a zombie connection from an already-replaced worker
-        if kind == "ready":
-            worker.ready = True
-        elif kind == "heartbeat":
-            events.append(ExecutorEvent(kind="heartbeat",
-                                        attempt_id=message.get("attempt"),
-                                        worker_id=worker_id))
-        elif kind == "result":
-            attempt_id = message.get("attempt")
-            worker.attempt_id = None
-            self._attempts.pop(attempt_id, None)
-            events.append(ExecutorEvent(
-                kind="result", attempt_id=attempt_id, worker_id=worker_id,
-                status=message.get("status", "error"),
-                value=message.get("value"), digest=message.get("digest"),
-                error=message.get("error")))
-
-    def _drop_conn(self, conn: _Conn, events: List[ExecutorEvent], *,
-                   reason: str) -> None:
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        conn.sock.close()
-        worker_id = conn.worker_id
-        worker = self._workers.get(worker_id)
-        if worker is None or worker.conn is not conn:
-            return
-        self._remove_worker(worker, events, reason=reason)
-
-    def _remove_worker(self, worker: _SocketWorker,
-                       events: List[ExecutorEvent], *, reason: str) -> None:
-        self._workers.pop(worker.worker_id, None)
-        if worker.attempt_id is not None:
-            self._attempts.pop(worker.attempt_id, None)
-            events.append(ExecutorEvent(kind="worker_lost",
-                                        attempt_id=worker.attempt_id,
-                                        worker_id=worker.worker_id,
-                                        reason=reason))
-        if worker.process.is_alive():
-            worker.process.terminate()
-        self._respawn_or_shrink()
-
-    def _reap_dead(self, events: List[ExecutorEvent]) -> None:
-        """Notice workers that exited without ever connecting (the
-        refuse-connect chaos fault, an import crash) or whose process
-        died faster than their socket EOF arrived."""
-        for worker in list(self._workers.values()):
-            if worker.process.is_alive():
-                continue
-            if worker.conn is not None:
-                self._drop_conn(worker.conn, events, reason="process died")
-            else:
-                self._remove_worker(worker, events,
-                                    reason="died before connecting")
-
-    def _check_liveness(self) -> None:
-        if not self._workers:
-            raise ExecutorError("socket backend lost every worker "
-                                "(respawn budget exhausted)")
-        if (not self._ever_connected and self._started_at is not None
-                and time.monotonic() - self._started_at
-                > self.connect_timeout):
-            raise ExecutorError(
-                f"no socket worker connected within {self.connect_timeout}s")
-
-    def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """A lease expired: kill exactly the owning worker (its
-        heartbeats stopped or its job overran) and respawn. No sibling
-        is touched — the socket backend's whole point."""
-        events: List[ExecutorEvent] = []
-        worker_id = self._attempts.pop(attempt_id, None)
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            return events
-        worker.attempt_id = None  # the scheduler settles this attempt
-        if worker.conn is not None:
-            try:
-                self._selector.unregister(worker.conn.sock)
-            except (KeyError, ValueError):
-                pass
-            worker.conn.sock.close()
-        self._workers.pop(worker_id, None)
-        if worker.process.is_alive():
-            worker.process.terminate()
-        self._respawn_or_shrink()
-        return events
-
-    def outstanding(self) -> List[int]:
-        """Leased plus still-queued attempt ids."""
-        return list(self._attempts) + [aid for aid, _job in self._queue]
-
-    def stop(self) -> None:
-        """Close every connection and terminate the fleet."""
-        for worker in list(self._workers.values()):
-            if worker.conn is not None:
-                try:
-                    worker.conn.sock.sendall(b'{"type":"stop"}\n')
-                except OSError:
-                    pass
-                worker.conn.sock.close()
-            if worker.process.is_alive():
-                worker.process.terminate()
-            worker.process.join(timeout=2)
-        self._workers.clear()
-        self._attempts.clear()
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-
-
-# ---------------------------------------------------------------------------
-# factory / ladder
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "inline": InlineExecutor,
-    "pool": PoolExecutor,
-    "socket": SocketExecutor,
-}
-
-
-def executor_ladder(name: str, nworkers: int) -> Tuple[str, ...]:
-    """The degradation ladder for a requested backend name.
-
-    ``auto`` preserves the historical mapping (``nworkers == 1`` →
-    inline, else pool); explicit names fall through every strictly less
-    capable backend so a sweep survives an environment where its first
-    choice cannot start.
-    """
-    if name == "auto":
-        return ("inline",) if nworkers == 1 else ("pool", "inline")
-    if name == "inline":
-        return ("inline",)
-    if name == "pool":
-        return ("pool", "inline")
-    if name == "socket":
-        return ("socket", "pool", "inline")
-    raise ValueError(f"unknown executor {name!r}; "
-                     f"expected auto, {', '.join(EXECUTORS)}")
-
-
-def create_executor(name: str, worker_fn: Callable, nworkers: int,
-                    **options) -> Executor:
-    """Instantiate one backend by name (not yet started)."""
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown executor {name!r}; "
-                         f"expected one of {EXECUTORS}") from None
-    return cls(worker_fn, nworkers=nworkers, **options)

@@ -5,13 +5,13 @@ backends and the worker-side harness can all speak the same vocabulary
 without importing the runner facade (which imports all of them).
 
 A job value is always JSON-normalized (:func:`normalize_value`) before
-it is recorded, so the in-process path, the pickled pool path, the
-socket path and the JSON-resumed path are indistinguishable — the
-canonical-order merge of any backend is byte-identical to the serial
-run. :func:`result_digest` hashes that canonical form; workers send the
+it is recorded, so the in-process path, the pickled pool path and the
+JSON-resumed path are indistinguishable — the canonical-order merge of
+either backend is byte-identical to the serial run.
+:func:`result_digest` hashes that canonical form; workers send the
 digest alongside the value so the scheduler can detect a corrupted
-result (a worker-level ``corrupt_result`` fault, a torn shard line, a
-mangled socket frame) and retry instead of silently poisoning the merge.
+result (e.g. a worker-level ``corrupt_result`` fault) and retry instead
+of silently poisoning the merge.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ TERMINAL_STATUSES = frozenset(STATUS_EXIT)
 
 def normalize_value(value):
     """JSON round-trip so every result path (in-process, pickled pool,
-    socket stream, JSONL resume) records the exact same object shape."""
+    JSONL resume) records the exact same object shape."""
     return json.loads(json.dumps(value))
 
 
@@ -95,7 +95,7 @@ class JobResult:
         return self.status == "ok"
 
     def to_json(self) -> dict:
-        """The checkpoint/shard line payload for this result."""
+        """The checkpoint line payload for this result."""
         return {
             "job_id": self.job_id,
             "status": self.status,

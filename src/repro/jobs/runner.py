@@ -3,50 +3,49 @@
 Every sweep in the repo — differential seed sweeps, the perf scenario
 matrix, the figure regeneration loops — is a list of *independent*
 cells (seed × scheme × lifeguard, benchmark × thread count, ...).
-:class:`JobRunner` runs such a list across one of three pluggable
-backends (:mod:`repro.jobs.executors`) while keeping the output
+:class:`JobRunner` runs such a list on one of two backends
+(:mod:`repro.jobs.executors`) while keeping the output
 *indistinguishable from the serial run*:
 
-* **Deterministic sharding and merge.** The caller enumerates jobs in a
-  canonical order and each job gets a stable string id. Workers
-  complete in whatever order the OS schedules them — or die, hang and
-  get reassigned — but results are merged back in canonical job order,
-  so the merged output of any backend/worker-count/chaos combination is
-  byte-identical to ``jobs=1`` (the simulator itself is deterministic
-  per seed; no wall-clock values are allowed into job values).
-* **Leases and bounded retries.** Every dispatched attempt carries a
-  lease (:mod:`repro.jobs.leases`): heartbeats renew it, a hard
-  per-attempt ``timeout`` bounds it, and an expired lease kills the
-  owning worker and reassigns the job. All retries — failures and
-  reassignments alike — wait out a deterministic capped exponential
-  backoff (:mod:`repro.jobs.backoff`) instead of hammering immediately.
-* **Graceful degradation.** A backend that cannot start (or loses every
-  worker mid-run) falls down the explicit ladder ``socket → pool →
-  inline``, re-queuing outstanding attempts uncharged; the inline floor
-  always completes the sweep.
-* **Checkpoint/resume and shards.** Every terminal result is appended
-  to a JSONL checkpoint; an interrupted sweep restarted with
-  ``resume=True`` skips exactly the recovered job ids. When a shard
-  directory is configured, per-worker JSONL result shards
-  (:mod:`repro.jobs.shards`) are unioned in on resume, so even results
-  whose checkpoint line never landed (a dead coordinator) are not
-  recomputed. A ``KeyboardInterrupt`` mid-sweep flushes and fsyncs the
+* **One rule picks the backend.** The process pool runs the sweep when
+  there is more than one worker, a per-attempt ``timeout`` to enforce,
+  or ``worker_faults`` to arm; otherwise jobs run inline in this
+  process. Both process a job identically, so the choice never changes
+  a result. A pool that cannot start (no ``sem_open``, no fork) or
+  breaks twice during one submit falls back to inline, re-queuing
+  in-flight attempts uncharged.
+* **Deterministic merge.** The caller enumerates jobs in a canonical
+  order and each job gets a stable string id. Workers complete in
+  whatever order the OS schedules them — or die, hang and get retried —
+  but results are merged back in canonical job order, so the merged
+  output of any worker-count/chaos combination is byte-identical to
+  ``nworkers=1`` (the simulator itself is deterministic per seed; no
+  wall-clock values are allowed into job values).
+* **Hard deadlines and bounded retries.** Each dispatched attempt gets
+  one hard deadline, ``timeout`` seconds out; a hung attempt is killed
+  when it passes. Every failed attempt is retried at most ``retries``
+  times, after a deterministic capped exponential backoff
+  (:mod:`repro.jobs.backoff`).
+* **Checkpoint/resume.** Every terminal result is appended (and
+  flushed) to a JSONL checkpoint, so a dead coordinator loses only its
+  in-flight cells, which are deterministic and safe to recompute. An
+  interrupted sweep restarted with ``resume=True`` skips exactly the
+  recovered job ids. A ``KeyboardInterrupt`` mid-sweep fsyncs the
   checkpoint before propagating, and the CLI exits with the documented
   abnormal code (:data:`repro.faults.EXIT_ABNORMAL`).
 
-The ``worker`` callable must be a **module-level function** (it is
-pickled by reference into worker processes) taking the job's JSON
-payload and returning a JSON-serializable value.
+The ``worker`` callable must be a **module-level function** whenever
+the pool may run it (it is pickled by reference into worker processes)
+taking the job's JSON payload and returning a JSON-serializable value.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.faults import Fault
 from repro.jobs.backoff import BackoffPolicy
 from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
-from repro.jobs.executors import DEFAULT_HEARTBEAT, executor_ladder
 from repro.jobs.model import (  # noqa: F401 — re-exported for compat
     EXIT_CRASHED,
     EXIT_ERROR,
@@ -57,33 +56,23 @@ from repro.jobs.model import (  # noqa: F401 — re-exported for compat
     TERMINAL_STATUSES,
 )
 from repro.jobs.scheduler import JobScheduler
-from repro.jobs.shards import load_shards
 
 
 class JobRunner:
-    """Runs a canonical job list; see the module docstring.
-
-    ``executor`` picks the backend: ``"auto"`` (the default) preserves
-    the historical mapping — ``nworkers=1`` runs inline (fully serial,
-    no pool, no pickling, no timeout enforcement, bit-identical to the
-    historical loops) and ``nworkers>1`` uses the process pool.
-    ``"socket"`` turns on the heartbeat-leased TCP-worker backend, and
-    every explicit choice degrades gracefully down the ladder when the
-    environment cannot support it.
-    """
+    """Runs a canonical job list; see the module docstring."""
 
     def __init__(self, worker: Callable, *, nworkers: int = 1,
                  timeout: Optional[float] = None, retries: int = 1,
                  checkpoint_path: Optional[str] = None, resume: bool = False,
-                 executor: str = "auto",
-                 heartbeat: float = DEFAULT_HEARTBEAT,
                  backoff: Optional[BackoffPolicy] = None,
                  worker_faults: Sequence[Fault] = (), fault_seed: int = 0,
-                 shard_dir: Optional[str] = None, tracer=None):
+                 tracer=None):
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be > 0")
         if resume and not checkpoint_path:
             raise ValueError("resume=True requires a checkpoint_path")
         self.worker = worker
@@ -92,13 +81,17 @@ class JobRunner:
         self.retries = retries
         self.checkpoint_path = checkpoint_path
         self.resume = resume
-        self.ladder: Tuple[str, ...] = executor_ladder(executor, nworkers)
-        self.heartbeat = heartbeat
         self.backoff = backoff
         self.worker_faults = tuple(worker_faults or ())
         self.fault_seed = fault_seed
-        self.shard_dir = shard_dir
         self.tracer = tracer
+
+    @property
+    def use_pool(self) -> bool:
+        """The backend rule: only the pool can run jobs in parallel,
+        enforce a wall-clock timeout or arm worker faults."""
+        return (self.nworkers > 1 or self.timeout is not None
+                or bool(self.worker_faults))
 
     # -- tracing ---------------------------------------------------------------
 
@@ -106,30 +99,17 @@ class JobRunner:
         if self.tracer is not None:
             self.tracer.emit("jobs", event, **fields)
 
-    # -- resume sources --------------------------------------------------------
+    # -- resume ----------------------------------------------------------------
 
     def _recovered(self) -> Dict[str, JobResult]:
-        """Union the two recovery logs: the coordinator's checkpoint
-        (any terminal status) and the workers' shards (successful
-        results that may never have reached a checkpoint line)."""
-        results: Dict[str, JobResult] = {}
+        """The checkpointed terminal results (any status) to skip."""
         if not self.resume:
-            return results
-        for job_id, payload in load_checkpoint(self.checkpoint_path,
-                                               tracer=self.tracer).items():
-            results[job_id] = JobResult.from_json(payload, resumed=True)
-        from_shards = 0
-        if self.shard_dir:
-            records, skipped = load_shards(self.shard_dir)
-            for job_id, record in records.items():
-                if job_id not in results:
-                    results[job_id] = JobResult(job_id, "ok",
-                                                value=record["value"],
-                                                resumed=True)
-                    from_shards += 1
-            if skipped:
-                self._emit("shard_skipped", lines=skipped)
-        self._emit("resume", skipped=len(results), from_shards=from_shards)
+            return {}
+        results = {
+            job_id: JobResult.from_json(payload, resumed=True)
+            for job_id, payload in load_checkpoint(
+                self.checkpoint_path, tracer=self.tracer).items()}
+        self._emit("resume", skipped=len(results))
         return results
 
     # -- public API ------------------------------------------------------------
@@ -153,11 +133,10 @@ class JobRunner:
                        attempts=result.attempts)
 
         scheduler = JobScheduler(
-            self.worker, ladder=self.ladder, nworkers=self.nworkers,
+            self.worker, use_pool=self.use_pool, nworkers=self.nworkers,
             record=record, timeout=self.timeout, retries=self.retries,
-            backoff=self.backoff, heartbeat=self.heartbeat,
-            worker_faults=self.worker_faults, fault_seed=self.fault_seed,
-            shard_dir=self.shard_dir, tracer=self.tracer)
+            backoff=self.backoff, worker_faults=self.worker_faults,
+            fault_seed=self.fault_seed, tracer=self.tracer)
         try:
             scheduler.run(todo)
         except KeyboardInterrupt:
@@ -180,15 +159,13 @@ class JobRunner:
 def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
              timeout: Optional[float] = None, retries: int = 1,
              checkpoint_path: Optional[str] = None, resume: bool = False,
-             executor: str = "auto", heartbeat: float = DEFAULT_HEARTBEAT,
              backoff: Optional[BackoffPolicy] = None,
              worker_faults: Sequence[Fault] = (), fault_seed: int = 0,
-             shard_dir: Optional[str] = None, tracer=None) -> List[JobResult]:
+             tracer=None) -> List[JobResult]:
     """Convenience wrapper: build a :class:`JobRunner` and run it."""
     runner = JobRunner(worker, nworkers=nworkers, timeout=timeout,
                        retries=retries, checkpoint_path=checkpoint_path,
-                       resume=resume, executor=executor, heartbeat=heartbeat,
-                       backoff=backoff, worker_faults=worker_faults,
-                       fault_seed=fault_seed, shard_dir=shard_dir,
+                       resume=resume, backoff=backoff,
+                       worker_faults=worker_faults, fault_seed=fault_seed,
                        tracer=tracer)
     return runner.run(jobs)

@@ -1,26 +1,23 @@
-"""The backend-agnostic sweep scheduler: leases, retries, degradation.
+"""The backend-agnostic sweep scheduler: deadlines, retries, fallback.
 
 :class:`JobScheduler` owns every policy decision the backends must not
 make: when an attempt is charged, when a job is retried (with the
-deterministic capped backoff of :mod:`repro.jobs.backoff`), when a
-lease has expired and its worker must be killed and the job reassigned,
-when a delivered value fails its integrity digest, and when the current
-backend is beyond saving and the sweep falls down the degradation
-ladder (``socket → pool → inline``). The backends only report facts as
-:class:`~repro.jobs.executors.ExecutorEvent` streams.
+deterministic capped backoff of :mod:`repro.jobs.backoff`), when an
+attempt has passed its hard deadline and its worker must be killed,
+when a delivered value fails its integrity digest, and when a pool that
+cannot run is replaced by the inline backend. The backends only report
+facts as :class:`~repro.jobs.executors.ExecutorEvent` streams.
 
 The core loop is: dispatch every due pending attempt while the backend
 has capacity, poll the backend for events (sized so the wait never
-sleeps past the next backoff due-time or lease deadline), apply the
-events, then expire leases. Events are applied *before* expiry is
-checked, so a result that raced its own deadline wins — the job
-completed; killing the worker for it would only waste work.
+sleeps past the next backoff due-time or deadline), apply the events,
+then expire deadlines. Events are applied *before* expiry is checked,
+so a result that raced its own deadline wins — the job completed;
+killing the worker for it would only waste work.
 
 Every decision is traced through the ``jobs`` category: ``start`` /
 ``done`` / ``retry`` / ``timeout`` / ``quarantine`` / ``pool_broken``
-(the PR-4 vocabulary, unchanged) plus ``lease_expired``,
-``worker_lost``, ``worker_spawned``, ``requeued``, ``corrupt_result``
-and ``degrade``.
+plus ``requeued``, ``corrupt_result`` and ``degrade``.
 """
 
 from __future__ import annotations
@@ -33,18 +30,13 @@ from repro.jobs.backoff import BackoffPolicy
 from repro.jobs.executors import (
     ExecutorError,
     ExecutorEvent,
-    create_executor,
+    InlineExecutor,
+    PoolExecutor,
 )
-from repro.jobs.leases import LeaseTable
 from repro.jobs.model import Job, JobResult, normalize_value, result_digest
 
-#: Missed-heartbeat tolerance: a lease's heartbeat deadline is
-#: ``LEASE_BEATS`` heartbeat intervals out, renewed by every beat — one
-#: delayed beat must never kill a healthy worker.
-LEASE_BEATS = 4
-
-#: Upper bound on any single poll wait: liveness checks (a backend whose
-#: workers silently refuse to connect) must run even when no lease
+#: Upper bound on any single poll wait, so a Ctrl-C deferred by the
+#: pool's interruptible wait is re-raised promptly even when no
 #: deadline or backoff due-time is near.
 POLL_CAP = 1.0
 
@@ -63,39 +55,37 @@ class _Attempt:
 
 
 class JobScheduler:
-    """Drives one sweep's job list through the executor ladder.
+    """Drives one sweep's job list through the pool or inline backend.
 
-    ``record`` is called exactly once per job with its terminal
-    :class:`JobResult` — the runner wires it to the in-memory merge map
-    and the checkpoint writer.
+    ``use_pool`` picks the starting backend; a pool that cannot start,
+    or that breaks twice during one submit, is replaced by the inline
+    backend for the rest of the sweep. ``record`` is called exactly
+    once per job with its terminal :class:`JobResult` — the runner
+    wires it to the in-memory merge map and the checkpoint writer.
     """
 
-    def __init__(self, worker: Callable, *, ladder: Tuple[str, ...],
-                 nworkers: int, record: Callable[[JobResult], None],
+    def __init__(self, worker: Callable, *, use_pool: bool, nworkers: int,
+                 record: Callable[[JobResult], None],
                  timeout: Optional[float] = None, retries: int = 1,
                  backoff: Optional[BackoffPolicy] = None,
-                 heartbeat: float = 0.5,
                  worker_faults: Tuple = (), fault_seed: int = 0,
-                 shard_dir: Optional[str] = None, tracer=None):
+                 tracer=None):
         self.worker = worker
-        self.ladder = tuple(ladder)
+        self.use_pool = use_pool
         self.nworkers = nworkers
         self.record = record
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.heartbeat = heartbeat
         self.worker_faults = tuple(worker_faults or ())
         self.fault_seed = fault_seed
-        self.shard_dir = shard_dir
         self.tracer = tracer
-        self._rung = 0
         self._executor = None
         self._seq = 0
         self._next_attempt_id = 0
         self._pending: List[Tuple[float, int, _Attempt]] = []  # heapq
         self._inflight: Dict[int, _Attempt] = {}
-        self._leases = LeaseTable()
+        self._deadlines: Dict[int, float] = {}  # attempt_id -> monotonic
 
     # -- tracing ---------------------------------------------------------------
 
@@ -103,50 +93,44 @@ class JobScheduler:
         if self.tracer is not None:
             self.tracer.emit("jobs", event, **fields)
 
-    # -- ladder ----------------------------------------------------------------
+    # -- backend ---------------------------------------------------------------
 
     def _start_executor(self) -> None:
-        """Start the current rung's backend, falling down the ladder
-        until one comes up (the inline floor always does)."""
-        while True:
-            name = self.ladder[self._rung]
-            executor = create_executor(
-                name, self.worker, self.nworkers, timeout=self.timeout,
-                heartbeat=self.heartbeat, worker_faults=self.worker_faults,
-                fault_seed=self.fault_seed, shard_dir=self.shard_dir)
+        """Start the pool if the sweep asks for one, else (or if it
+        cannot start) the always-available inline backend."""
+        if self.use_pool:
+            pool = PoolExecutor(self.worker, self.nworkers,
+                                timeout=self.timeout,
+                                worker_faults=self.worker_faults,
+                                fault_seed=self.fault_seed)
             try:
-                executor.start()
+                pool.start()
             except ExecutorError as exc:
                 self._degrade(reason=str(exc))
-                continue
-            self._executor = executor
-            return
+            else:
+                self._executor = pool
+                return
+        self._executor = InlineExecutor(self.worker)
 
     def _degrade(self, *, reason: str) -> None:
-        """Fall one rung down the ladder (raises past the floor)."""
-        if self._rung + 1 >= len(self.ladder):
-            raise ExecutorError(
-                f"executor ladder exhausted at {self.ladder[self._rung]!r}: "
-                f"{reason}")
-        self._emit("degrade", from_executor=self.ladder[self._rung],
-                   to_executor=self.ladder[self._rung + 1], reason=reason)
-        self._rung += 1
+        self._emit("degrade", from_executor="pool", to_executor="inline",
+                   reason=reason)
+        self.use_pool = False
 
     def _fall_back(self, *, reason: str) -> None:
-        """The live backend failed mid-run: re-queue every outstanding
-        attempt *uncharged* (the backend's failure is not the jobs'
-        fault), tear it down and bring up the next rung."""
+        """The pool failed mid-run: re-queue every in-flight attempt
+        *uncharged* (the backend's failure is not the jobs' fault), tear
+        the pool down and finish inline."""
         executor, self._executor = self._executor, None
-        if executor is not None:
-            try:
-                executor.stop()
-            except Exception:  # noqa: BLE001 — already beyond saving
-                pass
+        try:
+            executor.stop()
+        except Exception:  # noqa: BLE001 — already beyond saving
+            pass
         now = time.monotonic()
         for attempt in list(self._inflight.values()):
             self._requeue(attempt, now, reason="executor fallback")
         self._inflight.clear()
-        self._leases.clear()
+        self._deadlines.clear()
         self._degrade(reason=reason)
         self._start_executor()
 
@@ -168,18 +152,9 @@ class JobScheduler:
         self._next_attempt_id += 1
         return self._next_attempt_id
 
-    # -- lease helpers ---------------------------------------------------------
-
-    def _grant(self, attempt: _Attempt, now: float,
-               worker_id: Optional[int] = None) -> None:
-        if not self._executor.enforces_deadlines:
-            return
-        ttl = (self.heartbeat * LEASE_BEATS
-               if self._executor.supports_heartbeats and self.heartbeat
-               else None)
-        self._leases.grant(attempt.attempt_id, attempt.job.job_id, now=now,
-                           ttl=ttl, timeout=self.timeout,
-                           worker_id=worker_id)
+    def _take_inflight(self, attempt_id: int) -> Optional[_Attempt]:
+        self._deadlines.pop(attempt_id, None)
+        return self._inflight.pop(attempt_id, None)
 
     # -- the main loop ---------------------------------------------------------
 
@@ -194,6 +169,8 @@ class JobScheduler:
                 try:
                     self._turn()
                 except ExecutorError as exc:
+                    if not self.use_pool:
+                        raise
                     self._fall_back(reason=str(exc))
         finally:
             executor, self._executor = self._executor, None
@@ -210,21 +187,21 @@ class JobScheduler:
             self._emit("start", job=attempt.job.job_id,
                        attempt=attempt.attempts,
                        executor=self._executor.name)
-            self._grant(attempt, now)
+            if self.timeout is not None:
+                self._deadlines[attempt.attempt_id] = now + self.timeout
             self._executor.submit(attempt.attempt_id, attempt.job)
         for event in self._executor.poll(self._wait_time(time.monotonic())):
             self._apply(event)
         self._expire(time.monotonic())
 
-    def _wait_time(self, now: float) -> Optional[float]:
+    def _wait_time(self, now: float) -> float:
         """How long the backend may sleep: never past the next backoff
-        due-time, the next lease deadline, or :data:`POLL_CAP`."""
+        due-time, the next deadline, or :data:`POLL_CAP`."""
         candidates = [POLL_CAP]
         if self._pending:
             candidates.append(max(0.0, self._pending[0][0] - now))
-        next_deadline = self._leases.next_deadline()
-        if next_deadline is not None:
-            candidates.append(max(0.0, next_deadline - now))
+        if self._deadlines:
+            candidates.append(max(0.0, min(self._deadlines.values()) - now))
         return min(candidates)
 
     # -- event application -----------------------------------------------------
@@ -234,25 +211,11 @@ class JobScheduler:
         if handler is not None:
             handler(event)
 
-    def _on_dispatched(self, event: ExecutorEvent) -> None:
-        """A queued attempt physically reached a worker: (re)arm its
-        lease from *now*, so queue time never eats the attempt budget."""
-        attempt = self._inflight.get(event.attempt_id)
-        if attempt is None:
-            return
-        self._grant(attempt, time.monotonic(), worker_id=event.worker_id)
-
-    def _on_heartbeat(self, event: ExecutorEvent) -> None:
-        """Renew the beating attempt's lease (hard deadline untouched)."""
-        if event.attempt_id is not None:
-            self._leases.renew(event.attempt_id, time.monotonic())
-
     def _on_result(self, event: ExecutorEvent) -> None:
         """A value (or failure) arrived; verify integrity and settle."""
-        attempt = self._inflight.pop(event.attempt_id, None)
+        attempt = self._take_inflight(event.attempt_id)
         if attempt is None:
             return  # straggler from an attempt the scheduler already killed
-        self._leases.release(event.attempt_id)
         if event.status == "ok":
             value = normalize_value(event.value)
             if event.digest is not None and result_digest(value) != event.digest:
@@ -266,29 +229,13 @@ class JobScheduler:
             return
         self._settle(attempt, event.status or "error", error=event.error)
 
-    def _on_worker_lost(self, event: ExecutorEvent) -> None:
-        """The worker owning an attempt died (socket EOF, dead process):
-        charge the attempt as crashed and let the retry policy reassign."""
-        attempt = self._inflight.pop(event.attempt_id, None)
-        if attempt is None:
-            return
-        self._leases.release(event.attempt_id)
-        self._emit("worker_lost", job=attempt.job.job_id,
-                   worker=event.worker_id, reason=event.reason)
-        self._settle(attempt, "crashed",
-                     error=f"worker died ({event.reason})")
-
     def _on_aborted(self, event: ExecutorEvent) -> None:
         """Innocent collateral of a pool teardown: re-queue uncharged."""
-        attempt = self._inflight.pop(event.attempt_id, None)
+        attempt = self._take_inflight(event.attempt_id)
         if attempt is None:
             return
-        self._leases.release(event.attempt_id)
         self._requeue(attempt, time.monotonic(),
                       reason=event.reason or "aborted")
-
-    def _on_worker_spawned(self, event: ExecutorEvent) -> None:
-        self._emit("worker_spawned", worker=event.worker_id)
 
     def _on_quarantine(self, event: ExecutorEvent) -> None:
         attempt = self._inflight.get(event.attempt_id)
@@ -299,28 +246,21 @@ class JobScheduler:
     def _on_pool_broken(self, event: ExecutorEvent) -> None:
         self._emit("pool_broken", reason=event.reason)
 
-    # -- lease expiry ----------------------------------------------------------
+    # -- hard deadlines --------------------------------------------------------
 
     def _expire(self, now: float) -> None:
-        for lease, reason in self._leases.expired(now):
-            attempt = self._inflight.pop(lease.attempt_id, None)
-            self._leases.release(lease.attempt_id)
+        expired = [attempt_id for attempt_id, deadline
+                   in self._deadlines.items() if deadline <= now]
+        for attempt_id in expired:
+            attempt = self._take_inflight(attempt_id)
             if attempt is None:
-                continue
-            for event in self._executor.kill_attempt(lease.attempt_id,
-                                                     reason):
-                self._apply(event)  # aborted siblings, respawns
-            if reason == "timeout":
-                self._emit("timeout", job=attempt.job.job_id,
-                           attempt=attempt.attempts)
-                self._settle(attempt, "timeout",
-                             error=f"exceeded {self.timeout}s wall-clock")
-            else:
-                self._emit("lease_expired", job=attempt.job.job_id,
-                           attempt=attempt.attempts, worker=lease.worker_id,
-                           heartbeats=lease.heartbeats)
-                self._settle(attempt, "crashed",
-                             error="lease expired (missed heartbeats)")
+                continue  # settled by a sibling's collateral events
+            for event in self._executor.kill_attempt(attempt_id, "timeout"):
+                self._apply(event)  # aborted siblings
+            self._emit("timeout", job=attempt.job.job_id,
+                       attempt=attempt.attempts)
+            self._settle(attempt, "timeout",
+                         error=f"exceeded {self.timeout}s wall-clock")
 
     # -- settlement ------------------------------------------------------------
 

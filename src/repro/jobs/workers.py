@@ -1,45 +1,28 @@
-"""Worker-side harness shared by the pool and socket backends.
+"""Worker-side harness for the pool backend.
 
-Everything in this module runs *inside worker processes*. It has three
+Everything in this module runs *inside worker processes*. It has two
 jobs:
 
 1. **Execute** the user's module-level worker callable on a payload,
    JSON-normalize the value and stamp it with an integrity digest
    (:func:`repro.jobs.model.result_digest`) so the scheduler can detect
    corruption in flight.
-2. **Arm the chaos sites.** The ``worker`` / ``worker_heartbeat`` /
-   ``worker_connect`` fault sites (:mod:`repro.faults`) fire here,
-   driven by the same seeded :class:`~repro.faults.FaultPlan` machinery
-   as the simulator's own hook points: ``kill`` hard-exits the process
-   mid-sweep, ``hang`` sleeps inside the job while heartbeats keep
-   flowing (so only the hard deadline can reap it), ``corrupt_result``
-   mangles the value *after* the digest was computed, ``drop`` silences
-   heartbeats until the lease expires, and ``refuse`` exits before the
-   socket worker ever dials the coordinator.
-3. **Shard logging.** When a shard directory is configured, each worker
-   appends every successful result to its own JSONL shard
-   (:mod:`repro.jobs.shards`) before reporting it — the Taurus-style
-   per-worker parallel log that survives a dead coordinator.
-
-The socket worker's wire protocol is newline-delimited JSON over a
-local TCP connection: ``hello`` (worker → coordinator, once),
-``ready`` (worker pulls the next job), ``job`` / ``stop``
-(coordinator → worker), ``heartbeat`` (worker, periodic, from a side
-thread while a job runs) and ``result``.
+2. **Arm the chaos site.** The ``worker`` fault site
+   (:mod:`repro.faults`) fires here, driven by the same seeded
+   :class:`~repro.faults.FaultPlan` machinery as the simulator's own
+   hook points: ``kill`` hard-exits the process mid-sweep, ``hang``
+   sleeps inside the job (so only the hard deadline can reap it), and
+   ``corrupt_result`` mangles the value *after* the digest was computed.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import socket as socketlib
-import threading
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.faults import EXIT_ABNORMAL, Fault, FaultPlan
 from repro.jobs.model import normalize_value, result_digest
-from repro.jobs.shards import ShardWriter
 
 #: Default sleep for ``worker:hang`` when the fault spec has no param.
 HANG_SECONDS = 3600
@@ -50,8 +33,8 @@ def build_plan(faults: Sequence[Fault], seed: int) -> Optional[FaultPlan]:
 
     Each worker process arms its *own* plan (opportunity counters and
     RNG included), so ``after``/``count`` scopes count per worker life —
-    a respawned worker starts clean, which is exactly what lets a sweep
-    recover from a fault that murdered its predecessor.
+    a replacement worker starts clean, which is exactly what lets a
+    sweep recover from a fault that murdered its predecessor.
     """
     faults = tuple(faults or ())
     if not faults:
@@ -60,15 +43,14 @@ def build_plan(faults: Sequence[Fault], seed: int) -> Optional[FaultPlan]:
 
 
 def execute_job(worker_fn: Callable, payload, job_id: str,
-                plan: Optional[FaultPlan],
-                worker_id: Optional[int]) -> dict:
+                plan: Optional[FaultPlan]) -> dict:
     """Run one job under the ``worker`` chaos site.
 
     Returns ``{"value": <normalized>, "digest": <hex>}``. The digest is
     always computed over the *true* value; ``corrupt_result`` then
     swaps the value out, so the scheduler's integrity check catches it.
     """
-    fault = (plan.fire("worker", tid=worker_id, context=job_id)
+    fault = (plan.fire("worker", context=job_id)
              if plan is not None else None)
     if fault is not None and fault.action == "kill":
         os._exit(EXIT_ABNORMAL)
@@ -81,129 +63,18 @@ def execute_job(worker_fn: Callable, payload, job_id: str,
     return {"value": value, "digest": digest}
 
 
-# ---------------------------------------------------------------------------
-# Pool-backend worker state (armed once per process by the initializer)
-# ---------------------------------------------------------------------------
-
-_POOL_STATE = {"plan": None, "shard": None}
+#: This worker process's fault plan, armed once by the pool initializer.
+_POOL_STATE = {"plan": None}
 
 
-def arm_pool_worker(faults: Tuple[Fault, ...], seed: int,
-                    shard_dir: Optional[str]) -> None:
+def arm_pool_worker(faults: Tuple[Fault, ...], seed: int) -> None:
     """``ProcessPoolExecutor`` initializer: arm this worker process's
-    fault plan and shard log. Pool workers have no stable worker id, so
-    ``tid``-scoped worker faults never fire here — use ``after``/
-    ``count`` (counted per process) to target them instead."""
+    fault plan. Pool workers have no stable worker id, so ``tid``-scoped
+    worker faults never fire — use ``after``/``count`` (counted per
+    process) to target them instead."""
     _POOL_STATE["plan"] = build_plan(faults, seed)
-    _POOL_STATE["shard"] = (ShardWriter(shard_dir, f"pool-{os.getpid()}")
-                            if shard_dir else None)
 
 
 def pool_shim(worker_fn: Callable, payload, job_id: str) -> dict:
-    """The callable actually submitted to pool workers: harness + shard."""
-    out = execute_job(worker_fn, payload, job_id, _POOL_STATE["plan"], None)
-    shard = _POOL_STATE["shard"]
-    if shard is not None:
-        shard.append({"job_id": job_id, "status": "ok",
-                      "value": out["value"], "digest": out["digest"]})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Socket-backend worker process
-# ---------------------------------------------------------------------------
-
-def _encode(message: dict) -> bytes:
-    return (json.dumps(message, separators=(",", ":"), sort_keys=True)
-            + "\n").encode("utf-8")
-
-
-def socket_worker_main(port: int, worker_fn: Callable, worker_id: int,
-                       heartbeat: float, faults: Tuple[Fault, ...],
-                       seed: int, shard_dir: Optional[str]) -> None:
-    """Entry point of one socket-backend worker process.
-
-    Connects to the coordinator on ``127.0.0.1:port``, pulls jobs with
-    ``ready`` messages, heartbeats every ``heartbeat`` seconds from a
-    side thread while a job runs, streams each ``result`` back, and
-    exits on ``stop`` or a closed connection.
-    """
-    plan = build_plan(faults, seed)
-    if plan is not None and plan.fire("worker_connect", tid=worker_id,
-                                      context="connect") is not None:
-        os._exit(EXIT_ABNORMAL)  # refuse-connect chaos: die before dialing
-    conn = socketlib.create_connection(("127.0.0.1", port), timeout=30)
-    conn.settimeout(None)
-    reader = conn.makefile("r", encoding="utf-8")
-    send_lock = threading.Lock()
-
-    def send(message: dict) -> None:
-        data = _encode(message)
-        with send_lock:
-            conn.sendall(data)
-
-    shard = (ShardWriter(shard_dir, f"worker-{worker_id}")
-             if shard_dir else None)
-    send({"type": "hello", "worker": worker_id})
-    try:
-        while True:
-            send({"type": "ready", "worker": worker_id})
-            line = reader.readline()
-            if not line:
-                break
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if message.get("type") == "stop":
-                break
-            if message.get("type") != "job":
-                continue
-            attempt_id = message["attempt"]
-            job_id = message["job_id"]
-            stop_beating = threading.Event()
-
-            def beat(job_id=job_id, attempt_id=attempt_id):
-                while not stop_beating.wait(heartbeat):
-                    if plan is not None and plan.fire(
-                            "worker_heartbeat", tid=worker_id,
-                            context=job_id) is not None:
-                        continue  # drop-heartbeat chaos: stay silent
-                    try:
-                        send({"type": "heartbeat", "attempt": attempt_id,
-                              "worker": worker_id})
-                    except OSError:
-                        return
-
-            beater = None
-            if heartbeat:
-                beater = threading.Thread(target=beat, daemon=True)
-                beater.start()
-            try:
-                try:
-                    out = execute_job(worker_fn, message["payload"], job_id,
-                                      plan, worker_id)
-                except Exception as exc:  # noqa: BLE001 — report, don't die
-                    result = {"type": "result", "attempt": attempt_id,
-                              "worker": worker_id, "status": "error",
-                              "error": repr(exc)}
-                else:
-                    if shard is not None:
-                        shard.append({"job_id": job_id, "status": "ok",
-                                      "value": out["value"],
-                                      "digest": out["digest"]})
-                    result = {"type": "result", "attempt": attempt_id,
-                              "worker": worker_id, "status": "ok",
-                              "value": out["value"],
-                              "digest": out["digest"]}
-            finally:
-                if beater is not None:
-                    stop_beating.set()
-                    beater.join()
-            send(result)
-    except OSError:
-        pass  # coordinator went away; nothing left to report to
-    finally:
-        if shard is not None:
-            shard.close()
-        conn.close()
+    """The callable actually submitted to pool workers."""
+    return execute_job(worker_fn, payload, job_id, _POOL_STATE["plan"])

@@ -331,7 +331,7 @@ def _scenario_job(payload: dict) -> dict:
 
 def run_suite(suite: str = "quick", repeats: int = 3, jobs: int = 1,
               checkpoint_path: Optional[str] = None, resume: bool = False,
-              executor: str = "auto", tracer=None) -> Dict[str, object]:
+              tracer=None) -> Dict[str, object]:
     """Run every scenario in ``suite``; returns the suite result dict.
 
     ``jobs=1`` (the default) is the historical in-process loop and keeps
@@ -339,8 +339,7 @@ def run_suite(suite: str = "quick", repeats: int = 3, jobs: int = 1,
     matrix out over the :mod:`repro.jobs` executor (wall-clock numbers
     are then measured inside each worker, so rates stay meaningful).
     """
-    if (jobs == 1 and checkpoint_path is None and not resume
-            and executor == "auto"):
+    if jobs == 1 and checkpoint_path is None and not resume:
         scenarios = {}
         for name, fn in _suite_scenarios(suite).items():
             scenarios[name] = run_scenario(fn, repeats=repeats)
@@ -353,7 +352,7 @@ def run_suite(suite: str = "quick", repeats: int = 3, jobs: int = 1,
                  {"suite": suite, "name": name, "repeats": repeats})
              for name in names],
             _scenario_job, nworkers=jobs, checkpoint_path=checkpoint_path,
-            resume=resume, executor=executor, tracer=tracer)
+            resume=resume, tracer=tracer)
         scenarios = {}
         for name, result in zip(names, results):
             if not result.ok:
@@ -371,15 +370,14 @@ def run_suite(suite: str = "quick", repeats: int = 3, jobs: int = 1,
 
 def build_report(suites=("quick",), repeats: int = 3, jobs: int = 1,
                  checkpoint_path: Optional[str] = None,
-                 resume: bool = False,
-                 executor: str = "auto") -> Dict[str, object]:
+                 resume: bool = False) -> Dict[str, object]:
     """Full machine-readable report (the ``BENCH_perf.json`` payload)."""
     return {
         "schema": SCHEMA,
         "calibration_seconds": round(calibrate(), 4),
         "suites": {suite: run_suite(suite, repeats=repeats, jobs=jobs,
                                     checkpoint_path=checkpoint_path,
-                                    resume=resume, executor=executor)
+                                    resume=resume)
                    for suite in suites},
     }
 
@@ -584,17 +582,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=positive_int, default=3,
                         help="wall-clock repetitions per scenario "
                              "(best-of; default 3)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="worker processes for the scenario matrix "
                              "(default 1: serial, bit-identical output)")
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="JSONL checkpoint for interrupted-run resume")
     parser.add_argument("--resume", action="store_true",
                         help="skip scenarios already in --checkpoint")
-    parser.add_argument("--executor",
-                        choices=["auto", "inline", "pool", "socket"],
-                        default="auto",
-                        help="sweep backend for --jobs (default auto)")
     parser.add_argument("--profile", action="store_true",
                         help="additionally run each scenario once under "
                              "cProfile and write a per-scenario hot-function "
@@ -609,7 +603,7 @@ def main(argv=None) -> int:
 
     report = build_report(suites=suites, repeats=args.repeats,
                           jobs=args.jobs, checkpoint_path=args.checkpoint,
-                          resume=args.resume, executor=args.executor)
+                          resume=args.resume)
     try:
         committed = load_baseline(baseline_path)
     except (FileNotFoundError, ValueError, json.JSONDecodeError):

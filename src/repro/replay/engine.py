@@ -138,7 +138,7 @@ def replay_job(payload: dict) -> dict:
 
 
 def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
-               executor: str = "auto", tracer=None) -> Dict[str, dict]:
+               tracer=None) -> Dict[str, dict]:
     """Fan one archive out to many lifeguards; returns name -> payload.
 
     ``jobs=1`` replays in-process sharing one decoded reader; ``jobs=N``
@@ -152,7 +152,7 @@ def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
     if unknown:
         raise ValueError(f"unknown lifeguards {unknown}; "
                          f"valid: {sorted(LIFEGUARDS)}")
-    if jobs == 1 and executor == "auto":
+    if jobs == 1:
         reader = TraceReader(archive_path)
         return {name: replay_payload(replay_archive(reader, name))
                 for name in names}
@@ -163,7 +163,7 @@ def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
         [Job(f"replay:{name}",
              {"archive": str(archive_path), "lifeguard": name})
          for name in names],
-        replay_job, nworkers=jobs, executor=executor, tracer=tracer)
+        replay_job, nworkers=jobs, tracer=tracer)
     payloads: Dict[str, dict] = {}
     for name, result in zip(names, results):
         if not result.ok:

@@ -12,9 +12,9 @@ layout: every run gets a directory ``<data_dir>/runs/<id>/`` holding
 
 Execution goes through :func:`repro.jobs.run_jobs` with the
 module-level :func:`repro.serve.worker.execute_run` worker, so the
-service inherits the sweep executor's semantics for free: per-job
-wall-clock timeouts and crashed-worker quarantine on the ``pool``
-backend, bounded retries, exit codes single-sourced from
+service inherits the sweep executor's semantics for free: a submission
+with a wall-clock timeout runs in a (quarantining) pool worker that
+the timeout can reap, bounded retries, exit codes single-sourced from
 :mod:`repro.faults`. A fixed pool of dispatcher threads drains the
 submission queue, so ``queued`` is an honest state under load.
 
@@ -163,17 +163,11 @@ class RunRegistry:
             self._persist_locked(record)
         if self.tracer is not None:
             self.tracer.emit("jobs", "run_started", run_id=run_id)
-        executor = config["executor"]
-        if executor == "auto":
-            # The inline backend cannot enforce wall-clock timeouts, so
-            # a submission with one gets a (quarantining) pool worker.
-            executor = "pool" if config["timeout"] is not None else "inline"
         job = Job(job_id=run_id, payload=dict(config,
                                               trace_path=trace_path))
         results = run_jobs([job], execute_run, nworkers=1,
                            timeout=config["timeout"],
-                           retries=config["retries"], executor=executor,
-                           tracer=self.tracer)
+                           retries=config["retries"], tracer=self.tracer)
         result = results[0]
         if result.ok:
             value = result.value

@@ -45,14 +45,14 @@ from repro.trace.diff import verdict_projection
 from repro.workloads import WORKLOADS, build_workload
 
 #: Submission fields that shape the *simulation* (and therefore the
-#: trace bytes). Everything else — executor choice, job timeout — is
-#: service plumbing and stays out of the config digest.
+#: trace bytes). Everything else — job timeout, retries — is service
+#: plumbing and stays out of the config digest.
 SIM_FIELDS = ("workload", "scheme", "lifeguard", "seed", "threads",
               "scale", "memory_model", "capture", "no_accel",
               "max_cycles", "watchdog", "trace_filter")
 
 #: Service-level fields: how the job is executed, not what it computes.
-JOB_FIELDS = ("executor", "timeout", "retries")
+JOB_FIELDS = ("timeout", "retries")
 
 _DEFAULTS: Dict[str, object] = {
     "scheme": "parallel",
@@ -66,7 +66,6 @@ _DEFAULTS: Dict[str, object] = {
     "max_cycles": None,
     "watchdog": None,
     "trace_filter": "all",
-    "executor": "auto",
     "timeout": None,
     "retries": 0,
 }
@@ -135,10 +134,6 @@ def normalize_run_config(payload: dict) -> dict:
     if not isinstance(config["no_accel"], bool):
         raise ConfigurationError("'no_accel' must be a boolean")
     parse_trace_filter(config["trace_filter"])  # raises on bad categories
-    if config["executor"] not in ("auto", "inline", "pool"):
-        raise ConfigurationError(
-            f"unknown executor {config['executor']!r}; valid: "
-            f"auto, inline, pool")
     timeout = config["timeout"]
     if timeout is not None:
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):

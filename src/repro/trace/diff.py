@@ -684,7 +684,6 @@ class _ViolationView:
 def replay_fanout_check(seed: int, nthreads: int = 2, length: int = 18,
                         capture_lifeguard: str = "taintcheck",
                         lifeguards=None, jobs: int = 1,
-                        executor: str = "auto",
                         archive_path: str = None) -> DiffReport:
     """Archive one run once; replay *every* lifeguard from that file.
 
@@ -723,9 +722,8 @@ def replay_fanout_check(seed: int, nthreads: int = 2, length: int = 18,
             report.failures.extend(
                 f"replayed {failure}"
                 for failure in _check_planted(program, name, violations))
-        if jobs > 1 or executor != "auto":
-            parallel = replay_all(archive_path, lifeguards=names,
-                                  jobs=jobs, executor=executor)
+        if jobs > 1:
+            parallel = replay_all(archive_path, lifeguards=names, jobs=jobs)
             if canonical_json(parallel) != canonical_json(serial):
                 report.failures.append(
                     f"--jobs {jobs} replay fan-out diverges from the "
@@ -764,31 +762,29 @@ def replay_sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
 
 def replay_sweep(seeds, lifeguards=None, nthreads: int = 2,
                  length: int = 18, jobs: int = 1,
-                 executor: str = "auto", tracer=None) -> List[DiffReport]:
+                 tracer=None) -> List[DiffReport]:
     """:func:`replay_differential_check` over a seed range.
 
     Returns reports in canonical (seed, lifeguard) order; callers assert
-    ``all(r.ok for r in reports)``. ``jobs=N`` fans cells over the
-    :mod:`repro.jobs` executor — each worker archives to its own
-    temporary file, so the sweep is embarrassingly parallel.
+    ``all(r.ok for r in reports)``. ``jobs=N`` fans cells over
+    :mod:`repro.jobs` worker processes — each worker archives to its
+    own temporary file, so the sweep is embarrassingly parallel.
     """
-    if jobs == 1 and executor == "auto":
-        lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
-        return [replay_differential_check(seed, lifeguard=name,
-                                          nthreads=nthreads, length=length)
-                for seed in seeds for name in lifeguards]
-
     from repro.jobs import run_jobs
 
     results = run_jobs(replay_sweep_jobs(seeds, lifeguards, nthreads,
                                          length),
-                       replay_diff_job, nworkers=jobs, executor=executor,
-                       tracer=tracer)
+                       replay_diff_job, nworkers=jobs, tracer=tracer)
+    return _sweep_reports("replay", results)
+
+
+def _sweep_reports(kind: str, results) -> List[DiffReport]:
+    """Rebuild each cell's report, raising on the first failed cell."""
     reports = []
     for result in results:
         if not result.ok:
             raise RuntimeError(
-                f"replay cell {result.job_id} failed "
+                f"{kind} cell {result.job_id} failed "
                 f"({result.status}, exit {result.exit_code}): "
                 f"{result.error}")
         reports.append(report_from_payload(result.value))
@@ -799,45 +795,23 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
                        length: int = 18, jobs: int = 1,
                        checkpoint_path: str = None, resume: bool = False,
                        timeout: float = None, retries: int = 1,
-                       executor: str = "auto", heartbeat: float = None,
                        backoff=None, worker_faults=(), fault_seed: int = 0,
-                       shard_dir: str = None,
                        tracer=None) -> List[DiffReport]:
     """Run :func:`differential_check` over a seed range; returns all
     reports in canonical (seed, lifeguard) order (callers assert
     ``all(r.ok for r in reports)``).
 
-    ``jobs=1`` with no checkpointing is the historical in-process loop;
-    ``jobs=N`` fans the cells out over the :mod:`repro.jobs` executor
-    (``executor`` picks the backend: ``auto``/``inline``/``pool``/
-    ``socket``), whose canonical-order merge keeps the result list —
-    and its serialized form — byte-identical to the serial run even
-    under worker-level chaos faults (``worker_faults``/``fault_seed``)
-    and per-worker result shards (``shard_dir``).
+    Every cell runs through the :mod:`repro.jobs` executor, whose
+    canonical-order merge keeps the result list — and its serialized
+    form — byte-identical to ``jobs=1`` even under worker-level chaos
+    faults (``worker_faults``/``fault_seed``).
     """
-    if (jobs == 1 and checkpoint_path is None and not resume
-            and executor == "auto" and not worker_faults and not shard_dir):
-        lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
-        return [differential_check(seed, lifeguard=name, nthreads=nthreads,
-                                   length=length)
-                for seed in seeds for name in lifeguards]
-
-    from repro.jobs import DEFAULT_HEARTBEAT, run_jobs
+    from repro.jobs import run_jobs
 
     results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length),
                        diff_job, nworkers=jobs, timeout=timeout,
                        retries=retries, checkpoint_path=checkpoint_path,
-                       resume=resume, executor=executor,
-                       heartbeat=(DEFAULT_HEARTBEAT if heartbeat is None
-                                  else heartbeat),
-                       backoff=backoff, worker_faults=worker_faults,
-                       fault_seed=fault_seed, shard_dir=shard_dir,
+                       resume=resume, backoff=backoff,
+                       worker_faults=worker_faults, fault_seed=fault_seed,
                        tracer=tracer)
-    reports = []
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                f"differential cell {result.job_id} failed "
-                f"({result.status}, exit {result.exit_code}): {result.error}")
-        reports.append(report_from_payload(result.value))
-    return reports
+    return _sweep_reports("differential", results)

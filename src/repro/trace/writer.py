@@ -55,8 +55,8 @@ from repro.common.errors import ConfigurationError
 #: accel    IT absorb/condense, IF hit/miss, M-TLB hit/miss
 #: meta     lifeguard metadata writes
 #: jobs     parallel sweep executor: job start/done/retry/resume,
-#:          leases (lease_expired/timeout), workers (worker_spawned/
-#:          worker_lost), backend degradation, corrupt results
+#:          timeouts, pool breakage/quarantine, pool->inline
+#:          degradation, corrupt results
 #: ======== ======================================================
 CATEGORIES = ("engine", "arc", "ca", "advert", "accel", "meta", "jobs")
 

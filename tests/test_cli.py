@@ -38,6 +38,17 @@ class TestBadIntegerFlags:
         (["swaptions", "--threads", "0"], "--threads: must be >= 1"),
         (["figure6", "--max-threads", "0"], "--max-threads: must be >= 1"),
         (["run", "lu", "--threads", "two"], "invalid int value: 'two'"),
+        (["diff", "--jobs", "0"], "--jobs: must be >= 1"),
+        (["figure8", "--jobs", "0"], "--jobs: must be >= 1"),
+        (["replay", "out.plog", "--jobs", "-1"], "--jobs: must be >= 1"),
+        (["diff", "--retries", "-1", "--jobs", "2"],
+         "--retries: must be >= 0"),
+        (["diff", "--timeout", "-3", "--jobs", "2"],
+         "--timeout: must be a finite number > 0"),
+        (["diff", "--timeout", "0"], "--timeout: must be a finite number > 0"),
+        (["diff", "--timeout", "nan"],
+         "--timeout: must be a finite number > 0"),
+        (["diff", "--timeout", "soon"], "invalid float value: 'soon'"),
     ])
     def test_rejected_by_argparse(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -64,6 +75,56 @@ class TestRemovedBackendFlag:
         assert exc.value.code == 2
         assert "unrecognized arguments: --backend event" in \
             capsys.readouterr().err
+
+
+class TestRemovedExecutorFlags:
+    """The sweep backend is picked from the inputs, so its knobs are gone."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["diff", "--seeds", "1", "--executor", "pool"], "--executor pool"),
+        (["replay", "out.plog", "--executor", "pool"], "--executor pool"),
+        (["figure6", "--executor", "socket"], "--executor socket"),
+        (["figure7", "--executor", "inline"], "--executor inline"),
+        (["figure8", "--executor", "auto"], "--executor auto"),
+        (["diff", "--seeds", "1", "--heartbeat", "0.5"], "--heartbeat 0.5"),
+        (["diff", "--seeds", "1", "--shards", "out"], "--shards out"),
+        (["perf", "--executor", "pool"], "--executor pool"),
+    ])
+    def test_flag_is_unrecognized(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("worker_heartbeat:drop", "unknown fault site 'worker_heartbeat'"),
+        ("worker_connect:refuse", "unknown fault site 'worker_connect'"),
+        ("worker:kill:t0:after=1", "cannot target a tid"),
+    ])
+    def test_removed_worker_fault_specs_exit_2(self, spec, message, capsys):
+        assert main(["diff", "--seeds", "1", "--inject-worker", spec]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestSweepRuleAtOneJob:
+    """``--timeout`` and ``--inject-worker`` take effect at the default
+    ``--jobs 1`` (the cells then run in one worker process)."""
+
+    def test_timeout_enforced(self, capsys):
+        assert main(["diff", "--seeds", "1", "--lifeguards", "taintcheck",
+                     "--timeout", "0.001", "--retries", "0"]) == 1
+        assert "(timeout, exit 4)" in capsys.readouterr().err
+
+    def test_worker_fault_armed(self, capsys):
+        assert main(["diff", "--seeds", "1", "--lifeguards", "addrcheck",
+                     "--inject-worker", "worker:corrupt_result",
+                     "--retries", "0"]) == 1
+        assert "integrity digest mismatch" in capsys.readouterr().err
+
+    def test_failing_figure_cell_exits_1(self, capsys):
+        assert main(["figure8", "--benchmarks", "nosuch",
+                     "--max-threads", "2"]) == 1
+        assert "unknown workload 'nosuch'" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -104,14 +104,12 @@ class TestFaultPlanUnit:
 
 
 class TestWorkerFaultSites:
-    """Parsing and validation of the sweep-worker chaos sites added for
-    the elastic executors (``worker``, ``worker_heartbeat``,
-    ``worker_connect``)."""
+    """Parsing and validation of the sweep-worker chaos site
+    (``worker``)."""
 
     def test_worker_sites_registered(self):
         from repro.faults import FAULT_SITES, WORKER_FAULT_SITES
-        assert WORKER_FAULT_SITES == ("worker", "worker_heartbeat",
-                                      "worker_connect")
+        assert WORKER_FAULT_SITES == ("worker",)
         assert set(WORKER_FAULT_SITES) <= set(FAULT_SITES)
 
     def test_parse_worker_kill_spec(self):
@@ -123,20 +121,18 @@ class TestWorkerFaultSites:
         assert parse_fault_spec("worker:corrupt_result:after=1").action == \
             "corrupt_result"
 
-    def test_parse_heartbeat_and_connect_specs(self):
-        drop = parse_fault_spec("worker_heartbeat:drop:t1:count=100000")
-        assert (drop.site, drop.tid, drop.count) == \
-            ("worker_heartbeat", 1, 100000)
-        refuse = parse_fault_spec("worker_connect:refuse:t0")
-        assert (refuse.site, refuse.action) == ("worker_connect", "refuse")
+    def test_heartbeat_and_connect_sites_rejected(self):
+        """The socket executor's sites went with it."""
+        for spec in ("worker_heartbeat:drop:t1:count=100000",
+                     "worker_connect:refuse:t0"):
+            with pytest.raises(ConfigurationError, match="unknown fault site"):
+                parse_fault_spec(spec)
 
     def test_worker_site_rejects_foreign_actions(self):
         with pytest.raises(ConfigurationError):
             Fault(site="worker", action="drop")  # drop is an arc action
         with pytest.raises(ConfigurationError):
-            Fault(site="worker_heartbeat", action="kill")
-        with pytest.raises(ConfigurationError):
-            parse_fault_spec("worker_connect:corrupt_result")
+            parse_fault_spec("worker:refuse")
 
 
 class TestDisabledPlanDeterminism:

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.faults import parse_fault_spec
 from repro.jobs import (
     EXIT_CRASHED,
     EXIT_OK,
@@ -126,6 +127,33 @@ class TestFailurePaths:
         assert results[0].attempts == 3
         assert "boom" in results[0].error
         assert results[1].status == "ok"
+
+    def test_timeout_enforced_at_one_worker(self):
+        """A timeout alone moves the sweep onto the pool, so it is
+        enforced at ``nworkers=1`` too."""
+        results = run_jobs([Job("j0", {"n": 0, "sleep": 0.5})],
+                           misbehaving_worker, timeout=0.1, retries=0)
+        assert results[0].status == "timeout"
+        assert results[0].exit_code == EXIT_TIMEOUT
+
+    def test_worker_faults_armed_at_one_worker(self):
+        """Worker faults alone move the sweep onto the pool: a killed
+        worker is recovered and every cell still completes."""
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(
+            _jobs(3), square_worker, retries=2,
+            worker_faults=(parse_fault_spec("worker:kill:after=1:count=1"),),
+            tracer=tracer)
+        assert [r.value["square"] for r in results] == [0, 1, 4]
+        assert "pool_broken" in [e["event"] for e in tracer.events]
+
+    def test_raising_cell_is_a_classified_error_at_one_job(self):
+        """At ``jobs=1`` a raising cell ends as an ``error`` result
+        (the sweep surface raises RuntimeError), never a bare traceback
+        from inside the cell."""
+        with pytest.raises(RuntimeError, match=r"\(error, exit 1\)"):
+            differential_sweep([0], lifeguards=("no-such-lifeguard",),
+                               retries=0)
 
     def test_serial_path_retries_exceptions_too(self):
         results = run_jobs(_jobs(1, j0={"raise": "nope"}),

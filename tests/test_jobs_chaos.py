@@ -1,19 +1,17 @@
 """Chaos tests: byte-identical recovery under injected worker faults.
 
-The differential and unit sweeps here murder, hang, silence and corrupt
-sweep workers on purpose (the ``worker*`` sites of :mod:`repro.faults`)
-and assert the executor's two contracts survive every time:
+The differential and unit sweeps here murder, hang and corrupt pool
+workers on purpose (the ``worker`` site of :mod:`repro.faults`) and
+assert the executor's two contracts survive every time:
 
 1. **Byte-identical merge** — the canonical-order merge of a chaos-ridden
    parallel sweep equals the serial run, byte for byte.
 2. **Bounded retries** — no job is ever charged more than ``retries + 1``
    attempts, no matter how many workers die around it.
 
-The matrix runs {kill, hang, drop-heartbeat, corrupt-result} × {pool,
-socket}. Heartbeat dropping is inert on the pool backend (it has no
-heartbeats — the hard deadline is its only liveness signal), which is
-itself worth pinning: arming the site must not perturb a backend that
-never fires it.
+The matrix runs {kill, hang, corrupt-result} on the pool. Pool workers
+have no stable ids, so every fault is scoped by ``after``/``count``
+(counted per worker process).
 """
 
 import json
@@ -21,7 +19,7 @@ import json
 import pytest
 
 from repro.faults import parse_fault_spec
-from repro.jobs import BackoffPolicy, Job, load_checkpoint, run_jobs
+from repro.jobs import BackoffPolicy, load_checkpoint, run_jobs
 from repro.trace.diff import differential_sweep, report_payload, sweep_jobs, \
     diff_job
 from repro.trace.writer import TraceWriter
@@ -32,51 +30,28 @@ from tests.test_jobs import _jobs, misbehaving_worker, square_worker
 _BACKOFF = BackoffPolicy(base=0.05, cap=0.2)
 
 
-def _sleep_jobs(n, seconds):
-    return [Job(f"j{i}", {"n": i, "sleep": seconds}) for i in range(n)]
-
-
-#: (name, executor, fault specs, extra run_jobs kwargs, job list factory).
-#: Socket faults can target worker ids (``t1``); pool workers have no
-#: stable ids, so pool cases scope by ``after``/``count`` per process.
+#: (name, fault specs, extra run_jobs kwargs).
 CHAOS_MATRIX = [
-    ("kill-socket", "socket", ["worker:kill:after=2"],
-     dict(heartbeat=0.1), lambda: _jobs(6)),
-    ("kill-pool", "pool", ["worker:kill:after=2:count=1"],
-     {}, lambda: _jobs(6)),
-    ("hang-socket", "socket", ["worker:hang:after=2:param=60"],
-     dict(heartbeat=0.1, timeout=1.5), lambda: _jobs(6)),
-    ("hang-pool", "pool", ["worker:hang:after=2:count=1:param=60"],
-     dict(timeout=1.0), lambda: _jobs(6)),
-    # jobs must outlive the lease ttl (4 beats = 0.4s) for the silence
-    # to matter; the healthy worker keeps beating and is never touched
-    ("drop-heartbeat-socket", "socket",
-     ["worker_heartbeat:drop:t1:count=100000"],
-     dict(heartbeat=0.1), lambda: _sleep_jobs(4, 0.6)),
-    ("drop-heartbeat-pool", "pool",
-     ["worker_heartbeat:drop:t1:count=100000"],
-     {}, lambda: _jobs(6)),
-    ("corrupt-result-socket", "socket", ["worker:corrupt_result:after=1"],
-     dict(heartbeat=0.1), lambda: _jobs(6)),
-    ("corrupt-result-pool", "pool",
-     ["worker:corrupt_result:after=1:count=1"],
-     {}, lambda: _jobs(6)),
+    ("kill-pool", ["worker:kill:after=2:count=1"], {}),
+    ("hang-pool", ["worker:hang:after=2:count=1:param=60"],
+     dict(timeout=1.0)),
+    ("corrupt-result-pool", ["worker:corrupt_result:after=1:count=1"], {}),
 ]
 
 
 class TestChaosMatrix:
     @pytest.mark.parametrize(
-        "name,executor,specs,extra,jobs_factory", CHAOS_MATRIX,
+        "name,specs,extra", CHAOS_MATRIX,
         ids=[case[0] for case in CHAOS_MATRIX])
-    def test_merge_byte_identical_and_retries_bounded(
-            self, name, executor, specs, extra, jobs_factory):
-        jobs = jobs_factory()
+    def test_merge_byte_identical_and_retries_bounded(self, name, specs,
+                                                      extra):
+        jobs = _jobs(6)
         serial = [r.to_json()["value"] for r in
                   run_jobs(jobs, misbehaving_worker)]
         retries = 3
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(
-            jobs, misbehaving_worker, nworkers=2, executor=executor,
+            jobs, misbehaving_worker, nworkers=2,
             retries=retries, backoff=_BACKOFF,
             worker_faults=tuple(parse_fault_spec(s) for s in specs),
             fault_seed=11, tracer=tracer, **extra)
@@ -90,9 +65,10 @@ class TestChaosMatrix:
         the jobs trace."""
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(
-            _jobs(4), square_worker, nworkers=2, executor="socket",
-            heartbeat=0.1, retries=3, backoff=_BACKOFF,
-            worker_faults=(parse_fault_spec("worker:corrupt_result:after=1"),),
+            _jobs(4), square_worker, nworkers=2, retries=3,
+            backoff=_BACKOFF,
+            worker_faults=(
+                parse_fault_spec("worker:corrupt_result:after=1:count=1"),),
             tracer=tracer)
         assert all(r.ok for r in results)
         names = [e["event"] for e in tracer.events]
@@ -100,34 +76,33 @@ class TestChaosMatrix:
         assert not any("__corrupted__" in json.dumps(r.value)
                        for r in results)
 
-    def test_killed_socket_worker_is_traced_and_replaced(self):
+    def test_killed_pool_worker_is_traced_and_quarantined(self):
+        """A worker death poisons the shared pool: the breakage is
+        traced, every in-flight attempt re-runs in a quarantine pool,
+        and the sweep still completes."""
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(
-            _jobs(6), square_worker, nworkers=2, executor="socket",
-            heartbeat=0.1, retries=3, backoff=_BACKOFF,
-            worker_faults=(parse_fault_spec("worker:kill:after=2"),),
+            _jobs(6), square_worker, nworkers=2, retries=3,
+            backoff=_BACKOFF,
+            worker_faults=(parse_fault_spec("worker:kill:after=2:count=1"),),
             tracer=tracer)
         assert all(r.ok for r in results)
         names = [e["event"] for e in tracer.events]
-        assert names.count("worker_lost") >= 1
-        # replacements get fresh worker ids beyond the initial fleet
-        spawned = {e["worker"] for e in tracer.events
-                   if e["event"] == "worker_spawned"}
-        assert len(spawned) > 2
+        assert names.count("pool_broken") >= 1
+        assert "quarantine" in names
 
 
 class TestChaosDiffSweep:
-    """Tier-1 guard for the ISSUE acceptance criterion, small edition:
-    a socket differential sweep with a murdered worker merges byte-
-    identical to serial (the full 25-seed version is in the slow tier)."""
+    """Tier-1 guard, small edition: a pool differential sweep with a
+    murdered worker merges byte-identical to serial (the full 25-seed
+    version is in the slow tier)."""
 
-    def test_socket_sweep_with_worker_kill_matches_serial(self):
+    def test_pool_sweep_with_worker_kill_matches_serial(self):
         kwargs = dict(lifeguards=("addrcheck",), nthreads=2)
         serial = differential_sweep(range(3), **kwargs)
         chaos = differential_sweep(
-            range(3), jobs=2, executor="socket", heartbeat=0.1, retries=3,
-            backoff=_BACKOFF,
-            worker_faults=(parse_fault_spec("worker:kill:after=1"),),
+            range(3), jobs=2, retries=3, backoff=_BACKOFF,
+            worker_faults=(parse_fault_spec("worker:kill:after=1:count=1"),),
             **kwargs)
         as_bytes = lambda reports: json.dumps(
             [report_payload(r) for r in reports], sort_keys=True)
@@ -136,21 +111,20 @@ class TestChaosDiffSweep:
 
 @pytest.mark.slow
 class TestChaosSweepAcceptance:
-    """ISSUE 6 acceptance, full size: the 25-seed differential sweep on
-    the socket backend with an injected worker murder — and the same
-    sweep interrupted and resumed through a damaged checkpoint — both
-    merge byte-identical to ``--jobs 1``."""
+    """Full size: the 25-seed differential sweep on the pool with an
+    injected worker murder — and the same sweep interrupted and resumed
+    through a damaged checkpoint — both merge byte-identical to
+    ``--jobs 1``."""
 
     def _as_bytes(self, reports):
         return json.dumps([report_payload(r) for r in reports],
                           sort_keys=True)
 
-    def test_25_seed_socket_chaos_sweep_byte_identical(self, tmp_path):
+    def test_25_seed_pool_chaos_sweep_byte_identical(self):
         serial = differential_sweep(range(25))
         chaos = differential_sweep(
-            range(25), jobs=4, executor="socket", retries=3,
-            worker_faults=(parse_fault_spec("worker:kill:after=3"),),
-            shard_dir=str(tmp_path / "shards"))
+            range(25), jobs=4, retries=3,
+            worker_faults=(parse_fault_spec("worker:kill:after=3:count=1"),))
         assert self._as_bytes(serial) == self._as_bytes(chaos)
         assert all(r.ok for r in chaos)
 
@@ -173,7 +147,8 @@ class TestChaosSweepAcceptance:
         assert len(recovered) == len(jobs) // 3 - 1
         with pytest.warns(UserWarning):
             resumed = differential_sweep(
-                range(25), jobs=4, executor="socket", retries=3,
-                checkpoint_path=cp, resume=True,
-                worker_faults=(parse_fault_spec("worker:kill:after=3"),))
+                range(25), jobs=4, retries=3, checkpoint_path=cp,
+                resume=True,
+                worker_faults=(
+                    parse_fault_spec("worker:kill:after=3:count=1"),))
         assert self._as_bytes(serial) == self._as_bytes(resumed)

@@ -1,13 +1,11 @@
-"""Unit tests for the pluggable sweep-executor architecture.
+"""Unit tests for the sweep-executor architecture.
 
 Covers the pieces under :mod:`repro.jobs` that the behavioral tests in
 ``test_jobs.py`` / ``test_jobs_chaos.py`` exercise only end-to-end: the
-deterministic backoff policy, the lease table's two-deadline liveness
-model, the per-worker result shards, the buffered-but-synced checkpoint
-writer, the ladder resolution, and backend parity/degradation.
+deterministic backoff policy, the buffered-but-synced checkpoint
+writer, the inline/pool rule, and backend parity/degradation.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -16,17 +14,11 @@ import time
 
 import pytest
 
+from repro.faults import parse_fault_spec
 from repro.jobs import (
     BackoffPolicy,
     CheckpointWriter,
-    DEFAULT_HEARTBEAT,
-    Job,
-    LeaseTable,
-    ShardWriter,
-    executor_ladder,
     load_checkpoint,
-    load_shards,
-    result_digest,
     run_jobs,
 )
 from repro.trace.writer import TraceWriter
@@ -66,103 +58,6 @@ class TestBackoffPolicy:
             BackoffPolicy(base=-1.0)
         with pytest.raises(ValueError):
             BackoffPolicy(factor=0.5)
-
-
-# -- leases -------------------------------------------------------------------
-
-class TestLeaseTable:
-    def test_heartbeats_renew_soft_deadline_only(self):
-        table = LeaseTable()
-        lease = table.grant(1, "j0", now=100.0, ttl=2.0, timeout=10.0)
-        assert lease.expiry(101.9) is None
-        table.renew(1, 101.9)
-        assert lease.deadline == pytest.approx(103.9)
-        assert lease.hard_deadline == pytest.approx(110.0)  # NOT renewed
-        assert lease.heartbeats == 1
-
-    def test_expiry_reasons(self):
-        table = LeaseTable()
-        table.grant(1, "j0", now=0.0, ttl=2.0, timeout=10.0)
-        assert table.expired(1.0) == []
-        assert [r for _l, r in table.expired(3.0)] == ["lease"]
-        # a hung-but-beating worker: renewals keep the soft deadline
-        # fresh, so only the hard deadline can (and does) fire
-        table.renew(1, 9.5)
-        assert [r for _l, r in table.expired(10.0)] == ["timeout"]
-
-    def test_release_and_next_deadline(self):
-        table = LeaseTable()
-        table.grant(1, "a", now=0.0, ttl=5.0)
-        table.grant(2, "b", now=0.0, timeout=3.0)
-        assert table.next_deadline() == pytest.approx(3.0)
-        assert table.release(2).job_id == "b"
-        assert table.next_deadline() == pytest.approx(5.0)
-        assert table.release(99) is None
-        assert 1 in table and len(table) == 1
-
-    def test_no_deadlines_never_expires(self):
-        table = LeaseTable()
-        table.grant(1, "a", now=0.0)  # inline-style: no ttl, no timeout
-        assert table.expired(1e9) == []
-
-
-# -- shards -------------------------------------------------------------------
-
-class TestShards:
-    def _record(self, job_id, value):
-        return {"job_id": job_id, "status": "ok", "value": value,
-                "digest": result_digest(value)}
-
-    def test_round_trip_and_union(self, tmp_path):
-        shard_dir = str(tmp_path)
-        for name, ids in (("worker-0", ["a", "b"]), ("worker-1", ["c"])):
-            writer = ShardWriter(shard_dir, name)
-            for job_id in ids:
-                writer.append(self._record(job_id, {"v": job_id}))
-            writer.close()
-        records, skipped = load_shards(shard_dir)
-        assert sorted(records) == ["a", "b", "c"]
-        assert records["c"]["value"] == {"v": "c"}
-        assert skipped == 0
-
-    def test_corrupt_and_mismatched_lines_skipped(self, tmp_path):
-        shard_dir = str(tmp_path)
-        good = self._record("good", 42)
-        forged = dict(self._record("forged", 1), value=2)  # wrong digest
-        (tmp_path / "worker-0.jsonl").write_text(
-            json.dumps(good) + "\n"
-            + "torn-line{{{\n"
-            + json.dumps(forged) + "\n"
-            + json.dumps({"value": 1, "digest": "x"}) + "\n")  # no job_id
-        records, skipped = load_shards(shard_dir)
-        assert sorted(records) == ["good"]
-        assert skipped == 3
-
-    def test_missing_dir_is_empty(self, tmp_path):
-        records, skipped = load_shards(str(tmp_path / "nope"))
-        assert records == {} and skipped == 0
-
-    def test_resume_unions_shards_with_checkpoint(self, tmp_path):
-        """A result that reached a worker shard but never the
-        coordinator checkpoint (dead coordinator) is not recomputed."""
-        shard_dir = str(tmp_path / "shards")
-        cp = str(tmp_path / "cp.jsonl")
-        writer = ShardWriter(shard_dir, "worker-0")
-        writer.append(self._record("j1", {"square": 1}))
-        writer.close()
-        open(cp, "w").close()  # empty checkpoint: coordinator died early
-
-        ran = []
-
-        def counting_worker(payload):
-            ran.append(payload["n"])
-            return square_worker(payload)
-
-        results = run_jobs(_jobs(3), counting_worker, checkpoint_path=cp,
-                           resume=True, shard_dir=shard_dir)
-        assert ran == [0, 2]  # j1 recovered from the shard
-        assert [r.value["square"] for r in results] == [0, 1, 4]
-        assert results[1].resumed
 
 
 # -- checkpoint durability ----------------------------------------------------
@@ -226,80 +121,63 @@ class TestCheckpointWriter:
         assert recovered  # the synced lines parse and key resume
 
 
-# -- ladder / backends --------------------------------------------------------
+# -- backend rule / parity ---------------------------------------------------
 
-class TestExecutorLadder:
-    def test_auto_preserves_historical_mapping(self):
-        assert executor_ladder("auto", 1) == ("inline",)
-        assert executor_ladder("auto", 4) == ("pool", "inline")
+def _backends_used(**kwargs):
+    tracer = TraceWriter(categories=("jobs",), keep=True)
+    run_jobs(_jobs(2), square_worker, tracer=tracer, **kwargs)
+    return {e["executor"] for e in tracer.events if e["event"] == "start"}
 
-    def test_explicit_ladders(self):
-        assert executor_ladder("inline", 4) == ("inline",)
-        assert executor_ladder("pool", 4) == ("pool", "inline")
-        assert executor_ladder("socket", 4) == ("socket", "pool", "inline")
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            executor_ladder("carrier-pigeon", 2)
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_jobs(_jobs(1), square_worker, executor="carrier-pigeon")
+class TestBackendRule:
+    def test_backend_picked_from_inputs(self):
+        """Pool when there are several workers, a timeout to enforce or
+        worker faults to arm; inline otherwise."""
+        assert _backends_used() == {"inline"}
+        assert _backends_used(nworkers=2) == {"pool"}
+        assert _backends_used(timeout=60.0) == {"pool"}
+        assert _backends_used(worker_faults=(
+            parse_fault_spec("worker:kill:after=99"),)) == {"pool"}
+
+    def test_executor_keyword_removed(self):
+        with pytest.raises(TypeError, match="executor"):
+            run_jobs(_jobs(1), square_worker, executor="pool")
+
+    @pytest.mark.parametrize("timeout", [0, -3.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            run_jobs(_jobs(1), square_worker, nworkers=2, timeout=timeout)
 
 
 class TestBackendParity:
-    """Every backend produces the byte-identical canonical merge."""
+    """Both backends produce the byte-identical canonical merge."""
 
     @pytest.mark.parametrize("kwargs", [
-        dict(executor="inline"),
-        dict(executor="pool", nworkers=2),
-        dict(executor="socket", nworkers=2, heartbeat=0.1),
-    ], ids=["inline", "pool", "socket"])
+        dict(nworkers=1),
+        dict(nworkers=2),
+    ], ids=["inline", "pool"])
     def test_merge_identical_to_serial(self, kwargs):
         jobs = _jobs(6)
         serial = [r.to_json() for r in run_jobs(jobs, square_worker)]
         assert [r.to_json()
                 for r in run_jobs(jobs, square_worker, **kwargs)] == serial
 
-    def test_socket_failure_paths_match_pool_semantics(self):
-        """Crash and error statuses, attempt accounting and sibling
-        isolation hold on the socket backend too."""
-        jobs = _jobs(4, j1={"raise": "boom"}, j2={"exit": 7})
-        results = run_jobs(jobs, misbehaving_worker, nworkers=2,
-                           executor="socket", heartbeat=0.1, retries=1,
-                           backoff=BackoffPolicy.none())
-        by_id = {r.job_id: r for r in results}
-        assert by_id["j1"].status == "error"
-        assert by_id["j1"].attempts == 2
-        assert "boom" in by_id["j1"].error
-        assert by_id["j2"].status == "crashed"
-        assert by_id["j2"].attempts == 2
-        for sibling in ("j0", "j3"):
-            assert by_id[sibling].status == "ok"
-
-    def test_socket_hard_timeout_reaps_hung_worker(self):
-        jobs = _jobs(3, j0={"sleep": 60})
-        results = run_jobs(jobs, misbehaving_worker, nworkers=2,
-                           executor="socket", heartbeat=0.1, timeout=1.0,
-                           retries=0)
-        assert results[0].status == "timeout"
-        assert results[1].status == "ok" and results[2].status == "ok"
-
     def test_degradation_reaches_inline_floor(self, monkeypatch):
-        """With both process backends unable to start, the sweep
-        completes inline — and the ladder is traced."""
+        """With the pool unable to start, the sweep completes inline —
+        and the fallback is traced."""
         from repro.jobs import executors as ex
 
         def refuse_start(self):
             raise ex.ExecutorError("unavailable in this test")
 
-        monkeypatch.setattr(ex.SocketExecutor, "start", refuse_start)
         monkeypatch.setattr(ex.PoolExecutor, "start", refuse_start)
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(_jobs(3), square_worker, nworkers=2,
-                           executor="socket", tracer=tracer)
+                           tracer=tracer)
         assert all(r.ok for r in results)
         rungs = [(e["from_executor"], e["to_executor"])
                  for e in tracer.events if e["event"] == "degrade"]
-        assert rungs == [("socket", "pool"), ("pool", "inline")]
+        assert rungs == [("pool", "inline")]
 
     def test_retry_backoff_is_traced_with_delay(self):
         tracer = TraceWriter(categories=("jobs",), keep=True)
@@ -307,15 +185,3 @@ class TestBackendParity:
                  backoff=BackoffPolicy(base=0.01, cap=0.02), tracer=tracer)
         retries = [e for e in tracer.events if e["event"] == "retry"]
         assert retries and retries[0]["delay"] > 0
-
-    def test_heartbeat_default_exported(self):
-        assert DEFAULT_HEARTBEAT == 0.5
-
-    def test_socket_jobs_log_to_shards(self, tmp_path):
-        shard_dir = str(tmp_path)
-        run_jobs(_jobs(4), square_worker, nworkers=2, executor="socket",
-                 heartbeat=0.1, shard_dir=shard_dir)
-        records, skipped = load_shards(shard_dir)
-        assert sorted(records) == ["j0", "j1", "j2", "j3"]
-        assert skipped == 0
-        assert Job("j0").payload is None  # Job defaults stay lean

@@ -46,6 +46,7 @@ class TestNormalizeRunConfig:
         ({"workload": "lu", "timeout": -1}, "timeout"),
         ({"workload": "lu", "trace_filter": "bogus"}, "bogus"),
         ({"workload": "lu", "surprise": 1}, "unknown run config fields"),
+        ({"workload": "lu", "executor": "pool"}, "unknown run config fields"),
     ])
     def test_bad_configs_rejected(self, payload, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
@@ -59,7 +60,7 @@ class TestNormalizeRunConfig:
     def test_digest_covers_sim_fields_only(self):
         base = normalize_run_config({"workload": "lu", "seed": 3})
         assert run_digest(base) == run_digest(dict(base, timeout=5,
-                                                   executor="pool"))
+                                                   retries=2))
         assert run_digest(base) != run_digest(dict(base, seed=4))
 
 
@@ -249,6 +250,12 @@ class TestEndpoints:
                                 {"workload": "lu", "backend": "event"})
         assert status == 400
         assert payload["error"] == "unknown run config fields ['backend']"
+
+    def test_executor_field_rejected_400(self, server):
+        status, payload = _post(f"{server.url}/runs",
+                                {"workload": "lu", "executor": "pool"})
+        assert status == 400
+        assert payload["error"] == "unknown run config fields ['executor']"
 
     def test_non_json_body_400(self, server):
         request = urllib.request.Request(
