@@ -15,7 +15,9 @@ Commands:
 * ``replay`` — replay many: re-monitor a trace archive under any (or
   all) lifeguards straight from disk, no CMP re-simulation
   (``--jobs N`` fans lifeguards over worker processes;
-  ``--verify-live`` re-runs the live side and asserts byte-identity).
+  ``--verify-live`` re-captures the run the archive names, asserts the
+  file is byte-identical to it and runs the differential check with
+  its replay leg).
 * ``headline`` — the abstract's three claims.
 * ``swaptions`` — the Section 7 swaptions analysis.
 * ``perf`` — the benchmark harness / regression gate (forwards to
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=sorted(LIFEGUARDS),
                       help="lifeguard subset (default: all)")
     diff.add_argument("--threads", type=positive_int, default=2)
-    diff.add_argument("--length", type=int, default=18,
+    diff.add_argument("--length", type=non_negative_int, default=18,
                       help="random ops per thread script (default 18)")
     diff.add_argument("--output", metavar="PATH", default=None,
                       help="write the merged report payloads as JSON")
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default taintcheck; the archive itself "
                               "replays under any lifeguard)")
     archive.add_argument("--threads", type=positive_int, default=2)
-    archive.add_argument("--length", type=int, default=18,
+    archive.add_argument("--length", type=non_negative_int, default=18,
                          help="random ops per thread script (default 18)")
 
     rep = sub.add_parser(
@@ -245,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="lifeguard subset, or 'all' (default: all)")
     rep.add_argument("--verify-live", action="store_true",
                      help="re-run the live capture (from the archive's "
-                          "meta block) and assert the replay is "
-                          "byte-identical: verdicts, fingerprints, "
-                          "violation lists, retire orders")
+                          "meta block), assert the archive is "
+                          "byte-identical to it, and run the "
+                          "differential check with its replay leg")
     rep.add_argument("--output", metavar="PATH", default=None,
                      help="write the per-lifeguard replay payloads as "
                           "JSON (canonical form)")
@@ -522,21 +524,57 @@ def _cmd_replay(args) -> int:
             json.dump(payloads, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.verify_live:
-        from repro.trace.diff import replay_differential_check
-
-        for key in ("seed", "lifeguard", "nthreads", "length"):
-            if key not in meta:
-                print(f"error: --verify-live needs meta[{key!r}] in the "
-                      f"archive manifest (not a `repro archive` file?)",
-                      file=sys.stderr)
-                return 2
-        report = replay_differential_check(
-            meta["seed"], lifeguard=meta["lifeguard"],
-            nthreads=meta["nthreads"], length=meta["length"])
-        print(report.summary())
-        if not report.ok:
-            return 1
+        return _verify_live(args.archive, reader)
     return 0
+
+
+def _verify_live(path: str, reader) -> int:
+    """``replay --verify-live``: the archive must be byte-identical to a
+    live re-capture of the run its meta block names, and that run must
+    pass the differential check with its replay leg.
+
+    Exit codes: 0 verified, 1 divergence, 2 the archive cannot be
+    re-captured (no `repro archive` meta block, or a machine config
+    other than the default one for its thread count).
+    """
+    import os
+    import tempfile
+
+    from repro.replay import capture_archive, config_digest
+    from repro.trace.diff import differential_check
+
+    meta = reader.meta
+    seed, lifeguard, nthreads, length = (
+        meta.get(key) for key in ("seed", "lifeguard", "nthreads", "length"))
+    if not (isinstance(seed, int) and lifeguard in sorted(LIFEGUARDS)
+            and isinstance(nthreads, int) and nthreads >= 1
+            and isinstance(length, int) and length >= 0):
+        print(f"error: --verify-live needs a `repro archive` meta block "
+              f"(seed, lifeguard, nthreads, length), not {meta!r}",
+              file=sys.stderr)
+        return 2
+    config = SimulationConfig.for_threads(nthreads)
+    if reader.manifest.get("config_digest") != config_digest(config):
+        print(f"error: --verify-live re-captures under the default "
+              f"{nthreads}-thread machine config, but {path} was captured "
+              f"under another (config_digest differs)", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        recaptured = os.path.join(tmp, "live.plog")
+        capture_archive(recaptured, seed, lifeguard=lifeguard,
+                        nthreads=nthreads, length=length, config=config)
+        with open(recaptured, "rb") as handle:
+            live_bytes = handle.read()
+    with open(path, "rb") as handle:
+        if handle.read() != live_bytes:
+            print(f"FAIL: {path} is not byte-identical to a live "
+                  f"re-capture of seed {seed} ({lifeguard}, "
+                  f"t{nthreads}, length {length})")
+            return 1
+    report = differential_check(seed, lifeguard, nthreads, length, config,
+                                replay=True)
+    print(report.summary())
+    return 0 if report.ok else 1
 
 
 def _cmd_figure(args, benches, scale) -> int:

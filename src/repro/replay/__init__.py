@@ -5,15 +5,14 @@ the replay engine (:mod:`repro.replay.engine`) split capture from
 monitoring: one live run's captured inter-thread order is serialized to
 a compact ``.plog`` file, then any of the four lifeguards — or all of
 them, in parallel worker processes — re-monitors it from disk without
-re-simulating the CMP. The replay-vs-live differential layer lives in
-:mod:`repro.trace.diff` (``replay_differential_check`` /
-``replay_sweep``).
+re-simulating the CMP. The replay-vs-live check is the replay leg of
+:func:`repro.trace.diff.differential_check` (``replay=True``, swept by
+``differential_sweep(..., replay=True)``).
 """
 
 from repro.replay.engine import (
     ReplayResult,
     capture_archive,
-    lifeguard_replay_factory,
     replay_all,
     replay_archive,
     replay_job,
@@ -39,7 +38,6 @@ __all__ = [
     "canonical_json",
     "capture_archive",
     "config_digest",
-    "lifeguard_replay_factory",
     "replay_all",
     "replay_archive",
     "replay_job",

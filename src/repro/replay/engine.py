@@ -30,6 +30,7 @@ from repro.lifeguards import LIFEGUARDS
 from repro.lifeguards.oracle import replay_events
 from repro.platform import run_parallel_monitoring
 from repro.replay.format import TraceReader, canonical_json, write_archive
+from repro.trace.diff import RacyProgram, lifeguard_factory, verdict_projection
 
 _HEAP_RANGE = AddressLayout.heap_range()
 
@@ -60,19 +61,6 @@ class ReplayResult:
                 f"verdicts={list(self.verdicts)}")
 
 
-def lifeguard_replay_factory(name: str):
-    """The replay-side lifeguard factory for a registry ``name``.
-
-    Delegates to :func:`repro.trace.diff.lifeguard_factory` so live and
-    replayed lifeguards are configured identically (TaintCheck's
-    order-dependent conservative-race-taint policy stays off on both
-    sides — byte-identical verdicts depend on it).
-    """
-    from repro.trace.diff import lifeguard_factory
-
-    return lifeguard_factory(name)
-
-
 def replay_archive(archive, lifeguard: str) -> ReplayResult:
     """Replay one archive through one lifeguard, no CMP re-simulation.
 
@@ -82,13 +70,14 @@ def replay_archive(archive, lifeguard: str) -> ReplayResult:
     once and shared). The delivered order is the archive's global
     coherence linearization — exactly what the sequential oracle
     consumes, and proven fingerprint-identical to live parallel
-    monitoring by the differential harness.
+    monitoring by the differential harness. The lifeguard is built by
+    :func:`~repro.trace.diff.lifeguard_factory`, exactly as on the live
+    side (TaintCheck's order-dependent race-taint policy stays off on
+    both — byte-identical verdicts depend on it).
     """
-    from repro.trace.diff import verdict_projection
-
     reader = archive if isinstance(archive, TraceReader) \
         else TraceReader(archive)
-    factory = lifeguard_replay_factory(lifeguard)
+    factory = lifeguard_factory(lifeguard)
     populated = replay_events(reader.delivered(),
                               lambda: factory(heap_range=_HEAP_RANGE))
     retire_orders = reader.retire_orders()
@@ -184,23 +173,33 @@ def capture_archive(path: str, seed: int, lifeguard: str = "taintcheck",
     re-run the live side for differential verification
     (``python -m repro replay --verify-live``).
     """
-    from repro.trace.diff import RacyProgram
-
     program = RacyProgram.generate(seed, nthreads=nthreads, length=length)
-    factory = lifeguard_replay_factory(lifeguard)
     config = config or SimulationConfig.for_threads(nthreads)
-    result = run_parallel_monitoring(program.workload(), factory, config,
+    result = run_parallel_monitoring(program.workload(),
+                                     lifeguard_factory(lifeguard), config,
                                      keep_trace=True)
-    manifest = write_archive(
-        path, result.trace, nthreads=nthreads, config=config,
+    return result, write_capture(path, program, result, lifeguard=lifeguard,
+                                 length=length, config=config)
+
+
+def write_capture(path: str, program, result, *, lifeguard: str,
+                  length: int, config: SimulationConfig) -> dict:
+    """Archive ``result``, a live parallel run of the racy ``program``;
+    returns the manifest.
+
+    The one writer behind :func:`capture_archive` and the differential
+    check's replay leg, so both produce the same bytes for the same
+    seed, lifeguard, shape and ``config``.
+    """
+    return write_archive(
+        path, result.trace, nthreads=program.nthreads, config=config,
         meta={
             "generator": "racy",
-            "seed": seed,
+            "seed": program.seed,
             "lifeguard": lifeguard,
-            "nthreads": nthreads,
+            "nthreads": program.nthreads,
             "length": length,
             "scheme": "parallel",
             "workload": program.workload().name,
             "instructions": result.instructions,
         })
-    return result, manifest

@@ -26,6 +26,10 @@ program under all three platform schemes, asserting:
    unmonitored baseline) retire the same application instruction count.
 6. **Planted-bug detection** — the verdicts match what the generator
    planted, computed from the scripts alone.
+7. **Replay** (``replay=True``) — the parallel run, archived to disk,
+   replays byte-identically to live under its own lifeguard, replays to
+   the same bytes from a fresh reader, and reports exactly the planted
+   bugs under every lifeguard.
 
 The generator is deliberately conservative so that verdicts are
 interleaving-*independent* even though the programs race constantly:
@@ -47,7 +51,7 @@ from repro.capture.events import RecordKind
 from repro.common.config import SimulationConfig
 from repro.cpu.os_model import AddressLayout
 from repro.lifeguards import LIFEGUARDS
-from repro.lifeguards.oracle import replay
+from repro.lifeguards.oracle import replay as oracle_replay
 from repro.platform import (
     run_no_monitoring,
     run_parallel_monitoring,
@@ -64,11 +68,6 @@ __all__ = [
     "differential_check",
     "differential_sweep",
     "lifeguard_factory",
-    "replay_diff_job",
-    "replay_differential_check",
-    "replay_fanout_check",
-    "replay_sweep",
-    "replay_sweep_jobs",
     "report_from_payload",
     "report_payload",
     "sweep_jobs",
@@ -361,8 +360,14 @@ class DiffReport:
 def differential_check(seed: int, lifeguard: str = "taintcheck",
                        nthreads: int = 2, length: int = 18,
                        config: SimulationConfig = None,
-                       check_planted: bool = True) -> DiffReport:
-    """Run one seeded racy program under all three schemes and compare."""
+                       replay: bool = False) -> DiffReport:
+    """Run one seeded racy program under all three schemes and compare.
+
+    ``replay=True`` also archives the parallel run and replays it from
+    disk under every lifeguard (:func:`_replay_failures`), so the
+    record-once/replay-many contract is checked on the same run, under
+    the same ``config``.
+    """
     program = RacyProgram.generate(seed, nthreads=nthreads, length=length)
     factory = lifeguard_factory(lifeguard)
     config = config or SimulationConfig.for_threads(nthreads)
@@ -400,8 +405,8 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
     #    captured coherence order (serialized metadata-update order)
     for scheme in MONITORED_SCHEMES:
         result = results[scheme]
-        oracle = replay(result.trace,
-                        lambda: factory(heap_range=_HEAP_RANGE))
+        oracle = oracle_replay(result.trace,
+                               lambda: factory(heap_range=_HEAP_RANGE))
         if (result.lifeguard_obj.metadata_fingerprint()
                 != oracle.metadata_fingerprint()):
             report.failures.append(
@@ -434,27 +439,32 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
             f"instruction counts diverge: {report.instructions}")
 
     # 6. the planted bugs (and nothing else) are reported
-    if check_planted:
-        report.failures.extend(
-            _check_planted(program, lifeguard,
-                           results["parallel"].violations))
+    live = results["parallel"]
+    violations = [(v.kind, v.tid, v.rid, v.detail) for v in live.violations]
+    report.failures.extend(_planted_failures(program, lifeguard, violations))
+
+    # 7. the parallel run, archived and replayed from disk
+    if replay:
+        report.failures.extend(_replay_failures(
+            program, lifeguard, length, config, live, violations))
     return report
 
 
-def _check_planted(program: RacyProgram, lifeguard_name: str,
-                   violations) -> List[str]:
+def _planted_failures(program: RacyProgram, lifeguard_name: str,
+                      violations) -> List[str]:
+    """Failures for ``(kind, tid, rid, detail)`` violation tuples that
+    are not exactly the bugs the generator planted."""
     if lifeguard_name == "lockset":
         if program.nthreads < 2:
             return []
         raced = set()
-        for violation in violations:
-            if violation.kind != "data-race":
-                return [f"unexpected lockset verdict {violation.kind!r}"]
+        for kind, _tid, _rid, detail in violations:
+            if kind != "data-race":
+                return [f"unexpected lockset verdict {kind!r}"]
             try:
-                raced.add(int(violation.detail.split()[1], 0))
+                raced.add(int(detail.split()[1], 0))
             except (IndexError, ValueError):
-                return [f"unparseable data-race detail "
-                        f"{violation.detail!r}"]
+                return [f"unparseable data-race detail {detail!r}"]
         if raced != set(SHARED_SLOTS):
             missing = sorted(hex(a) for a in set(SHARED_SLOTS) - raced)
             extra = sorted(hex(a) for a in raced - set(SHARED_SLOTS))
@@ -462,11 +472,113 @@ def _check_planted(program: RacyProgram, lifeguard_name: str,
                     f"(missing={missing}, extra={extra})"]
         return []
     expected = program.expected_verdicts(lifeguard_name)
-    observed = Counter((v.kind, v.tid) for v in violations)
+    observed = Counter((kind, tid) for kind, tid, _rid, _detail in violations)
     if observed != expected:
         return [f"{lifeguard_name} verdicts {sorted(observed.items())} "
                 f"!= planted {sorted(expected.items())}"]
     return []
+
+
+def _record_fields(record, commit_base: int = 0) -> tuple:
+    """Every field of a captured record, for exact archive comparison.
+
+    ``commit_base`` rebases live commit times the way the archive writer
+    does (archives root theirs at 1; live values carry process history).
+    """
+    return (record.tid, record.rid, int(record.kind), record.addr,
+            record.size, record.rd, record.rs1, record.rs2,
+            int(record.hl_kind) if record.hl_kind is not None else None,
+            tuple(record.ranges), record.critical_kind,
+            tuple(record.arcs or ()), record.ca_id, record.ca_issuer,
+            record.consume_version,
+            tuple(tuple(v) for v in record.produce_versions or ()),
+            record.commit_time - commit_base
+            if record.commit_time is not None else None)
+
+
+def _replay_failures(program: RacyProgram, lifeguard: str, length: int,
+                     config: SimulationConfig, live,
+                     violations) -> List[str]:
+    """Archive the live parallel run, replay it from disk, compare.
+
+    The archive holds the bytes ``repro archive`` writes for the same
+    seed, lifeguard and config. One reader then drives every replay:
+
+    a. **live identity** — ``lifeguard``'s replay reproduces the live
+       run byte for byte: verdict projection, full violation list,
+       metadata fingerprint, and every decoded record field (live
+       commit times rebased the way the writer roots them at 1);
+    b. **re-replay** — a fresh reader of the same file gives the same
+       payload bytes as the shared one (the archive, not the process,
+       is the source of truth);
+    c. **fan-out** — every lifeguard's replay reports exactly the
+       planted bugs. Verdicts are interleaving-independent by generator
+       design, so any capture feeds any lifeguard; fingerprints are not
+       (heap addresses move), hence byte identity only for ``lifeguard``.
+    """
+    import os
+    import shutil
+    import tempfile
+
+    from repro.replay import (
+        TraceReader,
+        canonical_json,
+        replay_archive,
+        replay_payload,
+    )
+    from repro.replay.engine import write_capture
+
+    tmp = tempfile.mkdtemp(prefix="repro-replay-")
+    try:
+        path = os.path.join(tmp, f"seed{program.seed}.plog")
+        write_capture(path, program, live, lifeguard=lifeguard,
+                      length=length, config=config)
+        reader = TraceReader(path)
+        replays = {name: replay_archive(reader, name)
+                   for name in sorted(LIFEGUARDS)}
+        fresh = replay_archive(TraceReader(path), lifeguard)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    own = replays[lifeguard]
+    failures = []
+
+    # a. live identity: verdicts, violations, fingerprint, streams
+    projection = verdict_projection(live.violations, lifeguard)
+    if canonical_json(projection) != canonical_json(own.verdicts):
+        failures.append(
+            "replay verdict projection diverges from live:\n"
+            f"      live:   {list(projection)}\n"
+            f"      replay: {list(own.verdicts)}")
+    if violations != own.violations:
+        failures.append(
+            f"replay violation list diverges from live "
+            f"({len(violations)} live vs {len(own.violations)} replayed)")
+    if (canonical_json(live.lifeguard_obj.metadata_fingerprint())
+            != canonical_json(own.fingerprint)):
+        failures.append("replay metadata fingerprint diverges from live")
+    commit_base = (min(r.commit_time for r in live.trace) - 1
+                   if live.trace else 0)
+    live_streams = {tid: [] for tid in range(program.nthreads)}
+    for record in live.trace:
+        live_streams[record.tid].append(_record_fields(record, commit_base))
+    for tid, live_fields in live_streams.items():
+        archived = [_record_fields(r) for r in reader.records(tid)]
+        if live_fields != archived:
+            failures.append(
+                f"t{tid}: archived stream diverges from the live capture: "
+                + _first_divergence({tid: live_fields}, {tid: archived}))
+
+    # b. re-replay from a fresh reader -> identical bytes
+    if (canonical_json(replay_payload(own))
+            != canonical_json(replay_payload(fresh))):
+        failures.append(
+            "re-replay of the same archive produced different bytes")
+
+    # c. every lifeguard replayed from this archive sees the planted bugs
+    for name, result in replays.items():
+        failures.extend(f"replayed {failure}" for failure in
+                        _planted_failures(program, name, result.violations))
+    return failures
 
 
 def report_payload(report: DiffReport) -> dict:
@@ -516,286 +628,35 @@ def diff_job(payload: dict) -> dict:
 
     Module-level (pickled by reference into worker processes); the
     simulator is deterministic per seed, so the returned payload is
-    identical no matter which process computes it.
+    identical no matter which process computes it. ``payload`` holds
+    :func:`differential_check`'s keyword arguments.
     """
-    report = differential_check(payload["seed"],
-                                lifeguard=payload["lifeguard"],
-                                nthreads=payload["nthreads"],
-                                length=payload["length"])
-    return report_payload(report)
+    return report_payload(differential_check(**payload))
 
 
 def sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
-               length: int = 18) -> list:
+               length: int = 18, replay: bool = False) -> list:
     """The canonical job list for a differential sweep: one job per
-    (seed, lifeguard) cell, ids stable across runs for checkpointing."""
+    (seed, lifeguard) cell, ids stable across runs for checkpointing
+    (replay cells carry a ``:replay`` suffix)."""
     from repro.jobs import Job
 
     lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
+    suffix = ":replay" if replay else ""
     return [
-        Job(f"seed{seed:05d}:{name}:t{nthreads}:l{length}",
+        Job(f"seed{seed:05d}:{name}:t{nthreads}:l{length}{suffix}",
             {"seed": seed, "lifeguard": name, "nthreads": nthreads,
-             "length": length})
+             "length": length, "replay": replay})
         for seed in seeds for name in lifeguards
     ]
-
-
-# ---------------------------------------------------------------------------
-# Replay-vs-live differential layer (record once, replay many)
-# ---------------------------------------------------------------------------
-
-def _record_fields(record, commit_base: int = 0) -> tuple:
-    """Every field of a captured record, for exact archive comparison.
-
-    ``commit_base`` rebases live commit times the way the archive writer
-    does (archives root theirs at 1; live values carry process history).
-    """
-    return (record.tid, record.rid, int(record.kind), record.addr,
-            record.size, record.rd, record.rs1, record.rs2,
-            int(record.hl_kind) if record.hl_kind is not None else None,
-            tuple(record.ranges), record.critical_kind,
-            tuple(record.arcs or ()), record.ca_id, record.ca_issuer,
-            record.consume_version,
-            tuple(tuple(v) for v in record.produce_versions or ()),
-            record.commit_time - commit_base
-            if record.commit_time is not None else None)
-
-
-def replay_differential_check(seed: int, lifeguard: str = "taintcheck",
-                              nthreads: int = 2, length: int = 18,
-                              archive_path: str = None) -> DiffReport:
-    """Live-monitor one seeded racy program, archive it, replay it.
-
-    The strict acceptance check of the record-once/replay-many design:
-    the archived run, replayed from disk through the same lifeguard,
-    must reproduce the live run *byte-for-byte* —
-
-    1. **verdicts** — the full violation list (kind, tid, rid, detail)
-       and its scheme-independent projection, as canonical JSON bytes;
-    2. **fingerprints** — the lifeguard's exact semantic state
-       (memory metadata, register metadata, violation kinds);
-    3. **retire orders** — every thread's archived stream decodes to
-       the live captured records, all fields including dependence arcs
-       and commit times;
-    4. **re-replay** — replaying the same archive twice produces
-       identical payload bytes (the archive, not the process, is the
-       source of truth).
-    """
-    import os
-    import tempfile
-
-    from repro.replay import (
-        TraceReader,
-        canonical_json,
-        capture_archive,
-        replay_archive,
-        replay_payload,
-    )
-
-    report = DiffReport(seed=seed, lifeguard=lifeguard, nthreads=nthreads)
-    tmp = None
-    if archive_path is None:
-        tmp = tempfile.mkdtemp(prefix="repro-replay-")
-        archive_path = os.path.join(tmp, f"seed{seed}.plog")
-    try:
-        live, manifest = capture_archive(
-            archive_path, seed, lifeguard=lifeguard, nthreads=nthreads,
-            length=length)
-        reader = TraceReader(archive_path)
-        first = replay_archive(reader, lifeguard)
-        second = replay_archive(TraceReader(archive_path), lifeguard)
-
-        report.verdicts["live"] = verdict_projection(live.violations,
-                                                     lifeguard)
-        report.verdicts["replay"] = first.verdicts
-        report.instructions["live"] = live.instructions
-        report.instructions["replay"] = manifest["meta"]["instructions"]
-        totals = manifest["totals"]
-        report.perf["archive"] = {
-            "stream_bytes": totals["stream_bytes"],
-            "arc_bytes": totals["arc_bytes"],
-            "naive_arc_bytes": totals["naive_arc_bytes"],
-            "records": totals["records"],
-        }
-
-        # 1. verdicts: projection and the full violation list
-        if (canonical_json(report.verdicts["live"])
-                != canonical_json(first.verdicts)):
-            report.failures.append(
-                "replay verdict projection diverges from live:\n"
-                f"      live:   {list(report.verdicts['live'])}\n"
-                f"      replay: {list(first.verdicts)}")
-        live_violations = [(v.kind, v.tid, v.rid, v.detail)
-                           for v in live.violations]
-        if live_violations != first.violations:
-            report.failures.append(
-                f"replay violation list diverges from live "
-                f"({len(live_violations)} live vs "
-                f"{len(first.violations)} replayed)")
-
-        # 2. fingerprints, byte-compared in canonical form
-        live_fp = live.lifeguard_obj.metadata_fingerprint()
-        if canonical_json(live_fp) != canonical_json(first.fingerprint):
-            report.failures.append(
-                "replay metadata fingerprint diverges from live")
-
-        # 3. retire orders: archived streams decode to the live records
-        # (live commit times rebased the way the archive writer roots
-        # them at 1 — see repro.replay.format._commit_base)
-        live_streams = {tid: [] for tid in range(nthreads)}
-        for record in live.trace:
-            live_streams[record.tid].append(record)
-        commit_base = min(r.commit_time for r in live.trace) - 1 \
-            if live.trace else 0
-        for tid in sorted(live_streams):
-            live_fields = [_record_fields(r, commit_base)
-                           for r in live_streams[tid]]
-            archived_fields = [_record_fields(r)
-                               for r in reader.records(tid)]
-            if live_fields != archived_fields:
-                report.failures.append(
-                    f"t{tid}: archived stream diverges from the live "
-                    f"capture: " + _first_divergence(
-                        {tid: live_fields}, {tid: archived_fields}))
-
-        # 4. same archive twice -> identical bytes
-        if (canonical_json(replay_payload(first))
-                != canonical_json(replay_payload(second))):
-            report.failures.append(
-                "re-replay of the same archive produced different bytes")
-    finally:
-        if tmp is not None:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-    return report
-
-
-class _ViolationView:
-    """Attribute view over a (kind, tid, rid, detail) violation tuple,
-    so planted-bug checks accept replayed payloads."""
-
-    __slots__ = ("kind", "tid", "rid", "detail")
-
-    def __init__(self, entry):
-        self.kind, self.tid, self.rid, self.detail = entry
-
-
-def replay_fanout_check(seed: int, nthreads: int = 2, length: int = 18,
-                        capture_lifeguard: str = "taintcheck",
-                        lifeguards=None, jobs: int = 1,
-                        archive_path: str = None) -> DiffReport:
-    """Archive one run once; replay *every* lifeguard from that file.
-
-    The capture side runs a single live monitored execution; each
-    requested lifeguard then re-monitors the stored order from disk.
-    Checks: every replayed lifeguard reports exactly the planted bugs
-    (the generator's interleaving-independent ground truth), and a
-    parallel ``jobs=N`` fan-out returns byte-identical payloads to the
-    serial one.
-    """
-    import os
-    import tempfile
-
-    from repro.replay import canonical_json, capture_archive, replay_all
-
-    names = sorted(lifeguards or LIFEGUARDS)
-    report = DiffReport(seed=seed, lifeguard=",".join(names),
-                        nthreads=nthreads)
-    tmp = None
-    if archive_path is None:
-        tmp = tempfile.mkdtemp(prefix="repro-replay-")
-        archive_path = os.path.join(tmp, f"seed{seed}.plog")
-    try:
-        program = RacyProgram.generate(seed, nthreads=nthreads,
-                                       length=length)
-        live, _manifest = capture_archive(
-            archive_path, seed, lifeguard=capture_lifeguard,
-            nthreads=nthreads, length=length)
-        report.instructions["live"] = live.instructions
-        serial = replay_all(archive_path, lifeguards=names)
-        for name in names:
-            payload = serial[name]
-            report.verdicts[name] = _tuplize(payload["verdicts"])
-            violations = [_ViolationView(entry)
-                          for entry in payload["violations"]]
-            report.failures.extend(
-                f"replayed {failure}"
-                for failure in _check_planted(program, name, violations))
-        if jobs > 1:
-            parallel = replay_all(archive_path, lifeguards=names, jobs=jobs)
-            if canonical_json(parallel) != canonical_json(serial):
-                report.failures.append(
-                    f"--jobs {jobs} replay fan-out diverges from the "
-                    f"serial replay of the same archive")
-    finally:
-        if tmp is not None:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-    return report
-
-
-def replay_diff_job(payload: dict) -> dict:
-    """``repro.jobs`` worker: one replay-vs-live differential cell."""
-    report = replay_differential_check(payload["seed"],
-                                       lifeguard=payload["lifeguard"],
-                                       nthreads=payload["nthreads"],
-                                       length=payload["length"])
-    return report_payload(report)
-
-
-def replay_sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
-                      length: int = 18) -> list:
-    """Stable job list for a replay differential sweep (one job per
-    (seed, lifeguard) cell, ids checkpoint-stable across runs)."""
-    from repro.jobs import Job
-
-    lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
-    return [
-        Job(f"replay{seed:05d}:{name}:t{nthreads}:l{length}",
-            {"seed": seed, "lifeguard": name, "nthreads": nthreads,
-             "length": length})
-        for seed in seeds for name in lifeguards
-    ]
-
-
-def replay_sweep(seeds, lifeguards=None, nthreads: int = 2,
-                 length: int = 18, jobs: int = 1,
-                 tracer=None) -> List[DiffReport]:
-    """:func:`replay_differential_check` over a seed range.
-
-    Returns reports in canonical (seed, lifeguard) order; callers assert
-    ``all(r.ok for r in reports)``. ``jobs=N`` fans cells over
-    :mod:`repro.jobs` worker processes — each worker archives to its
-    own temporary file, so the sweep is embarrassingly parallel.
-    """
-    from repro.jobs import run_jobs
-
-    results = run_jobs(replay_sweep_jobs(seeds, lifeguards, nthreads,
-                                         length),
-                       replay_diff_job, nworkers=jobs, tracer=tracer)
-    return _sweep_reports("replay", results)
-
-
-def _sweep_reports(kind: str, results) -> List[DiffReport]:
-    """Rebuild each cell's report, raising on the first failed cell."""
-    reports = []
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                f"{kind} cell {result.job_id} failed "
-                f"({result.status}, exit {result.exit_code}): "
-                f"{result.error}")
-        reports.append(report_from_payload(result.value))
-    return reports
 
 
 def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
-                       length: int = 18, jobs: int = 1,
-                       checkpoint_path: str = None, resume: bool = False,
-                       timeout: float = None, retries: int = 1,
-                       backoff=None, worker_faults=(), fault_seed: int = 0,
+                       length: int = 18, replay: bool = False,
+                       jobs: int = 1, checkpoint_path: str = None,
+                       resume: bool = False, timeout: float = None,
+                       retries: int = 1, backoff=None, worker_faults=(),
+                       fault_seed: int = 0,
                        tracer=None) -> List[DiffReport]:
     """Run :func:`differential_check` over a seed range; returns all
     reports in canonical (seed, lifeguard) order (callers assert
@@ -804,14 +665,25 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
     Every cell runs through the :mod:`repro.jobs` executor, whose
     canonical-order merge keeps the result list — and its serialized
     form — byte-identical to ``jobs=1`` even under worker-level chaos
-    faults (``worker_faults``/``fault_seed``).
+    faults (``worker_faults``/``fault_seed``). ``replay=True`` adds the
+    archive-and-replay leg to every cell; each cell archives to its own
+    temporary file, so the sweep stays embarrassingly parallel.
     """
     from repro.jobs import run_jobs
 
-    results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length),
+    results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length,
+                                  replay),
                        diff_job, nworkers=jobs, timeout=timeout,
                        retries=retries, checkpoint_path=checkpoint_path,
                        resume=resume, backoff=backoff,
                        worker_faults=worker_faults, fault_seed=fault_seed,
                        tracer=tracer)
-    return _sweep_reports("differential", results)
+    reports = []
+    for result in results:
+        if not result.ok:
+            raise RuntimeError(
+                f"differential cell {result.job_id} failed "
+                f"({result.status}, exit {result.exit_code}): "
+                f"{result.error}")
+        reports.append(report_from_payload(result.value))
+    return reports

@@ -49,6 +49,10 @@ class TestBadIntegerFlags:
         (["diff", "--timeout", "nan"],
          "--timeout: must be a finite number > 0"),
         (["diff", "--timeout", "soon"], "invalid float value: 'soon'"),
+        (["diff", "--seeds", "1", "--length", "-3"],
+         "--length: must be >= 0"),
+        (["archive", "out.plog", "--length", "-3"],
+         "--length: must be >= 0"),
     ])
     def test_rejected_by_argparse(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +230,46 @@ class TestArchiveReplay:
         capsys.readouterr()
         assert main(["replay", str(archive), "--verify-live"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_replay_verify_live_rejects_a_tso_archive(self, tmp_path,
+                                                      capsys):
+        """--verify-live re-captures under the default config only, so
+        an archive captured under TSO cannot be verified: exit 2."""
+        from repro.common.config import MemoryModel, SimulationConfig
+        from repro.replay import capture_archive
+
+        archive = tmp_path / "tso.plog"
+        capture_archive(archive, 0, config=SimulationConfig.for_threads(
+            2, memory_model=MemoryModel.TSO))
+        assert main(["replay", str(archive), "--verify-live"]) == 2
+        assert "config_digest differs" in capsys.readouterr().err
+
+    def test_replay_verify_live_rejects_a_swapped_meta_seed(self, tmp_path,
+                                                            capsys):
+        """Seed 5's captured order under seed 3's meta block replays
+        fine, but is not what a live run of seed 3 captures: exit 1."""
+        from repro.common.config import SimulationConfig
+        from repro.replay import capture_archive, write_archive
+
+        archive = tmp_path / "swapped.plog"
+        live, manifest = capture_archive(archive, 5)
+        write_archive(archive, live.trace, nthreads=2,
+                      config=SimulationConfig.for_threads(2),
+                      meta=dict(manifest["meta"], seed=3))
+        assert main(["replay", str(archive), "--verify-live"]) == 1
+        out = capsys.readouterr().out
+        assert "not byte-identical to a live re-capture of seed 3" in out
+
+    def test_replay_verify_live_rejects_a_foreign_meta_block(self, tmp_path,
+                                                             capsys):
+        from repro.replay import capture_archive, write_archive
+
+        archive = tmp_path / "foreign.plog"
+        live, manifest = capture_archive(archive, 5)
+        write_archive(archive, live.trace, nthreads=2,
+                      meta=dict(manifest["meta"], nthreads="two"))
+        assert main(["replay", str(archive), "--verify-live"]) == 2
+        assert "needs a `repro archive` meta block" in capsys.readouterr().err
 
     def test_replay_writes_payload_json(self, tmp_path, capsys):
         import json

@@ -1,17 +1,20 @@
-"""Tests for the replay engine and the replay-vs-live differential.
+"""Tests for the replay engine and the differential check's replay leg.
 
 Fast tier: a handful of seeds proving the record-once/replay-many
 contract — live verdicts/fingerprints/violation lists byte-identical to
 the archive replayed from disk, one archive fanning out to all four
 lifeguards, and parallel ``--jobs`` replay matching serial byte for
 byte. Slow tier (``-m slow``): the 25-seed × 4-lifeguard acceptance
-sweep from the PR's acceptance criteria.
+sweep, ``differential_sweep(..., replay=True)``, and the 25-seed
+``--jobs 4`` fan-out.
 """
 
 import json
 
 import pytest
 
+import repro.replay
+import repro.replay.engine
 import repro.replay.format
 from repro.common.config import MemoryModel, SimulationConfig
 from repro.cpu.os_model import AddressLayout
@@ -21,15 +24,15 @@ from repro.replay import (
     TraceReader,
     canonical_json,
     capture_archive,
-    lifeguard_replay_factory,
     replay_all,
     replay_archive,
     replay_payload,
 )
 from repro.trace.diff import (
-    replay_differential_check,
-    replay_fanout_check,
-    replay_sweep,
+    differential_check,
+    differential_sweep,
+    lifeguard_factory,
+    report_payload,
 )
 
 
@@ -105,7 +108,7 @@ class TestSharedDeliveredStream:
             assert _payloads(TraceReader(archive), order) == fresh
         records = TraceReader(archive).all_records()
         for name in names:
-            factory = lifeguard_replay_factory(name)
+            factory = lifeguard_factory(name)
             oracle = replay(records, lambda: factory(
                 heap_range=AddressLayout.heap_range()))
             payload = json.loads(fresh[name])
@@ -165,36 +168,100 @@ class TestReplayAll:
 class TestReplayDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_taintcheck_cells(self, seed):
-        replay_differential_check(seed).assert_ok()
+        differential_check(seed, replay=True).assert_ok()
 
     @pytest.mark.parametrize("lifeguard",
                              ["addrcheck", "lockset", "memcheck"])
     def test_other_lifeguards(self, lifeguard):
-        replay_differential_check(1, lifeguard=lifeguard).assert_ok()
+        differential_check(1, lifeguard=lifeguard, replay=True).assert_ok()
 
-    def test_fanout_against_planted_bugs(self):
-        replay_fanout_check(2, jobs=2).assert_ok()
+    def test_fanout_against_planted_bugs(self, monkeypatch):
+        """Every lifeguard replayed from the archive is held to the
+        planted bugs: a replay that loses one turns the cell red."""
+        real = repro.replay.replay_archive
 
-    def test_report_carries_archive_economics(self):
-        report = replay_differential_check(0)
-        economics = report.perf["archive"]
-        assert economics["stream_bytes"] > 0
-        assert economics["arc_bytes"] < economics["naive_arc_bytes"]
+        def lossy(archive, lifeguard):
+            result = real(archive, lifeguard)
+            if lifeguard == "memcheck":
+                result.violations = result.violations[:-1]
+            return result
+
+        differential_check(2, replay=True).assert_ok()
+        monkeypatch.setattr(repro.replay, "replay_archive", lossy)
+        report = differential_check(2, replay=True)
+        assert [failure for failure in report.failures
+                if failure.startswith("replayed memcheck verdicts")]
+        assert len(report.failures) == 1, report.failures
+
+    def test_divergent_own_replay_is_caught(self, monkeypatch):
+        real = repro.replay.replay_archive
+
+        def lossy(archive, lifeguard):
+            result = real(archive, lifeguard)
+            result.violations = result.violations[:-1]
+            return result
+
+        monkeypatch.setattr(repro.replay, "replay_archive", lossy)
+        report = differential_check(0, replay=True)
+        assert any("violation list diverges from live" in failure
+                   for failure in report.failures), report.failures
+
+    @pytest.mark.parametrize("seed,lifeguard",
+                             [(0, "taintcheck"), (3, "lockset")])
+    def test_replay_leg_writes_the_repro_archive_bytes(
+            self, seed, lifeguard, tmp_path, monkeypatch):
+        """The leg archives the parallel run it already simulated (with
+        the engine tracer on) to the bytes ``capture_archive`` writes."""
+        capture_archive(tmp_path / "s.plog", seed, lifeguard=lifeguard)
+        written = []
+        real = repro.replay.engine.write_capture
+
+        def spy(path, *args, **kwargs):
+            manifest = real(path, *args, **kwargs)
+            with open(path, "rb") as handle:
+                written.append(handle.read())
+            return manifest
+
+        monkeypatch.setattr(repro.replay.engine, "write_capture", spy)
+        differential_check(seed, lifeguard, replay=True).assert_ok()
+        assert written == [(tmp_path / "s.plog").read_bytes()]
+
+    def test_replay_only_adds_checks(self):
+        """A clean replay cell reports exactly what the plain cell does."""
+        assert (report_payload(differential_check(4, "memcheck", replay=True))
+                == report_payload(differential_check(4, "memcheck")))
+
+    def test_config_reaches_the_replay_leg(self, monkeypatch):
+        configs = []
+        real = repro.replay.engine.write_capture
+
+        def spy(path, program, result, **kwargs):
+            configs.append(kwargs["config"])
+            return real(path, program, result, **kwargs)
+
+        monkeypatch.setattr(repro.replay.engine, "write_capture", spy)
+        tso = SimulationConfig.for_threads(2, memory_model=MemoryModel.TSO)
+        differential_check(1, "addrcheck", config=tso, replay=True)
+        assert configs == [tso]
 
 
 @pytest.mark.slow
 class TestReplayAcceptanceSweep:
-    """The PR's acceptance sweep: 25 seeds, every lifeguard, archived
-    once and replayed byte-identically — serial and ``--jobs 4``."""
+    """The acceptance sweep: 25 seeds, every lifeguard, each parallel
+    run archived and replayed byte-identically under every lifeguard —
+    and the same archives fanned out serially and at ``--jobs 4``."""
 
     SEEDS = range(25)
 
     def test_live_vs_replay_all_cells(self):
-        reports = replay_sweep(self.SEEDS, jobs=4)
+        reports = differential_sweep(self.SEEDS, jobs=4, replay=True)
         assert len(reports) == 25 * len(LIFEGUARDS)
         bad = [r.summary() for r in reports if not r.ok]
         assert not bad, "\n".join(bad)
 
-    def test_archived_once_replayed_under_all_lifeguards(self):
+    def test_jobs_fanout_matches_serial(self, tmp_path):
         for seed in self.SEEDS:
-            replay_fanout_check(seed, jobs=4).assert_ok()
+            path = tmp_path / f"seed{seed}.plog"
+            capture_archive(path, seed)
+            assert (canonical_json(replay_all(path, jobs=4))
+                    == canonical_json(replay_all(path))), seed
