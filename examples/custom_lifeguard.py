@@ -2,12 +2,12 @@
 """Tutorial: writing your own lifeguard for the ParaLog platform.
 
 The platform runs any lifeguard that subclasses
-:class:`repro.lifeguards.Lifeguard`: declare which events you handle,
-which accelerators apply, which high-level events need ConflictAlert
-ordering, and implement ``handle()``. Here we build a **false-sharing
-profiler**: it keeps one metadata byte per cache line recording which
-threads have written the line, and reports lines written by multiple
-threads — the classic scalability bug.
+:class:`repro.lifeguards.Lifeguard`: register a handler for each event
+you handle in the ``handlers`` table, and declare which accelerators
+apply and which high-level events need ConflictAlert ordering. Here we
+build a **false-sharing profiler**: it keeps one metadata byte per cache
+line recording which threads have written the line, and reports lines
+written by multiple threads — the classic scalability bug.
 
 Design notes, mapped to the paper's framework:
 
@@ -17,8 +17,8 @@ Design notes, mapped to the paper's framework:
   enforced: ``needs_instruction_arcs = True``;
 * per-line state never changes on malloc/free, so it needs *no*
   ConflictAlert subscriptions at all;
-* register events carry nothing useful, so ``wants()`` declines them —
-  the delivery hardware drops them for free;
+* register events carry nothing useful, so its handler table
+  registers no key for them — the delivery hardware drops them for free;
 * the M-TLB accelerates its metadata address computation like any other
   lifeguard.
 """
@@ -42,22 +42,15 @@ class FalseSharingProfiler(Lifeguard):
         super().__init__(costs=costs, heap_range=heap_range)
         self._line_writers = {}  # line -> set of tids
         self._reported = set()
+        # Register a handler per event key; the delivery hardware drops
+        # every other event (register traffic, loads, high-level events)
+        # before dispatch, for free.
+        self.handlers = {"store": self._write, "rmw": self._write}
 
-    def wants(self, event):
-        return event[0] in ("store", "rmw", "mem_inherit")
-
-    def handle(self, event):
-        kind = event[0]
-        if kind in ("store", "rmw"):
-            rec = event[1]
-            self._note_write(rec.tid, rec.rid, rec.addr)
-            return (self.costs.handler_body_cost,
-                    [(rec.addr, rec.size, True)])
-        if kind == "mem_inherit":
-            _, dst, size, _sources, _regs, rec = event
-            self._note_write(rec.tid, rec.rid, dst)
-            return (self.costs.handler_body_cost, [(dst, size, True)])
-        return (1, [])
+    def _write(self, event):
+        rec = event[1]
+        self._note_write(rec.tid, rec.rid, rec.addr)
+        return (self.costs.handler_body_cost, [(rec.addr, rec.size, True)])
 
     def _note_write(self, tid, rid, addr):
         line = addr // 64

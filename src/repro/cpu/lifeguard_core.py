@@ -332,12 +332,19 @@ class LifeguardCore(CoreActor):
             cost += self._accel_conflict_flush(record)
 
         lifeguard = self.lifeguard
+        handlers = lifeguard.handlers
+        delivery_range = lifeguard.delivery_range
         iff = self.iff
         dispatch_cost = self._dispatch_cost
         for event in self._it_process(record):
-            if not lifeguard.wants(event):
+            kind = event[0]
+            handler = handlers.get(record.hl_kind if kind == "hl" else kind)
+            if handler is None:
                 continue  # no handler registered: hardware drops the event
-            if event[0] == "load_versioned" and len(event) == 2:
+            if (delivery_range is not None and kind != "hl"
+                    and not delivery_range[0] <= record.addr < delivery_range[1]):
+                continue  # outside the delivery address-range filter
+            if kind == "load_versioned" and len(event) == 2:
                 version = self.version_store.consume(record.consume_version[0])
                 event = ("load_versioned", event[1],
                          (version[0], version[1], version[2]))
@@ -353,7 +360,7 @@ class LifeguardCore(CoreActor):
             if (lifeguard.if_invalidate_on_write and record.is_write
                     and record.addr is not None):
                 iff.invalidate_overlapping(record.addr, record.size)
-            handler_cost, accesses = lifeguard.handle(event)
+            handler_cost, accesses = handler(event)
             cost += dispatch_cost + handler_cost
             self.events_delivered += 1
             if accesses:
@@ -394,8 +401,11 @@ class LifeguardCore(CoreActor):
     def _deliver_flushed(self, events) -> int:
         """Process events forced out of an accelerator; returns their cost."""
         cost = 0
+        handlers = self.lifeguard.handlers
         for event in events:
-            handler_cost, accesses = self.lifeguard.handle(event)
+            # Flushed IT rows arrive as ``reg_inherit`` events, which
+            # every lifeguard that uses IT registers.
+            handler_cost, accesses = handlers[event[0]](event)
             cost += self.costs.it_flush_row_cost + handler_cost
             self.events_delivered += 1
             cost += self._metadata_access_cycles(accesses)

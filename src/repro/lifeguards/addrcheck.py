@@ -45,82 +45,49 @@ class AddrCheck(Lifeguard):
     })
     ca_flush_mtlb = frozenset()
 
-    # -- event-delivery filtering ------------------------------------------------
-
-    def wants(self, event):
-        """AddrCheck registers handlers only for heap memory accesses and
-        allocation events; the delivery hardware's range filter drops
-        everything else before dispatch, including the wrapper library's
-        own allocator-bookkeeping accesses."""
-        kind = event[0]
-        if kind in ("load", "store", "rmw", "load_versioned", "load_check"):
-            rec = event[1]
-            return self.in_heap(rec.addr) and rec.critical_kind != "allocator"
-        if kind == "mem_inherit":
-            if event[5].critical_kind == "allocator":
-                return False
-            return (self.in_heap(event[1])
-                    or any(self.in_heap(src) for src, _size in event[3]))
-        if kind == "hl":
-            return event[1].hl_kind in (HLEventKind.MALLOC, HLEventKind.FREE)
-        return False
+    def __init__(self, costs=None, heap_range=None):
+        super().__init__(costs=costs, heap_range=heap_range)
+        # Heap memory accesses and allocation events only: the delivery
+        # hardware's range filter drops every other access before
+        # dispatch (the wrapper library's own allocator bookkeeping never
+        # reaches the table: monitors_allocator_internals is False).
+        self.delivery_range = heap_range
+        self.handlers = {
+            "load": self._access,
+            "store": self._access,
+            "rmw": self._access,
+            "load_versioned": self._load_versioned,
+            HLEventKind.MALLOC: self._malloc,
+            HLEventKind.FREE: self._free,
+        }
 
     # -- handlers ---------------------------------------------------------------
 
-    def handle(self, event):
-        kind = event[0]
-        costs = self.costs
+    def _access(self, event):
+        rec = event[1]
+        if not self.metadata.all_equal(rec.addr, rec.size, ALLOCATED):
+            self.violation(
+                "unallocated-access", rec.tid, rec.rid,
+                f"{event[0]} of {rec.size} bytes at {rec.addr:#x}",
+            )
+        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
 
-        if kind in ("load", "store", "rmw", "load_check"):
-            rec = event[1]
-            if not self.in_heap(rec.addr):
-                return (1, [])
-            if not self.metadata.all_equal(rec.addr, rec.size, ALLOCATED):
-                self.violation(
-                    "unallocated-access", rec.tid, rec.rid,
-                    f"{kind} of {rec.size} bytes at {rec.addr:#x}",
-                )
-            return (costs.handler_body_cost, [(rec.addr, rec.size, False)])
-
-        if kind == "load_versioned":
-            # TSO versioned load: the access check runs against the
-            # metadata version the load is ordered with, not the current
-            # (possibly already-freed-and-remapped) allocation state.
-            rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
-            if not self.in_heap(rec.addr):
-                return (1, [])
-            allocated = all(
-                0 <= rec.addr + i - snap_base < len(snapshot)
-                and snapshot[rec.addr + i - snap_base] == ALLOCATED
-                for i in range(rec.size))
-            if not allocated:
-                self.violation(
-                    "unallocated-access", rec.tid, rec.rid,
-                    f"{kind} of {rec.size} bytes at {rec.addr:#x}",
-                )
-            return (costs.handler_body_cost + 2,
-                    [(rec.addr, rec.size, False)])
-
-        if kind == "mem_inherit":
-            # Only reachable if IT were enabled; check every endpoint.
-            _, dst, size, sources, _live_regs, rec = event
-            endpoints = [(src, src_size) for src, src_size in sources]
-            endpoints.append((dst, size))
-            for addr, span in endpoints:
-                if self.in_heap(addr) and not self.metadata.all_equal(
-                        addr, span, ALLOCATED):
-                    self.violation(
-                        "unallocated-access", rec.tid, rec.rid,
-                        f"copy touching {addr:#x}",
-                    )
-            return (costs.handler_body_cost,
-                    [(addr, span, False) for addr, span in endpoints])
-
-        if kind == "hl":
-            return self._handle_highlevel(event[1])
-
-        # Register-only traffic carries no allocation information.
-        return self.unhandled(event)
+    def _load_versioned(self, event):
+        # TSO versioned load: the access check runs against the metadata
+        # version the load is ordered with, not the current (possibly
+        # already-freed-and-remapped) allocation state.
+        rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
+        allocated = all(
+            0 <= rec.addr + i - snap_base < len(snapshot)
+            and snapshot[rec.addr + i - snap_base] == ALLOCATED
+            for i in range(rec.size))
+        if not allocated:
+            self.violation(
+                "unallocated-access", rec.tid, rec.rid,
+                f"load_versioned of {rec.size} bytes at {rec.addr:#x}",
+            )
+        return (self.costs.handler_body_cost + 2,
+                [(rec.addr, rec.size, False)])
 
     def if_key(self, event):
         """Heap access checks are idempotent between allocation events.
@@ -130,7 +97,7 @@ class AddrCheck(Lifeguard):
         consumer never lets one thread's cached check swallow another
         thread's violation report.
         """
-        if event[0] in ("load", "store", "rmw", "load_check"):
+        if event[0] in ("load", "store", "rmw"):
             rec = event[1]
             if self.in_heap(rec.addr):
                 return (rec.addr, rec.size, "ac", rec.tid)
@@ -138,36 +105,26 @@ class AddrCheck(Lifeguard):
 
     # -- high-level events ----------------------------------------------------------
 
-    def _handle_highlevel(self, rec):
-        phase = hl_phase_of(rec)
-        hl_kind = rec.hl_kind
+    def _malloc(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) != HLPhase.END:
+            return (2, [])
+        for start, length in rec.ranges:
+            if self.metadata.any_equal(start, length, ALLOCATED):
+                self.violation(
+                    "overlapping-allocation", rec.tid, rec.rid,
+                    f"malloc returned already-allocated {start:#x}",
+                )
+        return self.fill_ranges(rec.ranges, ALLOCATED)
 
-        if hl_kind == HLEventKind.MALLOC and phase == HLPhase.END:
-            cost = 0
-            accesses = []
-            for start, length in rec.ranges:
-                if self.metadata.any_equal(start, length, ALLOCATED):
-                    self.violation(
-                        "overlapping-allocation", rec.tid, rec.rid,
-                        f"malloc returned already-allocated {start:#x}",
-                    )
-                self.metadata.set_range(start, length, ALLOCATED)
-                cost += self.range_cost(length)
-                accesses.extend(self.timed_range_accesses(start, length, True))
-            return (cost or 2, accesses)
-
-        if hl_kind == HLEventKind.FREE and phase == HLPhase.BEGIN:
-            cost = 0
-            accesses = []
-            for start, length in rec.ranges:
-                if not self.metadata.all_equal(start, length, ALLOCATED):
-                    self.violation(
-                        "bad-free", rec.tid, rec.rid,
-                        f"free of not-fully-allocated range {start:#x}+{length}",
-                    )
-                self.metadata.set_range(start, length, UNALLOCATED)
-                cost += self.range_cost(length)
-                accesses.extend(self.timed_range_accesses(start, length, True))
-            return (cost or 2, accesses)
-
-        return (2, [])
+    def _free(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) != HLPhase.BEGIN:
+            return (2, [])
+        for start, length in rec.ranges:
+            if not self.metadata.all_equal(start, length, ALLOCATED):
+                self.violation(
+                    "bad-free", rec.tid, rec.rid,
+                    f"free of not-fully-allocated range {start:#x}+{length}",
+                )
+        return self.fill_ranges(rec.ranges, UNALLOCATED)

@@ -1,38 +1,53 @@
 """Lifeguard framework.
 
-A lifeguard consumes *delivered events* and updates shared metadata.
-Delivered events are plain tuples produced by the consumer pipeline
-(after Inheritance Tracking); the vocabulary is:
+A lifeguard is a table of event handlers. ``handlers`` maps a *key* to a
+bound method ``handler(event) -> (cost, accesses)``, and the delivery
+hardware invokes only the handlers a lifeguard registered (paper
+Section 2): an event whose key has no entry is dropped before dispatch
+and costs nothing beyond decompression. Delivered events are plain
+tuples produced by the consumer pipeline (after Inheritance Tracking);
+register a key to receive its events:
 
-==========================  =====================================================
-``("load", rec)``           plain load (IT disabled or non-inheriting)
-``("store", rec)``          plain store
-``("rmw", rec)``            atomic exchange (read old metadata, clear)
-``("movrr", rec)``          register copy
-``("alu", rec)``            computation (1- or 2-source)
-``("loadi", rec)``          immediate load
-``("critical", rec)``       security-critical register use
-``("hl", rec)``             high-level event (HL_BEGIN / HL_END record)
-``("reg_inherit", tid, reg, sources, live_regs)``
-                            IT row flush: ``reg``'s metadata is the OR of the
-                            ``(addr, size)`` sources' metadata and the current
-                            metadata of the ``live_regs`` (both may be empty:
-                            an immediate).
-``("mem_inherit", dst, size, sources, live_regs, rec)``
-                            IT-condensed store: metadata(dst) is the same OR.
-``("load_versioned", rec, (base, len, snap))``  TSO versioned-metadata load
-==========================  =====================================================
+============================  ===================================================
+register a key                to receive
+============================  ===================================================
+``"load"``                    ``("load", rec)``: plain load (IT disabled or
+                              non-inheriting)
+``"store"``                   ``("store", rec)``: plain store
+``"rmw"``                     ``("rmw", rec)``: atomic exchange (read old
+                              metadata, clear)
+``"movrr"``                   ``("movrr", rec)``: register copy
+``"alu"``                     ``("alu", rec)``: computation (1- or 2-source)
+``"loadi"``                   ``("loadi", rec)``: immediate load
+``"critical"``                ``("critical", rec)``: security-critical register
+                              use
+``"load_check"``              ``("load_check", rec)``: the check half of a load
+                              IT absorbed (its propagation is deferred)
+``"reg_inherit"``             ``("reg_inherit", tid, reg, sources, live_regs)``:
+                              IT row flush; ``reg``'s metadata is the OR of the
+                              ``(addr, size)`` sources' metadata and the current
+                              metadata of the ``live_regs`` (both may be empty:
+                              an immediate)
+``"mem_inherit"``             ``("mem_inherit", dst, size, sources, live_regs,
+                              rec)``: IT-condensed store; metadata(dst) is the
+                              same OR
+``"load_versioned"``          ``("load_versioned", rec, (base, len, snap))``: TSO
+                              load against the metadata version it is ordered
+                              with
+an :class:`HLEventKind`       ``("hl", rec)`` whose ``rec.hl_kind`` is that
+                              kind, for both phases (HL_BEGIN and HL_END)
+============================  ===================================================
 
-``handle()`` applies the event's *semantic* metadata effect in Python
-and returns ``(cost, accesses)``: the handler-body instruction cost
-(the dispatch and metadata-address-computation costs are charged by the
+A handler applies the event's *semantic* metadata effect in Python and
+returns ``(cost, accesses)``: the handler-body instruction cost (the
+dispatch and metadata-address-computation costs are charged by the
 pipeline) and the application-address ranges whose metadata the handler
 touches, for cache-timing simulation.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.capture.events import Record, RecordKind
 from repro.common.config import LifeguardCostConfig
@@ -107,43 +122,30 @@ class Lifeguard:
         self.violations: List[Violation] = []
         #: Shared syscall range table, injected by the platform.
         self.range_table = None
-        #: Event kinds that fell through to the terminal default return.
-        #: ``wants()`` and ``handle()`` must agree: every kind a lifeguard
-        #: registers for has to reach a real handler arm, otherwise the
-        #: event is silently dropped at full dispatch cost (the LockSet
-        #: TSO ``load_versioned`` bug). The parity test asserts this set
-        #: stays empty for every wanted event kind.
-        self.unhandled_kinds = set()
-
-    # -- subclass contract ---------------------------------------------------------
+        #: The handler table (see the module docstring), built once by
+        #: each subclass's ``__init__``.
+        self.handlers: Dict[object, Callable[[tuple], Tuple[int, list]]] = {}
+        #: The delivery hardware's address-range filter: ``(start, end)``
+        #: or None. A registered instruction event whose record address
+        #: lies outside it is dropped before dispatch, exactly like an
+        #: event without a handler. A lifeguard sets it from its own
+        #: state (AddrCheck: the heap) and then registers only
+        #: memory-access instruction keys, whose events carry that record.
+        self.delivery_range: Optional[Tuple[int, int]] = None
 
     def handle(self, event: tuple) -> Tuple[int, list]:
-        """Apply one delivered event; returns (cost, timed accesses)."""
-        raise NotImplementedError
+        """Apply one delivered event through the table; returns (cost,
+        timed accesses).
 
-    def wants(self, event: tuple) -> bool:
-        """Does this lifeguard register a handler for the event?
-
-        The event-delivery hardware only invokes handlers the lifeguard
-        registered (and supports address-range filters), so unwanted
-        events cost nothing beyond decompression. Default: everything.
+        The generic entry for callers outside the delivery loops (which
+        index ``handlers`` themselves). Raises ``KeyError`` for an event
+        without a registered handler; ``delivery_range`` is not applied.
         """
-        return True
+        return self.handlers[event_key(event)](event)
 
     def if_key(self, event: tuple):
         """Idempotent-Filter key for a filterable check event (or None)."""
         return None
-
-    def unhandled(self, event: tuple) -> Tuple[int, list]:
-        """Terminal default for ``handle()``: no registered handler arm.
-
-        Subclasses route their final fall-through here instead of a bare
-        ``return (1, [])`` so tests can detect a ``wants()``/``handle()``
-        mismatch — an event kind the lifeguard subscribed to but silently
-        drops.
-        """
-        self.unhandled_kinds.add(event[0])
-        return (1, [])
 
     # -- shared helpers -------------------------------------------------------------
 
@@ -164,6 +166,28 @@ class Lifeguard:
                   detail: str) -> None:
         if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(Violation(self.name, kind, tid, rid, detail))
+
+    def hl_nop(self, event: tuple) -> Tuple[int, list]:
+        """Handler for a registered high-level event that changes nothing."""
+        return (2, [])
+
+    def copy_register(self, event: tuple) -> Tuple[int, list]:
+        """``movrr``: the destination register takes the source's metadata."""
+        rec = event[1]
+        regs = self.regs(rec.tid)
+        regs[rec.rd] = regs[rec.rs1]
+        return (1, [])
+
+    def fill_ranges(self, ranges, value: int) -> Tuple[int, list]:
+        """Set the metadata of every byte of ``ranges`` to ``value``;
+        returns the high-level handler's (cost, timed accesses)."""
+        cost = 0
+        accesses = []
+        for start, length in ranges:
+            self.metadata.set_range(start, length, value)
+            cost += self.range_cost(length)
+            accesses.extend(self.timed_range_accesses(start, length, True))
+        return (cost or 2, accesses)
 
     def range_cost(self, length: int) -> int:
         """Handler cost of a metadata update over ``length`` bytes."""
@@ -205,6 +229,12 @@ class Lifeguard:
                 {(v.kind, v.tid) for v in self.violations}
             ),
         }
+
+
+def event_key(event: tuple):
+    """The handler-table key of a delivered event: its kind, or for an
+    ``hl`` event the record's high-level kind."""
+    return event[1].hl_kind if event[0] == "hl" else event[0]
 
 
 def hl_phase_of(record: Record) -> HLPhase:

@@ -65,6 +65,23 @@ class LockSet(Lifeguard):
         self._raced_words = set()
         self.slow_path_entries = 0
         self.fast_path_entries = 0
+        # Memory accesses and every high-level event; allocator-internal
+        # accesses never reach the table (Eraser does not check the
+        # allocator's own, internally synchronized, bookkeeping).
+        self.handlers = {
+            "load": self._read,
+            "load_versioned": self._read,
+            "store": self._write,
+            "rmw": self._write,
+            HLEventKind.LOCK: self._lock,
+            HLEventKind.UNLOCK: self._unlock,
+            HLEventKind.FREE: self._free,
+            HLEventKind.MALLOC: self.hl_nop,
+            HLEventKind.SYSCALL_READ: self.hl_nop,
+            HLEventKind.SYSCALL_WRITE: self.hl_nop,
+            HLEventKind.SYSCALL_OTHER: self.hl_nop,
+            HLEventKind.THREAD_START: self.hl_nop,
+        }
 
     # -- helpers -----------------------------------------------------------------
 
@@ -123,64 +140,44 @@ class LockSet(Lifeguard):
             self.fast_path_entries += 1
         return cost
 
-    def wants(self, event):
-        """LockSet only registers memory-access and high-level handlers;
-        allocator-internal accesses are excluded (Eraser does not check
-        the allocator's own, internally synchronized, bookkeeping)."""
-        kind = event[0]
-        if kind in ("load", "store", "rmw", "load_versioned"):
-            return event[1].critical_kind != "allocator"
-        if kind == "mem_inherit":
-            return event[5].critical_kind != "allocator"
-        return kind == "hl"
-
     # -- handlers ---------------------------------------------------------------------
 
-    def handle(self, event):
-        kind = event[0]
+    def _read(self, event):
+        # A TSO versioned load is still an application *read* of the word:
+        # the Eraser state machine must run (a read can shrink the
+        # candidate lockset and trip the race check). LockSet's semantic
+        # state lives in its own word table, not the shadow MetadataMap,
+        # so the metadata snapshot a versioned load carries plays no role.
+        rec = event[1]
+        cost = self._update(rec.tid, rec, rec.addr, False)
+        return (cost, [(rec.addr, rec.size, False)])
 
-        if kind in ("load", "store", "rmw", "mem_inherit", "load_versioned"):
-            if kind == "mem_inherit":
-                _, dst, size, sources, _live_regs, rec = event
-                cost = 0
-                accesses = []
-                for src, src_size in sources:
-                    cost += self._update(rec.tid, rec, src, False)
-                    accesses.append((src, src_size, False))
-                cost += self._update(rec.tid, rec, dst, True)
-                accesses.append((dst, size, True))
-                return (cost, accesses)
-            # A TSO versioned load is still an application *read* of the
-            # word: the Eraser state machine must run (a read can shrink
-            # the candidate lockset and trip the race check). LockSet's
-            # semantic state lives in its own word table, not the shadow
-            # MetadataMap, so the metadata snapshot carried by the event
-            # plays no role here.
-            rec = event[1]
-            is_write = kind in ("store", "rmw")
-            cost = self._update(rec.tid, rec, rec.addr, is_write)
-            return (cost, [(rec.addr, rec.size, is_write)])
+    def _write(self, event):
+        rec = event[1]
+        cost = self._update(rec.tid, rec, rec.addr, True)
+        return (cost, [(rec.addr, rec.size, True)])
 
-        if kind == "hl":
-            rec = event[1]
-            phase = hl_phase_of(rec)
-            if rec.hl_kind == HLEventKind.LOCK and phase == HLPhase.END:
-                lock_addr = rec.ranges[0][0] if rec.ranges else None
-                if lock_addr is not None:
-                    self._sync_addrs.add(lock_addr & ~3)
-                    self._held[rec.tid] = self._held_locks(rec.tid) | {lock_addr}
-                return (2, [])
-            if rec.hl_kind == HLEventKind.UNLOCK and phase == HLPhase.BEGIN:
-                lock_addr = rec.ranges[0][0] if rec.ranges else None
-                if lock_addr is not None:
-                    self._held[rec.tid] = self._held_locks(rec.tid) - {lock_addr}
-                return (2, [])
-            if rec.hl_kind == HLEventKind.FREE and phase == HLPhase.BEGIN:
-                # Freed words return to Virgin (recycled memory is benign).
-                for start, length in rec.ranges:
-                    for word in range(start & ~3, start + length, 4):
-                        self._words.pop(word, None)
-                return (self.range_cost(sum(r[1] for r in rec.ranges) or 1), [])
+    def _lock(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.END and rec.ranges:
+            lock_addr = rec.ranges[0][0]
+            self._sync_addrs.add(lock_addr & ~3)
+            self._held[rec.tid] = self._held_locks(rec.tid) | {lock_addr}
+        return (2, [])
+
+    def _unlock(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.BEGIN and rec.ranges:
+            lock_addr = rec.ranges[0][0]
+            self._held[rec.tid] = self._held_locks(rec.tid) - {lock_addr}
+        return (2, [])
+
+    def _free(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) != HLPhase.BEGIN:
             return (2, [])
-
-        return self.unhandled(event)
+        # Freed words return to Virgin (recycled memory is benign).
+        for start, length in rec.ranges:
+            for word in range(start & ~3, start + length, 4):
+                self._words.pop(word, None)
+        return (self.range_cost(sum(r[1] for r in rec.ranges) or 1), [])

@@ -54,6 +54,29 @@ class MemCheck(Lifeguard):
         (HLEventKind.FREE, HLPhase.BEGIN),
     })
 
+    def __init__(self, costs=None, heap_range=None):
+        super().__init__(costs=costs, heap_range=heap_range)
+        # Every event except lock-discipline ones.
+        self.handlers = {
+            "load": self._load,
+            "load_check": self._load_check,
+            "store": self._store,
+            "rmw": self._rmw,
+            "movrr": self.copy_register,
+            "alu": self._alu,
+            "loadi": self._loadi,
+            "critical": self._critical,
+            "reg_inherit": self._reg_inherit,
+            "mem_inherit": self._mem_inherit,
+            "load_versioned": self._load_versioned,
+            HLEventKind.MALLOC: self._malloc,
+            HLEventKind.FREE: self._free,
+            HLEventKind.SYSCALL_READ: self.hl_nop,
+            HLEventKind.SYSCALL_WRITE: self.hl_nop,
+            HLEventKind.SYSCALL_OTHER: self.hl_nop,
+            HLEventKind.THREAD_START: self.hl_nop,
+        }
+
     # -- semantic helpers ----------------------------------------------------------
 
     def _defined(self, addr: int, size: int) -> bool:
@@ -70,15 +93,21 @@ class MemCheck(Lifeguard):
             self.metadata.get(addr + i) & ADDRESSABLE for i in range(size)
         )
 
-    def _check_load(self, rec) -> None:
+    def _judge_load(self, rec, bits_at) -> int:
+        """Check a load against the metadata bits ``bits_at(addr)`` of
+        each byte it reads; returns the loaded value's definedness.
+        Non-heap loads are never reported and always defined."""
         if not self.in_heap(rec.addr):
-            return
-        if not self._addressable(rec.addr, rec.size):
+            return 1
+        byte_bits = [bits_at(rec.addr + i) for i in range(rec.size)]
+        defined = all(bits & INITIALIZED for bits in byte_bits)
+        if not all(bits & ADDRESSABLE for bits in byte_bits):
             self.violation("unaddressable-load", rec.tid, rec.rid,
                            f"load at {rec.addr:#x}")
-        elif not self._defined(rec.addr, rec.size):
+        elif not defined:
             self.violation("uninitialized-load", rec.tid, rec.rid,
                            f"load at {rec.addr:#x}")
+        return 1 if defined else 0
 
     def _write_state(self, addr: int, size: int, defined: bool) -> None:
         if not self.in_heap(addr):
@@ -91,141 +120,104 @@ class MemCheck(Lifeguard):
 
     # -- handlers ------------------------------------------------------------------
 
-    def handle(self, event):
-        kind = event[0]
-        costs = self.costs
+    def _load(self, event):
+        rec = event[1]
+        self.regs(rec.tid)[rec.rd] = self._judge_load(rec, self.metadata.get)
+        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
 
-        if kind == "load":
-            rec = event[1]
-            self._check_load(rec)
-            self.regs(rec.tid)[rec.rd] = 1 if self._defined(rec.addr, rec.size) else 0
-            return (costs.handler_body_cost, [(rec.addr, rec.size, False)])
+    def _load_check(self, event):
+        # The check half of an IT-absorbed load: the definedness
+        # propagation is deferred in the IT row, the access check is
+        # performed (and Idempotent-Filtered) right away.
+        rec = event[1]
+        self._judge_load(rec, self.metadata.get)
+        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
 
-        if kind == "load_check":
-            # The check half of an IT-absorbed load: the definedness
-            # propagation is deferred in the IT row, the access check is
-            # performed (and Idempotent-Filtered) right away.
-            rec = event[1]
-            self._check_load(rec)
-            return (costs.handler_body_cost, [(rec.addr, rec.size, False)])
+    def _load_versioned(self, event):
+        # Judged exactly like a plain load, against the metadata version
+        # the load is ordered with; a byte outside the snapshot has no
+        # recorded state (unaddressable), as in AddrCheck.
+        rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
 
-        if kind == "store":
-            rec = event[1]
-            if self.in_heap(rec.addr) and not self._addressable(rec.addr, rec.size):
-                self.violation("unaddressable-store", rec.tid, rec.rid,
-                               f"store at {rec.addr:#x}")
-            self._write_state(rec.addr, rec.size,
-                              bool(self.regs(rec.tid)[rec.rs1]))
-            return (costs.handler_body_cost,
-                    [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
+        def bits_at(addr):
+            index = addr - snap_base
+            return snapshot[index] if 0 <= index < len(snapshot) else 0
 
-        if kind == "rmw":
-            rec = event[1]
-            self.regs(rec.tid)[rec.rd] = 1 if self._defined(rec.addr, rec.size) else 0
-            self._write_state(rec.addr, rec.size, True)
-            return (costs.handler_body_cost + 2,
-                    [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
+        self.regs(rec.tid)[rec.rd] = self._judge_load(rec, bits_at)
+        return (self.costs.handler_body_cost + 2, [(rec.addr, rec.size, False)])
 
-        if kind == "movrr":
-            rec = event[1]
-            regs = self.regs(rec.tid)
-            regs[rec.rd] = regs[rec.rs1]
-            return (1, [])
+    def _store(self, event):
+        rec = event[1]
+        if self.in_heap(rec.addr) and not self._addressable(rec.addr, rec.size):
+            self.violation("unaddressable-store", rec.tid, rec.rid,
+                           f"store at {rec.addr:#x}")
+        self._write_state(rec.addr, rec.size,
+                          bool(self.regs(rec.tid)[rec.rs1]))
+        return (self.costs.handler_body_cost,
+                [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
 
-        if kind == "alu":
-            rec = event[1]
-            regs = self.regs(rec.tid)
-            defined = regs[rec.rs1]
-            if rec.rs2 is not None:
-                defined = defined & regs[rec.rs2]
-            regs[rec.rd] = defined
-            return (1, [])
+    def _rmw(self, event):
+        rec = event[1]
+        self.regs(rec.tid)[rec.rd] = 1 if self._defined(rec.addr, rec.size) else 0
+        self._write_state(rec.addr, rec.size, True)
+        return (self.costs.handler_body_cost + 2,
+                [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
 
-        if kind == "loadi":
-            rec = event[1]
-            self.regs(rec.tid)[rec.rd] = 1
-            return (1, [])
+    def _alu(self, event):
+        rec = event[1]
+        regs = self.regs(rec.tid)
+        defined = regs[rec.rs1]
+        if rec.rs2 is not None:
+            defined = defined & regs[rec.rs2]
+        regs[rec.rd] = defined
+        return (1, [])
 
-        if kind == "critical":
-            rec = event[1]
-            if not self.regs(rec.tid)[rec.rs1]:
-                self.violation("undefined-critical-use", rec.tid, rec.rid,
-                               f"r{rec.rs1} used as {rec.critical_kind}")
-            return (2, [])
+    def _loadi(self, event):
+        rec = event[1]
+        self.regs(rec.tid)[rec.rd] = 1
+        return (1, [])
 
-        if kind == "reg_inherit":
-            _, tid, reg, sources, live_regs = event
-            regs = self.regs(tid)
-            defined = all(self._defined(addr, size) for addr, size in sources)
-            defined = defined and all(regs[live] for live in live_regs)
-            regs[reg] = 1 if defined else 0
-            return (costs.handler_body_cost if sources else 1,
-                    [(addr, size, False) for addr, size in sources])
-
-        if kind == "mem_inherit":
-            _, dst, size, sources, live_regs, rec = event
-            regs = self.regs(rec.tid)
-            if self.in_heap(dst) and not self._addressable(dst, size):
-                self.violation("unaddressable-store", rec.tid, rec.rid,
-                               f"store at {dst:#x}")
-            defined = all(self._defined(src, src_size)
-                          for src, src_size in sources)
-            defined = defined and all(regs[live] for live in live_regs)
-            self._write_state(dst, size, defined)
-            accesses = [(src, src_size, False) for src, src_size in sources]
-            accesses.append((dst, size, True))
-            return (costs.handler_body_cost + 1, accesses)
-
-        if kind == "mem_imm":
-            _, addr, size, _rec = event
-            self._write_state(addr, size, True)
-            return (costs.handler_body_cost, [(addr, size, True)])
-
-        if kind == "load_versioned":
-            rec, (snap_base, _len, snapshot) = event[1], event[2]
-            bits = self.metadata.read_snapshot(snapshot, snap_base, rec.addr,
-                                               rec.size)
-            # OR across the snapshot is conservative for "defined".
-            self.regs(rec.tid)[rec.rd] = 1 if bits & INITIALIZED else 0
-            return (costs.handler_body_cost + 2, [(rec.addr, rec.size, False)])
-
-        if kind == "hl":
-            return self._handle_highlevel(event[1])
-
-        return self.unhandled(event)
-
-    def _handle_highlevel(self, rec):
-        phase = hl_phase_of(rec)
-        if rec.hl_kind == HLEventKind.MALLOC and phase == HLPhase.END:
-            cost = 0
-            accesses = []
-            for start, length in rec.ranges:
-                self.metadata.set_range(start, length, ADDRESSABLE)
-                cost += self.range_cost(length)
-                accesses.extend(self.timed_range_accesses(start, length, True))
-            return (cost or 2, accesses)
-        if rec.hl_kind == HLEventKind.FREE and phase == HLPhase.BEGIN:
-            cost = 0
-            accesses = []
-            for start, length in rec.ranges:
-                self.metadata.set_range(start, length, 0)
-                cost += self.range_cost(length)
-                accesses.extend(self.timed_range_accesses(start, length, True))
-            return (cost or 2, accesses)
+    def _critical(self, event):
+        rec = event[1]
+        if not self.regs(rec.tid)[rec.rs1]:
+            self.violation("undefined-critical-use", rec.tid, rec.rid,
+                           f"r{rec.rs1} used as {rec.critical_kind}")
         return (2, [])
 
-    def wants(self, event):
-        """MemCheck handles everything except lock-discipline events and
-        the wrapper library's own allocator-bookkeeping accesses."""
-        kind = event[0]
-        if kind == "hl":
-            return event[1].hl_kind not in (HLEventKind.LOCK,
-                                            HLEventKind.UNLOCK)
-        if kind in ("load", "store", "rmw", "load_check", "load_versioned"):
-            return event[1].critical_kind != "allocator"
-        if kind == "mem_inherit":
-            return event[5].critical_kind != "allocator"
-        return True
+    def _reg_inherit(self, event):
+        _, tid, reg, sources, live_regs = event
+        regs = self.regs(tid)
+        defined = all(self._defined(addr, size) for addr, size in sources)
+        defined = defined and all(regs[live] for live in live_regs)
+        regs[reg] = 1 if defined else 0
+        return (self.costs.handler_body_cost if sources else 1,
+                [(addr, size, False) for addr, size in sources])
+
+    def _mem_inherit(self, event):
+        _, dst, size, sources, live_regs, rec = event
+        regs = self.regs(rec.tid)
+        if self.in_heap(dst) and not self._addressable(dst, size):
+            self.violation("unaddressable-store", rec.tid, rec.rid,
+                           f"store at {dst:#x}")
+        defined = all(self._defined(src, src_size)
+                      for src, src_size in sources)
+        defined = defined and all(regs[live] for live in live_regs)
+        self._write_state(dst, size, defined)
+        accesses = [(src, src_size, False) for src, src_size in sources]
+        accesses.append((dst, size, True))
+        return (self.costs.handler_body_cost + 1, accesses)
+
+    def _malloc(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.END:
+            return self.fill_ranges(rec.ranges, ADDRESSABLE)
+        return (2, [])
+
+    def _free(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.BEGIN:
+            return self.fill_ranges(rec.ranges, 0)
+        return (2, [])
 
     def if_key(self, event):
         """Deferred-load checks of heap bytes are idempotent until the

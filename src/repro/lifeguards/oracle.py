@@ -60,25 +60,35 @@ def replay_events(events: Iterable[tuple],
                   lifeguard_factory: Callable[[], Lifeguard]) -> Lifeguard:
     """Feed a delivered-event stream to a fresh lifeguard; returns it.
 
-    Each event passes the lifeguard's ``wants`` filter, mirroring the
-    delivery hardware's event filtering, before its handler runs. A
+    Delivery mirrors the live pipeline's: an allocator-internal memory
+    access is dropped when the lifeguard does not monitor the allocator,
+    and an event without a registered handler, or outside the
+    lifeguard's delivery address range, is dropped before dispatch. A
     ``load_versioned`` event is handed over as a new tuple carrying the
     metadata snapshot the load observes, so ``events`` itself is never
     modified and may be shared between replays.
     """
     lifeguard = lifeguard_factory()
-    wants = lifeguard.wants
-    handle = lifeguard.handle
+    handlers = lifeguard.handlers
+    delivery_range = lifeguard.delivery_range
+    skip_allocator = not lifeguard.monitors_allocator_internals
     for event in events:
-        if not wants(event):
+        # Every event of the unaccelerated stream is ``(kind, record)``.
+        kind, rec = event[0], event[1]
+        if skip_allocator and rec.critical_kind == "allocator":
+            continue  # only memory accesses carry the "allocator" mark
+        handler = handlers.get(rec.hl_kind if kind == "hl" else kind)
+        if handler is None:
             continue
-        if event[0] == "load_versioned":
+        if (delivery_range is not None and kind != "hl"
+                and not delivery_range[0] <= rec.addr < delivery_range[1]):
+            continue
+        if kind == "load_versioned":
             # The oracle replays in true coherence order, so the
             # "current" metadata *is* the version the load must see.
-            rec = event[1]
             snapshot = lifeguard.metadata.snapshot_range(rec.addr, rec.size)
             event = ("load_versioned", rec, (rec.addr, rec.size, snapshot))
-        handle(event)
+        handler(event)
     return lifeguard
 
 

@@ -18,7 +18,6 @@ free fast path applies and no handler takes a lock.
 
 from __future__ import annotations
 
-from repro.capture.events import RecordKind
 from repro.isa.instructions import HLEventKind, HLPhase
 from repro.lifeguards.base import Lifeguard, hl_phase_of
 
@@ -61,175 +60,149 @@ class TaintCheck(Lifeguard):
         self.taint_syscall_reads = taint_syscall_reads
         self.conservative_race_taint = conservative_race_taint
         self.check_output = check_output
-
-    def wants(self, event):
-        """TaintCheck handles everything except lock-discipline events
-        (no data flow) and deferred-load check events (taint tracking
-        performs no checks on loads — IT defers the whole load)."""
-        kind = event[0]
-        if kind == "load_check":
-            return False
-        if kind == "hl":
-            return event[1].hl_kind not in (HLEventKind.LOCK,
-                                            HLEventKind.UNLOCK)
-        return True
+        # Every event except lock-discipline ones (no data flow) and the
+        # check half of an IT-absorbed load (taint tracking performs no
+        # checks on loads: IT defers the whole load).
+        self.handlers = {
+            "load": self._load,
+            "store": self._store,
+            "rmw": self._rmw,
+            "movrr": self.copy_register,
+            "alu": self._alu,
+            "loadi": self._loadi,
+            "critical": self._critical,
+            "reg_inherit": self._reg_inherit,
+            "mem_inherit": self._mem_inherit,
+            "load_versioned": self._load_versioned,
+            HLEventKind.MALLOC: self._malloc,
+            HLEventKind.FREE: self._free,
+            HLEventKind.SYSCALL_READ: self._syscall_read,
+            HLEventKind.SYSCALL_WRITE: self._syscall_write,
+            HLEventKind.SYSCALL_OTHER: self.hl_nop,
+            HLEventKind.THREAD_START: self.hl_nop,
+        }
 
     # -- handlers -----------------------------------------------------------------
 
-    def handle(self, event):
-        kind = event[0]
-        costs = self.costs
+    def _load(self, event):
+        rec = event[1]
+        taint = self.metadata.get_access(rec.addr, rec.size)
+        taint |= self._race_taint(rec)
+        self.regs(rec.tid)[rec.rd] = 1 if taint else 0
+        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
 
-        if kind == "load":
-            rec = event[1]
-            taint = self.metadata.get_access(rec.addr, rec.size)
-            taint |= self._race_taint(rec)
-            self.regs(rec.tid)[rec.rd] = 1 if taint else 0
-            return (costs.handler_body_cost, [(rec.addr, rec.size, False)])
+    def _store(self, event):
+        rec = event[1]
+        value = TAINTED if self.regs(rec.tid)[rec.rs1] else UNTAINTED
+        self.metadata.set_access(rec.addr, rec.size, value)
+        return (self.costs.handler_body_cost, [(rec.addr, rec.size, True)])
 
-        if kind == "store":
-            rec = event[1]
-            value = TAINTED if self.regs(rec.tid)[rec.rs1] else UNTAINTED
-            self.metadata.set_access(rec.addr, rec.size, value)
-            return (costs.handler_body_cost, [(rec.addr, rec.size, True)])
+    def _rmw(self, event):
+        rec = event[1]
+        taint = self.metadata.get_access(rec.addr, rec.size)
+        self.regs(rec.tid)[rec.rd] = 1 if taint else 0
+        # The exchanged-in value is an immediate: clears the location.
+        self.metadata.set_access(rec.addr, rec.size, UNTAINTED)
+        return (self.costs.handler_body_cost + 2,
+                [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
 
-        if kind == "rmw":
-            rec = event[1]
-            taint = self.metadata.get_access(rec.addr, rec.size)
-            self.regs(rec.tid)[rec.rd] = 1 if taint else 0
-            # The exchanged-in value is an immediate: clears the location.
-            self.metadata.set_access(rec.addr, rec.size, UNTAINTED)
-            return (costs.handler_body_cost + 2,
-                    [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
+    def _alu(self, event):
+        rec = event[1]
+        regs = self.regs(rec.tid)
+        taint = regs[rec.rs1]
+        if rec.rs2 is not None:
+            taint |= regs[rec.rs2]
+        regs[rec.rd] = taint
+        return (1, [])
 
-        if kind == "movrr":
-            rec = event[1]
-            regs = self.regs(rec.tid)
-            regs[rec.rd] = regs[rec.rs1]
-            return (1, [])
+    def _loadi(self, event):
+        rec = event[1]
+        self.regs(rec.tid)[rec.rd] = 0
+        return (1, [])
 
-        if kind == "alu":
-            rec = event[1]
-            regs = self.regs(rec.tid)
-            taint = regs[rec.rs1]
-            if rec.rs2 is not None:
-                taint |= regs[rec.rs2]
-            regs[rec.rd] = taint
-            return (1, [])
+    def _critical(self, event):
+        rec = event[1]
+        if self.regs(rec.tid)[rec.rs1]:
+            self.violation(
+                "tainted-critical-use", rec.tid, rec.rid,
+                f"tainted register r{rec.rs1} used as {rec.critical_kind}",
+            )
+        return (2, [])
 
-        if kind == "loadi":
-            rec = event[1]
-            self.regs(rec.tid)[rec.rd] = 0
-            return (1, [])
+    def _reg_inherit(self, event):
+        _, tid, reg, sources, live_regs = event
+        regs = self.regs(tid)
+        taint = 0
+        accesses = []
+        for addr, size in sources:
+            taint |= self.metadata.get_access(addr, size)
+            accesses.append((addr, size, False))
+        for live in live_regs:
+            taint |= regs[live]
+        regs[reg] = 1 if taint else 0
+        return (self.costs.handler_body_cost if sources else 1, accesses)
 
-        if kind == "critical":
-            rec = event[1]
-            if self.regs(rec.tid)[rec.rs1]:
-                self.violation(
-                    "tainted-critical-use", rec.tid, rec.rid,
-                    f"tainted register r{rec.rs1} used as {rec.critical_kind}",
-                )
-            return (2, [])
+    def _mem_inherit(self, event):
+        _, dst, size, sources, live_regs, rec = event
+        regs = self.regs(rec.tid)
+        taint = 0
+        accesses = []
+        for src, src_size in sources:
+            taint |= self.metadata.get_access(src, src_size)
+            taint |= self._race_taint(rec, src)
+            accesses.append((src, src_size, False))
+        for live in live_regs:
+            taint |= regs[live]
+        value = TAINTED if taint else UNTAINTED
+        self.metadata.set_access(dst, size, value)
+        accesses.append((dst, size, True))
+        return (self.costs.handler_body_cost + 1, accesses)
 
-        if kind == "reg_inherit":
-            _, tid, reg, sources, live_regs = event
-            regs = self.regs(tid)
-            taint = 0
-            accesses = []
-            for addr, size in sources:
-                taint |= self.metadata.get_access(addr, size)
-                accesses.append((addr, size, False))
-            for live in live_regs:
-                taint |= regs[live]
-            regs[reg] = 1 if taint else 0
-            return (costs.handler_body_cost if sources else 1, accesses)
-
-        if kind == "mem_inherit":
-            _, dst, size, sources, live_regs, rec = event
-            regs = self.regs(rec.tid)
-            taint = 0
-            accesses = []
-            for src, src_size in sources:
-                taint |= self.metadata.get_access(src, src_size)
-                taint |= self._race_taint(rec, src)
-                accesses.append((src, src_size, False))
-            for live in live_regs:
-                taint |= regs[live]
-            value = TAINTED if taint else UNTAINTED
-            self.metadata.set_access(dst, size, value)
-            accesses.append((dst, size, True))
-            return (costs.handler_body_cost + 1, accesses)
-
-        if kind == "mem_imm":
-            _, addr, size, _rec = event
-            self.metadata.set_access(addr, size, UNTAINTED)
-            return (costs.handler_body_cost, [(addr, size, True)])
-
-        if kind == "load_versioned":
-            rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
-            taint = self.metadata.read_snapshot(snapshot, snap_base, rec.addr,
-                                                rec.size)
-            self.regs(rec.tid)[rec.rd] = 1 if taint else 0
-            return (costs.handler_body_cost + 2, [(rec.addr, rec.size, False)])
-
-        if kind == "hl":
-            return self._handle_highlevel(event[1])
-
-        return self.unhandled(event)
+    def _load_versioned(self, event):
+        rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
+        taint = self.metadata.read_snapshot(snapshot, snap_base, rec.addr,
+                                            rec.size)
+        self.regs(rec.tid)[rec.rd] = 1 if taint else 0
+        return (self.costs.handler_body_cost + 2, [(rec.addr, rec.size, False)])
 
     # -- high-level events -------------------------------------------------------------
 
-    def _handle_highlevel(self, rec):
+    def _malloc(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.END:
+            return self.fill_ranges(rec.ranges, UNTAINTED)
+        return (2, [])
+
+    def _free(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.BEGIN:
+            return self.fill_ranges(rec.ranges, UNTAINTED)
+        return (2, [])
+
+    def _syscall_read(self, event):
+        rec = event[1]
         phase = hl_phase_of(rec)
-        hl_kind = rec.hl_kind
+        if self.range_table is not None:
+            if phase == HLPhase.BEGIN:
+                self.range_table.insert(rec.rid, rec.tid, rec.ranges)
+            else:
+                self.range_table.remove(self._find_range_key(rec))
+        if phase == HLPhase.END and self.taint_syscall_reads:
+            return self.fill_ranges(rec.ranges, TAINTED)
+        return (2, [])
 
-        if hl_kind == HLEventKind.MALLOC and phase == HLPhase.END:
-            cost = 0
-            accesses = []
+    def _syscall_write(self, event):
+        rec = event[1]
+        if hl_phase_of(rec) == HLPhase.BEGIN and self.check_output:
             for start, length in rec.ranges:
-                self.metadata.set_range(start, length, UNTAINTED)
-                cost += self.range_cost(length)
-                accesses.extend(self.timed_range_accesses(start, length, True))
-            return (cost or 2, accesses)
-
-        if hl_kind == HLEventKind.FREE and phase == HLPhase.BEGIN:
-            cost = 0
-            accesses = []
-            for start, length in rec.ranges:
-                self.metadata.set_range(start, length, UNTAINTED)
-                cost += self.range_cost(length)
-                accesses.extend(self.timed_range_accesses(start, length, True))
-            return (cost or 2, accesses)
-
-        if hl_kind == HLEventKind.SYSCALL_READ:
-            if self.range_table is not None:
-                if phase == HLPhase.BEGIN:
-                    self.range_table.insert(rec.rid, rec.tid, rec.ranges)
-                else:
-                    self.range_table.remove(self._find_range_key(rec))
-            if phase == HLPhase.END and self.taint_syscall_reads:
-                cost = 0
-                accesses = []
-                for start, length in rec.ranges:
-                    self.metadata.set_range(start, length, TAINTED)
-                    cost += self.range_cost(length)
-                    accesses.extend(self.timed_range_accesses(start, length, True))
-                return (cost or 2, accesses)
-            return (2, [])
-
-        if hl_kind == HLEventKind.SYSCALL_WRITE and phase == HLPhase.BEGIN:
-            if self.check_output:
-                for start, length in rec.ranges:
-                    if self.metadata.any_equal(start, length, TAINTED):
-                        self.violation(
-                            "tainted-output", rec.tid, rec.rid,
-                            f"tainted bytes written out from {start:#x}",
-                        )
-                return (self.range_cost(sum(r[1] for r in rec.ranges) or 1),
-                        [a for start, length in rec.ranges
-                         for a in self.timed_range_accesses(start, length, False)])
-            return (2, [])
-
+                if self.metadata.any_equal(start, length, TAINTED):
+                    self.violation(
+                        "tainted-output", rec.tid, rec.rid,
+                        f"tainted bytes written out from {start:#x}",
+                    )
+            return (self.range_cost(sum(r[1] for r in rec.ranges) or 1),
+                    [a for start, length in rec.ranges
+                     for a in self.timed_range_accesses(start, length, False)])
         return (2, [])
 
     def _find_range_key(self, rec):

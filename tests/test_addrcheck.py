@@ -6,6 +6,8 @@ from repro.capture.events import Record, RecordKind
 from repro.isa.instructions import HLEventKind
 from repro.isa.registers import R0
 from repro.lifeguards.addrcheck import ALLOCATED, UNALLOCATED, AddrCheck
+from repro.lifeguards.base import event_key
+from repro.lifeguards.oracle import replay_events
 
 HEAP = (0x4000_0000, 0x6000_0000)
 BLOCK = 0x4000_1000
@@ -86,8 +88,9 @@ class TestAccessChecks:
         assert addrcheck.violations[0].kind == "unallocated-access"
 
     def test_non_heap_access_ignored(self, addrcheck):
-        addrcheck.handle(("load", record(RecordKind.LOAD, addr=0x1000,
-                                         size=4)))
+        # The delivery address-range filter drops it before dispatch.
+        global_load = ("load", record(RecordKind.LOAD, addr=0x1000, size=4))
+        assert replay_events([global_load], lambda: addrcheck) is addrcheck
         assert addrcheck.violations == []
 
 
@@ -96,10 +99,13 @@ class TestEventDeliveryFiltering:
         heap_load = ("load", record(RecordKind.LOAD, addr=BLOCK, size=4))
         global_load = ("load", record(RecordKind.LOAD, addr=0x1000, size=4))
         reg_event = ("alu", record(RecordKind.ALU, rd=R0, rs1=R0))
-        assert addrcheck.wants(heap_load)
-        assert not addrcheck.wants(global_load)
-        assert not addrcheck.wants(reg_event)
-        assert addrcheck.wants(malloc_event(BLOCK, 8))
+        assert "load" in addrcheck.handlers
+        assert addrcheck.delivery_range == HEAP
+        start, end = addrcheck.delivery_range
+        assert start <= heap_load[1].addr < end
+        assert not start <= global_load[1].addr < end
+        assert reg_event[0] not in addrcheck.handlers
+        assert event_key(malloc_event(BLOCK, 8)) in addrcheck.handlers
 
     def test_if_key_for_heap_accesses(self, addrcheck):
         heap_load = ("load", record(RecordKind.LOAD, addr=BLOCK, size=4))

@@ -1,12 +1,12 @@
-"""wants()/handle() parity guard over the delivered-event vocabulary.
+"""The lifeguards' handler tables, pinned.
 
-The LockSet TSO bug (``wants()`` accepted ``load_versioned`` but
-``handle()`` silently dropped it on the terminal default return) is a
-whole *class* of bug: the two methods are parallel dispatch tables kept
-in sync by hand. This test builds a representative event of every kind
-in the delivery vocabulary (see ``repro.lifeguards.base`` docstring) and
-asserts that every event a lifeguard's ``wants()`` accepts reaches a
-real handler arm — i.e. never lands in ``Lifeguard.unhandled()``.
+A lifeguard registers one handler per delivered-event key (see the
+``repro.lifeguards.base`` docstring); an event whose key has no entry
+is dropped before dispatch. ``REGISTERED`` pins every lifeguard's key
+set, and every registered handler is run once on a representative
+event of its key: it must charge at least one instruction and return a
+list of timed accesses. An event without an entry is dropped by
+delivery, and ``Lifeguard.handle`` refuses it.
 """
 
 import pytest
@@ -14,17 +14,27 @@ import pytest
 from repro.capture.events import Record, RecordKind
 from repro.cpu.os_model import AddressLayout
 from repro.isa.instructions import HLEventKind
-from repro.lifeguards.addrcheck import AddrCheck
-from repro.lifeguards.lockset import LockSet
-from repro.lifeguards.memcheck import MemCheck
-from repro.lifeguards.taintcheck import TaintCheck
-
-LIFEGUARDS = [TaintCheck, MemCheck, AddrCheck, LockSet]
+from repro.lifeguards import LIFEGUARDS
+from repro.lifeguards.base import event_key
+from repro.lifeguards.oracle import replay_events
 
 HEAP_START, _HEAP_END = AddressLayout.heap_range()
 ADDR = HEAP_START + 0x100
 SRC = HEAP_START + 0x200
 LOCK = HEAP_START + 0x300
+
+_ACCESSES = {"load", "store", "rmw", "load_versioned"}
+_PROPAGATION = _ACCESSES | {"movrr", "alu", "loadi", "critical",
+                            "reg_inherit", "mem_inherit"}
+_DATA_FLOW_HL = set(HLEventKind) - {HLEventKind.LOCK, HLEventKind.UNLOCK}
+
+#: Lifeguard name -> the keys its handler table registers.
+REGISTERED = {
+    "taintcheck": _PROPAGATION | _DATA_FLOW_HL,
+    "memcheck": _PROPAGATION | {"load_check"} | _DATA_FLOW_HL,
+    "addrcheck": _ACCESSES | {HLEventKind.MALLOC, HLEventKind.FREE},
+    "lockset": _ACCESSES | set(HLEventKind),
+}
 
 
 def record(kind, tid=0, rid=1, **fields):
@@ -39,80 +49,76 @@ def _mem(kind):
 
 
 def _hl(kind, phase_kind, ranges=((ADDR, 64),)):
-    return record(phase_kind, hl_kind=kind, ranges=ranges)
+    return ("hl", record(phase_kind, hl_kind=kind, ranges=ranges))
 
 
-#: One representative delivered event per vocabulary kind (hl gets one
-#: per high-level kind a lifeguard may subscribe to, since ``wants()``
-#: filters on ``hl_kind``).
-VOCABULARY = [
-    ("load", _mem(RecordKind.LOAD)),
-    ("store", _mem(RecordKind.STORE)),
-    ("rmw", _mem(RecordKind.RMW)),
-    ("load_check", _mem(RecordKind.LOAD)),
-    ("movrr", record(RecordKind.MOVRR, rd=1, rs1=2)),
-    ("alu", record(RecordKind.ALU, rd=1, rs1=2, rs2=3)),
-    ("alu-1src", record(RecordKind.ALU, rd=1, rs1=2, rs2=None)),
-    ("loadi", record(RecordKind.LOADI, rd=1)),
-    ("critical", record(RecordKind.CRITICAL_USE, rs1=1,
-                        critical_kind="jump-target")),
-    ("hl-malloc", _hl(HLEventKind.MALLOC, RecordKind.HL_END)),
-    ("hl-free", _hl(HLEventKind.FREE, RecordKind.HL_BEGIN)),
-    ("hl-lock", _hl(HLEventKind.LOCK, RecordKind.HL_END, ((LOCK, 4),))),
-    ("hl-unlock", _hl(HLEventKind.UNLOCK, RecordKind.HL_BEGIN, ((LOCK, 4),))),
-    ("hl-sysread", _hl(HLEventKind.SYSCALL_READ, RecordKind.HL_END,
-                       ((ADDR, 16),))),
-    ("hl-syswrite", _hl(HLEventKind.SYSCALL_WRITE, RecordKind.HL_BEGIN,
-                        ((ADDR, 16),))),
-    ("hl-sysother", _hl(HLEventKind.SYSCALL_OTHER, RecordKind.HL_END, ())),
-    ("hl-threadstart", _hl(HLEventKind.THREAD_START, RecordKind.HL_END, ())),
-    ("reg_inherit", None),
-    ("mem_inherit", None),
-    ("mem_imm", None),
-    ("load_versioned", None),
+#: One representative delivered event per key of the vocabulary (two for
+#: ``alu``: the 1- and 2-source forms).
+VOCABULARY = {
+    "load": ("load", _mem(RecordKind.LOAD)),
+    "store": ("store", _mem(RecordKind.STORE)),
+    "rmw": ("rmw", _mem(RecordKind.RMW)),
+    "load_check": ("load_check", _mem(RecordKind.LOAD)),
+    "movrr": ("movrr", record(RecordKind.MOVRR, rd=1, rs1=2)),
+    "alu": ("alu", record(RecordKind.ALU, rd=1, rs1=2, rs2=3)),
+    "alu-1src": ("alu", record(RecordKind.ALU, rd=1, rs1=2, rs2=None)),
+    "loadi": ("loadi", record(RecordKind.LOADI, rd=1)),
+    "critical": ("critical", record(RecordKind.CRITICAL_USE, rs1=1,
+                                    critical_kind="jump-target")),
+    "hl-malloc": _hl(HLEventKind.MALLOC, RecordKind.HL_END),
+    "hl-free": _hl(HLEventKind.FREE, RecordKind.HL_BEGIN),
+    "hl-lock": _hl(HLEventKind.LOCK, RecordKind.HL_END, ((LOCK, 4),)),
+    "hl-unlock": _hl(HLEventKind.UNLOCK, RecordKind.HL_BEGIN, ((LOCK, 4),)),
+    "hl-sysread": _hl(HLEventKind.SYSCALL_READ, RecordKind.HL_END,
+                      ((ADDR, 16),)),
+    "hl-syswrite": _hl(HLEventKind.SYSCALL_WRITE, RecordKind.HL_BEGIN,
+                       ((ADDR, 16),)),
+    "hl-sysother": _hl(HLEventKind.SYSCALL_OTHER, RecordKind.HL_END, ()),
+    "hl-threadstart": _hl(HLEventKind.THREAD_START, RecordKind.HL_END, ()),
+    "reg_inherit": ("reg_inherit", 0, 1, [(SRC, 4)], [2]),
+    "mem_inherit": ("mem_inherit", ADDR, 4, [(SRC, 4)], [1],
+                    _mem(RecordKind.STORE)),
+    "load_versioned": ("load_versioned", _mem(RecordKind.LOAD),
+                       (ADDR, 4, [0] * 4)),
+}
+
+REGISTERED_EVENTS = [
+    (label, name)
+    for label, event in VOCABULARY.items()
+    for name in LIFEGUARDS
+    if event_key(event) in REGISTERED[name]
 ]
 
 
-def build_event(label, rec):
-    kind = label.split("-")[0] if label.startswith(("hl", "alu")) else label
-    if kind == "reg_inherit":
-        return ("reg_inherit", 0, 1, [(SRC, 4)], [2])
-    if kind == "mem_inherit":
-        return ("mem_inherit", ADDR, 4, [(SRC, 4)], [1],
-                _mem(RecordKind.STORE))
-    if kind == "mem_imm":
-        return ("mem_imm", ADDR, 4, _mem(RecordKind.STORE))
-    if kind == "load_versioned":
-        return ("load_versioned", _mem(RecordKind.LOAD), (ADDR, 4, [0] * 4))
-    return (kind, rec)
+def test_registered_keys_are_pinned(heap_range):
+    assert {event_key(event) for event in VOCABULARY.values()} == set().union(
+        *REGISTERED.values())
+    for name, cls in LIFEGUARDS.items():
+        assert set(cls(heap_range=heap_range).handlers) == REGISTERED[name], name
 
 
-@pytest.mark.parametrize("lifeguard_cls", LIFEGUARDS,
-                         ids=lambda cls: cls.name)
-@pytest.mark.parametrize("label,rec", VOCABULARY,
-                         ids=[label for label, _rec in VOCABULARY])
-def test_every_wanted_kind_reaches_a_handler_arm(lifeguard_cls, label, rec,
-                                                 heap_range):
-    event = build_event(label, rec)
-    lifeguard = lifeguard_cls(heap_range=heap_range)
-    if not lifeguard.wants(event):
-        pytest.skip(f"{lifeguard_cls.name} does not register for {label}")
-    cost, accesses = lifeguard.handle(event)
-    assert lifeguard.unhandled_kinds == set(), (
-        f"{lifeguard_cls.name}.wants() accepts {event[0]!r} but handle() "
-        f"drops it on the terminal default — dispatch tables out of sync")
+@pytest.mark.parametrize("label,name", REGISTERED_EVENTS,
+                         ids=[f"{label}-{name}"
+                              for label, name in REGISTERED_EVENTS])
+def test_every_wanted_kind_reaches_a_handler_arm(label, name, heap_range):
+    lifeguard = LIFEGUARDS[name](heap_range=heap_range)
+    cost, accesses = lifeguard.handle(VOCABULARY[label])
     assert cost >= 1
     assert isinstance(accesses, list)
 
 
-@pytest.mark.parametrize("lifeguard_cls", LIFEGUARDS,
-                         ids=lambda cls: cls.name)
-def test_unwanted_events_still_return_safely(lifeguard_cls, heap_range):
-    """Direct handle() of an unregistered kind (delivery hardware should
-    filter it, but the software path must stay total) records the kind
-    instead of crashing."""
-    lifeguard = lifeguard_cls(heap_range=heap_range)
-    event = ("bogus_kind", record(RecordKind.NOP))
-    cost, accesses = lifeguard.handle(event)
-    assert (cost, accesses) == (1, [])
-    assert lifeguard.unhandled_kinds == {"bogus_kind"}
+@pytest.mark.parametrize("name", list(LIFEGUARDS))
+def test_unwanted_events_still_return_safely(name, heap_range):
+    """Delivery drops an event without a registered handler: the replay
+    returns and the lifeguard's state is untouched."""
+    fresh = LIFEGUARDS[name](heap_range=heap_range)
+    replayed = replay_events([("bogus_kind", record(RecordKind.NOP))],
+                             lambda: LIFEGUARDS[name](heap_range=heap_range))
+    assert replayed.metadata_fingerprint() == fresh.metadata_fingerprint()
+
+
+@pytest.mark.parametrize("name", list(LIFEGUARDS))
+def test_handle_of_unregistered_kind_raises(name, heap_range):
+    lifeguard = LIFEGUARDS[name](heap_range=heap_range)
+    with pytest.raises(KeyError):
+        lifeguard.handle(("bogus_kind", record(RecordKind.NOP)))

@@ -127,20 +127,18 @@ class TestSlowPath:
         assert lockset.fast_path_entries >= 1
 
     def test_wants_only_memory_and_hl(self, lockset):
-        assert lockset.wants(("load", record(RecordKind.LOAD, addr=WORD,
-                                             size=4)))
-        assert lockset.wants(("hl", record(RecordKind.HL_END,
-                                           hl_kind=HLEventKind.LOCK)))
-        assert not lockset.wants(("alu", record(RecordKind.ALU)))
+        assert "load" in lockset.handlers
+        assert HLEventKind.LOCK in lockset.handlers
+        assert "alu" not in lockset.handlers
 
 
 class TestVersionedLoads:
     """Regression: TSO versioned loads must run the Eraser machine.
 
-    ``wants()`` accepts ``load_versioned``, so ``handle()`` has to treat
-    it exactly like a plain read; before the fix it fell through to the
-    terminal default and the read never moved the word out of Exclusive,
-    masking races on read-shared words under TSO.
+    LockSet registers ``load_versioned`` and must treat it exactly like
+    a plain read; before the fix the event was dropped and the read
+    never moved the word out of Exclusive, masking races on read-shared
+    words under TSO.
     """
 
     def versioned_load(self, lockset, tid, addr):
@@ -149,8 +147,9 @@ class TestVersionedLoads:
         return lockset.handle(("load_versioned", rec, (addr, 4, [0, 0, 0, 0])))
 
     def test_versioned_load_is_not_dropped(self, lockset):
+        assert lockset.handlers["load_versioned"] == lockset.handlers["load"]
         self.versioned_load(lockset, 0, WORD)
-        assert lockset.unhandled_kinds == set()
+        assert lockset.fast_path_entries + lockset.slow_path_entries == 1
 
     def test_versioned_load_runs_state_machine(self, lockset):
         access(lockset, 0, WORD, write=True)          # Virgin -> Exclusive(t0)

@@ -116,3 +116,64 @@ class TestDefinednessPropagation:
         from repro.isa.instructions import HLPhase
         assert (HLEventKind.MALLOC, HLPhase.END) in memcheck.ca_flush_it
         assert (HLEventKind.FREE, HLPhase.BEGIN) in memcheck.ca_flush_it
+
+
+class TestVersionedLoads:
+    """A TSO versioned load is judged exactly like a plain load, against
+    the metadata version it is ordered with instead of live metadata:
+    the same violations, and defined only if every byte is initialized.
+    """
+
+    A = ADDRESSABLE
+    AI = ADDRESSABLE | INITIALIZED
+
+    def versioned(self, memcheck, snapshot, addr=BLOCK, snap_base=BLOCK):
+        rec = record(RecordKind.LOAD, addr=addr, size=4, rd=R0)
+        memcheck.regs(0)[R0] = 1
+        memcheck.handle(("load_versioned", rec,
+                         (snap_base, len(snapshot), list(snapshot))))
+        return ([v.kind for v in memcheck.violations], memcheck.regs(0)[R0])
+
+    def live(self, snapshot, addr=BLOCK):
+        memcheck = MemCheck(heap_range=HEAP)
+        for i, bits in enumerate(snapshot):
+            memcheck.metadata.set(addr + i, bits)
+        memcheck.regs(0)[R0] = 1
+        memcheck.handle(("load", record(RecordKind.LOAD, addr=addr, size=4,
+                                        rd=R0)))
+        return ([v.kind for v in memcheck.violations], memcheck.regs(0)[R0])
+
+    def test_uninitialized_snapshot_reported(self, memcheck):
+        assert self.versioned(memcheck, [self.A] * 4) == (
+            ["uninitialized-load"], 0)
+
+    def test_partly_initialized_snapshot_is_undefined(self, memcheck):
+        assert self.versioned(memcheck, [self.AI, self.AI, self.A, self.A]) \
+            == (["uninitialized-load"], 0)
+
+    def test_unaddressable_snapshot_reported(self, memcheck):
+        assert self.versioned(memcheck, [0] * 4) == (
+            ["unaddressable-load"], 0)
+
+    def test_initialized_snapshot_is_defined(self, memcheck):
+        assert self.versioned(memcheck, [self.AI] * 4) == ([], 1)
+
+    def test_bytes_outside_snapshot_are_unaddressable(self, memcheck):
+        # Only the first two loaded bytes lie inside the version.
+        assert self.versioned(memcheck, [self.AI] * 2) == (
+            ["unaddressable-load"], 0)
+
+    def test_non_heap_versioned_load_is_defined(self, memcheck):
+        assert self.versioned(memcheck, [0] * 4, addr=0x1000,
+                              snap_base=0x1000) == ([], 1)
+
+    @pytest.mark.parametrize("snapshot", [
+        [ADDRESSABLE] * 4,
+        [ADDRESSABLE | INITIALIZED] * 2 + [ADDRESSABLE] * 2,
+        [0] * 4,
+        [INITIALIZED] * 4,
+        [ADDRESSABLE | INITIALIZED] * 4,
+    ], ids=["uninitialized", "partly-initialized", "unaddressable",
+            "initialized-unaddressable", "defined"])
+    def test_matches_plain_load_on_the_same_bytes(self, memcheck, snapshot):
+        assert self.versioned(memcheck, snapshot) == self.live(snapshot)
