@@ -1,13 +1,15 @@
 """Cost-model golden: the simulated work each lifeguard is charged.
 
 ``tests/data/lifeguard_costs.golden.json`` pins, for every lifeguard,
-the total cycles and event-delivery counters of three tiny 4-thread
-parallel-monitoring runs. Together they cover lock/unlock events,
-malloc/free, the allocator's own memory accesses, heap and non-heap
-accesses, Inheritance Tracking and the Idempotent Filter, and TSO
-versioned loads. A change to event dispatch that moves a single cycle
-or delivers one event more or less fails here, even where no
-end-to-end digest covers the lifeguard.
+the total cycles, event-delivery counters, engine events popped and
+shadow-chunk counters of four tiny 4-thread parallel-monitoring runs.
+Together they cover lock/unlock events, malloc/free, the allocator's
+own memory accesses, heap and non-heap accesses, Inheritance Tracking
+and the Idempotent Filter, TSO versioned loads and a taint pipeline
+(the Figure 3 remote-conflict pattern). A change to event dispatch
+that moves a single cycle, delivers one event more or less, or
+allocates one shadow chunk more fails here, even where no end-to-end
+digest covers the lifeguard.
 
 Regenerate (only after an intentional cost-model change) with::
 
@@ -29,9 +31,13 @@ RUNS = (
     ("radiosity-sc", "radiosity", MemoryModel.SC),
     ("swaptions-sc", "swaptions", MemoryModel.SC),
     ("radiosity-tso", "radiosity", MemoryModel.TSO),
+    ("taint_pipeline-sc", "taint_pipeline", MemoryModel.SC),
 )
 THREADS = 4
 COUNTERS = ("events_delivered", "events_filtered", "versions_consumed")
+#: Hot-path counters from ``stats["perf"]``: engine events served and
+#: shadow-memory chunk churn in the lifeguard metadata map.
+PERF_COUNTERS = ("events_popped", "shadow_chunks_peak", "shadow_chunk_allocs")
 
 
 def measure(lifeguard: str, benchmark: str, memory_model) -> dict:
@@ -41,6 +47,8 @@ def measure(lifeguard: str, benchmark: str, memory_model) -> dict:
     cell = {"total_cycles": result.total_cycles}
     for counter in COUNTERS:
         cell[counter] = result.stats.get(counter, 0)
+    for counter in PERF_COUNTERS:
+        cell[counter] = result.stats["perf"][counter]
     return cell
 
 

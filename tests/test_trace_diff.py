@@ -67,14 +67,55 @@ class TestDifferentialSingles:
             report.assert_ok()
 
 
+#: Simulated work of the 25-seed x 4-lifeguard acceptance sweep, per
+#: scheme: sums of cycles, retired instructions, engine events popped
+#: and shadow-chunk allocations, and the peak shadow-chunk residency.
+#: Pinned exactly: a change that moves the engine, the cores or the
+#: metadata map by one event or one cycle must update this table.
+SWEEP_WORK = {
+    "parallel": {"sim_cycles": 106883, "instructions": 10232,
+                 "events_popped": 24659, "shadow_chunk_allocs": 75,
+                 "shadow_chunks_peak": 1},
+    "timesliced": {"sim_cycles": 135423, "instructions": 10232,
+                   "events_popped": 22144, "shadow_chunk_allocs": 75,
+                   "shadow_chunks_peak": 1},
+    "no_monitoring": {"sim_cycles": 61236, "instructions": 10232,
+                      "events_popped": 10432, "shadow_chunk_allocs": 0,
+                      "shadow_chunks_peak": 0},
+}
+
+
+def sweep_work(reports) -> dict:
+    """Per-scheme totals of the counters in :data:`SWEEP_WORK`."""
+    totals = {}
+    for report in reports:
+        for scheme, perf in report.perf.items():
+            work = totals.setdefault(scheme, dict.fromkeys(
+                SWEEP_WORK[scheme], 0))
+            for counter in ("sim_cycles", "events_popped",
+                            "shadow_chunk_allocs"):
+                work[counter] += perf.get(counter, 0)
+            work["instructions"] += report.instructions[scheme]
+            work["shadow_chunks_peak"] = max(
+                work["shadow_chunks_peak"],
+                perf.get("shadow_chunks_peak", 0))
+    return totals
+
+
 class TestAcceptanceSweep:
-    def test_25_seeds_every_lifeguard(self):
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return differential_sweep(range(25))
+
+    def test_25_seeds_every_lifeguard(self, reports):
         """The issue's acceptance criterion: >= 25 seeded random programs
         with identical lifeguard verdicts across the three schemes."""
-        reports = differential_sweep(range(25))
         bad = [report for report in reports if not report.ok]
         assert not bad, "\n\n".join(report.summary() for report in bad)
         assert len(reports) == 25 * len(ALL_LIFEGUARDS)
+
+    def test_work_counters_are_pinned(self, reports):
+        assert sweep_work(reports) == SWEEP_WORK
 
 
 @pytest.mark.slow
