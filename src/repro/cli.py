@@ -20,12 +20,13 @@ Commands:
   its replay leg).
 * ``headline`` — the abstract's three claims.
 * ``swaptions`` — the Section 7 swaptions analysis.
-* ``perf`` — the benchmark harness / regression gate (forwards to
-  ``python -m repro.perf``; see its ``--help``).
 * ``serve`` — the long-lived monitoring service: submit runs over REST,
   stream verdicts + trace events live via Server-Sent Events (forwards
   to ``python -m repro.serve``; see its ``--help``).
 * ``list`` — available workloads and lifeguards.
+
+Commands parsed here exit 2 on a bad flag, including an output path whose
+directory does not exist (checked before any work starts).
 
 ``run`` exit codes: 0 success, 3 diagnosed deadlock/livelock
 (:class:`~repro.common.errors.DeadlockError`; pass ``--crash-report`` to
@@ -38,8 +39,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.argtypes import non_negative_int, positive_float, \
-    positive_int
+from repro.common.argtypes import non_negative_int, output_path, \
+    positive_float, positive_int
 from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
     SimulationConfig
 from repro.common.errors import ConfigurationError, SimulationError, \
@@ -150,10 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--fault-seed", type=int, default=0,
                             help="seed for probabilistic fault decisions")
     run_parser.add_argument("--crash-report", metavar="PATH", default=None,
+                            type=output_path,
                             help="on deadlock/livelock/timeout, write the "
                                  "JSON diagnostics here (includes the "
                                  "last-N flight-recorder events)")
     run_parser.add_argument("--trace", metavar="PATH", default=None,
+                            type=output_path,
                             help="stream flight-recorder events to PATH "
                                  "as JSONL ('-' for stdout); safe to "
                                  "tail -f while the run is live")
@@ -188,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--length", type=non_negative_int, default=18,
                       help="random ops per thread script (default 18)")
     diff.add_argument("--output", metavar="PATH", default=None,
+                      type=output_path,
                       help="write the merged report payloads as JSON")
     _add_jobs(diff)
     diff.add_argument("--checkpoint", metavar="PATH", default=None,
@@ -213,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--fault-seed", type=int, default=0,
                       help="seed for the worker fault plans")
     diff.add_argument("--trace", metavar="PATH", default=None,
+                      type=output_path,
                       help="stream sweep flight-recorder events to PATH "
                            "as JSONL ('-' for stdout); safe to tail -f "
                            "while the sweep is live")
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     archive = sub.add_parser(
         "archive", help="record once: archive a live monitored run's "
                         "captured order to a .plog file (repro.replay)")
-    archive.add_argument("output", metavar="ARCHIVE",
+    archive.add_argument("output", metavar="ARCHIVE", type=output_path,
                          help="archive path to write (manifest sidecar "
                               "lands at ARCHIVE.manifest.json)")
     archive.add_argument("--seed", type=int, default=1)
@@ -251,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "byte-identical to it, and run the "
                           "differential check with its replay leg")
     rep.add_argument("--output", metavar="PATH", default=None,
+                     type=output_path,
                      help="write the per-lifeguard replay payloads as "
                           "JSON (canonical form)")
     _add_jobs(rep)
@@ -265,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=[s.value for s in ScalePreset],
                            default="tiny")
     swaptions.add_argument("--seed", type=int, default=1)
-
-    perf = sub.add_parser(
-        "perf", help="benchmark harness / perf gate (python -m repro.perf)",
-        add_help=False)
-    perf.add_argument("perf_args", nargs=argparse.REMAINDER,
-                      help="arguments forwarded to repro.perf")
 
     serve = sub.add_parser(
         "serve", help="monitoring-as-a-service job server: REST run "
@@ -613,14 +613,10 @@ def main(argv=None) -> int:
 
 def _dispatch(argv) -> int:
     """Parse ``argv`` and run the selected subcommand."""
-    # `perf` forwards everything verbatim to repro.perf's own parser
-    # (argparse REMAINDER rejects unknown leading options, so dispatch
-    # before the main parse).
-    if argv and argv[0] == "perf":
-        from repro.perf import main as perf_main
-        return perf_main(argv[1:])
-    # `serve` likewise owns its argument vocabulary (and its own clean
-    # Ctrl-C shutdown path, which must return 0, not EXIT_ABNORMAL).
+    # `serve` owns its argument vocabulary (argparse REMAINDER rejects
+    # unknown leading options, so dispatch before the main parse) and
+    # its own clean Ctrl-C shutdown path, which must return 0, not
+    # EXIT_ABNORMAL.
     if argv and argv[0] == "serve":
         from repro.serve import main as serve_main
         return serve_main(argv[1:])

@@ -1,13 +1,15 @@
 """``argparse`` ``type=`` validators shared by the command-line entry points.
 
-A bad numeric flag must fail at parse time with argparse's usage error
-(exit 2), not later as an uncaught simulator exception.
+A bad numeric flag or an unwritable output path must fail at parse time
+with argparse's usage error (exit 2), not later as an uncaught simulator
+exception or after the run has done its work.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 
 
 def _bounded_int(text: str, minimum: int, what: str) -> int:
@@ -29,6 +31,18 @@ def positive_int(text: str) -> int:
 def non_negative_int(text: str) -> int:
     """An integer >= 0."""
     return _bounded_int(text, 0, ">= 0")
+
+
+def output_path(text: str) -> str:
+    """A file path to write: its directory must exist, and it must not
+    itself be a directory. ``-`` (stdout, for the flags that take it)
+    passes, since its directory is the current one."""
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
 
 
 def positive_float(text: str) -> float:

@@ -96,7 +96,7 @@ class Engine:
         #: Actors that already called :meth:`note_finish` (double-finish
         #: guard — a second call would silently corrupt ``_unfinished``).
         self._finished_actors = set()
-        #: Total events popped off the time queue (perf-harness metric).
+        #: Total events popped off the time queue (``stats["perf"]``).
         self.events_popped = 0
         #: Optional livelock detector; may also be attached after init.
         self.watchdog = watchdog

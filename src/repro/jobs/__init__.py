@@ -5,8 +5,8 @@ rule, deterministic merge order, hard deadlines, bounded retries with
 deterministic backoff), :mod:`repro.jobs.executors` for the two
 backends and :mod:`repro.jobs.checkpoint` for the JSONL
 checkpoint/resume format. The sweep surfaces that use it —
-``repro.trace.diff`` seed sweeps, the ``repro.perf`` scenario matrix,
-the ``repro.eval.experiments`` figure loops — all expose it as
+``repro.trace.diff`` seed sweeps, ``repro.replay`` fan-outs and the
+``repro.eval.experiments`` figure loops — all expose it as
 ``--jobs N`` (default 1: serial, bit-identical output).
 """
 

@@ -1,7 +1,7 @@
 """The parallel sweep executor facade.
 
-Every sweep in the repo — differential seed sweeps, the perf scenario
-matrix, the figure regeneration loops — is a list of *independent*
+Every sweep in the repo — differential seed sweeps, replay fan-outs,
+the figure regeneration loops — is a list of *independent*
 cells (seed × scheme × lifeguard, benchmark × thread count, ...).
 :class:`JobRunner` runs such a list on one of two backends
 (:mod:`repro.jobs.executors`) while keeping the output

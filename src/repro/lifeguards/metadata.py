@@ -33,7 +33,7 @@ Performance notes (the semantic view sits on the handler hot path):
 * Writing value 0 to a never-touched chunk is a **no-op**: zeroing
   sweeps over untouched memory must not materialize shadow chunks.
   :attr:`chunk_allocations` and :attr:`peak_chunks` make allocation
-  behaviour observable (the perf harness reports both).
+  behaviour observable (``stats["perf"]`` reports both).
 """
 
 from __future__ import annotations

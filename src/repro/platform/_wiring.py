@@ -39,11 +39,14 @@ def build_thread_programs(workload, machine: Machine) -> List:
 
 
 def collect_perf_stats(machine: Machine, lifeguard=None) -> Dict[str, int]:
-    """Hot-path counters for the :mod:`repro.perf` benchmark harness.
+    """Hot-path counters, stored as ``stats["perf"]``.
 
     Deterministic, machine-independent measures of how much work a run
     did: engine events popped, and (for monitored runs) shadow-memory
-    chunk residency/allocation from the lifeguard's metadata map.
+    chunk residency/allocation from the lifeguard's metadata map. The
+    end-to-end benchmark (``benchmarks/e2e``) reports them per layer;
+    ``tests/test_lifeguard_costs.py`` and the acceptance sweep in
+    ``tests/test_trace_diff.py`` pin them exactly.
     """
     perf: Dict[str, int] = {"events_popped": machine.engine.events_popped}
     if lifeguard is not None:

@@ -331,9 +331,10 @@ class DiffReport:
     verdicts: Dict[str, tuple] = field(default_factory=dict)
     instructions: Dict[str, int] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
-    #: Per-scheme hot-path counters for :mod:`repro.perf`:
-    #: ``{scheme: {"sim_cycles", "events_popped", "shadow_chunks_peak",
-    #: "shadow_chunk_allocs"}}``.
+    #: Per-scheme hot-path counters (``stats["perf"]`` plus the run's
+    #: cycles): ``{scheme: {"sim_cycles", "events_popped",
+    #: "shadow_chunks_peak", "shadow_chunk_allocs"}}``. The end-to-end
+    #: benchmark reports them; the acceptance sweep pins their totals.
     perf: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property

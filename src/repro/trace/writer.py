@@ -71,16 +71,16 @@ def parse_trace_filter(spec: str) -> FrozenSet[str]:
 
     ``"all"`` (or an empty string) selects every category. Unknown names
     raise :class:`~repro.common.errors.ConfigurationError` listing the
-    valid set.
+    valid set, even next to ``all``.
     """
-    names = [part.strip() for part in spec.split(",") if part.strip()]
-    if not names or "all" in names:
-        return _CATEGORY_SET
-    unknown = sorted(set(names) - _CATEGORY_SET)
+    names = {part.strip() for part in spec.split(",") if part.strip()}
+    unknown = sorted(names - _CATEGORY_SET - {"all"})
     if unknown:
         raise ConfigurationError(
             f"unknown trace categories {unknown}; "
             f"valid: {', '.join(CATEGORIES)} (or 'all')")
+    if not names or "all" in names:
+        return _CATEGORY_SET
     return frozenset(names)
 
 

@@ -92,13 +92,19 @@ class TestRemovedExecutorFlags:
         (["figure8", "--executor", "auto"], "--executor auto"),
         (["diff", "--seeds", "1", "--heartbeat", "0.5"], "--heartbeat 0.5"),
         (["diff", "--seeds", "1", "--shards", "out"], "--shards out"),
-        (["perf", "--executor", "pool"], "--executor pool"),
     ])
     def test_flag_is_unrecognized(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_perf_command_is_gone(self, capsys):
+        # Speed is judged by benchmarks/e2e; there is no perf subcommand.
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--gate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec,message", [
         ("worker_heartbeat:drop", "unknown fault site 'worker_heartbeat'"),
@@ -181,6 +187,12 @@ class TestCommands:
                      "--trace-filter", "bogus"]) == 2
         assert "unknown trace categories" in capsys.readouterr().err
 
+    def test_run_typo_next_to_all_trace_filter_rejected(self, capsys):
+        assert main(["run", "swaptions", "--threads", "2", "--trace", "-",
+                     "--trace-filter", "all,bogus"]) == 2
+        assert "unknown trace categories ['bogus']" in \
+            capsys.readouterr().err
+
     def test_figure6_subset(self, capsys):
         assert main(["figure6", "--benchmarks", "lu",
                      "--thread-counts", "1", "2"]) == 0
@@ -206,6 +218,60 @@ class TestCommands:
     def test_swaptions_analysis(self, capsys):
         assert main(["swaptions", "--threads", "2"]) == 0
         assert "alloc_free_pairs" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def small_archive(tmp_path_factory):
+    from repro.replay import capture_archive
+
+    path = tmp_path_factory.mktemp("archive") / "run.plog"
+    capture_archive(path, 1, nthreads=2, length=6)
+    return str(path)
+
+
+class TestUnwritableOutputPaths:
+    """An output path in a missing directory is a usage error: exit 2 at
+    parse time, before the run or sweep does any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "swaptions", "--trace", "{missing}/t.jsonl"],
+        ["run", "swaptions", "--inject", "ca_mark:drop:t1",
+         "--crash-report", "{missing}/crash.json"],
+        ["diff", "--seeds", "1", "--lifeguards", "addrcheck",
+         "--output", "{missing}/diff.json"],
+        ["diff", "--seeds", "1", "--lifeguards", "addrcheck",
+         "--trace", "{missing}/sweep.jsonl"],
+        ["archive", "{missing}/run.plog"],
+        ["replay", "{archive}", "--lifeguards", "addrcheck",
+         "--output", "{missing}/replay.json"],
+    ], ids=["run-trace", "run-crash-report", "diff-output", "diff-trace",
+            "archive", "replay-output"])
+    def test_missing_directory_exits_2(self, argv, tmp_path, small_archive,
+                                       capsys):
+        missing = tmp_path / "missing"
+        argv = [arg.format(missing=missing, archive=small_archive)
+                for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"no such directory: '{missing}'" in captured.err
+        assert captured.out == ""
+        assert not missing.exists()
+
+    def test_existing_directory_is_not_a_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", "--seeds", "1", "--output", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_stdout_dash_and_a_new_checkpoint_directory_still_work(
+            self, tmp_path, capsys):
+        checkpoint = tmp_path / "new" / "cp.jsonl"
+        assert main(["diff", "--seeds", "1", "--lifeguards", "addrcheck",
+                     "--trace", "-", "--checkpoint", str(checkpoint)]) == 0
+        assert '"event":"sweep_done"' in capsys.readouterr().out
+        assert checkpoint.exists()
 
 
 class TestArchiveReplay:

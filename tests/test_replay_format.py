@@ -2,7 +2,8 @@
 
 Covers byte-determinism, full-fidelity round trips, every rejection
 path (magic, versions, digests, truncation, trailing bytes), and the
-transitive-reduction-vs-naive arc accounting the perf gate relies on.
+transitive-reduction-vs-naive arc accounting: a captured run's reduced
+arcs must encode smaller than the naive full-arc baseline.
 """
 
 import hashlib

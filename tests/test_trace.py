@@ -41,6 +41,9 @@ class TestTraceFilterParsing:
             parse_trace_filter("arc,bogus")
         with pytest.raises(ConfigurationError):
             TraceWriter(categories=("nope",))
+        # naming `all` does not excuse a typo next to it
+        with pytest.raises(ConfigurationError, match=r"\['bogus'\]"):
+            parse_trace_filter("all,bogus")
 
 
 class TestTraceWriterUnit:
