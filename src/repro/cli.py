@@ -204,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "in worker processes)")
     diff.add_argument("--retries", type=non_negative_int, default=1,
                       help="extra attempts per failing cell (default 1)")
-    diff.add_argument("--backoff", metavar="BASE[:CAP]", default=None,
-                      help="retry backoff: base delay and optional "
-                           "cap in seconds (deterministic capped "
-                           "exponential; default 0.1:5)")
     diff.add_argument("--inject-worker", action="append", default=[],
                       metavar="SITE:ACTION[:MOD...]",
                       help="chaos-inject a worker-level fault (repeatable), "
@@ -223,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "while the sweep is live")
     diff.add_argument("--trace-filter", metavar="CATS", default="jobs",
                       help="comma-separated event categories (default "
-                           "jobs: the sweep scheduler's own events — "
+                           "jobs: the sweep's own events — "
                            "simulator events stay in the workers)")
 
     archive = sub.add_parser(
@@ -376,20 +372,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_backoff(spec):
-    """``BASE[:CAP]`` → :class:`repro.jobs.BackoffPolicy` (None → default)."""
-    from repro.jobs import BackoffPolicy
-
-    if spec is None:
-        return None
-    base, _, cap = spec.partition(":")
-    try:
-        return BackoffPolicy(base=float(base),
-                             **({"cap": float(cap)} if cap else {}))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad --backoff {spec!r}: {exc}") from None
-
-
 def _cmd_diff(args) -> int:
     """The differential sweep as a first-class subcommand.
 
@@ -403,7 +385,6 @@ def _cmd_diff(args) -> int:
     from repro.trace.diff import differential_sweep, report_payload
 
     try:
-        backoff = _parse_backoff(args.backoff)
         worker_faults = tuple(parse_fault_spec(spec)
                               for spec in args.inject_worker)
         for fault in worker_faults:
@@ -433,7 +414,7 @@ def _cmd_diff(args) -> int:
             range(args.seeds), lifeguards=args.lifeguards or None,
             nthreads=args.threads, length=args.length, jobs=args.jobs,
             checkpoint_path=args.checkpoint, resume=args.resume,
-            timeout=args.timeout, retries=args.retries, backoff=backoff,
+            timeout=args.timeout, retries=args.retries,
             worker_faults=worker_faults, fault_seed=args.fault_seed,
             tracer=tracer)
     except KeyboardInterrupt:
@@ -620,7 +601,10 @@ def _dispatch(argv) -> int:
     if argv and argv[0] == "serve":
         from repro.serve import main as serve_main
         return serve_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "diff" and args.resume and not args.checkpoint:
+        parser.error("diff: --resume requires --checkpoint")
 
     if args.command == "table1":
         print(render_mapping("Table 1: simulated machine",

@@ -127,7 +127,7 @@ def _run_cells(figure: str, worker, payloads: List[dict], jobs: int,
     at ``jobs=1``, worker processes otherwise). Results come back in the
     canonical ``payloads`` order — the simulator is deterministic per
     seed, so every ``jobs`` value produces identical cell values."""
-    from repro.jobs import Job, run_jobs
+    from repro.jobs import Job, cell_values, run_jobs
 
     # The index keeps ids unique when a caller repeats a benchmark.
     job_list = [
@@ -135,15 +135,8 @@ def _run_cells(figure: str, worker, payloads: List[dict], jobs: int,
             f":t{p.get('threads', 0)}:s{p['seed']}", p)
         for index, p in enumerate(payloads)
     ]
-    results = run_jobs(job_list, worker, nworkers=jobs, tracer=tracer)
-    values = []
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                f"{figure} cell {result.job_id} failed "
-                f"({result.status}, exit {result.exit_code}): {result.error}")
-        values.append(result.value)
-    return values
+    return cell_values(run_jobs(job_list, worker, nworkers=jobs,
+                                tracer=tracer), figure)
 
 
 def figure6(lifeguard_name: str,

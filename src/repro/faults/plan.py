@@ -20,7 +20,7 @@ site                      armed inside
 ``progress``              :meth:`repro.enforce.progress.ProgressTable.publish`
 ``lifeguard``             :meth:`repro.cpu.lifeguard_core.LifeguardCore.step`
 ``stall_flush``           :meth:`repro.cpu.lifeguard_core.LifeguardCore._stall_flush`
-``worker``                :func:`repro.jobs.workers.execute_job` (sweep workers)
+``worker``                :func:`repro.jobs.workers.pool_shim` (sweep workers)
 ========================  ====================================================
 
 The ``worker`` site is the chaos harness for the sweep executor

@@ -9,18 +9,20 @@ line wins, matching "latest run wins".
 
 Durability is two-tier: every append is flushed to the OS immediately
 (a dead *process* loses nothing), and an ``os.fsync`` lands every
-``fsync_every`` appends and on :meth:`CheckpointWriter.sync` /
+:data:`FSYNC_EVERY` appends and on :meth:`CheckpointWriter.sync` /
 :meth:`CheckpointWriter.close` (bounding what a dead *machine* can
 lose). The sweep runner syncs explicitly on ``KeyboardInterrupt``, so
 Ctrl-C mid-sweep never loses a buffered line.
 
 Loading is tolerant by design: a sweep's workers get killed mid-write
 on purpose (the chaos harness) and a previous coordinator may have died
-holding the file, so a corrupt line anywhere in the file — torn tail or
-damaged interior — is *skipped*, counted, warned about and reported on
-the ``jobs`` trace category, never trusted and never fatal. The skipped
-job simply re-runs; recomputing a deterministic cell is always safe,
-while refusing to resume a 24-hour sweep over one bad line is not.
+holding the file, so a corrupt line anywhere in the file — torn tail,
+damaged interior, or a line that parses but does not rebuild a
+:class:`~repro.jobs.model.JobResult` whose value matches its digest —
+is *skipped*, counted, warned about and reported on the ``jobs`` trace
+category, never trusted and never fatal. The skipped job simply
+re-runs; recomputing a deterministic cell is always safe, while
+refusing to resume a 24-hour sweep over one bad line is not.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ import os
 import warnings
 from typing import Dict, Optional
 
+from repro.jobs.model import JobResult
+
+#: Appends between two ``os.fsync`` calls.
+FSYNC_EVERY = 16
+
 
 class CheckpointWriter:
     """Append-only JSONL writer for terminal job results."""
 
-    def __init__(self, path: str, *, fsync_every: int = 16):
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
+    def __init__(self, path: str):
         self.path = path
-        self.fsync_every = fsync_every
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._stream = open(path, "a")
@@ -46,13 +50,13 @@ class CheckpointWriter:
 
     def append(self, payload: dict) -> None:
         """Write one result line, flushed to the OS immediately and
-        fsynced every ``fsync_every`` appends."""
+        fsynced every :data:`FSYNC_EVERY` appends."""
         self._stream.write(json.dumps(payload, separators=(",", ":"),
                                       sort_keys=True))
         self._stream.write("\n")
         self._stream.flush()
         self._unsynced += 1
-        if self._unsynced >= self.fsync_every:
+        if self._unsynced >= FSYNC_EVERY:
             self.sync()
 
     def sync(self) -> None:
@@ -72,17 +76,20 @@ class CheckpointWriter:
             self._stream = None
 
 
-def load_checkpoint(path: str, tracer=None) -> Dict[str, dict]:
-    """Read a checkpoint file into ``{job_id: result_json}``.
+def load_checkpoint(path: str, tracer=None) -> Dict[str, JobResult]:
+    """Read a checkpoint file into ``{job_id: JobResult}`` (each marked
+    ``resumed``).
 
     A missing file is an empty checkpoint (first run of a sweep started
-    with ``--resume`` unconditionally). Corrupt or malformed lines
+    with ``--resume`` unconditionally). A line is trusted only if
+    :meth:`JobResult.from_json` accepts it, so lines written before
+    checkpoints carried digests are rejected too. Rejected lines
     anywhere in the file are skipped and counted — reported via a
     ``UserWarning`` and, when ``tracer`` is given, a
     ``checkpoint_skipped`` event on the ``jobs`` category — and their
     jobs re-run; see the module docstring for why this never raises.
     """
-    results: Dict[str, dict] = {}
+    results: Dict[str, JobResult] = {}
     skipped = 0
     first_bad: Optional[int] = None
     if not os.path.exists(path):
@@ -93,17 +100,13 @@ def load_checkpoint(path: str, tracer=None) -> Dict[str, dict]:
         if not line.strip():
             continue
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            payload = None
-        if (not isinstance(payload, dict)
-                or not isinstance(payload.get("job_id"), str)
-                or "status" not in payload):
+            result = JobResult.from_json(json.loads(line), resumed=True)
+        except (ValueError, KeyError, TypeError):
             skipped += 1
             if first_bad is None:
                 first_bad = lineno
             continue
-        results[payload["job_id"]] = payload
+        results[result.job_id] = result
     if skipped:
         warnings.warn(
             f"{path}: skipped {skipped} corrupt checkpoint line(s) "

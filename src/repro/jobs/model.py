@@ -1,17 +1,18 @@
 """Shared sweep-executor types: jobs, results, statuses, exit codes.
 
-Split out of :mod:`repro.jobs.runner` so the scheduler, the executor
-backends and the worker-side harness can all speak the same vocabulary
-without importing the runner facade (which imports all of them).
+Split out of :mod:`repro.jobs.runner` so the pool path, the
+worker-side harness and the checkpoint reader can all speak the same
+vocabulary without importing the runner.
 
 A job value is always JSON-normalized (:func:`normalize_value`) before
 it is recorded, so the in-process path, the pickled pool path and the
 JSON-resumed path are indistinguishable — the canonical-order merge of
-either backend is byte-identical to the serial run.
+either path is byte-identical to the serial run.
 :func:`result_digest` hashes that canonical form; workers send the
-digest alongside the value so the scheduler can detect a corrupted
+digest alongside the value so the coordinator can detect a corrupted
 result (e.g. a worker-level ``corrupt_result`` fault) and retry instead
-of silently poisoning the merge.
+of silently poisoning the merge, and checkpoint lines carry it so a
+damaged line is never resumed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def result_digest(value) -> str:
     """Short hex digest of a JSON-normalized job value.
 
     Computed by the worker over the canonical encoding and verified by
-    the scheduler before the value is merged; a mismatch means the
-    result was corrupted somewhere between computation and delivery.
+    the coordinator before the value is merged (and by
+    :meth:`JobResult.from_json` before a checkpointed value is resumed);
+    a mismatch means the value was corrupted in flight or on disk.
     """
     encoded = json.dumps(value, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
@@ -100,6 +102,7 @@ class JobResult:
             "job_id": self.job_id,
             "status": self.status,
             "value": self.value,
+            "digest": result_digest(self.value),
             "error": self.error,
             "attempts": self.attempts,
             "exit_code": self.exit_code,
@@ -107,8 +110,31 @@ class JobResult:
 
     @classmethod
     def from_json(cls, payload: dict, *, resumed: bool = False) -> "JobResult":
-        """Rebuild a result from its checkpoint line (raises
-        ``ValueError``/``KeyError`` on malformed payloads)."""
+        """Rebuild a result from its checkpoint line. Raises
+        ``ValueError`` unless the line has a string job id, a terminal
+        status and a positive integer attempt count, and its value
+        matches its digest (``KeyError``/``TypeError`` on other malformed
+        payloads)."""
+        if not isinstance(payload["job_id"], str):
+            raise ValueError(f"bad job id {payload['job_id']!r}")
+        attempts = payload["attempts"]
+        if (isinstance(attempts, bool) or not isinstance(attempts, int)
+                or attempts < 1):
+            raise ValueError(f"bad attempt count {attempts!r}")
+        if result_digest(payload["value"]) != payload["digest"]:
+            raise ValueError("value does not match its digest")
         return cls(job_id=payload["job_id"], status=payload["status"],
-                   value=payload.get("value"), error=payload.get("error"),
-                   attempts=payload.get("attempts", 1), resumed=resumed)
+                   value=payload["value"], error=payload.get("error"),
+                   attempts=attempts, resumed=resumed)
+
+
+def cell_values(results, what: str) -> list:
+    """The values of a sweep's results, in order; raises
+    ``RuntimeError`` naming the first cell that did not end ``ok``."""
+    for result in results:
+        if not result.ok:
+            raise RuntimeError(
+                f"{what} cell {result.job_id} failed "
+                f"({result.status}, exit {result.exit_code}): "
+                f"{result.error}")
+    return [result.value for result in results]

@@ -146,21 +146,14 @@ def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
         return {name: replay_payload(replay_archive(reader, name))
                 for name in names}
 
-    from repro.jobs import Job, run_jobs
+    from repro.jobs import Job, cell_values, run_jobs
 
     results = run_jobs(
         [Job(f"replay:{name}",
              {"archive": str(archive_path), "lifeguard": name})
          for name in names],
         replay_job, nworkers=jobs, tracer=tracer)
-    payloads: Dict[str, dict] = {}
-    for name, result in zip(names, results):
-        if not result.ok:
-            raise RuntimeError(
-                f"replay cell {result.job_id} failed ({result.status}, "
-                f"exit {result.exit_code}): {result.error}")
-        payloads[name] = result.value
-    return payloads
+    return dict(zip(names, cell_values(results, "replay")))
 
 
 def capture_archive(path: str, seed: int, lifeguard: str = "taintcheck",

@@ -5,7 +5,7 @@ application runs, not after — but every other entry point in this repo
 is a batch CLI that reports once the simulation exits. This package is
 the missing front door: a long-lived stdlib-``asyncio`` HTTP service
 that accepts simulation/monitoring jobs over REST, executes them
-through the :mod:`repro.jobs` executors (inheriting timeouts, retries
+through :func:`repro.jobs.run_jobs` (inheriting timeouts, retries
 and crashed-worker quarantine), and streams lifeguard verdicts and
 flight-recorder events *live* over Server-Sent Events by tailing each
 run's ``stream``-mode JSONL trace with :class:`repro.trace.TraceTail`.

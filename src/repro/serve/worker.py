@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Dict, Optional
 
 from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
@@ -139,8 +140,9 @@ def normalize_run_config(payload: dict) -> dict:
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
             raise ConfigurationError(f"'timeout' must be a number, "
                                      f"got {timeout!r}")
-        if timeout <= 0:
-            raise ConfigurationError("'timeout' must be > 0")
+        if not 0 < timeout < math.inf:
+            raise ConfigurationError(
+                f"'timeout' must be a finite number > 0, got {timeout!r}")
     return config
 
 

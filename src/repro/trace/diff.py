@@ -656,7 +656,7 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
                        length: int = 18, replay: bool = False,
                        jobs: int = 1, checkpoint_path: str = None,
                        resume: bool = False, timeout: float = None,
-                       retries: int = 1, backoff=None, worker_faults=(),
+                       retries: int = 1, worker_faults=(),
                        fault_seed: int = 0,
                        tracer=None) -> List[DiffReport]:
     """Run :func:`differential_check` over a seed range; returns all
@@ -670,21 +670,13 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
     archive-and-replay leg to every cell; each cell archives to its own
     temporary file, so the sweep stays embarrassingly parallel.
     """
-    from repro.jobs import run_jobs
+    from repro.jobs import cell_values, run_jobs
 
     results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length,
                                   replay),
                        diff_job, nworkers=jobs, timeout=timeout,
                        retries=retries, checkpoint_path=checkpoint_path,
-                       resume=resume, backoff=backoff,
-                       worker_faults=worker_faults, fault_seed=fault_seed,
-                       tracer=tracer)
-    reports = []
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                f"differential cell {result.job_id} failed "
-                f"({result.status}, exit {result.exit_code}): "
-                f"{result.error}")
-        reports.append(report_from_payload(result.value))
-    return reports
+                       resume=resume, worker_faults=worker_faults,
+                       fault_seed=fault_seed, tracer=tracer)
+    return [report_from_payload(value)
+            for value in cell_values(results, "differential")]

@@ -53,6 +53,10 @@ class TestBadIntegerFlags:
          "--length: must be >= 0"),
         (["archive", "out.plog", "--length", "-3"],
          "--length: must be >= 0"),
+        (["diff", "--timeout", "inf"],
+         "--timeout: must be a finite number > 0"),
+        (["diff", "--seeds", "1", "--resume"],
+         "--resume requires --checkpoint"),
     ])
     def test_rejected_by_argparse(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -82,7 +86,8 @@ class TestRemovedBackendFlag:
 
 
 class TestRemovedExecutorFlags:
-    """The sweep backend is picked from the inputs, so its knobs are gone."""
+    """The sweep backend is picked from the inputs and the retry backoff
+    is a constant, so their knobs are gone."""
 
     @pytest.mark.parametrize("argv,flag", [
         (["diff", "--seeds", "1", "--executor", "pool"], "--executor pool"),
@@ -92,6 +97,7 @@ class TestRemovedExecutorFlags:
         (["figure8", "--executor", "auto"], "--executor auto"),
         (["diff", "--seeds", "1", "--heartbeat", "0.5"], "--heartbeat 0.5"),
         (["diff", "--seeds", "1", "--shards", "out"], "--shards out"),
+        (["diff", "--seeds", "1", "--backoff", "0.1"], "--backoff 0.1"),
     ])
     def test_flag_is_unrecognized(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -155,6 +155,16 @@ class TestFailurePaths:
             differential_sweep([0], lifeguards=("no-such-lifeguard",),
                                retries=0)
 
+    def test_coordinator_sleeps_while_the_pool_is_full(self):
+        """More cells than workers: the pending cells' due-time must not
+        size the wait while no slot is free, or the coordinator spins
+        (1.6 s of CPU for this 2 s sweep before the fix)."""
+        jobs = [Job(f"j{i}", {"n": i, "sleep": 0.5}) for i in range(8)]
+        start = time.process_time()
+        results = run_jobs(jobs, misbehaving_worker, nworkers=2)
+        assert all(r.ok for r in results)
+        assert time.process_time() - start < 0.3
+
     def test_serial_path_retries_exceptions_too(self):
         results = run_jobs(_jobs(1, j0={"raise": "nope"}),
                            misbehaving_worker, retries=1)
@@ -211,6 +221,55 @@ class TestCheckpointResume:
                         + '{"no_job_id": true}\n')
         with pytest.warns(UserWarning, match="skipped 2 corrupt"):
             assert sorted(load_checkpoint(str(path))) == ["a"]
+
+    @pytest.mark.parametrize("damage", [
+        {"status": "bogus"},
+        {"value": None},
+        {"value": {"square": 5}},
+        {"attempts": 0},
+        {"attempts": "2"},
+        {"attempts": True},
+        {"job_id": 7},
+        {"digest": None},
+    ], ids=["status", "value-null", "value-changed", "attempts-zero",
+            "attempts-str", "attempts-bool", "job-id-int", "no-digest"])
+    def test_damaged_line_that_parses_is_skipped(self, tmp_path, damage):
+        """A line that still parses as JSON but does not rebuild a
+        result whose value matches its digest is never trusted."""
+        path = tmp_path / "sweep.jsonl"
+        line = dict(JobResult("b", "ok", value={"square": 4}).to_json(),
+                    **damage)
+        if damage == {"digest": None}:
+            del line["digest"]  # written before lines carried digests
+        path.write_text(json.dumps(JobResult("a", "ok", value=1).to_json())
+                        + "\n" + json.dumps(line) + "\n")
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        with pytest.warns(UserWarning, match="skipped 1 corrupt"):
+            assert sorted(load_checkpoint(str(path), tracer=tracer)) == ["a"]
+        assert [e["event"] for e in tracer.events] == ["checkpoint_skipped"]
+
+    def test_resume_reruns_a_damaged_cell(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        bad = dict(JobResult("j1", "ok", value={"square": 1}).to_json(),
+                   value=None)
+        path.write_text(json.dumps(bad) + "\n")
+        with pytest.warns(UserWarning, match="corrupt checkpoint"):
+            results = run_jobs(_jobs(2), square_worker,
+                               checkpoint_path=str(path), resume=True)
+        assert [r.value for r in results] == [{"square": 0}, {"square": 1}]
+        assert not any(r.resumed for r in results)
+
+    def test_cli_resume_over_a_bogus_status_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "ck.jsonl"
+        path.write_text(json.dumps({"job_id": "seed00000:addrcheck:t2:l18",
+                                    "status": "bogus"}) + "\n")
+        with pytest.warns(UserWarning, match="corrupt checkpoint"):
+            code = main(["diff", "--seeds", "1", "--lifeguards", "addrcheck",
+                         "--checkpoint", str(path), "--resume"])
+        assert code == 0
+        assert "1 cells, 0 failed" in capsys.readouterr().out
 
     def test_corrupt_lines_traced_on_jobs_category(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

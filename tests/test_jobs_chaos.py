@@ -19,16 +19,11 @@ import json
 import pytest
 
 from repro.faults import parse_fault_spec
-from repro.jobs import BackoffPolicy, load_checkpoint, run_jobs
+from repro.jobs import load_checkpoint, run_jobs
 from repro.trace.diff import differential_sweep, report_payload, sweep_jobs, \
     diff_job
 from repro.trace.writer import TraceWriter
 from tests.test_jobs import _jobs, misbehaving_worker, square_worker
-
-#: Fast deterministic backoff so chaos tests stay quick but still
-#: exercise the delayed-requeue path.
-_BACKOFF = BackoffPolicy(base=0.05, cap=0.2)
-
 
 #: (name, fault specs, extra run_jobs kwargs).
 CHAOS_MATRIX = [
@@ -52,7 +47,7 @@ class TestChaosMatrix:
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(
             jobs, misbehaving_worker, nworkers=2,
-            retries=retries, backoff=_BACKOFF,
+            retries=retries,
             worker_faults=tuple(parse_fault_spec(s) for s in specs),
             fault_seed=11, tracer=tracer, **extra)
         assert [r.to_json()["value"] for r in results] == serial
@@ -66,7 +61,6 @@ class TestChaosMatrix:
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(
             _jobs(4), square_worker, nworkers=2, retries=3,
-            backoff=_BACKOFF,
             worker_faults=(
                 parse_fault_spec("worker:corrupt_result:after=1:count=1"),),
             tracer=tracer)
@@ -83,7 +77,6 @@ class TestChaosMatrix:
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(
             _jobs(6), square_worker, nworkers=2, retries=3,
-            backoff=_BACKOFF,
             worker_faults=(parse_fault_spec("worker:kill:after=2:count=1"),),
             tracer=tracer)
         assert all(r.ok for r in results)
@@ -101,7 +94,7 @@ class TestChaosDiffSweep:
         kwargs = dict(lifeguards=("addrcheck",), nthreads=2)
         serial = differential_sweep(range(3), **kwargs)
         chaos = differential_sweep(
-            range(3), jobs=2, retries=3, backoff=_BACKOFF,
+            range(3), jobs=2, retries=3,
             worker_faults=(parse_fault_spec("worker:kill:after=1:count=1"),),
             **kwargs)
         as_bytes = lambda reports: json.dumps(

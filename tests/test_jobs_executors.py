@@ -2,10 +2,11 @@
 
 Covers the pieces under :mod:`repro.jobs` that the behavioral tests in
 ``test_jobs.py`` / ``test_jobs_chaos.py`` exercise only end-to-end: the
-deterministic backoff policy, the buffered-but-synced checkpoint
-writer, the inline/pool rule, and backend parity/degradation.
+deterministic retry delay, the buffered-but-synced checkpoint writer,
+the inline/pool rule, and inline/pool parity and degradation.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -16,48 +17,52 @@ import pytest
 
 from repro.faults import parse_fault_spec
 from repro.jobs import (
-    BackoffPolicy,
     CheckpointWriter,
+    JobResult,
     load_checkpoint,
+    retry_delay,
     run_jobs,
 )
+from repro.jobs import checkpoint as checkpoint_module
+from repro.jobs import pool as pool_module
+from repro.jobs import runner
 from repro.trace.writer import TraceWriter
 from tests.test_jobs import _jobs, misbehaving_worker, square_worker
 
 
-# -- backoff ------------------------------------------------------------------
+# -- retry delay --------------------------------------------------------------
 
 class TestBackoffPolicy:
-    def test_capped_exponential_shape(self):
-        policy = BackoffPolicy(base=0.1, factor=2.0, cap=0.5, jitter=0.0)
-        assert policy.delay("j", 1) == pytest.approx(0.1)
-        assert policy.delay("j", 2) == pytest.approx(0.2)
-        assert policy.delay("j", 3) == pytest.approx(0.4)
-        assert policy.delay("j", 4) == pytest.approx(0.5)  # capped
-        assert policy.delay("j", 10) == pytest.approx(0.5)
+    """The retry backoff: :func:`retry_delay` over module constants."""
 
-    def test_jitter_is_deterministic_and_seeded(self):
-        policy = BackoffPolicy(seed=7)
-        assert policy.delay("a", 1) == policy.delay("a", 1)
+    def test_capped_exponential_shape(self, monkeypatch):
+        monkeypatch.setattr(runner, "BACKOFF_JITTER", 0.0)
+        assert retry_delay("j", 1) == pytest.approx(0.1)
+        assert retry_delay("j", 2) == pytest.approx(0.2)
+        assert retry_delay("j", 3) == pytest.approx(0.4)
+        assert retry_delay("j", 6) == pytest.approx(3.2)
+        assert retry_delay("j", 7) == pytest.approx(5.0)  # capped
+        assert retry_delay("j", 10) == pytest.approx(5.0)
+
+    def test_delays_are_pinned(self):
+        """The constants keep every delay the old default policy gave."""
+        assert retry_delay("j", 1) == pytest.approx(0.11663785821765359)
+        assert retry_delay("j", 2) == pytest.approx(0.22156850444231854)
+        assert retry_delay("seed00003:lockset:t2:l18", 3) == \
+            pytest.approx(0.4944660812567289)
+
+    def test_jitter_is_deterministic_and_seeded(self, monkeypatch):
+        assert retry_delay("a", 1) == retry_delay("a", 1)
         # different jobs / attempts / seeds decorrelate
-        assert policy.delay("a", 1) != policy.delay("b", 1)
-        assert policy.delay("a", 1) != policy.delay("a", 2)
-        assert policy.delay("a", 1) != BackoffPolicy(seed=8).delay("a", 1)
+        assert retry_delay("a", 1) != retry_delay("b", 1)
+        assert retry_delay("a", 1) != retry_delay("a", 2)
+        seed0 = retry_delay("a", 1)
+        monkeypatch.setattr(runner, "BACKOFF_SEED", 8)
+        assert retry_delay("a", 1) != seed0
 
     def test_jitter_never_exceeds_cap(self):
-        policy = BackoffPolicy(base=4.0, cap=5.0, jitter=1.0)
-        assert all(policy.delay(f"j{i}", 1) <= 5.0 for i in range(50))
-
-    def test_none_policy_is_immediate(self):
-        policy = BackoffPolicy.none()
-        assert policy.delay("j", 1) == 0.0
-        assert policy.delay("j", 99) == 0.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            BackoffPolicy(base=-1.0)
-        with pytest.raises(ValueError):
-            BackoffPolicy(factor=0.5)
+        assert all(retry_delay(f"j{i}", 7) == 5.0 for i in range(50))
+        assert all(retry_delay(f"j{i}", 6) <= 5.0 for i in range(50))
 
 
 # -- checkpoint durability ----------------------------------------------------
@@ -65,23 +70,21 @@ class TestBackoffPolicy:
 class TestCheckpointWriter:
     def test_sync_flushes_buffered_lines(self, tmp_path):
         path = str(tmp_path / "cp.jsonl")
-        writer = CheckpointWriter(path, fsync_every=1000)
-        writer.append({"job_id": "a", "status": "ok"})
+        writer = CheckpointWriter(path)
+        writer.append(JobResult("a", "ok").to_json())
         writer.sync()
         assert sorted(load_checkpoint(path)) == ["a"]
         writer.close()
 
     def test_periodic_fsync_counter(self, tmp_path):
-        writer = CheckpointWriter(str(tmp_path / "cp.jsonl"), fsync_every=2)
-        writer.append({"job_id": "a", "status": "ok"})
-        assert writer._unsynced == 1
-        writer.append({"job_id": "b", "status": "ok"})
-        assert writer._unsynced == 0  # hit fsync_every -> synced
+        writer = CheckpointWriter(str(tmp_path / "cp.jsonl"))
+        every = checkpoint_module.FSYNC_EVERY
+        for n in range(every - 1):
+            writer.append(JobResult(f"j{n}", "ok").to_json())
+        assert writer._unsynced == every - 1
+        writer.append(JobResult("last", "ok").to_json())
+        assert writer._unsynced == 0  # hit FSYNC_EVERY -> synced
         writer.close()
-
-    def test_invalid_fsync_every_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointWriter(str(tmp_path / "cp.jsonl"), fsync_every=0)
 
     def test_interrupt_syncs_checkpoint_and_exits_abnormally(self, tmp_path):
         """Satellite guarantee, end to end: SIGINT mid-sweep leaves a
@@ -143,10 +146,19 @@ class TestBackendRule:
         with pytest.raises(TypeError, match="executor"):
             run_jobs(_jobs(1), square_worker, executor="pool")
 
+    def test_backoff_keyword_removed(self):
+        with pytest.raises(TypeError, match="backoff"):
+            run_jobs(_jobs(1), square_worker, backoff=None)
+
     @pytest.mark.parametrize("timeout", [0, -3.0])
     def test_non_positive_timeout_rejected(self, timeout):
         with pytest.raises(ValueError, match="timeout"):
             run_jobs(_jobs(1), square_worker, nworkers=2, timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf])
+    def test_non_finite_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            run_jobs(_jobs(1), square_worker, timeout=timeout)
 
 
 class TestBackendParity:
@@ -165,12 +177,10 @@ class TestBackendParity:
     def test_degradation_reaches_inline_floor(self, monkeypatch):
         """With the pool unable to start, the sweep completes inline —
         and the fallback is traced."""
-        from repro.jobs import executors as ex
+        def refuse_start(*_args, **_kwargs):
+            raise OSError("unavailable in this test")
 
-        def refuse_start(self):
-            raise ex.ExecutorError("unavailable in this test")
-
-        monkeypatch.setattr(ex.PoolExecutor, "start", refuse_start)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse_start)
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(_jobs(3), square_worker, nworkers=2,
                            tracer=tracer)
@@ -179,9 +189,31 @@ class TestBackendParity:
                  for e in tracer.events if e["event"] == "degrade"]
         assert rungs == [("pool", "inline")]
 
+    def test_pool_breaking_twice_in_one_submit_finishes_inline(
+            self, monkeypatch):
+        """Mid-run fallback: the attempt being submitted is re-queued
+        uncharged and the sweep completes inline."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken_submit(self, job):
+            raise BrokenProcessPool("broken in this test")
+
+        monkeypatch.setattr(pool_module.PoolSweep, "_submit", broken_submit)
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(_jobs(3), square_worker, nworkers=2,
+                           tracer=tracer)
+        assert [r.value["square"] for r in results] == [0, 1, 4]
+        assert all(r.attempts == 1 for r in results)
+        events = [e["event"] for e in tracer.events]
+        assert events[:5] == ["start", "pool_broken", "requeued", "degrade",
+                              "start"]
+        assert {e["executor"] for e in tracer.events
+                if e["event"] == "start"} == {"pool", "inline"}
+
     def test_retry_backoff_is_traced_with_delay(self):
         tracer = TraceWriter(categories=("jobs",), keep=True)
         run_jobs(_jobs(1, j0={"raise": "x"}), misbehaving_worker, retries=1,
-                 backoff=BackoffPolicy(base=0.01, cap=0.02), tracer=tracer)
+                 tracer=tracer)
         retries = [e for e in tracer.events if e["event"] == "retry"]
-        assert retries and retries[0]["delay"] > 0
+        assert [e["delay"] for e in retries] == [round(retry_delay("j0", 1),
+                                                       4)]

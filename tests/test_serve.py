@@ -4,6 +4,7 @@ bridge's byte-identity contract, and REST-vs-CLI verdict/hash parity."""
 
 import hashlib
 import json
+import math
 import time
 import urllib.error
 import urllib.request
@@ -47,6 +48,8 @@ class TestNormalizeRunConfig:
         ({"workload": "lu", "trace_filter": "bogus"}, "bogus"),
         ({"workload": "lu", "surprise": 1}, "unknown run config fields"),
         ({"workload": "lu", "executor": "pool"}, "unknown run config fields"),
+        ({"workload": "lu", "timeout": math.nan}, "timeout"),
+        ({"workload": "lu", "timeout": math.inf}, "timeout"),
     ])
     def test_bad_configs_rejected(self, payload, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
@@ -256,6 +259,13 @@ class TestEndpoints:
                                 {"workload": "lu", "executor": "pool"})
         assert status == 400
         assert payload["error"] == "unknown run config fields ['executor']"
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf])
+    def test_non_finite_timeout_400(self, server, timeout):
+        # json.dumps writes NaN/Infinity, which json.loads accepts.
+        status, payload = _post(f"{server.url}/runs",
+                                {"workload": "lu", "timeout": timeout})
+        assert status == 400 and "timeout" in payload["error"]
 
     def test_non_json_body_400(self, server):
         request = urllib.request.Request(
