@@ -76,6 +76,16 @@ _PASSTHROUGH_EVENTS = {
 }
 
 
+def passthrough_event(record: Record) -> Optional[str]:
+    """The event name ``record`` delivers with IT disabled (None: it
+    delivers nothing): its kind's :data:`_PASSTHROUGH_EVENTS` name, and
+    ``load_versioned`` for a load that consumes a TSO version."""
+    name = _PASSTHROUGH_EVENTS.get(record.kind)
+    if name == "load" and record.consume_version is not None:
+        return "load_versioned"
+    return name
+
+
 class _Row:
     """One IT table row; see the module docstring."""
 
@@ -329,12 +339,8 @@ class InheritanceTracking:
 
     def _passthrough(self, record: Record) -> List[tuple]:
         """IT disabled: every record becomes a plain delivered event."""
-        name = _PASSTHROUGH_EVENTS.get(record.kind)
-        if name is None:
-            return []
-        if name == "load" and record.consume_version is not None:
-            name = "load_versioned"
-        return [(name, record)]
+        name = passthrough_event(record)
+        return [] if name is None else [(name, record)]
 
     # -- flushing --------------------------------------------------------------
 

@@ -47,7 +47,8 @@ from repro.common.errors import SimulationError, TraceFormatError
 from repro.isa.instructions import HLEventKind
 
 _SIZE_CODES = {1: 0, 2: 1, 4: 2, 8: 3}
-_SIZE_FROM_CODE = {code: size for size, code in _SIZE_CODES.items()}
+#: Header size code -> access size (the inverse of ``_SIZE_CODES``).
+_SIZE_FROM_CODE = tuple(sorted(_SIZE_CODES, key=_SIZE_CODES.get))
 
 _RECORD_KINDS = {int(kind): kind for kind in RecordKind}
 _HL_KINDS = {int(kind): kind for kind in HLEventKind}
@@ -293,6 +294,7 @@ class RecordDecoder:
         self._last_addr = 0
         self._last_recv = {}
         self._rid = 0
+        self._start = 0
 
     def decode(self, data: bytes, offset: int = 0) -> Tuple[Record, int]:
         """Decode the record starting at ``offset``; returns (record, end).
@@ -302,65 +304,123 @@ class RecordDecoder:
         default ``offset=0`` it is also the number of bytes consumed.
         Error messages give offsets into ``data`` itself.
         """
+        records: List[Record] = []
+        # Every record is at least one byte: stop after the first.
+        end = self._decode_into(records, data, offset, offset + 1)
+        return records[0], end
+
+    def _decode_into(self, records: List[Record], data: bytes, offset: int,
+                     stop: int) -> int:
+        """The one decode loop: append the records starting at
+        ``offset`` and before ``stop`` to ``records``; returns the offset
+        just past the last one.
+
+        The delta contexts, the kind table and the size table are held
+        in locals. If an error escapes, :attr:`_start` is the offset at
+        which the record being decoded began.
+        """
+        tid = self.tid
+        rid = self._rid
+        last_addr = self._last_addr
+        kinds = _KIND_FROM_BITS
+        sizes = _SIZE_FROM_CODE
+        new = Record.__new__
+        append = records.append
+        start = offset
         # Single-byte varints and register bytes are read inline, and
         # ``offset`` moves past a byte only after reading it, so an
         # IndexError names the missing byte. _read_varint takes
         # multi-byte values.
         try:
-            header = data[offset]
-            kind = _KIND_FROM_BITS[header & 0x0F]
-            if kind is None:
-                raise TraceFormatError(
-                    f"invalid record kind {header & 0x0F} in header byte "
-                    f"{header:#04x} at offset {offset}")
-            offset += 1
-            self._rid += 1
-            record = Record(self.tid, self._rid, kind)
-            if header & _FLAG_DELTA:
-                raw = data[offset]
-                if raw < 0x80:
+            while offset < stop:
+                start = offset
+                header = data[offset]
+                kind = kinds[header & 0x0F]
+                if kind is None:
+                    raise TraceFormatError(
+                        f"invalid record kind {header & 0x0F} in header "
+                        f"byte {header:#04x} at offset {offset}")
+                offset += 1
+                rid += 1
+                # Every slot is set exactly once here, as in
+                # Record.from_op; only an extras block overwrites.
+                record = new(Record)
+                record.tid = tid
+                record.rid = rid
+                record.kind = kind
+                if header & _FLAG_DELTA:
+                    raw = data[offset]
+                    if raw < 0x80:
+                        offset += 1
+                    else:
+                        raw, offset = _read_varint(data, offset)
+                    last_addr += (raw >> 1) ^ -(raw & 1)  # unzigzag
+                    record.addr = last_addr
+                    record.size = sizes[(header >> 4) & 0x03]
+                    if kind is _STORE:
+                        record.rd = None
+                        record.rs1 = data[offset] & 0x0F
+                    else:
+                        record.rd = data[offset] & 0x0F
+                        record.rs1 = None
+                    record.rs2 = None
                     offset += 1
                 else:
-                    raw, offset = _read_varint(data, offset)
-                self._last_addr += _unzigzag(raw)
-                record.addr = self._last_addr
-                record.size = _SIZE_FROM_CODE[(header >> 4) & 0x03]
-                if kind is _STORE:
-                    record.rs1 = data[offset] & 0x0F
-                else:
-                    record.rd = data[offset] & 0x0F
-                offset += 1
-            elif kind is _MOVRR or kind is _ALU:
-                regs = data[offset]
-                record.rd = regs & 0x0F
-                record.rs1 = (regs >> 4) & 0x0F
-                offset += 1
-                if kind is _ALU:
-                    rs2 = data[offset]
-                    record.rs2 = None if rs2 == 0xFF else rs2
-                    offset += 1
-            elif kind is _LOADI:
-                record.rd = data[offset] & 0x0F
-                offset += 1
-            elif kind is _CRITICAL_USE:
-                record.rs1 = data[offset] & 0x0F
-                offset += 1
-            if not header & _FLAG_EXTRAS:
-                return record, offset
-            length = data[offset]
-            if length < 0x80:
-                offset += 1
-            else:
-                length, offset = _read_varint(data, offset)
+                    record.addr = None
+                    record.size = None
+                    if kind is _MOVRR or kind is _ALU:
+                        regs = data[offset]
+                        record.rd = regs & 0x0F
+                        record.rs1 = (regs >> 4) & 0x0F
+                        offset += 1
+                        if kind is _ALU:
+                            rs2 = data[offset]
+                            record.rs2 = None if rs2 == 0xFF else rs2
+                            offset += 1
+                        else:
+                            record.rs2 = None
+                    elif kind is _LOADI:
+                        record.rd = data[offset] & 0x0F
+                        record.rs1 = record.rs2 = None
+                        offset += 1
+                    elif kind is _CRITICAL_USE:
+                        record.rd = record.rs2 = None
+                        record.rs1 = data[offset] & 0x0F
+                        offset += 1
+                    else:
+                        record.rd = record.rs1 = record.rs2 = None
+                record.hl_kind = None
+                record.ranges = ()
+                record.critical_kind = None
+                record.arcs = None
+                record.reduced_arcs = None
+                record.ca_id = None
+                record.ca_issuer = False
+                record.consume_version = None
+                record.produce_versions = None
+                record.commit_time = None
+                if header & _FLAG_EXTRAS:
+                    length = data[offset]
+                    if length < 0x80:
+                        offset += 1
+                    else:
+                        length, offset = _read_varint(data, offset)
+                    end = offset + length
+                    if end > len(data):
+                        raise TraceFormatError(
+                            f"truncated extras block at offset {offset}: "
+                            f"{length} bytes declared, "
+                            f"{len(data) - offset} available")
+                    self._decode_extras(record, data, offset, end)
+                    offset = end
+                append(record)
         except IndexError:
             _truncated(offset, len(data))
-        end = offset + length
-        if end > len(data):
-            raise TraceFormatError(
-                f"truncated extras block at offset {offset}: {length} "
-                f"bytes declared, {len(data) - offset} available")
-        self._decode_extras(record, data, offset, end)
-        return record, end
+        finally:
+            self._rid = rid
+            self._last_addr = last_addr
+            self._start = start
+        return offset
 
     def _decode_extras(self, record: Record, data: bytes, offset: int,
                        end: int) -> None:
@@ -466,23 +526,18 @@ def decode_stream(data: bytes, tid: int,
     number and its absolute stream offset, never a bare ``IndexError``
     or ``ValueError``.
     """
-    decode = RecordDecoder(tid, arc_codec=arc_codec).decode
+    decoder = RecordDecoder(tid, arc_codec=arc_codec)
     records: List[Record] = []
-    append = records.append
-    offset = 0
-    end = len(data)
     try:
-        while offset < end:
-            record, offset = decode(data, offset)
-            append(record)
+        decoder._decode_into(records, data, 0, len(data))
     except TraceFormatError as exc:
         raise TraceFormatError(
-            f"record #{len(records) + 1} at stream offset {offset}: "
-            f"{exc}") from None
+            f"record #{len(records) + 1} at stream offset "
+            f"{decoder._start}: {exc}") from None
     except (IndexError, ValueError) as exc:
         raise TraceFormatError(
             f"corrupt record #{len(records) + 1} at stream offset "
-            f"{offset}: {exc}") from exc
+            f"{decoder._start}: {exc}") from exc
     return records
 
 

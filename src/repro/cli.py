@@ -485,7 +485,7 @@ def _cmd_replay(args) -> int:
         reader = TraceReader(args.archive)
         payloads = replay_all(args.archive, lifeguards=names,
                               jobs=args.jobs)
-    except (TraceFormatError, FileNotFoundError, ValueError) as exc:
+    except (TraceFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

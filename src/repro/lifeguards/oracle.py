@@ -24,8 +24,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, List
 
-from repro.accel.inheritance import InheritanceTracking
-from repro.capture.events import Record, RecordKind
+from repro.accel.inheritance import passthrough_event
+from repro.capture.events import Record
 from repro.lifeguards.base import Lifeguard
 
 _COHERENCE_ORDER = attrgetter("commit_time", "tid", "rid")
@@ -42,17 +42,19 @@ def deliver(ordered_records: Iterable[Record]) -> List[tuple]:
     """The unaccelerated delivered-event stream of ordered records.
 
     CA marks are dropped (they carry no lifeguard semantics of their
-    own) and every other record goes through the disabled-IT
-    passthrough, exactly as plain delivery hardware would hand it to
-    any lifeguard. Nothing here depends on which lifeguard listens, so
-    one stream serves any number of :func:`replay_events` calls; they
-    never mutate it.
+    own) and every other record becomes the one ``(name, record)``
+    event the disabled-IT passthrough delivers
+    (:func:`~repro.accel.inheritance.passthrough_event`), exactly as
+    plain delivery hardware would hand it to any lifeguard. Nothing
+    here depends on which lifeguard listens, so one stream serves any
+    number of :func:`replay_events` calls; they never mutate it.
     """
-    process = InheritanceTracking(enabled=False).process
     events: List[tuple] = []
+    append = events.append
     for record in ordered_records:
-        if record.kind != RecordKind.CA_MARK:
-            events.extend(process(record))
+        name = passthrough_event(record)  # None for a CA mark
+        if name is not None:
+            append((name, record))
     return events
 
 

@@ -36,19 +36,21 @@ import dataclasses
 import enum
 import hashlib
 import json
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.capture.compression import (
     RecordEncoder,
     _read_varint,
-    _unzigzag,
     _write_varint,
     _zigzag,
     decode_stream,
 )
 from repro.capture.events import Record
 from repro.common.errors import TraceFormatError
-from repro.lifeguards.oracle import deliver, linearize
+from repro.lifeguards.oracle import deliver
+
+_COMMIT_TIME = attrgetter("commit_time")
 
 #: PNG-style magic: high-bit byte (binary-vs-text probes), name, CRLF/LF
 #: and ^Z so accidental text-mode mangling is detected immediately.
@@ -140,21 +142,28 @@ def _encode_commit_times(records: List[Record], base: int = 0) -> bytes:
 
 
 def _decode_commit_times(blob: bytes, count: int) -> List[int]:
-    values = []
+    values: List[int] = []
+    append = values.append
     offset = 0
     previous = 0
+    end = len(blob)
     for index in range(count):
-        try:
-            raw, offset = _read_varint(blob, offset)
-        except TraceFormatError as exc:
-            raise TraceFormatError(
-                f"commit-time blob truncated at entry {index}: {exc}"
-            ) from None
-        previous += _unzigzag(raw)
-        values.append(previous)
-    if offset != len(blob):
+        # Most deltas are single-byte varints: read those inline.
+        if offset < end and blob[offset] < 0x80:
+            raw = blob[offset]
+            offset += 1
+        else:
+            try:
+                raw, offset = _read_varint(blob, offset)
+            except TraceFormatError as exc:
+                raise TraceFormatError(
+                    f"commit-time blob truncated at entry {index}: {exc}"
+                ) from None
+        previous += (raw >> 1) ^ -(raw & 1)  # unzigzag
+        append(previous)
+    if offset != end:
         raise TraceFormatError(
-            f"commit-time blob has {len(blob) - offset} trailing bytes")
+            f"commit-time blob has {end - offset} trailing bytes")
     return values
 
 
@@ -256,14 +265,50 @@ def write_manifest_json(manifest: dict, path: str) -> str:
     return path
 
 
+def _is_count(value) -> bool:
+    """A JSON non-negative integer (``true`` is not one)."""
+    return type(value) is int and value >= 0
+
+
+def _check_field(value, ok: bool, field: str, expected: str) -> None:
+    if not ok:
+        raise TraceFormatError(
+            f"archive manifest {field} must be {expected}, got {value!r}")
+
+
 def _check_manifest(manifest: dict) -> None:
+    """Check every manifest field the reader uses, so a malformed
+    manifest fails as a TraceFormatError naming the field rather than a
+    KeyError or TypeError from inside the reader."""
     if not isinstance(manifest, dict):
         raise TraceFormatError("archive manifest is not a JSON object")
     for key in ("format_version", "arc_codec", "nthreads", "streams",
                 "totals"):
         if key not in manifest:
             raise TraceFormatError(f"archive manifest lacks {key!r}")
-    tids = [entry["tid"] for entry in manifest["streams"]]
+    codec, nthreads = manifest["arc_codec"], manifest["nthreads"]
+    meta, streams = manifest.get("meta", {}), manifest["streams"]
+    _check_field(codec, isinstance(codec, str), "'arc_codec'", "a string")
+    _check_field(nthreads, _is_count(nthreads), "'nthreads'",
+                 "a non-negative int")
+    _check_field(meta, isinstance(meta, dict), "'meta'", "a JSON object")
+    _check_field(streams, isinstance(streams, list), "'streams'", "a list")
+    for index, entry in enumerate(streams):
+        where = f"streams[{index}]"
+        _check_field(entry, isinstance(entry, dict), where, "a JSON object")
+        for key in ("tid", "records", "record_bytes", "record_sha256",
+                    "commit_bytes", "commit_sha256"):
+            if key not in entry:
+                raise TraceFormatError(
+                    f"archive manifest {where} lacks {key!r}")
+            value = entry[key]
+            if key.endswith("_sha256"):
+                _check_field(value, isinstance(value, str),
+                             f"{where}.{key}", "a string")
+            else:
+                _check_field(value, _is_count(value), f"{where}.{key}",
+                             "a non-negative int")
+    tids = [entry["tid"] for entry in streams]
     if tids != sorted(tids) or len(set(tids)) != len(tids):
         raise TraceFormatError(
             f"archive manifest streams are not in dense tid order: {tids}")
@@ -395,7 +440,13 @@ class TraceReader:
 
     def linearized(self) -> List[Record]:
         """All records merged into the global coherence order."""
-        return linearize(self.all_records())
+        records = self.all_records()
+        # all_records() is in (tid, rid) order and list.sort is stable,
+        # so sorting on commit_time alone yields oracle.linearize()'s
+        # (commit_time, tid, rid) order, commit-time ties included.
+        # Every archived record has a commit time.
+        records.sort(key=_COMMIT_TIME)
+        return records
 
     def delivered(self) -> List[tuple]:
         """The archive's delivered-event stream, built once and cached.

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.replay import write_archive
+from tests.test_replay_format import (
+    MALFORMED_MANIFESTS,
+    rewrite_manifest,
+    synthetic_trace,
+)
 
 
 class TestParser:
@@ -358,6 +364,19 @@ class TestArchiveReplay:
     def test_replay_missing_archive_exits_2(self, tmp_path, capsys):
         assert main(["replay", str(tmp_path / "nope.plog")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value, detail", MALFORMED_MANIFESTS)
+    def test_replay_malformed_manifest_exits_2(self, tmp_path, capsys, keys,
+                                               value, detail):
+        archive = tmp_path / "t.plog"
+        write_archive(archive, synthetic_trace(), nthreads=2)
+        rewrite_manifest(archive, keys, value)
+        assert main(["replay", str(archive)]) == 2
+        assert f"error: archive manifest {detail}" in capsys.readouterr().err
+
+    def test_replay_directory_exits_2(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path)]) == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_replay_corrupt_archive_exits_2(self, tmp_path, capsys):
         archive = tmp_path / "run.plog"

@@ -10,7 +10,9 @@ property pins encoded-size monotonicity: appending a record never
 shrinks (or leaves unchanged) the encoded stream. Two more pin the
 in-place decoder: ``decode(data, offset)`` yields the same records and
 end offsets as decoding slice by slice, and a truncated stream reports
-the cut record's absolute stream offset.
+the cut record's absolute stream offset. A last one flips random
+bytes: a corrupt stream decodes or raises TraceFormatError naming the
+failing record and the offset where it begins, never another error.
 """
 
 import re
@@ -182,6 +184,33 @@ def test_truncation_reports_absolute_stream_offset(stream, codec, data):
     # before the cut record or past the cut.
     offsets = [int(v) for v in re.findall(r"offset (\d+)", message)]
     assert all(start <= value <= cut for value in offsets), message
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=st.lists(records(), min_size=1, max_size=12),
+       codec=st.sampled_from(ARC_CODECS), data=st.data())
+def test_flipped_bytes_decode_or_fail_naming_the_record(stream, codec,
+                                                        data):
+    blob = bytearray(encode_stream(_with_stream_rids(stream),
+                                   arc_codec=codec))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        position = data.draw(st.integers(min_value=0,
+                                         max_value=len(blob) - 1))
+        blob[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+    blob = bytes(blob)
+    try:
+        decode_stream(blob, 0, arc_codec=codec)
+    except TraceFormatError as exc:
+        match = re.match(r"(?:corrupt )?record #(\d+) at stream offset "
+                         r"(\d+): ", str(exc))
+        assert match, str(exc)
+        number, start = int(match.group(1)), int(match.group(2))
+        # The named offset is where record #number begins: the bytes
+        # before it decode to exactly the records before it.
+        assert len(decode_stream(blob[:start], 0, arc_codec=codec)) \
+            == number - 1
+    # Any other exception (IndexError, ValueError, KeyError, ...)
+    # escapes and fails the test.
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,6 +16,8 @@ import pytest
 import repro.replay
 import repro.replay.engine
 import repro.replay.format
+from repro.accel.inheritance import InheritanceTracking
+from repro.capture.events import RecordKind
 from repro.common.config import MemoryModel, SimulationConfig
 from repro.cpu.os_model import AddressLayout
 from repro.lifeguards import LIFEGUARDS
@@ -142,6 +144,15 @@ class TestSharedDeliveredStream:
         assert fields == [(event[0], event[1].kind, event[1].addr,
                            event[1].rd, event[1].consume_version)
                           for event in delivered]
+
+
+    def test_delivered_equals_the_per_record_passthrough(self, archive):
+        reader = TraceReader(archive)
+        process = InheritanceTracking(enabled=False).process
+        expected = [event for record in reader.linearized()
+                    if record.kind != RecordKind.CA_MARK
+                    for event in process(record)]
+        assert reader.delivered() == expected
 
 
 class TestReplayAll:

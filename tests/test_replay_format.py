@@ -16,6 +16,7 @@ from repro.capture.events import Record, RecordKind
 from repro.common.config import SimulationConfig
 from repro.common.errors import TraceFormatError
 from repro.isa.instructions import HLEventKind
+from repro.lifeguards.oracle import linearize
 from repro.replay import (
     ARCHIVE_ARC_CODEC,
     FORMAT_VERSION,
@@ -98,6 +99,23 @@ class TestWriteRead:
         assert min(r.commit_time for r in linear) == 1
         assert [(r.tid, r.rid) for r in linear] == [
             (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+
+    def test_linearized_breaks_commit_time_ties_like_the_oracle(
+            self, tmp_path):
+        # Ties within and across threads, and per-thread commit times
+        # out of rid order (as TSO store drains produce).
+        times = {0: [3, 1, 3, 2], 1: [1, 3, 2, 3]}
+        trace = [_mem(tid, rid, RecordKind.LOAD, 0x40 * rid, 1, time)
+                 for tid, column in times.items()
+                 for rid, time in enumerate(column, start=1)]
+        path = tmp_path / "ties.plog"
+        write_archive(path, trace, nthreads=2)
+        reader = TraceReader(path)
+        linear = reader.linearized()
+        assert linear == linearize(reader.all_records())
+        assert [(r.commit_time, r.tid, r.rid) for r in linear] == sorted(
+            (time, tid, rid) for tid, column in times.items()
+            for rid, time in enumerate(column, start=1))
 
     def test_archive_bytes_are_process_independent(self, tmp_path):
         # The same captured order, stamped by a process at two different
@@ -240,6 +258,80 @@ class TestRejection:
         path, _data = _archive_bytes(tmp_path)
         with pytest.raises(TraceFormatError, match="no stream for tid"):
             TraceReader(path).records(7)
+
+
+#: ``rewrite_manifest`` value that removes the field.
+DELETE = object()
+
+
+def rewrite_manifest(path, keys, value):
+    """Set the manifest field at ``keys`` (a path of dict keys and list
+    indices) of the archive at ``path`` to ``value`` (``DELETE``
+    removes it), keeping every stream byte."""
+    data = path.read_bytes()
+    manifest_len, offset = _read_varint(data, len(MAGIC) + 1)
+    manifest = json.loads(data[offset:offset + manifest_len])
+    parent = manifest
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    blob = canonical_json(manifest).encode()
+    out = bytearray(MAGIC)
+    out.append(FORMAT_VERSION)
+    _write_varint(out, len(blob))
+    out.extend(blob)
+    out.extend(data[offset + manifest_len:])
+    path.write_bytes(out)
+    return path
+
+
+#: (field path, bad value, text the error must contain). The first five
+#: escaped as KeyError/TypeError/AttributeError, or (nthreads "2") were
+#: accepted, before the reader checked every field it uses.
+MALFORMED_MANIFESTS = [
+    pytest.param(("streams", 0, "tid"), DELETE, "streams[0] lacks 'tid'",
+                 id="stream-lacks-tid"),
+    pytest.param(("streams",), 5, "'streams' must be a list",
+                 id="streams-not-a-list"),
+    pytest.param(("streams", 0, "record_bytes"), "x",
+                 "streams[0].record_bytes must be a non-negative int",
+                 id="record-bytes-string"),
+    pytest.param(("meta",), [1], "'meta' must be a JSON object",
+                 id="meta-not-an-object"),
+    pytest.param(("nthreads",), "2", "'nthreads' must be a non-negative int",
+                 id="nthreads-string"),
+    pytest.param(("streams", 1, "records"), -1,
+                 "streams[1].records must be a non-negative int",
+                 id="negative-records"),
+    pytest.param(("streams", 0, "commit_bytes"), True,
+                 "streams[0].commit_bytes must be a non-negative int",
+                 id="commit-bytes-bool"),
+    pytest.param(("streams", 1, "commit_sha256"), 7,
+                 "streams[1].commit_sha256 must be a string",
+                 id="sha256-not-a-string"),
+    pytest.param(("streams", 1), 3, "streams[1] must be a JSON object",
+                 id="stream-not-an-object"),
+    pytest.param(("arc_codec",), None, "'arc_codec' must be a string",
+                 id="arc-codec-null"),
+]
+
+
+class TestMalformedManifest:
+    """Every manifest field the reader uses is checked on open: a bad
+    one is a TraceFormatError naming it, never a KeyError, TypeError or
+    AttributeError from inside the reader."""
+
+    @pytest.mark.parametrize("keys, value, detail", MALFORMED_MANIFESTS)
+    def test_bad_field_is_a_format_error(self, tmp_path, keys, value,
+                                         detail):
+        path, _data = _archive_bytes(tmp_path)
+        rewrite_manifest(path, keys, value)
+        with pytest.raises(TraceFormatError) as info:
+            TraceReader(path)
+        assert detail in str(info.value)
 
 
 def _redigested_archive(path, trace, patch):
