@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
+from repro.trace.writer import tracer_for
+
 
 class IdempotentFilter:
     """A small FIFO cache of check-event keys."""
@@ -31,9 +33,10 @@ class IdempotentFilter:
         self.enabled = enabled
         self.track_rids = track_rids
         self._cache: Dict[Hashable, int] = {}
-        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events);
-        #: ``owner`` names the lifeguard core this filter belongs to.
-        self.tracer = tracer
+        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
+        #: kept only if it records them; ``owner`` names the lifeguard
+        #: core this filter belongs to.
+        self.tracer = tracer_for(tracer, "accel")
         self.owner = owner
         # Statistics
         self.hits = 0

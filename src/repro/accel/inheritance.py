@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.capture.events import Record, RecordKind
+from repro.trace.writer import tracer_for
 
 #: Maximum inherits-from addresses one register row can hold.
 MAX_SOURCES = 2
@@ -114,9 +115,10 @@ class InheritanceTracking:
         #: :meth:`min_held_rid` rescans it. Rows change only through
         #: :meth:`_put` and :meth:`_pop`, which keep this invariant.
         self._floor: Dict[int, Optional[int]] = {}
-        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events);
-        #: ``owner`` names the lifeguard core this table belongs to.
-        self.tracer = tracer
+        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
+        #: kept only if it records them; ``owner`` names the lifeguard
+        #: core this table belongs to.
+        self.tracer = tracer_for(tracer, "accel")
         self.owner = owner
         # Statistics
         self.absorbed_events = 0

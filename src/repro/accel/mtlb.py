@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.config import LifeguardCostConfig
+from repro.trace.writer import tracer_for
 
 #: Application page size assumed for metadata mappings.
 PAGE_BYTES = 4096
@@ -37,9 +38,10 @@ class MetadataTLB:
         self.costs = costs
         self.enabled = enabled
         self._entries: Dict[int, bool] = {}
-        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events);
-        #: ``owner`` names the lifeguard core this TLB belongs to.
-        self.tracer = tracer
+        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
+        #: kept only if it records them; ``owner`` names the lifeguard
+        #: core this TLB belongs to.
+        self.tracer = tracer_for(tracer, "accel")
         self.owner = owner
         # Statistics
         self.hits = 0

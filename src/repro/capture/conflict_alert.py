@@ -43,6 +43,7 @@ from typing import Dict, Optional, Set
 from repro.capture.events import RecordKind
 from repro.common.errors import SimulationError
 from repro.cpu.engine import Condition, Engine
+from repro.trace.writer import tracer_for
 
 
 class CAState:
@@ -84,8 +85,9 @@ class CAHub:
         self._next_id = 1
         #: Optional :class:`~repro.faults.FaultPlan` armed at ``ca_mark``.
         self.faults = faults
-        #: Optional :class:`~repro.trace.TraceWriter` (``ca`` events).
-        self.tracer = tracer
+        #: Optional :class:`~repro.trace.TraceWriter` (``ca`` events),
+        #: kept only if it records them.
+        self.tracer = tracer_for(tracer, "ca")
         # Statistics
         self.broadcasts = 0
         self.marks_inserted = 0

@@ -43,6 +43,10 @@ class RecordKind(enum.IntEnum):
     CA_MARK = 20
 
 
+#: Kind -> its name, for the hot paths that write a kind as text (an
+#: enum's ``.name`` is a descriptor call, several times a dict hit).
+KIND_NAMES = {kind: kind.name for kind in RecordKind}
+
 #: Modeled compressed sizes (bytes) for log-occupancy accounting.
 _BASE_RECORD_BYTES = 1
 _ARC_BYTES = 4

@@ -30,6 +30,7 @@ from repro.capture.events import Record, RecordKind
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import CaptureMode, SimulationConfig
 from repro.isa.instructions import MicroOp
+from repro.trace.writer import tracer_for
 
 #: Shared monotonic stamp source for the sequential-linearization order.
 _GLOBAL_SEQ = itertools.count(1)
@@ -47,8 +48,9 @@ class OrderCapture:
         #: Optional :class:`~repro.faults.FaultPlan` armed at the ``arc``
         #: site; None (the default) leaves capture completely untouched.
         self.faults = faults
-        #: Optional :class:`~repro.trace.TraceWriter` (``arc`` events).
-        self.tracer = tracer
+        #: Optional :class:`~repro.trace.TraceWriter` (``arc`` events),
+        #: kept only if it records them.
+        self.tracer = tracer_for(tracer, "arc")
         #: Maps a physical core id to the application tid pinned on it,
         #: used to translate coherence conflicts into thread-level arcs.
         self.core_to_tid = core_to_tid

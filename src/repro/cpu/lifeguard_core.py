@@ -33,12 +33,13 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.accel import IdempotentFilter, InheritanceTracking, MetadataTLB
-from repro.capture.events import Record, RecordKind
+from repro.capture.events import KIND_NAMES, Record, RecordKind
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import SimulationConfig
 from repro.common.errors import SimulationError
 from repro.cpu.engine import CoreActor, Engine
 from repro.lifeguards.base import Lifeguard, hl_phase_of
+from repro.trace.writer import tracer_for
 
 _FETCH, _ORDER, _PROCESS, _FINAL = range(4)
 
@@ -79,6 +80,11 @@ class LifeguardCore(CoreActor):
         #: holds and ``meta`` writes, and hands the writer down to its
         #: accelerators for their ``accel`` events.
         self.tracer = tracer
+        # The per-record emits, resolved once: None unless the writer
+        # records their category, so a filtered one costs nothing.
+        self._retire_tracer = tracer_for(tracer, "engine")
+        self._advert_tracer = tracer_for(tracer, "advert")
+        self._meta_tracer = tracer_for(tracer, "meta")
 
         self.it = InheritanceTracking(enabled=use_it and lifeguard.uses_it,
                                       tracer=tracer, owner=name)
@@ -194,9 +200,10 @@ class LifeguardCore(CoreActor):
         self._last_record = record
         engine = self.engine
         engine.last_retire = engine.now  # Engine.note_retire, inlined
-        if self.tracer is not None:
-            self.tracer.emit("engine", "retire", actor=self.name,
-                             tid=tid, rid=rid, kind=record.kind)
+        if self._retire_tracer is not None:
+            self._retire_tracer.emit("engine", "retire", actor=self.name,
+                                     tid=tid, rid=rid,
+                                     kind=KIND_NAMES[record.kind])
         if self.progress_table is not None:
             cycles += self._publish(tid, rid)
         self._phase = _FETCH
@@ -375,7 +382,7 @@ class LifeguardCore(CoreActor):
         in-order lifeguard core.
         """
         cycles = 0
-        tracer = self.tracer
+        tracer = self._meta_tracer
         lookup_cost = self.mtlb.lookup_cost
         sim_accesses = self.lifeguard.metadata.sim_accesses
         mem_access = self.memsys.access
@@ -459,20 +466,21 @@ class LifeguardCore(CoreActor):
         advertised = self._advertise_target(tid, processed)
         threshold = self._advert_threshold
         if threshold and processed - advertised > threshold:
-            if self.tracer is not None:
-                self.tracer.emit("advert", "refresh_flush", actor=self.name,
-                                 tid=tid, processed=processed,
-                                 advertised=advertised)
+            if self._advert_tracer is not None:
+                self._advert_tracer.emit(
+                    "advert", "refresh_flush", actor=self.name, tid=tid,
+                    processed=processed, advertised=advertised)
             cost = self._deliver_flushed(
                 self.it.flush_stale(tid, processed - threshold + 1))
             if self.iff.track_rids:
                 self.iff.invalidate_all()
             advertised = self._advertise_target(tid, processed)
-        elif advertised < processed and self.tracer is not None:
+        elif advertised < processed and self._advert_tracer is not None:
             # Delayed advertising is holding back RIDs still cached in
             # an accelerator — the Section 4.2 contract made visible.
-            self.tracer.emit("advert", "hold", actor=self.name, tid=tid,
-                             processed=processed, advertised=advertised)
+            self._advert_tracer.emit(
+                "advert", "hold", actor=self.name, tid=tid,
+                processed=processed, advertised=advertised)
         self.progress_table.publish(tid, advertised)
         return cost
 

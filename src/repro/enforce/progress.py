@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.cpu.engine import Condition, Engine
+from repro.trace.writer import tracer_for
 
 
 class ProgressTable:
@@ -32,8 +33,9 @@ class ProgressTable:
         #: Optional :class:`~repro.faults.FaultPlan` armed at ``progress``
         #: (a suppressed publish models a lost counter update).
         self.faults = faults
-        #: Optional :class:`~repro.trace.TraceWriter` (``advert`` events).
-        self.tracer = tracer
+        #: Optional :class:`~repro.trace.TraceWriter` (``advert`` events),
+        #: kept only if it records them.
+        self.tracer = tracer_for(tracer, "advert")
         # Statistics
         self.publishes = 0
 

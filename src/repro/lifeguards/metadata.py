@@ -51,7 +51,8 @@ CHUNK_APP_BYTES = 64 * 1024
 
 _VALID_BITS = (1, 2, 4, 8)
 
-#: C-level scanner for nonzero metadata bytes (fingerprinting).
+#: C-level scanner for nonzero metadata bytes (fingerprinting and
+#: :meth:`MetadataMap.same_state`).
 _NONZERO_RE = re.compile(rb"[^\x00]")
 
 
@@ -357,6 +358,27 @@ class MetadataMap:
                     value = (byte >> (slot * bits)) & mask
                     if value:
                         yield (chunk_base + byte_index * per + slot, value)
+
+    def same_state(self, other: "MetadataMap") -> bool:
+        """Do two maps hold the same metadata for every application byte?
+
+        The answer :func:`dict` of :meth:`nonzero_items` equality gives,
+        without building either dict: with equal ``bits_per_byte`` the
+        packed chunks are compared as bytes, and an absent chunk equals
+        an all-zero one. Maps of different widths take the per-byte path.
+        """
+        if other.bits_per_byte != self.bits_per_byte:
+            return dict(self.nonzero_items()) == dict(other.nonzero_items())
+        mine, theirs = self._chunks, other._chunks
+        for chunk_no in mine.keys() | theirs.keys():
+            lhs = mine.get(chunk_no)
+            rhs = theirs.get(chunk_no)
+            if lhs is None or rhs is None:
+                if _NONZERO_RE.search(rhs if lhs is None else lhs):
+                    return False
+            elif lhs != rhs:
+                return False
+        return True
 
     # -- TSO versioning ------------------------------------------------------------
 

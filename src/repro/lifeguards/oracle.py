@@ -105,5 +105,14 @@ def replay(trace: Iterable[Record],
 
 
 def fingerprints_match(lhs: Lifeguard, rhs: Lifeguard) -> bool:
-    """Are two lifeguards' semantic states identical?"""
-    return lhs.metadata_fingerprint() == rhs.metadata_fingerprint()
+    """Are two lifeguards' semantic states identical?
+
+    The answer comparing their ``metadata_fingerprint()`` dicts gives,
+    read off the state directly: the metadata map chunk by chunk
+    (:meth:`~repro.lifeguards.metadata.MetadataMap.same_state`), the
+    register rows, and the ``(kind, tid)`` set of the violations.
+    """
+    return (lhs.registers == rhs.registers
+            and {(v.kind, v.tid) for v in lhs.violations}
+            == {(v.kind, v.tid) for v in rhs.violations}
+            and lhs.metadata.same_state(rhs.metadata))

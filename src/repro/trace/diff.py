@@ -47,11 +47,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from repro.capture.events import RecordKind
+from repro.capture.events import KIND_NAMES, RecordKind
 from repro.common.config import SimulationConfig
 from repro.cpu.os_model import AddressLayout
+from repro.isa.instructions import HLEventKind
 from repro.lifeguards import LIFEGUARDS
-from repro.lifeguards.oracle import replay as oracle_replay
+from repro.lifeguards.oracle import fingerprints_match, replay as oracle_replay
 from repro.platform import (
     run_no_monitoring,
     run_parallel_monitoring,
@@ -271,10 +272,16 @@ def _mask_heap(addr):
     return "heap" if low <= addr < high else addr
 
 
+#: High-level kind -> its name; None (a record with no high-level kind)
+#: projects to None.
+_HL_KIND_NAMES = {kind: kind.name for kind in HLEventKind}
+_HL_KIND_NAMES[None] = None
+
+
 def _op_projection(record) -> tuple:
     return (
-        record.kind.name,
-        record.hl_kind.name if record.hl_kind is not None else None,
+        KIND_NAMES[record.kind],
+        _HL_KIND_NAMES[record.hl_kind],
         record.critical_kind,
         record.rd, record.rs1, record.rs2, record.size,
         _mask_heap(record.addr),
@@ -408,8 +415,7 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
         result = results[scheme]
         oracle = oracle_replay(result.trace,
                                lambda: factory(heap_range=_HEAP_RANGE))
-        if (result.lifeguard_obj.metadata_fingerprint()
-                != oracle.metadata_fingerprint()):
+        if not fingerprints_match(result.lifeguard_obj, oracle):
             report.failures.append(
                 f"{scheme}: final metadata diverges from the sequential "
                 f"replay oracle")

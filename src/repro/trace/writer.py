@@ -6,6 +6,9 @@ cores) emits structured events into one :class:`TraceWriter`. The writer
 is deliberately dumb — it stamps, filters, encodes and stores — so that
 the cost of *disabled* tracing is a single ``tracer is None`` check at
 each emit site (the same contract the fault-injection hooks follow).
+A component whose emits all fall in one category holds
+``tracer_for(tracer, category)``, which is None when the writer filters
+that category out, so a filtered category costs the same.
 
 Three storage modes, freely combinable:
 
@@ -106,11 +109,42 @@ def _sanitize(value):
     return repr(value)
 
 
+def _check_category(cat: str) -> None:
+    """Raise ``ConfigurationError`` unless ``cat`` is a known category.
+
+    Only the drop branches of :meth:`TraceWriter.emit` and
+    :meth:`TraceWriter.wants` call this, so a kept event pays nothing
+    for it.
+    """
+    if cat not in _CATEGORY_SET:
+        raise ConfigurationError(
+            f"unknown trace category {cat!r}; "
+            f"valid: {', '.join(CATEGORIES)}")
+
+
+def tracer_for(tracer: Optional[TraceWriter],
+               cat: str) -> Optional[TraceWriter]:
+    """``tracer`` if it records ``cat``, else None.
+
+    A component whose emits all fall in one category keeps the result
+    as its ``tracer`` at wiring time. Its ``tracer is not None`` checks
+    then skip every filtered event before any payload is built, so a
+    filtered category costs what ``tracer=None`` costs at its sites.
+    """
+    if tracer is not None and tracer.wants(cat):
+        return tracer
+    return None
+
+
 class TraceWriter:
     """Collects flight-recorder events; see the module docstring.
 
-    ``categories=None`` records everything; otherwise only the named
-    categories are kept and every other emit is a cheap set-miss.
+    ``categories=None`` records every known category; otherwise only
+    the named categories are kept and every other emit is a cheap
+    set-miss. A category outside :data:`CATEGORIES` is never written:
+    :meth:`emit` and :meth:`wants` raise
+    :class:`~repro.common.errors.ConfigurationError` for it, so a trace
+    file never holds a line :func:`read_trace` would reject.
     The simulation engine is attached by the platform wiring
     (:meth:`attach_engine`) so event ``cycle`` stamps follow simulated
     time; a writer used before/without an engine stamps cycle 0.
@@ -121,13 +155,17 @@ class TraceWriter:
 
     def __init__(self, *, stream=None, categories: Optional[Iterable[str]] = None,
                  ring: int = 0, keep: bool = False):
-        if categories is not None:
+        if categories is None:
+            categories = _CATEGORY_SET
+        else:
             categories = frozenset(categories)
             unknown = sorted(categories - _CATEGORY_SET)
             if unknown:
                 raise ConfigurationError(
                     f"unknown trace categories {unknown}; "
                     f"valid: {', '.join(CATEGORIES)}")
+        #: The recorded categories (every one of :data:`CATEGORIES` when
+        #: the writer was built with ``categories=None``).
         self.categories = categories
         if ring < 0:
             raise ConfigurationError("trace ring size must be >= 0")
@@ -163,13 +201,19 @@ class TraceWriter:
 
     def wants(self, cat: str) -> bool:
         """Would an event in ``cat`` be recorded? (Lets callers skip
-        building expensive field payloads for filtered categories.)"""
-        return self.categories is None or cat in self.categories
+        building expensive field payloads for filtered categories.)
+        Raises ``ConfigurationError`` for an unknown category, as
+        :meth:`emit` does."""
+        if cat in self.categories:
+            return True
+        _check_category(cat)
+        return False
 
     # -- the hot path ---------------------------------------------------------
 
     def emit(self, cat: str, event: str, **fields) -> None:
-        """Record one event (dropped silently if ``cat`` is filtered).
+        """Record one event (dropped silently if ``cat`` is filtered;
+        ``ConfigurationError`` if ``cat`` is not a known category).
 
         Zero-allocation contract: the kwargs dict that the call itself
         creates *is* the stored payload — no second dict is built and no
@@ -178,21 +222,21 @@ class TraceWriter:
         order in the payload is irrelevant: every encoder downstream
         (:func:`encode_event`, :func:`trace_hash`) sorts keys.
         """
-        if self.categories is not None and cat not in self.categories:
+        if cat not in self.categories:
+            _check_category(cat)
             return
         payload: Dict[str, object] = fields
         passthrough = _PASSTHROUGH_TYPES
-        for key, value in payload.items():
-            if type(value) not in passthrough:
-                payload[key] = _sanitize(value)
-        # Explicit caller-supplied stamps win, matching the historical
-        # build-then-override order.
+        if not passthrough.issuperset(map(type, payload.values())):
+            for key, value in payload.items():
+                if type(value) not in passthrough:
+                    payload[key] = _sanitize(value)
+        # A caller-supplied cycle stamp wins. ``cat`` and ``event`` are
+        # parameters, so ``fields`` can never hold either key.
         if "cycle" not in payload:
             payload["cycle"] = self._engine.now if self._engine is not None else 0
-        if "cat" not in payload:
-            payload["cat"] = cat
-        if "event" not in payload:
-            payload["event"] = event
+        payload["cat"] = cat
+        payload["event"] = event
         self.emitted += 1
         if self.events is not None:
             self.events.append(payload)

@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.common.config import CaptureMode
 from repro.cpu.os_model import AddressLayout
-from repro.lifeguards.oracle import linearize, replay
+from repro.lifeguards.oracle import fingerprints_match, linearize, replay
 
 
 def oracle_for(lifeguard_cls, trace):
@@ -132,3 +132,90 @@ class TestLinearize:
         for record in ordered:
             assert last_rid.get(record.tid, 0) < record.rid
             last_rid[record.tid] = record.rid
+
+
+class TestFingerprintsMatch:
+    """``fingerprints_match`` reads lifeguard state directly; it must
+    answer exactly what fingerprint equality answers."""
+
+    @staticmethod
+    def _agrees(lhs, rhs) -> bool:
+        expected = lhs.metadata_fingerprint() == rhs.metadata_fingerprint()
+        assert fingerprints_match(lhs, rhs) is expected
+        assert fingerprints_match(rhs, lhs) is expected
+        return expected
+
+    def test_acceptance_sweep_oracle_pairs(self):
+        """Every (live, oracle) pair of the 25-seed acceptance sweep's
+        monitored runs, plus the mismatching pairs across seeds and
+        the pinned MemCheck program whose registers diverge."""
+        from repro.lifeguards import LIFEGUARDS
+        from repro.trace.diff import RacyProgram, lifeguard_factory
+
+        config = SimulationConfig.for_threads(2)
+        verdicts = []
+        for name in sorted(LIFEGUARDS):
+            factory = lifeguard_factory(name)
+            previous = None
+            for seed in [*range(25), 20168]:
+                program = RacyProgram.generate(seed)
+                for runner in (run_parallel_monitoring,
+                               run_timesliced_monitoring):
+                    result = runner(program.workload(), factory, config,
+                                    keep_trace=True)
+                    oracle = replay(result.trace, lambda: factory(
+                        heap_range=AddressLayout.heap_range()))
+                    live = result.lifeguard_obj
+                    verdicts.append(self._agrees(live, oracle))
+                    if previous is not None:
+                        verdicts.append(self._agrees(live, previous))
+                    previous = oracle
+        assert True in verdicts and False in verdicts
+
+    @staticmethod
+    def _pair(bits=(2, 2)):
+        from repro.lifeguards.metadata import MetadataMap
+
+        lhs, rhs = TaintCheck(), TaintCheck()
+        lhs.metadata = MetadataMap(bits[0])
+        rhs.metadata = MetadataMap(bits[1])
+        return lhs, rhs
+
+    def test_absent_chunk_equals_an_all_zero_chunk(self):
+        lhs, rhs = self._pair()
+        rhs.metadata.set(0x4000_0000, 3)
+        rhs.metadata.set(0x4000_0000, 0)  # resident, all zero
+        assert rhs.metadata.resident_chunks == 1
+        assert self._agrees(lhs, rhs)
+        rhs.metadata.set(0x4000_0001, 1)
+        assert not self._agrees(lhs, rhs)
+
+    def test_different_bits_per_byte(self):
+        lhs, rhs = self._pair(bits=(1, 2))
+        for side in (lhs, rhs):
+            side.metadata.set_range(0x1000, 5, 1)
+        assert self._agrees(lhs, rhs)
+        rhs.metadata.set(0x1002, 2)
+        assert not self._agrees(lhs, rhs)
+
+    def test_all_zero_register_row_on_one_side(self):
+        lhs, rhs = self._pair()
+        rhs.regs(1)  # materializes an all-zero row for t1
+        assert not self._agrees(lhs, rhs)
+        lhs.regs(1)
+        assert self._agrees(lhs, rhs)
+        lhs.regs(1)[3] = 1
+        assert not self._agrees(lhs, rhs)
+
+    def test_violations_compare_as_a_kind_tid_set(self):
+        from repro.lifeguards.base import Violation
+
+        first = Violation("taintcheck", "tainted-critical-use", 0, 5, "a")
+        second = Violation("taintcheck", "tainted-critical-use", 1, 9, "b")
+        lhs, rhs = self._pair()
+        lhs.violations = [first, second]
+        rhs.violations = [second, first]
+        assert self._agrees(lhs, rhs)
+        rhs.violations = [first, Violation(
+            "taintcheck", "tainted-critical-use", 0, 9, "b")]
+        assert not self._agrees(lhs, rhs)

@@ -23,7 +23,12 @@ from repro import (
     trace_hash,
 )
 from repro.trace import CATEGORIES, DEFAULT_RING_EVENTS, TraceTail, read_trace
-from repro.trace.writer import _decode_line, encode_event, validate_event
+from repro.trace.writer import (
+    _decode_line,
+    encode_event,
+    tracer_for,
+    validate_event,
+)
 
 
 class TestTraceFilterParsing:
@@ -513,3 +518,130 @@ class TestEncoderByteIdentity:
             encode_event({"cycle": 1, "x": object()})
         # A failed encode leaves no state behind.
         assert encode_event({"cycle": 1}) == '{"cycle":1}'
+
+
+class TestUnknownCategoryIsNeverWritten:
+    """Regression: with ``categories=None`` the writer wrote any
+    category it was handed, so ``emit("bogus", ...)`` left a line that
+    ``read_trace`` rejects, failing the whole file, and ``wants`` said
+    yes to it."""
+
+    @pytest.mark.parametrize("categories", [None, ("arc",)])
+    def test_emit_raises_and_writes_nothing(self, categories):
+        stream = io.StringIO()
+        writer = TraceWriter(stream=stream, categories=categories, ring=4,
+                             keep=True)
+        with pytest.raises(ConfigurationError, match="'bogus'") as info:
+            writer.emit("bogus", "x", tid=0)
+        assert ", ".join(CATEGORIES) in str(info.value)
+        assert stream.getvalue() == ""
+        assert writer.emitted == 0
+        assert writer.events == [] and writer.snapshot() == []
+
+    @pytest.mark.parametrize("categories", [None, ("arc",)])
+    def test_wants_agrees_with_emit(self, categories):
+        writer = TraceWriter(categories=categories)
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            writer.wants("bogus")
+        for cat in CATEGORIES:
+            writer.emit(cat, "x")
+        assert writer.emitted == sum(map(writer.wants, CATEGORIES))
+
+    def test_none_means_every_known_category(self):
+        assert TraceWriter().categories == frozenset(CATEGORIES)
+        assert all(map(TraceWriter().wants, CATEGORIES))
+
+    def test_file_stays_readable(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        writer = TraceWriter.to_path(path)
+        writer.emit("engine", "stall", index=0)
+        with pytest.raises(ConfigurationError):
+            writer.emit("bogus", "x")
+        writer.emit("engine", "stall", index=1)
+        writer.close()
+        assert [event["index"] for event in read_trace(path)] == [0, 1]
+
+
+class TestWiringTimeGating:
+    """A component whose emits all fall in one category keeps the
+    writer only when it records that category."""
+
+    def test_tracer_for(self):
+        writer = TraceWriter(categories=("arc",))
+        assert tracer_for(writer, "arc") is writer
+        assert tracer_for(writer, "accel") is None
+        assert tracer_for(None, "arc") is None
+        with pytest.raises(ConfigurationError):
+            tracer_for(writer, "bogus")
+
+    @pytest.mark.parametrize("category,keeps", [("accel", True),
+                                                ("engine", False)])
+    def test_single_category_components(self, category, keeps):
+        from repro.accel import (IdempotentFilter, InheritanceTracking,
+                                 MetadataTLB)
+        from repro.capture.conflict_alert import CAHub
+        from repro.common.config import LifeguardCostConfig
+        from repro.cpu.engine import Engine
+        from repro.enforce.progress import ProgressTable
+
+        writer = TraceWriter(categories=(category,))
+        accel = [InheritanceTracking(tracer=writer),
+                 IdempotentFilter(tracer=writer),
+                 MetadataTLB(4, LifeguardCostConfig(), tracer=writer)]
+        assert [c.tracer is writer for c in accel] == [keeps] * 3
+        it = accel[0]
+        assert it.bound_process() == (it.process if keeps
+                                      else it._process_enabled)
+        engine = Engine()
+        assert ProgressTable(engine, [0], tracer=writer).tracer is None
+        assert CAHub(engine, tracer=writer).tracer is None
+        everything = TraceWriter()
+        assert ProgressTable(engine, [0], tracer=everything).tracer \
+            is everything
+        assert CAHub(engine, tracer=everything).tracer is everything
+
+
+def _racy_run(seed, lifeguard, scheme, model, tracer=None):
+    from repro.trace.diff import RacyProgram, lifeguard_factory
+
+    program = RacyProgram.generate(seed)
+    config = SimulationConfig.for_threads(2, memory_model=model)
+    runner = (run_parallel_monitoring if scheme == "parallel"
+              else run_timesliced_monitoring)
+    return runner(program.workload(), lifeguard_factory(lifeguard), config,
+                  keep_trace=True, tracer=tracer)
+
+
+def _observable(result):
+    return (result.total_cycles, result.instructions, result.app_buckets,
+            result.lifeguard_buckets, result.stats,
+            [(v.kind, v.tid, v.rid, v.detail) for v in result.violations])
+
+
+class TestFilteringIsAnExactProjection:
+    """A writer that records categories ``S`` keeps exactly the events
+    of ``S`` an all-category writer keeps, in the same order, and the
+    run it traces is the untraced run. Covers each single category, so
+    the differential checker's ``("engine",)`` filter too."""
+
+    @pytest.mark.parametrize("model", ["SC", "TSO"])
+    @pytest.mark.parametrize("scheme", ["parallel", "timesliced"])
+    @pytest.mark.parametrize("seed,lifeguard", [
+        (1, "taintcheck"), (2, "memcheck"), (4, "lockset"),
+        (5, "addrcheck")])
+    def test_single_category_writers(self, seed, lifeguard, scheme, model):
+        from repro.common.config import MemoryModel
+
+        model = MemoryModel[model]
+        untraced = _observable(_racy_run(seed, lifeguard, scheme, model))
+        everything = TraceWriter(keep=True)
+        assert _observable(_racy_run(seed, lifeguard, scheme, model,
+                                     everything)) == untraced
+        for category in CATEGORIES:
+            writer = TraceWriter(categories=(category,), keep=True)
+            result = _racy_run(seed, lifeguard, scheme, model, writer)
+            projection = [event for event in everything.events
+                          if event["cat"] == category]
+            assert writer.events == projection, category
+            assert trace_hash(writer.events) == trace_hash(projection)
+            assert _observable(result) == untraced, category

@@ -83,6 +83,28 @@ class TestTraceTailUnit:
             assert tail.events_seen == 1
 
 
+class TestUnknownCategoryNeverReachesTheTail:
+    """Regression: a writer built with ``categories=None`` wrote an
+    unknown category's line, and ``poll`` then raised on it, losing the
+    valid lines read in the same poll (and ending a serve SSE stream)."""
+
+    def test_valid_lines_around_a_rejected_emit_stream_through(
+            self, tmp_path):
+        from repro import ConfigurationError
+
+        path = str(tmp_path / "t.jsonl")
+        writer = TraceWriter.to_path(path)
+        writer.emit("engine", "stall", index=0)
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            writer.emit("bogus", "x")
+        writer.emit("ca", "broadcast", index=1)
+        writer.close()
+        with TraceTail(path) as tail:
+            events = tail.poll()
+        assert [payload["index"] for _, payload in events] == [0, 1]
+        assert [payload for _, payload in events] == read_trace(path)
+
+
 class TestConcurrentLiveTail:
     def test_live_tail_equals_final_read_and_hashes_identically(
             self, tmp_path):
