@@ -18,19 +18,15 @@ The format mirrors the structure hardware compressors exploit:
 * arcs, high-level payloads and version annotations ride in an extras
   block, each a varint sequence.
 
-Dependence arcs support three codecs (:data:`ARC_CODECS`), selected per
-encoder/decoder pair and recorded in archive manifests:
-
-* ``rid_delta`` (default, the original format) — each arc stores the
-  source thread id and the zigzag delta against the *consuming*
-  record's own RID;
-* ``last_recv`` — the transitive-reduction-aware codec: the delta is
-  taken against the stream's last-received RID *from that source
-  thread* (the same per-source vector RTR reduces against), so the arcs
-  that survive reduction form a monotone sequence of tiny deltas;
-* ``absolute`` — the naive full-arc encoding (source thread id and the
-  full source RID), the baseline the compression claims are measured
-  against.
+Dependence arcs have one encoding, the transitive-reduction-aware
+``last_recv``: each arc stores the source thread id and the zigzag delta
+of the source RID against the stream's last-received RID *from that
+source thread* (the same per-source vector RTR reduces against), so the
+arcs that survive reduction form a monotone sequence of tiny deltas.
+Compression claims are measured against a naive full-arc baseline that
+is never encoded, only priced from the arc list by
+:func:`naive_arc_cost`: every pre-reduction arc, with its absolute
+source RID.
 
 Decoding reconstructs records exactly (asserted by roundtrip tests), so
 the measured byte counts are honest. Truncated or corrupt input raises
@@ -40,7 +36,7 @@ the measured byte counts are honest. Truncated or corrupt input raises
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.capture.events import Record, RecordKind
 from repro.common.errors import SimulationError, TraceFormatError
@@ -65,9 +61,6 @@ _MOVRR = RecordKind.MOVRR
 _ALU = RecordKind.ALU
 _LOADI = RecordKind.LOADI
 _CRITICAL_USE = RecordKind.CRITICAL_USE
-
-#: Supported dependence-arc codecs (see the module docstring).
-ARC_CODECS = ("rid_delta", "last_recv", "absolute")
 
 #: A varint longer than this many payload bits is corrupt, not data:
 #: every value the codec writes fits comfortably in 64 bits of zigzag.
@@ -106,6 +99,30 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
+def _varint_size(value: int) -> int:
+    """Bytes :func:`_write_varint` spends on ``value``."""
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def naive_arc_cost(records: Iterable[Record]) -> Tuple[int, int]:
+    """(arcs, bytes) of the naive full-arc baseline for one stream.
+
+    The baseline encodes every arc capture saw, ``arcs`` plus the
+    ``reduced_arcs`` transitive reduction dropped, with absolute source
+    RIDs: per record with any arc, a tag byte and a count varint, then a
+    tid varint and a rid varint per arc.
+    """
+    arcs = size = 0
+    for record in records:
+        pairs = (record.arcs or []) + (record.reduced_arcs or [])
+        if pairs:
+            arcs += len(pairs)
+            size += 1 + _varint_size(len(pairs)) + sum(
+                _varint_size(src_tid) + _varint_size(src_rid)
+                for src_tid, src_rid in pairs)
+    return arcs, size
+
+
 def _truncated(offset: int, length: int):
     raise TraceFormatError(
         f"truncated record stream: need a byte at offset {offset}, "
@@ -139,22 +156,14 @@ def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
 
 
 class RecordEncoder:
-    """Stateful per-thread encoder (keeps the address-delta context).
+    """Stateful per-thread encoder: keeps the address-delta context and
+    the per-source last-received RIDs the arc deltas are taken against.
 
-    ``arc_codec`` selects the dependence-arc encoding (one of
-    :data:`ARC_CODECS`); ``include_reduced_arcs=True`` additionally
-    encodes any :attr:`~repro.capture.events.Record.reduced_arcs` the
-    capture retained, reconstructing the naive pre-reduction arc set —
-    the honest baseline for compression-ratio measurements.
+    Only the arcs that survived transitive reduction are encoded; the
+    naive baseline is priced by :func:`naive_arc_cost`.
     """
 
-    def __init__(self, arc_codec: str = "rid_delta",
-                 include_reduced_arcs: bool = False):
-        if arc_codec not in ARC_CODECS:
-            raise SimulationError(
-                f"unknown arc codec {arc_codec!r}; valid: {ARC_CODECS}")
-        self.arc_codec = arc_codec
-        self.include_reduced_arcs = include_reduced_arcs
+    def __init__(self):
         self._last_addr = 0
         self._last_recv = {}
         self.records = 0
@@ -227,23 +236,17 @@ class RecordEncoder:
             _write_varint(extras, int(record.kind))
             _write_varint(extras, record.ca_id or 0)
             extras.append(1 if record.ca_issuer else 0)
-        arcs = list(record.arcs or ())
-        if self.include_reduced_arcs and record.reduced_arcs:
-            arcs.extend(record.reduced_arcs)
+        arcs = record.arcs
         if arcs:
             extras.append(_X_ARCS)
             section_start = len(extras) - 1
             _write_varint(extras, len(arcs))
+            last_recv = self._last_recv
             for src_tid, src_rid in arcs:
                 _write_varint(extras, src_tid)
-                if self.arc_codec == "rid_delta":
-                    _write_varint(extras, _zigzag(record.rid - src_rid))
-                elif self.arc_codec == "last_recv":
-                    previous = self._last_recv.get(src_tid, 0)
-                    _write_varint(extras, _zigzag(src_rid - previous))
-                    self._last_recv[src_tid] = src_rid
-                else:  # absolute: the naive full-arc baseline
-                    _write_varint(extras, src_rid)
+                _write_varint(extras,
+                              _zigzag(src_rid - last_recv.get(src_tid, 0)))
+                last_recv[src_tid] = src_rid
             self.arc_bytes += len(extras) - section_start
             self.arcs += len(arcs)
         if record.hl_kind is not None or record.ranges:
@@ -278,36 +281,14 @@ class RecordEncoder:
 
 
 class RecordDecoder:
-    """Inverse of :class:`RecordEncoder` for one thread's stream.
+    """Inverse of :class:`RecordEncoder` for one thread's stream."""
 
-    ``arc_codec`` must match the encoder's (archives record theirs in
-    the manifest); a mismatch decodes to silently wrong arcs, which is
-    why the archive reader treats an unknown codec as a format error.
-    """
-
-    def __init__(self, tid: int, arc_codec: str = "rid_delta"):
-        if arc_codec not in ARC_CODECS:
-            raise TraceFormatError(
-                f"unknown arc codec {arc_codec!r}; valid: {ARC_CODECS}")
+    def __init__(self, tid: int):
         self.tid = tid
-        self.arc_codec = arc_codec
         self._last_addr = 0
         self._last_recv = {}
         self._rid = 0
         self._start = 0
-
-    def decode(self, data: bytes, offset: int = 0) -> Tuple[Record, int]:
-        """Decode the record starting at ``offset``; returns (record, end).
-
-        ``end`` is the offset just past the record, so a stream decodes
-        by feeding each end back in, without slicing ``data``. With the
-        default ``offset=0`` it is also the number of bytes consumed.
-        Error messages give offsets into ``data`` itself.
-        """
-        records: List[Record] = []
-        # Every record is at least one byte: stop after the first.
-        end = self._decode_into(records, data, offset, offset + 1)
-        return records[0], end
 
     def _decode_into(self, records: List[Record], data: bytes, offset: int,
                      stop: int) -> int:
@@ -442,17 +423,12 @@ class RecordDecoder:
                 record.ca_issuer = bool(issuer)
             elif tag == _X_ARCS:
                 count, offset = _read_varint(data, offset)
+                last_recv = self._last_recv
                 for _ in range(count):
                     src_tid, offset = _read_varint(data, offset)
                     raw, offset = _read_varint(data, offset)
-                    if self.arc_codec == "rid_delta":
-                        src_rid = record.rid - _unzigzag(raw)
-                    elif self.arc_codec == "last_recv":
-                        src_rid = (self._last_recv.get(src_tid, 0)
-                                   + _unzigzag(raw))
-                        self._last_recv[src_tid] = src_rid
-                    else:  # absolute
-                        src_rid = raw
+                    src_rid = last_recv.get(src_tid, 0) + _unzigzag(raw)
+                    last_recv[src_tid] = src_rid
                     record.add_arc(src_tid, src_rid)
             elif tag == _X_HL:
                 raw_hl, offset = _read_varint(data, offset)
@@ -508,15 +484,13 @@ class RecordDecoder:
                 f"(decoding reached offset {offset})")
 
 
-def encode_stream(records: Iterable[Record],
-                  arc_codec: str = "rid_delta") -> bytes:
+def encode_stream(records: Iterable[Record]) -> bytes:
     """Encode one thread's record stream into a single buffer."""
-    encoder = RecordEncoder(arc_codec=arc_codec)
+    encoder = RecordEncoder()
     return b"".join(encoder.encode(record) for record in records)
 
 
-def decode_stream(data: bytes, tid: int,
-                  arc_codec: str = "rid_delta") -> List[Record]:
+def decode_stream(data: bytes, tid: int) -> List[Record]:
     """Decode a whole encoded stream back into records.
 
     Any corruption — a stream cut mid-record, an over-long varint, an
@@ -526,7 +500,7 @@ def decode_stream(data: bytes, tid: int,
     number and its absolute stream offset, never a bare ``IndexError``
     or ``ValueError``.
     """
-    decoder = RecordDecoder(tid, arc_codec=arc_codec)
+    decoder = RecordDecoder(tid)
     records: List[Record] = []
     try:
         decoder._decode_into(records, data, 0, len(data))
@@ -541,14 +515,13 @@ def decode_stream(data: bytes, tid: int,
     return records
 
 
-def measure_stream(records: Iterable[Record],
-                   arc_codec: str = "rid_delta") -> Tuple[int, int, float]:
+def measure_stream(records: Iterable[Record]) -> Tuple[int, int, float]:
     """(records, bytes, average bytes/record) for one stream.
 
     An empty stream measures as ``(0, 0, 0.0)`` — never a
     ``ZeroDivisionError``.
     """
-    encoder = RecordEncoder(arc_codec=arc_codec)
+    encoder = RecordEncoder()
     for record in records:
         encoder.encode(record)
     return (encoder.records, encoder.bytes,

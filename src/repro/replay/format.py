@@ -12,7 +12,7 @@ Layout, all little-endian at the byte level::
     varint            manifest length in bytes
     manifest          canonical JSON (sorted keys, compact separators)
     stream blobs      per thread, in tid order:
-                        record blob   (RecordEncoder, manifest arc codec)
+                        record blob   (RecordEncoder, last_recv arcs)
                         commit blob   (zigzag-varint commit_time deltas)
 
 The manifest carries the format version (again — header and manifest
@@ -45,6 +45,7 @@ from repro.capture.compression import (
     _write_varint,
     _zigzag,
     decode_stream,
+    naive_arc_cost,
 )
 from repro.capture.events import Record
 from repro.common.errors import TraceFormatError
@@ -60,8 +61,8 @@ MAGIC = b"\x89PLOG\r\n\x1a"
 #: codec change and regenerate the golden fixture under ``tests/data/``.
 FORMAT_VERSION = 1
 
-#: Arc codec every archive is written with (the transitive-reduction-
-#: aware one); readers honor whatever the manifest says.
+#: The manifest's ``arc_codec``: the one arc encoding (the transitive-
+#: reduction-aware one). A reader rejects any other value.
 ARCHIVE_ARC_CODEC = "last_recv"
 
 
@@ -203,14 +204,10 @@ def write_archive(path: str, trace: Iterable[Record], *, nthreads: int,
     total_arc_bytes = 0
     total_naive_arc_bytes = 0
     for tid, records in sorted(streams.items()):
-        encoder = RecordEncoder(arc_codec=ARCHIVE_ARC_CODEC)
+        encoder = RecordEncoder()
         record_blob = b"".join(encoder.encode(r) for r in records)
         commit_blob = _encode_commit_times(records, commit_base)
-        # Price the naive baseline: every pre-reduction arc, absolute.
-        naive = RecordEncoder(arc_codec="absolute",
-                              include_reduced_arcs=True)
-        for record in records:
-            naive.encode(record)
+        naive_arcs, naive_arc_bytes = naive_arc_cost(records)
         stream_entries.append({
             "tid": tid,
             "records": len(records),
@@ -220,14 +217,14 @@ def write_archive(path: str, trace: Iterable[Record], *, nthreads: int,
             "commit_sha256": _sha256(commit_blob),
             "arcs": encoder.arcs,
             "arc_bytes": encoder.arc_bytes,
-            "naive_arcs": naive.arcs,
-            "naive_arc_bytes": naive.arc_bytes,
+            "naive_arcs": naive_arcs,
+            "naive_arc_bytes": naive_arc_bytes,
         })
         blobs.append(record_blob)
         blobs.append(commit_blob)
         total_records += len(records)
         total_arc_bytes += encoder.arc_bytes
-        total_naive_arc_bytes += naive.arc_bytes
+        total_naive_arc_bytes += naive_arc_bytes
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -289,6 +286,8 @@ def _check_manifest(manifest: dict) -> None:
     codec, nthreads = manifest["arc_codec"], manifest["nthreads"]
     meta, streams = manifest.get("meta", {}), manifest["streams"]
     _check_field(codec, isinstance(codec, str), "'arc_codec'", "a string")
+    _check_field(codec, codec == ARCHIVE_ARC_CODEC, "'arc_codec'",
+                 repr(ARCHIVE_ARC_CODEC))
     _check_field(nthreads, _is_count(nthreads), "'nthreads'",
                  "a non-negative int")
     _check_field(meta, isinstance(meta, dict), "'meta'", "a JSON object")
@@ -416,8 +415,7 @@ class TraceReader:
         entry = next(e for e in self.manifest["streams"]
                      if e["tid"] == tid)
         try:
-            records = decode_stream(record_blob, tid,
-                                    arc_codec=self.manifest["arc_codec"])
+            records = decode_stream(record_blob, tid)
         except TraceFormatError as exc:
             raise TraceFormatError(
                 f"{self.path}: t{tid} record blob: {exc}") from None

@@ -6,12 +6,11 @@ import pytest
 from repro import SimulationConfig, TaintCheck, build_workload, \
     run_parallel_monitoring
 from repro.capture.compression import (
-    ARC_CODECS,
-    RecordDecoder,
     RecordEncoder,
     decode_stream,
     encode_stream,
     measure_stream,
+    naive_arc_cost,
 )
 from repro.capture.events import Record, RecordKind
 from repro.common.errors import TraceFormatError
@@ -126,42 +125,33 @@ class TestArcCodecs:
         records[5].add_arc(1, 9)
         return records
 
-    @pytest.mark.parametrize("codec", ARC_CODECS)
-    def test_every_codec_roundtrips(self, codec):
+    def test_interleaved_sources_roundtrip(self):
         records = self.arc_stream()
-        decoded = decode_stream(encode_stream(records, arc_codec=codec),
-                                0, arc_codec=codec)
+        decoded = decode_stream(encode_stream(records), 0)
         assert [fields(r) for r in records] == [fields(r) for r in decoded]
 
     def test_last_recv_beats_absolute_on_monotone_arcs(self):
         # Post-reduction arcs from one source are a monotone RID
-        # sequence, so last_recv deltas stay tiny where absolute
-        # encoding pays full-RID varints.
+        # sequence, so last_recv deltas stay tiny where the naive
+        # baseline pays full-RID varints.
         records = stream([load(R0, 0x1000 + 4 * i) for i in range(40)])
         for index, record in enumerate(records):
             record.add_arc(1, 500 + index)
-        reduced = RecordEncoder(arc_codec="last_recv")
-        naive = RecordEncoder(arc_codec="absolute")
+        encoder = RecordEncoder()
         for record in records:
-            reduced.encode(record)
-            naive.encode(record)
-        assert reduced.arcs == naive.arcs == 40
-        assert reduced.arc_bytes < naive.arc_bytes
+            encoder.encode(record)
+        naive_arcs, naive_bytes = naive_arc_cost(records)
+        assert encoder.arcs == naive_arcs == 40
+        assert encoder.arc_bytes < naive_bytes
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(Exception, match="unknown arc codec"):
-            RecordEncoder(arc_codec="gzip")
-        with pytest.raises(TraceFormatError, match="unknown arc codec"):
-            RecordDecoder(0, arc_codec="gzip")
-
-    def test_codec_mismatch_is_lossy_not_crashy(self):
-        # A mismatched codec decodes structurally (same record count)
-        # but with wrong arcs — which is why archives pin the codec in
-        # their manifest and readers reject unknown names.
-        records = self.arc_stream()
-        blob = encode_stream(records, arc_codec="last_recv")
-        decoded = decode_stream(blob, 0, arc_codec="absolute")
-        assert len(decoded) == len(records)
+    def test_naive_price_counts_reduced_arcs_at_full_width(self):
+        # Tag 1 + count 1 + (tid 1 + rid 200: 2) + (tid 1 + rid 3: 1).
+        record = stream([load(R0, 0x1000)])[0]
+        record.add_arc(1, 200)
+        record.add_reduced_arc(2, 3)
+        bare = stream([loadi(R0)])[0]
+        assert naive_arc_cost([record, bare]) == (2, 7)
+        assert naive_arc_cost([bare]) == (0, 0)
 
 
 class TestRobustness:

@@ -1,16 +1,15 @@
 """Property-based tests (hypothesis) for the record codec.
 
 The codec's contract is ``decode(encode(stream)) == stream`` over the
-*full* extras vocabulary — arcs under every codec, high-level payloads,
+*full* extras vocabulary — dependence arcs, high-level payloads,
 TSO version annotations, CA marks, critical-section tags — with
 adversarial numeric values: varint byte-count boundaries (127/128,
 16383/16384, ...), negative zigzag deltas from descending addresses,
 and address walks that straddle shadow-chunk boundaries. A second
 property pins encoded-size monotonicity: appending a record never
-shrinks (or leaves unchanged) the encoded stream. Two more pin the
-in-place decoder: ``decode(data, offset)`` yields the same records and
-end offsets as decoding slice by slice, and a truncated stream reports
-the cut record's absolute stream offset. A last one flips random
+shrinks (or leaves unchanged) the encoded stream. Another pins the
+in-place decoder: a truncated stream reports the cut record's absolute
+stream offset. A last one flips random
 bytes: a corrupt stream decodes or raises TraceFormatError naming the
 failing record and the offset where it begins, never another error.
 """
@@ -21,8 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.compression import (
-    ARC_CODECS,
-    RecordDecoder,
     RecordEncoder,
     decode_stream,
     encode_stream,
@@ -122,47 +119,18 @@ def _fields(record):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stream=streams, codec=st.sampled_from(ARC_CODECS))
-def test_roundtrip_over_full_vocabulary(stream, codec):
+@given(stream=streams)
+def test_roundtrip_over_full_vocabulary(stream):
     stream = _with_stream_rids(stream)
-    decoded = decode_stream(encode_stream(stream, arc_codec=codec), 0,
-                            arc_codec=codec)
+    decoded = decode_stream(encode_stream(stream), 0)
     assert [_fields(r) for r in stream] == [_fields(r) for r in decoded]
-
-
-def _slice_and_consume(data, codec):
-    """The reference loop: decode each record from a fresh slice of the
-    remaining bytes (``offset=0``) and advance by the bytes consumed."""
-    decoder = RecordDecoder(0, arc_codec=codec)
-    records, ends, offset = [], [], 0
-    while offset < len(data):
-        record, consumed = decoder.decode(data[offset:])
-        offset += consumed
-        records.append(record)
-        ends.append(offset)
-    return records, ends
-
-
-@settings(max_examples=150, deadline=None)
-@given(stream=streams, codec=st.sampled_from(ARC_CODECS))
-def test_offset_decoding_matches_slice_and_consume(stream, codec):
-    data = encode_stream(_with_stream_rids(stream), arc_codec=codec)
-    expected, expected_ends = _slice_and_consume(data, codec)
-    decoder = RecordDecoder(0, arc_codec=codec)
-    records, ends, offset = [], [], 0
-    while offset < len(data):
-        record, offset = decoder.decode(data, offset)
-        records.append(record)
-        ends.append(offset)
-    assert ends == expected_ends
-    assert [_fields(r) for r in records] == [_fields(r) for r in expected]
 
 
 @settings(max_examples=150, deadline=None)
 @given(stream=st.lists(records(), min_size=1, max_size=12),
-       codec=st.sampled_from(ARC_CODECS), data=st.data())
-def test_truncation_reports_absolute_stream_offset(stream, codec, data):
-    encoder = RecordEncoder(arc_codec=codec)
+       data=st.data())
+def test_truncation_reports_absolute_stream_offset(stream, data):
+    encoder = RecordEncoder()
     chunks = [encoder.encode(r) for r in _with_stream_rids(stream)]
     blob = b"".join(chunks)
     starts = [sum(len(c) for c in chunks[:i]) for i in range(len(chunks))]
@@ -171,12 +139,11 @@ def test_truncation_reports_absolute_stream_offset(stream, codec, data):
     cut_index = max(i for i, start in enumerate(starts) if start < cut)
     if starts[cut_index] + len(chunks[cut_index]) == cut:
         # A cut on a record boundary is a shorter valid stream.
-        assert len(decode_stream(blob[:cut], 0, arc_codec=codec)) \
-            == cut_index + 1
+        assert len(decode_stream(blob[:cut], 0)) == cut_index + 1
         return
     start = starts[cut_index]
     with pytest.raises(TraceFormatError) as info:
-        decode_stream(blob[:cut], 0, arc_codec=codec)
+        decode_stream(blob[:cut], 0)
     message = str(info.value)
     assert message.startswith(
         f"record #{cut_index + 1} at stream offset {start}: ")
@@ -188,18 +155,16 @@ def test_truncation_reports_absolute_stream_offset(stream, codec, data):
 
 @settings(max_examples=200, deadline=None)
 @given(stream=st.lists(records(), min_size=1, max_size=12),
-       codec=st.sampled_from(ARC_CODECS), data=st.data())
-def test_flipped_bytes_decode_or_fail_naming_the_record(stream, codec,
-                                                        data):
-    blob = bytearray(encode_stream(_with_stream_rids(stream),
-                                   arc_codec=codec))
+       data=st.data())
+def test_flipped_bytes_decode_or_fail_naming_the_record(stream, data):
+    blob = bytearray(encode_stream(_with_stream_rids(stream)))
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         position = data.draw(st.integers(min_value=0,
                                          max_value=len(blob) - 1))
         blob[position] ^= data.draw(st.integers(min_value=1, max_value=255))
     blob = bytes(blob)
     try:
-        decode_stream(blob, 0, arc_codec=codec)
+        decode_stream(blob, 0)
     except TraceFormatError as exc:
         match = re.match(r"(?:corrupt )?record #(\d+) at stream offset "
                          r"(\d+): ", str(exc))
@@ -207,17 +172,16 @@ def test_flipped_bytes_decode_or_fail_naming_the_record(stream, codec,
         number, start = int(match.group(1)), int(match.group(2))
         # The named offset is where record #number begins: the bytes
         # before it decode to exactly the records before it.
-        assert len(decode_stream(blob[:start], 0, arc_codec=codec)) \
-            == number - 1
+        assert len(decode_stream(blob[:start], 0)) == number - 1
     # Any other exception (IndexError, ValueError, KeyError, ...)
     # escapes and fails the test.
 
 
 @settings(max_examples=100, deadline=None)
-@given(stream=streams, codec=st.sampled_from(ARC_CODECS))
-def test_encoded_size_is_strictly_monotone(stream, codec):
+@given(stream=streams)
+def test_encoded_size_is_strictly_monotone(stream):
     stream = _with_stream_rids(stream)
-    encoder = RecordEncoder(arc_codec=codec)
+    encoder = RecordEncoder()
     previous = 0
     for record in stream:
         encoder.encode(record)

@@ -157,8 +157,8 @@ class TestCodecLog:
             record.add_arc(1, src_rid)
             return record
 
-        encoder = RecordEncoder(arc_codec="last_recv")
-        reference = RecordEncoder(arc_codec="last_recv")
+        encoder = RecordEncoder()
+        reference = RecordEncoder()
         for target in (encoder, reference):
             target.encode(arc_record(1, 0x100, 3))
         saved = encoder.snapshot()

@@ -316,6 +316,14 @@ MALFORMED_MANIFESTS = [
                  id="stream-not-an-object"),
     pytest.param(("arc_codec",), None, "'arc_codec' must be a string",
                  id="arc-codec-null"),
+    # Arc bytes are always last_recv, so honoring another codec name
+    # would decode wrong arcs without any error.
+    pytest.param(("arc_codec",), "absolute",
+                 "'arc_codec' must be 'last_recv', got 'absolute'",
+                 id="arc-codec-absolute"),
+    pytest.param(("arc_codec",), "rid_delta",
+                 "'arc_codec' must be 'last_recv', got 'rid_delta'",
+                 id="arc-codec-rid-delta"),
 ]
 
 
