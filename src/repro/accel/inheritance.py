@@ -113,8 +113,10 @@ class InheritanceTracking:
         #: tid -> the smallest RID its rows hold (None: they hold none).
         #: Every cached value is exact; a tid missing here is stale and
         #: :meth:`min_held_rid` rescans it. Rows change only through
-        #: :meth:`_put` and :meth:`_pop`, which keep this invariant.
-        self._floor: Dict[int, Optional[int]] = {}
+        #: :meth:`_put` and :meth:`_pop`, which keep this invariant. The
+        #: lifeguard core reads a present value directly, once per
+        #: record, to skip delayed advertising when nothing is held.
+        self.floor: Dict[int, Optional[int]] = {}
         #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
         #: kept only if it records them; ``owner`` names the lifeguard
         #: core this table belongs to.
@@ -228,7 +230,7 @@ class InheritanceTracking:
         rows = self._rows
         old = rows.get(key)
         rows[key] = row
-        floor = self._floor
+        floor = self.floor
         held = floor.get(tid, _STALE)
         if held is _STALE:
             return
@@ -242,7 +244,7 @@ class InheritanceTracking:
         """Remove and return ``key``'s row, keeping the floor exact."""
         row = self._rows.pop(key, None)
         if row is not None and row.rid is not None:
-            floor = self._floor
+            floor = self.floor
             if floor.get(key[0]) == row.rid:
                 del floor[key[0]]  # removed the row holding the floor
         return row
@@ -462,7 +464,7 @@ class InheritanceTracking:
         per-thread cache; only the first call after the row holding the
         floor left the table scans the rows.
         """
-        held = self._floor.get(tid, _STALE)
+        held = self.floor.get(tid, _STALE)
         if held is _STALE:
             held = None
             for (row_tid, _reg), row in self._rows.items():
@@ -470,7 +472,7 @@ class InheritanceTracking:
                 if (row_tid == tid and rid is not None
                         and (held is None or rid < held)):
                     held = rid
-            self._floor[tid] = held
+            self.floor[tid] = held
         return held
 
     @property

@@ -324,7 +324,8 @@ class RecordDecoder:
                 offset += 1
                 rid += 1
                 # Every slot is set exactly once here, as in
-                # Record.from_op; only an extras block overwrites.
+                # RecordSource.begin_record; only an extras block
+                # overwrites.
                 record = new(Record)
                 record.tid = tid
                 record.rid = rid

@@ -16,7 +16,7 @@ encoding bytes.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import MicroOp, OpKind
 
@@ -60,7 +60,8 @@ _MEMORY_KINDS = frozenset({RecordKind.LOAD, RecordKind.STORE, RecordKind.RMW})
 _WRITE_KINDS = frozenset({RecordKind.STORE, RecordKind.RMW})
 
 #: ``OpKind`` value -> the record kind of the same value, so
-#: :meth:`Record.from_op` indexes a tuple instead of calling the enum.
+#: :meth:`RecordSource.begin_record` indexes a tuple instead of calling
+#: the enum.
 _KIND_OF_OP = tuple(
     RecordKind(int(op_kind)) if op_kind else None
     for op_kind in range(max(OpKind) + 1))
@@ -125,28 +126,9 @@ class Record:
 
     @classmethod
     def from_op(cls, tid: int, rid: int, op: MicroOp) -> "Record":
-        # One record per retired instruction: every slot is set exactly
-        # once here, rather than defaulted by __init__ and overwritten.
-        record = cls.__new__(cls)
-        record.tid = tid
-        record.rid = rid
-        record.kind = _KIND_OF_OP[op.kind]
-        record.addr = op.addr
-        record.size = op.size
-        record.rd = op.rd
-        record.rs1 = op.rs1
-        record.rs2 = op.rs2
-        record.hl_kind = op.hl_kind
-        record.ranges = op.ranges or ()
-        record.critical_kind = op.critical_kind
-        record.arcs = None
-        record.reduced_arcs = None
-        record.ca_id = None
-        record.ca_issuer = False
-        record.consume_version = None
-        record.produce_versions = None
-        record.commit_time = None
-        return record
+        """The record ``op`` retires as, numbered ``rid``, outside any
+        capture (tests and tools); built by :meth:`RecordSource.begin_record`."""
+        return RecordSource(tid, {tid: rid - 1}).begin_record(op)
 
     @property
     def is_memory(self) -> bool:
@@ -176,6 +158,51 @@ class Record:
         if self.hl_kind is not None:
             extra += f" hl={self.hl_kind.name}"
         return f"Record(t{self.tid} #{self.rid} {self.kind.name}{extra})"
+
+
+class RecordSource:
+    """One thread's retired-record counter and the record builder.
+
+    ``current_rids[tid]`` is the thread's last retired RID. Order
+    capture shares that dict across threads (the per-core capture mode
+    reads the other threads' counters); an unmonitored run's stand-in
+    keeps its own.
+    """
+
+    __slots__ = ("tid", "current_rids")
+
+    def __init__(self, tid: int, current_rids: Dict[int, int]):
+        self.tid = tid
+        self.current_rids = current_rids
+
+    def begin_record(self, op: MicroOp) -> Record:
+        """Create the record for a retiring micro-op and advance the counter."""
+        tid = self.tid
+        current_rids = self.current_rids
+        rid = current_rids[tid] + 1
+        current_rids[tid] = rid
+        # One record per retired instruction: every slot is set exactly
+        # once here, rather than defaulted by __init__ and overwritten.
+        record = Record.__new__(Record)
+        record.tid = tid
+        record.rid = rid
+        record.kind = _KIND_OF_OP[op.kind]
+        record.addr = op.addr
+        record.size = op.size
+        record.rd = op.rd
+        record.rs1 = op.rs1
+        record.rs2 = op.rs2
+        record.hl_kind = op.hl_kind
+        record.ranges = op.ranges or ()
+        record.critical_kind = op.critical_kind
+        record.arcs = None
+        record.reduced_arcs = None
+        record.ca_id = None
+        record.ca_issuer = False
+        record.consume_version = None
+        record.produce_versions = None
+        record.commit_time = None
+        return record
 
 
 def record_size_bytes(record: Record) -> int:

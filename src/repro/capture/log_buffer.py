@@ -27,7 +27,7 @@ class LogBuffer:
     """Bounded FIFO of event records with byte-occupancy accounting."""
 
     __slots__ = ("engine", "capacity_bytes", "name", "faults", "records_lost",
-                 "_queue", "_sizes", "_occupied_bytes", "_encoder", "not_full",
+                 "queue", "_sizes", "_occupied_bytes", "_encoder", "not_full",
                  "not_empty", "closed", "total_records", "total_bytes",
                  "peak_bytes")
 
@@ -42,8 +42,9 @@ class LogBuffer:
         #: Records silently lost to an injected ``log_append:drop`` fault.
         self.records_lost = 0
         # Records and their charged sizes, in parallel FIFOs (no
-        # per-record entry tuple).
-        self._queue = deque()
+        # per-record entry tuple). The consumer reads the head of
+        # ``queue`` directly; only this class changes either FIFO.
+        self.queue = deque()
         self._sizes = deque()
         self._occupied_bytes = 0
         self._encoder = None
@@ -90,14 +91,15 @@ class LogBuffer:
             if encoder is not None:
                 encoder.restore(saved)
             return False
-        self._queue.append(record)
+        self.queue.append(record)
         self._sizes.append(size)
         self._occupied_bytes += size
         self.total_records += 1
         self.total_bytes += size
         if self._occupied_bytes > self.peak_bytes:
             self.peak_bytes = self._occupied_bytes
-        self.not_empty.notify_all(self.engine)
+        if self.not_empty.waiters:
+            self.not_empty.notify_all(self.engine)
         return True
 
     def close(self) -> None:
@@ -108,14 +110,15 @@ class LogBuffer:
     # -- consumer side -------------------------------------------------------
 
     def peek(self) -> Optional[Record]:
-        if not self._queue:
+        if not self.queue:
             return None
-        return self._queue[0]
+        return self.queue[0]
 
     def pop(self) -> Record:
-        record = self._queue.popleft()
+        record = self.queue.popleft()
         self._occupied_bytes -= self._sizes.popleft()
-        self.not_full.notify_all(self.engine)
+        if self.not_full.waiters:
+            self.not_full.notify_all(self.engine)
         return record
 
     # -- introspection -------------------------------------------------------
@@ -125,9 +128,9 @@ class LogBuffer:
         return self._occupied_bytes
 
     def __len__(self):
-        return len(self._queue)
+        return len(self.queue)
 
     @property
     def drained(self) -> bool:
         """True once the producer closed the log and everything was consumed."""
-        return self.closed and not self._queue
+        return self.closed and not self.queue

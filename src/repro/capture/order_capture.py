@@ -26,17 +26,16 @@ import itertools
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.capture.events import Record, RecordKind
+from repro.capture.events import Record, RecordKind, RecordSource
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import CaptureMode, SimulationConfig
-from repro.isa.instructions import MicroOp
 from repro.trace.writer import tracer_for
 
 #: Shared monotonic stamp source for the sequential-linearization order.
 _GLOBAL_SEQ = itertools.count(1)
 
 
-class OrderCapture:
+class OrderCapture(RecordSource):
     """Order-capture hardware for one application thread."""
 
     def __init__(self, tid: int, config: SimulationConfig, log: LogBuffer,
@@ -72,14 +71,8 @@ class OrderCapture:
         self.arcs_reduced = 0
 
     # -- record creation -------------------------------------------------------
-
-    def begin_record(self, op: MicroOp) -> Record:
-        """Create the record for a retiring micro-op and advance the counter."""
-        tid = self.tid
-        current_rids = self.current_rids
-        rid = current_rids[tid] + 1
-        current_rids[tid] = rid
-        return Record.from_op(tid, rid, op)
+    #
+    # begin_record is RecordSource's: it advances current_rids[tid].
 
     def attach_conflicts(self, record: Record, conflicts) -> None:
         """Turn coherence conflicts into (reduced) dependence arcs."""

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.accel import IdempotentFilter, InheritanceTracking, MetadataTLB
-from repro.capture.events import Record, RecordKind
+from repro.capture.events import Record, RecordKind, RecordSource
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.capture.tso import StoreBufferEntry
@@ -46,20 +46,15 @@ class MonitoringHooks:
         self.store_buffers = store_buffers if store_buffers is not None else {}
 
 
-class NullCapture:
+class NullCapture(RecordSource):
     """Capture stand-in for unmonitored runs: counts rids, stores nothing."""
 
-    __slots__ = ("tid", "_rid", "fully_committed", "draining_record")
+    __slots__ = ("fully_committed", "draining_record")
 
     def __init__(self, tid: int):
-        self.tid = tid
-        self._rid = 0
+        super().__init__(tid, {tid: 0})
         self.fully_committed = True
         self.draining_record = None
-
-    def begin_record(self, op) -> Record:
-        self._rid += 1
-        return Record.from_op(self.tid, self._rid, op)
 
     def attach_conflicts(self, record, conflicts) -> None:
         pass
@@ -102,12 +97,14 @@ class TsoStoreBuffer:
 
     def push(self, entry: StoreBufferEntry) -> None:
         self.entries.append(entry)
-        self.not_empty.notify_all(self.engine)
+        if self.not_empty.waiters:
+            self.not_empty.notify_all(self.engine)
 
     def pop(self) -> StoreBufferEntry:
         entry = self.entries.popleft()
-        self.not_full.notify_all(self.engine)
-        if not self.entries:
+        if self.not_full.waiters:
+            self.not_full.notify_all(self.engine)
+        if not self.entries and self.empty_cond.waiters:
             self.empty_cond.notify_all(self.engine)
         return entry
 
@@ -167,9 +164,8 @@ class AppCore(CoreActor):
     # -- generator pump ----------------------------------------------------------
 
     def _next_op(self):
+        """The thread's first op (:meth:`step` resumes it after that)."""
         try:
-            if self._started:
-                return self._gen.send(self._result)
             self._started = True
             return next(self._gen)
         except StopIteration:
@@ -209,7 +205,15 @@ class AppCore(CoreActor):
                     return ("wait", table.condition(self.tid),
                             "wait_containment", "syscall containment")
                 self._containment_rid = None
-            self._op = self._next_op()
+            if self._started:
+                # _next_op's resume, inlined: one per instruction.
+                try:
+                    self._op = self._gen.send(self._result)
+                except StopIteration:
+                    self._exiting = True
+                    self._op = thread_exit()
+            else:
+                self._op = self._next_op()
             self._result = None
             self._phase = _EXECUTE
 

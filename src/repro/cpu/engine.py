@@ -340,22 +340,26 @@ class Condition:
     ``owners`` optionally lists the actors (or named components)
     responsible for eventually notifying this condition; the engine's
     wait-for-graph builder uses them as the condition's outgoing edges.
+
+    ``waiters`` is public so a per-record notifier can skip the
+    :meth:`notify_all` call when nobody waits (``if cond.waiters:``);
+    only this class changes it.
     """
 
-    __slots__ = ("name", "_waiters", "owners")
+    __slots__ = ("name", "waiters", "owners")
 
     def __init__(self, name: str, owners: Optional[list] = None):
         self.name = name
-        self._waiters: List["CoreActor"] = []
+        self.waiters: List["CoreActor"] = []
         self.owners: List = list(owners or [])
 
     def add_waiter(self, actor: "CoreActor") -> None:
-        self._waiters.append(actor)
+        self.waiters.append(actor)
 
     def remove_waiter(self, actor: "CoreActor") -> None:
         """Drop one waiter if present (idempotent)."""
         try:
-            self._waiters.remove(actor)
+            self.waiters.remove(actor)
         except ValueError:
             pass
 
@@ -371,18 +375,18 @@ class Condition:
         arrives after the actor resumed and is dropped as stale by
         :meth:`CoreActor.wake`.
         """
-        if not self._waiters:
+        if not self.waiters:
             return
-        waiters, self._waiters = self._waiters, []
+        waiters, self.waiters = self.waiters, []
         for actor in waiters:
             engine.schedule(0, actor.wake)
 
     @property
     def waiter_count(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)
 
     def __repr__(self):
-        return f"Condition({self.name}, waiters={len(self._waiters)})"
+        return f"Condition({self.name}, waiters={len(self.waiters)})"
 
 
 class CoreActor:
@@ -453,14 +457,13 @@ class CoreActor:
     def _run(self) -> None:
         # Hot trampoline: locals for everything touched per step. `step`
         # and `_run` come from the instance dict (pre-bound in __init__),
-        # so no bound-method allocation happens on this path. Positive
-        # delays go straight into the bucket dict; anything else takes
-        # TimeBuckets.charge, which rejects negative cycles.
+        # so no bound-method allocation happens on this path. A delay
+        # that lands in the calendar ring is charged and appended to its
+        # slot here; a far delay takes Engine.schedule, and a negative
+        # one TimeBuckets.charge, which rejects it.
         engine = self.engine
         step = self.step
         buckets = self.buckets.buckets
-        charge = self.buckets.charge
-        schedule = engine.schedule
         run = self._run
         while True:
             action = step()
@@ -468,11 +471,22 @@ class CoreActor:
             if kind == "delay":
                 cycles = action[1]
                 if cycles:
+                    if 0 < cycles < _RING_SIZE:
+                        # Engine.schedule's ring branch, inlined.
+                        buckets[action[2]] += cycles
+                        ring = engine._ring
+                        index = (engine.now + cycles) & _RING_MASK
+                        slot = ring[index]
+                        if slot is None:
+                            slot = ring[index] = deque()
+                        slot.append(run)
+                        engine._ring_count += 1
+                        return
                     if cycles > 0:
                         buckets[action[2]] += cycles
                     else:
-                        charge(action[2], cycles)
-                    schedule(cycles, run)
+                        self.buckets.charge(action[2], cycles)
+                    engine.schedule(cycles, run)
                     return
                 # Zero-cost transition: keep stepping inline.
             elif kind == "wait":

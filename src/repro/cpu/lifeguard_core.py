@@ -140,8 +140,8 @@ class LifeguardCore(CoreActor):
     def step(self):
         phase = self._phase
         if phase == _FETCH:
-            record = self.log.peek()
-            if record is None:
+            queue = self.log.queue  # LogBuffer.peek, inlined
+            if not queue:
                 if self.log.closed:
                     self._phase = _FINAL
                     return self._final_step()
@@ -150,7 +150,7 @@ class LifeguardCore(CoreActor):
                     return ("delay", cost, "useful")
                 return ("wait", self.log.not_empty,
                         "wait_application", "log empty")
-            self._rec = record
+            self._rec = queue[0]
             phase = _ORDER
         elif phase >= _FINAL:
             return self._final_step()
@@ -204,8 +204,18 @@ class LifeguardCore(CoreActor):
             self._retire_tracer.emit("engine", "retire", actor=self.name,
                                      tid=tid, rid=rid,
                                      kind=KIND_NAMES[record.kind])
-        if self.progress_table is not None:
-            cycles += self._publish(tid, rid)
+        table = self.progress_table
+        if table is not None:
+            floor = self.it.floor
+            if (not self.delayed_advertising
+                    or (not self.iff.track_rids and tid in floor
+                        and (floor[tid] is None or floor[tid] > rid))):
+                # Nothing holds the advertised value back: IT holds no
+                # RID <= rid for tid and the IF tracks none, so it is
+                # rid itself (what _publish would compute, no flush).
+                table.publish(tid, rid)
+            else:
+                cycles += self._publish(tid, rid)
         self._phase = _FETCH
         return ("delay", max(cycles, 1), "useful")
 
@@ -457,11 +467,9 @@ class LifeguardCore(CoreActor):
     # -- progress publication -----------------------------------------------------------------------
 
     def _publish(self, tid: int, processed: int) -> int:
-        """Publish (possibly delayed) progress for ``tid``, whose last
-        processed RID is ``processed``; returns the flush cost."""
-        if not self.delayed_advertising:
-            self.progress_table.publish(tid, processed)
-            return 0
+        """Publish delayed progress for ``tid``, whose last processed RID
+        is ``processed``, while an accelerator may hold RIDs back;
+        returns the flush cost."""
         cost = 0
         advertised = self._advertise_target(tid, processed)
         threshold = self._advert_threshold

@@ -55,7 +55,9 @@ class ProgressTable:
             self.publishes += 1
             if self.tracer is not None:
                 self.tracer.emit("advert", "publish", tid=tid, rid=rid)
-            self._conditions[tid].notify_all(self.engine)
+            condition = self._conditions[tid]
+            if condition.waiters:
+                condition.notify_all(self.engine)
 
     def condition(self, tid: int) -> Condition:
         return self._conditions[tid]

@@ -137,13 +137,33 @@ class MicroOp:
         return f"MicroOp({' '.join(parts)})"
 
 
-def _check_reg(reg: int) -> int:
+# The factories run once per dynamic instruction, so each tests its
+# operands inline and calls a checker below only when that test fails.
+# A register, address or size must be an ``int`` and not a ``bool``;
+# the inline test accepts exactly ``int`` and leaves an ``int`` subclass
+# to the checker. An aligned 1/2/4/8-byte access never crosses a 64-byte
+# line, so the inline access test needs no line arithmetic.
+
+
+def _not_int(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
+def _check_reg(name: str, reg) -> None:
+    """Reject register operand ``name`` unless it is an in-range int."""
+    if _not_int(reg):
+        raise WorkloadError(
+            f"register operand {name} must be an int, got {reg!r}")
     if not 0 <= reg < NUM_REGISTERS:
         raise WorkloadError(f"register index {reg} out of range")
-    return reg
 
 
-def _check_access(addr: int, size: int, line_bytes: int = 64) -> None:
+def _check_access(addr, size, line_bytes: int = 64) -> None:
+    """Reject a memory access the simulated caches cannot serve."""
+    if _not_int(addr):
+        raise WorkloadError(f"address must be an int, got {addr!r}")
+    if _not_int(size):
+        raise WorkloadError(f"access size must be an int, got {size!r}")
     if size not in _VALID_SIZES:
         raise WorkloadError(f"unsupported access size {size}")
     if addr < 0:
@@ -156,30 +176,41 @@ def _check_access(addr: int, size: int, line_bytes: int = 64) -> None:
 
 def load(rd: int, addr: int, size: int = 4) -> MicroOp:
     """``rd <- [addr]``; the core sends the loaded value back to the generator."""
-    _check_reg(rd)
-    _check_access(addr, size)
-    return MicroOp(_LOAD, rd=rd, addr=addr, size=size)
+    if not (type(rd) is int and 0 <= rd < NUM_REGISTERS):
+        _check_reg("rd", rd)
+    if not (type(addr) is int and type(size) is int and size in _VALID_SIZES
+            and addr >= 0 and not addr % size):
+        _check_access(addr, size)
+    return MicroOp(_LOAD, rd, None, None, addr, size)
 
 
 def store(addr: int, rs: int, value: int = 0, size: int = 4) -> MicroOp:
     """``[addr] <- rs`` (value carried alongside for the value store)."""
-    _check_reg(rs)
-    _check_access(addr, size)
-    return MicroOp(_STORE, rs1=rs, addr=addr, size=size, value=value)
+    if not (type(rs) is int and 0 <= rs < NUM_REGISTERS):
+        _check_reg("rs", rs)
+    if not (type(addr) is int and type(size) is int and size in _VALID_SIZES
+            and addr >= 0 and not addr % size):
+        _check_access(addr, size)
+    return MicroOp(_STORE, None, rs, None, addr, size, value)
 
 
 def rmw(rd: int, addr: int, value: int, size: int = 4) -> MicroOp:
     """Atomic exchange: ``rd <- [addr]; [addr] <- value``."""
-    _check_reg(rd)
-    _check_access(addr, size)
-    return MicroOp(_RMW, rd=rd, addr=addr, size=size, value=value)
+    if not (type(rd) is int and 0 <= rd < NUM_REGISTERS):
+        _check_reg("rd", rd)
+    if not (type(addr) is int and type(size) is int and size in _VALID_SIZES
+            and addr >= 0 and not addr % size):
+        _check_access(addr, size)
+    return MicroOp(_RMW, rd, None, None, addr, size, value)
 
 
 def movrr(rd: int, rs: int) -> MicroOp:
     """Register-to-register copy (pure data movement)."""
-    _check_reg(rd)
-    _check_reg(rs)
-    return MicroOp(_MOVRR, rd=rd, rs1=rs)
+    if not (type(rd) is int and 0 <= rd < NUM_REGISTERS):
+        _check_reg("rd", rd)
+    if not (type(rs) is int and 0 <= rs < NUM_REGISTERS):
+        _check_reg("rs", rs)
+    return MicroOp(_MOVRR, rd, rs)
 
 
 def alu(rd: int, rs1: int, rs2: int = None) -> MicroOp:
@@ -188,17 +219,21 @@ def alu(rd: int, rs1: int, rs2: int = None) -> MicroOp:
     A unary ALU op (``rs2 is None``) propagates metadata like a move; a
     binary op merges the metadata of both sources.
     """
-    _check_reg(rd)
-    _check_reg(rs1)
-    if rs2 is not None:
-        _check_reg(rs2)
-    return MicroOp(_ALU, rd=rd, rs1=rs1, rs2=rs2)
+    if not (type(rd) is int and 0 <= rd < NUM_REGISTERS):
+        _check_reg("rd", rd)
+    if not (type(rs1) is int and 0 <= rs1 < NUM_REGISTERS):
+        _check_reg("rs1", rs1)
+    if rs2 is not None and not (type(rs2) is int
+                                and 0 <= rs2 < NUM_REGISTERS):
+        _check_reg("rs2", rs2)
+    return MicroOp(_ALU, rd, rs1, rs2)
 
 
 def loadi(rd: int) -> MicroOp:
     """Load immediate: ``rd <- constant`` (clears inherited metadata)."""
-    _check_reg(rd)
-    return MicroOp(_LOADI, rd=rd)
+    if not (type(rd) is int and 0 <= rd < NUM_REGISTERS):
+        _check_reg("rd", rd)
+    return MicroOp(_LOADI, rd)
 
 
 def nop() -> MicroOp:
@@ -210,8 +245,10 @@ def critical_use(rs: int, kind: str = "jump") -> MicroOp:
     """Security-critical use of a register (indirect jump target,
     ``printf`` format pointer, ...). TaintCheck flags this when ``rs``
     is tainted."""
-    _check_reg(rs)
-    return MicroOp(_CRITICAL_USE, rs1=rs, critical_kind=kind)
+    if not (type(rs) is int and 0 <= rs < NUM_REGISTERS):
+        _check_reg("rs", rs)
+    return MicroOp(_CRITICAL_USE, None, rs, None, None, None, None, None,
+                   None, kind)
 
 
 def hl_begin(kind: HLEventKind, ranges=None) -> MicroOp:

@@ -420,12 +420,14 @@ class MetadataMap:
 
         Returns ``(sim_addr, sim_size, is_write)`` tuples sized 1-8 bytes.
         """
-        first = self.sim_addr(app_addr)
-        last = self.sim_addr(app_addr + size - 1)
-        span = last - first + 1
+        # sim_addr of the first and last byte, inlined.
+        base = self.base_addr
+        bits = self.bits_per_byte
+        first = base + app_addr * bits // 8
+        last = base + (app_addr + size - 1) * bits // 8
         accesses = []
         addr = first
-        remaining = span
+        remaining = last - first + 1
         while remaining > 0:
             # Largest power-of-two chunk that keeps the access aligned.
             chunk = 8

@@ -134,9 +134,33 @@ class CoherentMemorySystem:
             raise SimulationError(
                 f"access crosses a line: addr={addr:#x} size={size}"
             )
+        # An L1 hit is served here: it causes no coherence traffic, so
+        # it only refreshes LRU, counts the hit and updates the line's
+        # tags. Misses and S-state write upgrades take _read/_write.
+        l1 = self._l1[core]
+        state = l1.lookup(line)
         if is_write:
-            return self._write(core, line, rid)
-        return self._read(core, line, rid)
+            if state != _MODIFIED and state != _EXCLUSIVE:
+                return self._write(core, line, rid)
+            self.l1_hits[core] += 1
+            if state == _EXCLUSIVE:
+                l1.update(line, _MODIFIED)
+            entry = self._l2.lookup(line)
+            if entry is None:
+                raise SimulationError("inclusion violated: L1 hit without L2 entry")
+            entry.last_writer = (core, rid)
+            entry.readers.clear()
+            entry.owner = core
+            entry.sharers = {core}
+            return self.l1_hit
+        if state is None:
+            return self._read(core, line, rid)
+        self.l1_hits[core] += 1
+        entry = self._l2.lookup(line)
+        if entry is None:
+            raise SimulationError("inclusion violated: L1 hit without L2 entry")
+        entry.readers[core] = rid
+        return self.l1_hit
 
     def line_state(self, core: int, addr: int) -> Optional[str]:
         """The MESI state of the line containing ``addr`` in ``core``'s L1."""
@@ -186,16 +210,8 @@ class CoherentMemorySystem:
             self._evict_l1(core, *evicted)
 
     def _read(self, core: int, line: int, rid: int) -> AccessResult:
-        state = self._l1[core].lookup(line)
+        """An L1 read miss."""
         conflicts: List[Conflict] = []
-        if state is not None:
-            self.l1_hits[core] += 1
-            entry = self._l2.lookup(line)
-            if entry is None:
-                raise SimulationError("inclusion violated: L1 hit without L2 entry")
-            entry.readers[core] = rid
-            return self.l1_hit
-
         self.l1_misses[core] += 1
         latency = self._miss_latency
         entry, extra = self._dir_fetch(line)
@@ -219,21 +235,7 @@ class CoherentMemorySystem:
         return AccessResult(latency, conflicts)
 
     def _write(self, core: int, line: int, rid: int) -> AccessResult:
-        state = self._l1[core].lookup(line)
-        if state == _MODIFIED or state == _EXCLUSIVE:
-            self.l1_hits[core] += 1
-            if state == _EXCLUSIVE:
-                self._l1[core].update(line, _MODIFIED)
-            entry = self._l2.lookup(line)
-            if entry is None:
-                raise SimulationError("inclusion violated: L1 hit without L2 entry")
-            entry.last_writer = (core, rid)
-            entry.readers.clear()
-            entry.owner = core
-            entry.sharers = {core}
-            return self.l1_hit
-
-        # Shared upgrade or outright miss: coherence traffic happens.
+        """A shared upgrade or an outright miss: coherence traffic happens."""
         self.l1_misses[core] += 1
         latency = self._miss_latency
         entry, extra = self._dir_fetch(line)

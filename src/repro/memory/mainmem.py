@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.common.errors import SimulationError
 
 _PAGE_BYTES = 4096
+_SIZES = (1, 2, 4, 8)
 
 
 class MainMemory:
@@ -36,7 +37,9 @@ class MainMemory:
 
     def read(self, addr: int, size: int) -> int:
         """Read ``size`` bytes at ``addr`` as a little-endian unsigned int."""
-        self._check(addr, size)
+        if (addr < 0 or size not in _SIZES
+                or addr // _PAGE_BYTES != (addr + size - 1) // _PAGE_BYTES):
+            self._check(addr, size)
         page = self._page_for(addr, create=False)
         if page is None:
             return 0
@@ -45,7 +48,9 @@ class MainMemory:
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Write ``value`` (masked to ``size`` bytes) at ``addr``."""
-        self._check(addr, size)
+        if (addr < 0 or size not in _SIZES
+                or addr // _PAGE_BYTES != (addr + size - 1) // _PAGE_BYTES):
+            self._check(addr, size)
         page = self._page_for(addr, create=True)
         offset = addr % _PAGE_BYTES
         page[offset:offset + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
@@ -66,9 +71,11 @@ class MainMemory:
 
     @staticmethod
     def _check(addr: int, size: int) -> None:
+        """Raise for a bad access; :meth:`read` and :meth:`write` test
+        their operands inline and call this only when that test fails."""
         if addr < 0:
             raise SimulationError(f"negative memory address {addr:#x}")
-        if size not in (1, 2, 4, 8):
+        if size not in _SIZES:
             raise SimulationError(f"unsupported access size {size}")
         if addr // _PAGE_BYTES != (addr + size - 1) // _PAGE_BYTES:
             raise SimulationError(

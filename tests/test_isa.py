@@ -21,6 +21,8 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import run_program_sequentially, ThreadApi
 from repro.isa.registers import NUM_REGISTERS, R0, R1
+from repro import SimulationConfig, TaintCheck, run_parallel_monitoring
+from repro.workloads.base import CustomWorkload
 
 
 class TestFactories:
@@ -60,6 +62,27 @@ class TestFactories:
         assert "LOAD" in text and "0x40" in text
 
 
+#: Valid keyword arguments for every factory that takes int operands.
+GOOD_ARGS = {
+    load: dict(rd=R0, addr=0x100, size=4),
+    store: dict(addr=0x100, rs=R0, size=4),
+    rmw: dict(rd=R0, addr=0x100, value=1, size=4),
+    movrr: dict(rd=R0, rs=R1),
+    alu: dict(rd=R0, rs1=R1, rs2=R1),
+    loadi: dict(rd=R0),
+    critical_use: dict(rs=R0),
+}
+#: (factory, operand, bad value) for every int operand of every
+#: factory; ``alu``'s ``rs2=None`` is the valid unary form.
+BAD_OPERANDS = [(factory, operand, bad)
+                for factory, args in GOOD_ARGS.items()
+                for operand in args if operand != "value"
+                for bad in (None, "r1", 1.0, 64.0, True)
+                if not (operand == "rs2" and bad is None)]
+#: How the error names a non-register operand.
+OPERAND_NAMES = {"addr": "address", "size": "access size"}
+
+
 class TestValidation:
     def test_register_range_checked(self):
         with pytest.raises(WorkloadError):
@@ -83,6 +106,28 @@ class TestValidation:
     def test_negative_address_rejected(self):
         with pytest.raises(WorkloadError):
             load(R0, -4)
+
+    @pytest.mark.parametrize("factory,operand,bad", BAD_OPERANDS,
+                             ids=[f"{f.__name__}-{operand}-{bad!r}"
+                                  for f, operand, bad in BAD_OPERANDS])
+    def test_non_int_operand_rejected(self, factory, operand, bad):
+        # Registers, addresses and sizes must be ints and not bools; the
+        # error names the operand.
+        args = dict(GOOD_ARGS[factory], **{operand: bad})
+        message = OPERAND_NAMES.get(operand, f"register operand {operand}")
+        with pytest.raises(WorkloadError, match=f"{message} must be an int"):
+            factory(**args)
+
+    def test_non_int_register_fails_before_the_run(self):
+        # A float register used to reach the lifeguard and crash the
+        # run with a TypeError from a list index.
+        def kernel(api, workload):
+            yield from api.alu(1.0, R0)
+
+        workload = CustomWorkload([kernel])
+        with pytest.raises(WorkloadError, match="rd must be an int"):
+            run_parallel_monitoring(workload, TaintCheck,
+                                    SimulationConfig.for_threads(1))
 
 
 class TestSequentialRunner:
