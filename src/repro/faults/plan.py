@@ -176,6 +176,11 @@ class FaultPlan:
                 for label, context in self.injected]
 
 
+#: Numeric ``key=value`` modifiers of a fault spec and their types.
+_NUMERIC_MODIFIERS = {"after": int, "count": int, "param": int, "tid": int,
+                      "probability": float}
+
+
 def parse_fault_spec(spec: str) -> Fault:
     """Parse a CLI fault spec into a :class:`Fault`.
 
@@ -198,17 +203,22 @@ def parse_fault_spec(spec: str) -> Fault:
         if not mod:
             continue
         if "=" in mod:
-            key, _, value = mod.partition("=")
-            key = {"p": "probability"}.get(key, key)
+            name, _, value = mod.partition("=")
+            key = {"p": "probability"}.get(name, name)
             if key == "name":
                 kwargs[key] = value
-            elif key == "probability":
-                kwargs[key] = float(value)
-            elif key in ("after", "count", "param", "tid"):
-                kwargs[key] = int(value)
-            else:
+                continue
+            convert = _NUMERIC_MODIFIERS.get(key)
+            if convert is None:
                 raise ConfigurationError(
                     f"fault spec {spec!r}: unknown modifier {mod!r}")
+            try:
+                kwargs[key] = convert(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"fault spec {spec!r}: modifier {name!r} needs "
+                    f"{'a number' if convert is float else 'an integer'}, "
+                    f"got {value!r}") from None
         elif mod.startswith("t") and mod[1:].isdigit():
             kwargs["tid"] = int(mod[1:])
         else:

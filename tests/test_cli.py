@@ -70,6 +70,20 @@ class TestBadIntegerFlags:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "swaptions", "--inject", "lifeguard:stall:param=abc"],
+         "modifier 'param' needs an integer, got 'abc'"),
+        (["run", "swaptions", "--inject", "arc:drop:p=x"],
+         "modifier 'p' needs a number, got 'x'"),
+        (["diff", "--seeds", "1", "--inject-worker", "worker:kill:after=x"],
+         "modifier 'after' needs an integer, got 'x'"),
+    ], ids=["run-param", "run-p", "diff-after"])
+    def test_non_numeric_fault_modifier_exits_2(self, argv, message, capsys):
+        # Used to exit 1 with a ValueError traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: fault spec" in err and message in err
+
     def test_zero_watchdog_and_seeds_accepted(self):
         parse = build_parser().parse_args
         assert parse(["run", "lu", "--watchdog", "0"]).watchdog == 0

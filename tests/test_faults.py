@@ -102,6 +102,18 @@ class TestFaultPlanUnit:
         with pytest.raises(ConfigurationError):
             parse_fault_spec("arc:drop:wat")
 
+    @pytest.mark.parametrize("modifier,value", [
+        ("after", "x"), ("count", "2.5"), ("param", "abc"), ("param", ""),
+        ("tid", "one"), ("p", "x"), ("probability", ""),
+    ])
+    def test_non_numeric_modifier_names_itself(self, modifier, value):
+        # Used to escape as a bare ValueError (exit 1 with a traceback).
+        spec = f"lifeguard:stall:{modifier}={value}"
+        with pytest.raises(ConfigurationError,
+                           match=f"modifier '{modifier}' needs .*"
+                                 f"got '{value}'"):
+            parse_fault_spec(spec)
+
 
 class TestWorkerFaultSites:
     """Parsing and validation of the sweep-worker chaos site
