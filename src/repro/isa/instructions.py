@@ -140,18 +140,14 @@ class MicroOp:
 # The factories run once per dynamic instruction, so each tests its
 # operands inline and calls a checker below only when that test fails.
 # A register, address or size must be an ``int`` and not a ``bool``;
-# the inline test accepts exactly ``int`` and leaves an ``int`` subclass
-# to the checker. An aligned 1/2/4/8-byte access never crosses a 64-byte
-# line, so the inline access test needs no line arithmetic.
-
-
-def _not_int(value) -> bool:
-    return isinstance(value, bool) or not isinstance(value, int)
+# ``type(x) is int`` tests both. An aligned 1/2/4/8-byte access never
+# crosses a 64-byte line, so the inline access test needs no line
+# arithmetic.
 
 
 def _check_reg(name: str, reg) -> None:
     """Reject register operand ``name`` unless it is an in-range int."""
-    if _not_int(reg):
+    if type(reg) is not int:
         raise WorkloadError(
             f"register operand {name} must be an int, got {reg!r}")
     if not 0 <= reg < NUM_REGISTERS:
@@ -160,9 +156,9 @@ def _check_reg(name: str, reg) -> None:
 
 def _check_access(addr, size, line_bytes: int = 64) -> None:
     """Reject a memory access the simulated caches cannot serve."""
-    if _not_int(addr):
+    if type(addr) is not int:
         raise WorkloadError(f"address must be an int, got {addr!r}")
-    if _not_int(size):
+    if type(size) is not int:
         raise WorkloadError(f"access size must be an int, got {size!r}")
     if size not in _VALID_SIZES:
         raise WorkloadError(f"unsupported access size {size}")
