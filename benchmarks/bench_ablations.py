@@ -7,6 +7,8 @@
 * the delayed-advertising threshold (Section 4.2's optional threshold).
 """
 
+import pytest
+
 from repro import (
     SimulationConfig,
     TaintCheck,
@@ -16,8 +18,10 @@ from repro import (
 from repro.common.config import LogBufferConfig
 from repro.eval import format_table
 
+pytestmark = pytest.mark.slow
 
-def test_transitive_reduction_ablation(benchmark, publish, scale, seed):
+
+def test_transitive_reduction_ablation(publish, scale, seed):
     threads = 4
     config = SimulationConfig.for_threads(threads)
 
@@ -26,8 +30,7 @@ def test_transitive_reduction_ablation(benchmark, publish, scale, seed):
             build_workload("racy_counters", threads, scale, seed), TaintCheck,
             config.replace(transitive_reduction=reduction))
 
-    with_reduction = benchmark.pedantic(run, args=(True,), rounds=1,
-                                        iterations=1)
+    with_reduction = run(True)
     without = run(False)
     rows = [
         ("arcs recorded (reduced)", with_reduction.stats["arcs_recorded"]),
@@ -46,7 +49,7 @@ def test_transitive_reduction_ablation(benchmark, publish, scale, seed):
     assert with_reduction.stats["log_bytes"] < without.stats["log_bytes"]
 
 
-def test_log_buffer_size_sweep(benchmark, publish, scale, seed):
+def test_log_buffer_size_sweep(publish, scale, seed):
     threads = 2
     rows = []
 
@@ -59,7 +62,6 @@ def test_log_buffer_size_sweep(benchmark, publish, scale, seed):
     results = {}
     for size in (256, 1024, 8 * 1024, 64 * 1024):
         results[size] = run(size)
-    benchmark.pedantic(run, args=(64 * 1024,), rounds=1, iterations=1)
     for size, result in results.items():
         app_stall = sum(buckets.get("wait_log", 0)
                         for buckets in result.app_buckets.values())
@@ -74,8 +76,7 @@ def test_log_buffer_size_sweep(benchmark, publish, scale, seed):
     assert results[256].total_cycles >= results[64 * 1024].total_cycles
 
 
-def test_delayed_advertising_threshold_sweep(benchmark, publish, scale,
-                                             seed):
+def test_delayed_advertising_threshold_sweep(publish, scale, seed):
     threads = 4
     rows = []
 
@@ -87,7 +88,6 @@ def test_delayed_advertising_threshold_sweep(benchmark, publish, scale,
             config)
 
     results = {t: run(t) for t in (0, 4, 16, 256)}
-    benchmark.pedantic(run, args=(16,), rounds=1, iterations=1)
     for threshold, result in results.items():
         rows.append((threshold or "off", result.total_cycles,
                      result.stats["dependence_stalls"]))

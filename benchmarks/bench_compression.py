@@ -9,15 +9,19 @@ simple software codec lands at a few bytes; the paper's figure assumes
 aggressive hardware compression).
 """
 
+import pytest
+
 from repro import SimulationConfig, TaintCheck, build_workload, \
     run_parallel_monitoring
 from repro.capture.compression import measure_stream
 from repro.eval import format_table
 
+pytestmark = pytest.mark.slow
+
 BENCHES = ("lu", "barnes", "blackscholes", "swaptions")
 
 
-def test_record_compression(benchmark, publish, scale, seed):
+def test_record_compression(publish, scale, seed):
     threads = 2
     rows = []
 
@@ -36,8 +40,6 @@ def test_record_compression(benchmark, publish, scale, seed):
     for bench in BENCHES:
         count, size = capture_and_measure(bench)
         rows.append((bench, count, size, round(size / count, 2)))
-    benchmark.pedantic(capture_and_measure, args=(BENCHES[0],),
-                       rounds=1, iterations=1)
 
     publish("compression",
             "Record compression on captured traces (TaintCheck, 2 threads)\n"

@@ -7,17 +7,18 @@ half its cores. This bench quantifies that opportunity cost exactly the
 way the paper says it can be derived from Figure 6's data.
 """
 
+import pytest
+
 from repro.eval import constant_resource_comparison, format_table
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_constant_resource(benchmark, publish, max_threads, scale, seed):
+
+def test_constant_resource(publish, max_threads, scale, seed):
     cores = max_threads if max_threads % 2 == 0 else max_threads - 1
-    comparison = benchmark.pedantic(
-        constant_resource_comparison,
-        args=(PAPER_BENCHMARKS, cores, scale, seed),
-        rounds=1, iterations=1,
-    )
+    comparison = constant_resource_comparison(PAPER_BENCHMARKS, cores,
+                                              scale, seed)
     rows = [
         (bench,
          cell["all_cores_unmonitored_cycles"],

@@ -6,17 +6,18 @@ ConflictAlert barriers dominate), and the timesliced scheme should lose
 by a growing factor as threads are added.
 """
 
+import pytest
+
 from repro.eval import figure6
 from repro.eval.reporting import render_figure6
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_figure6_addrcheck(benchmark, publish, thread_counts, scale, seed):
-    result = benchmark.pedantic(
-        figure6,
-        args=("addrcheck", PAPER_BENCHMARKS, thread_counts, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_figure6_addrcheck(publish, thread_counts, scale, seed):
+    result = figure6("addrcheck", PAPER_BENCHMARKS, thread_counts, scale,
+                     seed)
     publish("figure6_addrcheck", render_figure6(result))
     threads = thread_counts[-1]
     for bench in PAPER_BENCHMARKS:

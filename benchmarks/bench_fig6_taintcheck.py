@@ -7,17 +7,18 @@ small factor while TIMESLICED blows up with the thread count; the
 timesliced/parallel speedup column is the paper's 1.5x-85x claim.
 """
 
+import pytest
+
 from repro.eval import figure6
 from repro.eval.reporting import render_figure6
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_figure6_taintcheck(benchmark, publish, thread_counts, scale, seed):
-    result = benchmark.pedantic(
-        figure6,
-        args=("taintcheck", PAPER_BENCHMARKS, thread_counts, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_figure6_taintcheck(publish, thread_counts, scale, seed):
+    result = figure6("taintcheck", PAPER_BENCHMARKS, thread_counts, scale,
+                     seed)
     publish("figure6_taintcheck", render_figure6(result))
     # Shape assertions from the paper's claims: parallel always beats
     # timesliced at >=2 threads and the gap widens with the thread count.

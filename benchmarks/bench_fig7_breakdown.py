@@ -8,17 +8,18 @@ lifeguards (point-to-point synchronization + CA barriers); AddrCheck
 spends much of its time waiting for the application.
 """
 
+import pytest
+
 from repro.eval import figure7
 from repro.eval.reporting import render_figure7
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_figure7_taintcheck(benchmark, publish, thread_counts, scale, seed):
-    result = benchmark.pedantic(
-        figure7,
-        args=("taintcheck", PAPER_BENCHMARKS, thread_counts, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_figure7_taintcheck(publish, thread_counts, scale, seed):
+    result = figure7("taintcheck", PAPER_BENCHMARKS, thread_counts, scale,
+                     seed)
     publish("figure7_taintcheck", render_figure7(result))
     threads = thread_counts[-1]
     # swaptions must be the most dependence-bound benchmark.
@@ -30,12 +31,9 @@ def test_figure7_taintcheck(benchmark, publish, thread_counts, scale, seed):
     assert max(dependence_share, key=dependence_share.get) == "swaptions"
 
 
-def test_figure7_addrcheck(benchmark, publish, thread_counts, scale, seed):
-    result = benchmark.pedantic(
-        figure7,
-        args=("addrcheck", PAPER_BENCHMARKS, thread_counts, scale, seed),
-        rounds=1, iterations=1,
-    )
+def test_figure7_addrcheck(publish, thread_counts, scale, seed):
+    result = figure7("addrcheck", PAPER_BENCHMARKS, thread_counts, scale,
+                     seed)
     publish("figure7_addrcheck", render_figure7(result))
     threads = thread_counts[-1]
     swaptions = result.breakdown["swaptions"][threads]

@@ -6,17 +6,17 @@ on the check-heavy benchmarks, no practical speedup where AddrCheck's
 overhead is already negligible (the paper's LU and FMM).
 """
 
+import pytest
+
 from repro.eval import figure8
 from repro.eval.reporting import render_figure8
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_figure8_addrcheck(benchmark, publish, max_threads, scale, seed):
-    result = benchmark.pedantic(
-        figure8,
-        args=("addrcheck", PAPER_BENCHMARKS, max_threads, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_figure8_addrcheck(publish, max_threads, scale, seed):
+    result = figure8("addrcheck", PAPER_BENCHMARKS, max_threads, scale, seed)
     publish("figure8_addrcheck", render_figure8(result))
     for bench in PAPER_BENCHMARKS:
         # Acceleration never hurts (within simulation noise).

@@ -7,17 +7,18 @@ claims: acceleration buys 2x-9/10x, and the limited-reduction design
 loses little except on the dependence-heavy benchmarks.
 """
 
+import pytest
+
 from repro.eval import figure8
 from repro.eval.reporting import render_figure8
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_figure8_taintcheck(benchmark, publish, max_threads, scale, seed):
-    result = benchmark.pedantic(
-        figure8,
-        args=("taintcheck", PAPER_BENCHMARKS, max_threads, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_figure8_taintcheck(publish, max_threads, scale, seed):
+    result = figure8("taintcheck", PAPER_BENCHMARKS, max_threads, scale,
+                     seed)
     publish("figure8_taintcheck", render_figure8(result))
     for bench in PAPER_BENCHMARKS:
         cell = result.slowdowns[bench]

@@ -7,16 +7,16 @@ faster than time-slicing; (iii) average 8-thread overheads of 51% and
 the paper-vs-measured comparison.
 """
 
+import pytest
+
 from repro.eval import format_table, headline_summary
 from repro.workloads import PAPER_BENCHMARKS
 
+pytestmark = pytest.mark.slow
 
-def test_headline_claims(benchmark, publish, max_threads, scale, seed):
-    summary = benchmark.pedantic(
-        headline_summary,
-        args=(PAPER_BENCHMARKS, max_threads, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_headline_claims(publish, max_threads, scale, seed):
+    summary = headline_summary(PAPER_BENCHMARKS, max_threads, scale, seed)
     rows = []
     for key, value in summary.items():
         if isinstance(value, dict):

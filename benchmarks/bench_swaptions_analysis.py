@@ -8,17 +8,17 @@ reproduces those measurements at the configured scale, plus the
 touch-the-blocks alternative the paper sketches for small allocations.
 """
 
+import pytest
+
 from repro import AddrCheck, SimulationConfig, build_workload, \
     run_parallel_monitoring
 from repro.eval import format_table, swaptions_analysis
 
+pytestmark = pytest.mark.slow
 
-def test_swaptions_allocation_analysis(benchmark, publish, max_threads,
-                                       scale, seed):
-    analysis = benchmark.pedantic(
-        swaptions_analysis, args=(max_threads, scale, seed),
-        rounds=1, iterations=1,
-    )
+
+def test_swaptions_allocation_analysis(publish, max_threads, scale, seed):
+    analysis = swaptions_analysis(max_threads, scale, seed)
     publish("swaptions_analysis",
             "Section 7 swaptions analysis\n" + format_table(
                 ["metric", "value"], list(analysis.items())))
@@ -31,8 +31,7 @@ def test_swaptions_allocation_analysis(benchmark, publish, max_threads,
     assert analysis["ca_broadcasts"] >= 2 * analysis["alloc_free_pairs"]
 
 
-def test_swaptions_touch_ablation(benchmark, publish, max_threads, scale,
-                                  seed):
+def test_swaptions_touch_ablation(publish, max_threads, scale, seed):
     """Extension: replace CAs with block touches for <=1-block allocs."""
     config = SimulationConfig.for_threads(max_threads)
 
@@ -41,7 +40,7 @@ def test_swaptions_touch_ablation(benchmark, publish, max_threads, scale,
             build_workload("swaptions", max_threads, scale, seed), AddrCheck,
             config.replace(ca_touch_threshold_lines=threshold))
 
-    with_ca = benchmark.pedantic(run, args=(0,), rounds=1, iterations=1)
+    with_ca = run(0)
     ablated = run(1)
     rows = [
         ("cycles (CA everywhere)", with_ca.total_cycles),

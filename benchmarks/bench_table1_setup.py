@@ -1,19 +1,19 @@
 """Table 1: the simulated machine and benchmark configuration.
 
 Table 1 in the paper is the experimental setup, not a measurement; this
-bench materializes the active configuration (and times how long building
-a full simulated machine takes, as a sanity micro-benchmark).
+bench materializes the active configuration.
 """
 
-from repro.common.config import SimulationConfig
+import pytest
+
 from repro.eval import format_table, table1_setup
-from repro.platform._wiring import Machine
 from repro.workloads import PAPER_BENCHMARKS, build_workload
 
+pytestmark = pytest.mark.slow
 
-def test_table1_configuration(benchmark, publish, max_threads, scale, seed):
-    rows = benchmark.pedantic(
-        lambda: table1_setup(threads=max_threads), rounds=1, iterations=1)
+
+def test_table1_configuration(publish, max_threads, scale, seed):
+    rows = table1_setup(threads=max_threads)
     workload_rows = []
     for name in PAPER_BENCHMARKS:
         workload = build_workload(name, max_threads, scale, seed)
@@ -25,8 +25,3 @@ def test_table1_configuration(benchmark, publish, max_threads, scale, seed):
     text += "\n\nTable 1 — benchmark instances\n"
     text += format_table(["benchmark", "instance"], workload_rows)
     publish("table1_setup", text)
-
-
-def test_machine_construction_cost(benchmark, max_threads):
-    config = SimulationConfig.for_threads(max_threads)
-    benchmark(lambda: Machine(config, num_cores=2 * max_threads))

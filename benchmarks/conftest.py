@@ -8,9 +8,15 @@ Environment knobs:
   (default 8, i.e. a 16-core CMP, matching the paper).
 * ``REPRO_SEED`` — workload seed (default 1).
 
-Every bench prints its result table (run pytest with ``-s`` to see them
-live) *and* writes it under ``benchmarks/results/`` so the numbers that
-back EXPERIMENTS.md are regenerable artifacts.
+Every bench is a plain test in the ``slow`` tier (``pytestmark`` in each
+``bench_*.py``), so it runs only when asked for::
+
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e -m slow
+
+It prints its result table (run pytest with ``-s`` to see them live)
+*and* writes it under ``benchmarks/results/`` so the numbers that back
+EXPERIMENTS.md are regenerable artifacts; its shape assertions check
+the paper's claims on them.
 """
 
 import os
