@@ -70,9 +70,7 @@ class OrderCapture(RecordSource):
         self.arcs_recorded = 0
         self.arcs_reduced = 0
 
-    # -- record creation -------------------------------------------------------
-    #
-    # begin_record is RecordSource's: it advances current_rids[tid].
+    # -- arcs ----------------------------------------------------------------------
 
     def attach_conflicts(self, record: Record, conflicts) -> None:
         """Turn coherence conflicts into (reduced) dependence arcs."""

@@ -210,9 +210,10 @@ class LifeguardCore(CoreActor):
             if (not self.delayed_advertising
                     or (not self.iff.track_rids and tid in floor
                         and (floor[tid] is None or floor[tid] > rid))):
-                # Nothing holds the advertised value back: IT holds no
-                # RID <= rid for tid and the IF tracks none, so it is
-                # rid itself (what _publish would compute, no flush).
+                # The advertised value is rid itself (what _publish
+                # would compute, with no flush): advertising is not
+                # delayed, or IT holds no RID <= rid for tid and the IF
+                # tracks none.
                 table.publish(tid, rid)
             else:
                 cycles += self._publish(tid, rid)
