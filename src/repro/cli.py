@@ -13,11 +13,10 @@ Commands:
   parallel monitoring and persist its captured order as a ``.plog``
   trace archive (plus a ``.manifest.json`` sidecar).
 * ``replay`` — replay many: re-monitor a trace archive under any (or
-  all) lifeguards straight from disk, no CMP re-simulation
-  (``--jobs N`` fans lifeguards over worker processes;
-  ``--verify-live`` re-captures the run the archive names, asserts the
-  file is byte-identical to it and runs the differential check with
-  its replay leg).
+  all) lifeguards straight from disk, no CMP re-simulation, decoding
+  it once (``--verify-live`` re-captures the run the archive names,
+  asserts the file is byte-identical to it and runs the differential
+  check with its replay leg).
 * ``headline`` — the abstract's three claims.
 * ``swaptions`` — the Section 7 swaptions analysis.
 * ``serve`` — the long-lived monitoring service: submit runs over REST,
@@ -69,10 +68,9 @@ from repro.eval.reporting import (
 )
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import (
-    AcceleratorConfig,
-    run_no_monitoring,
-    run_parallel_monitoring,
-    run_timesliced_monitoring,
+    MONITORED_SCHEMES,
+    SCHEMES,
+    run_scheme,
     write_crash_report,
 )
 from repro.trace import (
@@ -126,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--lifeguard", choices=sorted(LIFEGUARDS),
                             default="taintcheck")
     run_parser.add_argument("--scheme",
-                            choices=["parallel", "timesliced", "none"],
+                            choices=SCHEMES,
                             default="parallel")
     run_parser.add_argument("--memory-model",
                             choices=[m.value for m in MemoryModel],
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                      type=output_path,
                      help="write the per-lifeguard replay payloads as "
                           "JSON (canonical form)")
-    _add_jobs(rep)
 
     headline = sub.add_parser("headline", help="the abstract's claims")
     _add_sweep(headline)
@@ -288,7 +285,6 @@ def _cmd_run(args) -> int:
     )
     scale = ScalePreset(args.scale)
     workload = build_workload(args.workload, args.threads, scale, args.seed)
-    lifeguard = LIFEGUARDS[args.lifeguard]
     fault_plan = None
     if args.inject:
         try:
@@ -317,26 +313,18 @@ def _cmd_run(args) -> int:
                                          ring=ring)
         else:
             tracer = TraceWriter(categories=categories, ring=ring)
+    if args.scheme not in MONITORED_SCHEMES:
+        for flag, given in (("--inject", fault_plan is not None),
+                            ("--no-accel", args.no_accel)):
+            if given:
+                print(f"note: {flag} has no effect with --scheme "
+                      f"{args.scheme} (no monitoring pipeline)",
+                      file=sys.stderr)
     try:
-        if args.scheme == "none":
-            if fault_plan is not None:
-                print("note: --inject has no effect with --scheme none "
-                      "(no monitoring pipeline to fault)", file=sys.stderr)
-            result = run_no_monitoring(workload, config, watchdog=watchdog,
-                                       max_cycles=args.max_cycles,
-                                       tracer=tracer)
-        elif args.scheme == "timesliced":
-            result = run_timesliced_monitoring(
-                workload, lifeguard, config, fault_plan=fault_plan,
-                watchdog=watchdog, max_cycles=args.max_cycles,
-                tracer=tracer)
-        else:
-            accel = (AcceleratorConfig.all_off() if args.no_accel
-                     else AcceleratorConfig.all_on())
-            result = run_parallel_monitoring(
-                workload, lifeguard, config, accel=accel,
-                fault_plan=fault_plan, watchdog=watchdog,
-                max_cycles=args.max_cycles, tracer=tracer)
+        result = run_scheme(
+            args.scheme, workload, LIFEGUARDS[args.lifeguard], config,
+            no_accel=args.no_accel, fault_plan=fault_plan,
+            watchdog=watchdog, max_cycles=args.max_cycles, tracer=tracer)
     except SimulationError as exc:
         # DeadlockError and SimulationTimeout both derive from
         # SimulationError; so do the integrity checks (lost CA
@@ -471,7 +459,7 @@ def _cmd_replay(args) -> int:
     verifying byte-identity against a fresh live run.
 
     Exit codes: 0 replay (and any --verify-live differential) clean,
-    1 divergence or worker failure, 2 bad archive / bad arguments.
+    1 divergence, 2 bad archive / bad arguments.
     """
     import json
 
@@ -483,14 +471,10 @@ def _cmd_replay(args) -> int:
         names = None
     try:
         reader = TraceReader(args.archive)
-        payloads = replay_all(args.archive, lifeguards=names,
-                              jobs=args.jobs)
+        payloads = replay_all(reader, lifeguards=names)
     except (TraceFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     meta = reader.meta
     print(f"replayed {args.archive} "
           f"(seed {meta.get('seed')}, captured under "

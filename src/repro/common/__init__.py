@@ -2,7 +2,7 @@
 
 This package holds the pieces every subsystem depends on: the simulation
 configuration (mirroring Table 1 of the paper), typed identifiers,
-error types, and statistics counters.
+error types, and time buckets.
 """
 
 from repro.common.config import (
@@ -21,13 +21,12 @@ from repro.common.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.common.stats import Counter, StatsRegistry, TimeBuckets
+from repro.common.stats import TimeBuckets
 
 __all__ = [
     "CacheConfig",
     "CaptureMode",
     "ConfigurationError",
-    "Counter",
     "DeadlockError",
     "LifeguardCostConfig",
     "LogBufferConfig",
@@ -36,7 +35,6 @@ __all__ = [
     "ScalePreset",
     "SimulationConfig",
     "SimulationError",
-    "StatsRegistry",
     "TimeBuckets",
     "WorkloadError",
 ]

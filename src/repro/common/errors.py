@@ -116,17 +116,3 @@ class TraceFormatError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload kernel misused the program-building DSL."""
-
-
-class LifeguardViolation(ReproError):
-    """Raised only in ``strict`` mode when a lifeguard detects an error.
-
-    By default lifeguards *record* violations in their report (matching
-    the paper's lifeguards, which warn and continue); strict mode turns
-    the first violation into an exception, which is convenient in tests.
-    """
-
-    def __init__(self, message: str, record=None):
-        super().__init__(message)
-        #: The event record that triggered the violation, if available.
-        self.record = record

@@ -1,32 +1,9 @@
-"""Statistics plumbing.
-
-Simulator components register named counters and time buckets here; the
-platform layer snapshots the registry into a plain dictionary for run
-results. Keeping statistics out of the hot structures' public APIs keeps
-the component interfaces about *behaviour*, with observability bolted on
-uniformly.
-"""
+"""Cycle accounting for the Figure 7 time breakdowns."""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Tuple
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self):
-        return f"Counter({self.name}={self.value})"
+from typing import Dict
 
 
 class TimeBuckets:
@@ -67,40 +44,3 @@ class TimeBuckets:
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.buckets.items()))
         return f"TimeBuckets({inner})"
-
-
-class StatsRegistry:
-    """A flat namespace of counters and time buckets for one simulation."""
-
-    def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._buckets: Dict[str, TimeBuckets] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Return the counter called ``name``, creating it on first use."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = Counter(name)
-            self._counters[name] = counter
-        return counter
-
-    def buckets(self, name: str) -> TimeBuckets:
-        """Return the time-bucket set called ``name``, creating it on first use."""
-        buckets = self._buckets.get(name)
-        if buckets is None:
-            buckets = TimeBuckets()
-            self._buckets[name] = buckets
-        return buckets
-
-    def counters(self) -> Iterator[Tuple[str, int]]:
-        for name in sorted(self._counters):
-            yield name, self._counters[name].value
-
-    def snapshot(self) -> Dict[str, object]:
-        """Flatten everything into a plain, JSON-friendly dict."""
-        out: Dict[str, object] = {}
-        for name, value in self.counters():
-            out[name] = value
-        for name in sorted(self._buckets):
-            out[name] = self._buckets[name].as_dict()
-        return out

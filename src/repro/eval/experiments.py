@@ -23,11 +23,6 @@ from repro.workloads import PAPER_BENCHMARKS, build_workload
 DEFAULT_THREADS = (1, 2, 4, 8)
 
 
-def _config(threads: int, scale_independent_overrides: dict = None,
-            **overrides) -> SimulationConfig:
-    return SimulationConfig.for_threads(threads, **(overrides or {}))
-
-
 def _lifeguard(name: str):
     try:
         return LIFEGUARDS[name]
@@ -107,7 +102,7 @@ def _figure6_cell(payload: dict) -> Dict[str, int]:
     threads = payload["threads"]
     scale = ScalePreset(payload["scale"])
     seed = payload["seed"]
-    config = _config(threads)
+    config = SimulationConfig.for_threads(threads)
     base = run_no_monitoring(
         build_workload(benchmark, threads, scale, seed), config)
     timesliced = run_timesliced_monitoring(
@@ -205,7 +200,7 @@ def _figure7_cell(payload: dict) -> Dict[str, float]:
     threads = payload["threads"]
     scale = ScalePreset(payload["scale"])
     seed = payload["seed"]
-    config = _config(threads)
+    config = SimulationConfig.for_threads(threads)
     base = run_no_monitoring(
         build_workload(benchmark, threads, scale, seed), config)
     parallel = run_parallel_monitoring(
@@ -280,22 +275,22 @@ def _figure8_cell(payload: dict) -> Dict[str, float]:
     threads = payload["threads"]
     scale = ScalePreset(payload["scale"])
     seed = payload["seed"]
+    config = SimulationConfig.for_threads(threads)
     base = run_no_monitoring(
-        build_workload(benchmark, threads, scale, seed),
-        _config(threads)).total_cycles
+        build_workload(benchmark, threads, scale, seed), config).total_cycles
     cell: Dict[str, float] = {}
     not_accel = run_parallel_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard,
-        _config(threads), accel=AcceleratorConfig.all_off())
+        build_workload(benchmark, threads, scale, seed), lifeguard, config,
+        accel=AcceleratorConfig.all_off())
     cell["not_accelerated"] = not_accel.total_cycles / base
     if payload["include_limited"]:
         limited = run_parallel_monitoring(
             build_workload(benchmark, threads, scale, seed), lifeguard,
-            _config(threads, capture_mode=CaptureMode.PER_CORE))
+            SimulationConfig.for_threads(
+                threads, capture_mode=CaptureMode.PER_CORE))
         cell["accelerated_limited"] = limited.total_cycles / base
     aggressive = run_parallel_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard,
-        _config(threads))
+        build_workload(benchmark, threads, scale, seed), lifeguard, config)
     cell["accelerated_aggressive"] = aggressive.total_cycles / base
     return cell
 
@@ -375,7 +370,7 @@ def swaptions_analysis(threads: int = 8,
     allocation-size CDF, and ConflictAlert pressure."""
     result = run_parallel_monitoring(
         build_workload("swaptions", threads, scale, seed),
-        _lifeguard("addrcheck"), _config(threads))
+        _lifeguard("addrcheck"), SimulationConfig.for_threads(threads))
     allocations = result.stats["allocations"]
     histogram = allocations["line_histogram"]
     total = sum(histogram.values()) or 1
@@ -419,10 +414,11 @@ def constant_resource_comparison(
     lifeguard = _lifeguard("taintcheck")
     for benchmark in benchmarks:
         all_app = run_no_monitoring(
-            build_workload(benchmark, cores, scale, seed), _config(cores))
+            build_workload(benchmark, cores, scale, seed),
+            SimulationConfig.for_threads(cores))
         half_monitored = run_parallel_monitoring(
             build_workload(benchmark, cores // 2, scale, seed), lifeguard,
-            _config(cores // 2))
+            SimulationConfig.for_threads(cores // 2))
         out[benchmark] = {
             "all_cores_unmonitored_cycles": all_app.total_cycles,
             "half_cores_monitored_cycles": half_monitored.total_cycles,

@@ -7,8 +7,8 @@ loop; :mod:`repro.jobs.pool` holds the process-pool path (hard
 deadlines, quarantine, result digests), :mod:`repro.jobs.workers` the
 code that runs inside pool workers and :mod:`repro.jobs.checkpoint`
 the JSONL checkpoint/resume format. The sweep surfaces that use it —
-``repro.trace.diff`` seed sweeps, ``repro.replay`` fan-outs and the
-``repro.eval.experiments`` figure loops — all expose it as
+``repro.trace.diff`` seed sweeps and the ``repro.eval.experiments``
+figure loops — all expose it as
 ``--jobs N`` (default 1: serial, bit-identical output).
 """
 

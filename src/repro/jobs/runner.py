@@ -1,7 +1,7 @@
 """The parallel sweep executor: :func:`run_jobs`.
 
-Every sweep in the repo — differential seed sweeps, replay fan-outs,
-the figure regeneration loops — is a list of *independent*
+Every sweep in the repo — differential seed sweeps and the figure
+regeneration loops — is a list of *independent*
 cells (seed × scheme × lifeguard, benchmark × thread count, ...).
 :func:`run_jobs` runs such a list inline or on a process pool
 (:mod:`repro.jobs.pool`) while keeping the output *indistinguishable

@@ -114,14 +114,6 @@ class MetadataMap:
         self._last_chunk = chunk
         return chunk
 
-    def _locate(self, app_addr: int, create: bool):
-        chunk_no, offset = divmod(app_addr, CHUNK_APP_BYTES)
-        chunk = self._find_chunk(chunk_no)
-        if chunk is None and create:
-            chunk = self._alloc_chunk(chunk_no)
-        byte_index, slot = divmod(offset, self._per_byte)
-        return chunk, byte_index, slot * self.bits_per_byte
-
     # -- semantic view -----------------------------------------------------------
 
     def get(self, app_addr: int) -> int:

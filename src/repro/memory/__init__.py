@@ -8,7 +8,6 @@ the order-capture layer turns into dependence arcs whenever an access
 actually causes coherence traffic.
 """
 
-from repro.memory.address import align_down, line_index, lines_covering
 from repro.memory.cache import SetAssocCache
 from repro.memory.coherence import AccessResult, CoherentMemorySystem, Conflict
 from repro.memory.mainmem import MainMemory
@@ -19,7 +18,4 @@ __all__ = [
     "Conflict",
     "MainMemory",
     "SetAssocCache",
-    "align_down",
-    "line_index",
-    "lines_covering",
 ]

@@ -2,28 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
-
-def line_index(addr: int, line_bytes: int) -> int:
-    """The cache-line index containing ``addr``."""
-    return addr // line_bytes
-
-
-def align_down(addr: int, granularity: int) -> int:
-    """``addr`` rounded down to a multiple of ``granularity``."""
-    return addr - (addr % granularity)
-
-
-def lines_covering(addr: int, length: int, line_bytes: int) -> Iterator[int]:
-    """Every cache-line index overlapped by ``[addr, addr + length)``."""
-    if length <= 0:
-        return
-    first = addr // line_bytes
-    last = (addr + length - 1) // line_bytes
-    for line in range(first, last + 1):
-        yield line
-
 
 def ranges_overlap(a_start: int, a_len: int, b_start: int, b_len: int) -> bool:
     """Do the byte ranges ``[a, a+a_len)`` and ``[b, b+b_len)`` intersect?"""

@@ -4,12 +4,21 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.common.config import SimulationConfig
+from repro.common.config import MemoryModel, SimulationConfig
+from repro.common.errors import SimulationError
+from repro.cpu.cores import AppCore, StoreBufferDrainActor, TsoStoreBuffer
 from repro.cpu.engine import Engine, Watchdog
 from repro.cpu.os_model import AddressLayout, OSRuntime
+from repro.enforce.range_table import SyscallRangeTable
+from repro.isa.instructions import HLEventKind
 from repro.isa.program import ThreadApi
 from repro.memory.coherence import CoherentMemorySystem
 from repro.memory.mainmem import MainMemory
+from repro.platform.results import RunResult
+
+#: System calls that stall the application until its lifeguard catches up
+#: (damage containment at the system-call boundary, Section 3).
+DEFAULT_CONTAINMENT = frozenset({HLEventKind.SYSCALL_WRITE})
 
 
 class Machine:
@@ -36,6 +45,106 @@ def build_thread_programs(workload, machine: Machine) -> List:
             f"for {workload.nthreads} threads"
         )
     return programs
+
+
+def active_faults(fault_plan):
+    """The plan to arm, or None.
+
+    A disabled plan must leave every hot path untouched — hooks guard
+    on ``faults is not None`` — so "no faults" normalizes to None.
+    """
+    return fault_plan if (fault_plan is not None and fault_plan.enabled) else None
+
+
+def build_lifeguard(lifeguard_factory, config: SimulationConfig):
+    """The run's lifeguard, with its own :class:`SyscallRangeTable`."""
+    lifeguard = lifeguard_factory(
+        costs=config.lifeguard_costs, heap_range=AddressLayout.heap_range())
+    lifeguard.range_table = SyscallRangeTable()
+    return lifeguard
+
+
+def build_app_core(machine: Machine, tid: int, program, capture, hooks,
+                   log=None):
+    """App core ``tid``; under TSO also its store buffer and a started
+    drain actor. Returns ``(core, store_buffer, drain_actor)``, the last
+    two None under SC. The core itself is not started."""
+    config, engine = machine.config, machine.engine
+    store_buffer = drain_actor = None
+    if config.memory_model is MemoryModel.TSO:
+        store_buffer = TsoStoreBuffer(
+            engine, config.store_buffer_entries, f"app{tid}")
+    core = AppCore(
+        engine, f"app{tid}", core_id=tid, tid=tid, program=program,
+        capture=capture, memsys=machine.memsys, memory=machine.memory,
+        config=config, hooks=hooks, log=log, store_buffer=store_buffer,
+    )
+    if store_buffer is not None:
+        drain_actor = StoreBufferDrainActor(
+            engine, f"app{tid}.drain", core_id=tid, buffer=store_buffer,
+            capture=capture, memsys=machine.memsys, memory=machine.memory,
+            log=log, drain_delay=config.tso_drain_delay,
+        )
+        drain_actor.start()
+    return core, store_buffer, drain_actor
+
+
+def diagnostics_provider(lifeguard_cores, progress, logs, faults):
+    """The engine's crash-report context, gathered at diagnosis time."""
+    def _diagnostics():
+        extras = {
+            "last_retired": {
+                c.name: c.last_retired for c in lifeguard_cores},
+            "progress": progress.snapshot(),
+            "log_occupancy": {
+                log.name: {"records": len(log), "bytes": log.occupied_bytes,
+                           "closed": log.closed}
+                for log in logs},
+        }
+        if faults is not None:
+            extras["injected"] = faults.describe_injected()
+        return extras
+    return _diagnostics
+
+
+def check_drained(logs) -> None:
+    """Every log must be empty once the run completes."""
+    for log in logs:
+        if not log.drained:
+            raise SimulationError(
+                f"{log.name}: {len(log)} records left unprocessed after "
+                f"completion — the consuming lifeguard died mid-stream")
+
+
+def add_monitored_stats(stats: Dict[str, object], machine: Machine,
+                        lifeguard, faults, logs) -> None:
+    """The stats every monitored scheme ends with."""
+    stats["syscall_races_flagged"] = lifeguard.range_table.races_flagged
+    stats["perf"] = collect_perf_stats(machine, lifeguard=lifeguard)
+    if faults is not None:
+        stats["faults_injected"] = faults.describe_injected()
+        stats["log_records_lost"] = sum(log.records_lost for log in logs)
+
+
+def run_result(scheme: str, workload, app_cores, stats, lifeguard=None,
+               lifeguard_cores=(), trace=None) -> RunResult:
+    """Package a finished run; the lifeguard is None when unmonitored."""
+    cores = list(app_cores) + list(lifeguard_cores)
+    return RunResult(
+        scheme=scheme,
+        workload=workload.name,
+        lifeguard=None if lifeguard is None else lifeguard.name,
+        app_threads=workload.nthreads,
+        total_cycles=max(core.finish_time for core in cores),
+        app_buckets={c.name: c.buckets.as_dict() for c in app_cores},
+        lifeguard_buckets={c.name: c.buckets.as_dict()
+                           for c in lifeguard_cores},
+        violations=[] if lifeguard is None else lifeguard.report(),
+        stats=stats,
+        instructions=sum(c.instructions_retired for c in app_cores),
+        trace=trace,
+        lifeguard_obj=lifeguard,
+    )
 
 
 def collect_perf_stats(machine: Machine, lifeguard=None) -> Dict[str, int]:

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from repro.common.config import MemoryModel, SimulationConfig
-from repro.cpu.cores import (
-    AppCore,
-    MonitoringHooks,
-    NullCapture,
-    StoreBufferDrainActor,
-    TsoStoreBuffer,
-)
+from repro.common.config import SimulationConfig
+from repro.cpu.cores import MonitoringHooks, NullCapture
 from repro.platform._wiring import (
     Machine,
+    build_app_core,
     build_thread_programs,
     collect_core_stats,
     collect_perf_stats,
+    run_result,
 )
 from repro.platform.results import RunResult
 
@@ -37,38 +33,12 @@ def run_no_monitoring(workload, config: SimulationConfig = None,
 
     cores = []
     for tid, program in enumerate(programs):
-        capture = NullCapture(tid)
-        store_buffer = None
-        if config.memory_model is MemoryModel.TSO:
-            store_buffer = TsoStoreBuffer(
-                machine.engine, config.store_buffer_entries, f"app{tid}")
-        core = AppCore(
-            machine.engine, f"app{tid}", core_id=tid, tid=tid,
-            program=program, capture=capture, memsys=machine.memsys,
-            memory=machine.memory, config=config, hooks=hooks,
-            log=None, store_buffer=store_buffer,
-        )
-        if store_buffer is not None:
-            StoreBufferDrainActor(
-                machine.engine, f"app{tid}.drain", core_id=tid,
-                buffer=store_buffer, capture=capture, memsys=machine.memsys,
-                memory=machine.memory, log=None,
-                drain_delay=config.tso_drain_delay,
-            ).start()
+        core, _, _ = build_app_core(machine, tid, program, NullCapture(tid),
+                                    hooks)
         cores.append(core)
         core.start()
 
     machine.engine.run(max_cycles=max_cycles)
-    total = max(core.finish_time for core in cores)
     stats = collect_core_stats(machine.memsys, machine.os)
     stats["perf"] = collect_perf_stats(machine)
-    return RunResult(
-        scheme="no_monitoring",
-        workload=workload.name,
-        lifeguard=None,
-        app_threads=workload.nthreads,
-        total_cycles=total,
-        app_buckets={core.name: core.buckets.as_dict() for core in cores},
-        instructions=sum(core.instructions_retired for core in cores),
-        stats=stats,
-    )
+    return run_result("no_monitoring", workload, cores, stats)

@@ -16,31 +16,25 @@ from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.capture.tso import TsoVersioner
 from repro.common.config import MemoryModel, SimulationConfig
-from repro.common.errors import SimulationError
-from repro.cpu.cores import (
-    AppCore,
-    MonitoringHooks,
-    StoreBufferDrainActor,
-    TsoStoreBuffer,
-)
+from repro.cpu.cores import MonitoringHooks
 from repro.cpu.lifeguard_core import LifeguardCore
-from repro.cpu.os_model import AddressLayout
 from repro.enforce.progress import ProgressTable
-from repro.enforce.range_table import SyscallRangeTable
 from repro.enforce.versions import VersionStore
-from repro.isa.instructions import HLEventKind
 from repro.platform._wiring import (
+    DEFAULT_CONTAINMENT,
     Machine,
+    active_faults,
+    add_monitored_stats,
+    build_app_core,
+    build_lifeguard,
     build_thread_programs,
+    check_drained,
     collect_core_stats,
-    collect_perf_stats,
+    diagnostics_provider,
+    run_result,
 )
 from repro.platform.monitor_config import AcceleratorConfig
 from repro.platform.results import RunResult
-
-#: System calls that stall the application until its lifeguard catches up
-#: (damage containment at the system-call boundary, Section 3).
-DEFAULT_CONTAINMENT = frozenset({HLEventKind.SYSCALL_WRITE})
 
 
 def run_parallel_monitoring(
@@ -75,27 +69,21 @@ def run_parallel_monitoring(
     accel = accel or AcceleratorConfig.all_on()
     if containment_kinds is None:
         containment_kinds = DEFAULT_CONTAINMENT
-    # A disabled plan must leave every hot path untouched — hooks guard
-    # on `faults is not None`, so normalize "no faults" to None here.
-    faults = fault_plan if (fault_plan is not None and fault_plan.enabled) else None
+    faults = active_faults(fault_plan)
 
     machine = Machine(config, num_cores=2 * nthreads, watchdog=watchdog,
                       tracer=tracer)
     engine = machine.engine
     tids = list(range(nthreads))
 
-    lifeguard = lifeguard_factory(
-        costs=config.lifeguard_costs, heap_range=AddressLayout.heap_range()
-    )
-    range_table = SyscallRangeTable()
-    lifeguard.range_table = range_table
+    lifeguard = build_lifeguard(lifeguard_factory, config)
 
     progress = ProgressTable(engine, tids, faults=faults, tracer=tracer)
     ca_hub = CAHub(engine, faults=faults, tracer=tracer)
-    version_store = VersionStore(engine) if config.memory_model is MemoryModel.TSO else None
-    versioner = (TsoVersioner(config.line_bytes)
-                 if config.memory_model is MemoryModel.TSO else None)
-    if versioner is not None:
+    version_store = versioner = None
+    if config.memory_model is MemoryModel.TSO:
+        version_store = VersionStore(engine)
+        versioner = TsoVersioner(config.line_bytes)
         machine.memsys.war_filter = versioner
 
     trace = [] if keep_trace else None
@@ -128,27 +116,12 @@ def run_parallel_monitoring(
         logs.append(log)
         captures.append(capture)
 
-        store_buffer = None
-        if config.memory_model is MemoryModel.TSO:
-            store_buffer = TsoStoreBuffer(
-                engine, config.store_buffer_entries, f"app{tid}")
+        app_core, store_buffer, drain_actor = build_app_core(
+            machine, tid, programs[tid], capture, hooks, log)
+        if store_buffer is not None:
             store_buffers[tid] = store_buffer
             versioner.register(tid, capture)
-
-        app_core = AppCore(
-            engine, f"app{tid}", core_id=tid, tid=tid, program=programs[tid],
-            capture=capture, memsys=machine.memsys, memory=machine.memory,
-            config=config, hooks=hooks, log=log, store_buffer=store_buffer,
-        )
         app_cores.append(app_core)
-        drain_actor = None
-        if store_buffer is not None:
-            drain_actor = StoreBufferDrainActor(
-                engine, f"app{tid}.drain", core_id=tid, buffer=store_buffer,
-                capture=capture, memsys=machine.memsys, memory=machine.memory,
-                log=log, drain_delay=config.tso_drain_delay,
-            )
-            drain_actor.start()
 
         lifeguard_core = LifeguardCore(
             engine, f"lifeguard{tid}", core_id=nthreads + tid, tid=tid,
@@ -167,22 +140,8 @@ def run_parallel_monitoring(
                                 else [app_core, drain_actor])
         progress.condition(tid).owners = [lifeguard_core]
 
-    def _diagnostics():
-        """Extra crash-report context gathered at diagnosis time."""
-        extras = {
-            "last_retired": {
-                c.name: c.last_retired for c in lifeguard_cores},
-            "progress": progress.snapshot(),
-            "log_occupancy": {
-                log.name: {"records": len(log), "bytes": log.occupied_bytes,
-                           "closed": log.closed}
-                for log in logs},
-        }
-        if faults is not None:
-            extras["injected"] = faults.describe_injected()
-        return extras
-
-    engine.diagnostics_provider = _diagnostics
+    engine.diagnostics_provider = diagnostics_provider(
+        lifeguard_cores, progress, logs, faults)
 
     for core in app_cores:
         core.start()
@@ -190,12 +149,7 @@ def run_parallel_monitoring(
         core.start()
 
     engine.run(max_cycles=max_cycles)
-    for log in logs:
-        if not log.drained:
-            raise SimulationError(
-                f"{log.name}: {len(log)} records left unprocessed after "
-                f"completion — the consuming lifeguard died mid-stream")
-    total = max(core.finish_time for core in app_cores + lifeguard_cores)
+    check_drained(logs)
 
     stats = collect_core_stats(
         machine.memsys, machine.os, captures=captures, logs=logs,
@@ -205,23 +159,7 @@ def run_parallel_monitoring(
         stats["versions_produced"] = version_store.produced
         stats["versions_consumed"] = version_store.consumed
     stats["progress_publishes"] = progress.publishes
-    stats["syscall_races_flagged"] = range_table.races_flagged
-    stats["perf"] = collect_perf_stats(machine, lifeguard=lifeguard)
-    if faults is not None:
-        stats["faults_injected"] = faults.describe_injected()
-        stats["log_records_lost"] = sum(log.records_lost for log in logs)
-
-    return RunResult(
-        scheme="parallel",
-        workload=workload.name,
-        lifeguard=lifeguard.name,
-        app_threads=nthreads,
-        total_cycles=total,
-        app_buckets={c.name: c.buckets.as_dict() for c in app_cores},
-        lifeguard_buckets={c.name: c.buckets.as_dict() for c in lifeguard_cores},
-        violations=lifeguard.report(),
-        stats=stats,
-        instructions=sum(c.instructions_retired for c in app_cores),
-        trace=trace,
-        lifeguard_obj=lifeguard,
-    )
+    add_monitored_stats(stats, machine, lifeguard, faults, logs)
+    return run_result("parallel", workload, app_cores, stats,
+                      lifeguard=lifeguard, lifeguard_cores=lifeguard_cores,
+                      trace=trace)

@@ -16,23 +16,23 @@ from typing import Callable, FrozenSet, Optional
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.common.config import SimulationConfig
-from repro.common.errors import SimulationError
 from repro.cpu.cores import MonitoringHooks, TimeslicedAppCore
 from repro.cpu.lifeguard_core import LifeguardCore
-from repro.cpu.os_model import AddressLayout
 from repro.enforce.progress import ProgressTable
-from repro.enforce.range_table import SyscallRangeTable
-from repro.isa.instructions import HLEventKind
 from repro.platform._wiring import (
+    DEFAULT_CONTAINMENT,
     Machine,
+    active_faults,
+    add_monitored_stats,
+    build_lifeguard,
     build_thread_programs,
+    check_drained,
     collect_core_stats,
-    collect_perf_stats,
+    diagnostics_provider,
+    run_result,
 )
 from repro.platform.monitor_config import AcceleratorConfig
 from repro.platform.results import RunResult
-
-DEFAULT_CONTAINMENT = frozenset({HLEventKind.SYSCALL_WRITE})
 
 
 def run_timesliced_monitoring(
@@ -59,18 +59,14 @@ def run_timesliced_monitoring(
     accel = accel or AcceleratorConfig.all_on()
     if containment_kinds is None:
         containment_kinds = DEFAULT_CONTAINMENT
-    faults = fault_plan if (fault_plan is not None and fault_plan.enabled) else None
+    faults = active_faults(fault_plan)
 
     # one app core, one lifeguard core
     machine = Machine(config, num_cores=2, watchdog=watchdog, tracer=tracer)
     engine = machine.engine
     tids = list(range(nthreads))
 
-    lifeguard = lifeguard_factory(
-        costs=config.lifeguard_costs, heap_range=AddressLayout.heap_range()
-    )
-    range_table = SyscallRangeTable()
-    lifeguard.range_table = range_table
+    lifeguard = build_lifeguard(lifeguard_factory, config)
     progress = ProgressTable(engine, tids, faults=faults, tracer=tracer)
 
     hooks = MonitoringHooks(
@@ -106,53 +102,21 @@ def run_timesliced_monitoring(
     log.not_full.owners = [lifeguard_core]
     log.not_empty.owners = [app_core]
 
-    def _diagnostics():
-        """Crash-report context for the single-stream baseline."""
-        extras = {
-            "last_retired": {lifeguard_core.name: lifeguard_core.last_retired},
-            "progress": progress.snapshot(),
-            "log_occupancy": {
-                log.name: {"records": len(log), "bytes": log.occupied_bytes,
-                           "closed": log.closed}},
-        }
-        if faults is not None:
-            extras["injected"] = faults.describe_injected()
-        return extras
-
-    engine.diagnostics_provider = _diagnostics
+    engine.diagnostics_provider = diagnostics_provider(
+        [lifeguard_core], progress, [log], faults)
 
     app_core.start()
     lifeguard_core.start()
 
     engine.run(max_cycles=max_cycles)
-    if not log.drained:
-        raise SimulationError(
-            f"{log.name}: {len(log)} records left unprocessed after "
-            f"completion — the consuming lifeguard died mid-stream")
-    total = max(app_core.finish_time, lifeguard_core.finish_time)
+    check_drained([log])
 
     stats = collect_core_stats(
         machine.memsys, machine.os, captures=list(captures.values()),
         logs=[log], lifeguard_cores=[lifeguard_core],
     )
     stats["context_switches"] = app_core.context_switches
-    stats["syscall_races_flagged"] = range_table.races_flagged
-    stats["perf"] = collect_perf_stats(machine, lifeguard=lifeguard)
-    if faults is not None:
-        stats["faults_injected"] = faults.describe_injected()
-        stats["log_records_lost"] = log.records_lost
-
-    return RunResult(
-        scheme="timesliced",
-        workload=workload.name,
-        lifeguard=lifeguard.name,
-        app_threads=nthreads,
-        total_cycles=total,
-        app_buckets={app_core.name: app_core.buckets.as_dict()},
-        lifeguard_buckets={lifeguard_core.name: lifeguard_core.buckets.as_dict()},
-        violations=lifeguard.report(),
-        stats=stats,
-        instructions=app_core.instructions_retired,
-        trace=trace,
-        lifeguard_obj=lifeguard,
-    )
+    add_monitored_stats(stats, machine, lifeguard, faults, [log])
+    return run_result("timesliced", workload, [app_core], stats,
+                      lifeguard=lifeguard, lifeguard_cores=[lifeguard_core],
+                      trace=trace)

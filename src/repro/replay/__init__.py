@@ -4,8 +4,8 @@ The persistent trace-archive format (:mod:`repro.replay.format`) and
 the replay engine (:mod:`repro.replay.engine`) split capture from
 monitoring: one live run's captured inter-thread order is serialized to
 a compact ``.plog`` file, then any of the four lifeguards — or all of
-them, in parallel worker processes — re-monitors it from disk without
-re-simulating the CMP. The replay-vs-live check is the replay leg of
+them, from one decode — re-monitors it from disk without re-simulating
+the CMP. The replay-vs-live check is the replay leg of
 :func:`repro.trace.diff.differential_check` (``replay=True``, swept by
 ``differential_sweep(..., replay=True)``).
 """
@@ -15,7 +15,6 @@ from repro.replay.engine import (
     capture_archive,
     replay_all,
     replay_archive,
-    replay_job,
     replay_payload,
 )
 from repro.replay.format import (
@@ -40,7 +39,6 @@ __all__ = [
     "config_digest",
     "replay_all",
     "replay_archive",
-    "replay_job",
     "replay_payload",
     "write_archive",
     "write_manifest_json",

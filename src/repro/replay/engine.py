@@ -9,8 +9,8 @@ sequential oracle uses (:func:`repro.lifeguards.oracle.deliver`, built
 once per reader, then :func:`~repro.lifeguards.oracle.replay_events`
 per lifeguard). One
 expensive capture becomes N cheap analyses: :func:`replay_all` fans a
-single archive out to every registered lifeguard, optionally in
-parallel worker processes via :mod:`repro.jobs`.
+single archive out to every registered lifeguard in one process,
+decoding it once.
 
 Determinism contract: replaying the same archive any number of times,
 in any process, produces byte-identical
@@ -98,9 +98,9 @@ def replay_payload(result: ReplayResult) -> dict:
 
     This is the byte-comparison surface: serialize with
     :func:`~repro.replay.format.canonical_json` and two payloads are
-    identical iff the replays were. It crosses the ``repro.jobs`` worker
-    boundary, so it round-trips through JSON here to keep in-process and
-    worker-computed results byte-for-byte interchangeable.
+    identical iff the replays were. It round-trips through JSON, so a
+    payload equals the one read back from a ``repro replay --output``
+    file.
     """
     import json
 
@@ -115,45 +115,22 @@ def replay_payload(result: ReplayResult) -> dict:
     }))
 
 
-def replay_job(payload: dict) -> dict:
-    """``repro.jobs`` worker: replay one (archive, lifeguard) cell.
-
-    Module-level so worker processes pickle it by reference; the archive
-    is re-opened (and re-verified) inside each worker, so a corrupt file
-    fails loudly in every process that touches it.
-    """
-    return replay_payload(
-        replay_archive(payload["archive"], payload["lifeguard"]))
-
-
-def replay_all(archive_path: str, lifeguards=None, jobs: int = 1,
-               tracer=None) -> Dict[str, dict]:
+def replay_all(archive, lifeguards=None) -> Dict[str, dict]:
     """Fan one archive out to many lifeguards; returns name -> payload.
 
-    ``jobs=1`` replays in-process sharing one decoded reader; ``jobs=N``
-    distributes (archive, lifeguard) cells over :mod:`repro.jobs`
-    workers. Both paths return byte-identical payload dicts in
-    lifeguard-name order — the parallel replay acceptance test asserts
-    it.
+    ``archive`` is a path or an open :class:`TraceReader`. Every
+    lifeguard replays in this process from one shared decoded reader,
+    in lifeguard-name order.
     """
     names = sorted(lifeguards or LIFEGUARDS)
     unknown = [name for name in names if name not in LIFEGUARDS]
     if unknown:
         raise ValueError(f"unknown lifeguards {unknown}; "
                          f"valid: {sorted(LIFEGUARDS)}")
-    if jobs == 1:
-        reader = TraceReader(archive_path)
-        return {name: replay_payload(replay_archive(reader, name))
-                for name in names}
-
-    from repro.jobs import Job, cell_values, run_jobs
-
-    results = run_jobs(
-        [Job(f"replay:{name}",
-             {"archive": str(archive_path), "lifeguard": name})
-         for name in names],
-        replay_job, nworkers=jobs, tracer=tracer)
-    return dict(zip(names, cell_values(results, "replay")))
+    reader = archive if isinstance(archive, TraceReader) \
+        else TraceReader(archive)
+    return {name: replay_payload(replay_archive(reader, name))
+            for name in names}
 
 
 def capture_archive(path: str, seed: int, lifeguard: str = "taintcheck",

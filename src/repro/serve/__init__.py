@@ -35,13 +35,12 @@ Nothing beyond the standard library is required; the server is plain
 
 from repro.serve.app import ServeApp, main, start_in_thread
 from repro.serve.registry import RUN_STATES, RunRegistry
-from repro.serve.scenarios import SCHEMES, scenario_library
+from repro.serve.scenarios import scenario_library
 from repro.serve.worker import execute_run, normalize_run_config, run_digest
 
 __all__ = [
     "RUN_STATES",
     "RunRegistry",
-    "SCHEMES",
     "ServeApp",
     "execute_run",
     "main",

@@ -1,7 +1,7 @@
 """The scenario library: what the server can run.
 
 ``GET /scenarios`` exposes the full runnable cross product —
-:data:`repro.workloads.WORKLOADS` × monitoring schemes ×
+:data:`repro.workloads.WORKLOADS` × :data:`repro.platform.SCHEMES` ×
 :data:`repro.lifeguards.LIFEGUARDS` — so a client can enumerate valid
 ``POST /runs`` payloads without guessing, the way SimCash's scenario
 library fronts its simulation API. Each entry is a ready-to-submit
@@ -15,12 +15,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.lifeguards import LIFEGUARDS
+from repro.platform import MONITORED_SCHEMES, SCHEMES
 from repro.workloads import PAPER_BENCHMARKS, WORKLOADS
-
-#: Monitoring schemes accepted by ``POST /runs`` — the same vocabulary
-#: as ``python -m repro run --scheme``. ``none`` runs unmonitored (no
-#: lifeguard), so the library pairs it with ``lifeguard: null`` only.
-SCHEMES = ("parallel", "timesliced", "none")
 
 
 def scenario_library() -> List[Dict[str, object]]:
@@ -28,7 +24,9 @@ def scenario_library() -> List[Dict[str, object]]:
     scenarios: List[Dict[str, object]] = []
     for workload in sorted(WORKLOADS):
         for scheme in SCHEMES:
-            lifeguards = [None] if scheme == "none" else sorted(LIFEGUARDS)
+            # An unmonitored scheme pairs with ``lifeguard: null`` only.
+            lifeguards = (sorted(LIFEGUARDS) if scheme in MONITORED_SCHEMES
+                          else [None])
             for lifeguard in lifeguards:
                 scenarios.append({
                     "workload": workload,

@@ -33,13 +33,7 @@ from repro.common.errors import ConfigurationError, SimulationError, \
 from repro.cpu.engine import Watchdog
 from repro.faults import EXIT_ABNORMAL, EXIT_BUDGET_EXCEEDED
 from repro.lifeguards import LIFEGUARDS
-from repro.platform import (
-    AcceleratorConfig,
-    run_no_monitoring,
-    run_parallel_monitoring,
-    run_timesliced_monitoring,
-)
-from repro.serve.scenarios import SCHEMES
+from repro.platform import MONITORED_SCHEMES, SCHEMES, run_scheme
 from repro.trace import TraceWriter, parse_trace_filter, read_trace, \
     trace_hash
 from repro.trace.diff import verdict_projection
@@ -111,8 +105,13 @@ def normalize_run_config(payload: dict) -> dict:
         raise ConfigurationError(
             f"unknown scheme {config['scheme']!r}; valid: "
             f"{', '.join(SCHEMES)}")
-    if config["scheme"] == "none":
+    if not isinstance(config["no_accel"], bool):
+        raise ConfigurationError("'no_accel' must be a boolean")
+    if config["scheme"] not in MONITORED_SCHEMES:
+        # Unmonitored: no lifeguard or accelerators, so equal
+        # simulations share one digest.
         config["lifeguard"] = None
+        config["no_accel"] = False
     elif config["lifeguard"] not in LIFEGUARDS:
         raise ConfigurationError(
             f"unknown lifeguard {config['lifeguard']!r}; valid: "
@@ -132,8 +131,6 @@ def normalize_run_config(payload: dict) -> dict:
     _require_int(config, "max_cycles", minimum=1, optional=True)
     _require_int(config, "watchdog", minimum=1, optional=True)
     _require_int(config, "retries", minimum=0)
-    if not isinstance(config["no_accel"], bool):
-        raise ConfigurationError("'no_accel' must be a boolean")
     parse_trace_filter(config["trace_filter"])  # raises on bad categories
     timeout = config["timeout"]
     if timeout is not None:
@@ -200,22 +197,10 @@ def execute_run(payload: dict) -> dict:
     error = None
     exit_code = 0
     try:
-        if payload["scheme"] == "none":
-            result = run_no_monitoring(
-                workload, config, watchdog=watchdog,
-                max_cycles=payload["max_cycles"], tracer=tracer)
-        elif payload["scheme"] == "timesliced":
-            result = run_timesliced_monitoring(
-                workload, LIFEGUARDS[payload["lifeguard"]], config,
-                watchdog=watchdog, max_cycles=payload["max_cycles"],
-                tracer=tracer)
-        else:
-            accel = (AcceleratorConfig.all_off() if payload["no_accel"]
-                     else AcceleratorConfig.all_on())
-            result = run_parallel_monitoring(
-                workload, LIFEGUARDS[payload["lifeguard"]], config,
-                accel=accel, watchdog=watchdog,
-                max_cycles=payload["max_cycles"], tracer=tracer)
+        result = run_scheme(
+            payload["scheme"], workload, LIFEGUARDS.get(payload["lifeguard"]),
+            config, no_accel=payload["no_accel"], watchdog=watchdog,
+            max_cycles=payload["max_cycles"], tracer=tracer)
     except SimulationError as exc:
         error = f"{type(exc).__name__}: {exc}"
         exit_code = (EXIT_BUDGET_EXCEEDED

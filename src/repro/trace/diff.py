@@ -53,11 +53,7 @@ from repro.cpu.os_model import AddressLayout
 from repro.isa.instructions import HLEventKind
 from repro.lifeguards import LIFEGUARDS
 from repro.lifeguards.oracle import fingerprints_match, replay as oracle_replay
-from repro.platform import (
-    run_no_monitoring,
-    run_parallel_monitoring,
-    run_timesliced_monitoring,
-)
+from repro.platform import MONITORED_SCHEMES, run_scheme
 from repro.trace.writer import TraceWriter
 from repro.workloads import CustomWorkload
 
@@ -325,9 +321,6 @@ def _first_divergence(lhs: Dict[int, list], rhs: Dict[int, list]) -> str:
 # The differential check
 # ---------------------------------------------------------------------------
 
-MONITORED_SCHEMES = ("parallel", "timesliced")
-
-
 @dataclass
 class DiffReport:
     """Outcome of one cross-scheme differential run."""
@@ -381,13 +374,11 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
     config = config or SimulationConfig.for_threads(nthreads)
     report = DiffReport(seed=seed, lifeguard=lifeguard, nthreads=nthreads)
 
-    runners = {"parallel": run_parallel_monitoring,
-               "timesliced": run_timesliced_monitoring}
     results, tracers = {}, {}
     for scheme in MONITORED_SCHEMES:
         tracer = TraceWriter(categories=("engine",), keep=True)
-        results[scheme] = runners[scheme](
-            program.workload(), factory, config, keep_trace=True,
+        results[scheme] = run_scheme(
+            scheme, program.workload(), factory, config, keep_trace=True,
             tracer=tracer)
         tracer.close()
         tracers[scheme] = tracer
@@ -397,7 +388,7 @@ def differential_check(seed: int, lifeguard: str = "taintcheck",
         report.perf[scheme] = dict(
             results[scheme].stats.get("perf", {}),
             sim_cycles=results[scheme].total_cycles)
-    baseline = run_no_monitoring(program.workload(), config)
+    baseline = run_scheme("none", program.workload(), None, config)
     report.instructions["no_monitoring"] = baseline.instructions
     report.perf["no_monitoring"] = dict(
         baseline.stats.get("perf", {}), sim_cycles=baseline.total_cycles)

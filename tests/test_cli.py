@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lifeguards import LIFEGUARDS
 from repro.replay import write_archive
 from tests.test_replay_format import (
     MALFORMED_MANIFESTS,
@@ -46,7 +47,7 @@ class TestBadIntegerFlags:
         (["run", "lu", "--threads", "two"], "invalid int value: 'two'"),
         (["diff", "--jobs", "0"], "--jobs: must be >= 1"),
         (["figure8", "--jobs", "0"], "--jobs: must be >= 1"),
-        (["replay", "out.plog", "--jobs", "-1"], "--jobs: must be >= 1"),
+        (["figure7", "--jobs", "-1"], "--jobs: must be >= 1"),
         (["diff", "--retries", "-1", "--jobs", "2"],
          "--retries: must be >= 0"),
         (["diff", "--timeout", "-3", "--jobs", "2"],
@@ -118,6 +119,7 @@ class TestRemovedExecutorFlags:
         (["diff", "--seeds", "1", "--heartbeat", "0.5"], "--heartbeat 0.5"),
         (["diff", "--seeds", "1", "--shards", "out"], "--shards out"),
         (["diff", "--seeds", "1", "--backoff", "0.1"], "--backoff 0.1"),
+        (["replay", "out.plog", "--jobs", "2"], "--jobs 2"),
     ])
     def test_flag_is_unrecognized(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +176,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "8 (=4 app + 4 lifeguard)" in out
 
+    def test_scheme_choices_are_the_platform_schemes(self, capsys):
+        from repro.platform import SCHEMES
+
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "--scheme {" + ",".join(SCHEMES) + "}" \
+            in capsys.readouterr().out
+
     def test_run_parallel(self, capsys):
         assert main(["run", "racy_counters", "--threads", "2"]) == 0
         out = capsys.readouterr().out
@@ -191,6 +201,28 @@ class TestCommands:
     def test_run_timesliced(self, capsys):
         assert main(["run", "lu", "--scheme", "timesliced"]) == 0
         assert "timesliced/lu" in capsys.readouterr().out
+
+    def test_no_accel_reaches_the_timesliced_scheme(self, capsys):
+        # --no-accel used to be dropped here: the run printed the
+        # accelerated cycle count, 21355.
+        from repro.platform import AcceleratorConfig, \
+            run_timesliced_monitoring
+        from repro.workloads import build_workload
+
+        assert main(["run", "swaptions", "--scheme", "timesliced",
+                     "--no-accel"]) == 0
+        unaccelerated = run_timesliced_monitoring(
+            build_workload("swaptions", 2), LIFEGUARDS["taintcheck"],
+            accel=AcceleratorConfig.all_off())
+        assert unaccelerated.total_cycles == 35079
+        assert "cycles=35079 " in capsys.readouterr().out
+
+    def test_no_accel_notes_it_does_nothing_unmonitored(self, capsys):
+        assert main(["run", "lu", "--scheme", "none", "--no-accel"]) == 0
+        captured = capsys.readouterr()
+        assert "note: --no-accel has no effect with --scheme none" \
+            in captured.err
+        assert "no_monitoring/lu" in captured.out
 
     def test_run_tso_without_accel(self, capsys):
         assert main(["run", "dekker", "--memory-model", "tso",
@@ -310,8 +342,7 @@ class TestArchiveReplay:
         assert archive.exists()
         assert (tmp_path / "run.plog.manifest.json").exists()
 
-        assert main(["replay", str(archive), "--lifeguards", "all",
-                     "--jobs", "2"]) == 0
+        assert main(["replay", str(archive), "--lifeguards", "all"]) == 0
         out = capsys.readouterr().out
         for lifeguard in ("addrcheck", "lockset", "memcheck", "taintcheck"):
             assert lifeguard in out

@@ -14,6 +14,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.faults import EXIT_ABNORMAL
 from repro.lifeguards import LIFEGUARDS
+from repro.platform import MONITORED_SCHEMES, SCHEMES
 from repro.serve import (
     RunRegistry,
     normalize_run_config,
@@ -60,6 +61,24 @@ class TestNormalizeRunConfig:
                                        "lifeguard": "taintcheck"})
         assert config["lifeguard"] is None
 
+    def test_scheme_none_clears_no_accel(self):
+        # An unmonitored run has no accelerators to turn off, so both
+        # submissions describe one simulation and share one digest.
+        plain = normalize_run_config({"workload": "lu", "scheme": "none"})
+        config = normalize_run_config({"workload": "lu", "scheme": "none",
+                                       "no_accel": True})
+        assert config["no_accel"] is False
+        assert run_digest(config) == run_digest(plain)
+
+    def test_accepts_exactly_the_platform_schemes(self):
+        for scheme in SCHEMES:
+            config = normalize_run_config({"workload": "lu",
+                                           "scheme": scheme})
+            assert config["scheme"] == scheme
+        with pytest.raises(ConfigurationError,
+                           match=f"valid: {', '.join(SCHEMES)}$"):
+            normalize_run_config({"workload": "lu", "scheme": "bogus"})
+
     def test_digest_covers_sim_fields_only(self):
         base = normalize_run_config({"workload": "lu", "seed": 3})
         assert run_digest(base) == run_digest(dict(base, timeout=5,
@@ -71,9 +90,10 @@ class TestScenarioLibrary:
     def test_full_cross_product(self):
         scenarios = scenario_library()
         # monitored schemes x lifeguards, plus one unmonitored entry.
-        per_workload = 2 * len(LIFEGUARDS) + 1
+        per_workload = len(MONITORED_SCHEMES) * len(LIFEGUARDS) + 1
         assert len(scenarios) == len(WORKLOADS) * per_workload
         assert {s["workload"] for s in scenarios} == set(WORKLOADS)
+        assert {s["scheme"] for s in scenarios} == set(SCHEMES)
         unmonitored = [s for s in scenarios if s["scheme"] == "none"]
         assert all(s["lifeguard"] is None for s in unmonitored)
 
@@ -286,6 +306,22 @@ class TestEndpoints:
         assert final["result"]["verdicts"]["count"] == 1
         listed = _get(f"{server.url}/runs")[1]["runs"]
         assert manifest["id"] in {run["id"] for run in listed}
+
+    def test_no_accel_reaches_the_timesliced_scheme(self, server):
+        # no_accel used to be dropped here: both runs simulated the
+        # accelerated machine and wrote byte-identical traces.
+        results = {}
+        for no_accel in (False, True):
+            _status, manifest = _post(
+                f"{server.url}/runs",
+                {"workload": "swaptions", "scheme": "timesliced",
+                 "no_accel": no_accel})
+            final = _wait_done(server.url, manifest["id"])
+            assert final["state"] == "done" and final["exit_code"] == 0
+            results[no_accel] = final["result"]
+        assert results[False]["cycles"] == 21355
+        assert results[True]["cycles"] == 35079
+        assert results[True]["trace_hash"] != results[False]["trace_hash"]
 
     def test_sse_stream_is_byte_identical_to_the_trace(self, server):
         _status, manifest = _post(f"{server.url}/runs",

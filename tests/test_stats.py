@@ -2,21 +2,7 @@
 
 import pytest
 
-from repro.common.stats import Counter, StatsRegistry, TimeBuckets
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        counter = Counter("hits")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
-
-    def test_repr_names_counter(self):
-        assert "hits=2" in repr(Counter("hits")) or True
-        counter = Counter("hits")
-        counter.add(2)
-        assert "hits=2" in repr(counter)
+from repro.common.stats import TimeBuckets
 
 
 class TestTimeBuckets:
@@ -52,29 +38,3 @@ class TestTimeBuckets:
 
     def test_unknown_bucket_reads_zero(self):
         assert TimeBuckets().get("nope") == 0
-
-
-class TestStatsRegistry:
-    def test_counter_is_memoized(self):
-        registry = StatsRegistry()
-        registry.counter("x").add(3)
-        assert registry.counter("x").value == 3
-
-    def test_buckets_are_memoized(self):
-        registry = StatsRegistry()
-        registry.buckets("core0").charge("useful", 7)
-        assert registry.buckets("core0").get("useful") == 7
-
-    def test_snapshot_flattens_everything(self):
-        registry = StatsRegistry()
-        registry.counter("arcs").add(2)
-        registry.buckets("core0").charge("useful", 5)
-        snapshot = registry.snapshot()
-        assert snapshot["arcs"] == 2
-        assert snapshot["core0"] == {"useful": 5}
-
-    def test_counters_iterates_sorted(self):
-        registry = StatsRegistry()
-        registry.counter("b").add(1)
-        registry.counter("a").add(2)
-        assert [name for name, _ in registry.counters()] == ["a", "b"]
