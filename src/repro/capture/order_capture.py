@@ -15,32 +15,30 @@ Each application thread owns an ``OrderCapture`` component that
   only known at store-buffer drain) and commits them, in order, to the
   thread's log buffer.
 
-A record also receives a ``global_seq`` stamp at the moment it becomes
-globally ordered (its coherence access), giving tests a faithful
-sequential linearization to replay against.
+A record also receives a ``commit_time`` stamp from the run's commit
+clock (one ``itertools.count(1)`` shared by every thread of the run) at
+the moment it becomes globally ordered (its coherence access), giving
+the oracle a faithful sequential linearization to replay against. Each
+run's stamps are exactly 1..N, whatever ran before it in the process.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.capture.events import Record, RecordKind, RecordSource
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import CaptureMode, SimulationConfig
 from repro.trace.writer import tracer_for
 
-#: Shared monotonic stamp source for the sequential-linearization order.
-_GLOBAL_SEQ = itertools.count(1)
-
-
 class OrderCapture(RecordSource):
     """Order-capture hardware for one application thread."""
 
     def __init__(self, tid: int, config: SimulationConfig, log: LogBuffer,
                  core_to_tid: Dict[int, int], current_rids: Dict[int, int],
-                 trace: Optional[list] = None, faults=None, tracer=None):
+                 clock: Iterator[int], trace: Optional[list] = None,
+                 faults=None, tracer=None):
         self.tid = tid
         self.config = config
         self.log = log
@@ -56,6 +54,8 @@ class OrderCapture(RecordSource):
         #: Shared view of every thread's last retired RID (per-core mode).
         self.current_rids = current_rids
         self.current_rids.setdefault(tid, 0)
+        #: The run's commit clock, shared by every thread's capture.
+        self.clock = clock
         self._last_recv: Dict[int, int] = {}
         #: Retired records awaiting in-order commit to the log.
         self._pending = deque()
@@ -117,7 +117,7 @@ class OrderCapture(RecordSource):
     def enqueue(self, record: Record, finalized: bool = True) -> None:
         """Queue a retired record for in-order commit to the log."""
         if finalized:
-            record.commit_time = next(_GLOBAL_SEQ)
+            record.commit_time = next(self.clock)
         else:
             self._unfinalized.add(record)
         self._pending.append(record)
@@ -130,7 +130,7 @@ class OrderCapture(RecordSource):
             raise AssertionError("finalize_store: record not pending")
         self._unfinalized.remove(record)
         self.attach_conflicts(record, conflicts)
-        record.commit_time = next(_GLOBAL_SEQ)
+        record.commit_time = next(self.clock)
 
     def flush(self) -> bool:
         """Commit the finalized prefix of the pending queue to the log.

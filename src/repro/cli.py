@@ -313,13 +313,20 @@ def _cmd_run(args) -> int:
                                          ring=ring)
         else:
             tracer = TraceWriter(categories=categories, ring=ring)
+    ignored = ()
     if args.scheme not in MONITORED_SCHEMES:
-        for flag, given in (("--inject", fault_plan is not None),
-                            ("--no-accel", args.no_accel)):
-            if given:
-                print(f"note: {flag} has no effect with --scheme "
-                      f"{args.scheme} (no monitoring pipeline)",
-                      file=sys.stderr)
+        ignored = (("--inject", fault_plan is not None),
+                   ("--no-accel", args.no_accel),
+                   ("--capture", args.capture != "per_block"))
+        reason = "no monitoring pipeline"
+    elif args.scheme == "timesliced":
+        ignored = (("--memory-model", args.memory_model != "sc"),
+                   ("--capture", args.capture != "per_block"))
+        reason = "one core: no store buffer and no arcs"
+    for flag, given in ignored:
+        if given:
+            print(f"note: {flag} has no effect with --scheme "
+                  f"{args.scheme} ({reason})", file=sys.stderr)
     try:
         result = run_scheme(
             args.scheme, workload, LIFEGUARDS[args.lifeguard], config,

@@ -1,17 +1,19 @@
-"""Core actors: application cores, the time-sliced core, lifeguard cores.
+"""Application-side actors: application cores and TSO store buffers.
 
-These are the state machines the discrete-event engine drives. An
-:class:`AppCore` executes one application thread's micro-op stream,
-performing timed coherent memory accesses, capturing event records (with
-arcs), broadcasting ConflictAlerts, honouring system-call containment,
-and stalling when its log buffer fills. A :class:`LifeguardCore`
-consumes one log, enforcing arc order, CA barriers and TSO versioning,
-driving the accelerators, executing lifeguard handlers semantically and
-charging their modeled cost plus real simulated metadata cache latency.
+These are state machines the discrete-event engine drives. An
+:class:`AppCore` runs one or more application threads' micro-op
+streams: one thread per core under parallel monitoring and unmonitored
+runs, every thread round robin on one core under the time-sliced
+baseline. It performs timed coherent memory accesses, captures event
+records (with arcs), broadcasts ConflictAlerts, honours system-call
+containment and stalls when its log buffer fills. Under TSO a
+:class:`StoreBufferDrainActor` drains each core's
+:class:`TsoStoreBuffer`. The consumer side,
+:class:`~repro.cpu.lifeguard_core.LifeguardCore`, lives in
+:mod:`repro.cpu.lifeguard_core`.
 
 Time-bucket names (Figure 7): application cores charge ``execute`` /
-``wait_log`` / ``wait_containment``; lifeguard cores charge ``useful`` /
-``wait_dependence`` / ``wait_application``.
+``wait_log`` / ``wait_containment``.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from repro.capture.events import Record, RecordKind, RecordSource
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.capture.tso import StoreBufferEntry
-from repro.common.config import MemoryModel, SimulationConfig
-from repro.common.errors import SimulationError
+from repro.common.config import SimulationConfig
 from repro.cpu.engine import Condition, CoreActor, Engine
 from repro.isa.instructions import HLPhase, OpKind, thread_exit
-from repro.isa.program import ThreadApi
 
 
 class MonitoringHooks:
@@ -134,43 +134,111 @@ _HL_END = OpKind.HL_END
 _THREAD_EXIT = OpKind.THREAD_EXIT
 
 
-class AppCore(CoreActor):
-    """One application thread pinned to one core (parallel monitoring)."""
+class ThreadContext:
+    """One application thread's state on an :class:`AppCore`: what a
+    context switch saves and restores."""
 
-    def __init__(self, engine: Engine, name: str, core_id: int, tid: int,
-                 program, capture, memsys, memory, config: SimulationConfig,
+    __slots__ = ("tid", "capture", "gen", "result", "exiting",
+                 "containment_rid")
+
+    def __init__(self, tid: int, program, capture):
+        self.tid = tid
+        self.capture = capture
+        self.gen = program
+        #: The value the thread's last op produced, sent on its resume
+        #: (``send(None)`` also starts a fresh generator).
+        self.result = None
+        self.exiting = False
+        #: RID of a retired containment system call the thread may not
+        #: run past until its lifeguard has processed it.
+        self.containment_rid: Optional[int] = None
+
+
+class AppCore(CoreActor):
+    """One application core running one or more thread contexts.
+
+    Parallel and unmonitored runs give each core one thread. The
+    time-sliced baseline gives one core every thread: they share its L1,
+    so no coherence traffic (and no dependence arc) crosses them, and the
+    interleaved log itself is the total order. Threads take turns round
+    robin, each for up to :attr:`SimulationConfig.timeslice_quantum`
+    instructions; a switch costs
+    :attr:`SimulationConfig.context_switch_cycles`. With one thread the
+    scheduler always picks it again, so it never switches.
+    """
+
+    def __init__(self, engine: Engine, name: str, core_id: int,
+                 programs: Dict[int, object], captures: Dict[int, object],
+                 memsys, memory, config: SimulationConfig,
                  hooks: MonitoringHooks, log: Optional[LogBuffer] = None,
                  store_buffer: Optional[TsoStoreBuffer] = None):
         super().__init__(engine, name)
         self.core_id = core_id
-        self.tid = tid
-        self.capture = capture
         self.memsys = memsys
         self.memory = memory
         self.config = config
         self.hooks = hooks
         self.log = log
         self.store_buffer = store_buffer
-        self._gen = program
-        self._started = False
+        self._contexts: List[ThreadContext] = [
+            ThreadContext(tid, programs[tid], captures[tid])
+            for tid in sorted(programs)]
+        self._ctx = self._contexts[0]
+        #: The running thread's capture (the hot path reads it directly).
+        self.capture = self._ctx.capture
+        self._quantum = config.timeslice_quantum
+        #: The running thread keeps the core until this many retired
+        #: instructions; a yield or a deschedule sets it to 0.
+        self._slice_end = self._quantum
         self._op = None
-        self._result = None
-        self._exiting = False
-        self._containment_rid: Optional[int] = None
         self._ca_fence = None  # [(tid, capture, mark record)] to drain past
         self._phase = _FETCH
         self.instructions_retired = 0
+        self.context_switches = 0
 
-    # -- generator pump ----------------------------------------------------------
+    # -- scheduling ---------------------------------------------------------------
 
-    def _next_op(self):
-        """The thread's first op (:meth:`step` resumes it after that)."""
-        try:
-            self._started = True
-            return next(self._gen)
-        except StopIteration:
-            self._exiting = True
-            return thread_exit()
+    def _runnable(self, ctx: ThreadContext) -> bool:
+        if ctx.containment_rid is not None:
+            table = self.hooks.progress_table
+            if table is not None and table.get(ctx.tid) < ctx.containment_rid:
+                return False
+            ctx.containment_rid = None
+        return True
+
+    def _pick_thread(self) -> Optional[ThreadContext]:
+        """The next runnable context after the running one (round robin),
+        or None when no thread can run."""
+        live = [ctx for ctx in self._contexts if not ctx.exiting]
+        if not live:
+            return None
+        current = self._ctx
+        start = live.index(current) if current in live else 0
+        expired = self.instructions_retired >= self._slice_end
+        for offset in range(len(live)):
+            ctx = live[(start + offset) % len(live)]
+            if offset == 0 and expired:
+                continue  # quantum expired: prefer someone else
+            if self._runnable(ctx):
+                return ctx
+        # Quantum expired but nobody else is runnable: keep running current.
+        if current in live and self._runnable(current):
+            self._slice_end = self.instructions_retired + self._quantum
+            return current
+        return None
+
+    def _idle_step(self):
+        """No thread can run: finish once every thread has exited, else
+        wait on the progress of the first contained live thread (the
+        first live thread when none is contained)."""
+        live = [ctx for ctx in self._contexts if not ctx.exiting]
+        if not live:
+            self._phase = _FINISH
+            return self._finish_step()
+        blocked = [ctx for ctx in live if ctx.containment_rid is not None]
+        tid = (blocked or live)[0].tid
+        return ("wait", self.hooks.progress_table.condition(tid),
+                "wait_containment", "syscall containment")
 
     # -- the state machine ----------------------------------------------------------
     #
@@ -180,16 +248,16 @@ class AppCore(CoreActor):
     # delay. The phases are fused into one fall-through step and
     # ``_phase`` survives as the re-entry point after a blocking return
     # (COMMIT resumes at the flush after a log-full wake, FETCH at the
-    # fence/containment gates, EXECUTE at the TSO pre-stalls).
+    # fence/containment gates, EXECUTE at the TSO pre-stalls and after a
+    # context switch's delay). While the running thread is live,
+    # uncontained and inside its quantum it keeps the core without a
+    # call to the scheduler: exactly what ``_pick_thread`` would decide.
 
     def step(self):
         phase = self._phase
         if phase == _COMMIT:
             if not self.capture.flush():
                 return ("wait", self.log.not_full, "wait_log", "log full")
-            if self._exiting:
-                self._phase = _FINISH
-                return self._finish_step()
             self._phase = phase = _FETCH
         elif phase == _FINISH:
             return self._finish_step()
@@ -199,23 +267,28 @@ class AppCore(CoreActor):
                 fence_wait = self._ca_fence_gate()
                 if fence_wait is not None:
                     return fence_wait
-            if self._containment_rid is not None:
-                table = self.hooks.progress_table
-                if table is not None and table.get(self.tid) < self._containment_rid:
-                    return ("wait", table.condition(self.tid),
-                            "wait_containment", "syscall containment")
-                self._containment_rid = None
-            if self._started:
-                # _next_op's resume, inlined: one per instruction.
-                try:
-                    self._op = self._gen.send(self._result)
-                except StopIteration:
-                    self._exiting = True
-                    self._op = thread_exit()
-            else:
-                self._op = self._next_op()
-            self._result = None
+            ctx = self._ctx
+            switch_cost = 0
+            if (ctx.exiting or ctx.containment_rid is not None
+                    or self.instructions_retired >= self._slice_end):
+                picked = self._pick_thread()
+                if picked is None:
+                    return self._idle_step()
+                if picked is not ctx:
+                    switch_cost = self.config.context_switch_cycles
+                    self.context_switches += 1
+                    self._ctx = ctx = picked
+                    self.capture = ctx.capture
+                    self._slice_end = self.instructions_retired + self._quantum
+            try:
+                self._op = ctx.gen.send(ctx.result)
+            except StopIteration:
+                ctx.exiting = True
+                self._op = thread_exit()
+            ctx.result = None
             self._phase = _EXECUTE
+            if switch_cost:
+                return ("delay", switch_cost, "execute")
 
         if self.store_buffer is not None:
             stall = self._tso_pre_stall()
@@ -234,8 +307,9 @@ class AppCore(CoreActor):
             if not self.store_buffer.empty:
                 return ("wait", self.store_buffer.empty_cond,
                         "wait_log", "draining store buffer")
-        if not self.capture.flush():
-            return ("wait", self.log.not_full, "wait_log", "final flush")
+        for ctx in self._contexts:
+            if not ctx.capture.flush():
+                return ("wait", self.log.not_full, "wait_log", "final flush")
         if self.log is not None:
             self.log.close()
         return ("done",)
@@ -304,14 +378,14 @@ class AppCore(CoreActor):
             forwarded = (self.store_buffer.forward_value(op.addr, op.size)
                          if self.store_buffer is not None else None)
             if forwarded is not None:
-                self._result = forwarded
+                self._ctx.result = forwarded
                 capture.enqueue(record)
             else:
                 result = self.memsys.access(self.core_id, op.addr, op.size,
                                             False, record.rid)
                 if result.conflicts:
                     capture.attach_conflicts(record, result.conflicts)
-                self._result = self.memory.read(op.addr, op.size)
+                self._ctx.result = self.memory.read(op.addr, op.size)
                 latency = result.latency
                 capture.enqueue(record)
 
@@ -334,13 +408,19 @@ class AppCore(CoreActor):
                                         True, record.rid)
             if result.conflicts:
                 capture.attach_conflicts(record, result.conflicts)
-            self._result = self.memory.read(op.addr, op.size)
+            self._ctx.result = self.memory.read(op.addr, op.size)
             self.memory.write(op.addr, op.size, op.value)
             latency = result.latency + 2  # atomic read-modify-write penalty
             capture.enqueue(record)
 
         elif kind == _NOP:
-            latency = op.value if op.value else 1
+            if op.value:
+                latency = op.value
+                if latency > 1:
+                    # A spin-wait pause yields the core (pthread
+                    # spin-then-block): spinning out a whole quantum
+                    # would hold up the thread it waits for.
+                    self._slice_end = 0
             capture.enqueue(record)
 
         elif kind == _HL_BEGIN or kind == _HL_END:
@@ -348,11 +428,12 @@ class AppCore(CoreActor):
             capture.enqueue(record)
             if (kind == _HL_BEGIN
                     and op.hl_kind in self.hooks.containment_kinds):
-                self._containment_rid = record.rid
+                self._ctx.containment_rid = record.rid
+                self._slice_end = 0  # deschedule
 
         elif kind == _THREAD_EXIT:
             if self.hooks.ca_hub is not None:
-                self.hooks.ca_hub.thread_exited(self.tid)
+                self.hooks.ca_hub.thread_exited(self._ctx.tid)
             capture.enqueue(record)
 
         else:  # MOVRR, ALU, LOADI, CRITICAL_USE
@@ -365,7 +446,7 @@ class AppCore(CoreActor):
         if not self._will_broadcast(op):
             return 0
         record.ca_id = hub.broadcast(
-            self.tid, op.hl_kind, RecordKind(int(op.kind)), op.ranges)
+            self._ctx.tid, op.hl_kind, RecordKind(int(op.kind)), op.ranges)
         record.ca_issuer = True
         if self.hooks.store_buffers:
             self._ca_fence = list(hub.state(record.ca_id).marks)
@@ -420,193 +501,3 @@ class StoreBufferDrainActor(CoreActor):
         self.buffer.pop()
         self.capture.flush()
         return ("delay", result.latency, "drain")
-
-
-class TimeslicedAppCore(CoreActor):
-    """All application threads round-robin on one core (the baseline).
-
-    Threads on the same core share its L1, so no coherence traffic — and
-    therefore no dependence arcs — ever crosses them; the interleaved log
-    itself is the total order, exactly the state of the art the paper
-    compares against. Context switches save/restore the (thread id,
-    counter) tuple and cost :attr:`SimulationConfig.context_switch_cycles`.
-    """
-
-    def __init__(self, engine: Engine, name: str, core_id: int,
-                 programs: Dict[int, object], captures: Dict[int, OrderCapture],
-                 memsys, memory, config: SimulationConfig,
-                 hooks: MonitoringHooks, log: Optional[LogBuffer]):
-        super().__init__(engine, name)
-        self.core_id = core_id
-        self.memsys = memsys
-        self.memory = memory
-        self.config = config
-        self.hooks = hooks
-        self.log = log
-        self.captures = captures
-        self._threads = {
-            tid: {
-                "gen": program,
-                "started": False,
-                "result": None,
-                "exited": False,
-                "containment": None,
-            }
-            for tid, program in programs.items()
-        }
-        self._order: List[int] = sorted(self._threads)
-        self._current: Optional[int] = None
-        self._slice_used = 0
-        self._quantum = config.timeslice_quantum
-        self._op = None
-        self._phase = _FETCH
-        self.instructions_retired = 0
-        self.context_switches = 0
-
-    # -- scheduling -----------------------------------------------------------------
-
-    def _runnable(self, tid: int) -> bool:
-        state = self._threads[tid]
-        if state["exited"]:
-            return False
-        if state["containment"] is not None:
-            table = self.hooks.progress_table
-            if table is not None and table.get(tid) < state["containment"]:
-                return False
-            state["containment"] = None
-        return True
-
-    def _pick_thread(self):
-        """Next runnable thread after the current one (round robin).
-
-        Returns (tid, switch_cost) or (None, blocked_tid) when every
-        live thread is containment-blocked, or (None, None) when all
-        threads exited.
-        """
-        live = [tid for tid in self._order if not self._threads[tid]["exited"]]
-        if not live:
-            return (None, None)
-        start = 0
-        if self._current in live:
-            start = live.index(self._current)
-        for offset in range(len(live)):
-            tid = live[(start + offset) % len(live)]
-            if offset == 0 and self._slice_used >= self._quantum:
-                continue  # quantum expired: prefer someone else
-            if self._runnable(tid):
-                return (tid, tid != self._current)
-        # Quantum expired but nobody else is runnable: keep running current.
-        if self._current in live and self._runnable(self._current):
-            self._slice_used = 0
-            return (self._current, False)
-        blocked = [tid for tid in live if self._threads[tid]["containment"] is not None]
-        return (None, blocked[0] if blocked else live[0])
-
-    def _next_op(self, tid: int):
-        state = self._threads[tid]
-        try:
-            if state["started"]:
-                return state["gen"].send(state["result"])
-            state["started"] = True
-            return next(state["gen"])
-        except StopIteration:
-            state["exited"] = True
-            return thread_exit()
-
-    # -- state machine ----------------------------------------------------------------
-
-    def step(self):
-        # Fused like AppCore.step: the zero-delay COMMIT → FETCH →
-        # EXECUTE chain runs in one call; a context switch's nonzero
-        # cost still returns a real delay (re-entering at EXECUTE).
-        phase = self._phase
-        if phase == _COMMIT:
-            if not self.captures[self._current].flush():
-                return ("wait", self.log.not_full, "wait_log", "log full")
-            self._phase = phase = _FETCH
-        elif phase == _FINISH:
-            return self._finish_step()
-
-        if phase == _FETCH:
-            tid = self._current
-            state = self._threads.get(tid)
-            # While its quantum lasts, a live, uncontained current thread
-            # keeps the core: exactly what _pick_thread would decide.
-            if (state is None or state["exited"]
-                    or state["containment"] is not None
-                    or self._slice_used >= self._quantum):
-                tid, info = self._pick_thread()
-                if tid is None:
-                    if info is None:
-                        self._phase = _FINISH
-                        return self._finish_step()
-                    table = self.hooks.progress_table
-                    return ("wait", table.condition(info),
-                            "wait_containment", f"t{info} containment")
-                state = self._threads[tid]
-            switch_cost = 0
-            if tid != self._current:
-                if self._current is not None:
-                    switch_cost = self.config.context_switch_cycles
-                    self.context_switches += 1
-                self._current = tid
-                self._slice_used = 0
-            self._op = self._next_op(tid)
-            state["result"] = None
-            self._phase = _EXECUTE
-            if switch_cost:
-                return ("delay", switch_cost, "execute")
-
-        latency = self._execute(self._current)
-        self.instructions_retired += 1
-        engine = self.engine
-        engine.last_retire = engine.now  # Engine.note_retire, inlined
-        self._slice_used += 1
-        self._phase = _COMMIT
-        return ("delay", latency, "execute")
-
-    def _finish_step(self):
-        if any(not capture.flush() for capture in self.captures.values()):
-            return ("wait", self.log.not_full, "wait_log", "final flush")
-        if self.log is not None:
-            self.log.close()
-        return ("done",)
-
-    def _execute(self, tid: int) -> int:
-        op = self._op
-        kind = op.kind
-        capture = self.captures[tid]
-        state = self._threads[tid]
-        record = capture.begin_record(op)
-        latency = 1
-
-        if kind == _LOAD:
-            result = self.memsys.access(self.core_id, op.addr, op.size,
-                                        False, record.rid)
-            state["result"] = self.memory.read(op.addr, op.size)
-            latency = result.latency
-        elif kind == _STORE:
-            result = self.memsys.access(self.core_id, op.addr, op.size,
-                                        True, record.rid)
-            self.memory.write(op.addr, op.size, op.value)
-            latency = result.latency
-        elif kind == _RMW:
-            result = self.memsys.access(self.core_id, op.addr, op.size,
-                                        True, record.rid)
-            state["result"] = self.memory.read(op.addr, op.size)
-            self.memory.write(op.addr, op.size, op.value)
-            latency = result.latency + 2
-        elif kind == _NOP:
-            latency = op.value if op.value else 1
-            if op.value and op.value > 1:
-                # A spin-wait pause on a time-sliced machine yields the
-                # CPU (pthread spin-then-block): burning the quantum in a
-                # spin loop would deadlock progress for whole quanta.
-                self._slice_used = self._quantum
-        elif kind == _HL_BEGIN:
-            if op.hl_kind in self.hooks.containment_kinds:
-                state["containment"] = record.rid
-                self._slice_used = self._quantum  # deschedule
-
-        capture.enqueue(record)
-        return latency

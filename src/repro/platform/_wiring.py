@@ -75,8 +75,8 @@ def build_app_core(machine: Machine, tid: int, program, capture, hooks,
         store_buffer = TsoStoreBuffer(
             engine, config.store_buffer_entries, f"app{tid}")
     core = AppCore(
-        engine, f"app{tid}", core_id=tid, tid=tid, program=program,
-        capture=capture, memsys=machine.memsys, memory=machine.memory,
+        engine, f"app{tid}", core_id=tid, programs={tid: program},
+        captures={tid: capture}, memsys=machine.memsys, memory=machine.memory,
         config=config, hooks=hooks, log=log, store_buffer=store_buffer,
     )
     if store_buffer is not None:

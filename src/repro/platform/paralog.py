@@ -9,6 +9,7 @@ lifeguard threads share one global metadata structure.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, FrozenSet, Optional
 
 from repro.capture.conflict_alert import CAHub
@@ -89,6 +90,7 @@ def run_parallel_monitoring(
     trace = [] if keep_trace else None
     core_to_tid = {tid: tid for tid in tids}  # app cores only produce arcs
     current_rids = {}
+    clock = itertools.count(1)  # the run's commit clock
 
     store_buffers = {}
     hooks = MonitoringHooks(
@@ -111,7 +113,8 @@ def run_parallel_monitoring(
         log = LogBuffer(engine, config.log_config, name=f"log{tid}",
                         faults=faults)
         capture = OrderCapture(tid, config, log, core_to_tid, current_rids,
-                               trace=trace, faults=faults, tracer=tracer)
+                               clock, trace=trace, faults=faults,
+                               tracer=tracer)
         ca_hub.register(tid, capture)
         logs.append(log)
         captures.append(capture)

@@ -11,12 +11,13 @@ configuration the paper's PARALLEL scheme is compared against.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, FrozenSet, Optional
 
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.common.config import SimulationConfig
-from repro.cpu.cores import MonitoringHooks, TimeslicedAppCore
+from repro.cpu.cores import AppCore, MonitoringHooks
 from repro.cpu.lifeguard_core import LifeguardCore
 from repro.enforce.progress import ProgressTable
 from repro.platform._wiring import (
@@ -78,16 +79,16 @@ def run_timesliced_monitoring(
     log = LogBuffer(engine, config.log_config, name="log", faults=faults)
     core_to_tid = {}  # single app core: no cross-thread coherence, no arcs
     current_rids = {}
+    clock = itertools.count(1)  # the run's commit clock
     captures = {
         tid: OrderCapture(tid, config, log, core_to_tid, current_rids,
-                          trace=trace, tracer=tracer)
+                          clock, trace=trace, tracer=tracer)
         for tid in tids
     }
 
     programs = build_thread_programs(workload, machine)
-    app_core = TimeslicedAppCore(
-        engine, "app", core_id=0,
-        programs={tid: programs[tid] for tid in tids},
+    app_core = AppCore(
+        engine, "app", core_id=0, programs=dict(enumerate(programs)),
         captures=captures, memsys=machine.memsys, memory=machine.memory,
         config=config, hooks=hooks, log=log,
     )

@@ -105,28 +105,14 @@ def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _commit_base(streams: Dict[int, List[Record]]) -> int:
-    """The rebase offset making archived commit times process-free.
-
-    Live commit times come from a process-global monotonic counter
-    (:data:`repro.capture.order_capture._GLOBAL_SEQ`), so their absolute
-    values depend on how many runs the process executed before this one.
-    Only their *relative order* matters to replay; subtracting
-    ``min - 1`` roots every archive at commit time 1 and makes archiving
-    the same captured order byte-identical in any process.
-    """
-    times = [record.commit_time for records in streams.values()
-             for record in records if record.commit_time is not None]
-    return (min(times) - 1) if times else 0
-
-
-def _encode_commit_times(records: List[Record], base: int = 0) -> bytes:
+def _encode_commit_times(records: List[Record]) -> bytes:
     """Zigzag-varint delta stream of per-record commit times.
 
     Per-thread commit times are *not* monotone in RID order (a TSO
     store's time is assigned at drain, after younger loads got theirs),
-    hence the signed deltas. ``base`` (see :func:`_commit_base`) is
-    subtracted from every value so the stream is rooted at 1.
+    hence the signed deltas. Each run's commit clock starts at 1, so
+    the archived values are the run's own, whatever else the process
+    ran before it.
     """
     out = bytearray()
     previous = 0
@@ -136,9 +122,8 @@ def _encode_commit_times(records: List[Record], base: int = 0) -> bytes:
                 f"t{record.tid}#{record.rid} has no commit_time — only "
                 f"completed runs (every record flushed to its log) can "
                 f"be archived")
-        rebased = record.commit_time - base
-        _write_varint(out, _zigzag(rebased - previous))
-        previous = rebased
+        _write_varint(out, _zigzag(record.commit_time - previous))
+        previous = record.commit_time
     return bytes(out)
 
 
@@ -197,7 +182,6 @@ def write_archive(path: str, trace: Iterable[Record], *, nthreads: int,
     reading a trace captured under different machine parameters.
     """
     streams = _group_streams(trace, nthreads)
-    commit_base = _commit_base(streams)
     stream_entries = []
     blobs: List[bytes] = []
     total_records = 0
@@ -206,7 +190,7 @@ def write_archive(path: str, trace: Iterable[Record], *, nthreads: int,
     for tid, records in sorted(streams.items()):
         encoder = RecordEncoder()
         record_blob = b"".join(encoder.encode(r) for r in records)
-        commit_blob = _encode_commit_times(records, commit_base)
+        commit_blob = _encode_commit_times(records)
         naive_arcs, naive_arc_bytes = naive_arc_cost(records)
         stream_entries.append({
             "tid": tid,

@@ -126,6 +126,13 @@ def normalize_run_config(payload: dict) -> dict:
                 f"unknown {key} {config[key]!r}; valid: "
                 f"{', '.join(member.value for member in enum_cls)}") \
                 from None
+    # Fields the scheme does not read: equal simulations share one
+    # digest. One time-sliced core has no store buffer and records no
+    # arcs; an unmonitored run captures nothing.
+    if config["scheme"] == "timesliced":
+        config["memory_model"] = _DEFAULTS["memory_model"]
+    if config["scheme"] in ("timesliced", "none"):
+        config["capture"] = _DEFAULTS["capture"]
     _require_int(config, "seed", minimum=0)
     _require_int(config, "threads", minimum=1)
     _require_int(config, "max_cycles", minimum=1, optional=True)

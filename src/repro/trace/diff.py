@@ -477,12 +477,8 @@ def _planted_failures(program: RacyProgram, lifeguard_name: str,
     return []
 
 
-def _record_fields(record, commit_base: int = 0) -> tuple:
-    """Every field of a captured record, for exact archive comparison.
-
-    ``commit_base`` rebases live commit times the way the archive writer
-    does (archives root theirs at 1; live values carry process history).
-    """
+def _record_fields(record) -> tuple:
+    """Every field of a captured record, for exact archive comparison."""
     return (record.tid, record.rid, int(record.kind), record.addr,
             record.size, record.rd, record.rs1, record.rs2,
             int(record.hl_kind) if record.hl_kind is not None else None,
@@ -490,8 +486,7 @@ def _record_fields(record, commit_base: int = 0) -> tuple:
             tuple(record.arcs or ()), record.ca_id, record.ca_issuer,
             record.consume_version,
             tuple(tuple(v) for v in record.produce_versions or ()),
-            record.commit_time - commit_base
-            if record.commit_time is not None else None)
+            record.commit_time)
 
 
 def _replay_failures(program: RacyProgram, lifeguard: str, length: int,
@@ -504,8 +499,8 @@ def _replay_failures(program: RacyProgram, lifeguard: str, length: int,
 
     a. **live identity** — ``lifeguard``'s replay reproduces the live
        run byte for byte: verdict projection, full violation list,
-       metadata fingerprint, and every decoded record field (live
-       commit times rebased the way the writer roots them at 1);
+       metadata fingerprint, and every decoded record field, commit
+       times included;
     b. **re-replay** — a fresh reader of the same file gives the same
        payload bytes as the shared one (the archive, not the process,
        is the source of truth);
@@ -554,11 +549,9 @@ def _replay_failures(program: RacyProgram, lifeguard: str, length: int,
     if (canonical_json(live.lifeguard_obj.metadata_fingerprint())
             != canonical_json(own.fingerprint)):
         failures.append("replay metadata fingerprint diverges from live")
-    commit_base = (min(r.commit_time for r in live.trace) - 1
-                   if live.trace else 0)
     live_streams = {tid: [] for tid in range(program.nthreads)}
     for record in live.trace:
-        live_streams[record.tid].append(_record_fields(record, commit_base))
+        live_streams[record.tid].append(_record_fields(record))
     for tid, live_fields in live_streams.items():
         archived = [_record_fields(r) for r in reader.records(tid)]
         if live_fields != archived:

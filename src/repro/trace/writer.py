@@ -29,9 +29,9 @@ Event schema: every event is a flat JSON object with at least
 * ``event`` — a short event name within the category,
 
 plus event-specific scalar fields. Deliberately *not* recorded:
-``commit_time`` stamps (they come from a process-global counter and
-would make otherwise identical runs hash differently) and wall-clock
-times. Two runs of the same seeded configuration therefore produce
+``commit_time`` stamps (simulator bookkeeping for the oracle's
+sequential linearization, not an event of the modeled hardware;
+archives carry them) and wall-clock times. Two runs of the same seeded configuration therefore produce
 bit-identical traces — :func:`trace_hash` turns that into a testable
 invariant.
 """

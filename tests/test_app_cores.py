@@ -1,5 +1,7 @@
 """Direct unit tests for the application-side cores."""
 
+import itertools
+
 import pytest
 
 from repro.capture.log_buffer import LogBuffer
@@ -10,7 +12,6 @@ from repro.cpu.cores import (
     MonitoringHooks,
     NullCapture,
     StoreBufferDrainActor,
-    TimeslicedAppCore,
     TsoStoreBuffer,
 )
 from repro.cpu.engine import Engine
@@ -36,14 +37,15 @@ class AppHarness:
         self.log = None
         if monitored:
             self.log = LogBuffer(self.engine, self.config.log_config, "log")
-            self.capture = OrderCapture(0, self.config, self.log, {0: 0}, {})
+            self.capture = OrderCapture(0, self.config, self.log, {0: 0}, {},
+                                        itertools.count(1))
         else:
             self.capture = NullCapture(0)
 
     def make_core(self, program, store_buffer=None):
         return AppCore(
-            self.engine, "app0", core_id=0, tid=0, program=program,
-            capture=self.capture, memsys=self.memsys, memory=self.memory,
+            self.engine, "app0", core_id=0, programs={0: program},
+            captures={0: self.capture}, memsys=self.memsys, memory=self.memory,
             config=self.config, hooks=self.hooks, log=self.log,
             store_buffer=store_buffer)
 
@@ -208,11 +210,12 @@ class TestTimeslicedCore:
         memory = MainMemory()
         memsys = CoherentMemorySystem(config, num_cores=2)
         log = LogBuffer(engine, config.log_config, "log")
-        captures = {tid: OrderCapture(tid, config, log, {}, {})
+        clock = itertools.count(1)
+        captures = {tid: OrderCapture(tid, config, log, {}, {}, clock)
                     for tid in range(len(programs))}
         hooks = MonitoringHooks(progress_table=ProgressTable(
             engine, list(range(len(programs)))))
-        core = TimeslicedAppCore(
+        core = AppCore(
             engine, "app", core_id=0,
             programs={tid: program for tid, program in enumerate(programs)},
             captures=captures, memsys=memsys, memory=memory, config=config,
@@ -275,17 +278,21 @@ class TestTimeslicedCore:
         assert core.context_switches >= 2
 
 
-class PickCheckedCore(TimeslicedAppCore):
-    """A time-sliced core that checks its scheduling fast path.
+class PickCheckedCore(AppCore):
+    """An app core that checks its scheduling shortcut.
 
-    While the current thread keeps the core without a call to
-    ``_pick_thread`` (quantum left, runnable, no containment), this asks
-    ``_pick_thread`` anyway — side-effect free in that state — and
-    requires the same decision: the same thread, no context switch.
+    Each program is wrapped so that every op fetch is seen. A fetch with
+    no call to ``_pick_thread`` since the last one means the running
+    thread kept the core by the shortcut (quantum left, live, no
+    containment). In that state ``_pick_thread`` has no side effects,
+    so this asks it anyway and requires the same decision: the running
+    thread, no context switch.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, programs, **kwargs):
+        programs = {tid: self._checked(program)
+                    for tid, program in programs.items()}
+        super().__init__(*args, programs=programs, **kwargs)
         self.slow_picks = 0
         self.fast_picks = 0
         self._picked = False
@@ -295,12 +302,18 @@ class PickCheckedCore(TimeslicedAppCore):
         self.slow_picks += 1
         return super()._pick_thread()
 
-    def _next_op(self, tid):
-        if not self._picked:
-            self.fast_picks += 1
-            assert TimeslicedAppCore._pick_thread(self) == (tid, False)
-        self._picked = False
-        return super()._next_op(tid)
+    def _checked(self, program):
+        result = None
+        while True:
+            if not self._picked:
+                self.fast_picks += 1
+                assert AppCore._pick_thread(self) is self._ctx
+            self._picked = False
+            try:
+                op = program.send(result)
+            except StopIteration:
+                return
+            result = yield op
 
 
 class TestTimeslicedFastPath:
@@ -327,11 +340,12 @@ class TestTimeslicedFastPath:
         engine = Engine()
         log = LogBuffer(engine, config.log_config, "log")
         progress = ProgressTable(engine, list(range(len(programs))))
+        clock = itertools.count(1)
         core = PickCheckedCore(
             engine, "app", core_id=0,
             programs={tid: program(ThreadApi(tid))
                       for tid, program in enumerate(programs)},
-            captures={tid: OrderCapture(tid, config, log, {}, {})
+            captures={tid: OrderCapture(tid, config, log, {}, {}, clock)
                       for tid in range(len(programs))},
             memsys=CoherentMemorySystem(config, num_cores=2),
             memory=MainMemory(), config=config,

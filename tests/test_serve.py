@@ -70,6 +70,30 @@ class TestNormalizeRunConfig:
         assert config["no_accel"] is False
         assert run_digest(config) == run_digest(plain)
 
+    @pytest.mark.parametrize("scheme,ignored", [
+        ("timesliced", {"memory_model": "tso"}),
+        ("timesliced", {"capture": "per_core"}),
+        ("timesliced", {"memory_model": "tso", "capture": "per_core"}),
+        ("none", {"capture": "per_core"}),
+    ])
+    def test_fields_the_scheme_does_not_read_share_one_digest(
+            self, scheme, ignored):
+        # One time-sliced core has no store buffer and records no arcs,
+        # and an unmonitored run captures nothing: 2-thread swaptions
+        # runs the same cycles and trace hash either way.
+        plain = normalize_run_config({"workload": "swaptions",
+                                      "scheme": scheme})
+        config = normalize_run_config(dict(ignored, workload="swaptions",
+                                           scheme=scheme))
+        assert config == plain
+        assert run_digest(config) == run_digest(plain)
+
+    def test_unmonitored_keeps_the_memory_model(self):
+        config = normalize_run_config({"workload": "swaptions",
+                                       "scheme": "none",
+                                       "memory_model": "tso"})
+        assert config["memory_model"] == "tso"
+
     def test_accepts_exactly_the_platform_schemes(self):
         for scheme in SCHEMES:
             config = normalize_run_config({"workload": "lu",
