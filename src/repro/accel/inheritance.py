@@ -107,8 +107,13 @@ class InheritanceTracking:
     of many application threads through one core.
     """
 
-    def __init__(self, enabled: bool = True, tracer=None, owner: str = ""):
+    def __init__(self, enabled: bool = True, tracer=None, owner: str = "",
+                 load_checks: bool = True):
         self.enabled = enabled
+        #: Deliver the ``load_check`` half of an absorbed load. The
+        #: lifeguard core passes False when its lifeguard registers no
+        #: ``load_check`` handler (TaintCheck), which would drop it.
+        self.load_checks = load_checks
         self._rows: Dict[Tuple[int, int], _Row] = {}
         #: tid -> the smallest RID its rows hold (None: they hold none).
         #: Every cached value is exact; a tid missing here is stale and
@@ -175,16 +180,29 @@ class InheritanceTracking:
             # Absorbing never touches the lifeguard's register value,
             # so rows referencing rd stay valid (they refer to the
             # stored metadata, which only handler execution changes).
-            self._put(tid, record.rd,
-                      _Row(((record.addr, record.size),), (), record.rid))
+            # _put, inlined: the new row holds this record's RID.
+            rid = record.rid
+            key = (tid, record.rd)
+            rows = self._rows
+            old = rows[key] if key in rows else None
+            rows[key] = _Row(((record.addr, record.size),), (), rid)
+            floor = self.floor
+            if tid in floor:
+                held = floor[tid]
+                if held is None or rid <= held:
+                    floor[tid] = rid
+                elif old is not None and old.rid == held:
+                    del floor[tid]
             self.absorbed_events += 1
             # The *check* half of the load is still delivered: check
             # lifeguards (MemCheck, AddrCheck) must inspect every
-            # access even when its propagation is deferred; pure
-            # propagation lifeguards (TaintCheck) decline the event
-            # and it costs nothing. The Idempotent Filter is the
-            # accelerator that absorbs these.
-            return [("load_check", record)]
+            # access even when its propagation is deferred. A pure
+            # propagation lifeguard (TaintCheck) registers no handler
+            # for it, so IT does not build the event. The Idempotent
+            # Filter is the accelerator that absorbs these.
+            if self.load_checks:
+                return [("load_check", record)]
+            return []
 
         if kind == _ALU:
             return self._process_alu(record)
@@ -275,8 +293,10 @@ class InheritanceTracking:
 
         # A register without a row is one live-register term.
         rows = self._rows
-        row1 = rows.get((tid, rs1))
-        row2 = rows.get((tid, rs2))
+        key1 = (tid, rs1)
+        row1 = rows[key1] if key1 in rows else None
+        key2 = (tid, rs2)
+        row2 = rows[key2] if key2 in rows else None
         if row1 is None:
             sources, regs, rid = (), (rs1,), None
         else:
@@ -298,7 +318,17 @@ class InheritanceTracking:
             # A self-reference (rd in regs, the accumulator pattern) is
             # sound: it denotes rd's *stored* metadata, which stays
             # untouched until this row itself materializes.
-            self._put(tid, rd, _Row(sources, regs, rid))
+            # _put, inlined.
+            key = (tid, rd)
+            old = rows[key] if key in rows else None
+            rows[key] = _Row(sources, regs, rid)
+            floor = self.floor
+            if tid in floor:
+                held = floor[tid]
+                if rid is not None and (held is None or rid <= held):
+                    floor[tid] = rid
+                elif old is not None and held is not None and old.rid == held:
+                    del floor[tid]
             self.absorbed_events += 1
             return []
         # Cannot track the merge: materialize the source rows so their

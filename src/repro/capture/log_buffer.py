@@ -24,12 +24,20 @@ from repro.cpu.engine import Condition, Engine
 
 
 class LogBuffer:
-    """Bounded FIFO of event records with byte-occupancy accounting."""
+    """Bounded FIFO of event records with byte-occupancy accounting.
+
+    Two per-record callers work on the FIFOs inline rather than through
+    :meth:`try_append` and :meth:`pop`: :meth:`OrderCapture.flush
+    <repro.capture.order_capture.OrderCapture.flush>` appends to a
+    :attr:`plain` log, and the lifeguard core pops the head. Each keeps
+    ``queue``, ``_sizes``, ``_occupied_bytes``, the lifetime statistics
+    and the condition wake-ups exactly as these two methods do.
+    """
 
     __slots__ = ("engine", "capacity_bytes", "name", "faults", "records_lost",
-                 "queue", "_sizes", "_occupied_bytes", "_encoder", "not_full",
-                 "not_empty", "closed", "total_records", "total_bytes",
-                 "peak_bytes")
+                 "queue", "_sizes", "_occupied_bytes", "_encoder", "plain",
+                 "not_full", "not_empty", "closed", "total_records",
+                 "total_bytes", "peak_bytes")
 
     def __init__(self, engine: Engine, config: LogBufferConfig, name: str,
                  faults=None):
@@ -51,6 +59,9 @@ class LogBuffer:
         if config.use_codec:
             from repro.capture.compression import RecordEncoder
             self._encoder = RecordEncoder()
+        #: No fault plan and no codec: a record's size is the modelled
+        #: :func:`record_size_bytes`, so a producer may append inline.
+        self.plain = faults is None and self._encoder is None
         self.not_full = Condition(f"{name}.not_full")
         self.not_empty = Condition(f"{name}.not_empty")
         #: Set by the producing side when the thread exits, so a consumer

@@ -27,7 +27,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterator, Optional
 
-from repro.capture.events import Record, RecordKind, RecordSource
+from repro.capture.events import (
+    _BASE_RECORD_BYTES,
+    _HIGHLEVEL_KINDS,
+    _KIND_OF_OP,
+    Record,
+    RecordKind,
+    RecordSource,
+    record_size_bytes,
+)
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import CaptureMode, SimulationConfig
 from repro.trace.writer import tracer_for
@@ -64,6 +72,9 @@ class OrderCapture(RecordSource):
         #: checks that this set is empty.
         self._unfinalized = set()
         self._trace = trace
+        #: :meth:`flush` may append to the log inline: it is plain and
+        #: no ``keep_trace`` list copies each committed record.
+        self._inline_commit = trace is None and log.plain
         #: The store record currently being drained (TSO versioning hook).
         self.draining_record: Optional[Record] = None
         # Statistics
@@ -112,7 +123,48 @@ class OrderCapture(RecordSource):
                                  rid=record.rid, src_tid=src_tid,
                                  src_rid=src_rid)
 
+    def attach_to_last(self, conflicts) -> None:
+        """:meth:`attach_conflicts` on the record :meth:`retire` just queued."""
+        self.attach_conflicts(self._pending[-1], conflicts)
+
     # -- pending queue / commit --------------------------------------------------
+
+    def retire(self, op) -> int:
+        """Build, stamp and queue the finalized record of a retiring
+        micro-op; returns its RID.
+
+        This is :meth:`~RecordSource.begin_record` followed by
+        :meth:`enqueue`, in one call: the execute path of every record
+        that is final at retirement and whose commit time no other
+        record's can precede (not an HL record, whose ConflictAlert
+        marks are stamped first, and not a TSO load or store).
+        """
+        tid = self.tid
+        current_rids = self.current_rids
+        rid = current_rids[tid] + 1
+        current_rids[tid] = rid
+        # The slots exactly as begin_record sets them, plus the stamp.
+        record = Record.__new__(Record)
+        record.tid = tid
+        record.rid = rid
+        record.kind = _KIND_OF_OP[op.kind]
+        record.addr = op.addr
+        record.size = op.size
+        record.rd = op.rd
+        record.rs1 = op.rs1
+        record.rs2 = op.rs2
+        record.hl_kind = op.hl_kind
+        record.ranges = op.ranges or ()
+        record.critical_kind = op.critical_kind
+        record.arcs = None
+        record.reduced_arcs = None
+        record.ca_id = None
+        record.ca_issuer = False
+        record.consume_version = None
+        record.produce_versions = None
+        record.commit_time = next(self.clock)
+        self._pending.append(record)
+        return rid
 
     def enqueue(self, record: Record, finalized: bool = True) -> None:
         """Queue a retired record for in-order commit to the log."""
@@ -140,6 +192,35 @@ class OrderCapture(RecordSource):
         """
         pending = self._pending
         unfinalized = self._unfinalized
+        if self._inline_commit and not unfinalized:
+            # LogBuffer.try_append on a plain log, inlined: every
+            # pending record is final, and the common 1-byte record is
+            # sized without a call.
+            log = self.log
+            queue = log.queue
+            sizes = log._sizes
+            while pending:
+                record = pending[0]
+                if (record.arcs or record.kind in _HIGHLEVEL_KINDS
+                        or record.consume_version is not None
+                        or record.produce_versions):
+                    size = record_size_bytes(record)
+                else:
+                    size = _BASE_RECORD_BYTES
+                occupied = log._occupied_bytes + size
+                if occupied > log.capacity_bytes:
+                    return False
+                queue.append(record)
+                sizes.append(size)
+                log._occupied_bytes = occupied
+                log.total_records += 1
+                log.total_bytes += size
+                if occupied > log.peak_bytes:
+                    log.peak_bytes = occupied
+                if log.not_empty.waiters:
+                    log.not_empty.notify_all(log.engine)
+                pending.popleft()
+            return True
         try_append = self.log.try_append
         trace = self._trace
         while pending:

@@ -56,7 +56,16 @@ class NullCapture(RecordSource):
         self.fully_committed = True
         self.draining_record = None
 
+    def retire(self, op) -> int:
+        """Count one retired instruction; builds no record."""
+        rid = self.current_rids[self.tid] + 1
+        self.current_rids[self.tid] = rid
+        return rid
+
     def attach_conflicts(self, record, conflicts) -> None:
+        pass
+
+    def attach_to_last(self, conflicts) -> None:
         pass
 
     def enqueue(self, record, finalized: bool = True) -> None:
@@ -133,6 +142,14 @@ _HL_BEGIN = OpKind.HL_BEGIN
 _HL_END = OpKind.HL_END
 _THREAD_EXIT = OpKind.THREAD_EXIT
 
+#: Kinds whose execution :meth:`AppCore.step` does not inline: a
+#: ConflictAlert broadcast stamps its marks before the HL record, and a
+#: thread exit leaves the CA hub. Under TSO loads and stores go to
+#: :meth:`AppCore._execute` too (store buffer forwarding and pushes).
+_OUT_OF_LINE = frozenset({_HL_BEGIN, _HL_END, _THREAD_EXIT})
+_TSO_OUT_OF_LINE = _OUT_OF_LINE | {_LOAD, _STORE}
+_MEMORY = frozenset({_LOAD, _STORE, _RMW})
+
 
 class ThreadContext:
     """One application thread's state on an :class:`AppCore`: what a
@@ -167,6 +184,8 @@ class AppCore(CoreActor):
     scheduler always picks it again, so it never switches.
     """
 
+    delay_bucket = "execute"
+
     def __init__(self, engine: Engine, name: str, core_id: int,
                  programs: Dict[int, object], captures: Dict[int, object],
                  memsys, memory, config: SimulationConfig,
@@ -193,6 +212,9 @@ class AppCore(CoreActor):
         self._op = None
         self._ca_fence = None  # [(tid, capture, mark record)] to drain past
         self._phase = _FETCH
+        #: The op kinds :meth:`step` hands to :meth:`_execute`.
+        self._out_of_line = (_OUT_OF_LINE if store_buffer is None
+                             else _TSO_OUT_OF_LINE)
         self.instructions_retired = 0
         self.context_switches = 0
 
@@ -213,16 +235,20 @@ class AppCore(CoreActor):
         if not live:
             return None
         current = self._ctx
-        start = live.index(current) if current in live else 0
-        expired = self.instructions_retired >= self._slice_end
+        current_live = current in live
+        start = live.index(current) if current_live else 0
+        # Offset 0 is the running thread only while it is live; an
+        # exited one leaves offset 0 to the next live thread.
+        skip_current = current_live and (
+            self.instructions_retired >= self._slice_end)
         for offset in range(len(live)):
             ctx = live[(start + offset) % len(live)]
-            if offset == 0 and expired:
+            if offset == 0 and skip_current:
                 continue  # quantum expired: prefer someone else
             if self._runnable(ctx):
                 return ctx
         # Quantum expired but nobody else is runnable: keep running current.
-        if current in live and self._runnable(current):
+        if current_live and self._runnable(current):
             self._slice_end = self.instructions_retired + self._quantum
             return current
         return None
@@ -256,7 +282,8 @@ class AppCore(CoreActor):
     def step(self):
         phase = self._phase
         if phase == _COMMIT:
-            if not self.capture.flush():
+            # An unmonitored core has no log, so nothing to commit.
+            if self.log is not None and not self.capture.flush():
                 return ("wait", self.log.not_full, "wait_log", "log full")
             self._phase = phase = _FETCH
         elif phase == _FINISH:
@@ -288,18 +315,49 @@ class AppCore(CoreActor):
             ctx.result = None
             self._phase = _EXECUTE
             if switch_cost:
-                return ("delay", switch_cost, "execute")
+                return switch_cost
 
         if self.store_buffer is not None:
             stall = self._tso_pre_stall()
             if stall is not None:
                 return stall
-        latency = self._execute()
+        op = self._op
+        kind = op.kind
+        if kind in self._out_of_line:
+            latency = self._execute()
+        else:
+            # The execute path of every other record, inlined: one
+            # capture call queues the stamped record (a conflict-free
+            # access, every L1 hit, has no arcs to attach).
+            capture = self.capture
+            rid = capture.retire(op)
+            latency = 1
+            if kind in _MEMORY:
+                result = self.memsys.access(self.core_id, op.addr, op.size,
+                                            kind != _LOAD, rid)
+                if result.conflicts:
+                    capture.attach_to_last(result.conflicts)
+                latency = result.latency
+                if kind == _LOAD:
+                    self._ctx.result = self.memory.read(op.addr, op.size)
+                elif kind == _STORE:
+                    self.memory.write(op.addr, op.size, op.value)
+                else:
+                    self._ctx.result = self.memory.read(op.addr, op.size)
+                    self.memory.write(op.addr, op.size, op.value)
+                    latency += 2  # atomic read-modify-write penalty
+            elif kind == _NOP and op.value:
+                latency = op.value
+                if latency > 1:
+                    # A spin-wait pause yields the core (pthread
+                    # spin-then-block): spinning out a whole quantum
+                    # would hold up the thread it waits for.
+                    self._slice_end = 0
         self.instructions_retired += 1
         engine = self.engine
         engine.last_retire = engine.now  # Engine.note_retire, inlined
         self._phase = _COMMIT
-        return ("delay", latency, "execute")
+        return latency
 
     def _finish_step(self):
         if self.store_buffer is not None:
@@ -367,19 +425,17 @@ class AppCore(CoreActor):
     # -- execution ------------------------------------------------------------------------
 
     def _execute(self) -> int:
+        """Execute an HL record, a thread exit, or a TSO load or store."""
         op = self._op
         kind = op.kind
         capture = self.capture
         record = capture.begin_record(op)
         latency = 1
 
-        # A conflict-free access (every L1 hit) has no arcs to attach.
         if kind == _LOAD:
-            forwarded = (self.store_buffer.forward_value(op.addr, op.size)
-                         if self.store_buffer is not None else None)
+            forwarded = self.store_buffer.forward_value(op.addr, op.size)
             if forwarded is not None:
                 self._ctx.result = forwarded
-                capture.enqueue(record)
             else:
                 result = self.memsys.access(self.core_id, op.addr, op.size,
                                             False, record.rid)
@@ -387,41 +443,12 @@ class AppCore(CoreActor):
                     capture.attach_conflicts(record, result.conflicts)
                 self._ctx.result = self.memory.read(op.addr, op.size)
                 latency = result.latency
-                capture.enqueue(record)
+            capture.enqueue(record)
 
         elif kind == _STORE:
-            if self.store_buffer is not None:
-                capture.enqueue(record, finalized=False)
-                self.store_buffer.push(
-                    StoreBufferEntry(op.addr, op.size, op.value, record))
-            else:
-                result = self.memsys.access(self.core_id, op.addr, op.size,
-                                            True, record.rid)
-                if result.conflicts:
-                    capture.attach_conflicts(record, result.conflicts)
-                self.memory.write(op.addr, op.size, op.value)
-                latency = result.latency
-                capture.enqueue(record)
-
-        elif kind == _RMW:
-            result = self.memsys.access(self.core_id, op.addr, op.size,
-                                        True, record.rid)
-            if result.conflicts:
-                capture.attach_conflicts(record, result.conflicts)
-            self._ctx.result = self.memory.read(op.addr, op.size)
-            self.memory.write(op.addr, op.size, op.value)
-            latency = result.latency + 2  # atomic read-modify-write penalty
-            capture.enqueue(record)
-
-        elif kind == _NOP:
-            if op.value:
-                latency = op.value
-                if latency > 1:
-                    # A spin-wait pause yields the core (pthread
-                    # spin-then-block): spinning out a whole quantum
-                    # would hold up the thread it waits for.
-                    self._slice_end = 0
-            capture.enqueue(record)
+            capture.enqueue(record, finalized=False)
+            self.store_buffer.push(
+                StoreBufferEntry(op.addr, op.size, op.value, record))
 
         elif kind == _HL_BEGIN or kind == _HL_END:
             latency = 1 + self._maybe_broadcast(op, record)
@@ -431,12 +458,9 @@ class AppCore(CoreActor):
                 self._ctx.containment_rid = record.rid
                 self._slice_end = 0  # deschedule
 
-        elif kind == _THREAD_EXIT:
+        else:  # THREAD_EXIT
             if self.hooks.ca_hub is not None:
                 self.hooks.ca_hub.thread_exited(self._ctx.tid)
-            capture.enqueue(record)
-
-        else:  # MOVRR, ALU, LOADI, CRITICAL_USE
             capture.enqueue(record)
 
         return latency

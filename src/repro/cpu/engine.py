@@ -3,9 +3,18 @@
 The engine owns simulated time. Actors (cores) implement a ``step()``
 state machine returning one of::
 
+    cycles                             # an int: busy for `cycles`, charged
+                                       # to the actor's `delay_bucket`
     ("delay", cycles, bucket)          # busy for `cycles`, charged to `bucket`
     ("wait", condition, bucket, why)   # block until condition.notify_all()
     ("done",)                          # actor finished
+
+The bare ``int`` is the per-record form: a core that retires one record
+per step returns its latency without building a tuple. It must be an
+exact ``int``; a ``bool`` or any other value that is not one of the
+tuples above raises :class:`~repro.common.errors.SimulationError`
+("unknown step action"). A delay of 0 is a timing-invisible transition:
+the trampoline calls ``step()`` again at once.
 
 Waiting time is charged to the named bucket when the actor wakes, which
 is how the Figure 7 breakdown (useful work / waiting-for-dependence /
@@ -28,7 +37,13 @@ Ring invariant: every ring entry's cycle lies in ``[now, now + _RING_SIZE)``
 always lie at or beyond ``now + _RING_SIZE``; promotion runs on every
 advance of ``now``, *before* any callback at the new time executes, so a
 promoted (earlier-scheduled) callback always lands in its slot ahead of
-any same-cycle callback scheduled later.
+any same-cycle callback scheduled later. The ring keeps no event count:
+when the current slot is empty the run loop scans at most one ring
+length forward, and an empty scan means the ring is empty, so it jumps
+to the overflow head (or stops when that is empty too). Once every
+actor has finished, ``any(ring)`` stands in for the scan.
+:attr:`Engine.pending_events` sums the slots on demand; only timeouts and
+reports read it.
 
 Failure diagnosis: a drained queue with blocked actors is a classic
 deadlock; an optional :class:`Watchdog` additionally detects *livelock*
@@ -85,7 +100,6 @@ class Engine:
         # (the ring wraps), so the steady-state event path never
         # allocates an entry object — the callback itself is the entry.
         self._ring: List[Optional[deque]] = [None] * _RING_SIZE
-        self._ring_count = 0
         self._overflow: List = []
         self._seq = 0
         self._actors: List["CoreActor"] = []
@@ -116,7 +130,8 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of scheduled-but-not-yet-executed events."""
-        return self._ring_count + len(self._overflow)
+        return (sum(len(slot) for slot in self._ring if slot)
+                + len(self._overflow))
 
     def register(self, actor: "CoreActor") -> None:
         self._actors.append(actor)
@@ -146,7 +161,6 @@ class Engine:
             if slot is None:
                 slot = ring[index] = deque()
             slot.append(callback)
-            self._ring_count += 1
         else:
             self._seq += 1
             heapq.heappush(self._overflow,
@@ -174,7 +188,6 @@ class Engine:
             if slot is None:
                 slot = ring[index] = deque()
             slot.append(entry[2])
-            self._ring_count += 1
 
     def run(self, max_cycles: Optional[int] = None) -> int:
         """Run until all actors finish; returns the final time.
@@ -203,30 +216,39 @@ class Engine:
             # budget when time advances).
             if (max_cycles is not None and self.now > max_cycles
                     and ring[self.now & mask]):
-                pending = self._ring_count + len(overflow)
+                pending = self.pending_events
                 raise SimulationTimeout(
                     f"simulation exceeded max_cycles={max_cycles} "
                     f"at cycle {self.now} with {pending} pending events",
                     cycle=self.now, pending_events=pending)
-            while self._ring_count or overflow:
+            while True:
                 now = self.now
                 slot = ring[now & mask]
                 if not slot:
-                    # Advance to the next pending cycle: scan the ring if
-                    # it holds anything (bounded by the ring size, and
-                    # amortised over the cycles actually simulated), else
-                    # fast-forward straight to the overflow head.
-                    if self._ring_count:
-                        t = now + 1
-                        while not ring[t & mask]:
+                    # Advance to the next pending cycle: scan the ring
+                    # (at most one ring length, amortised over the cycles
+                    # actually simulated); a scan that finds nothing means
+                    # the ring is empty, so fast-forward straight to the
+                    # overflow head, or stop when that is empty too. Once
+                    # every actor has finished the ring is usually empty,
+                    # and one C-level pass proves it for far less than a
+                    # full scan costs (short runs end this way).
+                    t = now + 1
+                    end = now + _RING_SIZE
+                    if self._unfinished or any(ring):
+                        while t < end and not ring[t & mask]:
                             t += 1
                     else:
+                        t = end
+                    if t == end:
+                        if not overflow:
+                            break
                         t = overflow[0][0]
                     if overflow and overflow[0][0] < t + _RING_SIZE:
                         self._promote(t)
                     if max_cycles is not None and t > max_cycles:
                         self.now = t
-                        pending = self._ring_count + len(overflow)
+                        pending = self.pending_events
                         raise SimulationTimeout(
                             f"simulation exceeded max_cycles={max_cycles} "
                             f"at cycle {t} with {pending} pending events",
@@ -235,7 +257,6 @@ class Engine:
                     slot = ring[now & mask]
                 while slot:
                     callback = slot.popleft()
-                    self._ring_count -= 1
                     popped += 1
                     callback()
                     if (window and now - self.last_retire > window
@@ -392,6 +413,9 @@ class Condition:
 class CoreActor:
     """Base class for engine actors with time-bucket accounting."""
 
+    #: The bucket a bare-int ``step()`` delay is charged to.
+    delay_bucket = "useful"
+
     def __init__(self, engine: Engine, name: str, buckets: TimeBuckets = None):
         self.engine = engine
         self.name = name
@@ -457,63 +481,73 @@ class CoreActor:
     def _run(self) -> None:
         # Hot trampoline: locals for everything touched per step. `step`
         # and `_run` come from the instance dict (pre-bound in __init__),
-        # so no bound-method allocation happens on this path. A delay
-        # that lands in the calendar ring is charged and appended to its
-        # slot here; a far delay takes Engine.schedule, and a negative
-        # one TimeBuckets.charge, which rejects it.
+        # so no bound-method allocation happens on this path. A bare-int
+        # action is a delay charged to `delay_bucket`. A delay that lands
+        # in the calendar ring is charged and appended to its slot here;
+        # a far delay takes Engine.schedule, and a negative one
+        # TimeBuckets.charge, which rejects it.
         engine = self.engine
         step = self.step
         buckets = self.buckets.buckets
         run = self._run
+        delay_bucket = self.delay_bucket
         while True:
             action = step()
-            kind = action[0]
-            if kind == "delay":
-                cycles = action[1]
-                if cycles:
-                    if 0 < cycles < _RING_SIZE:
-                        # Engine.schedule's ring branch, inlined.
-                        buckets[action[2]] += cycles
-                        ring = engine._ring
-                        index = (engine.now + cycles) & _RING_MASK
-                        slot = ring[index]
-                        if slot is None:
-                            slot = ring[index] = deque()
-                        slot.append(run)
-                        engine._ring_count += 1
-                        return
-                    if cycles > 0:
-                        buckets[action[2]] += cycles
-                    else:
-                        self.buckets.charge(action[2], cycles)
-                    engine.schedule(cycles, run)
-                    return
-                # Zero-cost transition: keep stepping inline.
-            elif kind == "wait":
-                _, condition, bucket, reason = action
-                self._wait_started = engine.now
-                self._wait_bucket = bucket
-                self.wait_reason = f"{reason} ({condition.name})"
-                self.wait_condition = condition
-                condition.add_waiter(self)
-                tracer = engine.tracer
-                if tracer is not None:
-                    tracer.emit("engine", "stall", actor=self.name,
-                                cond=condition.name, why=reason,
-                                bucket=bucket)
-                return
-            elif kind == "done":
-                self._purge_wait()
-                self.finished = True
-                self.finish_time = engine.now
-                engine.note_finish(self)
-                tracer = engine.tracer
-                if tracer is not None:
-                    tracer.emit("engine", "done", actor=self.name)
-                self.on_finish()
-                return
+            if action.__class__ is int:
+                cycles = action
+                bucket = delay_bucket
             else:
-                raise SimulationError(f"{self.name}: unknown step action {kind!r}")
+                try:
+                    kind = action[0]
+                except (LookupError, TypeError):
+                    kind = action
+                if kind == "delay":
+                    cycles = action[1]
+                    bucket = action[2]
+                elif kind == "wait":
+                    _, condition, bucket, reason = action
+                    self._wait_started = engine.now
+                    self._wait_bucket = bucket
+                    self.wait_reason = f"{reason} ({condition.name})"
+                    self.wait_condition = condition
+                    condition.add_waiter(self)
+                    tracer = engine.tracer
+                    if tracer is not None:
+                        tracer.emit("engine", "stall", actor=self.name,
+                                    cond=condition.name, why=reason,
+                                    bucket=bucket)
+                    return
+                elif kind == "done":
+                    self._purge_wait()
+                    self.finished = True
+                    self.finish_time = engine.now
+                    engine.note_finish(self)
+                    tracer = engine.tracer
+                    if tracer is not None:
+                        tracer.emit("engine", "done", actor=self.name)
+                    self.on_finish()
+                    return
+                else:
+                    raise SimulationError(
+                        f"{self.name}: unknown step action {kind!r}")
+            if cycles:
+                if 0 < cycles < _RING_SIZE:
+                    # Engine.schedule's ring branch, inlined.
+                    buckets[bucket] += cycles
+                    ring = engine._ring
+                    index = (engine.now + cycles) & _RING_MASK
+                    slot = ring[index]
+                    if slot is None:
+                        slot = ring[index] = deque()
+                    slot.append(run)
+                    return
+                if cycles > 0:
+                    buckets[bucket] += cycles
+                else:
+                    self.buckets.charge(bucket, cycles)
+                engine.schedule(cycles, run)
+                return
+            # Zero-cost transition: keep stepping inline.
 
     def on_finish(self) -> None:
         """Hook for subclasses (e.g. to notify waiters that depend on us)."""

@@ -48,6 +48,11 @@ _NOP = RecordKind.NOP
 _HL_BEGIN = RecordKind.HL_BEGIN
 _HL_END = RecordKind.HL_END
 
+#: Kinds :meth:`LifeguardCore.step` processes inline (unless the record
+#: is an allocator access or produces TSO versions): everything but the
+#: HL and CA_MARK records, which flush accelerators or only cost a cycle.
+_INLINE_KINDS = frozenset(RecordKind) - {_HL_BEGIN, _HL_END, _CA_MARK}
+
 
 class LifeguardCore(CoreActor):
     """Consumes one event stream and runs one lifeguard thread."""
@@ -86,8 +91,9 @@ class LifeguardCore(CoreActor):
         self._advert_tracer = tracer_for(tracer, "advert")
         self._meta_tracer = tracer_for(tracer, "meta")
 
-        self.it = InheritanceTracking(enabled=use_it and lifeguard.uses_it,
-                                      tracer=tracer, owner=name)
+        self.it = InheritanceTracking(
+            enabled=use_it and lifeguard.uses_it, tracer=tracer, owner=name,
+            load_checks="load_check" in lifeguard.handlers)
         self.iff = IdempotentFilter(
             entries=config.if_entries,
             enabled=use_if and lifeguard.uses_if,
@@ -185,10 +191,26 @@ class LifeguardCore(CoreActor):
                     return ("done",)
                 self._phase = _PROCESS
                 return ("delay", max(1, fault.param or 10_000), "useful")
-        record = self.log.pop()
+        log = self.log
+        record = log.queue.popleft()  # LogBuffer.pop, inlined
         if record is not self._rec:
             raise SimulationError(f"{self.name}: log head changed underfoot")
-        cycles = self._process_record(record)
+        log._occupied_bytes -= log._sizes.popleft()
+        if log.not_full.waiters:
+            log.not_full.notify_all(log.engine)
+        kind = record.kind
+        if (kind in _INLINE_KINDS and record.critical_kind != "allocator"
+                and not record.produce_versions):
+            # _process_record for the common record, inlined.
+            cycles = self._arc_record_cost
+            if record.arcs:
+                cycles += cycles * len(record.arcs)
+            if kind != _NOP:
+                events = self._it_process(record)
+                if events:
+                    cycles += self._deliver(record, events)
+        else:
+            cycles = self._process_record(record)
         if record.ca_issuer and self.ca_hub is not None:
             self.ca_hub.mark_complete(record.ca_id)
         self._ca_arrived = False
@@ -203,22 +225,33 @@ class LifeguardCore(CoreActor):
         if self._retire_tracer is not None:
             self._retire_tracer.emit("engine", "retire", actor=self.name,
                                      tid=tid, rid=rid,
-                                     kind=KIND_NAMES[record.kind])
+                                     kind=KIND_NAMES[kind])
         table = self.progress_table
         if table is not None:
-            floor = self.it.floor
-            if (not self.delayed_advertising
-                    or (not self.iff.track_rids and tid in floor
-                        and (floor[tid] is None or floor[tid] > rid))):
-                # The advertised value is rid itself (what _publish
-                # would compute, with no flush): advertising is not
-                # delayed, or IT holds no RID <= rid for tid and the IF
-                # tracks none.
-                table.publish(tid, rid)
-            else:
+            # _publish, inlined while it would only publish: the value
+            # is rid itself when advertising is not delayed or IT holds
+            # no RID <= rid for tid, else IT's floor - 1. A stale floor,
+            # an IF that tracks RIDs, a threshold refresh and a traced
+            # hold take _publish.
+            advertised = rid
+            if self.delayed_advertising:
+                floor = self.it.floor
+                if self.iff.track_rids or tid not in floor:
+                    advertised = None
+                else:
+                    held = floor[tid]
+                    if held is not None and held <= rid:
+                        advertised = held - 1
+                        threshold = self._advert_threshold
+                        if ((threshold and rid - advertised > threshold)
+                                or self._advert_tracer is not None):
+                            advertised = None
+            if advertised is None:
                 cycles += self._publish(tid, rid)
+            elif advertised > table.values[tid]:
+                table.publish(tid, advertised)
         self._phase = _FETCH
-        return ("delay", max(cycles, 1), "useful")
+        return cycles if cycles > 1 else 1
 
     @property
     def last_retired(self):
@@ -315,8 +348,10 @@ class LifeguardCore(CoreActor):
     # -- record processing ------------------------------------------------------------------
 
     def _process_record(self, record: Record) -> int:
+        """The cycles to process an HL, CA_MARK, allocator or
+        version-producing record; :meth:`step` processes every other
+        record inline the same way."""
         cost = self._arc_record_cost * (1 + len(record.arcs or ()))
-        latency = 0
 
         if record.produce_versions and self.version_store is not None:
             for version_id, addr, length in record.produce_versions:
@@ -349,12 +384,23 @@ class LifeguardCore(CoreActor):
             # configured flushes before the event's handler runs.
             cost += self._accel_conflict_flush(record)
 
+        events = self._it_process(record)
+        if events:
+            cost += self._deliver(record, events)
+        return cost
+
+    def _deliver(self, record: Record, events) -> int:
+        """Run the handlers of the events IT delivered for ``record``
+        through the delivery filters and the IF; returns their cycles,
+        metadata latency included."""
+        cost = 0
+        latency = 0
         lifeguard = self.lifeguard
         handlers = lifeguard.handlers
         delivery_range = lifeguard.delivery_range
         iff = self.iff
         dispatch_cost = self._dispatch_cost
-        for event in self._it_process(record):
+        for event in events:
             kind = event[0]
             handler = handlers.get(record.hl_kind if kind == "hl" else kind)
             if handler is None:

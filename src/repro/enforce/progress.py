@@ -26,9 +26,11 @@ class ProgressTable:
     def __init__(self, engine: Engine, tids: Iterable[int], faults=None,
                  tracer=None):
         self.engine = engine
-        self._values: Dict[int, int] = {tid: 0 for tid in tids}
+        #: tid -> advertised RID. Only :meth:`publish` writes it; the
+        #: lifeguard core reads it to skip a publish that cannot rise.
+        self.values: Dict[int, int] = {tid: 0 for tid in tids}
         self._conditions: Dict[int, Condition] = {
-            tid: Condition(f"progress[t{tid}]") for tid in self._values
+            tid: Condition(f"progress[t{tid}]") for tid in self.values
         }
         #: Optional :class:`~repro.faults.FaultPlan` armed at ``progress``
         #: (a suppressed publish models a lost counter update).
@@ -40,18 +42,18 @@ class ProgressTable:
         self.publishes = 0
 
     def get(self, tid: int) -> int:
-        return self._values[tid]
+        return self.values[tid]
 
     def publish(self, tid: int, rid: int) -> None:
         """Advertise progress; monotone (stale publishes are ignored)."""
-        if rid > self._values[tid]:
+        if rid > self.values[tid]:
             if self.faults is not None:
                 fault = self.faults.fire(
                     "progress", tid=tid,
                     context=f"publish progress[t{tid}]={rid}")
                 if fault is not None:
                     return  # "suppress": the counter update is lost
-            self._values[tid] = rid
+            self.values[tid] = rid
             self.publishes += 1
             if self.tracer is not None:
                 self.tracer.emit("advert", "publish", tid=tid, rid=rid)
@@ -63,14 +65,14 @@ class ProgressTable:
         return self._conditions[tid]
 
     def satisfied(self, src_tid: int, src_rid: int) -> bool:
-        value = self._values.get(src_tid)
+        value = self.values.get(src_tid)
         if value is None:
             raise SimulationError(f"arc references unknown thread {src_tid}")
         return value >= src_rid
 
     def first_unmet(self, arcs) -> Optional[Tuple[int, int]]:
         """The first unsatisfied (tid, rid) arc, or None if all are met."""
-        values = self._values
+        values = self.values
         for src_tid, src_rid in arcs:
             value = values.get(src_tid)
             if value is None:
@@ -81,4 +83,4 @@ class ProgressTable:
         return None
 
     def snapshot(self) -> Dict[int, int]:
-        return dict(self._values)
+        return dict(self.values)

@@ -50,6 +50,8 @@ META_BASE = 0x8000_0000
 CHUNK_APP_BYTES = 64 * 1024
 
 _VALID_BITS = (1, 2, 4, 8)
+#: The aligned access sizes :meth:`MetadataMap.sim_accesses` emits.
+_CHUNK_SIZES = frozenset({1, 2, 4, 8})
 
 #: C-level scanner for nonzero metadata bytes (fingerprinting and
 #: :meth:`MetadataMap.same_state`).
@@ -417,9 +419,11 @@ class MetadataMap:
         bits = self.bits_per_byte
         first = base + app_addr * bits // 8
         last = base + (app_addr + size - 1) * bits // 8
+        remaining = last - first + 1
+        if remaining in _CHUNK_SIZES and not first % remaining:
+            return [(first, remaining, is_write)]  # one aligned chunk
         accesses = []
         addr = first
-        remaining = last - first + 1
         while remaining > 0:
             # Largest power-of-two chunk that keeps the access aligned.
             chunk = 8

@@ -14,7 +14,13 @@ from repro.common.config import CacheConfig
 
 
 class SetAssocCache:
-    """A tag store: line index -> payload, with per-set LRU replacement."""
+    """A tag store: line index -> payload, with per-set LRU replacement.
+
+    :meth:`CoherentMemorySystem.access
+    <repro.memory.coherence.CoherentMemorySystem.access>` serves L1 hits
+    by reading ``_sets`` and ``_num_sets`` directly, with the same LRU
+    touch as :meth:`lookup`.
+    """
 
     __slots__ = ("config", "_sets", "_num_sets")
 

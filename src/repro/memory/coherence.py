@@ -137,29 +137,42 @@ class CoherentMemorySystem:
         # An L1 hit is served here: it causes no coherence traffic, so
         # it only refreshes LRU, counts the hit and updates the line's
         # tags. Misses and S-state write upgrades take _read/_write.
+        # Both tag lookups are SetAssocCache.lookup (with its LRU
+        # touch), inlined.
         l1 = self._l1[core]
-        state = l1.lookup(line)
-        if is_write:
-            if state != _MODIFIED and state != _EXCLUSIVE:
+        sets = l1._sets
+        index = line % l1._num_sets
+        entries = sets[index] if index in sets else None
+        state = (entries[line] if entries is not None and line in entries
+                 else None)
+        if state is None:
+            if is_write:
                 return self._write(core, line, rid)
-            self.l1_hits[core] += 1
+            return self._read(core, line, rid)
+        del entries[line]
+        entries[line] = state
+        if is_write:
             if state == _EXCLUSIVE:
-                l1.update(line, _MODIFIED)
-            entry = self._l2.lookup(line)
-            if entry is None:
-                raise SimulationError("inclusion violated: L1 hit without L2 entry")
+                entries[line] = _MODIFIED
+            elif state != _MODIFIED:
+                return self._write(core, line, rid)  # S-state upgrade
+        self.l1_hits[core] += 1
+        l2 = self._l2
+        sets = l2._sets
+        index = line % l2._num_sets
+        entries = sets[index] if index in sets else None
+        if entries is None or line not in entries:
+            raise SimulationError("inclusion violated: L1 hit without L2 entry")
+        entry = entries[line]
+        del entries[line]
+        entries[line] = entry
+        if is_write:
             entry.last_writer = (core, rid)
             entry.readers.clear()
             entry.owner = core
             entry.sharers = {core}
-            return self.l1_hit
-        if state is None:
-            return self._read(core, line, rid)
-        self.l1_hits[core] += 1
-        entry = self._l2.lookup(line)
-        if entry is None:
-            raise SimulationError("inclusion violated: L1 hit without L2 entry")
-        entry.readers[core] = rid
+        else:
+            entry.readers[core] = rid
         return self.l1_hit
 
     def line_state(self, core: int, addr: int) -> Optional[str]:

@@ -27,31 +27,29 @@ class MainMemory:
     def __init__(self):
         self._pages = {}
 
-    def _page_for(self, addr: int, create: bool):
-        page_no = addr // _PAGE_BYTES
-        page = self._pages.get(page_no)
-        if page is None and create:
-            page = bytearray(_PAGE_BYTES)
-            self._pages[page_no] = page
-        return page
-
     def read(self, addr: int, size: int) -> int:
         """Read ``size`` bytes at ``addr`` as a little-endian unsigned int."""
         if (addr < 0 or size not in _SIZES
                 or addr // _PAGE_BYTES != (addr + size - 1) // _PAGE_BYTES):
             self._check(addr, size)
-        page = self._page_for(addr, create=False)
-        if page is None:
+        pages = self._pages
+        page_no = addr // _PAGE_BYTES
+        if page_no not in pages:
             return 0
         offset = addr % _PAGE_BYTES
-        return int.from_bytes(page[offset:offset + size], "little")
+        return int.from_bytes(pages[page_no][offset:offset + size], "little")
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Write ``value`` (masked to ``size`` bytes) at ``addr``."""
         if (addr < 0 or size not in _SIZES
                 or addr // _PAGE_BYTES != (addr + size - 1) // _PAGE_BYTES):
             self._check(addr, size)
-        page = self._page_for(addr, create=True)
+        pages = self._pages
+        page_no = addr // _PAGE_BYTES
+        if page_no in pages:
+            page = pages[page_no]
+        else:
+            page = pages[page_no] = bytearray(_PAGE_BYTES)
         offset = addr % _PAGE_BYTES
         page[offset:offset + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "little"

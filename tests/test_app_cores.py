@@ -391,3 +391,14 @@ class TestTimeslicedFastPath:
             [self.nops(1), self.nops(5)], quantum=8)
         assert order == [0, 0, 1, 1, 1, 1, 1, 1]
         assert (switches, total) == (1, 208)
+
+    def test_current_thread_exits_on_last_instruction_of_its_quantum(self):
+        # Thread 0's exit is its fourth instruction, the last of its
+        # quantum. An exited thread is not offset 0 of the round robin,
+        # so thread 1 is picked, not passed over into a containment
+        # wait that nothing would ever end.
+        order, switches, total, _ = self.run(
+            [self.nops(3), self.nops(10)], quantum=4)
+        assert order == [0] * 4 + [1] * 11
+        assert switches == 1
+        assert total == 215

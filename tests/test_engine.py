@@ -137,6 +137,45 @@ class TestEngine:
             engine.run()
 
 
+class TestStepProtocol:
+    """``step()`` may return a bare ``int``: a delay charged to the
+    actor's ``delay_bucket``, exactly like the ``("delay", n, bucket)``
+    tuple."""
+
+    DELAYS = [5, 0, 3, 1, 0, 2000, 7, 1023, 1024, 1]
+
+    @staticmethod
+    def run_script(script, delay_bucket=None):
+        engine = Engine()
+        actor = ScriptedActor(engine, "a", script)
+        if delay_bucket is not None:
+            actor.delay_bucket = delay_bucket
+        actor.start()
+        finish = engine.run()
+        return finish, actor.buckets.as_dict(), engine.events_popped
+
+    @pytest.mark.parametrize("bucket", [None, "execute"])
+    def test_bare_int_is_a_delay_in_the_delay_bucket(self, bucket):
+        expected_bucket = bucket or CoreActor.delay_bucket
+        as_ints = self.run_script(self.DELAYS, delay_bucket=bucket)
+        as_tuples = self.run_script(
+            [("delay", cycles, expected_bucket) for cycles in self.DELAYS])
+        assert as_ints == as_tuples
+        assert as_ints[0] == sum(self.DELAYS)
+        assert as_ints[1] == {expected_bucket: sum(self.DELAYS)}
+
+    def test_negative_bare_int_is_rejected_like_the_tuple(self):
+        for action in (-1, ("delay", -1, "useful")):
+            with pytest.raises(ValueError, match="negative cycles"):
+                self.run_script([action])
+
+    @pytest.mark.parametrize("action", [True, False, None, 2.5, "delay",
+                                        (), [], {}])
+    def test_non_action_raises_simulation_error(self, action):
+        with pytest.raises(SimulationError, match="unknown step action"):
+            self.run_script([action])
+
+
 class TestConditions:
     def test_wait_charges_bucket_on_wake(self):
         engine = Engine()

@@ -14,8 +14,20 @@ from repro.common.config import (
     SimulationConfig,
 )
 from repro.cpu.engine import Engine
-from repro.isa.instructions import HLEventKind, load, store
-from repro.isa.registers import R0
+from repro.capture.events import Record
+from repro.cpu.cores import NullCapture
+from repro.isa.instructions import (
+    HLEventKind,
+    alu,
+    critical_use,
+    hl_begin,
+    load,
+    movrr,
+    nop,
+    rmw,
+    store,
+)
+from repro.isa.registers import R0, R1, R2
 from repro.lifeguards import TaintCheck
 from repro.memory.coherence import Conflict
 from repro.platform import run_scheme
@@ -146,6 +158,51 @@ class TestCommit:
         assert capture.flush()
         assert log.pop() is pending_store
         assert log.pop() is later
+
+    OPS = [load(R0, 0x100), store(0x140, R1, value=3), rmw(R2, 0x180, 1),
+           movrr(R1, R0), alu(R2, R0, R1), critical_use(R2), nop(),
+           hl_begin(HLEventKind.MALLOC, ranges=[(0x200, 16)])]
+
+    def test_retire_builds_what_begin_record_and_enqueue_build(self):
+        fused, _, _ = make_capture()
+        split, _, _ = make_capture()
+        for op in self.OPS:
+            rid = fused.retire(op)
+            split.enqueue(split.begin_record(op))
+            built, reference = fused._pending[-1], split._pending[-1]
+            assert rid == built.rid
+            for slot in Record.__slots__:
+                assert getattr(built, slot) == getattr(reference, slot), slot
+
+    def test_null_capture_retire_counts_rids(self):
+        capture = NullCapture(3)
+        assert [capture.retire(op) for op in self.OPS[:3]] == [1, 2, 3]
+        assert capture.current_rids == {3: 3}
+
+    @pytest.mark.parametrize("log_bytes", [4, 40, 1024])
+    def test_inline_commit_matches_try_append(self, log_bytes):
+        # A keep_trace capture commits through LogBuffer.try_append; a
+        # plain one appends inline. Both must leave the log identical,
+        # whether a record fits or not.
+        def drive(trace):
+            engine = Engine()
+            log = LogBuffer(engine, LogBufferConfig(size_bytes=log_bytes),
+                            "log")
+            capture = OrderCapture(0, SimulationConfig(), log, {0: 0, 1: 1},
+                                   {}, itertools.count(1), trace=trace)
+            outcomes = []
+            for index, op in enumerate(self.OPS * 3):
+                capture.retire(op)
+                if index % 4 == 1:
+                    capture.attach_to_last([Conflict(1, index, True)])
+                outcomes.append(capture.flush())
+                if index % 5 == 4 and len(log):
+                    log.pop()
+            return (outcomes, [(r.rid, r.kind) for r in log.queue],
+                    list(log._sizes), log.occupied_bytes, log.total_records,
+                    log.total_bytes, log.peak_bytes)
+
+        assert drive(trace=None) == drive(trace=[])
 
     def test_commit_time_is_globally_monotone(self):
         capture, _, _ = make_capture()

@@ -97,6 +97,40 @@ class TestOverflowPromotion:
         engine.run()
         assert engine.pending_events == 0
 
+    def test_events_after_every_actor_finished_still_fire(self):
+        # With no unfinished actor the run loop tests the ring for
+        # emptiness in one pass; events left in the ring or the
+        # overflow heap must still run in time order.
+        class Finisher(CoreActor):
+            def step(self):
+                return ("done",)
+
+        engine = Engine()
+        fired = []
+        Finisher(engine, "f").start()
+        engine.schedule(50, lambda: fired.append(engine.now))
+        engine.schedule(3 * _RING_SIZE, lambda: fired.append(engine.now))
+        assert engine.run() == 3 * _RING_SIZE
+        assert fired == [50, 3 * _RING_SIZE]
+
+    def test_pending_events_after_promotion_and_timeout(self):
+        # The count is summed from the ring slots on demand: it must
+        # follow events as they are promoted from the overflow heap,
+        # and a timeout reports it with the tripping event included.
+        engine = Engine()
+        for delay in (1, 1, 5, _RING_SIZE - 1, _RING_SIZE,
+                      _RING_SIZE + 3, 3 * _RING_SIZE):
+            engine.schedule(delay, lambda: None)
+        assert engine.pending_events == 7
+        with pytest.raises(SimulationTimeout) as info:
+            engine.run(max_cycles=_RING_SIZE + 1)
+        # Five events ran (cycles 1, 1, 5, RING-1, RING); the one at
+        # RING+3 tripped the budget and the far one is still queued.
+        assert engine.events_popped == 5
+        assert info.value.pending_events == engine.pending_events == 2
+        assert engine.run() == 3 * _RING_SIZE
+        assert engine.pending_events == 0
+
 
 class Forever(CoreActor):
     """Delays forever in fixed strides (budget-tripping workhorse)."""
