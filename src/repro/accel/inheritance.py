@@ -38,7 +38,7 @@ Delivered events are plain tuples; the vocabulary is documented in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.capture.events import Record, RecordKind
 from repro.trace.writer import tracer_for
@@ -77,14 +77,19 @@ _PASSTHROUGH_EVENTS = {
 }
 
 
-def passthrough_event(record: Record) -> Optional[str]:
-    """The event name ``record`` delivers with IT disabled (None: it
-    delivers nothing): its kind's :data:`_PASSTHROUGH_EVENTS` name, and
-    ``load_versioned`` for a load that consumes a TSO version."""
-    name = _PASSTHROUGH_EVENTS.get(record.kind)
-    if name == "load" and record.consume_version is not None:
-        return "load_versioned"
-    return name
+def passthrough_events(records: Iterable[Record]) -> List[tuple]:
+    """The events ``records`` deliver with IT disabled, in order.
+
+    A record whose kind has a :data:`_PASSTHROUGH_EVENTS` name delivers
+    one ``(name, record)`` event, named ``load_versioned`` for a load
+    that consumes a TSO version; any other record delivers nothing.
+    """
+    names = _PASSTHROUGH_EVENTS
+    return [("load_versioned"
+             if name == "load" and record.consume_version is not None
+             else name, record)
+            for record in records
+            if (name := names.get(record.kind)) is not None]
 
 
 class _Row:
@@ -373,8 +378,7 @@ class InheritanceTracking:
 
     def _passthrough(self, record: Record) -> List[tuple]:
         """IT disabled: every record becomes a plain delivered event."""
-        name = passthrough_event(record)
-        return [] if name is None else [(name, record)]
+        return passthrough_events((record,))
 
     # -- flushing --------------------------------------------------------------
 

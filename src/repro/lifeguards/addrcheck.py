@@ -70,7 +70,7 @@ class AddrCheck(Lifeguard):
                 "unallocated-access", rec.tid, rec.rid,
                 f"{event[0]} of {rec.size} bytes at {rec.addr:#x}",
             )
-        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
+        return (self._body_cost, [(rec.addr, rec.size, False)])
 
     def _load_versioned(self, event):
         # TSO versioned load: the access check runs against the metadata
@@ -86,7 +86,7 @@ class AddrCheck(Lifeguard):
                 "unallocated-access", rec.tid, rec.rid,
                 f"load_versioned of {rec.size} bytes at {rec.addr:#x}",
             )
-        return (self.costs.handler_body_cost + 2,
+        return (self._body_cost + 2,
                 [(rec.addr, rec.size, False)])
 
     def if_key(self, event):

@@ -81,6 +81,21 @@ class Violation:
                 f"#{self.rid} {self.detail})")
 
 
+class RegisterRows(dict):
+    """tid -> that thread's list of per-register metadata values.
+
+    Indexing a thread that has no row yet creates its all-zero row, so
+    a handler reads and writes ``registers[tid][reg]`` directly. It is a
+    plain dict otherwise (equality, iteration, ``get``).
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, tid: int) -> list:
+        row = self[tid] = [0] * NUM_REGISTERS
+        return row
+
+
 class Lifeguard:
     """Base class; subclasses implement the handler table."""
 
@@ -116,9 +131,11 @@ class Lifeguard:
     def __init__(self, costs: LifeguardCostConfig = None,
                  heap_range: Tuple[int, int] = None):
         self.costs = costs or LifeguardCostConfig()
+        #: ``costs.handler_body_cost`` (the config is frozen).
+        self._body_cost = self.costs.handler_body_cost
         self.heap_range = heap_range
         self.metadata = MetadataMap(self.bits_per_app_byte)
-        self.registers = {}  # tid -> list of per-register metadata values
+        self.registers = RegisterRows()
         self.violations: List[Violation] = []
         #: Shared syscall range table, injected by the platform.
         self.range_table = None
@@ -150,11 +167,8 @@ class Lifeguard:
     # -- shared helpers -------------------------------------------------------------
 
     def regs(self, tid: int) -> list:
-        registers = self.registers.get(tid)
-        if registers is None:
-            registers = [0] * NUM_REGISTERS
-            self.registers[tid] = registers
-        return registers
+        """Thread ``tid``'s register row (handlers index ``registers``)."""
+        return self.registers[tid]
 
     def in_heap(self, addr: int) -> bool:
         if self.heap_range is None:
@@ -174,7 +188,7 @@ class Lifeguard:
     def copy_register(self, event: tuple) -> Tuple[int, list]:
         """``movrr``: the destination register takes the source's metadata."""
         rec = event[1]
-        regs = self.regs(rec.tid)
+        regs = self.registers[rec.tid]
         regs[rec.rd] = regs[rec.rs1]
         return (1, [])
 

@@ -31,6 +31,9 @@ _EXCLUSIVE = 1
 _SHARED = 2
 _SHARED_MODIFIED = 3
 
+#: The lockset of a thread that holds no lock.
+_NO_LOCKS = frozenset()
+
 
 class _WordState:
     __slots__ = ("state", "owner", "lockset")
@@ -86,22 +89,17 @@ class LockSet(Lifeguard):
     # -- helpers -----------------------------------------------------------------
 
     def _held_locks(self, tid: int) -> frozenset:
-        return self._held.get(tid, frozenset())
-
-    def _word(self, addr: int) -> _WordState:
-        word = addr & ~3
-        state = self._words.get(word)
-        if state is None:
-            state = _WordState()
-            self._words[word] = state
-        return state
+        return self._held.get(tid, _NO_LOCKS)
 
     def _update(self, tid: int, rec, addr: int, is_write: bool) -> int:
         """Run the Eraser state machine; returns the handler cost."""
-        if (addr & ~3) in self._sync_addrs:
+        word_addr = addr & ~3
+        if word_addr in self._sync_addrs:
             return 1
-        word = self._word(addr)
-        cost = self.costs.handler_body_cost
+        word = self._words.get(word_addr)
+        if word is None:
+            word = self._words[word_addr] = _WordState()
+        cost = self._body_cost
         changed = False
 
         if word.state == _VIRGIN:
@@ -111,10 +109,10 @@ class LockSet(Lifeguard):
         elif word.state == _EXCLUSIVE:
             if word.owner != tid:
                 word.state = _SHARED_MODIFIED if is_write else _SHARED
-                word.lockset = self._held_locks(tid)
+                word.lockset = self._held.get(tid, _NO_LOCKS)
                 changed = True
         else:
-            new_lockset = word.lockset & self._held_locks(tid)
+            new_lockset = word.lockset & self._held.get(tid, _NO_LOCKS)
             if is_write and word.state == _SHARED:
                 word.state = _SHARED_MODIFIED
                 changed = True
@@ -123,7 +121,6 @@ class LockSet(Lifeguard):
                 changed = True
 
         if word.state == _SHARED_MODIFIED and not word.lockset:
-            word_addr = addr & ~3
             if word_addr not in self._raced_words:
                 self._raced_words.add(word_addr)
                 self.violation(

@@ -79,93 +79,107 @@ class MemCheck(Lifeguard):
 
     # -- semantic helpers ----------------------------------------------------------
 
+    # Each helper tests ``heap_range`` inline (``in_heap`` without the
+    # call): non-heap memory is always addressable and defined.
+
     def _defined(self, addr: int, size: int) -> bool:
-        if not self.in_heap(addr):
+        heap = self.heap_range
+        if heap is not None and not heap[0] <= addr < heap[1]:
             return True
-        return all(
-            self.metadata.get(addr + i) & INITIALIZED for i in range(size)
-        )
+        return bool(self.metadata.common_bits(addr, size) & INITIALIZED)
 
-    def _addressable(self, addr: int, size: int) -> bool:
-        if not self.in_heap(addr):
-            return True
-        return all(
-            self.metadata.get(addr + i) & ADDRESSABLE for i in range(size)
-        )
-
-    def _judge_load(self, rec, bits_at) -> int:
-        """Check a load against the metadata bits ``bits_at(addr)`` of
-        each byte it reads; returns the loaded value's definedness.
-        Non-heap loads are never reported and always defined."""
-        if not self.in_heap(rec.addr):
-            return 1
-        byte_bits = [bits_at(rec.addr + i) for i in range(rec.size)]
-        defined = all(bits & INITIALIZED for bits in byte_bits)
-        if not all(bits & ADDRESSABLE for bits in byte_bits):
+    def _judge_load(self, rec, bits: int) -> int:
+        """Check a heap load whose bytes all carry the metadata ``bits``
+        (the AND over its bytes); returns the loaded value's definedness.
+        """
+        if not bits & ADDRESSABLE:
             self.violation("unaddressable-load", rec.tid, rec.rid,
                            f"load at {rec.addr:#x}")
-        elif not defined:
+        elif not bits & INITIALIZED:
             self.violation("uninitialized-load", rec.tid, rec.rid,
                            f"load at {rec.addr:#x}")
-        return 1 if defined else 0
+        return 1 if bits & INITIALIZED else 0
 
-    def _write_state(self, addr: int, size: int, defined: bool) -> None:
-        if not self.in_heap(addr):
-            return
-        for i in range(size):
-            bits = self.metadata.get(addr + i) & ADDRESSABLE
-            if defined:
-                bits |= INITIALIZED
-            self.metadata.set(addr + i, bits)
+    def _check_load(self, rec) -> int:
+        """Judge a load against the current metadata; returns the loaded
+        value's definedness. Non-heap loads are never reported and
+        always defined."""
+        heap = self.heap_range
+        if heap is not None and not heap[0] <= rec.addr < heap[1]:
+            return 1
+        return self._judge_load(
+            rec, self.metadata.common_bits(rec.addr, rec.size))
+
+    def _write_state(self, addr: int, size: int, defined: bool) -> int:
+        """Mark a heap range's bytes initialized or not, keeping each
+        byte's ADDRESSABLE bit; returns ADDRESSABLE when every byte has
+        it (or the range is not heap memory), else 0."""
+        heap = self.heap_range
+        if heap is not None and not heap[0] <= addr < heap[1]:
+            return ADDRESSABLE
+        metadata = self.metadata
+        initialized = INITIALIZED if defined else 0
+        addressable = metadata.common_bits(addr, size) & ADDRESSABLE
+        if addressable or not metadata.get_access(addr, size) & ADDRESSABLE:
+            # Every byte has the same ADDRESSABLE bit: one range write.
+            metadata.set_range(addr, size, addressable | initialized)
+        else:
+            for app_addr in range(addr, addr + size):
+                metadata.set(app_addr,
+                             (metadata.get(app_addr) & ADDRESSABLE)
+                             | initialized)
+        return addressable
 
     # -- handlers ------------------------------------------------------------------
 
     def _load(self, event):
         rec = event[1]
-        self.regs(rec.tid)[rec.rd] = self._judge_load(rec, self.metadata.get)
-        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
+        self.registers[rec.tid][rec.rd] = self._check_load(rec)
+        return (self._body_cost, [(rec.addr, rec.size, False)])
 
     def _load_check(self, event):
         # The check half of an IT-absorbed load: the definedness
         # propagation is deferred in the IT row, the access check is
         # performed (and Idempotent-Filtered) right away.
         rec = event[1]
-        self._judge_load(rec, self.metadata.get)
-        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
+        self._check_load(rec)
+        return (self._body_cost, [(rec.addr, rec.size, False)])
 
     def _load_versioned(self, event):
         # Judged exactly like a plain load, against the metadata version
         # the load is ordered with; a byte outside the snapshot has no
         # recorded state (unaddressable), as in AddrCheck.
         rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
-
-        def bits_at(addr):
-            index = addr - snap_base
-            return snapshot[index] if 0 <= index < len(snapshot) else 0
-
-        self.regs(rec.tid)[rec.rd] = self._judge_load(rec, bits_at)
-        return (self.costs.handler_body_cost + 2, [(rec.addr, rec.size, False)])
+        defined = 1
+        if self.in_heap(rec.addr):
+            bits = ADDRESSABLE | INITIALIZED
+            for index in range(rec.addr - snap_base,
+                               rec.addr - snap_base + rec.size):
+                bits &= snapshot[index] if 0 <= index < len(snapshot) else 0
+            defined = self._judge_load(rec, bits)
+        self.registers[rec.tid][rec.rd] = defined
+        return (self._body_cost + 2, [(rec.addr, rec.size, False)])
 
     def _store(self, event):
         rec = event[1]
-        if self.in_heap(rec.addr) and not self._addressable(rec.addr, rec.size):
+        if not self._write_state(rec.addr, rec.size,
+                                 bool(self.registers[rec.tid][rec.rs1])):
             self.violation("unaddressable-store", rec.tid, rec.rid,
                            f"store at {rec.addr:#x}")
-        self._write_state(rec.addr, rec.size,
-                          bool(self.regs(rec.tid)[rec.rs1]))
-        return (self.costs.handler_body_cost,
+        return (self._body_cost,
                 [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
 
     def _rmw(self, event):
         rec = event[1]
-        self.regs(rec.tid)[rec.rd] = 1 if self._defined(rec.addr, rec.size) else 0
+        self.registers[rec.tid][rec.rd] = (
+            1 if self._defined(rec.addr, rec.size) else 0)
         self._write_state(rec.addr, rec.size, True)
-        return (self.costs.handler_body_cost + 2,
+        return (self._body_cost + 2,
                 [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
 
     def _alu(self, event):
         rec = event[1]
-        regs = self.regs(rec.tid)
+        regs = self.registers[rec.tid]
         defined = regs[rec.rs1]
         if rec.rs2 is not None:
             defined = defined & regs[rec.rs2]
@@ -174,38 +188,37 @@ class MemCheck(Lifeguard):
 
     def _loadi(self, event):
         rec = event[1]
-        self.regs(rec.tid)[rec.rd] = 1
+        self.registers[rec.tid][rec.rd] = 1
         return (1, [])
 
     def _critical(self, event):
         rec = event[1]
-        if not self.regs(rec.tid)[rec.rs1]:
+        if not self.registers[rec.tid][rec.rs1]:
             self.violation("undefined-critical-use", rec.tid, rec.rid,
                            f"r{rec.rs1} used as {rec.critical_kind}")
         return (2, [])
 
     def _reg_inherit(self, event):
         _, tid, reg, sources, live_regs = event
-        regs = self.regs(tid)
+        regs = self.registers[tid]
         defined = all(self._defined(addr, size) for addr, size in sources)
         defined = defined and all(regs[live] for live in live_regs)
         regs[reg] = 1 if defined else 0
-        return (self.costs.handler_body_cost if sources else 1,
+        return (self._body_cost if sources else 1,
                 [(addr, size, False) for addr, size in sources])
 
     def _mem_inherit(self, event):
         _, dst, size, sources, live_regs, rec = event
-        regs = self.regs(rec.tid)
-        if self.in_heap(dst) and not self._addressable(dst, size):
-            self.violation("unaddressable-store", rec.tid, rec.rid,
-                           f"store at {dst:#x}")
+        regs = self.registers[rec.tid]
         defined = all(self._defined(src, src_size)
                       for src, src_size in sources)
         defined = defined and all(regs[live] for live in live_regs)
-        self._write_state(dst, size, defined)
+        if not self._write_state(dst, size, defined):
+            self.violation("unaddressable-store", rec.tid, rec.rid,
+                           f"store at {dst:#x}")
         accesses = [(src, src_size, False) for src, src_size in sources]
         accesses.append((dst, size, True))
-        return (self.costs.handler_body_cost + 1, accesses)
+        return (self._body_cost + 1, accesses)
 
     def _malloc(self, event):
         rec = event[1]

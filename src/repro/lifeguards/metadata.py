@@ -23,13 +23,17 @@ are already ordered by the captured arcs.
 
 Performance notes (the semantic view sits on the handler hot path):
 
-* Range operations (``get_access``/``set_access``/``set_range``/
-  ``all_equal``/``any_equal``/``snapshot_range``) work on whole packed
-  metadata *bytes* — partial head/tail slots are handled bit-wise, the
-  aligned middle is a single C-level ``bytearray`` slice operation —
-  instead of one table walk per application byte.
+* Range operations (``get_access``/``common_bits``/``set_access``/
+  ``set_range``/``all_equal``/``any_equal``/``snapshot_range``) work
+  on whole packed metadata *bytes* — partial head/tail slots are
+  handled bit-wise, a long aligned middle is a single C-level
+  ``bytearray`` slice operation — instead of one table walk per
+  application byte.
 * A one-entry last-chunk cache short-circuits the first-level lookup
-  for sequential access patterns.
+  for sequential access patterns. The hot range ops
+  (``get_access``/``common_bits``/``set_range``/``all_equal``) read it
+  inline, so an access inside one chunk costs one call to a span
+  helper and nothing else.
 * Writing value 0 to a never-touched chunk is a **no-op**: zeroing
   sweeps over untouched memory must not materialize shadow chunks.
   :attr:`chunk_allocations` and :attr:`peak_chunks` make allocation
@@ -46,8 +50,12 @@ from repro.common.errors import ConfigurationError
 #: Base of the simulated metadata virtual address region.
 META_BASE = 0x8000_0000
 
-#: Application bytes covered by one second-level chunk.
-CHUNK_APP_BYTES = 64 * 1024
+#: ``app_addr >> _CHUNK_SHIFT`` is the chunk number and
+#: ``app_addr & _OFFSET_MASK`` the offset in the chunk.
+_CHUNK_SHIFT = 16
+#: Application bytes covered by one second-level chunk (64 KB).
+CHUNK_APP_BYTES = 1 << _CHUNK_SHIFT
+_OFFSET_MASK = CHUNK_APP_BYTES - 1
 
 _VALID_BITS = (1, 2, 4, 8)
 #: The aligned access sizes :meth:`MetadataMap.sim_accesses` emits.
@@ -66,6 +74,7 @@ class MetadataMap:
         "base_addr",
         "_mask",
         "_per_byte",
+        "_fill_unit",
         "_chunks",
         "_chunk_meta_bytes",
         "_last_chunk_no",
@@ -83,6 +92,9 @@ class MetadataMap:
         self.base_addr = base_addr
         self._mask = (1 << bits_per_byte) - 1
         self._per_byte = 8 // bits_per_byte  # app bytes per metadata byte
+        #: A 1 in every slot of one metadata byte: ``value *
+        #: _fill_unit`` replicates a (masked) value across the byte.
+        self._fill_unit = 0xFF // self._mask
         self._chunks: Dict[int, bytearray] = {}
         self._chunk_meta_bytes = CHUNK_APP_BYTES * bits_per_byte // 8
         self._last_chunk_no = -1
@@ -152,6 +164,14 @@ class MetadataMap:
         )
 
     # -- bulk range operations ----------------------------------------------------
+    #
+    # A span is the part of a range that lies in one chunk. The span
+    # helpers work on bit positions inside the chunk: app byte ``offset``
+    # owns bits ``[offset * bits, (offset + 1) * bits)``, counted from
+    # bit 0 of metadata byte 0, so a span is a partial head byte, whole
+    # middle bytes and a partial tail byte. The range ops walk their
+    # spans in a loop with the last-chunk cache inline: an access of 1-8
+    # bytes is one pass with no further call but the span helper's.
 
     def _spans(self, app_addr: int, length: int):
         """Yield (chunk_no, offset, span) covering [app_addr, app_addr+length)."""
@@ -164,67 +184,52 @@ class MetadataMap:
             app_addr += span
             length -= span
 
-    def _fill_byte(self, value: int) -> int:
-        """``value`` replicated across every slot of one metadata byte."""
-        fill = 0
-        bits = self.bits_per_byte
-        for shift in range(0, 8, bits):
-            fill |= value << shift
-        return fill
-
     def _write_span(self, chunk: bytearray, offset: int, span: int,
-                    value: int) -> None:
-        """Set every app byte in [offset, offset+span) of one chunk."""
-        per = self._per_byte
-        if per == 1:
-            chunk[offset:offset + span] = bytes((value,)) * span
-            return
-        bits = self.bits_per_byte
-        mask = self._mask
-        b0, s0 = divmod(offset, per)
-        b1, s1 = divmod(offset + span, per)
-        if b0 == b1:
+                    fill: int) -> None:
+        """Set every app byte in [offset, offset+span) of one chunk to the
+        value whose replication across a metadata byte is ``fill``."""
+        lo = offset * self.bits_per_byte
+        hi = lo + span * self.bits_per_byte
+        first, head = lo >> 3, lo & 7
+        end, tail = hi >> 3, hi & 7
+        if first == end:
             # Entirely inside one metadata byte.
-            current = chunk[b0]
-            for slot in range(s0, s1):
-                shift = slot * bits
-                current = (current & ~(mask << shift)) | (value << shift)
-            chunk[b0] = current
+            keep = ((1 << head) - 1) | ((0xFF << tail) & 0xFF)
+            chunk[first] = (chunk[first] & keep) | (fill & (0xFF ^ keep))
             return
-        if s0:
-            current = chunk[b0]
-            for slot in range(s0, per):
-                shift = slot * bits
-                current = (current & ~(mask << shift)) | (value << shift)
-            chunk[b0] = current
-            b0 += 1
-        if b1 > b0:
-            chunk[b0:b1] = bytes((self._fill_byte(value),)) * (b1 - b0)
-        if s1:
-            current = chunk[b1]
-            for slot in range(s1):
-                shift = slot * bits
-                current = (current & ~(mask << shift)) | (value << shift)
-            chunk[b1] = current
+        if head:
+            keep = (1 << head) - 1
+            chunk[first] = (chunk[first] & keep) | (fill & (0xFF ^ keep))
+            first += 1
+        whole = end - first
+        if whole == 1:
+            chunk[first] = fill
+        elif whole > 1:
+            chunk[first:end] = bytes((fill,)) * whole
+        if tail:
+            keep = (0xFF << tail) & 0xFF
+            chunk[end] = (chunk[end] & keep) | (fill & (0xFF ^ keep))
 
     def _or_span(self, chunk: bytearray, offset: int, span: int) -> int:
         """OR of the metadata bits of [offset, offset+span) in one chunk."""
-        per = self._per_byte
         bits = self.bits_per_byte
-        b0, s0 = divmod(offset, per)
-        b1, s1 = divmod(offset + span, per)
-        if b0 == b1:
-            ored = (chunk[b0] >> (s0 * bits)) & ((1 << ((s1 - s0) * bits)) - 1)
+        lo = offset * bits
+        hi = lo + span * bits
+        first = lo >> 3
+        last = (hi - 1) >> 3
+        if first == last:
+            ored = (chunk[first] >> (lo & 7)) & ((1 << (hi - lo)) - 1)
         else:
-            ored = chunk[b0] >> (s0 * bits) if s0 else 0
-            start = b0 + 1 if s0 else b0
-            if b1 > start:
-                # Distinct byte values in the aligned middle (C-level
-                # set construction; at most 256 iterations below).
-                for byte in set(chunk[start:b1]):
+            ored = (chunk[first] >> (lo & 7)) | (
+                chunk[last] & (0xFF >> (7 - ((hi - 1) & 7))))
+            if last - first > 8:
+                # Distinct byte values in a long middle (C-level set
+                # construction; at most 256 iterations below).
+                for byte in set(chunk[first + 1:last]):
                     ored |= byte
-            if s1:
-                ored |= chunk[b1] & ((1 << (s1 * bits)) - 1)
+            else:
+                for index in range(first + 1, last):
+                    ored |= chunk[index]
         # Fold the slot fields of the accumulated byte into one value.
         shift = bits
         while shift < 8:
@@ -232,69 +237,159 @@ class MetadataMap:
             shift <<= 1
         return ored & self._mask
 
+    def _and_span(self, chunk: bytearray, offset: int, span: int) -> int:
+        """AND of the metadata bits of [offset, offset+span) in one chunk."""
+        bits = self.bits_per_byte
+        lo = offset * bits
+        hi = lo + span * bits
+        first = lo >> 3
+        last = (hi - 1) >> 3
+        # Slots outside the span read as all ones, the identity of AND.
+        head = (1 << (lo & 7)) - 1
+        tail = (0xFF << (((hi - 1) & 7) + 1)) & 0xFF
+        if first == last:
+            anded = chunk[first] | head | tail
+        else:
+            anded = (chunk[first] | head) & (chunk[last] | tail)
+            if last - first > 8:
+                for byte in set(chunk[first + 1:last]):
+                    anded &= byte
+            else:
+                for index in range(first + 1, last):
+                    anded &= chunk[index]
+        # Fold: slot 0 ends up as the AND of every slot (the zeros the
+        # shifts bring in from the top never reach it).
+        shift = bits
+        while shift < 8:
+            anded &= anded >> shift
+            shift <<= 1
+        return anded & self._mask
+
+    def _span_all_equal(self, chunk: bytearray, offset: int, span: int,
+                        fill: int) -> bool:
+        """Does every app byte in [offset, offset+span) carry the value
+        whose replication across a metadata byte is ``fill``?"""
+        lo = offset * self.bits_per_byte
+        hi = lo + span * self.bits_per_byte
+        first, head = lo >> 3, lo & 7
+        end, tail = hi >> 3, hi & 7
+        if first == end:
+            keep = ((1 << head) - 1) | ((0xFF << tail) & 0xFF)
+            return not (chunk[first] ^ fill) & (0xFF ^ keep)
+        if head:
+            if (chunk[first] ^ fill) & (0xFF ^ ((1 << head) - 1)):
+                return False
+            first += 1
+        whole = end - first
+        if whole == 1:
+            if chunk[first] != fill:
+                return False
+        elif whole > 1:
+            if chunk[first:end] != bytes((fill,)) * whole:
+                return False
+        return not (tail and (chunk[end] ^ fill) & ((1 << tail) - 1))
+
     def get_access(self, app_addr: int, size: int) -> int:
         """OR of the metadata bits across an access (taint semantics)."""
         result = 0
-        for chunk_no, offset, span in self._spans(app_addr, size):
-            chunk = self._find_chunk(chunk_no)
+        while size > 0:
+            offset = app_addr & _OFFSET_MASK
+            span = CHUNK_APP_BYTES - offset
+            if span > size:
+                span = size
+            chunk_no = app_addr >> _CHUNK_SHIFT
+            if chunk_no == self._last_chunk_no:
+                chunk = self._last_chunk
+            else:
+                chunk = self._chunks.get(chunk_no)
+                if chunk is not None:
+                    self._last_chunk_no = chunk_no
+                    self._last_chunk = chunk
             if chunk is not None:
                 result |= self._or_span(chunk, offset, span)
                 if result == self._mask:
                     break  # saturated: no further byte can add bits
+            app_addr += span
+            size -= span
         return result
 
-    def set_access(self, app_addr: int, size: int, value: int) -> None:
-        self.set_range(app_addr, size, value)
+    def common_bits(self, app_addr: int, size: int) -> int:
+        """AND of the metadata bits across an access: the bits every byte
+        carries (all of them for an empty access)."""
+        result = self._mask
+        while size > 0:
+            offset = app_addr & _OFFSET_MASK
+            span = CHUNK_APP_BYTES - offset
+            if span > size:
+                span = size
+            chunk_no = app_addr >> _CHUNK_SHIFT
+            if chunk_no == self._last_chunk_no:
+                chunk = self._last_chunk
+            else:
+                chunk = self._chunks.get(chunk_no)
+                if chunk is None:
+                    return 0  # untouched memory carries no bits
+                self._last_chunk_no = chunk_no
+                self._last_chunk = chunk
+            result &= self._and_span(chunk, offset, span)
+            if not result:
+                break
+            app_addr += span
+            size -= span
+        return result
 
     def set_range(self, app_addr: int, length: int, value: int) -> None:
         """Set every app byte of the range; zero writes never allocate."""
         value &= self._mask
-        for chunk_no, offset, span in self._spans(app_addr, length):
-            chunk = self._find_chunk(chunk_no)
-            if chunk is None:
-                if not value:
-                    continue  # zeroing untouched memory: no-op
-                chunk = self._alloc_chunk(chunk_no)
-            self._write_span(chunk, offset, span, value)
+        fill = value * self._fill_unit
+        while length > 0:
+            offset = app_addr & _OFFSET_MASK
+            span = CHUNK_APP_BYTES - offset
+            if span > length:
+                span = length
+            chunk_no = app_addr >> _CHUNK_SHIFT
+            if chunk_no == self._last_chunk_no:
+                chunk = self._last_chunk
+            else:
+                chunk = self._chunks.get(chunk_no)
+                if chunk is not None:
+                    self._last_chunk_no = chunk_no
+                    self._last_chunk = chunk
+                elif value:
+                    chunk = self._alloc_chunk(chunk_no)
+            # A None chunk here is zeroing untouched memory: a no-op.
+            if chunk is not None:
+                self._write_span(chunk, offset, span, fill)
+            app_addr += span
+            length -= span
 
-    def _span_all_equal(self, chunk: bytearray, offset: int, span: int,
-                        value: int) -> bool:
-        per = self._per_byte
-        bits = self.bits_per_byte
-        mask = self._mask
-        b0, s0 = divmod(offset, per)
-        b1, s1 = divmod(offset + span, per)
-        if b0 == b1:
-            byte = chunk[b0]
-            return all((byte >> (slot * bits)) & mask == value
-                       for slot in range(s0, s1))
-        if s0:
-            byte = chunk[b0]
-            if not all((byte >> (slot * bits)) & mask == value
-                       for slot in range(s0, per)):
-                return False
-            b0 += 1
-        if b1 > b0:
-            fill = self._fill_byte(value)
-            if chunk[b0:b1] != bytes((fill,)) * (b1 - b0):
-                return False
-        if s1:
-            byte = chunk[b1]
-            return all((byte >> (slot * bits)) & mask == value
-                       for slot in range(s1))
-        return True
+    #: An access is a range: ``set_access(addr, size, value)``.
+    set_access = set_range
 
     def all_equal(self, app_addr: int, length: int, value: int) -> bool:
         """True iff every byte of the range carries exactly ``value``."""
         value &= self._mask
-        for chunk_no, offset, span in self._spans(app_addr, length):
-            chunk = self._find_chunk(chunk_no)
+        fill = value * self._fill_unit
+        while length > 0:
+            offset = app_addr & _OFFSET_MASK
+            span = CHUNK_APP_BYTES - offset
+            if span > length:
+                span = length
+            chunk_no = app_addr >> _CHUNK_SHIFT
+            if chunk_no == self._last_chunk_no:
+                chunk = self._last_chunk
+            else:
+                chunk = self._chunks.get(chunk_no)
+                if chunk is not None:
+                    self._last_chunk_no = chunk_no
+                    self._last_chunk = chunk
             if chunk is None:
                 if value:
                     return False  # untouched memory is all-zero
-                continue
-            if not self._span_all_equal(chunk, offset, span, value):
+            elif not self._span_all_equal(chunk, offset, span, fill):
                 return False
+            app_addr += span
+            length -= span
         return True
 
     def _span_any_equal(self, chunk: bytearray, offset: int, span: int,

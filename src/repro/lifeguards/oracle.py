@@ -24,7 +24,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, List
 
-from repro.accel.inheritance import passthrough_event
+from repro.accel.inheritance import passthrough_events
 from repro.capture.events import Record
 from repro.lifeguards.base import Lifeguard
 
@@ -44,45 +44,44 @@ def deliver(ordered_records: Iterable[Record]) -> List[tuple]:
     CA marks are dropped (they carry no lifeguard semantics of their
     own) and every other record becomes the one ``(name, record)``
     event the disabled-IT passthrough delivers
-    (:func:`~repro.accel.inheritance.passthrough_event`), exactly as
+    (:func:`~repro.accel.inheritance.passthrough_events`), exactly as
     plain delivery hardware would hand it to any lifeguard. Nothing
     here depends on which lifeguard listens, so one stream serves any
     number of :func:`replay_events` calls; they never mutate it.
     """
-    events: List[tuple] = []
-    append = events.append
-    for record in ordered_records:
-        name = passthrough_event(record)  # None for a CA mark
-        if name is not None:
-            append((name, record))
-    return events
+    return passthrough_events(ordered_records)
 
 
 def replay_events(events: Iterable[tuple],
                   lifeguard_factory: Callable[[], Lifeguard]) -> Lifeguard:
     """Feed a delivered-event stream to a fresh lifeguard; returns it.
 
-    Delivery mirrors the live pipeline's: an allocator-internal memory
-    access is dropped when the lifeguard does not monitor the allocator,
-    and an event without a registered handler, or outside the
-    lifeguard's delivery address range, is dropped before dispatch. A
-    ``load_versioned`` event is handed over as a new tuple carrying the
-    metadata snapshot the load observes, so ``events`` itself is never
-    modified and may be shared between replays.
+    Delivery mirrors the live pipeline's: an event without a registered
+    handler is dropped before dispatch, and so are an allocator-internal
+    memory access when the lifeguard does not monitor the allocator and
+    an instruction event outside the lifeguard's delivery address range.
+    A ``load_versioned`` event is handed over as a new tuple carrying
+    the metadata snapshot the load observes, so ``events`` itself is
+    never modified and may be shared between replays.
     """
     lifeguard = lifeguard_factory()
-    handlers = lifeguard.handlers
+    handler_for = lifeguard.handlers.get
     delivery_range = lifeguard.delivery_range
     skip_allocator = not lifeguard.monitors_allocator_internals
     for event in events:
         # Every event of the unaccelerated stream is ``(kind, record)``.
-        kind, rec = event[0], event[1]
-        if skip_allocator and rec.critical_kind == "allocator":
-            continue  # only memory accesses carry the "allocator" mark
-        handler = handlers.get(rec.hl_kind if kind == "hl" else kind)
+        kind, rec = event
+        if kind == "hl":
+            handler = handler_for(rec.hl_kind)
+            if handler is not None:
+                handler(event)
+            continue
+        handler = handler_for(kind)
         if handler is None:
             continue
-        if (delivery_range is not None and kind != "hl"
+        if skip_allocator and rec.critical_kind == "allocator":
+            continue  # only memory accesses carry the "allocator" mark
+        if (delivery_range is not None
                 and not delivery_range[0] <= rec.addr < delivery_range[1]):
             continue
         if kind == "load_versioned":

@@ -87,28 +87,29 @@ class TaintCheck(Lifeguard):
     def _load(self, event):
         rec = event[1]
         taint = self.metadata.get_access(rec.addr, rec.size)
-        taint |= self._race_taint(rec)
-        self.regs(rec.tid)[rec.rd] = 1 if taint else 0
-        return (self.costs.handler_body_cost, [(rec.addr, rec.size, False)])
+        if self.conservative_race_taint and self.range_table is not None:
+            taint |= self._race_taint(rec, rec.addr)
+        self.registers[rec.tid][rec.rd] = 1 if taint else 0
+        return (self._body_cost, [(rec.addr, rec.size, False)])
 
     def _store(self, event):
         rec = event[1]
-        value = TAINTED if self.regs(rec.tid)[rec.rs1] else UNTAINTED
+        value = TAINTED if self.registers[rec.tid][rec.rs1] else UNTAINTED
         self.metadata.set_access(rec.addr, rec.size, value)
-        return (self.costs.handler_body_cost, [(rec.addr, rec.size, True)])
+        return (self._body_cost, [(rec.addr, rec.size, True)])
 
     def _rmw(self, event):
         rec = event[1]
         taint = self.metadata.get_access(rec.addr, rec.size)
-        self.regs(rec.tid)[rec.rd] = 1 if taint else 0
+        self.registers[rec.tid][rec.rd] = 1 if taint else 0
         # The exchanged-in value is an immediate: clears the location.
         self.metadata.set_access(rec.addr, rec.size, UNTAINTED)
-        return (self.costs.handler_body_cost + 2,
+        return (self._body_cost + 2,
                 [(rec.addr, rec.size, False), (rec.addr, rec.size, True)])
 
     def _alu(self, event):
         rec = event[1]
-        regs = self.regs(rec.tid)
+        regs = self.registers[rec.tid]
         taint = regs[rec.rs1]
         if rec.rs2 is not None:
             taint |= regs[rec.rs2]
@@ -117,12 +118,12 @@ class TaintCheck(Lifeguard):
 
     def _loadi(self, event):
         rec = event[1]
-        self.regs(rec.tid)[rec.rd] = 0
+        self.registers[rec.tid][rec.rd] = 0
         return (1, [])
 
     def _critical(self, event):
         rec = event[1]
-        if self.regs(rec.tid)[rec.rs1]:
+        if self.registers[rec.tid][rec.rs1]:
             self.violation(
                 "tainted-critical-use", rec.tid, rec.rid,
                 f"tainted register r{rec.rs1} used as {rec.critical_kind}",
@@ -131,7 +132,7 @@ class TaintCheck(Lifeguard):
 
     def _reg_inherit(self, event):
         _, tid, reg, sources, live_regs = event
-        regs = self.regs(tid)
+        regs = self.registers[tid]
         taint = 0
         accesses = []
         for addr, size in sources:
@@ -140,30 +141,33 @@ class TaintCheck(Lifeguard):
         for live in live_regs:
             taint |= regs[live]
         regs[reg] = 1 if taint else 0
-        return (self.costs.handler_body_cost if sources else 1, accesses)
+        return (self._body_cost if sources else 1, accesses)
 
     def _mem_inherit(self, event):
         _, dst, size, sources, live_regs, rec = event
-        regs = self.regs(rec.tid)
+        regs = self.registers[rec.tid]
+        race_taint = (self.conservative_race_taint
+                      and self.range_table is not None)
         taint = 0
         accesses = []
         for src, src_size in sources:
             taint |= self.metadata.get_access(src, src_size)
-            taint |= self._race_taint(rec, src)
+            if race_taint:
+                taint |= self._race_taint(rec, src)
             accesses.append((src, src_size, False))
         for live in live_regs:
             taint |= regs[live]
         value = TAINTED if taint else UNTAINTED
         self.metadata.set_access(dst, size, value)
         accesses.append((dst, size, True))
-        return (self.costs.handler_body_cost + 1, accesses)
+        return (self._body_cost + 1, accesses)
 
     def _load_versioned(self, event):
         rec, (snap_base, _snap_len, snapshot) = event[1], event[2]
         taint = self.metadata.read_snapshot(snapshot, snap_base, rec.addr,
                                             rec.size)
-        self.regs(rec.tid)[rec.rd] = 1 if taint else 0
-        return (self.costs.handler_body_cost + 2, [(rec.addr, rec.size, False)])
+        self.registers[rec.tid][rec.rd] = 1 if taint else 0
+        return (self._body_cost + 2, [(rec.addr, rec.size, False)])
 
     # -- high-level events -------------------------------------------------------------
 
@@ -217,11 +221,12 @@ class TaintCheck(Lifeguard):
 
     # -- race-with-kernel conservatism ------------------------------------------------------
 
-    def _race_taint(self, rec, addr=None) -> int:
-        """Conservatively taint loads racing an active remote syscall range."""
-        if not self.conservative_race_taint or self.range_table is None:
-            return 0
-        address = rec.addr if addr is None else addr
+    def _race_taint(self, rec, address: int) -> int:
+        """Conservatively taint a load from ``address`` racing an active
+        remote syscall range. The caller runs it only under
+        ``conservative_race_taint`` with a range table (which the
+        platform attaches after construction, so it is tested per call).
+        """
         racing = self.range_table.racing_access(rec.tid, address, rec.size)
         if racing is None:
             return 0

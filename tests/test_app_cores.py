@@ -402,3 +402,17 @@ class TestTimeslicedFastPath:
         assert order == [0] * 4 + [1] * 11
         assert switches == 1
         assert total == 215
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="_pick_thread restarts the round robin at the "
+                              "first live thread when the running one exits")
+    def test_round_robin_resumes_after_the_exited_thread(self):
+        # Thread 1 exits on the last instruction of its quantum (slots
+        # 4-7). Thread 2 has waited since slot 0 and thread 0 ran in
+        # slots 0-3, so a fair round robin gives slots 8-11 to thread 2.
+        # Fixing this changes time-sliced schedules, and with them the
+        # fig-cells sim digest (ROADMAP).
+        order, _switches, _total, _ = self.run(
+            [self.nops(12), self.nops(3), self.nops(12)], quantum=4)
+        assert order[:8] == [0] * 4 + [1] * 4
+        assert order[8:12] == [2] * 4
