@@ -200,16 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SEC",
                       help="per-cell wall-clock timeout (runs the cells "
                            "in worker processes)")
-    diff.add_argument("--retries", type=non_negative_int, default=1,
-                      help="extra attempts per failing cell (default 1)")
-    diff.add_argument("--inject-worker", action="append", default=[],
-                      metavar="SITE:ACTION[:MOD...]",
-                      help="chaos-inject a worker-level fault (repeatable), "
-                           "e.g. worker:kill:after=2 or "
-                           "worker:hang:after=1:count=1:param=60; runs the "
-                           "cells in worker processes")
-    diff.add_argument("--fault-seed", type=int, default=0,
-                      help="seed for the worker fault plans")
     diff.add_argument("--trace", metavar="PATH", default=None,
                       type=output_path,
                       help="stream sweep flight-recorder events to PATH "
@@ -376,22 +366,9 @@ def _cmd_diff(args) -> int:
     """
     import json
 
-    from repro.faults import WORKER_FAULT_SITES
     from repro.trace.diff import differential_sweep, report_payload
 
     try:
-        worker_faults = tuple(parse_fault_spec(spec)
-                              for spec in args.inject_worker)
-        for fault in worker_faults:
-            if fault.site not in WORKER_FAULT_SITES:
-                raise ConfigurationError(
-                    f"--inject-worker only accepts the worker sites "
-                    f"{WORKER_FAULT_SITES}, not {fault.site!r}")
-            if fault.tid is not None:
-                raise ConfigurationError(
-                    "--inject-worker faults cannot target a tid (pool "
-                    "workers have no stable ids); scope them with "
-                    "after=/count=")
         if args.trace == "-":
             tracer = TraceWriter(
                 stream=sys.stdout,
@@ -409,9 +386,7 @@ def _cmd_diff(args) -> int:
             range(args.seeds), lifeguards=args.lifeguards or None,
             nthreads=args.threads, length=args.length, jobs=args.jobs,
             checkpoint_path=args.checkpoint, resume=args.resume,
-            timeout=args.timeout, retries=args.retries,
-            worker_faults=worker_faults, fault_seed=args.fault_seed,
-            tracer=tracer)
+            timeout=args.timeout, tracer=tracer)
     except KeyboardInterrupt:
         # The runner already synced the checkpoint; exit with the
         # documented abnormal code so scripts can distinguish an

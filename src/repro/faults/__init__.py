@@ -12,7 +12,6 @@ from repro.faults.plan import (
     Fault,
     FaultPlan,
     SITE_ACTIONS,
-    WORKER_FAULT_SITES,
     parse_fault_spec,
 )
 
@@ -25,5 +24,4 @@ EXIT_ABNORMAL = 3
 EXIT_BUDGET_EXCEEDED = 4
 
 __all__ = ["EXIT_ABNORMAL", "EXIT_BUDGET_EXCEEDED", "FAULT_SITES", "Fault",
-           "FaultPlan", "SITE_ACTIONS", "WORKER_FAULT_SITES",
-           "parse_fault_spec"]
+           "FaultPlan", "SITE_ACTIONS", "parse_fault_spec"]

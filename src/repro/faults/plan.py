@@ -20,17 +20,11 @@ site                      armed inside
 ``progress``              :meth:`repro.enforce.progress.ProgressTable.publish`
 ``lifeguard``             :meth:`repro.cpu.lifeguard_core.LifeguardCore.step`
 ``stall_flush``           :meth:`repro.cpu.lifeguard_core.LifeguardCore._stall_flush`
-``worker``                :func:`repro.jobs.workers.pool_shim` (sweep workers)
 ========================  ====================================================
 
-The ``worker`` site is the chaos harness for the sweep executor
-(:mod:`repro.jobs`): it is armed inside the pool's *worker processes*,
-which have no stable ids, so it is scoped with ``after``/``count``
-(counted per worker process), never with ``tid``. Actions:
-``worker:kill`` hard-exits the worker on its n-th job, ``worker:hang``
-sleeps ``param`` (default 3600) seconds inside the job until the hard
-deadline reaps it, and ``worker:corrupt_result`` mangles the result
-value after its integrity digest was computed.
+Every site is inside the simulated machine. The sweep executor
+(:mod:`repro.jobs`) has no fault site: its timeout and crash paths are
+tested with workers that sleep or exit on their own.
 
 Determinism: injection decisions use the plan's *own*
 ``random.Random(seed)``, never the workload RNG, and a disabled plan
@@ -48,11 +42,7 @@ from repro.common.errors import ConfigurationError
 
 #: The hook-site names components may arm.
 FAULT_SITES = ("arc", "ca_mark", "log_append", "progress",
-               "lifeguard", "stall_flush",
-               "worker")
-
-#: The subset armed inside sweep worker processes (:mod:`repro.jobs`).
-WORKER_FAULT_SITES = ("worker",)
+               "lifeguard", "stall_flush")
 
 #: Actions each site understands (checked at plan construction).
 SITE_ACTIONS = {
@@ -62,7 +52,6 @@ SITE_ACTIONS = {
     "progress": ("suppress",),
     "lifeguard": ("stall", "kill"),
     "stall_flush": ("skip",),
-    "worker": ("kill", "hang", "corrupt_result"),
 }
 
 

@@ -2,13 +2,11 @@
 
 :func:`run_jobs` (:mod:`repro.jobs.runner`) is the one entry point. It
 holds the execution model (the inline/pool rule, deterministic merge
-order, bounded retries with deterministic backoff) and the inline
-loop; :mod:`repro.jobs.pool` holds the process-pool path (hard
-deadlines, quarantine, result digests), :mod:`repro.jobs.workers` the
-code that runs inside pool workers and :mod:`repro.jobs.checkpoint`
-the JSONL checkpoint/resume format. The sweep surfaces that use it —
-``repro.trace.diff`` seed sweeps and the ``repro.eval.experiments``
-figure loops — all expose it as
+order, one run per job) and the inline loop; :mod:`repro.jobs.pool`
+holds the process-pool path (hard deadlines, crashed-worker isolation)
+and :mod:`repro.jobs.checkpoint` the JSONL checkpoint/resume format.
+The sweep surfaces that use it — ``repro.trace.diff`` seed sweeps and
+the ``repro.eval.experiments`` figure loops — all expose it as
 ``--jobs N`` (default 1: serial, bit-identical output).
 """
 
@@ -25,7 +23,7 @@ from repro.jobs.model import (
     normalize_value,
     result_digest,
 )
-from repro.jobs.runner import retry_delay, run_jobs
+from repro.jobs.runner import run_jobs
 
 __all__ = [
     "CheckpointWriter",
@@ -40,6 +38,5 @@ __all__ = [
     "load_checkpoint",
     "normalize_value",
     "result_digest",
-    "retry_delay",
     "run_jobs",
 ]

@@ -14,8 +14,7 @@ Durability is two-tier: every append is flushed to the OS immediately
 lose). The sweep runner syncs explicitly on ``KeyboardInterrupt``, so
 Ctrl-C mid-sweep never loses a buffered line.
 
-Loading is tolerant by design: a sweep's workers get killed mid-write
-on purpose (the chaos harness) and a previous coordinator may have died
+Loading is tolerant by design: a previous coordinator may have died
 holding the file, so a corrupt line anywhere in the file — torn tail,
 damaged interior, or a line that parses but does not rebuild a
 :class:`~repro.jobs.model.JobResult` whose value matches its digest —

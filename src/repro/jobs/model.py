@@ -1,18 +1,15 @@
 """Shared sweep-executor types: jobs, results, statuses, exit codes.
 
-Split out of :mod:`repro.jobs.runner` so the pool path, the
-worker-side harness and the checkpoint reader can all speak the same
-vocabulary without importing the runner.
+Split out of :mod:`repro.jobs.runner` so the pool path and the
+checkpoint reader can speak the same vocabulary without importing the
+runner.
 
 A job value is always JSON-normalized (:func:`normalize_value`) before
 it is recorded, so the in-process path, the pickled pool path and the
 JSON-resumed path are indistinguishable — the canonical-order merge of
 either path is byte-identical to the serial run.
-:func:`result_digest` hashes that canonical form; workers send the
-digest alongside the value so the coordinator can detect a corrupted
-result (e.g. a worker-level ``corrupt_result`` fault) and retry instead
-of silently poisoning the merge, and checkpoint lines carry it so a
-damaged line is never resumed.
+:func:`result_digest` hashes that canonical form; checkpoint lines
+carry it so a line damaged on disk is never resumed.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ STATUS_EXIT = {
     "timeout": EXIT_TIMEOUT,
 }
 
-#: Statuses that end a job (after retries are exhausted).
+#: The statuses a job can end with; each job runs once.
 TERMINAL_STATUSES = frozenset(STATUS_EXIT)
 
 
@@ -52,10 +49,9 @@ def normalize_value(value):
 def result_digest(value) -> str:
     """Short hex digest of a JSON-normalized job value.
 
-    Computed by the worker over the canonical encoding and verified by
-    the coordinator before the value is merged (and by
-    :meth:`JobResult.from_json` before a checkpointed value is resumed);
-    a mismatch means the value was corrupted in flight or on disk.
+    Written into every checkpoint line and verified by
+    :meth:`JobResult.from_json` before a checkpointed value is resumed;
+    a mismatch means the line was damaged on disk.
     """
     encoded = json.dumps(value, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
@@ -82,7 +78,6 @@ class JobResult:
     status: str  # ok | error | timeout | crashed
     value: object = None
     error: Optional[str] = None
-    attempts: int = 1
     resumed: bool = False
     exit_code: int = field(init=False)
 
@@ -104,28 +99,23 @@ class JobResult:
             "value": self.value,
             "digest": result_digest(self.value),
             "error": self.error,
-            "attempts": self.attempts,
             "exit_code": self.exit_code,
         }
 
     @classmethod
     def from_json(cls, payload: dict, *, resumed: bool = False) -> "JobResult":
         """Rebuild a result from its checkpoint line. Raises
-        ``ValueError`` unless the line has a string job id, a terminal
-        status and a positive integer attempt count, and its value
-        matches its digest (``KeyError``/``TypeError`` on other malformed
-        payloads)."""
+        ``ValueError`` unless the line has a string job id and a terminal
+        status, and its value matches its digest (``KeyError``/
+        ``TypeError`` on other malformed payloads). Other fields, such as
+        the ``attempts`` count older lines carry, are ignored."""
         if not isinstance(payload["job_id"], str):
             raise ValueError(f"bad job id {payload['job_id']!r}")
-        attempts = payload["attempts"]
-        if (isinstance(attempts, bool) or not isinstance(attempts, int)
-                or attempts < 1):
-            raise ValueError(f"bad attempt count {attempts!r}")
         if result_digest(payload["value"]) != payload["digest"]:
             raise ValueError("value does not match its digest")
         return cls(job_id=payload["job_id"], status=payload["status"],
                    value=payload["value"], error=payload.get("error"),
-                   attempts=attempts, resumed=resumed)
+                   resumed=resumed)
 
 
 def cell_values(results, what: str) -> list:

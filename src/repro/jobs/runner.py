@@ -8,23 +8,22 @@ cells (seed × scheme × lifeguard, benchmark × thread count, ...).
 from the serial run*:
 
 * **One rule picks the path.** The process pool runs the sweep when
-  there is more than one worker, a per-attempt ``timeout`` to enforce,
-  or ``worker_faults`` to arm; otherwise jobs run inline in this
-  process. Both process a job identically, so the choice never changes
-  a result. A pool that cannot start (no ``sem_open``, no fork) or
-  breaks twice during one submit falls back to inline, re-queuing
-  in-flight attempts uncharged.
+  there is more than one worker or a per-cell ``timeout`` to enforce;
+  otherwise jobs run inline in this process. Both process a job
+  identically, so the choice never changes a result. A pool that
+  cannot start (no ``sem_open``, no fork) or breaks twice during one
+  submit falls back to inline, re-queuing its unfinished jobs.
 * **Deterministic merge.** The caller enumerates jobs in a canonical
   order and each job gets a stable string id. Workers complete in
-  whatever order the OS schedules them — or die, hang and get retried —
+  whatever order the OS schedules them — or die and get re-run alone —
   but results are merged back in canonical job order, so the merged
-  output of any worker-count/chaos combination is byte-identical to
-  ``nworkers=1`` (the simulator itself is deterministic per seed; no
-  wall-clock values are allowed into job values).
-* **Hard deadlines and bounded retries.** Each dispatched attempt gets
-  one hard deadline, ``timeout`` seconds out; a hung attempt is killed
-  when it passes. Every failed attempt is retried at most ``retries``
-  times, after the deterministic delay of :func:`retry_delay`.
+  output of any worker count is byte-identical to ``nworkers=1`` (the
+  simulator itself is deterministic per seed; no wall-clock values are
+  allowed into job values).
+* **One run per job.** A job's outcome is a function of its payload,
+  so a failure would repeat: every job runs once, and its first
+  outcome is terminal. Each dispatched job gets one hard deadline,
+  ``timeout`` seconds out; a hung job is killed when it passes.
 * **Checkpoint/resume.** Every terminal result is appended (and
   flushed) to a JSONL checkpoint, so a dead coordinator loses only its
   in-flight cells, which are deterministic and safe to recompute. An
@@ -34,9 +33,9 @@ from the serial run*:
   abnormal code (:data:`repro.faults.EXIT_ABNORMAL`).
 
 Every decision is traced through the ``jobs`` category: ``start`` /
-``done`` / ``retry`` / ``timeout`` / ``quarantine`` / ``pool_broken``
-plus ``requeued``, ``corrupt_result``, ``degrade``, ``resume``,
-``interrupted`` and ``sweep_done``.
+``done`` / ``timeout`` / ``quarantine`` / ``pool_broken`` plus
+``requeued``, ``degrade``, ``resume``, ``interrupted`` and
+``sweep_done``.
 
 The ``worker`` callable must be a **module-level function** whenever
 the pool may run it (it is pickled by reference into worker processes)
@@ -45,78 +44,36 @@ taking the job's JSON payload and returning a JSON-serializable value.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
-from repro.faults import Fault
 from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
 from repro.jobs.model import Job, JobResult, normalize_value
 from repro.jobs.pool import PoolSweep
 
-#: Retry backoff: the delay after the ``attempt``-th failure is
-#: ``min(CAP, BASE * FACTOR ** (attempt - 1))``, stretched by up to
-#: ``JITTER`` (fractionally) and re-capped at ``CAP``.
-BACKOFF_BASE = 0.1
-BACKOFF_FACTOR = 2.0
-BACKOFF_CAP = 5.0
-BACKOFF_JITTER = 0.25
-BACKOFF_SEED = 0
 
-
-def retry_delay(job_id: str, attempt: int) -> float:
-    """Seconds to wait before re-dispatching ``job_id`` after its
-    ``attempt``-th failed attempt (numbering from 1).
-
-    The jitter is a unit value hashed from ``(seed, job_id, attempt)`` —
-    never the wall clock, never a shared RNG — so a re-run of the same
-    sweep sleeps the same delays in the same places, and attempts of
-    different jobs decorrelate without touching ``random`` state the
-    simulator might share.
-    """
-    raw = min(BACKOFF_CAP,
-              BACKOFF_BASE * BACKOFF_FACTOR ** max(0, attempt - 1))
-    digest = hashlib.sha256(
-        f"{BACKOFF_SEED}:{job_id}:{attempt}".encode("utf-8")).digest()
-    unit = int.from_bytes(digest[:8], "big") / 2 ** 64
-    return min(BACKOFF_CAP, raw * (1.0 + BACKOFF_JITTER * unit))
-
-
-def _run_inline(queue, worker: Callable, settle: Callable,
+def _run_inline(jobs, worker: Callable, settle: Callable,
                 emit: Callable) -> None:
-    """Run ``(due, job, attempt)`` entries in order in this process,
-    retrying each failure in place. No pickling and no deadlines;
-    worker faults are never armed here (a ``kill`` would take the
-    coordinator down with it)."""
-    for due, job, attempt in queue:
-        while True:
-            time.sleep(max(0.0, due - time.monotonic()))
-            emit("start", job=job.job_id, attempt=attempt,
-                 executor="inline")
-            try:
-                value = worker(job.payload)
-            except Exception as exc:  # noqa: BLE001 — isolate the cell
-                delay = settle(job, attempt, "error", error=repr(exc))
-            else:
-                delay = settle(job, attempt, "ok",
-                               value=normalize_value(value))
-            if delay is None:
-                break
-            due, attempt = time.monotonic() + delay, attempt + 1
+    """Run ``jobs`` in order in this process: no pickling and no
+    deadlines."""
+    for job in jobs:
+        emit("start", job=job.job_id, executor="inline")
+        try:
+            value = normalize_value(worker(job.payload))
+        except Exception as exc:  # noqa: BLE001 — isolate the cell
+            settle(job, "error", error=repr(exc))
+        else:
+            settle(job, "ok", value=value)
 
 
 def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
-             timeout: Optional[float] = None, retries: int = 1,
+             timeout: Optional[float] = None,
              checkpoint_path: Optional[str] = None, resume: bool = False,
-             worker_faults: Sequence[Fault] = (), fault_seed: int = 0,
              tracer=None) -> List[JobResult]:
-    """Run every job; returns results in canonical (input) order. See
-    the module docstring for the execution model."""
+    """Run every job once; returns results in canonical (input) order.
+    See the module docstring for the execution model."""
     if nworkers < 1:
         raise ValueError("nworkers must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
     if timeout is not None and not 0 < timeout < math.inf:
         raise ValueError("timeout must be a finite number > 0")
     if resume and not checkpoint_path:
@@ -136,31 +93,19 @@ def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
     checkpoint = (CheckpointWriter(checkpoint_path)
                   if checkpoint_path else None)
 
-    def settle(job: Job, attempt: int, status: str, *, value=None,
-               error=None) -> Optional[float]:
-        """An attempt ended with ``status``: record the terminal result,
-        or return the delay before the job's next attempt."""
-        if status != "ok" and attempt <= retries:
-            delay = retry_delay(job.job_id, attempt)
-            emit("retry", job=job.job_id, status=status,
-                 delay=round(delay, 4))
-            return delay
-        result = JobResult(job.job_id, status, value=value, error=error,
-                           attempts=attempt)
+    def settle(job: Job, status: str, *, value=None, error=None) -> None:
+        """Record a job's terminal result."""
+        result = JobResult(job.job_id, status, value=value, error=error)
         results[job.job_id] = result
         if checkpoint is not None:
             checkpoint.append(result.to_json())
-        emit("done", job=job.job_id, status=status, attempts=attempt)
-        return None
+        emit("done", job=job.job_id, status=status)
 
-    now = time.monotonic()
-    queue = [(now, job, 1) for job in jobs if job.job_id not in results]
+    queue = [job for job in jobs if job.job_id not in results]
     try:
-        if nworkers > 1 or timeout is not None or worker_faults:
+        if nworkers > 1 or timeout is not None:
             queue = PoolSweep(worker, nworkers=nworkers, timeout=timeout,
-                              worker_faults=tuple(worker_faults),
-                              fault_seed=fault_seed, settle=settle,
-                              emit=emit).run(queue)
+                              settle=settle, emit=emit).run(queue)
         _run_inline(queue, worker, settle, emit)
     except KeyboardInterrupt:
         # An interrupt never loses a completed result: sync the

@@ -201,12 +201,13 @@ class ServeApp:
                     writer.write(sse_frame("trace", raw))
                     streamed += 1
                 if tail.truncations > resets_sent:
-                    # A retried job restarted the trace file; everything
-                    # streamed before this frame belongs to the dead
-                    # attempt and TraceTail has rewound to offset 0.
+                    # A job re-run alone after its pool worker died
+                    # restarted the trace file; everything streamed
+                    # before this frame belongs to the dead run and
+                    # TraceTail has rewound to offset 0.
                     resets_sent = tail.truncations
                     streamed = 0
-                    writer.write(sse_frame("reset", '{"reason":"retry"}'))
+                    writer.write(sse_frame("reset", '{"reason":"rerun"}'))
                 await writer.drain()
                 if last_state in _TERMINAL:
                     while True:  # drain whatever landed after the state flip

@@ -13,15 +13,17 @@ layout: every run gets a directory ``<data_dir>/runs/<id>/`` holding
 Execution goes through :func:`repro.jobs.run_jobs` with the
 module-level :func:`repro.serve.worker.execute_run` worker, so the
 service inherits the sweep executor's semantics for free: a submission
-with a wall-clock timeout runs in a (quarantining) pool worker that
-the timeout can reap, bounded retries, exit codes single-sourced from
-:mod:`repro.faults`. A fixed pool of dispatcher threads drains the
-submission queue, so ``queued`` is an honest state under load.
+with a wall-clock timeout runs once in a pool worker that the timeout
+can reap, with exit codes single-sourced from :mod:`repro.faults`. A
+fixed pool of dispatcher threads drains the submission queue, so
+``queued`` is an honest state under load.
 
 Manifests survive restarts: on startup the registry reloads every
-persisted manifest, and any run that was still ``queued``/``running``
-when the previous server died is marked ``failed`` (its job is gone;
-re-submitting the same config is always safe — runs are deterministic).
+persisted manifest (one that cannot be read, or lacks a field the
+endpoints read, is skipped with a ``UserWarning``), and any run that
+was still ``queued``/``running`` when the previous server died is
+marked ``failed`` (its job is gone; re-submitting the same config is
+always safe — runs are deterministic).
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ from repro.serve.worker import execute_run, normalize_run_config, run_digest
 RUN_STATES = ("queued", "running", "done", "failed")
 
 _RUN_ID = re.compile(r"^r(\d{5,})$")
+
+#: Manifest fields the endpoints read, at the top level and in
+#: ``config``; a recovered manifest missing one is skipped.
+_MANIFEST_FIELDS = ("state", "config_digest", "trace_path", "created",
+                    "exit_code")
+_CONFIG_FIELDS = ("workload", "scheme", "lifeguard", "seed")
 
 
 def _now() -> str:
@@ -99,7 +107,6 @@ class RunRegistry:
                 "finished": None,
                 "exit_code": None,
                 "error": None,
-                "attempts": 0,
                 "result": None,
             }
             self._records[run_id] = record
@@ -166,28 +173,24 @@ class RunRegistry:
         job = Job(job_id=run_id, payload=dict(config,
                                               trace_path=trace_path))
         results = run_jobs([job], execute_run, nworkers=1,
-                           timeout=config["timeout"],
-                           retries=config["retries"], tracer=self.tracer)
+                           timeout=config["timeout"], tracer=self.tracer)
         result = results[0]
         if result.ok:
             value = result.value
             self._finish(run_id, state=("done" if value["exit_code"] == 0
                                         else "failed"),
                          error=value["error"],
-                         exit_code=value["exit_code"], result=value,
-                         attempts=result.attempts)
+                         exit_code=value["exit_code"], result=value)
         else:
             self._finish(run_id, state="failed", error=result.error,
-                         exit_code=result.exit_code,
-                         attempts=result.attempts)
+                         exit_code=result.exit_code)
 
     def _finish(self, run_id: str, *, state: str, error: Optional[str],
-                exit_code: int, result: Optional[dict] = None,
-                attempts: int = 1) -> None:
+                exit_code: int, result: Optional[dict] = None) -> None:
         with self._lock:
             record = self._records[run_id]
             record.update(state=state, error=error, exit_code=exit_code,
-                          finished=_now(), attempts=attempts)
+                          finished=_now())
             if result is not None:
                 record["result"] = result
             self._persist_locked(record)
@@ -220,9 +223,9 @@ class RunRegistry:
                 warnings.warn(f"{path}: unreadable run manifest skipped "
                               f"({exc})", UserWarning, stacklevel=2)
                 continue
-            if record.get("id") != name:
-                warnings.warn(f"{path}: manifest id {record.get('id')!r} "
-                              f"does not match directory; skipped",
+            problem = _manifest_problem(record, name)
+            if problem is not None:
+                warnings.warn(f"{path}: {problem}; run manifest skipped",
                               UserWarning, stacklevel=2)
                 continue
             if record.get("state") in ("queued", "running"):
@@ -233,3 +236,22 @@ class RunRegistry:
                 self._persist_locked(record)
             self._records[name] = record
             self._next_seq = max(self._next_seq, int(match.group(1)) + 1)
+
+
+def _manifest_problem(record, name: str) -> Optional[str]:
+    """Why a parsed manifest cannot be served, or None when it can."""
+    if not isinstance(record, dict):
+        return "manifest is not a JSON object"
+    if record.get("id") != name:
+        return f"manifest id {record.get('id')!r} does not match directory"
+    config = record.get("config")
+    if not isinstance(config, dict):
+        return "manifest has no config object"
+    missing = [key for key in _MANIFEST_FIELDS if key not in record]
+    missing += [f"config.{key}" for key in _CONFIG_FIELDS
+                if key not in config]
+    if missing:
+        return f"incomplete manifest (missing {', '.join(missing)})"
+    if record["state"] not in RUN_STATES:
+        return f"unknown run state {record['state']!r}"
+    return None

@@ -40,14 +40,14 @@ from repro.trace.diff import verdict_projection
 from repro.workloads import WORKLOADS, build_workload
 
 #: Submission fields that shape the *simulation* (and therefore the
-#: trace bytes). Everything else — job timeout, retries — is service
-#: plumbing and stays out of the config digest.
+#: trace bytes). The job timeout is service plumbing and stays out of
+#: the config digest.
 SIM_FIELDS = ("workload", "scheme", "lifeguard", "seed", "threads",
               "scale", "memory_model", "capture", "no_accel",
               "max_cycles", "watchdog", "trace_filter")
 
 #: Service-level fields: how the job is executed, not what it computes.
-JOB_FIELDS = ("timeout", "retries")
+JOB_FIELDS = ("timeout",)
 
 _DEFAULTS: Dict[str, object] = {
     "scheme": "parallel",
@@ -62,7 +62,6 @@ _DEFAULTS: Dict[str, object] = {
     "watchdog": None,
     "trace_filter": "all",
     "timeout": None,
-    "retries": 0,
 }
 
 
@@ -137,7 +136,6 @@ def normalize_run_config(payload: dict) -> dict:
     _require_int(config, "threads", minimum=1)
     _require_int(config, "max_cycles", minimum=1, optional=True)
     _require_int(config, "watchdog", minimum=1, optional=True)
-    _require_int(config, "retries", minimum=0)
     parse_trace_filter(config["trace_filter"])  # raises on bad categories
     timeout = config["timeout"]
     if timeout is not None:

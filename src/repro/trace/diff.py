@@ -646,8 +646,6 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
                        length: int = 18, replay: bool = False,
                        jobs: int = 1, checkpoint_path: str = None,
                        resume: bool = False, timeout: float = None,
-                       retries: int = 1, worker_faults=(),
-                       fault_seed: int = 0,
                        tracer=None) -> List[DiffReport]:
     """Run :func:`differential_check` over a seed range; returns all
     reports in canonical (seed, lifeguard) order (callers assert
@@ -655,8 +653,7 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
 
     Every cell runs through the :mod:`repro.jobs` executor, whose
     canonical-order merge keeps the result list — and its serialized
-    form — byte-identical to ``jobs=1`` even under worker-level chaos
-    faults (``worker_faults``/``fault_seed``). ``replay=True`` adds the
+    form — byte-identical to ``jobs=1``. ``replay=True`` adds the
     archive-and-replay leg to every cell; each cell archives to its own
     temporary file, so the sweep stays embarrassingly parallel.
     """
@@ -665,8 +662,7 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
     results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length,
                                   replay),
                        diff_job, nworkers=jobs, timeout=timeout,
-                       retries=retries, checkpoint_path=checkpoint_path,
-                       resume=resume, worker_faults=worker_faults,
-                       fault_seed=fault_seed, tracer=tracer)
+                       checkpoint_path=checkpoint_path, resume=resume,
+                       tracer=tracer)
     return [report_from_payload(value)
             for value in cell_values(results, "differential")]

@@ -21,7 +21,7 @@ real corruption (the writer never flushes half a line followed by a
 newline) and raises ``ValueError`` rather than silently desyncing the
 stream.
 
-A file that shrinks under the reader (a retried job re-opening the
+A file that shrinks under the reader (a re-run job re-opening the
 trace with ``"w"``) is detected as a truncation: the tail resets to the
 new start of file and :attr:`TraceTail.truncations` increments, so a
 server can tell its consumers the stream restarted instead of serving
@@ -124,8 +124,8 @@ class TraceTail:
     def _check_truncation(self) -> None:
         size = self._size()
         if size is not None and size < self._offset + len(self._pending):
-            # The writer re-opened the file with "w" (e.g. a retried
-            # job): everything we streamed belongs to a dead attempt.
+            # The writer re-opened the file with "w" (e.g. a re-run
+            # job): everything we streamed belongs to a dead run.
             self.truncations += 1
             self.events_seen = 0
             self._handle.seek(0)

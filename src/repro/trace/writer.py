@@ -57,9 +57,9 @@ from repro.common.errors import ConfigurationError
 #: advert   progress publishes, delayed-advertising holds/flushes
 #: accel    IT absorb/condense, IF hit/miss, M-TLB hit/miss
 #: meta     lifeguard metadata writes
-#: jobs     parallel sweep executor: job start/done/retry/resume,
+#: jobs     parallel sweep executor: job start/done/resume,
 #:          timeouts, pool breakage/quarantine, pool->inline
-#:          degradation, corrupt results
+#:          degradation
 #: ======== ======================================================
 CATEGORIES = ("engine", "arc", "ca", "advert", "accel", "meta", "jobs")
 

@@ -48,8 +48,7 @@ class TestBadIntegerFlags:
         (["diff", "--jobs", "0"], "--jobs: must be >= 1"),
         (["figure8", "--jobs", "0"], "--jobs: must be >= 1"),
         (["figure7", "--jobs", "-1"], "--jobs: must be >= 1"),
-        (["diff", "--retries", "-1", "--jobs", "2"],
-         "--retries: must be >= 0"),
+        (["figure6", "--jobs", "0"], "--jobs: must be >= 1"),
         (["diff", "--timeout", "-3", "--jobs", "2"],
          "--timeout: must be a finite number > 0"),
         (["diff", "--timeout", "0"], "--timeout: must be a finite number > 0"),
@@ -76,9 +75,9 @@ class TestBadIntegerFlags:
          "modifier 'param' needs an integer, got 'abc'"),
         (["run", "swaptions", "--inject", "arc:drop:p=x"],
          "modifier 'p' needs a number, got 'x'"),
-        (["diff", "--seeds", "1", "--inject-worker", "worker:kill:after=x"],
+        (["run", "swaptions", "--inject", "arc:drop:after=x"],
          "modifier 'after' needs an integer, got 'x'"),
-    ], ids=["run-param", "run-p", "diff-after"])
+    ], ids=["run-param", "run-p", "run-after"])
     def test_non_numeric_fault_modifier_exits_2(self, argv, message, capsys):
         # Used to exit 1 with a ValueError traceback.
         assert main(argv) == 2
@@ -107,8 +106,9 @@ class TestRemovedBackendFlag:
 
 
 class TestRemovedExecutorFlags:
-    """The sweep backend is picked from the inputs and the retry backoff
-    is a constant, so their knobs are gone."""
+    """The sweep backend is picked from the inputs and every cell runs
+    once, so the backend, backoff, retry and worker-chaos knobs are
+    gone."""
 
     @pytest.mark.parametrize("argv,flag", [
         (["diff", "--seeds", "1", "--executor", "pool"], "--executor pool"),
@@ -120,6 +120,10 @@ class TestRemovedExecutorFlags:
         (["diff", "--seeds", "1", "--shards", "out"], "--shards out"),
         (["diff", "--seeds", "1", "--backoff", "0.1"], "--backoff 0.1"),
         (["replay", "out.plog", "--jobs", "2"], "--jobs 2"),
+        (["diff", "--seeds", "1", "--retries", "1"], "--retries 1"),
+        (["diff", "--seeds", "1", "--inject-worker", "worker:kill"],
+         "--inject-worker worker:kill"),
+        (["diff", "--seeds", "1", "--fault-seed", "3"], "--fault-seed 3"),
     ])
     def test_flag_is_unrecognized(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -137,27 +141,24 @@ class TestRemovedExecutorFlags:
     @pytest.mark.parametrize("spec,message", [
         ("worker_heartbeat:drop", "unknown fault site 'worker_heartbeat'"),
         ("worker_connect:refuse", "unknown fault site 'worker_connect'"),
-        ("worker:kill:t0:after=1", "cannot target a tid"),
+        ("worker:kill:t0:after=1", "unknown fault site 'worker'"),
+        ("worker:kill", "unknown fault site 'worker'"),
     ])
     def test_removed_worker_fault_specs_exit_2(self, spec, message, capsys):
-        assert main(["diff", "--seeds", "1", "--inject-worker", spec]) == 2
+        # `run` used to accept a `worker` fault spec and ignore it.
+        assert main(["run", "swaptions", "--threads", "2",
+                     "--inject", spec]) == 2
         assert message in capsys.readouterr().err
 
 
 class TestSweepRuleAtOneJob:
-    """``--timeout`` and ``--inject-worker`` take effect at the default
-    ``--jobs 1`` (the cells then run in one worker process)."""
+    """``--timeout`` takes effect at the default ``--jobs 1`` (the
+    cells then run in one worker process)."""
 
     def test_timeout_enforced(self, capsys):
         assert main(["diff", "--seeds", "1", "--lifeguards", "taintcheck",
-                     "--timeout", "0.001", "--retries", "0"]) == 1
+                     "--timeout", "0.001"]) == 1
         assert "(timeout, exit 4)" in capsys.readouterr().err
-
-    def test_worker_fault_armed(self, capsys):
-        assert main(["diff", "--seeds", "1", "--lifeguards", "addrcheck",
-                     "--inject-worker", "worker:corrupt_result",
-                     "--retries", "0"]) == 1
-        assert "integrity digest mismatch" in capsys.readouterr().err
 
     def test_failing_figure_cell_exits_1(self, capsys):
         assert main(["figure8", "--benchmarks", "nosuch",

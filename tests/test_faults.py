@@ -66,6 +66,15 @@ class TestFaultPlanUnit:
         with pytest.raises(ConfigurationError):
             Fault(site="arc", action="drop", probability=0.0)
 
+    @pytest.mark.parametrize("spec", [
+        "worker:kill", "worker:hang:param=60", "worker_heartbeat:drop:t1",
+        "worker_connect:refuse:t0"])
+    def test_sweep_executor_sites_are_gone(self, spec):
+        """The sweep executor has no fault site: its timeout and crash
+        paths are tested with workers that sleep or exit."""
+        with pytest.raises(ConfigurationError, match="unknown fault site"):
+            parse_fault_spec(spec)
+
     def test_after_and_count_window(self):
         plan = FaultPlan(faults=(Fault(site="arc", action="drop",
                                        after=2, count=1),))
@@ -113,38 +122,6 @@ class TestFaultPlanUnit:
                            match=f"modifier '{modifier}' needs .*"
                                  f"got '{value}'"):
             parse_fault_spec(spec)
-
-
-class TestWorkerFaultSites:
-    """Parsing and validation of the sweep-worker chaos site
-    (``worker``)."""
-
-    def test_worker_sites_registered(self):
-        from repro.faults import FAULT_SITES, WORKER_FAULT_SITES
-        assert WORKER_FAULT_SITES == ("worker",)
-        assert set(WORKER_FAULT_SITES) <= set(FAULT_SITES)
-
-    def test_parse_worker_kill_spec(self):
-        fault = parse_fault_spec("worker:kill:after=2")
-        assert (fault.site, fault.action, fault.after) == \
-            ("worker", "kill", 2)
-        hang = parse_fault_spec("worker:hang:after=1:count=1:param=60")
-        assert (hang.action, hang.param) == ("hang", 60)
-        assert parse_fault_spec("worker:corrupt_result:after=1").action == \
-            "corrupt_result"
-
-    def test_heartbeat_and_connect_sites_rejected(self):
-        """The socket executor's sites went with it."""
-        for spec in ("worker_heartbeat:drop:t1:count=100000",
-                     "worker_connect:refuse:t0"):
-            with pytest.raises(ConfigurationError, match="unknown fault site"):
-                parse_fault_spec(spec)
-
-    def test_worker_site_rejects_foreign_actions(self):
-        with pytest.raises(ConfigurationError):
-            Fault(site="worker", action="drop")  # drop is an arc action
-        with pytest.raises(ConfigurationError):
-            parse_fault_spec("worker:refuse")
 
 
 class TestDisabledPlanDeterminism:

@@ -1,8 +1,8 @@
 """Tests for the ``repro.jobs`` parallel sweep executor.
 
 Covers the determinism contract (parallel merge byte-identical to the
-serial run), the failure paths (timeout, crash isolation, bounded
-retries, checkpoint/resume) and the acceptance-criterion speedup on the
+serial run), the failure paths (timeout, crash isolation, one run per
+cell, checkpoint/resume) and the acceptance-criterion speedup on the
 25-seed differential sweep (slow tier; the speedup assertion is guarded
 on effective CPU count so a throttled 1-core CI host measures
 correctness but not parallelism).
@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.faults import parse_fault_spec
 from repro.jobs import (
     EXIT_CRASHED,
     EXIT_OK,
@@ -24,7 +23,8 @@ from repro.jobs import (
     load_checkpoint,
     run_jobs,
 )
-from repro.trace.diff import differential_sweep, report_payload
+from repro.trace.diff import diff_job, differential_sweep, \
+    report_payload, sweep_jobs
 from repro.trace.writer import TraceWriter
 
 
@@ -43,6 +43,11 @@ def misbehaving_worker(payload):
     if payload.get("raise"):
         raise RuntimeError(payload["raise"])
     return {"n": payload["n"]}
+
+
+def set_worker(payload):
+    """Returns a value that pickles but does not JSON-normalize."""
+    return {payload["n"]}
 
 
 def _jobs(n, **extra_by_id):
@@ -97,63 +102,77 @@ class TestDeterministicMerge:
 
 # -- failure paths ------------------------------------------------------------
 
+def _starts(tracer, job_id):
+    return sum(1 for e in tracer.events
+               if e["event"] == "start" and e["job"] == job_id)
+
+
 class TestFailurePaths:
-    def test_timeout_retried_then_failed_without_poisoning_siblings(self):
+    def test_timeout_runs_once_without_poisoning_siblings(self):
         jobs = _jobs(4, j1={"sleep": 60})
+        tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(jobs, misbehaving_worker, nworkers=2,
-                           timeout=0.5, retries=1)
+                           timeout=0.5, tracer=tracer)
         by_id = {r.job_id: r for r in results}
         assert by_id["j1"].status == "timeout"
         assert by_id["j1"].exit_code == EXIT_TIMEOUT
-        assert by_id["j1"].attempts == 2  # first try + the one retry
+        assert _starts(tracer, "j1") == 1
         for sibling in ("j0", "j2", "j3"):
             assert by_id[sibling].status == "ok"
             assert by_id[sibling].value == {"n": int(sibling[1])}
 
     def test_crash_isolated_and_bounded(self):
         jobs = _jobs(4, j2={"exit": 7})
-        results = run_jobs(jobs, misbehaving_worker, nworkers=2, retries=1)
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(jobs, misbehaving_worker, nworkers=2,
+                           tracer=tracer)
         by_id = {r.job_id: r for r in results}
         assert by_id["j2"].status == "crashed"
         assert by_id["j2"].exit_code == EXIT_CRASHED
-        assert by_id["j2"].attempts == 2
+        assert _starts(tracer, "j2") == 1
         for sibling in ("j0", "j1", "j3"):
             assert by_id[sibling].status == "ok"
+            assert by_id[sibling].value == {"n": int(sibling[1])}
+        names = [e["event"] for e in tracer.events]
+        assert names.count("pool_broken") == 1
+        assert "quarantine" in names
 
-    def test_exception_reported_after_retries(self):
+    @pytest.mark.parametrize("nworkers", [1, 2])
+    def test_exception_reported_after_one_run(self, nworkers):
+        """A cell's failure is deterministic, so it is never re-run:
+        one ``start``, no pause, and the first outcome is terminal."""
         jobs = _jobs(2, j0={"raise": "boom"})
-        results = run_jobs(jobs, misbehaving_worker, nworkers=2, retries=2)
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(jobs, misbehaving_worker, nworkers=nworkers,
+                           tracer=tracer)
         assert results[0].status == "error"
-        assert results[0].attempts == 3
         assert "boom" in results[0].error
         assert results[1].status == "ok"
+        assert [_starts(tracer, job.job_id) for job in jobs] == [1, 1]
+        assert "retry" not in [e["event"] for e in tracer.events]
+
+    @pytest.mark.parametrize("nworkers", [1, 2])
+    def test_non_json_value_ends_error(self, nworkers):
+        """The coordinator JSON-normalizes every value; one that does
+        not normalize is the cell's error, not the sweep's crash."""
+        results = run_jobs(_jobs(2), set_worker, nworkers=nworkers)
+        assert [r.status for r in results] == ["error", "error"]
+        assert "not JSON serializable" in results[0].error
 
     def test_timeout_enforced_at_one_worker(self):
         """A timeout alone moves the sweep onto the pool, so it is
         enforced at ``nworkers=1`` too."""
         results = run_jobs([Job("j0", {"n": 0, "sleep": 0.5})],
-                           misbehaving_worker, timeout=0.1, retries=0)
+                           misbehaving_worker, timeout=0.1)
         assert results[0].status == "timeout"
         assert results[0].exit_code == EXIT_TIMEOUT
-
-    def test_worker_faults_armed_at_one_worker(self):
-        """Worker faults alone move the sweep onto the pool: a killed
-        worker is recovered and every cell still completes."""
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        results = run_jobs(
-            _jobs(3), square_worker, retries=2,
-            worker_faults=(parse_fault_spec("worker:kill:after=1:count=1"),),
-            tracer=tracer)
-        assert [r.value["square"] for r in results] == [0, 1, 4]
-        assert "pool_broken" in [e["event"] for e in tracer.events]
 
     def test_raising_cell_is_a_classified_error_at_one_job(self):
         """At ``jobs=1`` a raising cell ends as an ``error`` result
         (the sweep surface raises RuntimeError), never a bare traceback
         from inside the cell."""
         with pytest.raises(RuntimeError, match=r"\(error, exit 1\)"):
-            differential_sweep([0], lifeguards=("no-such-lifeguard",),
-                               retries=0)
+            differential_sweep([0], lifeguards=("no-such-lifeguard",))
 
     def test_coordinator_sleeps_while_the_pool_is_full(self):
         """More cells than workers: the pending cells' due-time must not
@@ -164,12 +183,6 @@ class TestFailurePaths:
         results = run_jobs(jobs, misbehaving_worker, nworkers=2)
         assert all(r.ok for r in results)
         assert time.process_time() - start < 0.3
-
-    def test_serial_path_retries_exceptions_too(self):
-        results = run_jobs(_jobs(1, j0={"raise": "nope"}),
-                           misbehaving_worker, retries=1)
-        assert results[0].status == "error"
-        assert results[0].attempts == 2
 
 
 # -- checkpoint / resume ------------------------------------------------------
@@ -198,7 +211,7 @@ class TestCheckpointResume:
     def test_failed_checkpoint_entries_also_skip(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         run_jobs(_jobs(2, j0={"raise": "x"}), misbehaving_worker,
-                 checkpoint_path=path, retries=0)
+                 checkpoint_path=path)
         results = run_jobs(_jobs(2), misbehaving_worker,
                            checkpoint_path=path, resume=True)
         assert results[0].status == "error"
@@ -226,13 +239,10 @@ class TestCheckpointResume:
         {"status": "bogus"},
         {"value": None},
         {"value": {"square": 5}},
-        {"attempts": 0},
-        {"attempts": "2"},
-        {"attempts": True},
         {"job_id": 7},
         {"digest": None},
-    ], ids=["status", "value-null", "value-changed", "attempts-zero",
-            "attempts-str", "attempts-bool", "job-id-int", "no-digest"])
+    ], ids=["status", "value-null", "value-changed", "job-id-int",
+            "no-digest"])
     def test_damaged_line_that_parses_is_skipped(self, tmp_path, damage):
         """A line that still parses as JSON but does not rebuild a
         result whose value matches its digest is never trusted."""
@@ -247,6 +257,25 @@ class TestCheckpointResume:
         with pytest.warns(UserWarning, match="skipped 1 corrupt"):
             assert sorted(load_checkpoint(str(path), tracer=tracer)) == ["a"]
         assert [e["event"] for e in tracer.events] == ["checkpoint_skipped"]
+
+    def test_line_with_an_attempt_count_still_resumes(self, tmp_path):
+        """Lines written when cells could run more than once carry an
+        ``attempts`` count; resume ignores it and trusts the value."""
+        path = tmp_path / "sweep.jsonl"
+        line = dict(JobResult("j0", "ok", value={"square": 0}).to_json(),
+                    attempts=2)
+        path.write_text(json.dumps(line) + "\n")
+        ran = []
+
+        def counting_worker(payload):
+            ran.append(payload["n"])
+            return square_worker(payload)
+
+        results = run_jobs(_jobs(2), counting_worker,
+                           checkpoint_path=str(path), resume=True)
+        assert ran == [1]
+        assert [r.resumed for r in results] == [True, False]
+        assert [r.value for r in results] == [{"square": 0}, {"square": 1}]
 
     def test_resume_reruns_a_damaged_cell(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -297,12 +326,13 @@ class TestProgressTrace:
         assert names[-1] == "sweep_done"
         assert all(e["cat"] == "jobs" for e in tracer.events)
 
-    def test_retry_and_resume_events(self, tmp_path):
+    def test_failing_cell_and_resume_events(self, tmp_path):
         path = str(tmp_path / "cp.jsonl")
         tracer = TraceWriter(categories=("jobs",), keep=True)
         run_jobs(_jobs(1, j0={"raise": "x"}), misbehaving_worker,
-                 retries=1, checkpoint_path=path, tracer=tracer)
-        assert [e["event"] for e in tracer.events].count("retry") == 1
+                 checkpoint_path=path, tracer=tracer)
+        assert [e["event"] for e in tracer.events] == [
+            "start", "done", "sweep_done"]
         tracer2 = TraceWriter(categories=("jobs",), keep=True)
         run_jobs(_jobs(1), misbehaving_worker, checkpoint_path=path,
                  resume=True, tracer=tracer2)
@@ -338,3 +368,30 @@ class TestSweepAcceptance:
             assert speedup >= 1.8, (
                 f"25-seed sweep with --jobs 4 only {speedup:.2f}x faster "
                 f"({serial_wall:.1f}s serial vs {parallel_wall:.1f}s)")
+
+    def test_interrupted_sweep_resumes_byte_identical(self, tmp_path):
+        """The 25-seed sweep interrupted after a third of its cells, its
+        checkpoint damaged the way a dying coordinator leaves it, and
+        resumed on the pool, merges byte-identical to ``--jobs 1``."""
+        serial = differential_sweep(range(25))
+        cp = str(tmp_path / "cp.jsonl")
+        jobs = sweep_jobs(range(25))
+        # "interrupt": complete only the first third, then damage the
+        # checkpoint the way a dying coordinator would (torn tail plus
+        # one corrupted interior line)
+        run_jobs(jobs[:len(jobs) // 3], diff_job, nworkers=4,
+                 checkpoint_path=cp)
+        lines = open(cp).read().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        with open(cp, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+            handle.write('{"job_id": "torn')
+        with pytest.warns(UserWarning, match="corrupt checkpoint"):
+            recovered = load_checkpoint(cp)
+        assert len(recovered) == len(jobs) // 3 - 1
+        with pytest.warns(UserWarning):
+            resumed = differential_sweep(range(25), jobs=4,
+                                         checkpoint_path=cp, resume=True)
+        as_bytes = lambda reports: json.dumps(
+            [report_payload(r) for r in reports], sort_keys=True)
+        assert as_bytes(serial) == as_bytes(resumed)

@@ -1,9 +1,9 @@
 """Unit tests for the sweep-executor architecture.
 
 Covers the pieces under :mod:`repro.jobs` that the behavioral tests in
-``test_jobs.py`` / ``test_jobs_chaos.py`` exercise only end-to-end: the
-deterministic retry delay, the buffered-but-synced checkpoint writer,
-the inline/pool rule, and inline/pool parity and degradation.
+``test_jobs.py`` exercise only end-to-end: the buffered-but-synced
+checkpoint writer, the inline/pool rule, and inline/pool parity and
+degradation.
 """
 
 import math
@@ -15,54 +15,16 @@ import time
 
 import pytest
 
-from repro.faults import parse_fault_spec
 from repro.jobs import (
     CheckpointWriter,
     JobResult,
     load_checkpoint,
-    retry_delay,
     run_jobs,
 )
 from repro.jobs import checkpoint as checkpoint_module
 from repro.jobs import pool as pool_module
-from repro.jobs import runner
 from repro.trace.writer import TraceWriter
-from tests.test_jobs import _jobs, misbehaving_worker, square_worker
-
-
-# -- retry delay --------------------------------------------------------------
-
-class TestBackoffPolicy:
-    """The retry backoff: :func:`retry_delay` over module constants."""
-
-    def test_capped_exponential_shape(self, monkeypatch):
-        monkeypatch.setattr(runner, "BACKOFF_JITTER", 0.0)
-        assert retry_delay("j", 1) == pytest.approx(0.1)
-        assert retry_delay("j", 2) == pytest.approx(0.2)
-        assert retry_delay("j", 3) == pytest.approx(0.4)
-        assert retry_delay("j", 6) == pytest.approx(3.2)
-        assert retry_delay("j", 7) == pytest.approx(5.0)  # capped
-        assert retry_delay("j", 10) == pytest.approx(5.0)
-
-    def test_delays_are_pinned(self):
-        """The constants keep every delay the old default policy gave."""
-        assert retry_delay("j", 1) == pytest.approx(0.11663785821765359)
-        assert retry_delay("j", 2) == pytest.approx(0.22156850444231854)
-        assert retry_delay("seed00003:lockset:t2:l18", 3) == \
-            pytest.approx(0.4944660812567289)
-
-    def test_jitter_is_deterministic_and_seeded(self, monkeypatch):
-        assert retry_delay("a", 1) == retry_delay("a", 1)
-        # different jobs / attempts / seeds decorrelate
-        assert retry_delay("a", 1) != retry_delay("b", 1)
-        assert retry_delay("a", 1) != retry_delay("a", 2)
-        seed0 = retry_delay("a", 1)
-        monkeypatch.setattr(runner, "BACKOFF_SEED", 8)
-        assert retry_delay("a", 1) != seed0
-
-    def test_jitter_never_exceeds_cap(self):
-        assert all(retry_delay(f"j{i}", 7) == 5.0 for i in range(50))
-        assert all(retry_delay(f"j{i}", 6) <= 5.0 for i in range(50))
+from tests.test_jobs import _jobs, square_worker
 
 
 # -- checkpoint durability ----------------------------------------------------
@@ -134,13 +96,11 @@ def _backends_used(**kwargs):
 
 class TestBackendRule:
     def test_backend_picked_from_inputs(self):
-        """Pool when there are several workers, a timeout to enforce or
-        worker faults to arm; inline otherwise."""
+        """Pool when there are several workers or a timeout to enforce;
+        inline otherwise."""
         assert _backends_used() == {"inline"}
         assert _backends_used(nworkers=2) == {"pool"}
         assert _backends_used(timeout=60.0) == {"pool"}
-        assert _backends_used(worker_faults=(
-            parse_fault_spec("worker:kill:after=99"),)) == {"pool"}
 
     def test_executor_keyword_removed(self):
         with pytest.raises(TypeError, match="executor"):
@@ -149,6 +109,13 @@ class TestBackendRule:
     def test_backoff_keyword_removed(self):
         with pytest.raises(TypeError, match="backoff"):
             run_jobs(_jobs(1), square_worker, backoff=None)
+
+    @pytest.mark.parametrize("keyword,value", [
+        ("retries", 1), ("worker_faults", ()), ("fault_seed", 3)],
+        ids=["retries", "worker_faults", "fault_seed"])
+    def test_retry_and_chaos_keywords_removed(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            run_jobs(_jobs(1), square_worker, **{keyword: value})
 
     @pytest.mark.parametrize("timeout", [0, -3.0])
     def test_non_positive_timeout_rejected(self, timeout):
@@ -191,8 +158,8 @@ class TestBackendParity:
 
     def test_pool_breaking_twice_in_one_submit_finishes_inline(
             self, monkeypatch):
-        """Mid-run fallback: the attempt being submitted is re-queued
-        uncharged and the sweep completes inline."""
+        """Mid-run fallback: the job being submitted is re-queued and
+        the sweep completes inline."""
         from concurrent.futures.process import BrokenProcessPool
 
         def broken_submit(self, job):
@@ -203,17 +170,8 @@ class TestBackendParity:
         results = run_jobs(_jobs(3), square_worker, nworkers=2,
                            tracer=tracer)
         assert [r.value["square"] for r in results] == [0, 1, 4]
-        assert all(r.attempts == 1 for r in results)
         events = [e["event"] for e in tracer.events]
         assert events[:5] == ["start", "pool_broken", "requeued", "degrade",
                               "start"]
         assert {e["executor"] for e in tracer.events
                 if e["event"] == "start"} == {"pool", "inline"}
-
-    def test_retry_backoff_is_traced_with_delay(self):
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        run_jobs(_jobs(1, j0={"raise": "x"}), misbehaving_worker, retries=1,
-                 tracer=tracer)
-        retries = [e for e in tracer.events if e["event"] == "retry"]
-        assert [e["delay"] for e in retries] == [round(retry_delay("j0", 1),
-                                                       4)]

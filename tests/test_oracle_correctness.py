@@ -9,6 +9,7 @@ import pytest
 from repro import (
     AcceleratorConfig,
     AddrCheck,
+    LockSet,
     MemCheck,
     SimulationConfig,
     TaintCheck,
@@ -46,6 +47,17 @@ PARALLEL_CASES = [
     ("swaptions", AddrCheck, 2),
     ("heap_bugs", AddrCheck, 3),
     ("swaptions", MemCheck, 2),
+    ("racy_counters", LockSet, 4),
+    ("fluidanimate", LockSet, 2),
+    ("fmm", LockSet, 2),
+] + [
+    # LockSet's Eraser state depends on the order unordered reads reach
+    # it, so at 4 threads its reports differ from the commit-order
+    # replay (ROADMAP item 13). The fix must flip these.
+    pytest.param(name, LockSet, 4, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="LockSet diverges from the oracle (ROADMAP item 13)"))
+    for name in ("fluidanimate", "fmm")
 ]
 
 

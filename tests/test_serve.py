@@ -51,6 +51,8 @@ class TestNormalizeRunConfig:
         ({"workload": "lu", "executor": "pool"}, "unknown run config fields"),
         ({"workload": "lu", "timeout": math.nan}, "timeout"),
         ({"workload": "lu", "timeout": math.inf}, "timeout"),
+        ({"workload": "lu", "retries": 0},
+         r"unknown run config fields \['retries'\]"),
     ])
     def test_bad_configs_rejected(self, payload, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
@@ -105,8 +107,7 @@ class TestNormalizeRunConfig:
 
     def test_digest_covers_sim_fields_only(self):
         base = normalize_run_config({"workload": "lu", "seed": 3})
-        assert run_digest(base) == run_digest(dict(base, timeout=5,
-                                                   retries=2))
+        assert run_digest(base) == run_digest(dict(base, timeout=5))
         assert run_digest(base) != run_digest(dict(base, seed=4))
 
 
@@ -187,6 +188,32 @@ class TestRunRegistry:
         finally:
             reborn.close()
 
+    @pytest.mark.parametrize("manifest", [
+        {"id": "r00007", "state": "done"},
+        {"id": "r00007", "state": "done", "config": "lu"},
+        [],
+    ], ids=["no-config", "config-not-object", "not-object"])
+    def test_restart_skips_an_incomplete_manifest(self, tmp_path, manifest):
+        """A manifest that parses but lacks a field the endpoints read
+        is skipped like an unreadable one, so ``list()`` (``GET /runs``
+        and ``GET /healthz``) keeps serving every other run."""
+        registry = RunRegistry(str(tmp_path), runners=1)
+        try:
+            done_id = registry.create({"workload": "tainted_jump"})["id"]
+            self._wait_terminal(registry, done_id)
+        finally:
+            registry.close()
+        bad_dir = tmp_path / "runs" / "r00007"
+        bad_dir.mkdir()
+        (bad_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.warns(UserWarning, match="run manifest skipped"):
+            reborn = RunRegistry(str(tmp_path), runners=1)
+        try:
+            assert [run["id"] for run in reborn.list()] == [done_id]
+            assert reborn.get("r00007") is None
+        finally:
+            reborn.close()
+
     def test_pool_executor_timeout_maps_to_budget_exit_code(
             self, tmp_path):
         """A submission with a wall-clock timeout runs on the pool
@@ -196,7 +223,7 @@ class TestRunRegistry:
         try:
             manifest = registry.create({"workload": "ocean",
                                         "scale": "small",
-                                        "timeout": 0.05, "retries": 0})
+                                        "timeout": 0.05})
             record = self._wait_terminal(registry, manifest["id"],
                                          deadline=120.0)
         finally:
@@ -297,6 +324,13 @@ class TestEndpoints:
                                 {"workload": "lu", "backend": "event"})
         assert status == 400
         assert payload["error"] == "unknown run config fields ['backend']"
+
+    def test_retries_field_rejected_400(self, server):
+        # Every run executes once; the field went with the retries.
+        status, payload = _post(f"{server.url}/runs",
+                                {"workload": "lu", "retries": 0})
+        assert status == 400
+        assert payload["error"] == "unknown run config fields ['retries']"
 
     def test_executor_field_rejected_400(self, server):
         status, payload = _post(f"{server.url}/runs",
