@@ -3,8 +3,8 @@
 :func:`run_jobs` (:mod:`repro.jobs.runner`) is the one entry point. It
 holds the execution model (the inline/pool rule, deterministic merge
 order, one run per job) and the inline loop; :mod:`repro.jobs.pool`
-holds the process-pool path (hard deadlines, crashed-worker isolation)
-and :mod:`repro.jobs.checkpoint` the JSONL checkpoint/resume format.
+holds the worker-process path (one private process per slot, hard
+deadlines, crashed-worker isolation) and :mod:`repro.jobs.checkpoint` the JSONL checkpoint/resume format.
 The sweep surfaces that use it — ``repro.trace.diff`` seed sweeps and
 the ``repro.eval.experiments`` figure loops — all expose it as
 ``--jobs N`` (default 1: serial, bit-identical output).

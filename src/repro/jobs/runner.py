@@ -3,43 +3,44 @@
 Every sweep in the repo — differential seed sweeps and the figure
 regeneration loops — is a list of *independent*
 cells (seed × scheme × lifeguard, benchmark × thread count, ...).
-:func:`run_jobs` runs such a list inline or on a process pool
-(:mod:`repro.jobs.pool`) while keeping the output *indistinguishable
-from the serial run*:
+:func:`run_jobs` runs such a list inline or on private worker
+processes, one per slot (:mod:`repro.jobs.pool`), while keeping the
+output *indistinguishable from the serial run*:
 
-* **One rule picks the path.** The process pool runs the sweep when
+* **One rule picks the path.** Worker processes run the sweep when
   there is more than one worker or a per-cell ``timeout`` to enforce;
   otherwise jobs run inline in this process. Both process a job
-  identically, so the choice never changes a result. A pool that
-  cannot start (no ``sem_open``, no fork) or breaks twice during one
-  submit falls back to inline, re-queuing its unfinished jobs.
+  identically, so the choice never changes a result. When a worker
+  process cannot be started, the jobs not yet dispatched finish
+  inline.
 * **Deterministic merge.** The caller enumerates jobs in a canonical
   order and each job gets a stable string id. Workers complete in
-  whatever order the OS schedules them — or die and get re-run alone —
-  but results are merged back in canonical job order, so the merged
-  output of any worker count is byte-identical to ``nworkers=1`` (the
+  whatever order the OS schedules them, but results are merged back
+  in canonical job order, so the merged output of any worker count is
+  byte-identical to ``nworkers=1`` (the
   simulator itself is deterministic per seed; no wall-clock values are
   allowed into job values).
 * **One run per job.** A job's outcome is a function of its payload,
   so a failure would repeat: every job runs once, and its first
   outcome is terminal. Each dispatched job gets one hard deadline,
-  ``timeout`` seconds out; a hung job is killed when it passes.
+  ``timeout`` seconds out; a hung job's process is killed when it
+  passes, and a job whose process dies ends ``crashed``.
 * **Checkpoint/resume.** Every terminal result is appended (and
   flushed) to a JSONL checkpoint, so a dead coordinator loses only its
   in-flight cells, which are deterministic and safe to recompute. An
   interrupted sweep restarted with ``resume=True`` skips exactly the
-  recovered job ids. A ``KeyboardInterrupt`` mid-sweep fsyncs the
-  checkpoint before propagating, and the CLI exits with the documented
-  abnormal code (:data:`repro.faults.EXIT_ABNORMAL`).
+  recovered job ids of this sweep. A ``KeyboardInterrupt`` mid-sweep
+  fsyncs the checkpoint before propagating, and the CLI exits with the
+  documented abnormal code (:data:`repro.faults.EXIT_ABNORMAL`).
 
 Every decision is traced through the ``jobs`` category: ``start`` /
-``done`` / ``timeout`` / ``quarantine`` / ``pool_broken`` plus
-``requeued``, ``degrade``, ``resume``, ``interrupted`` and
-``sweep_done``.
+``done`` / ``timeout`` plus ``degrade``, ``resume``, ``interrupted``
+and ``sweep_done``.
 
 The ``worker`` callable must be a **module-level function** whenever
-the pool may run it (it is pickled by reference into worker processes)
-taking the job's JSON payload and returning a JSON-serializable value.
+a worker process may run it (it is pickled by reference into worker
+processes) taking the job's JSON payload and returning a
+JSON-serializable value.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
 
     results = {}
     if resume:
-        results = load_checkpoint(checkpoint_path, tracer=tracer)
+        recovered = load_checkpoint(checkpoint_path, tracer=tracer)
+        results = {job_id: recovered[job_id] for job_id in ids
+                   if job_id in recovered}
         emit("resume", skipped=len(results))
     checkpoint = (CheckpointWriter(checkpoint_path)
                   if checkpoint_path else None)

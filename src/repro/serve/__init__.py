@@ -6,9 +6,10 @@ is a batch CLI that reports once the simulation exits. This package is
 the missing front door: a long-lived stdlib-``asyncio`` HTTP service
 that accepts simulation/monitoring jobs over REST, executes them
 through :func:`repro.jobs.run_jobs` (inheriting timeouts and
-crashed-worker isolation), and streams lifeguard verdicts and
-flight-recorder events *live* over Server-Sent Events by tailing each
-run's ``stream``-mode JSONL trace with :class:`repro.trace.TraceTail`.
+crashed-worker isolation; each run executes once, so its trace file
+only grows), and streams lifeguard verdicts and flight-recorder events
+*live* over Server-Sent Events by tailing each run's ``stream``-mode
+JSONL trace with :class:`repro.trace.TraceTail`.
 
 Endpoints (all JSON unless noted):
 

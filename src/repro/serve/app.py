@@ -188,7 +188,6 @@ class ServeApp:
         writer.write(sse_headers())
         await writer.drain()
         streamed = 0
-        resets_sent = 0
         last_state = None
         with TraceTail(record["trace_path"], categories=categories) as tail:
             while True:
@@ -200,14 +199,6 @@ class ServeApp:
                 for raw, _payload in tail.poll():
                     writer.write(sse_frame("trace", raw))
                     streamed += 1
-                if tail.truncations > resets_sent:
-                    # A job re-run alone after its pool worker died
-                    # restarted the trace file; everything streamed
-                    # before this frame belongs to the dead run and
-                    # TraceTail has rewound to offset 0.
-                    resets_sent = tail.truncations
-                    streamed = 0
-                    writer.write(sse_frame("reset", '{"reason":"rerun"}'))
                 await writer.drain()
                 if last_state in _TERMINAL:
                     while True:  # drain whatever landed after the state flip

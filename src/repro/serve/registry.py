@@ -13,10 +13,11 @@ layout: every run gets a directory ``<data_dir>/runs/<id>/`` holding
 Execution goes through :func:`repro.jobs.run_jobs` with the
 module-level :func:`repro.serve.worker.execute_run` worker, so the
 service inherits the sweep executor's semantics for free: a submission
-with a wall-clock timeout runs once in a pool worker that the timeout
-can reap, with exit codes single-sourced from :mod:`repro.faults`. A
-fixed pool of dispatcher threads drains the submission queue, so
-``queued`` is an honest state under load.
+with a wall-clock timeout runs exactly once in a private worker
+process that the timeout can kill, a run whose process dies ends
+``crashed``, and exit codes are single-sourced from
+:mod:`repro.faults`. A fixed pool of dispatcher threads drains the
+submission queue, so ``queued`` is an honest state under load.
 
 Manifests survive restarts: on startup the registry reloads every
 persisted manifest (one that cannot be read, or lacks a field the

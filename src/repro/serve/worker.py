@@ -12,7 +12,7 @@ accept a run the CLI would reject.
 
 :func:`execute_run` is the **module-level** worker handed to
 :func:`repro.jobs.run_jobs` (it must be pickleable by reference into a
-pool worker): it runs one monitored simulation with a ``stream``-mode
+worker process): it runs one monitored simulation with a ``stream``-mode
 flight recorder writing to the run directory — the file the SSE tailer
 follows — and returns the manifest payload: exit code (the
 :mod:`repro.faults` conventions: 0 ok, 3 abnormal, 4 budget exceeded),

@@ -21,18 +21,17 @@ real corruption (the writer never flushes half a line followed by a
 newline) and raises ``ValueError`` rather than silently desyncing the
 stream.
 
-A file that shrinks under the reader (a re-run job re-opening the
-trace with ``"w"``) is detected as a truncation: the tail resets to the
-new start of file and :attr:`TraceTail.truncations` increments, so a
-server can tell its consumers the stream restarted instead of serving
-a spliced half-old half-new sequence.
+A trace file only grows: every job runs once, and its writer opens the
+file once and appends.
+A file that shrinks under the reader is therefore damaged too, and
+``poll`` raises ``ValueError`` rather than serve a spliced stream.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.trace.writer import _decode_line
 
@@ -44,8 +43,8 @@ MAX_POLL_BYTES = 1 << 20
 class TraceTail:
     """Follow a live JSONL trace file; see the module docstring."""
 
-    __slots__ = ("path", "categories", "events_seen", "truncations",
-                 "_handle", "_offset", "_pending")
+    __slots__ = ("path", "categories", "events_seen", "_handle", "_offset",
+                 "_pending")
 
     def __init__(self, path: str, *, categories=None):
         self.path = path
@@ -54,8 +53,6 @@ class TraceTail:
         self.categories = frozenset(categories) if categories else None
         #: Complete events consumed so far (pre-filter).
         self.events_seen = 0
-        #: Times the file shrank under us (writer restarted the trace).
-        self.truncations = 0
         self._handle = None
         self._offset = 0  # bytes consumed into complete lines
         self._pending = b""  # bytes after the last newline, held back
@@ -65,11 +62,12 @@ class TraceTail:
 
         Returns an empty list when the file does not exist yet or has
         no new complete line; call again later. Raises ``ValueError``
-        on a malformed complete line (corruption, never a torn write).
+        on a malformed complete line (corruption, never a torn write)
+        or when the file has shrunk below what was already read.
         """
         if self._handle is None and not self._open():
             return []
-        self._check_truncation()
+        self._check_shrink()
         chunk = self._handle.read(MAX_POLL_BYTES)
         if not chunk:
             return []
@@ -115,19 +113,9 @@ class TraceTail:
         self._pending = b""
         return True
 
-    def _size(self) -> Optional[int]:
-        try:
-            return os.fstat(self._handle.fileno()).st_size
-        except OSError:
-            return None
-
-    def _check_truncation(self) -> None:
-        size = self._size()
-        if size is not None and size < self._offset + len(self._pending):
-            # The writer re-opened the file with "w" (e.g. a re-run
-            # job): everything we streamed belongs to a dead run.
-            self.truncations += 1
-            self.events_seen = 0
-            self._handle.seek(0)
-            self._offset = 0
-            self._pending = b""
+    def _check_shrink(self) -> None:
+        size = os.fstat(self._handle.fileno()).st_size
+        read = self._offset + len(self._pending)
+        if size < read:
+            raise ValueError(f"{self.path}: trace shrank to {size} bytes "
+                             f"after {read} bytes were read")

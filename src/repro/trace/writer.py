@@ -58,8 +58,7 @@ from repro.common.errors import ConfigurationError
 #: accel    IT absorb/condense, IF hit/miss, M-TLB hit/miss
 #: meta     lifeguard metadata writes
 #: jobs     parallel sweep executor: job start/done/resume,
-#:          timeouts, pool breakage/quarantine, pool->inline
-#:          degradation
+#:          timeouts, pool->inline degradation
 #: ======== ======================================================
 CATEGORIES = ("engine", "arc", "ca", "advert", "accel", "meta", "jobs")
 

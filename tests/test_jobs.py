@@ -35,7 +35,11 @@ def square_worker(payload):
 
 
 def misbehaving_worker(payload):
-    """Scriptable worker: sleep / hard-exit / raise on demand."""
+    """Scriptable worker: mark a file / sleep / hard-exit / raise on
+    demand."""
+    if payload.get("mark"):
+        with open(payload["mark"], "a") as handle:
+            handle.write(f"ran j{payload['n']}\n")
     if payload.get("sleep"):
         time.sleep(payload["sleep"])
     if payload.get("exit"):
@@ -43,6 +47,10 @@ def misbehaving_worker(payload):
     if payload.get("raise"):
         raise RuntimeError(payload["raise"])
     return {"n": payload["n"]}
+
+
+def pid_worker(payload):
+    return os.getpid()
 
 
 def set_worker(payload):
@@ -116,10 +124,21 @@ class TestFailurePaths:
         by_id = {r.job_id: r for r in results}
         assert by_id["j1"].status == "timeout"
         assert by_id["j1"].exit_code == EXIT_TIMEOUT
-        assert _starts(tracer, "j1") == 1
+        assert [_starts(tracer, job.job_id) for job in jobs] == [1] * 4
         for sibling in ("j0", "j2", "j3"):
             assert by_id[sibling].status == "ok"
             assert by_id[sibling].value == {"n": int(sibling[1])}
+
+    def test_hung_cell_at_one_worker_runs_once(self):
+        """The single-slot path: a hung cell's process is killed alone,
+        and the cell after it runs once on a fresh process."""
+        jobs = _jobs(3, j1={"sleep": 60})
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(jobs, misbehaving_worker, timeout=0.5,
+                           tracer=tracer)
+        assert [r.status for r in results] == ["ok", "timeout", "ok"]
+        assert [r.value for r in results] == [{"n": 0}, None, {"n": 2}]
+        assert [_starts(tracer, job.job_id) for job in jobs] == [1] * 3
 
     def test_crash_isolated_and_bounded(self):
         jobs = _jobs(4, j2={"exit": 7})
@@ -129,13 +148,26 @@ class TestFailurePaths:
         by_id = {r.job_id: r for r in results}
         assert by_id["j2"].status == "crashed"
         assert by_id["j2"].exit_code == EXIT_CRASHED
-        assert _starts(tracer, "j2") == 1
+        assert [_starts(tracer, job.job_id) for job in jobs] == [1] * 4
         for sibling in ("j0", "j1", "j3"):
             assert by_id[sibling].status == "ok"
             assert by_id[sibling].value == {"n": int(sibling[1])}
-        names = [e["event"] for e in tracer.events]
-        assert names.count("pool_broken") == 1
-        assert "quarantine" in names
+
+    @pytest.mark.parametrize("nworkers", [1, 2])
+    def test_crashing_cell_runs_exactly_once(self, tmp_path, nworkers):
+        """A cell whose worker process dies is never run again, also on
+        the single slot every timed ``POST /runs`` takes: the cell's
+        side effect happens once and no sibling runs twice."""
+        marks = tmp_path / "marks.txt"
+        jobs = _jobs(3, j1={"mark": str(marks), "exit": 7})
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(jobs, misbehaving_worker, nworkers=nworkers,
+                           timeout=30, tracer=tracer)
+        assert [r.status for r in results] == ["ok", "crashed", "ok"]
+        assert [r.value for r in results] == [{"n": 0}, None, {"n": 2}]
+        assert marks.read_text().splitlines() == ["ran j1"]
+        assert [_starts(tracer, job.job_id) for job in jobs] == [1] * 3
+        assert [e["event"] for e in tracer.events].count("done") == 3
 
     @pytest.mark.parametrize("nworkers", [1, 2])
     def test_exception_reported_after_one_run(self, nworkers):
@@ -216,6 +248,38 @@ class TestCheckpointResume:
                            checkpoint_path=path, resume=True)
         assert results[0].status == "error"
         assert results[0].resumed
+
+    def test_resume_counts_only_this_sweeps_cells(self, tmp_path):
+        """A checkpoint that also holds another sweep's cells (one of
+        them failed): only this sweep's ids are skipped and counted."""
+        path = str(tmp_path / "sweep.jsonl")
+        run_jobs(_jobs(3, j2={"raise": "x"}), misbehaving_worker,
+                 checkpoint_path=path)
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(_jobs(2), misbehaving_worker,
+                           checkpoint_path=path, resume=True, tracer=tracer)
+        assert [(r.status, r.resumed) for r in results] == [("ok", True)] * 2
+        events = {e["event"]: e for e in tracer.events}
+        assert events["resume"]["skipped"] == 2
+        assert (events["sweep_done"]["total"],
+                events["sweep_done"]["failed"]) == (2, 0)
+
+    def test_interrupt_counts_only_this_sweeps_cells(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        run_jobs([Job(f"other{i}", {"n": i}) for i in range(3)]
+                 + _jobs(1), square_worker, checkpoint_path=path)
+
+        def interrupted_worker(payload):
+            raise KeyboardInterrupt
+
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(_jobs(2), interrupted_worker, checkpoint_path=path,
+                     resume=True, tracer=tracer)
+        interrupted = [e for e in tracer.events
+                       if e["event"] == "interrupted"]
+        assert [(e["completed"], e["remaining"])
+                for e in interrupted] == [(1, 1)]
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

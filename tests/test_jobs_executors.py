@@ -2,11 +2,12 @@
 
 Covers the pieces under :mod:`repro.jobs` that the behavioral tests in
 ``test_jobs.py`` exercise only end-to-end: the buffered-but-synced
-checkpoint writer, the inline/pool rule, and inline/pool parity and
-degradation.
+checkpoint writer, the inline/pool rule, inline/pool parity and
+degradation, and the worker processes' lifetimes.
 """
 
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -24,7 +25,8 @@ from repro.jobs import (
 from repro.jobs import checkpoint as checkpoint_module
 from repro.jobs import pool as pool_module
 from repro.trace.writer import TraceWriter
-from tests.test_jobs import _jobs, square_worker
+from tests.test_jobs import _jobs, misbehaving_worker, pid_worker, \
+    square_worker
 
 
 # -- checkpoint durability ----------------------------------------------------
@@ -142,12 +144,12 @@ class TestBackendParity:
                 for r in run_jobs(jobs, square_worker, **kwargs)] == serial
 
     def test_degradation_reaches_inline_floor(self, monkeypatch):
-        """With the pool unable to start, the sweep completes inline —
-        and the fallback is traced."""
+        """With no worker process able to start, the sweep completes
+        inline — and the fallback is traced once."""
         def refuse_start(*_args, **_kwargs):
             raise OSError("unavailable in this test")
 
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse_start)
+        monkeypatch.setattr(pool_module._Slot, "start", refuse_start)
         tracer = TraceWriter(categories=("jobs",), keep=True)
         results = run_jobs(_jobs(3), square_worker, nworkers=2,
                            tracer=tracer)
@@ -155,23 +157,58 @@ class TestBackendParity:
         rungs = [(e["from_executor"], e["to_executor"])
                  for e in tracer.events if e["event"] == "degrade"]
         assert rungs == [("pool", "inline")]
-
-    def test_pool_breaking_twice_in_one_submit_finishes_inline(
-            self, monkeypatch):
-        """Mid-run fallback: the job being submitted is re-queued and
-        the sweep completes inline."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        def broken_submit(self, job):
-            raise BrokenProcessPool("broken in this test")
-
-        monkeypatch.setattr(pool_module.PoolSweep, "_submit", broken_submit)
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        results = run_jobs(_jobs(3), square_worker, nworkers=2,
-                           tracer=tracer)
-        assert [r.value["square"] for r in results] == [0, 1, 4]
-        events = [e["event"] for e in tracer.events]
-        assert events[:5] == ["start", "pool_broken", "requeued", "degrade",
-                              "start"]
         assert {e["executor"] for e in tracer.events
-                if e["event"] == "start"} == {"pool", "inline"}
+                if e["event"] == "start"} == {"inline"}
+
+    def test_busy_slots_finish_when_a_fresh_process_cannot_start(
+            self, monkeypatch):
+        """A crash needs a fresh process; when none can start, the
+        undispatched cells finish inline and nothing runs twice."""
+        real_start = pool_module._Slot.start
+        starts = []
+
+        def start_once(self, worker):
+            starts.append(1)
+            if len(starts) > 1:
+                raise OSError("unavailable in this test")
+            real_start(self, worker)
+
+        monkeypatch.setattr(pool_module._Slot, "start", start_once)
+        jobs = _jobs(3, j0={"exit": 7})
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(jobs, misbehaving_worker, timeout=30,
+                           tracer=tracer)
+        assert [r.status for r in results] == ["crashed", "ok", "ok"]
+        assert [(e["event"], e.get("executor")) for e in tracer.events
+                if e["event"] in ("start", "degrade")] == [
+            ("start", "pool"), ("degrade", None), ("start", "inline"),
+            ("start", "inline")]
+
+
+# -- worker-process hygiene ---------------------------------------------------
+
+class TestWorkerProcesses:
+    def test_processes_started_are_bounded_by_the_cells(self, monkeypatch):
+        """``nworkers=8`` over two cells starts at most two processes."""
+        real_start = multiprocessing.process.BaseProcess.start
+        started = []
+
+        def counting_start(self):
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting_start)
+        results = run_jobs(_jobs(2), pid_worker, nworkers=8)
+        pids = {r.value for r in results}
+        assert len(started) <= 2
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("extra,status", [
+        ({}, "ok"), ({"exit": 7}, "crashed"), ({"sleep": 60}, "timeout")],
+        ids=["ok", "crash", "timeout"])
+    def test_no_worker_outlives_the_sweep(self, extra, status):
+        results = run_jobs(_jobs(3, j1=extra), misbehaving_worker,
+                           nworkers=2, timeout=0.5)
+        assert results[1].status == status
+        assert multiprocessing.active_children() == []

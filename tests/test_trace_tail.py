@@ -1,5 +1,5 @@
 """The live-tail reader (repro.trace.tail): torn-write hold-back,
-truncation detection, and the satellite acceptance check — a concurrent
+shrink detection, and the acceptance check — a concurrent
 tail of a *running* simulation equals the final ``read_trace`` result
 byte for byte."""
 
@@ -70,17 +70,17 @@ class TestTraceTailUnit:
             with pytest.raises(ValueError, match="corrupt complete"):
                 tail.poll()
 
-    def test_truncation_resets_the_stream(self, tmp_path):
+    def test_shrinking_file_raises(self, tmp_path):
+        """A trace only grows (every job runs once and appends), so a
+        file that shrinks under the tail is damaged, like a corrupt
+        complete line."""
         path = tmp_path / "t.jsonl"
         path.write_text(_line(1) + "\n" + _line(2) + "\n")
         with TraceTail(str(path)) as tail:
             assert len(tail.poll()) == 2
-            # A retried job re-opens the trace with "w": file shrinks.
             path.write_text(_line(7) + "\n")
-            events = tail.poll()
-            assert tail.truncations == 1
-            assert [p["cycle"] for _, p in events] == [7]
-            assert tail.events_seen == 1
+            with pytest.raises(ValueError, match="shrank"):
+                tail.poll()
 
 
 class TestUnknownCategoryNeverReachesTheTail:
