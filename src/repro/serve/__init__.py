@@ -3,13 +3,13 @@
 ParaLog's core promise is *online* monitoring — verdicts while the
 application runs, not after — but every other entry point in this repo
 is a batch CLI that reports once the simulation exits. This package is
-the missing front door: a long-lived stdlib-``asyncio`` HTTP service
-that accepts simulation/monitoring jobs over REST, executes them
-through :func:`repro.jobs.run_jobs` (inheriting timeouts and
-crashed-worker isolation; each run executes once, so its trace file
-only grows), and streams lifeguard verdicts and flight-recorder events
-*live* over Server-Sent Events by tailing each run's ``stream``-mode
-JSONL trace with :class:`repro.trace.TraceTail`.
+the missing front door: a long-lived HTTP service that accepts
+simulation/monitoring jobs over REST, executes them through
+:func:`repro.jobs.run_jobs` (inheriting timeouts and crashed-worker
+isolation; each run executes once, so its trace file only grows), and
+streams lifeguard verdicts and flight-recorder events *live* over
+Server-Sent Events by tailing each run's ``stream``-mode JSONL trace
+with :class:`repro.trace.TraceTail`.
 
 Endpoints (all JSON unless noted):
 
@@ -30,8 +30,8 @@ Endpoints (all JSON unless noted):
   workload × scheme × lifeguard combination.
 * ``GET /healthz`` — liveness.
 
-Nothing beyond the standard library is required; the server is plain
-``asyncio.start_server`` HTTP/1.1 (see :mod:`repro.serve.http`).
+Nothing beyond the standard library is required; the server is
+:class:`http.server.ThreadingHTTPServer` (see :mod:`repro.serve.app`).
 """
 
 from repro.serve.app import ServeApp, main, start_in_thread

@@ -1,39 +1,39 @@
 """The monitoring service: routes, the SSE tail bridge, lifecycles.
 
-Request handling is a flat route table over :mod:`repro.serve.http`;
-run state lives in :class:`repro.serve.registry.RunRegistry` (whose
-dispatcher threads do the actual simulating, via :mod:`repro.jobs`).
-The one interesting handler is ``GET /runs/{id}/events``: it bridges
-the run's on-disk JSONL flight-recorder stream to Server-Sent Events
-with :class:`repro.trace.TraceTail`, following the Northroot
-JSONL→SSE pattern — replay everything already on disk, then poll for
-new complete lines until the run reaches a terminal state and the file
-is drained. Trace lines are re-streamed **verbatim** (the SSE ``data:``
-payload is the exact file line), so a client hashing the streamed
-sequence with :func:`repro.trace.trace_hash` reproduces the manifest's
-``trace_hash`` bit for bit — the online stream *is* the trace.
+:class:`ServeApp` is the standard library's
+:class:`http.server.ThreadingHTTPServer`: one thread per connection, one
+request per connection (``Connection: close``), routed through a flat
+regex table. Run state lives in
+:class:`repro.serve.registry.RunRegistry` (whose dispatcher threads do
+the actual simulating, via :mod:`repro.jobs`). The one interesting
+handler is ``GET /runs/{id}/events``: it bridges the run's on-disk JSONL
+flight-recorder stream to Server-Sent Events with
+:class:`repro.trace.TraceTail`, following the Northroot JSONL→SSE
+pattern — replay everything already on disk, then poll for new complete
+lines until the run reaches a terminal state and the file is drained.
+Trace lines are re-streamed **verbatim** (the SSE ``data:`` payload is
+the exact file line), so a client hashing the streamed sequence with
+:func:`repro.trace.trace_hash` reproduces the manifest's ``trace_hash``
+bit for bit — the online stream *is* the trace.
+
+``python -m repro serve`` exits 0 when interrupted (Ctrl-C) and 2 on a
+bad flag or when its address cannot be bound or its data dir cannot be
+created.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import re
 import sys
 import threading
-from typing import Optional
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, unquote, urlsplit
 
+from repro.common.argtypes import positive_int
 from repro.common.errors import ConfigurationError
-from repro.serve.http import (
-    BadRequest,
-    Request,
-    error_response,
-    json_response,
-    read_request,
-    sse_frame,
-    sse_headers,
-)
 from repro.serve.registry import RunRegistry
 from repro.serve.scenarios import scenario_library
 from repro.trace import TraceTail, parse_trace_filter
@@ -41,252 +41,254 @@ from repro.trace import TraceTail, parse_trace_filter
 #: Seconds between tail polls while a followed run is still producing.
 DEFAULT_POLL_INTERVAL = 0.05
 
+#: A run config is a few hundred bytes; a larger body is refused.
+MAX_BODY_BYTES = 1024 * 1024
+
 #: Terminal run states: once reached, an SSE stream drains and ends.
 _TERMINAL = frozenset({"done", "failed"})
 
 
-class ServeApp:
-    """The HTTP application; bind with :meth:`start`."""
+class BadRequest(Exception):
+    """An invalid request or payload; becomes a JSON 400."""
+
+
+class ServeApp(ThreadingHTTPServer):
+    """The HTTP service. Construction binds the socket and only then
+    starts the run registry; ``serve_forever()`` serves, and
+    ``server_close()`` (or leaving a ``with`` block) closes both."""
 
     def __init__(self, data_dir: str, *, host: str = "127.0.0.1",
                  port: int = 0, runners: int = 2,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  tracer=None):
-        self.data_dir = data_dir
+        self.registry = None  # a failed bind calls server_close()
+        super().__init__((host, port), _Handler)
         self.host = host
-        self.port = port  # replaced by the bound port after start()
-        self.runners = runners
+        self.port = self.server_address[1]  # the bound port, for port=0
         self.poll_interval = poll_interval
-        self.tracer = tracer
-        self.registry: Optional[RunRegistry] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._routes = (
-            ("GET", re.compile(r"^/healthz$"), self._get_healthz),
-            ("GET", re.compile(r"^/scenarios$"), self._get_scenarios),
-            ("GET", re.compile(r"^/runs$"), self._get_runs),
-            ("POST", re.compile(r"^/runs$"), self._post_runs),
-            ("GET", re.compile(r"^/runs/([^/]+)$"), self._get_run),
-            ("GET", re.compile(r"^/runs/([^/]+)/events$"), self._get_events),
-        )
-
-    # -- lifecycle ------------------------------------------------------------
-
-    async def start(self) -> int:
-        """Bind the listening socket and start the run registry;
-        returns the actual bound port (useful with ``port=0``)."""
-        self.registry = RunRegistry(self.data_dir, runners=self.runners,
-                                    tracer=self.tracer)
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Close the socket and stop the dispatcher threads."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self.registry is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.registry.close)
-            self.registry = None
-
-    # -- connection handling --------------------------------------------------
-
-    async def _handle_client(self, reader, writer) -> None:
         try:
-            try:
-                request = await read_request(reader)
-                if request is None:
-                    return
-                await self._dispatch(request, writer)
-            except BadRequest as exc:
-                writer.write(error_response(400, str(exc)))
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                return
-            except Exception as exc:  # noqa: BLE001 — keep serving
-                print(f"serve: 500 on {getattr(request, 'path', '?')}: "
-                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                writer.write(error_response(
-                    500, f"{type(exc).__name__}: {exc}"))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
+            self.registry = RunRegistry(data_dir, runners=runners,
+                                        tracer=tracer)
+        except BaseException:
+            self.server_close()
+            raise
 
-    async def _dispatch(self, request: Request, writer) -> None:
-        path_matched = False
-        for method, pattern, handler in self._routes:
-            match = pattern.match(request.path)
-            if not match:
-                continue
-            path_matched = True
-            if request.method == method:
-                await handler(request, writer, *match.groups())
-                return
-        if path_matched:
-            writer.write(error_response(
-                405, f"method {request.method} not allowed here"))
-        else:
-            writer.write(error_response(
-                404, f"no such endpoint: {request.path}"))
+    @property
+    def url(self) -> str:
+        """The base URL clients reach this server at."""
+        return f"http://{self.host}:{self.port}"
+
+    def stop(self) -> None:
+        """Stop ``serve_forever`` on its thread, then close everything."""
+        self.shutdown()
+        self.server_close()
+
+    def server_close(self) -> None:
+        """Close the socket and stop the dispatcher threads."""
+        super().server_close()
+        if self.registry is not None:
+            self.registry.close()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # every response sends Connection: close
+    default_request_version = "HTTP/1.1"  # a garbled line still gets a 400
+
+    def log_message(self, format, *args) -> None:  # noqa: A002
+        pass  # no per-request log; a 500 prints its own line
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up mid-response
+
+    def do_GET(self) -> None:
+        self._route("GET")
+
+    def do_POST(self) -> None:
+        self._route("POST")
+
+    def _route(self, method: str) -> None:
+        split = urlsplit(self.path)
+        path = unquote(split.path)
+        self.query = {key: values[-1]
+                      for key, values in parse_qs(split.query).items()}
+        try:
+            self.body = self._read_body()
+            path_matched = False
+            for route_method, pattern, handler in _ROUTES:
+                match = pattern.match(path)
+                if not match:
+                    continue
+                path_matched = True
+                if route_method == method:
+                    handler(self, *match.groups())
+                    return
+            if path_matched:
+                self._send_error(405, f"method {method} not allowed here")
+            else:
+                self._send_error(404, f"no such endpoint: {path}")
+        except BadRequest as exc:
+            self._send_error(400, str(exc))
+        except ConnectionError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — keep serving
+            print(f"serve: 500 on {path}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            self._send_error(500, f"{type(exc).__name__}: {exc}")
+
+    # -- request and response bodies ------------------------------------------
+
+    def _read_body(self) -> bytes:
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            raise BadRequest("bad Content-Length") from None
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise BadRequest("bad Content-Length")
+        return self.rfile.read(length)
+
+    def _json_body(self) -> object:
+        if not self.body:
+            raise BadRequest("expected a JSON body")
+        try:
+            return json.loads(self.body)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise BadRequest(f"body is not valid JSON: {exc}") from None
+
+    def _send_head(self, status: int, headers: dict) -> None:
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Connection", "close")
+        self.end_headers()
+
+    def _send_json(self, status: int, payload: object) -> None:
+        body = (json.dumps(payload, indent=2, sort_keys=True) + "\n") \
+            .encode("utf-8")
+        self._send_head(status, {
+            "Content-Type": "application/json; charset=utf-8",
+            "Content-Length": str(len(body))})
+        self.wfile.write(body)
+
+    def _send_error(self, status: int, message: str) -> None:
+        self._send_json(status, {"error": message, "status": status})
 
     # -- plain JSON handlers --------------------------------------------------
 
-    async def _get_healthz(self, request, writer) -> None:
-        writer.write(json_response(200, {"ok": True, "runs": len(
-            self.registry.list())}))
+    def _get_healthz(self) -> None:
+        self._send_json(200, {"ok": True,
+                              "runs": len(self.server.registry.list())})
 
-    async def _get_scenarios(self, request, writer) -> None:
+    def _get_scenarios(self) -> None:
         scenarios = scenario_library()
-        writer.write(json_response(200, {"count": len(scenarios),
-                                         "scenarios": scenarios}))
+        self._send_json(200, {"count": len(scenarios),
+                              "scenarios": scenarios})
 
-    async def _get_runs(self, request, writer) -> None:
-        writer.write(json_response(200, {"runs": self.registry.list()}))
+    def _get_runs(self) -> None:
+        self._send_json(200, {"runs": self.server.registry.list()})
 
-    async def _post_runs(self, request, writer) -> None:
-        payload = request.json()
+    def _post_runs(self) -> None:
+        payload = self._json_body()
         try:
-            manifest = self.registry.create(payload)
+            manifest = self.server.registry.create(payload)
         except ConfigurationError as exc:
             raise BadRequest(str(exc)) from None
         manifest["links"] = {
             "self": f"/runs/{manifest['id']}",
             "events": f"/runs/{manifest['id']}/events",
         }
-        writer.write(json_response(201, manifest))
+        self._send_json(201, manifest)
 
-    async def _get_run(self, request, writer, run_id: str) -> None:
-        manifest = self.registry.get(run_id)
+    def _get_run(self, run_id: str) -> None:
+        manifest = self.server.registry.get(run_id)
         if manifest is None:
-            writer.write(error_response(404, f"no such run: {run_id}"))
+            self._send_error(404, f"no such run: {run_id}")
             return
         manifest["links"] = {"events": f"/runs/{run_id}/events"}
-        writer.write(json_response(200, manifest))
+        self._send_json(200, manifest)
 
     # -- the SSE tail bridge --------------------------------------------------
 
-    async def _get_events(self, request, writer, run_id: str) -> None:
+    def _get_events(self, run_id: str) -> None:
         """Stream a run's verdicts + trace events live; see module doc."""
-        record = self.registry.get(run_id)
+        registry = self.server.registry
+        record = registry.get(run_id)
         if record is None:
-            writer.write(error_response(404, f"no such run: {run_id}"))
+            self._send_error(404, f"no such run: {run_id}")
             return
         categories = None
-        if "filter" in request.query:
+        if "filter" in self.query:
             try:
-                categories = parse_trace_filter(request.query["filter"])
+                categories = parse_trace_filter(self.query["filter"])
             except ConfigurationError as exc:
                 raise BadRequest(str(exc)) from None
-        writer.write(sse_headers())
-        await writer.drain()
+        self._send_head(200, {
+            "Content-Type": "text/event-stream; charset=utf-8",
+            "Cache-Control": "no-store"})  # the body ends at EOF
         streamed = 0
         last_state = None
         with TraceTail(record["trace_path"], categories=categories) as tail:
             while True:
-                record = self.registry.get(run_id)
+                record = registry.get(run_id)
+                frames = []
                 if record["state"] != last_state:
                     last_state = record["state"]
-                    writer.write(sse_frame(
+                    frames.append(_sse_frame(
                         "state", f'{{"state":"{last_state}"}}'))
-                for raw, _payload in tail.poll():
-                    writer.write(sse_frame("trace", raw))
-                    streamed += 1
-                await writer.drain()
-                if last_state in _TERMINAL:
-                    while True:  # drain whatever landed after the state flip
-                        events = tail.poll()
-                        if not events:
-                            break
-                        for raw, _payload in events:
-                            writer.write(sse_frame("trace", raw))
-                            streamed += 1
-                        await writer.drain()
-                    break
-                await asyncio.sleep(self.poll_interval)
-            end = {
-                "state": record["state"],
-                "exit_code": record["exit_code"],
-                "error": record["error"],
-                "streamed_events": streamed,
-                "filtered": categories is not None,
-            }
-            result = record.get("result") or {}
-            for key in ("trace_hash", "trace_events", "summary", "verdicts"):
-                if key in result:
-                    end[key] = result[key]
-            writer.write(sse_frame(
-                "end", json.dumps(end, separators=(",", ":"),
-                                  sort_keys=True)))
-            await writer.drain()
+                seen = tail.events_seen
+                events = tail.poll()
+                frames.extend(_sse_frame("trace", raw) for raw, _ in events)
+                streamed += len(events)
+                if frames:
+                    self.wfile.write(b"".join(frames))
+                    self.wfile.flush()
+                if last_state not in _TERMINAL:
+                    time.sleep(self.server.poll_interval)
+                elif tail.events_seen == seen:
+                    break  # the run has ended and its file is drained
+        end = {
+            "state": record["state"],
+            "exit_code": record["exit_code"],
+            "error": record["error"],
+            "streamed_events": streamed,
+            "filtered": categories is not None,
+        }
+        result = record.get("result") or {}
+        for key in ("trace_hash", "trace_events", "summary", "verdicts"):
+            if key in result:
+                end[key] = result[key]
+        self.wfile.write(_sse_frame(
+            "end", json.dumps(end, separators=(",", ":"), sort_keys=True)))
 
 
-# -- embedding helpers (tests, the smoke harness) -----------------------------
+_ROUTES = (
+    ("GET", re.compile(r"^/healthz$"), _Handler._get_healthz),
+    ("GET", re.compile(r"^/scenarios$"), _Handler._get_scenarios),
+    ("GET", re.compile(r"^/runs$"), _Handler._get_runs),
+    ("POST", re.compile(r"^/runs$"), _Handler._post_runs),
+    ("GET", re.compile(r"^/runs/([^/]+)$"), _Handler._get_run),
+    ("GET", re.compile(r"^/runs/([^/]+)/events$"), _Handler._get_events),
+)
 
 
-class ServerHandle:
-    """A server running in a background thread; ``stop()`` to tear down."""
-
-    def __init__(self, app: ServeApp, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread):
-        self.app = app
-        self.loop = loop
-        self.thread = thread
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.app.host}:{self.app.port}"
-
-    def stop(self) -> None:
-        asyncio.run_coroutine_threadsafe(self.app.stop(),
-                                         self.loop).result(timeout=10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
+def _sse_frame(event: str, data: str) -> bytes:
+    """One SSE frame. ``data`` must be newline-free (JSONL lines are)."""
+    return f"event: {event}\ndata: {data}\n\n".encode("utf-8")
 
 
 def start_in_thread(data_dir: str, *, host: str = "127.0.0.1",
                     port: int = 0, runners: int = 2,
                     poll_interval: float = DEFAULT_POLL_INTERVAL) \
-        -> ServerHandle:
-    """Run a :class:`ServeApp` on a daemon thread (its own event loop)."""
-    started = threading.Event()
-    failure: list = []
-    holder: dict = {}
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        app = ServeApp(data_dir, host=host, port=port, runners=runners,
-                       poll_interval=poll_interval)
-        try:
-            loop.run_until_complete(app.start())
-        except Exception as exc:  # noqa: BLE001 — surface to the caller
-            failure.append(exc)
-            started.set()
-            loop.close()
-            return
-        holder["app"], holder["loop"] = app, loop
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="repro-serve", daemon=True)
-    thread.start()
-    if not started.wait(timeout=15):
-        raise RuntimeError("serve thread failed to start in time")
-    if failure:
-        raise failure[0]
-    return ServerHandle(holder["app"], holder["loop"], thread)
+        -> ServeApp:
+    """Bind a :class:`ServeApp` and serve it on a daemon thread; call
+    its ``stop()`` to tear it down."""
+    app = ServeApp(data_dir, host=host, port=port, runners=runners,
+                   poll_interval=poll_interval)
+    threading.Thread(target=app.serve_forever, name="repro-serve",
+                     daemon=True).start()
+    return app
 
 
 # -- CLI entry point ----------------------------------------------------------
@@ -297,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="monitoring-as-a-service: REST job submission with "
-                    "live SSE verdict/trace streaming")
+                    "live SSE verdict/trace streaming",
+        epilog="exit codes: 0 after Ctrl-C; 2 for a bad flag, an address "
+               "that cannot be bound or a data dir that cannot be created")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8600,
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--data-dir", default="serve_data",
                         help="run directories + manifests land here "
                              "(default ./serve_data)")
-    parser.add_argument("--runners", type=int, default=2,
+    parser.add_argument("--runners", type=positive_int, default=2,
                         help="concurrent run dispatcher threads (default 2; "
                              "further submissions queue)")
     return parser
@@ -314,23 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """``python -m repro serve``: run until interrupted."""
     args = build_parser().parse_args(argv)
-
-    async def _serve() -> None:
+    try:
         app = ServeApp(args.data_dir, host=args.host, port=args.port,
                        runners=args.runners)
-        port = await app.start()
+    except (OSError, OverflowError) as exc:
+        # A --data-dir error names its path; a bind error names no file.
+        what = ("create the data dir" if getattr(exc, "filename", None)
+                else f"bind {args.host}:{args.port}")
+        print(f"repro serve: cannot {what}: {exc}", file=sys.stderr)
+        return 2
+    with app:
         # The smoke harness parses this line to find the bound port.
-        print(f"serving on http://{args.host}:{port} "
-              f"(data dir: {app.registry.data_dir})", flush=True)
+        print(f"serving on {app.url} (data dir: {app.registry.data_dir})",
+              flush=True)
         try:
-            await app.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await app.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("serve: interrupted, shutting down", file=sys.stderr)
+            app.serve_forever()
+        except KeyboardInterrupt:
+            print("serve: interrupted, shutting down", file=sys.stderr)
     return 0

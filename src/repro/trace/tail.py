@@ -36,7 +36,7 @@ from typing import List, Tuple
 from repro.trace.writer import _decode_line
 
 #: ``poll`` reads at most this many bytes per call, so one poll of a
-#: huge backlog cannot stall an event loop for unbounded time.
+#: huge backlog is bounded in memory and time.
 MAX_POLL_BYTES = 1 << 20
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import warnings
 from collections import deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, List, Optional
@@ -377,23 +376,15 @@ def _decode_line(line: str) -> dict:
     return payload
 
 
-def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
-    """Load a JSONL trace file (validating every line).
-
-    ``tolerant_tail=False`` (the default, for completed traces) raises
-    ``ValueError`` on any malformed line. ``tolerant_tail=True`` is for
-    readers following a *live* ``stream``-mode trace: the writer flushes
-    after every line, but a reader can still observe a torn final line —
-    a partially flushed write, or a line cut short by a killed worker.
-    Matching :func:`repro.jobs.checkpoint.load_checkpoint`'s torn-tail
-    handling, such a final line is skipped, counted and warned about
-    (``UserWarning``) instead of crashing the reader; a malformed line
-    anywhere *before* the tail is corruption either way and still raises.
+def read_trace(path: str) -> List[dict]:
+    """Load a complete JSONL trace file, validating every line; a
+    malformed line raises ``ValueError``. A live ``stream``-mode trace
+    is followed with :class:`repro.trace.TraceTail`, which holds back a
+    torn final line instead.
     """
     events = []
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    last_lineno = len(lines)
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -401,19 +392,6 @@ def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
         try:
             payload = _decode_line(line)
         except json.JSONDecodeError as exc:
-            if tolerant_tail and lineno == last_lineno:
-                warnings.warn(
-                    f"{path}:{lineno}: skipped torn final trace line "
-                    f"(live stream mid-write?)", UserWarning, stacklevel=2)
-                break
             raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-        except ValueError:
-            if tolerant_tail and lineno == last_lineno:
-                warnings.warn(
-                    f"{path}:{lineno}: skipped schema-invalid final trace "
-                    f"line (live stream mid-write?)", UserWarning,
-                    stacklevel=2)
-                break
-            raise
         events.append(payload)
     return events

@@ -3,11 +3,16 @@ registry lifecycle + restart recovery, the REST endpoints, the SSE tail
 bridge's byte-identity contract, and REST-vs-CLI verdict/hash parity."""
 
 import hashlib
+import http.client
 import json
 import math
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import closing
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -22,7 +27,8 @@ from repro.serve import (
     scenario_library,
     start_in_thread,
 )
-from repro.trace import read_trace, trace_hash
+from repro.serve import main as serve_main
+from repro.trace import encode_event, read_trace, trace_hash
 from repro.workloads import WORKLOADS
 
 
@@ -248,7 +254,8 @@ def _get(url, timeout=30.0):
         with urllib.request.urlopen(url, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
 def _post(url, payload, timeout=30.0):
@@ -259,7 +266,8 @@ def _post(url, payload, timeout=30.0):
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
 def _sse(url, timeout=60.0):
@@ -351,6 +359,7 @@ class TestEndpoints:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=30)
+        info.value.close()
         assert info.value.code == 400
 
     def test_submit_run_and_read_manifest(self, server):
@@ -423,6 +432,7 @@ class TestEndpoints:
             urllib.request.urlopen(
                 f"{server.url}/runs/{manifest['id']}/events?filter=bogus",
                 timeout=30)
+        info.value.close()
         assert info.value.code == 400
 
     def test_rest_run_matches_cli_run_bit_for_bit(self, server, tmp_path,
@@ -444,3 +454,152 @@ class TestEndpoints:
         assert trace_hash(read_trace(cli_trace)) == rest["trace_hash"]
         for kind, count in rest["verdicts"]["kinds"].items():
             assert out.count(f"[{kind}]") == count
+
+
+def _connection(url):
+    split = urlsplit(url)
+    return http.client.HTTPConnection(split.hostname, split.port, timeout=30)
+
+
+def _json_reply(connection):
+    """Read the response on ``connection``: (status, parsed JSON body)."""
+    response = connection.getresponse()
+    with response:
+        return response.status, json.loads(response.read())
+
+
+class TestHttpEdgeCases:
+    @pytest.mark.parametrize("line", [
+        b"GARBAGE", b"NOT AN HTTP REQUEST LINE", b"GET / extra HTTP/1.1",
+        b"GET / HTTP/x.y"])
+    def test_malformed_request_line_400(self, server, line):
+        split = urlsplit(server.url)
+        with socket.create_connection((split.hostname, split.port),
+                                      timeout=30) as sock:
+            sock.sendall(line + b"\r\n\r\n")
+            with sock.makefile("rb") as reply:
+                status_line = reply.readline()
+        assert status_line.startswith(b"HTTP/1.1 400 ")
+
+    def test_oversized_content_length_400(self, server):
+        with closing(_connection(server.url)) as connection:
+            # The head alone: the server must refuse before any body.
+            connection.putrequest("POST", "/runs")
+            connection.putheader("Content-Length", "2000000")
+            connection.endheaders()
+            status, payload = _json_reply(connection)
+        assert status == 400
+        assert payload == {"error": "bad Content-Length", "status": 400}
+
+    def test_empty_body_400(self, server):
+        with closing(_connection(server.url)) as connection:
+            connection.request("POST", "/runs", body=b"")
+            status, payload = _json_reply(connection)
+        assert status == 400
+        assert payload == {"error": "expected a JSON body", "status": 400}
+
+    def test_non_utf8_body_400(self, server):
+        # Used to escape as a UnicodeDecodeError: a 500.
+        with closing(_connection(server.url)) as connection:
+            connection.request("POST", "/runs", body=b"\x80{}")
+            status, payload = _json_reply(connection)
+        assert status == 400
+        assert payload["error"].startswith("body is not valid JSON")
+
+    def test_unsupported_method_501(self, server):
+        # No route implements DELETE, so the server answers it as an
+        # unsupported method, not as a wrong method on a known path.
+        with closing(_connection(server.url)) as connection:
+            connection.request("DELETE", "/runs")
+            response = connection.getresponse()
+            with response:
+                assert response.status == 501
+
+    def test_healthz_answers_while_a_stream_is_open(self, server):
+        _status, manifest = _post(f"{server.url}/runs",
+                                  {"workload": "ocean", "scale": "small"})
+        run_id = manifest["id"]
+        with urllib.request.urlopen(f"{server.url}/runs/{run_id}/events",
+                                    timeout=120) as stream:
+            for raw in stream:
+                if raw.startswith(b"event: trace"):
+                    break  # the run is producing; its stream is open
+            status, payload = _get(f"{server.url}/healthz", timeout=10)
+            assert status == 200 and payload["ok"] is True
+            # The stream cannot end before its run does.
+            assert _get(f"{server.url}/runs/{run_id}")[1]["state"] \
+                == "running"
+            rest = stream.read().decode("utf-8")
+        end = json.loads(rest.rstrip().rsplit("data: ", 1)[1])
+        assert end["state"] == "done" and end["exit_code"] == 0
+
+    def test_filtered_stream_drains_a_large_backlog(self, server):
+        """A filtered stream of a finished run ended at the first poll
+        that returned no matching line, although ``TraceTail.poll``
+        reads at most 1 MiB: matching lines after a 1 MiB stretch of
+        other categories were never sent."""
+        _status, manifest = _post(f"{server.url}/runs",
+                                  {"workload": "tainted_jump", "seed": 5})
+        final = _wait_done(server.url, manifest["id"])
+        pad = encode_event({"cycle": 1, "cat": "ca", "event": "pad",
+                            "detail": "x" * 200})
+        marker = encode_event({"cycle": 2, "cat": "jobs",
+                               "event": "marker"})
+        with open(final["trace_path"], "a", encoding="utf-8") as trace:
+            trace.write((pad + "\n") * 15000 + marker + "\n")
+        frames = _sse(
+            f"{server.url}/runs/{manifest['id']}/events?filter=jobs")
+        assert [d for e, d in frames if e == "trace"][-1] == marker
+
+
+class TestLifecycle:
+    @staticmethod
+    def _busy_socket():
+        busy = socket.socket()
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        return busy
+
+    @staticmethod
+    def _runner_threads():
+        return {thread for thread in threading.enumerate()
+                if thread.name.startswith("serve-runner-")}
+
+    def test_bind_failure_starts_no_dispatcher_threads(self, tmp_path):
+        before = self._runner_threads()
+        with self._busy_socket() as busy:
+            with pytest.raises(OSError):
+                start_in_thread(str(tmp_path),
+                                port=busy.getsockname()[1])
+        leaked = [thread.name for thread in self._runner_threads() - before
+                  if thread.is_alive()]
+        assert leaked == []
+
+    def test_busy_port_exits_2(self, tmp_path, capsys):
+        with self._busy_socket() as busy:
+            port = busy.getsockname()[1]
+            assert serve_main(["--port", str(port),
+                               "--data-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro serve: cannot bind 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
+
+    def test_out_of_range_port_exits_2(self, tmp_path, capsys):
+        assert serve_main(["--port", "70000",
+                           "--data-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro serve: cannot bind 127.0.0.1:70000: ")
+
+    def test_unusable_data_dir_exits_2(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert serve_main(["--port", "0",
+                           "--data-dir", str(not_a_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: cannot create the data dir: ")
+        assert str(not_a_dir) in err
+
+    def test_zero_runners_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            serve_main(["--runners", "0", "--data-dir", str(tmp_path)])
+        assert info.value.code == 2

@@ -231,8 +231,8 @@ class TestCliTraceFlag:
 
 
 class TestTornTailReads:
-    """Regression: a reader following a live stream-mode trace used to
-    crash with ValueError on a partially flushed final line."""
+    """``read_trace`` is for completed traces: a torn final line is
+    corruption there. A live stream is followed with ``TraceTail``."""
 
     def _write(self, tmp_path, lines, torn=None):
         path = tmp_path / "live.jsonl"
@@ -248,39 +248,6 @@ class TestTornTailReads:
                            torn='{"cycle":2,"cat":"eng')
         with pytest.raises(ValueError, match="not JSON"):
             read_trace(path)
-
-    def test_tolerant_tail_skips_counts_and_warns(self, tmp_path):
-        complete = [{"cycle": 1, "cat": "engine", "event": "stall"},
-                    {"cycle": 2, "cat": "ca", "event": "broadcast"}]
-        path = self._write(tmp_path, complete,
-                           torn='{"cycle":3,"cat":"eng')
-        with pytest.warns(UserWarning, match="torn final trace line"):
-            events = read_trace(path, tolerant_tail=True)
-        assert events == complete
-
-    def test_tolerant_tail_skips_schema_invalid_tail(self, tmp_path):
-        # A torn write can also yield valid JSON that is not a valid
-        # event (e.g. the line cut right after a closing brace of a
-        # nested value); tolerant mode must skip that too.
-        complete = [{"cycle": 1, "cat": "engine", "event": "stall"}]
-        path = self._write(tmp_path, complete, torn='{"cycle":3}')
-        with pytest.warns(UserWarning, match="schema-invalid final"):
-            assert read_trace(path, tolerant_tail=True) == complete
-
-    def test_tolerant_mode_still_raises_on_interior_corruption(
-            self, tmp_path):
-        path = tmp_path / "corrupt.jsonl"
-        good = encode_event({"cycle": 1, "cat": "engine", "event": "x"})
-        path.write_text(f"{good}\nnot json at all\n{good}\n",
-                        encoding="utf-8")
-        with pytest.raises(ValueError, match="not JSON"):
-            read_trace(str(path), tolerant_tail=True)
-
-    def test_complete_trace_reads_identically_in_both_modes(self, tmp_path):
-        complete = [{"cycle": 1, "cat": "engine", "event": "stall"}]
-        path = self._write(tmp_path, complete)
-        assert (read_trace(path) == read_trace(path, tolerant_tail=True)
-                == complete)
 
 
 class TestToPathHandleLeak:
@@ -349,9 +316,8 @@ class TestSingleWritePath:
 
 class TestUnhashableCategory:
     """Regression: an unhashable ``cat`` (a list or an object) made
-    ``validate_event`` raise ``TypeError`` from the category-set lookup,
-    so the tolerant reader crashed on such a final line instead of
-    skipping it."""
+    ``validate_event`` raise ``TypeError`` from the category-set lookup
+    instead of the ``ValueError`` every reader handles."""
 
     @pytest.mark.parametrize("cat", [["engine"], {}, {"engine": 1}])
     def test_validate_event_raises_value_error(self, cat):
@@ -364,12 +330,6 @@ class TestUnhashableCategory:
         path.write_text(f'{good}\n{{"cat":["engine"],"cycle":2,"event":"x"}}',
                         encoding="utf-8")
         return str(path)
-
-    def test_tolerant_read_skips_the_final_line(self, tmp_path):
-        path = self._trace_ending_in_list_cat(tmp_path)
-        with pytest.warns(UserWarning, match="schema-invalid final"):
-            events = read_trace(path, tolerant_tail=True)
-        assert [event["cycle"] for event in events] == [1]
 
     def test_strict_read_raises_value_error(self, tmp_path):
         path = self._trace_ending_in_list_cat(tmp_path)

@@ -109,7 +109,7 @@ class TestConcurrentLiveTail:
     def test_live_tail_equals_final_read_and_hashes_identically(
             self, tmp_path):
         """One thread simulates with a stream-mode tracer; another tails
-        the growing file through the tolerant reader. The tailed event
+        the growing file with ``TraceTail``. The tailed event
         sequence must equal (and hash identically to) the completed
         trace — the contract the SSE bridge is built on."""
         path = str(tmp_path / "live.jsonl")
