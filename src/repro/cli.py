@@ -7,8 +7,8 @@ Commands:
   result summary, time breakdown and any violations.
 * ``figure6`` / ``figure7`` / ``figure8`` — regenerate a paper figure.
 * ``diff`` — the cross-scheme differential sweep (``--jobs N`` fans
-  cells over worker processes; ``--checkpoint``/``--resume`` make an
-  interrupted sweep restartable).
+  cells over worker processes; every cell is deterministic, so an
+  interrupted sweep is simply run again).
 * ``archive`` — record once: run a seeded racy program under live
   parallel monitoring and persist its captured order as a ``.plog``
   trace archive (plus a ``.manifest.json`` sidecar).
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default="per_block")
     run_parser.add_argument("--no-accel", action="store_true",
                             help="disable IT/IF/M-TLB")
-    run_parser.add_argument("--max-cycles", type=int, default=None,
+    run_parser.add_argument("--max-cycles", type=positive_int, default=None,
                             help="abort with exit code 4 past this "
                                  "simulated cycle budget")
     run_parser.add_argument("--watchdog", type=non_negative_int,
@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--trace-filter", metavar="CATS", default="all",
                             help="comma-separated event categories "
                                  f"({','.join(CATEGORIES)}; default all)")
-    run_parser.add_argument("--trace-ring", type=int, metavar="N",
+    run_parser.add_argument("--trace-ring", type=non_negative_int,
+                            metavar="N",
                             default=DEFAULT_RING_EVENTS,
                             help="events kept for the crash-report ring "
                                  f"buffer (default {DEFAULT_RING_EVENTS})")
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("figure6", "figure7"):
         _add_sweep(sub.add_parser(name, help=f"regenerate {name}"))
         sub.choices[name].add_argument(
-            "--thread-counts", type=int, nargs="*", default=None)
+            "--thread-counts", type=positive_int, nargs="*", default=None)
         _add_jobs(sub.choices[name])
 
     fig8 = sub.add_parser("figure8", help="regenerate figure 8")
@@ -192,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                       type=output_path,
                       help="write the merged report payloads as JSON")
     _add_jobs(diff)
-    diff.add_argument("--checkpoint", metavar="PATH", default=None,
-                      help="JSONL checkpoint for interrupted-sweep resume")
-    diff.add_argument("--resume", action="store_true",
-                      help="skip cells already in --checkpoint")
     diff.add_argument("--timeout", type=positive_float, default=None,
                       metavar="SEC",
                       help="per-cell wall-clock timeout (runs the cells "
@@ -361,8 +358,8 @@ def _cmd_diff(args) -> int:
     """The differential sweep as a first-class subcommand.
 
     Exit codes: 0 all cells ok, 1 verdict/oracle divergence or a sweep
-    cell failing terminally in a worker, 3 interrupted (the checkpoint
-    is synced before exiting, so ``--resume`` picks up cleanly).
+    cell failing terminally in a worker, 3 interrupted (Ctrl-C, through
+    :func:`main`; re-run the sweep).
     """
     import json
 
@@ -385,15 +382,7 @@ def _cmd_diff(args) -> int:
         reports = differential_sweep(
             range(args.seeds), lifeguards=args.lifeguards or None,
             nthreads=args.threads, length=args.length, jobs=args.jobs,
-            checkpoint_path=args.checkpoint, resume=args.resume,
             timeout=args.timeout, tracer=tracer)
-    except KeyboardInterrupt:
-        # The runner already synced the checkpoint; exit with the
-        # documented abnormal code so scripts can distinguish an
-        # interrupted (resumable) sweep from a failed one.
-        print("interrupted: checkpoint synced; re-run with --resume",
-              file=sys.stderr)
-        return EXIT_ABNORMAL
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -549,8 +538,8 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code.
 
     Ctrl-C anywhere exits with :data:`~repro.faults.EXIT_ABNORMAL` (3);
-    sweeps with a ``--checkpoint`` have already synced it by then, so an
-    interrupted invocation is always safe to ``--resume``.
+    a sweep's worker processes are already gone by then, and the
+    interrupted command is simply run again.
     """
     try:
         return _dispatch(sys.argv[1:] if argv is None else argv)
@@ -569,8 +558,6 @@ def _dispatch(argv) -> int:
         return serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "diff" and args.resume and not args.checkpoint:
-        parser.error("diff: --resume requires --checkpoint")
 
     if args.command == "table1":
         print(render_mapping("Table 1: simulated machine",

@@ -116,8 +116,8 @@ def _figure6_cell(payload: dict) -> Dict[str, int]:
     }
 
 
-def _run_cells(figure: str, worker, payloads: List[dict], jobs: int,
-               tracer=None) -> List[dict]:
+def _run_cells(figure: str, worker, payloads: List[dict],
+               jobs: int) -> List[dict]:
     """Run figure cells through the :mod:`repro.jobs` executor (inline
     at ``jobs=1``, worker processes otherwise). Results come back in the
     canonical ``payloads`` order — the simulator is deterministic per
@@ -130,15 +130,14 @@ def _run_cells(figure: str, worker, payloads: List[dict], jobs: int,
             f":t{p.get('threads', 0)}:s{p['seed']}", p)
         for index, p in enumerate(payloads)
     ]
-    return cell_values(run_jobs(job_list, worker, nworkers=jobs,
-                                tracer=tracer), figure)
+    return cell_values(run_jobs(job_list, worker, nworkers=jobs), figure)
 
 
 def figure6(lifeguard_name: str,
             benchmarks: Iterable[str] = PAPER_BENCHMARKS,
             thread_counts: Iterable[int] = DEFAULT_THREADS,
             scale: ScalePreset = ScalePreset.TINY,
-            seed: int = 1, jobs: int = 1, tracer=None) -> Figure6Result:
+            seed: int = 1, jobs: int = 1) -> Figure6Result:
     """Regenerate Figure 6 for one lifeguard.
 
     For k application threads the NO MONITORING, TIMESLICED and PARALLEL
@@ -155,7 +154,7 @@ def figure6(lifeguard_name: str,
          "threads": threads, "scale": scale.value, "seed": seed}
         for benchmark in benchmarks for threads in thread_counts
     ]
-    cells = _run_cells("figure6", _figure6_cell, payloads, jobs, tracer)
+    cells = _run_cells("figure6", _figure6_cell, payloads, jobs)
     result = Figure6Result(lifeguard=lifeguard_name, scale=scale)
     for payload, cell in zip(payloads, cells):
         result.cycles.setdefault(payload["benchmark"], {})[
@@ -220,7 +219,7 @@ def figure7(lifeguard_name: str,
             benchmarks: Iterable[str] = PAPER_BENCHMARKS,
             thread_counts: Iterable[int] = DEFAULT_THREADS,
             scale: ScalePreset = ScalePreset.TINY,
-            seed: int = 1, jobs: int = 1, tracer=None) -> Figure7Result:
+            seed: int = 1, jobs: int = 1) -> Figure7Result:
     """Regenerate Figure 7: parallel-monitoring slowdown decomposed into
     useful work, waiting-for-dependence and waiting-for-application,
     normalized to the same-thread-count unmonitored run."""
@@ -231,7 +230,7 @@ def figure7(lifeguard_name: str,
         for benchmark in tuple(benchmarks)
         for threads in tuple(thread_counts)
     ]
-    cells = _run_cells("figure7", _figure7_cell, payloads, jobs, tracer)
+    cells = _run_cells("figure7", _figure7_cell, payloads, jobs)
     result = Figure7Result(lifeguard=lifeguard_name, scale=scale)
     for payload, cell in zip(payloads, cells):
         result.breakdown.setdefault(payload["benchmark"], {})[
@@ -301,7 +300,7 @@ def figure8(lifeguard_name: str,
             scale: ScalePreset = ScalePreset.TINY,
             seed: int = 1,
             include_limited: Optional[bool] = None,
-            jobs: int = 1, tracer=None) -> Figure8Result:
+            jobs: int = 1) -> Figure8Result:
     """Regenerate Figure 8 for one lifeguard at a fixed thread count.
 
     Variants: NOT ACCELERATED (aggressive per-block dependence
@@ -319,7 +318,7 @@ def figure8(lifeguard_name: str,
          "include_limited": include_limited}
         for benchmark in tuple(benchmarks)
     ]
-    cells = _run_cells("figure8", _figure8_cell, payloads, jobs, tracer)
+    cells = _run_cells("figure8", _figure8_cell, payloads, jobs)
     result = Figure8Result(lifeguard=lifeguard_name, threads=threads,
                            scale=scale)
     for payload, cell in zip(payloads, cells):

@@ -4,13 +4,14 @@
 holds the execution model (the inline/pool rule, deterministic merge
 order, one run per job) and the inline loop; :mod:`repro.jobs.pool`
 holds the worker-process path (one private process per slot, hard
-deadlines, crashed-worker isolation) and :mod:`repro.jobs.checkpoint` the JSONL checkpoint/resume format.
+deadlines, crashed-worker isolation). A sweep keeps no record on
+disk: its cells are deterministic, so an interrupted sweep is run
+again.
 The sweep surfaces that use it — ``repro.trace.diff`` seed sweeps and
 the ``repro.eval.experiments`` figure loops — all expose it as
 ``--jobs N`` (default 1: serial, bit-identical output).
 """
 
-from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
 from repro.jobs.model import (
     EXIT_CRASHED,
     EXIT_ERROR,
@@ -21,12 +22,10 @@ from repro.jobs.model import (
     TERMINAL_STATUSES,
     cell_values,
     normalize_value,
-    result_digest,
 )
 from repro.jobs.runner import run_jobs
 
 __all__ = [
-    "CheckpointWriter",
     "EXIT_CRASHED",
     "EXIT_ERROR",
     "EXIT_OK",
@@ -35,8 +34,6 @@ __all__ = [
     "JobResult",
     "TERMINAL_STATUSES",
     "cell_values",
-    "load_checkpoint",
     "normalize_value",
-    "result_digest",
     "run_jobs",
 ]

@@ -1,20 +1,16 @@
 """Shared sweep-executor types: jobs, results, statuses, exit codes.
 
-Split out of :mod:`repro.jobs.runner` so the pool path and the
-checkpoint reader can speak the same vocabulary without importing the
-runner.
+Split out of :mod:`repro.jobs.runner` so the pool path can speak the
+same vocabulary without importing the runner.
 
 A job value is always JSON-normalized (:func:`normalize_value`) before
-it is recorded, so the in-process path, the pickled pool path and the
-JSON-resumed path are indistinguishable — the canonical-order merge of
-either path is byte-identical to the serial run.
-:func:`result_digest` hashes that canonical form; checkpoint lines
-carry it so a line damaged on disk is never resumed.
+it is recorded, so the in-process path and the pickled pool path are
+indistinguishable — the canonical-order merge of either path is
+byte-identical to the serial run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,29 +37,18 @@ TERMINAL_STATUSES = frozenset(STATUS_EXIT)
 
 
 def normalize_value(value):
-    """JSON round-trip so every result path (in-process, pickled pool,
-    JSONL resume) records the exact same object shape."""
+    """JSON round-trip so both result paths (in-process, pickled pool)
+    record the exact same object shape."""
     return json.loads(json.dumps(value))
-
-
-def result_digest(value) -> str:
-    """Short hex digest of a JSON-normalized job value.
-
-    Written into every checkpoint line and verified by
-    :meth:`JobResult.from_json` before a checkpointed value is resumed;
-    a mismatch means the line was damaged on disk.
-    """
-    encoded = json.dumps(value, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class Job:
     """One independent sweep cell.
 
-    ``job_id`` must be unique and stable across runs (it keys the
-    checkpoint); ``payload`` must be pure JSON types — it crosses a
-    process boundary and, on resume, a JSON round-trip.
+    ``job_id`` must be unique within a sweep and stable across runs
+    (it keys the canonical merge and the trace); ``payload`` must be
+    pure JSON types — it crosses a process boundary.
     """
 
     job_id: str
@@ -78,7 +63,6 @@ class JobResult:
     status: str  # ok | error | timeout | crashed
     value: object = None
     error: Optional[str] = None
-    resumed: bool = False
     exit_code: int = field(init=False)
 
     def __post_init__(self):
@@ -90,32 +74,6 @@ class JobResult:
     def ok(self) -> bool:
         """True when the job completed successfully."""
         return self.status == "ok"
-
-    def to_json(self) -> dict:
-        """The checkpoint line payload for this result."""
-        return {
-            "job_id": self.job_id,
-            "status": self.status,
-            "value": self.value,
-            "digest": result_digest(self.value),
-            "error": self.error,
-            "exit_code": self.exit_code,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict, *, resumed: bool = False) -> "JobResult":
-        """Rebuild a result from its checkpoint line. Raises
-        ``ValueError`` unless the line has a string job id and a terminal
-        status, and its value matches its digest (``KeyError``/
-        ``TypeError`` on other malformed payloads). Other fields, such as
-        the ``attempts`` count older lines carry, are ignored."""
-        if not isinstance(payload["job_id"], str):
-            raise ValueError(f"bad job id {payload['job_id']!r}")
-        if result_digest(payload["value"]) != payload["digest"]:
-            raise ValueError("value does not match its digest")
-        return cls(job_id=payload["job_id"], status=payload["status"],
-                   value=payload["value"], error=payload.get("error"),
-                   resumed=resumed)
 
 
 def cell_values(results, what: str) -> list:

@@ -25,17 +25,14 @@ output *indistinguishable from the serial run*:
   outcome is terminal. Each dispatched job gets one hard deadline,
   ``timeout`` seconds out; a hung job's process is killed when it
   passes, and a job whose process dies ends ``crashed``.
-* **Checkpoint/resume.** Every terminal result is appended (and
-  flushed) to a JSONL checkpoint, so a dead coordinator loses only its
-  in-flight cells, which are deterministic and safe to recompute. An
-  interrupted sweep restarted with ``resume=True`` skips exactly the
-  recovered job ids of this sweep. A ``KeyboardInterrupt`` mid-sweep
-  fsyncs the checkpoint before propagating, and the CLI exits with the
+* **Re-run, not resume.** A sweep keeps no record on disk: an
+  interrupted sweep is simply run again, which reproduces every cell.
+  On Ctrl-C the ``KeyboardInterrupt`` propagates, the pool kills its
+  worker processes on the way out, and the CLI exits with the
   documented abnormal code (:data:`repro.faults.EXIT_ABNORMAL`).
 
 Every decision is traced through the ``jobs`` category: ``start`` /
-``done`` / ``timeout`` plus ``degrade``, ``resume``, ``interrupted``
-and ``sweep_done``.
+``done`` / ``timeout`` plus ``degrade`` and ``sweep_done``.
 
 The ``worker`` callable must be a **module-level function** whenever
 a worker process may run it (it is pickled by reference into worker
@@ -48,7 +45,6 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional
 
-from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
 from repro.jobs.model import Job, JobResult, normalize_value
 from repro.jobs.pool import PoolSweep
 
@@ -69,7 +65,6 @@ def _run_inline(jobs, worker: Callable, settle: Callable,
 
 def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
              timeout: Optional[float] = None,
-             checkpoint_path: Optional[str] = None, resume: bool = False,
              tracer=None) -> List[JobResult]:
     """Run every job once; returns results in canonical (input) order.
     See the module docstring for the execution model."""
@@ -77,8 +72,6 @@ def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
         raise ValueError("nworkers must be >= 1")
     if timeout is not None and not 0 < timeout < math.inf:
         raise ValueError("timeout must be a finite number > 0")
-    if resume and not checkpoint_path:
-        raise ValueError("resume=True requires a checkpoint_path")
     ids = [job.job_id for job in jobs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate job ids in sweep")
@@ -88,40 +81,18 @@ def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
             tracer.emit("jobs", event, **fields)
 
     results = {}
-    if resume:
-        recovered = load_checkpoint(checkpoint_path, tracer=tracer)
-        results = {job_id: recovered[job_id] for job_id in ids
-                   if job_id in recovered}
-        emit("resume", skipped=len(results))
-    checkpoint = (CheckpointWriter(checkpoint_path)
-                  if checkpoint_path else None)
 
     def settle(job: Job, status: str, *, value=None, error=None) -> None:
         """Record a job's terminal result."""
-        result = JobResult(job.job_id, status, value=value, error=error)
-        results[job.job_id] = result
-        if checkpoint is not None:
-            checkpoint.append(result.to_json())
+        results[job.job_id] = JobResult(job.job_id, status, value=value,
+                                        error=error)
         emit("done", job=job.job_id, status=status)
 
-    queue = [job for job in jobs if job.job_id not in results]
-    try:
-        if nworkers > 1 or timeout is not None:
-            queue = PoolSweep(worker, nworkers=nworkers, timeout=timeout,
-                              settle=settle, emit=emit).run(queue)
-        _run_inline(queue, worker, settle, emit)
-    except KeyboardInterrupt:
-        # An interrupt never loses a completed result: sync the
-        # checkpoint before propagating so the CLI can exit with the
-        # documented abnormal code.
-        if checkpoint is not None:
-            checkpoint.sync()
-        emit("interrupted", completed=len(results),
-             remaining=len(jobs) - len(results))
-        raise
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    queue = jobs
+    if nworkers > 1 or timeout is not None:
+        queue = PoolSweep(worker, nworkers=nworkers, timeout=timeout,
+                          settle=settle, emit=emit).run(queue)
+    _run_inline(queue, worker, settle, emit)
     emit("sweep_done", total=len(jobs),
          failed=sum(1 for r in results.values() if not r.ok))
     return [results[job_id] for job_id in ids]

@@ -217,8 +217,10 @@ def main(argv=None) -> int:
                         help="write the spawned server's output here")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    data_dir = args.data_dir or tempfile.mkdtemp(prefix="repro-serve-smoke-")
-    return run_smoke(args.url, data_dir, args.server_log, args.seed)
+    if args.data_dir:
+        return run_smoke(args.url, args.data_dir, args.server_log, args.seed)
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as data_dir:
+        return run_smoke(args.url, data_dir, args.server_log, args.seed)
 
 
 if __name__ == "__main__":

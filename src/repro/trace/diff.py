@@ -576,8 +576,8 @@ def report_payload(report: DiffReport) -> dict:
     """A :class:`DiffReport` as pure JSON types.
 
     This is the *canonical* serialized form: it crosses the worker
-    process boundary, lands in sweep checkpoints and result files, and
-    is what the byte-identical parallel-vs-serial test compares.
+    process boundary, lands in ``repro diff --output`` files, and is
+    what the byte-identical parallel-vs-serial test compares.
     """
     import json
 
@@ -628,8 +628,8 @@ def diff_job(payload: dict) -> dict:
 def sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
                length: int = 18, replay: bool = False) -> list:
     """The canonical job list for a differential sweep: one job per
-    (seed, lifeguard) cell, ids stable across runs for checkpointing
-    (replay cells carry a ``:replay`` suffix)."""
+    (seed, lifeguard) cell, with ids stable across runs (replay cells
+    carry a ``:replay`` suffix)."""
     from repro.jobs import Job
 
     lifeguards = tuple(lifeguards or sorted(LIFEGUARDS))
@@ -644,8 +644,7 @@ def sweep_jobs(seeds, lifeguards=None, nthreads: int = 2,
 
 def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
                        length: int = 18, replay: bool = False,
-                       jobs: int = 1, checkpoint_path: str = None,
-                       resume: bool = False, timeout: float = None,
+                       jobs: int = 1, timeout: float = None,
                        tracer=None) -> List[DiffReport]:
     """Run :func:`differential_check` over a seed range; returns all
     reports in canonical (seed, lifeguard) order (callers assert
@@ -662,7 +661,6 @@ def differential_sweep(seeds, lifeguards=None, nthreads: int = 2,
     results = run_jobs(sweep_jobs(seeds, lifeguards, nthreads, length,
                                   replay),
                        diff_job, nworkers=jobs, timeout=timeout,
-                       checkpoint_path=checkpoint_path, resume=resume,
                        tracer=tracer)
     return [report_from_payload(value)
             for value in cell_values(results, "differential")]

@@ -56,8 +56,8 @@ from repro.common.errors import ConfigurationError
 #: advert   progress publishes, delayed-advertising holds/flushes
 #: accel    IT absorb/condense, IF hit/miss, M-TLB hit/miss
 #: meta     lifeguard metadata writes
-#: jobs     parallel sweep executor: job start/done/resume,
-#:          timeouts, pool->inline degradation
+#: jobs     parallel sweep executor: job start/done, timeouts,
+#:          pool->inline degradation, sweep_done
 #: ======== ======================================================
 CATEGORIES = ("engine", "arc", "ca", "advert", "accel", "meta", "jobs")
 

@@ -2,7 +2,7 @@
 
 Covers the determinism contract (parallel merge byte-identical to the
 serial run), the failure paths (timeout, crash isolation, one run per
-cell, checkpoint/resume) and the acceptance-criterion speedup on the
+cell, interrupt) and the acceptance-criterion speedup on the
 25-seed differential sweep (slow tier; the speedup assertion is guarded
 on effective CPU count so a throttled 1-core CI host measures
 correctness but not parallelism).
@@ -19,12 +19,9 @@ from repro.jobs import (
     EXIT_OK,
     EXIT_TIMEOUT,
     Job,
-    JobResult,
-    load_checkpoint,
     run_jobs,
 )
-from repro.trace.diff import diff_job, differential_sweep, \
-    report_payload, sweep_jobs
+from repro.trace.diff import differential_sweep, report_payload
 from repro.trace.writer import TraceWriter
 
 
@@ -81,14 +78,14 @@ class TestDeterministicMerge:
         jobs = _jobs(8)
         serial = run_jobs(jobs, square_worker, nworkers=1)
         parallel = run_jobs(jobs, square_worker, nworkers=3)
-        assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+        assert serial == parallel
         assert [r.job_id for r in parallel] == [j.job_id for j in jobs]
 
     def test_values_are_json_normalized_on_every_path(self):
         def tuple_worker(payload):
             return (payload["n"], (1, 2))
         # In-process (serial) results must round-trip exactly like
-        # pickled pool results and JSON-resumed results: pure JSON types.
+        # pickled pool results: pure JSON types.
         result = run_jobs([Job("a", {"n": 5})], tuple_worker)[0]
         assert result.value == [5, [1, 2]]
 
@@ -217,167 +214,6 @@ class TestFailurePaths:
         assert time.process_time() - start < 0.3
 
 
-# -- checkpoint / resume ------------------------------------------------------
-
-class TestCheckpointResume:
-    def test_resume_skips_exactly_the_checkpointed_ids(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        jobs = _jobs(6)
-        # Interrupted first run: only the first half completes.
-        run_jobs(jobs[:3], square_worker, checkpoint_path=path)
-        assert sorted(load_checkpoint(path)) == ["j0", "j1", "j2"]
-
-        ran = []
-
-        def counting_worker(payload):
-            ran.append(payload["n"])
-            return square_worker(payload)
-
-        results = run_jobs(jobs, counting_worker, checkpoint_path=path,
-                           resume=True)
-        assert ran == [3, 4, 5]  # checkpointed ids skipped, exactly
-        assert [r.resumed for r in results] == [True] * 3 + [False] * 3
-        assert [r.value["square"] for r in results] == [
-            n * n for n in range(6)]
-
-    def test_failed_checkpoint_entries_also_skip(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        run_jobs(_jobs(2, j0={"raise": "x"}), misbehaving_worker,
-                 checkpoint_path=path)
-        results = run_jobs(_jobs(2), misbehaving_worker,
-                           checkpoint_path=path, resume=True)
-        assert results[0].status == "error"
-        assert results[0].resumed
-
-    def test_resume_counts_only_this_sweeps_cells(self, tmp_path):
-        """A checkpoint that also holds another sweep's cells (one of
-        them failed): only this sweep's ids are skipped and counted."""
-        path = str(tmp_path / "sweep.jsonl")
-        run_jobs(_jobs(3, j2={"raise": "x"}), misbehaving_worker,
-                 checkpoint_path=path)
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        results = run_jobs(_jobs(2), misbehaving_worker,
-                           checkpoint_path=path, resume=True, tracer=tracer)
-        assert [(r.status, r.resumed) for r in results] == [("ok", True)] * 2
-        events = {e["event"]: e for e in tracer.events}
-        assert events["resume"]["skipped"] == 2
-        assert (events["sweep_done"]["total"],
-                events["sweep_done"]["failed"]) == (2, 0)
-
-    def test_interrupt_counts_only_this_sweeps_cells(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        run_jobs([Job(f"other{i}", {"n": i}) for i in range(3)]
-                 + _jobs(1), square_worker, checkpoint_path=path)
-
-        def interrupted_worker(payload):
-            raise KeyboardInterrupt
-
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        with pytest.raises(KeyboardInterrupt):
-            run_jobs(_jobs(2), interrupted_worker, checkpoint_path=path,
-                     resume=True, tracer=tracer)
-        interrupted = [e for e in tracer.events
-                       if e["event"] == "interrupted"]
-        assert [(e["completed"], e["remaining"])
-                for e in interrupted] == [(1, 1)]
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        good = JobResult("a", "ok", value=1).to_json()
-        path.write_text(json.dumps(good) + "\n" + '{"job_id": "b", "sta')
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            assert sorted(load_checkpoint(str(path))) == ["a"]
-
-    def test_corrupt_interior_line_skipped_counted_and_warned(self, tmp_path):
-        """Hardened behavior: a damaged interior line (a previous
-        coordinator died holding the file) is skipped and warned about,
-        not fatal — the lost job simply re-runs on resume."""
-        path = tmp_path / "sweep.jsonl"
-        good = JobResult("a", "ok", value=1).to_json()
-        path.write_text("garbage\n" + json.dumps(good) + "\n"
-                        + '{"no_job_id": true}\n')
-        with pytest.warns(UserWarning, match="skipped 2 corrupt"):
-            assert sorted(load_checkpoint(str(path))) == ["a"]
-
-    @pytest.mark.parametrize("damage", [
-        {"status": "bogus"},
-        {"value": None},
-        {"value": {"square": 5}},
-        {"job_id": 7},
-        {"digest": None},
-    ], ids=["status", "value-null", "value-changed", "job-id-int",
-            "no-digest"])
-    def test_damaged_line_that_parses_is_skipped(self, tmp_path, damage):
-        """A line that still parses as JSON but does not rebuild a
-        result whose value matches its digest is never trusted."""
-        path = tmp_path / "sweep.jsonl"
-        line = dict(JobResult("b", "ok", value={"square": 4}).to_json(),
-                    **damage)
-        if damage == {"digest": None}:
-            del line["digest"]  # written before lines carried digests
-        path.write_text(json.dumps(JobResult("a", "ok", value=1).to_json())
-                        + "\n" + json.dumps(line) + "\n")
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        with pytest.warns(UserWarning, match="skipped 1 corrupt"):
-            assert sorted(load_checkpoint(str(path), tracer=tracer)) == ["a"]
-        assert [e["event"] for e in tracer.events] == ["checkpoint_skipped"]
-
-    def test_line_with_an_attempt_count_still_resumes(self, tmp_path):
-        """Lines written when cells could run more than once carry an
-        ``attempts`` count; resume ignores it and trusts the value."""
-        path = tmp_path / "sweep.jsonl"
-        line = dict(JobResult("j0", "ok", value={"square": 0}).to_json(),
-                    attempts=2)
-        path.write_text(json.dumps(line) + "\n")
-        ran = []
-
-        def counting_worker(payload):
-            ran.append(payload["n"])
-            return square_worker(payload)
-
-        results = run_jobs(_jobs(2), counting_worker,
-                           checkpoint_path=str(path), resume=True)
-        assert ran == [1]
-        assert [r.resumed for r in results] == [True, False]
-        assert [r.value for r in results] == [{"square": 0}, {"square": 1}]
-
-    def test_resume_reruns_a_damaged_cell(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        bad = dict(JobResult("j1", "ok", value={"square": 1}).to_json(),
-                   value=None)
-        path.write_text(json.dumps(bad) + "\n")
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            results = run_jobs(_jobs(2), square_worker,
-                               checkpoint_path=str(path), resume=True)
-        assert [r.value for r in results] == [{"square": 0}, {"square": 1}]
-        assert not any(r.resumed for r in results)
-
-    def test_cli_resume_over_a_bogus_status_line(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "ck.jsonl"
-        path.write_text(json.dumps({"job_id": "seed00000:addrcheck:t2:l18",
-                                    "status": "bogus"}) + "\n")
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            code = main(["diff", "--seeds", "1", "--lifeguards", "addrcheck",
-                         "--checkpoint", str(path), "--resume"])
-        assert code == 0
-        assert "1 cells, 0 failed" in capsys.readouterr().out
-
-    def test_corrupt_lines_traced_on_jobs_category(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        path.write_text("garbage\n")
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        with pytest.warns(UserWarning):
-            load_checkpoint(str(path), tracer=tracer)
-        events = [e for e in tracer.events if e["event"] == "checkpoint_skipped"]
-        assert events and events[0]["lines"] == 1
-
-    def test_resume_requires_checkpoint_path(self):
-        with pytest.raises(ValueError, match="resume"):
-            run_jobs(_jobs(1), square_worker, resume=True)
-
-
 # -- progress tracing ---------------------------------------------------------
 
 class TestProgressTrace:
@@ -390,18 +226,26 @@ class TestProgressTrace:
         assert names[-1] == "sweep_done"
         assert all(e["cat"] == "jobs" for e in tracer.events)
 
-    def test_failing_cell_and_resume_events(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
+    def test_failing_cell_events(self):
         tracer = TraceWriter(categories=("jobs",), keep=True)
         run_jobs(_jobs(1, j0={"raise": "x"}), misbehaving_worker,
-                 checkpoint_path=path, tracer=tracer)
+                 tracer=tracer)
         assert [e["event"] for e in tracer.events] == [
             "start", "done", "sweep_done"]
-        tracer2 = TraceWriter(categories=("jobs",), keep=True)
-        run_jobs(_jobs(1), misbehaving_worker, checkpoint_path=path,
-                 resume=True, tracer=tracer2)
-        resumes = [e for e in tracer2.events if e["event"] == "resume"]
-        assert resumes and resumes[0]["skipped"] == 1
+
+    def test_interrupt_propagates_without_sweep_done(self):
+        """Ctrl-C is not a cell failure: it leaves ``run_jobs`` at once
+        and the sweep is run again."""
+        def interrupted_worker(payload):
+            if payload["n"] == 1:
+                raise KeyboardInterrupt
+            return payload
+
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(_jobs(3), interrupted_worker, tracer=tracer)
+        assert [(e["event"], e.get("job")) for e in tracer.events] == [
+            ("start", "j0"), ("done", "j0"), ("start", "j1")]
 
 
 # -- the acceptance criterion (slow tier) -------------------------------------
@@ -432,30 +276,3 @@ class TestSweepAcceptance:
             assert speedup >= 1.8, (
                 f"25-seed sweep with --jobs 4 only {speedup:.2f}x faster "
                 f"({serial_wall:.1f}s serial vs {parallel_wall:.1f}s)")
-
-    def test_interrupted_sweep_resumes_byte_identical(self, tmp_path):
-        """The 25-seed sweep interrupted after a third of its cells, its
-        checkpoint damaged the way a dying coordinator leaves it, and
-        resumed on the pool, merges byte-identical to ``--jobs 1``."""
-        serial = differential_sweep(range(25))
-        cp = str(tmp_path / "cp.jsonl")
-        jobs = sweep_jobs(range(25))
-        # "interrupt": complete only the first third, then damage the
-        # checkpoint the way a dying coordinator would (torn tail plus
-        # one corrupted interior line)
-        run_jobs(jobs[:len(jobs) // 3], diff_job, nworkers=4,
-                 checkpoint_path=cp)
-        lines = open(cp).read().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]
-        with open(cp, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-            handle.write('{"job_id": "torn')
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            recovered = load_checkpoint(cp)
-        assert len(recovered) == len(jobs) // 3 - 1
-        with pytest.warns(UserWarning):
-            resumed = differential_sweep(range(25), jobs=4,
-                                         checkpoint_path=cp, resume=True)
-        as_bytes = lambda reports: json.dumps(
-            [report_payload(r) for r in reports], sort_keys=True)
-        assert as_bytes(serial) == as_bytes(resumed)

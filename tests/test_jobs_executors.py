@@ -1,9 +1,9 @@
 """Unit tests for the sweep-executor architecture.
 
 Covers the pieces under :mod:`repro.jobs` that the behavioral tests in
-``test_jobs.py`` exercise only end-to-end: the buffered-but-synced
-checkpoint writer, the inline/pool rule, inline/pool parity and
-degradation, and the worker processes' lifetimes.
+``test_jobs.py`` exercise only end-to-end: the inline/pool rule,
+inline/pool parity and degradation, and the worker processes'
+lifetimes, Ctrl-C included.
 """
 
 import math
@@ -16,76 +16,11 @@ import time
 
 import pytest
 
-from repro.jobs import (
-    CheckpointWriter,
-    JobResult,
-    load_checkpoint,
-    run_jobs,
-)
-from repro.jobs import checkpoint as checkpoint_module
+from repro.jobs import run_jobs
 from repro.jobs import pool as pool_module
 from repro.trace.writer import TraceWriter
 from tests.test_jobs import _jobs, misbehaving_worker, pid_worker, \
     square_worker
-
-
-# -- checkpoint durability ----------------------------------------------------
-
-class TestCheckpointWriter:
-    def test_sync_flushes_buffered_lines(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
-        writer = CheckpointWriter(path)
-        writer.append(JobResult("a", "ok").to_json())
-        writer.sync()
-        assert sorted(load_checkpoint(path)) == ["a"]
-        writer.close()
-
-    def test_periodic_fsync_counter(self, tmp_path):
-        writer = CheckpointWriter(str(tmp_path / "cp.jsonl"))
-        every = checkpoint_module.FSYNC_EVERY
-        for n in range(every - 1):
-            writer.append(JobResult(f"j{n}", "ok").to_json())
-        assert writer._unsynced == every - 1
-        writer.append(JobResult("last", "ok").to_json())
-        assert writer._unsynced == 0  # hit FSYNC_EVERY -> synced
-        writer.close()
-
-    def test_interrupt_syncs_checkpoint_and_exits_abnormally(self, tmp_path):
-        """Satellite guarantee, end to end: SIGINT mid-sweep leaves a
-        loadable checkpoint and the CLI exits with the documented
-        abnormal code (3)."""
-        cp = tmp_path / "cp.jsonl"
-        cells = 8
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "diff", "--seeds", str(cells),
-             "--lifeguards", "addrcheck", "--jobs", "2",
-             "--checkpoint", str(cp)],
-            env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        # let a cell land, then interrupt the sweep
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if cp.exists() and len(cp.read_text().splitlines()) >= 1:
-                break
-            if proc.poll() is not None:
-                break
-            time.sleep(0.05)
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGINT)
-        _out, err = proc.communicate(timeout=60)
-        if proc.returncode == 0:
-            pytest.skip("sweep finished before the interrupt landed")
-        if (proc.returncode == -signal.SIGINT
-                and len(load_checkpoint(str(cp))) == cells):
-            # Every cell was checkpointed: the interrupt raced process
-            # exit and hit interpreter finalization, where CPython has
-            # already restored SIGINT to its default disposition.
-            pytest.skip("interrupt landed during interpreter teardown")
-        assert proc.returncode == 3, err
-        assert "resume" in err
-        recovered = load_checkpoint(str(cp))
-        assert recovered  # the synced lines parse and key resume
 
 
 # -- backend rule / parity ---------------------------------------------------
@@ -139,9 +74,8 @@ class TestBackendParity:
     ], ids=["inline", "pool"])
     def test_merge_identical_to_serial(self, kwargs):
         jobs = _jobs(6)
-        serial = [r.to_json() for r in run_jobs(jobs, square_worker)]
-        assert [r.to_json()
-                for r in run_jobs(jobs, square_worker, **kwargs)] == serial
+        serial = run_jobs(jobs, square_worker)
+        assert run_jobs(jobs, square_worker, **kwargs) == serial
 
     def test_degradation_reaches_inline_floor(self, monkeypatch):
         """With no worker process able to start, the sweep completes
@@ -212,3 +146,58 @@ class TestWorkerProcesses:
                            nworkers=2, timeout=0.5)
         assert results[1].status == status
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="finds the worker processes through /proc")
+    def test_interrupt_exits_abnormally_and_leaves_no_worker(self):
+        """SIGINT mid-sweep: the CLI exits with the documented abnormal
+        code (3) and every worker process is gone with it. There is
+        nothing to resume; the sweep is run again."""
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "diff", "--seeds", "40",
+             "--jobs", "2"],
+            env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        # interrupt once both worker processes are running cells
+        workers = set()
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None \
+                and time.monotonic() < deadline:
+            workers |= _children(proc.pid)
+            time.sleep(0.05)
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
+        _out, err = proc.communicate(timeout=60)
+        if proc.returncode == 0:
+            pytest.skip("sweep finished before the interrupt landed")
+        assert proc.returncode == 3, err
+        assert len(workers) == 2
+        assert [pid for pid in workers if _alive(pid)] == []
+
+
+def _stat_fields(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or
+    None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def _children(ppid):
+    """The pids whose parent is ``ppid``."""
+    found = set()
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            fields = _stat_fields(name)
+            if fields is not None and int(fields[1]) == ppid:
+                found.add(int(name))
+    return found
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie has already exited)."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"

@@ -6,6 +6,7 @@ import hashlib
 import http.client
 import json
 import math
+import os
 import socket
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.serve import (
     start_in_thread,
 )
 from repro.serve import main as serve_main
+from repro.serve import smoke
 from repro.trace import encode_event, read_trace, trace_hash
 from repro.workloads import WORKLOADS
 
@@ -603,3 +605,21 @@ class TestLifecycle:
         with pytest.raises(SystemExit) as info:
             serve_main(["--runners", "0", "--data-dir", str(tmp_path)])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("given", [False, True], ids=["temp", "given"])
+    def test_smoke_data_dir_outlives_the_smoke_only_when_given(
+            self, tmp_path, monkeypatch, given):
+        """``repro.serve.smoke`` without ``--data-dir`` cleans up the
+        temporary directory it made; a given directory is left alone."""
+        seen = []
+
+        def fake_run_smoke(url, data_dir, log_path, seed):
+            assert os.path.isdir(data_dir)
+            seen.append(data_dir)
+            return 0
+
+        monkeypatch.setattr(smoke, "run_smoke", fake_run_smoke)
+        argv = ["--data-dir", str(tmp_path)] if given else []
+        assert smoke.main(argv) == 0
+        assert len(seen) == 1
+        assert os.path.isdir(seen[0]) == given
