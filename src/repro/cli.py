@@ -162,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated event categories "
                                  f"({','.join(CATEGORIES)}; default all)")
     run_parser.add_argument("--trace-ring", type=non_negative_int,
-                            metavar="N",
-                            default=DEFAULT_RING_EVENTS,
+                            metavar="N", default=None,
                             help="events kept for the crash-report ring "
                                  f"buffer (default {DEFAULT_RING_EVENTS})")
 
@@ -282,6 +281,9 @@ def _cmd_run(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     watchdog = Watchdog(args.watchdog) if args.watchdog else None
+    if args.trace_ring is not None and not args.crash_report:
+        print("note: --trace-ring has no effect without --crash-report",
+              file=sys.stderr)
     tracer = None
     if args.trace or args.crash_report:
         # --crash-report alone arms a silent ring buffer so a failing
@@ -291,7 +293,10 @@ def _cmd_run(args) -> int:
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        ring = args.trace_ring if args.crash_report else 0
+        ring = 0
+        if args.crash_report:
+            ring = (DEFAULT_RING_EVENTS if args.trace_ring is None
+                    else args.trace_ring)
         if args.trace == "-":
             tracer = TraceWriter(stream=sys.stdout, categories=categories,
                                  ring=ring)

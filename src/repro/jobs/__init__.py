@@ -19,7 +19,6 @@ from repro.jobs.model import (
     EXIT_TIMEOUT,
     Job,
     JobResult,
-    TERMINAL_STATUSES,
     cell_values,
     normalize_value,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "EXIT_TIMEOUT",
     "Job",
     "JobResult",
-    "TERMINAL_STATUSES",
     "cell_values",
     "normalize_value",
     "run_jobs",

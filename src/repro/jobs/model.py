@@ -32,9 +32,6 @@ STATUS_EXIT = {
     "timeout": EXIT_TIMEOUT,
 }
 
-#: The statuses a job can end with; each job runs once.
-TERMINAL_STATUSES = frozenset(STATUS_EXIT)
-
 
 def normalize_value(value):
     """JSON round-trip so both result paths (in-process, pickled pool)

@@ -1,7 +1,7 @@
 """Incremental ``tail -f``-style reader for live JSONL trace streams.
 
-The flight recorder's ``stream`` mode writes one complete JSON line per
-event and flushes after the trailing newline, so a concurrent reader
+The flight recorder's ``stream`` mode hands the OS one complete JSON
+line per event, trailing newline included, so a concurrent reader
 that only consumes *newline-terminated* lines never sees a torn event:
 whatever sits after the last ``\\n`` is an in-flight write and must be
 held back until more bytes arrive. :class:`TraceTail` implements
@@ -17,7 +17,7 @@ re-streams lines verbatim stays byte-identical to the file —
 :func:`repro.trace.trace_hash` over the tailed payloads equals the hash
 of ``read_trace(path)`` once the writer closes. Payloads are validated
 (:func:`repro.trace.validate_event`); a malformed *complete* line means
-real corruption (the writer never flushes half a line followed by a
+real corruption (the writer never writes half a line followed by a
 newline) and raises ``ValueError`` rather than silently desyncing the
 stream.
 

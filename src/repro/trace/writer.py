@@ -13,8 +13,10 @@ that category out, so a filtered category costs the same.
 Three storage modes, freely combinable:
 
 * **stream** — each event is written immediately as one compact JSON
-  line and flushed, so ``tail -f trace.jsonl | jq .`` works while the
-  simulation runs.
+  line, so ``tail -f trace.jsonl | jq .`` works while the simulation
+  runs. A file opened by :meth:`TraceWriter.to_path` is unbuffered
+  binary and gets exactly one ``write`` per line; a borrowed text
+  stream (stdout, ``io.StringIO``) gets a ``write`` and a ``flush``.
 * **ring** — a bounded ``deque`` keeps only the last N events; crash
   reports embed :meth:`snapshot` so a post-mortem shows what the
   machine was doing right before it died.
@@ -134,6 +136,29 @@ def tracer_for(tracer: Optional[TraceWriter],
     return None
 
 
+# The two line writers close over the stream, not the writer, so a
+# writer never sits in a reference cycle: it (and any kept events) is
+# freed as soon as it is dropped.
+
+
+def _text_line_writer(stream):
+    """Write one line to a borrowed text stream, then flush it."""
+    def write_line(line: str) -> None:
+        stream.write(line)
+        stream.flush()
+    return write_line
+
+
+def _raw_line_writer(raw):
+    """Write one line to an unbuffered binary file in one ``write``."""
+    def write_line(line: str) -> None:
+        data = line.encode()
+        written = raw.write(data)
+        while written < len(data):  # a short write must not tear the line
+            written += raw.write(data[written:])
+    return write_line
+
+
 class TraceWriter:
     """Collects flight-recorder events; see the module docstring.
 
@@ -149,7 +174,7 @@ class TraceWriter:
     """
 
     __slots__ = ("categories", "events", "_engine", "_ring", "_stream",
-                 "_owns_stream", "emitted")
+                 "_owns_stream", "_write", "emitted")
 
     def __init__(self, *, stream=None, categories: Optional[Iterable[str]] = None,
                  ring: int = 0, keep: bool = False):
@@ -170,6 +195,8 @@ class TraceWriter:
         self._ring = deque(maxlen=ring) if ring else None
         self._stream = stream
         self._owns_stream = False
+        #: Writes one encoded line; None when no stream is attached.
+        self._write = None if stream is None else _text_line_writer(stream)
         self.events: Optional[List[dict]] = [] if keep else None
         self._engine = None
         #: Total events recorded (post-filter), for tests and stats.
@@ -183,12 +210,16 @@ class TraceWriter:
         The constructor runs (and validates its arguments) *before* the
         file is opened, so a bad category or ring size never leaks an
         open handle or leaves a stray empty trace file behind. The file
-        is always UTF-8, regardless of platform locale, so a trace
+        is unbuffered binary: each emit hands the OS its whole line in
+        one ``write``, so the line is visible to a reader before
+        :meth:`emit` returns. Lines are ASCII with ``\n`` endings,
+        regardless of platform locale or newline convention, so a trace
         written on one machine and served from another is byte-identical.
         """
         writer = cls(stream=None, categories=categories, ring=ring, keep=keep)
-        writer._stream = open(path, "w", encoding="utf-8")
+        writer._stream = open(path, "wb", buffering=0)
         writer._owns_stream = True
+        writer._write = _raw_line_writer(writer._stream)
         return writer
 
     # -- wiring ---------------------------------------------------------------
@@ -216,9 +247,10 @@ class TraceWriter:
         Zero-allocation contract: the kwargs dict that the call itself
         creates *is* the stored payload — no second dict is built and no
         per-event encoder is constructed. In stream mode the payload is
-        encoded exactly once, written as one line and flushed. Field
-        order in the payload is irrelevant: every encoder downstream
-        (:func:`encode_event`, :func:`trace_hash`) sorts keys.
+        encoded exactly once and reaches the stream as one line before
+        this returns. Field order in the payload is irrelevant: every
+        encoder downstream (:func:`encode_event`, :func:`trace_hash`)
+        sorts keys.
         """
         if cat not in self.categories:
             _check_category(cat)
@@ -240,10 +272,9 @@ class TraceWriter:
             self.events.append(payload)
         if self._ring is not None:
             self._ring.append(payload)
-        stream = self._stream
-        if stream is not None:
-            stream.write(encode_event(payload) + "\n")
-            stream.flush()  # one whole line per emit: safe for tail -f
+        write = self._write
+        if write is not None:
+            write(encode_event(payload) + "\n")  # safe for tail -f
 
     # -- retrieval ------------------------------------------------------------
 
@@ -262,6 +293,7 @@ class TraceWriter:
         if self._owns_stream and self._stream is not None:
             self._stream.close()
             self._stream = None
+            self._write = None
             self._owns_stream = False
 
 
@@ -365,26 +397,77 @@ def _decode_line(line: str) -> dict:
         payload, end = _SCAN_ONCE(line, 0)
     except (StopIteration, json.JSONDecodeError):
         payload, end = None, -1
-    if (end == len(line) and type(payload) is dict
-            and _PASSTHROUGH_TYPES.issuperset(map(type, payload.values()))
-            and type(payload.get("cycle")) is int and payload["cycle"] >= 0
-            and payload.get("cat") in _CATEGORY_SET
-            and type(payload.get("event")) is str and payload["event"]):
+    if end == len(line) and _plain_event(payload):
         return payload
     payload = json.loads(line)
     validate_event(payload)
     return payload
 
 
+def _plain_event(payload) -> bool:
+    """Is ``payload`` the common case: a dict of scalars (no list or
+    object field) whose ``cycle``, ``cat`` and ``event`` are valid?
+    Every such dict passes :func:`validate_event`."""
+    return (type(payload) is dict
+            and _PASSTHROUGH_TYPES.issuperset(map(type, payload.values()))
+            and type(payload.get("cycle")) is int and payload["cycle"] >= 0
+            and payload.get("cat") in _CATEGORY_SET
+            and type(payload.get("event")) is str and payload["event"] != "")
+
+
+def _is_valid_event(payload) -> bool:
+    """:func:`validate_event` as a predicate, plain events first."""
+    if _plain_event(payload):
+        return True
+    try:
+        validate_event(payload)
+    except ValueError:
+        return False
+    return True
+
+
 def read_trace(path: str) -> List[dict]:
     """Load a complete JSONL trace file, validating every line; a
-    malformed line raises ``ValueError``. A live ``stream``-mode trace
-    is followed with :class:`repro.trace.TraceTail`, which holds back a
-    torn final line instead.
+    malformed line raises ``ValueError`` naming ``path:lineno``. A live
+    ``stream``-mode trace is followed with :class:`repro.trace.TraceTail`,
+    which holds back a torn final line instead.
+
+    A line ends at ``\n`` and nowhere else, as in :class:`TraceTail`
+    and the writer; leading and trailing whitespace is stripped and a
+    blank line is skipped. A file whose lines are all schema-valid
+    events, one per line, is parsed in one ``json.loads`` call, which
+    also shares each key string across all events. Anything else takes
+    the per-line loop, the only path that raises, so every error is the
+    per-line loop's own.
     """
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    if not all(line.startswith("{") for line in lines):
+        return _read_lines(path, lines)
+    count = len(lines)
+    # No JSON string holds a raw "\n", so each line's "{" opens a
+    # value. A valid event holds no object at any depth, so no "{" but
+    # its first: none of those values nests in another, and with
+    # ``count`` valid events element i is exactly line i.
+    joined = "[" + ",\n".join(lines) + "]"
+    del lines
+    try:
+        events = json.loads(joined)
+    except (ValueError, RecursionError):
+        events = None
+    if (events is not None and len(events) == count
+            and all(map(_is_valid_event, events))):
+        return events
+    del events
+    # Every ",\n" in ``joined`` is a joint, so this rebuilds the lines.
+    return _read_lines(path, joined[1:-1].split(",\n"))
+
+
+def _read_lines(path: str, lines: List[str]) -> List[dict]:
+    """The per-line reference loop of :func:`read_trace`."""
     events = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:

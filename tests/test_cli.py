@@ -252,6 +252,19 @@ class TestCommands:
                      "--capture", "per_core"]) == 0
         assert "note:" not in capsys.readouterr().err
 
+    def test_trace_ring_without_crash_report_gets_a_note(self, capsys):
+        # The ring only feeds a crash report; without one the flag was
+        # dropped silently.
+        assert main(["run", "swaptions", "--trace-ring", "8"]) == 0
+        assert ("note: --trace-ring has no effect without --crash-report"
+                in capsys.readouterr().err)
+
+    def test_trace_ring_with_crash_report_gets_no_note(self, tmp_path,
+                                                        capsys):
+        assert main(["run", "swaptions", "--trace-ring", "8",
+                     "--crash-report", str(tmp_path / "crash.json")]) == 0
+        assert "note:" not in capsys.readouterr().err
+
     def test_run_tso_without_accel(self, capsys):
         assert main(["run", "dekker", "--memory-model", "tso",
                      "--no-accel"]) == 0

@@ -2,9 +2,11 @@
 emission through all three platform schemes, and the "disabled tracing
 is behavior-identical" contract."""
 
+import hashlib
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -304,7 +306,9 @@ class TestBoolCycleStamp:
 
 class TestSingleWritePath:
     """The deferred ``flush_every`` batching is gone: stream mode always
-    encodes, writes and flushes one line per emit."""
+    encodes one line per emit and hands it to the stream before ``emit``
+    returns (one ``write`` to a ``to_path`` file, ``write`` and
+    ``flush`` to a borrowed stream)."""
 
     def test_flush_every_is_not_an_option(self, tmp_path):
         with pytest.raises(TypeError):
@@ -605,3 +609,210 @@ class TestFilteringIsAnExactProjection:
             assert writer.events == projection, category
             assert trace_hash(writer.events) == trace_hash(projection)
             assert _observable(result) == untraced, category
+
+
+def _drain(path):
+    """Every event a ``TraceTail`` returns for a finished file."""
+    events = []
+    with TraceTail(path) as tail:
+        while True:
+            batch = tail.poll()
+            if not batch:
+                return events
+            events.extend(payload for _, payload in batch)
+
+
+class TestLineBoundaries:
+    """``read_trace`` and ``TraceTail`` agree on what a line is: it ends
+    at ``\\n`` only. ``str.splitlines`` also split on ``\\r``,
+    ``\\x0c``, ``\\x85`` and U+2028, so the two readers disagreed on
+    these files."""
+
+    _EVENT = '{"cat":"engine","cycle":1,"event":"x"}'
+
+    @pytest.mark.parametrize("body", [
+        '{"cat":"engine","cycle":1,"event":"a\u2028b"}\n',
+        '{"cat":"engine","cycle":1,"event":"a\x85b"}\n',
+        _EVENT + "\r" + _EVENT + "\n",
+        _EVENT + "\x0c" + _EVENT + "\n",
+    ], ids=["u2028-in-string", "x85-in-string", "lone-cr", "form-feed"])
+    def test_both_readers_agree(self, tmp_path, body):
+        path = tmp_path / "t.jsonl"
+        path.write_text(body, encoding="utf-8", newline="")
+        outcomes = []
+        for read in (read_trace, _drain):
+            try:
+                outcomes.append(("ok", read(str(path))))
+            except ValueError:
+                outcomes.append(("ValueError", None))
+        assert outcomes[0] == outcomes[1]
+
+
+def _reference_read(path):
+    """The per-line loop every ``read_trace`` result must equal."""
+    events = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+        validate_event(payload)
+        events.append(payload)
+    return events
+
+
+_FLAT_VALUES = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(alphabet=st.sampled_from('"\\{},[]\r\t\u2028é✓ab')))
+
+
+@st.composite
+def _flat_event_lines(draw):
+    fields = draw(st.dictionaries(
+        st.text(alphabet=st.sampled_from('"{},ab')).filter(
+            lambda key: key not in ("cycle", "cat", "event")),
+        _FLAT_VALUES, max_size=4))
+    event = dict(fields, cycle=draw(st.integers(min_value=0)),
+                 cat=draw(st.sampled_from(CATEGORIES)),
+                 event=draw(st.text(min_size=1, max_size=4)))
+    return encode_event(event) if draw(st.booleans()) else json.dumps(event)
+
+
+_EVENT_LINES = _flat_event_lines() | _valid_events().map(encode_event)
+
+
+def _split_at_a_comma(pair):
+    """An event line cut into two lines at one of its commas, which is
+    dropped: neither line is an event, but joined by a comma they are."""
+    line, pick = pair
+    commas = [index for index, char in enumerate(line) if char == ","]
+    if not commas:
+        return [line]
+    cut = commas[pick % len(commas)]
+    return [line[:cut], line[cut + 1:]]
+
+
+#: Runs of lines of a trace file: valid events (flat or with list
+#: fields), blank and whitespace-only lines, a BOM, two objects on one
+#: line, a line torn at either end or split in two, non-object lines
+#: and bad stamps.
+_FILE_CHUNKS = st.one_of(
+    _EVENT_LINES.map(lambda line: [line]),
+    _EVENT_LINES.map(lambda line: [line + "\r"]),
+    st.sampled_from(["", " ", "\t", "\r", "\x0c", "\x85", "\u2028 "]).map(
+        lambda line: [line]),
+    _EVENT_LINES.map(lambda line: ["\ufeff" + line]),
+    st.tuples(_EVENT_LINES, st.sampled_from(["", " ", ","]),
+              _EVENT_LINES).map(lambda parts: ["".join(parts)]),
+    st.tuples(_EVENT_LINES, st.integers(min_value=0)).map(
+        lambda pair: [pair[0][:pair[1] % (len(pair[0]) + 1)]]),
+    st.tuples(_EVENT_LINES, st.integers(min_value=0)).map(
+        lambda pair: [pair[0][pair[1] % (len(pair[0]) + 1):]]),
+    st.tuples(_EVENT_LINES, st.integers(min_value=0)).map(_split_at_a_comma),
+    st.sampled_from(["[1,2]", "1", "null", '"x"', "{}", "{", "}", ","]).map(
+        lambda line: [line]),
+    st.sampled_from(DECODER_CORPUS).map(lambda line: [line]),
+)
+
+
+class TestReadTraceMatchesPerLineLoop:
+    """``read_trace`` returns exactly what the per-line reference loop
+    returns, or raises the same exception type with the same message,
+    whether it takes its one-call path or its per-line loop."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("whole-file") / "t.jsonl")
+
+    def _check(self, path, lines, final_newline):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\n".join(lines) + ("\n" if final_newline else ""))
+        assert _outcome(read_trace, path) == _outcome(_reference_read, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunks=st.lists(_FILE_CHUNKS, max_size=6),
+           final_newline=st.booleans())
+    def test_mixed_files(self, path, chunks, final_newline):
+        self._check(path, sum(chunks, []), final_newline)
+
+    def test_a_line_split_in_two_is_not_an_event(self, path):
+        # Joined with commas, the two halves and the line of two events
+        # parse as three events, one per line; the per-line loop rejects
+        # the first half.
+        event = '{"cat":"engine","cycle":1,"event":"x"}'
+        halves = ['{"cat":"engine","cycle":1', '"event":"x"}']
+        self._check(path, halves + [event + "," + event], True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(_flat_event_lines(), max_size=8),
+           final_newline=st.booleans())
+    def test_files_of_plain_events(self, path, lines, final_newline):
+        self._check(path, lines, final_newline)
+
+
+def _tso_run_to_path(path):
+    from repro.common.config import MemoryModel
+
+    tracer = TraceWriter.to_path(path)
+    try:
+        run_parallel_monitoring(
+            build_workload("swaptions", nthreads=4), TaintCheck,
+            SimulationConfig.for_threads(4, memory_model=MemoryModel.TSO),
+            tracer=tracer)
+    finally:
+        tracer.close()
+
+
+class TestFileWriter:
+    """``to_path`` writes the canonical encoding through one unbuffered
+    ``write`` per line."""
+
+    def test_file_bytes_are_the_canonical_encoding(self, tmp_path):
+        path = str(tmp_path / "tso.jsonl")
+        _tso_run_to_path(path)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        events = read_trace(path)
+        assert len(events) > 1000
+        assert hashlib.sha256(raw).hexdigest() == trace_hash(events)
+
+    def test_one_call_read_shares_key_strings(self, tmp_path):
+        path = str(tmp_path / "tso.jsonl")
+        _tso_run_to_path(path)
+        first, *rest = read_trace(path)
+        cycle_key = next(key for key in first if key == "cycle")
+        assert all(next(key for key in event if key == "cycle")
+                   is cycle_key for event in rest)
+
+    def test_each_line_is_visible_when_emit_returns(self, tmp_path):
+        path = str(tmp_path / "live.jsonl")
+        writer = TraceWriter.to_path(path)
+        written = 0
+        try:
+            with TraceTail(path) as tail:
+                for index in range(5):
+                    writer.emit("engine", "stall", index=index, note="é")
+                    written += len(encode_event(
+                        {"cat": "engine", "cycle": 0, "event": "stall",
+                         "index": index, "note": "é"}) + "\n")
+                    assert os.path.getsize(path) == written
+                    assert [payload["index"]
+                            for _, payload in tail.poll()] == [index]
+        finally:
+            writer.close()
+        assert [event["index"] for event in read_trace(path)] == \
+            list(range(5))
+
+    def test_emit_after_close_writes_nothing(self, tmp_path):
+        path = tmp_path / "closed.jsonl"
+        writer = TraceWriter.to_path(str(path))
+        writer.emit("engine", "stall")
+        writer.close()
+        writer.close()
+        writer.emit("engine", "stall")
+        assert len(read_trace(str(path))) == 1
