@@ -25,9 +25,12 @@ Commands:
 * ``list`` — available workloads and lifeguards.
 
 Commands parsed here exit 2 on a bad flag, including an output path whose
-directory does not exist (checked before any work starts).
+directory does not exist (checked before any work starts), and 3 when
+interrupted (Ctrl-C) or when stdout closes early (``| head -1``): the
+output is incomplete, so run the command again.
 
-``run`` exit codes: 0 success, 3 diagnosed deadlock/livelock
+``run`` builds the :class:`~repro.platform.spec.RunSpec` that ``POST
+/runs`` builds. Its exit codes: 0 success, 3 diagnosed deadlock/livelock
 (:class:`~repro.common.errors.DeadlockError`; pass ``--crash-report`` to
 dump the wait-for-graph diagnostics as JSON), 4 cycle budget exceeded
 (:class:`~repro.common.errors.SimulationTimeout`).
@@ -36,21 +39,15 @@ dump the wait-for-graph diagnostics as JSON), 4 cycle budget exceeded
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.common.argtypes import non_negative_int, output_path, \
     positive_float, positive_int
 from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
     SimulationConfig
-from repro.common.errors import ConfigurationError, SimulationError, \
-    SimulationTimeout
-from repro.cpu.engine import Watchdog
-from repro.faults import (
-    EXIT_ABNORMAL,
-    EXIT_BUDGET_EXCEEDED,
-    FaultPlan,
-    parse_fault_spec,
-)
+from repro.common.errors import ConfigurationError
+from repro.faults import EXIT_ABNORMAL, FaultPlan, parse_fault_spec
 from repro.eval import (
     figure6,
     figure7,
@@ -67,27 +64,10 @@ from repro.eval.reporting import (
     render_mapping,
 )
 from repro.lifeguards import LIFEGUARDS
-from repro.platform import (
-    MONITORED_SCHEMES,
-    SCHEMES,
-    run_scheme,
-    write_crash_report,
-)
-from repro.trace import (
-    CATEGORIES,
-    DEFAULT_RING_EVENTS,
-    TraceWriter,
-    parse_trace_filter,
-)
-from repro.workloads import PAPER_BENCHMARKS, WORKLOADS, build_workload
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=positive_int, default=2,
-                        help="application threads (default 2)")
-    parser.add_argument("--scale", choices=[s.value for s in ScalePreset],
-                        default="tiny", help="workload scale preset")
-    parser.add_argument("--seed", type=int, default=1)
+from repro.platform import MONITORED_SCHEMES, SCHEMES, write_crash_report
+from repro.platform.spec import SIM_FIELDS, UNREAD_FIELDS, RunSpec
+from repro.trace import CATEGORIES, DEFAULT_RING_EVENTS, open_trace
+from repro.workloads import PAPER_BENCHMARKS, WORKLOADS
 
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
@@ -120,7 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one monitored workload")
     run_parser.add_argument("workload", choices=sorted(WORKLOADS))
-    _add_common(run_parser)
+    run_parser.add_argument("--threads", type=positive_int, default=2,
+                            help="application threads (default 2)")
+    run_parser.add_argument("--scale",
+                            choices=[s.value for s in ScalePreset],
+                            default="tiny", help="workload scale preset")
+    run_parser.add_argument("--seed", type=non_negative_int, default=1)
     run_parser.add_argument("--lifeguard", choices=sorted(LIFEGUARDS),
                             default="taintcheck")
     run_parser.add_argument("--scheme",
@@ -263,77 +248,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_spec(args) -> RunSpec:
+    """The :class:`RunSpec` a ``repro run`` namespace names, before its
+    unread fields are reset."""
+    values = {name: getattr(args, name) for name in SIM_FIELDS}
+    values["watchdog"] = args.watchdog or None  # --watchdog 0: off
+    return RunSpec(**values)
+
+
 def _cmd_run(args) -> int:
-    config = SimulationConfig.for_threads(
-        args.threads,
-        memory_model=MemoryModel(args.memory_model),
-        capture_mode=CaptureMode(args.capture),
-    )
-    scale = ScalePreset(args.scale)
-    workload = build_workload(args.workload, args.threads, scale, args.seed)
-    fault_plan = None
-    if args.inject:
-        try:
-            fault_plan = FaultPlan(
-                faults=tuple(parse_fault_spec(spec) for spec in args.inject),
-                seed=args.fault_seed)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    watchdog = Watchdog(args.watchdog) if args.watchdog else None
+    try:
+        fault_plan = FaultPlan(
+            faults=tuple(parse_fault_spec(spec) for spec in args.inject),
+            seed=args.fault_seed) if args.inject else None
+        spec = run_spec(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.trace_ring is not None and not args.crash_report:
         print("note: --trace-ring has no effect without --crash-report",
               file=sys.stderr)
-    tracer = None
-    if args.trace or args.crash_report:
-        # --crash-report alone arms a silent ring buffer so a failing
-        # run's report still carries its last-N flight-recorder events.
-        try:
-            categories = parse_trace_filter(args.trace_filter)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ring = 0
-        if args.crash_report:
-            ring = (DEFAULT_RING_EVENTS if args.trace_ring is None
-                    else args.trace_ring)
-        if args.trace == "-":
-            tracer = TraceWriter(stream=sys.stdout, categories=categories,
-                                 ring=ring)
-        elif args.trace:
-            tracer = TraceWriter.to_path(args.trace, categories=categories,
-                                         ring=ring)
-        else:
-            tracer = TraceWriter(categories=categories, ring=ring)
-    ignored = ()
-    if args.scheme not in MONITORED_SCHEMES:
-        ignored = (("--inject", fault_plan is not None),
-                   ("--no-accel", args.no_accel),
-                   ("--capture", args.capture != "per_block"))
-        reason = "no monitoring pipeline"
-    elif args.scheme == "timesliced":
-        ignored = (("--memory-model", args.memory_model != "sc"),
-                   ("--capture", args.capture != "per_block"))
-        reason = "one core: no store buffer and no arcs"
-    for flag, given in ignored:
-        if given:
-            print(f"note: {flag} has no effect with --scheme "
-                  f"{args.scheme} ({reason})", file=sys.stderr)
+    ignored = spec.ignored()
+    if fault_plan is not None and spec.scheme not in MONITORED_SCHEMES:
+        ignored = ("inject",) + ignored
+    for name in ignored:
+        print(f"note: --{name.replace('_', '-')} has no effect with "
+              f"--scheme {spec.scheme} ({UNREAD_FIELDS[spec.scheme][0]})",
+              file=sys.stderr)
+    # --crash-report alone arms a silent ring buffer so a failing run's
+    # report still carries its last-N flight-recorder events.
+    ring = 0
+    if args.crash_report:
+        ring = (DEFAULT_RING_EVENTS if args.trace_ring is None
+                else args.trace_ring)
+    tracer = open_trace(args.trace, spec.trace_filter, ring=ring)
     try:
-        result = run_scheme(
-            args.scheme, workload, LIFEGUARDS[args.lifeguard], config,
-            no_accel=args.no_accel, fault_plan=fault_plan,
-            watchdog=watchdog, max_cycles=args.max_cycles, tracer=tracer)
-    except SimulationError as exc:
-        # DeadlockError and SimulationTimeout both derive from
-        # SimulationError; so do the integrity checks (lost CA
-        # broadcast, un-drained log) that fault injection can trip.
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.crash_report:
-            path = write_crash_report(exc, args.crash_report, tracer=tracer)
-            print(f"crash report written to {path}", file=sys.stderr)
-        return (EXIT_BUDGET_EXCEEDED if isinstance(exc, SimulationTimeout)
-                else EXIT_ABNORMAL)
+        result, exc, exit_code = spec.normalized().execute(
+            tracer=tracer, fault_plan=fault_plan)
+        if exc is not None:
+            # DeadlockError and SimulationTimeout both derive from
+            # SimulationError; so do the integrity checks (lost CA
+            # broadcast, un-drained log) that fault injection can trip.
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            if args.crash_report:
+                path = write_crash_report(exc, args.crash_report,
+                                          tracer=tracer)
+                print(f"crash report written to {path}", file=sys.stderr)
+            return exit_code
     finally:
         if tracer is not None:
             tracer.close()
@@ -371,15 +332,8 @@ def _cmd_diff(args) -> int:
     from repro.trace.diff import differential_sweep, report_payload
 
     try:
-        if args.trace == "-":
-            tracer = TraceWriter(
-                stream=sys.stdout,
-                categories=parse_trace_filter(args.trace_filter))
-        elif args.trace:
-            tracer = TraceWriter.to_path(
-                args.trace, categories=parse_trace_filter(args.trace_filter))
-        else:
-            tracer = None
+        tracer = (open_trace(args.trace, args.trace_filter) if args.trace
+                  else None)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -392,7 +346,7 @@ def _cmd_diff(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if args.trace and args.trace != "-":
+        if tracer is not None:
             tracer.close()
     if args.output:
         with open(args.output, "w") as handle:
@@ -544,11 +498,18 @@ def main(argv=None) -> int:
 
     Ctrl-C anywhere exits with :data:`~repro.faults.EXIT_ABNORMAL` (3);
     a sweep's worker processes are already gone by then, and the
-    interrupted command is simply run again.
+    interrupted command is simply run again. So does a stdout closed
+    early (``repro run swaptions | head -1``): the output is incomplete.
     """
     try:
-        return _dispatch(sys.argv[1:] if argv is None else argv)
+        code = _dispatch(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # where a short output meets a closed pipe
+        return code
     except KeyboardInterrupt:
+        return EXIT_ABNORMAL
+    except BrokenPipeError:
+        # Point stdout at devnull so the exit-time flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ABNORMAL
 
 

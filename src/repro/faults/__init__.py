@@ -7,6 +7,7 @@ the simulated machine itself, and a run without a plan must not change
 by a single cycle.
 """
 
+from repro.common.errors import SimulationTimeout
 from repro.faults.plan import (
     FAULT_SITES,
     Fault,
@@ -23,5 +24,12 @@ from repro.faults.plan import (
 EXIT_ABNORMAL = 3
 EXIT_BUDGET_EXCEEDED = 4
 
+
+def exit_code_for(exc) -> int:
+    """The exit code of a run that failed with ``exc``."""
+    return (EXIT_BUDGET_EXCEEDED if isinstance(exc, SimulationTimeout)
+            else EXIT_ABNORMAL)
+
+
 __all__ = ["EXIT_ABNORMAL", "EXIT_BUDGET_EXCEEDED", "FAULT_SITES", "Fault",
-           "FaultPlan", "SITE_ACTIONS", "parse_fault_spec"]
+           "FaultPlan", "SITE_ACTIONS", "exit_code_for", "parse_fault_spec"]

@@ -14,8 +14,10 @@ with :class:`repro.trace.TraceTail`.
 Endpoints (all JSON unless noted):
 
 * ``POST /runs`` — submit a run (``workload``/``scheme``/``lifeguard``/
-  ``seed``/...; the same vocabulary as ``python -m repro run``);
-  returns ``201`` with the new run's manifest.
+  ``seed``/..., plus an optional job ``timeout``); the same vocabulary,
+  defaults and rules as ``python -m repro run``, since both build one
+  :class:`~repro.platform.spec.RunSpec`. Returns ``201`` with the new
+  run's manifest, or ``400`` with the spec's message.
 * ``GET /runs`` — list all runs with states
   (``queued|running|done|failed``).
 * ``GET /runs/{id}`` — one run's manifest (config + digest, state,
@@ -37,7 +39,7 @@ Nothing beyond the standard library is required; the server is
 from repro.serve.app import ServeApp, main, start_in_thread
 from repro.serve.registry import RUN_STATES, RunRegistry
 from repro.serve.scenarios import scenario_library
-from repro.serve.worker import execute_run, normalize_run_config, run_digest
+from repro.serve.worker import execute_run, parse_submission
 
 __all__ = [
     "RUN_STATES",
@@ -45,8 +47,7 @@ __all__ = [
     "ServeApp",
     "execute_run",
     "main",
-    "normalize_run_config",
-    "run_digest",
+    "parse_submission",
     "scenario_library",
     "start_in_thread",
 ]

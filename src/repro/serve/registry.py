@@ -35,12 +35,13 @@ import queue
 import re
 import threading
 import warnings
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
 from repro.faults import EXIT_ABNORMAL
 from repro.jobs import Job, run_jobs
-from repro.serve.worker import execute_run, normalize_run_config, run_digest
+from repro.serve.worker import execute_run, parse_submission
 
 #: Run lifecycle states.
 RUN_STATES = ("queued", "running", "done", "failed")
@@ -91,7 +92,7 @@ class RunRegistry:
         Raises :class:`~repro.common.errors.ConfigurationError` on a bad
         payload (the HTTP layer turns that into a 400).
         """
-        config = normalize_run_config(payload)
+        spec, timeout = parse_submission(payload)
         with self._lock:
             run_id = f"r{self._next_seq:05d}"
             self._next_seq += 1
@@ -100,8 +101,8 @@ class RunRegistry:
             record = {
                 "id": run_id,
                 "state": "queued",
-                "config": config,
-                "config_digest": run_digest(config),
+                "config": dict(asdict(spec), timeout=timeout),
+                "config_digest": spec.digest(),
                 "trace_path": os.path.join(run_dir, "trace.jsonl"),
                 "created": _now(),
                 "started": None,

@@ -13,6 +13,7 @@ from repro.trace.writer import (
     DEFAULT_RING_EVENTS,
     TraceWriter,
     encode_event,
+    open_trace,
     parse_trace_filter,
     read_trace,
     trace_hash,
@@ -25,6 +26,7 @@ __all__ = [
     "TraceTail",
     "TraceWriter",
     "encode_event",
+    "open_trace",
     "parse_trace_filter",
     "read_trace",
     "trace_hash",

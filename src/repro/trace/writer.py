@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import sys
 from collections import deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, List, Optional
@@ -295,6 +296,20 @@ class TraceWriter:
             self._stream = None
             self._write = None
             self._owns_stream = False
+
+
+def open_trace(target: Optional[str], trace_filter: str = "all", *,
+               ring: int = 0) -> Optional[TraceWriter]:
+    """The writer for ``--trace TARGET --trace-filter CATS``: ``-`` is
+    stdout, a path is opened, and no target keeps just a ``ring`` (None
+    when ``ring`` is 0). A bad filter raises before any file opens."""
+    categories = parse_trace_filter(trace_filter)
+    if target == "-":
+        return TraceWriter(stream=sys.stdout, categories=categories,
+                           ring=ring)
+    if target:
+        return TraceWriter.to_path(target, categories=categories, ring=ring)
+    return TraceWriter(categories=categories, ring=ring) if ring else None
 
 
 # -- encoding / verification helpers -----------------------------------------

@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 from repro.lifeguards import LIFEGUARDS
@@ -69,6 +75,7 @@ class TestBadIntegerFlags:
          "--thread-counts: must be >= 1"),
         (["run", "lu", "--max-cycles", "-5"], "--max-cycles: must be >= 1"),
         (["run", "lu", "--max-cycles", "0"], "--max-cycles: must be >= 1"),
+        (["run", "lu", "--seed", "-1"], "--seed: must be >= 0"),
     ])
     def test_rejected_by_argparse(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -286,11 +293,34 @@ class TestCommands:
                      "--trace-filter", "bogus"]) == 2
         assert "unknown trace categories" in capsys.readouterr().err
 
+    def test_diff_filter_without_trace_is_not_read(self, capsys):
+        # `diff` has no spec: as before, the filter only shapes a
+        # written trace.
+        assert main(["diff", "--seeds", "1", "--lifeguards", "addrcheck",
+                     "--trace-filter", "bogus"]) == 0
+        assert "1 cells, 0 failed" in capsys.readouterr().out
+
     def test_run_typo_next_to_all_trace_filter_rejected(self, capsys):
         assert main(["run", "swaptions", "--threads", "2", "--trace", "-",
                      "--trace-filter", "all,bogus"]) == 2
         assert "unknown trace categories ['bogus']" in \
             capsys.readouterr().err
+
+    def test_run_bad_trace_filter_without_trace_rejected(self, capsys):
+        # The filter used to be read only with --trace or --crash-report,
+        # so a typo ran the simulation and exited 0.
+        assert main(["run", "tainted_jump", "--trace-filter", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unknown trace categories ['bogus']; valid: engine, arc, "
+            "ca, advert, accel, meta, jobs (or 'all')"]
+
+    def test_unmonitored_run_notes_an_ignored_lifeguard(self, capsys):
+        assert main(["run", "lu", "--scheme", "none",
+                     "--lifeguard", "lockset"]) == 0
+        assert ("note: --lifeguard has no effect with --scheme none"
+                in capsys.readouterr().err)
 
     def test_figure6_subset(self, capsys):
         assert main(["figure6", "--benchmarks", "lu",
@@ -469,3 +499,30 @@ class TestArchiveReplay:
         archive.write_bytes(data)
         assert main(["replay", str(archive)]) == 2
         assert "sha256" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["list"], ["table1"]])
+    def test_closed_stdout_exits_3_without_a_traceback(self, argv,
+                                                       unbuffered):
+        # Used to exit 1 with a BrokenPipeError traceback, e.g. under
+        # `repro run swaptions | head -1`. Buffered, output smaller than
+        # the buffer first reaches the pipe in the final flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 3
+        assert "Traceback" not in completed.stderr
+        assert "BrokenPipeError" not in completed.stderr

@@ -13,6 +13,7 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import closing
+from dataclasses import asdict
 from urllib.parse import urlsplit
 
 import pytest
@@ -21,10 +22,10 @@ from repro.common.errors import ConfigurationError
 from repro.faults import EXIT_ABNORMAL
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import MONITORED_SCHEMES, SCHEMES
+from repro.platform.spec import RunSpec
 from repro.serve import (
     RunRegistry,
-    normalize_run_config,
-    run_digest,
+    parse_submission,
     scenario_library,
     start_in_thread,
 )
@@ -38,11 +39,14 @@ from repro.workloads import WORKLOADS
 
 
 class TestNormalizeRunConfig:
+    """A ``POST /runs`` payload becomes a normalized RunSpec (plus the
+    service's job timeout)."""
+
     def test_defaults_fill_in(self):
-        config = normalize_run_config({"workload": "tainted_jump"})
-        assert config["scheme"] == "parallel"
-        assert config["lifeguard"] == "taintcheck"
-        assert config["seed"] == 1 and config["threads"] == 2
+        spec = RunSpec.from_payload({"workload": "tainted_jump"})
+        assert spec.scheme == "parallel"
+        assert spec.lifeguard == "taintcheck"
+        assert spec.seed == 1 and spec.threads == 2
 
     @pytest.mark.parametrize("payload,fragment", [
         ({}, "workload"),
@@ -64,21 +68,21 @@ class TestNormalizeRunConfig:
     ])
     def test_bad_configs_rejected(self, payload, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
-            normalize_run_config(payload)
+            parse_submission(payload)
 
     def test_scheme_none_clears_the_lifeguard(self):
-        config = normalize_run_config({"workload": "lu", "scheme": "none",
-                                       "lifeguard": "taintcheck"})
-        assert config["lifeguard"] is None
+        spec = RunSpec.from_payload({"workload": "lu", "scheme": "none",
+                                     "lifeguard": "taintcheck"})
+        assert spec.lifeguard is None
 
     def test_scheme_none_clears_no_accel(self):
         # An unmonitored run has no accelerators to turn off, so both
         # submissions describe one simulation and share one digest.
-        plain = normalize_run_config({"workload": "lu", "scheme": "none"})
-        config = normalize_run_config({"workload": "lu", "scheme": "none",
-                                       "no_accel": True})
-        assert config["no_accel"] is False
-        assert run_digest(config) == run_digest(plain)
+        plain = RunSpec.from_payload({"workload": "lu", "scheme": "none"})
+        spec = RunSpec.from_payload({"workload": "lu", "scheme": "none",
+                                     "no_accel": True})
+        assert spec.no_accel is False
+        assert spec.digest() == plain.digest()
 
     @pytest.mark.parametrize("scheme,ignored", [
         ("timesliced", {"memory_model": "tso"}),
@@ -91,32 +95,35 @@ class TestNormalizeRunConfig:
         # One time-sliced core has no store buffer and records no arcs,
         # and an unmonitored run captures nothing: 2-thread swaptions
         # runs the same cycles and trace hash either way.
-        plain = normalize_run_config({"workload": "swaptions",
+        plain = RunSpec.from_payload({"workload": "swaptions",
                                       "scheme": scheme})
-        config = normalize_run_config(dict(ignored, workload="swaptions",
-                                           scheme=scheme))
-        assert config == plain
-        assert run_digest(config) == run_digest(plain)
+        spec = RunSpec.from_payload(dict(ignored, workload="swaptions",
+                                         scheme=scheme))
+        assert spec == plain
+        assert spec.digest() == plain.digest()
 
     def test_unmonitored_keeps_the_memory_model(self):
-        config = normalize_run_config({"workload": "swaptions",
-                                       "scheme": "none",
-                                       "memory_model": "tso"})
-        assert config["memory_model"] == "tso"
+        spec = RunSpec.from_payload({"workload": "swaptions",
+                                     "scheme": "none",
+                                     "memory_model": "tso"})
+        assert spec.memory_model == "tso"
 
     def test_accepts_exactly_the_platform_schemes(self):
         for scheme in SCHEMES:
-            config = normalize_run_config({"workload": "lu",
-                                           "scheme": scheme})
-            assert config["scheme"] == scheme
+            spec = RunSpec.from_payload({"workload": "lu", "scheme": scheme})
+            assert spec.scheme == scheme
         with pytest.raises(ConfigurationError,
                            match=f"valid: {', '.join(SCHEMES)}$"):
-            normalize_run_config({"workload": "lu", "scheme": "bogus"})
+            RunSpec.from_payload({"workload": "lu", "scheme": "bogus"})
 
     def test_digest_covers_sim_fields_only(self):
-        base = normalize_run_config({"workload": "lu", "seed": 3})
-        assert run_digest(base) == run_digest(dict(base, timeout=5))
-        assert run_digest(base) != run_digest(dict(base, seed=4))
+        base, _ = parse_submission({"workload": "lu", "seed": 3})
+        timed, timeout = parse_submission({"workload": "lu", "seed": 3,
+                                           "timeout": 5})
+        assert timeout == 5
+        assert base.digest() == timed.digest()
+        assert base.digest() != RunSpec.from_payload(
+            {"workload": "lu", "seed": 4}).digest()
 
 
 class TestScenarioLibrary:
@@ -177,7 +184,8 @@ class TestRunRegistry:
         stuck_dir = tmp_path / "runs" / "r00044"
         stuck_dir.mkdir()
         stuck = {"id": "r00044", "state": "running",
-                 "config": normalize_run_config({"workload": "lu"}),
+                 "config": dict(asdict(RunSpec.from_payload(
+                     {"workload": "lu"})), timeout=None),
                  "config_digest": "x", "trace_path": str(stuck_dir / "t"),
                  "created": "now", "started": "now", "finished": None,
                  "exit_code": None, "error": None, "attempts": 1,
