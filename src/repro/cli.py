@@ -20,8 +20,8 @@ Commands:
 * ``headline`` — the abstract's three claims.
 * ``swaptions`` — the Section 7 swaptions analysis.
 * ``serve`` — the long-lived monitoring service: submit runs over REST,
-  stream verdicts + trace events live via Server-Sent Events (forwards
-  to ``python -m repro.serve``; see its ``--help``).
+  stream verdicts + trace events live via Server-Sent Events
+  (:func:`repro.serve.main` parses its flags; see ``serve --help``).
 * ``list`` — available workloads and lifeguards.
 
 Commands parsed here exit 2 on a bad flag, including an output path whose

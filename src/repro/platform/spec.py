@@ -64,6 +64,14 @@ class RunSpec:
     trace_filter: str = "all"
 
     def __post_init__(self):
+        # Types first: a list is unhashable in the lookups below.
+        for name in ("workload", "scheme", "lifeguard", "scale",
+                     "memory_model", "capture", "trace_filter"):
+            value = getattr(self, name)
+            if not (isinstance(value, str)
+                    or (value is None and name == "lifeguard")):
+                raise ConfigurationError(f"{name!r} must be a string, "
+                                         f"got {value!r}")
         if self.workload not in WORKLOADS:
             raise ConfigurationError(f"unknown workload {self.workload!r}; "
                                      f"see GET /scenarios")

@@ -29,7 +29,9 @@ Endpoints (all JSON unless noted):
   streamed ``trace`` data lines are byte-identical to the on-disk
   JSONL trace.
 * ``GET /scenarios`` — the scenario library: every runnable
-  workload × scheme × lifeguard combination.
+  workload × scheme × lifeguard combination, each entry a payload
+  ``POST /runs`` accepts as it stands, plus the ``paper_suite``
+  workload names.
 * ``GET /healthz`` — liveness.
 
 Nothing beyond the standard library is required; the server is

@@ -37,6 +37,7 @@ from repro.common.errors import ConfigurationError
 from repro.serve.registry import RunRegistry
 from repro.serve.scenarios import scenario_library
 from repro.trace import TraceTail, parse_trace_filter
+from repro.workloads import PAPER_BENCHMARKS
 
 #: Seconds between tail polls while a followed run is still producing.
 DEFAULT_POLL_INTERVAL = 0.05
@@ -59,16 +60,14 @@ class ServeApp(ThreadingHTTPServer):
 
     def __init__(self, data_dir: str, *, host: str = "127.0.0.1",
                  port: int = 0, runners: int = 2,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 tracer=None):
+                 poll_interval: float = DEFAULT_POLL_INTERVAL):
         self.registry = None  # a failed bind calls server_close()
         super().__init__((host, port), _Handler)
         self.host = host
         self.port = self.server_address[1]  # the bound port, for port=0
         self.poll_interval = poll_interval
         try:
-            self.registry = RunRegistry(data_dir, runners=runners,
-                                        tracer=tracer)
+            self.registry = RunRegistry(data_dir, runners=runners)
         except BaseException:
             self.server_close()
             raise
@@ -184,7 +183,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_scenarios(self) -> None:
         scenarios = scenario_library()
         self._send_json(200, {"count": len(scenarios),
-                              "scenarios": scenarios})
+                              "scenarios": scenarios,
+                              "paper_suite": list(PAPER_BENCHMARKS)})
 
     def _get_runs(self) -> None:
         self._send_json(200, {"runs": self.server.registry.list()})
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         print(f"repro serve: cannot {what}: {exc}", file=sys.stderr)
         return 2
     with app:
-        # The smoke harness parses this line to find the bound port.
+        # With --port 0 this line is how a client learns the port.
         print(f"serving on {app.url} (data dir: {app.registry.data_dir})",
               flush=True)
         try:

@@ -62,15 +62,12 @@ def _now() -> str:
 class RunRegistry:
     """Owns run records, their directories, and their execution."""
 
-    def __init__(self, data_dir: str, *, runners: int = 2, tracer=None):
+    def __init__(self, data_dir: str, *, runners: int = 2):
         if runners < 1:
             raise ValueError("runners must be >= 1")
         self.data_dir = os.path.abspath(data_dir)
         self.runs_dir = os.path.join(self.data_dir, "runs")
         os.makedirs(self.runs_dir, exist_ok=True)
-        #: Optional server-side TraceWriter for ``jobs``-category events
-        #: (run_submitted / run_started / run_finished).
-        self.tracer = tracer
         self._lock = threading.Lock()
         self._records: Dict[str, dict] = {}
         self._next_seq = 1
@@ -113,9 +110,6 @@ class RunRegistry:
             }
             self._records[run_id] = record
             self._persist_locked(record)
-        if self.tracer is not None:
-            self.tracer.emit("jobs", "run_submitted", run_id=run_id,
-                             digest=record["config_digest"])
         self._queue.put(run_id)
         return self.get(run_id)
 
@@ -170,12 +164,10 @@ class RunRegistry:
             config = dict(record["config"])
             trace_path = record["trace_path"]
             self._persist_locked(record)
-        if self.tracer is not None:
-            self.tracer.emit("jobs", "run_started", run_id=run_id)
         job = Job(job_id=run_id, payload=dict(config,
                                               trace_path=trace_path))
         results = run_jobs([job], execute_run, nworkers=1,
-                           timeout=config["timeout"], tracer=self.tracer)
+                           timeout=config["timeout"])
         result = results[0]
         if result.ok:
             value = result.value
@@ -196,9 +188,6 @@ class RunRegistry:
             if result is not None:
                 record["result"] = result
             self._persist_locked(record)
-        if self.tracer is not None:
-            self.tracer.emit("jobs", "run_finished", run_id=run_id,
-                             state=state, exit_code=exit_code)
 
     # -- persistence ----------------------------------------------------------
 

@@ -4,10 +4,9 @@
 :data:`repro.workloads.WORKLOADS` × :data:`repro.platform.SCHEMES` ×
 :data:`repro.lifeguards.LIFEGUARDS` — so a client can enumerate valid
 ``POST /runs`` payloads without guessing, the way SimCash's scenario
-library fronts its simulation API. Each entry is a ready-to-submit
-run config (workload, scheme, lifeguard, plus the defaults a bare
-submission would get), annotated with whether the workload belongs to
-the paper's Table 1 suite.
+library fronts its simulation API. Each entry is a ``POST /runs``
+payload as it stands (workload, scheme, lifeguard; every other field
+takes its default).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Dict, List
 
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import MONITORED_SCHEMES, SCHEMES
-from repro.workloads import PAPER_BENCHMARKS, WORKLOADS
+from repro.workloads import WORKLOADS
 
 
 def scenario_library() -> List[Dict[str, object]]:
@@ -28,10 +27,6 @@ def scenario_library() -> List[Dict[str, object]]:
             lifeguards = (sorted(LIFEGUARDS) if scheme in MONITORED_SCHEMES
                           else [None])
             for lifeguard in lifeguards:
-                scenarios.append({
-                    "workload": workload,
-                    "scheme": scheme,
-                    "lifeguard": lifeguard,
-                    "paper_suite": workload in PAPER_BENCHMARKS,
-                })
+                scenarios.append({"workload": workload, "scheme": scheme,
+                                  "lifeguard": lifeguard})
     return scenarios

@@ -1,28 +1,36 @@
 """The monitoring service (repro.serve): config validation, the run
 registry lifecycle + restart recovery, the REST endpoints, the SSE tail
-bridge's byte-identity contract, and REST-vs-CLI verdict/hash parity."""
+bridge's byte-identity contract, REST-vs-CLI verdict/hash parity, and a
+real ``repro serve`` process from start to Ctrl-C."""
 
 import hashlib
 import http.client
 import json
 import math
 import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from contextlib import closing
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.common.errors import ConfigurationError
 from repro.faults import EXIT_ABNORMAL
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import MONITORED_SCHEMES, SCHEMES
-from repro.platform.spec import RunSpec
+from repro.platform.spec import SIM_FIELDS, RunSpec
 from repro.serve import (
     RunRegistry,
     parse_submission,
@@ -30,12 +38,31 @@ from repro.serve import (
     start_in_thread,
 )
 from repro.serve import main as serve_main
-from repro.serve import smoke
 from repro.trace import encode_event, read_trace, trace_hash
-from repro.workloads import WORKLOADS
+from repro.workloads import PAPER_BENCHMARKS, WORKLOADS
 
 
 # -- pure helpers (no server) -------------------------------------------------
+
+
+#: Any JSON value (``json.loads`` also accepts NaN and Infinity).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(), children, max_size=3)),
+    max_leaves=6)
+
+#: A run payload: a ``workload`` and any subset of the other fields,
+#: each holding its default or any JSON value.
+_SUBMISSIONS = st.fixed_dictionaries(
+    {"workload": st.sampled_from(sorted(WORKLOADS)) | _JSON},
+    optional=dict({field.name: st.just(field.default) | _JSON
+                   for field in fields(RunSpec) if field.name != "workload"},
+                  timeout=st.just(30) | _JSON))
+
+#: A valid payload but for one field: each field's own check is reached.
+_ONE_FIELD = st.builds(lambda name, value: {"workload": "lu", name: value},
+                       st.sampled_from(SIM_FIELDS + ("timeout",)), _JSON)
 
 
 class TestNormalizeRunConfig:
@@ -65,6 +92,21 @@ class TestNormalizeRunConfig:
         ({"workload": "lu", "timeout": math.inf}, "timeout"),
         ({"workload": "lu", "retries": 0},
          r"unknown run config fields \['retries'\]"),
+        # A field of the wrong JSON type used to escape as a TypeError
+        # (unhashable) or an AttributeError: a 500.
+        ({"workload": ["lu"]}, r"'workload' must be a string, got \['lu'\]"),
+        ({"workload": "lu", "scheme": ["parallel"]},
+         "'scheme' must be a string"),
+        ({"workload": "lu", "lifeguard": ["x"]},
+         "'lifeguard' must be a string"),
+        ({"workload": "lu", "scheme": "none", "lifeguard": 1},
+         "'lifeguard' must be a string"),
+        ({"workload": "lu", "scale": {"tiny": 1}}, "'scale' must be a string"),
+        ({"workload": "lu", "memory_model": ["sc"]},
+         "'memory_model' must be a string"),
+        ({"workload": "lu", "capture": None}, "'capture' must be a string"),
+        ({"workload": "lu", "trace_filter": 5},
+         "'trace_filter' must be a string, got 5"),
     ])
     def test_bad_configs_rejected(self, payload, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
@@ -116,6 +158,16 @@ class TestNormalizeRunConfig:
                            match=f"valid: {', '.join(SCHEMES)}$"):
             RunSpec.from_payload({"workload": "lu", "scheme": "bogus"})
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_JSON, _SUBMISSIONS, _ONE_FIELD))
+    def test_any_json_is_accepted_or_rejected_with_a_message(self, payload):
+        """``POST /runs`` answers 400, never 500: whatever JSON arrives,
+        ``parse_submission`` returns or raises ``ConfigurationError``."""
+        try:
+            parse_submission(payload)
+        except ConfigurationError:
+            pass
+
     def test_digest_covers_sim_fields_only(self):
         base, _ = parse_submission({"workload": "lu", "seed": 3})
         timed, timeout = parse_submission({"workload": "lu", "seed": 3,
@@ -136,6 +188,14 @@ class TestScenarioLibrary:
         assert {s["scheme"] for s in scenarios} == set(SCHEMES)
         unmonitored = [s for s in scenarios if s["scheme"] == "none"]
         assert all(s["lifeguard"] is None for s in unmonitored)
+
+    def test_every_entry_is_a_valid_submission(self):
+        # Entries used to carry `paper_suite`, which POST /runs rejects.
+        for scenario in scenario_library():
+            spec, timeout = parse_submission(scenario)
+            assert {name: getattr(spec, name) for name in scenario} \
+                == scenario
+            assert timeout is None
 
 
 # -- the registry without HTTP ------------------------------------------------
@@ -313,9 +373,8 @@ class TestEndpoints:
         status, payload = _get(f"{server.url}/scenarios")
         assert status == 200
         assert payload["count"] == len(payload["scenarios"]) > 0
-        sample = payload["scenarios"][0]
-        assert {"workload", "scheme", "lifeguard",
-                "paper_suite"} <= set(sample)
+        assert payload["scenarios"] == scenario_library()
+        assert payload["paper_suite"] == list(PAPER_BENCHMARKS)
 
     def test_unknown_endpoint_404(self, server):
         status, payload = _get(f"{server.url}/nope")
@@ -336,6 +395,12 @@ class TestEndpoints:
         status, _ = _post(f"{server.url}/runs", {"workload": "lu",
                                                  "surprise": 1})
         assert status == 400
+
+    def test_wrong_type_field_400(self, server):
+        status, payload = _post(f"{server.url}/runs",
+                                {"workload": "lu", "trace_filter": 5})
+        assert status == 400
+        assert payload["error"] == "'trace_filter' must be a string, got 5"
 
     def test_backend_field_rejected_400(self, server):
         status, payload = _post(f"{server.url}/runs",
@@ -448,22 +513,42 @@ class TestEndpoints:
     def test_rest_run_matches_cli_run_bit_for_bit(self, server, tmp_path,
                                                   capsys):
         """The acceptance criterion: same seed over REST vs the batch
-        CLI yields identical verdict summaries and trace hashes."""
-        from repro.cli import main as cli_main
-
+        CLI yields identical verdicts, thread by thread, and identical
+        trace hashes."""
         seed = 13
         _status, manifest = _post(
             f"{server.url}/runs",
             {"workload": "tainted_jump", "seed": seed})
         rest = _wait_done(server.url, manifest["id"])["result"]
 
-        cli_trace = str(tmp_path / "cli.jsonl")
-        assert cli_main(["run", "tainted_jump", "--seed", str(seed),
-                         "--trace", cli_trace]) == 0
-        out = capsys.readouterr().out
-        assert trace_hash(read_trace(cli_trace)) == rest["trace_hash"]
-        for kind, count in rest["verdicts"]["kinds"].items():
-            assert out.count(f"[{kind}]") == count
+        cli_hash, cli_violations = _cli_run(seed, tmp_path, capsys)
+        assert cli_hash == rest["trace_hash"]
+        assert cli_violations == _violation_rows(rest["verdicts"])
+        assert cli_violations  # the planted taint bug is detected
+
+
+#: ``repro run`` prints each violation as ``  [kind] tN#rid detail``.
+_VIOLATION_LINE = re.compile(r"^\s*\[([\w-]+)\] t(\d+)#(\d+) ", re.M)
+
+
+def _cli_run(seed, tmp_path, capsys):
+    """``repro run tainted_jump --seed SEED --trace FILE``, in process:
+    the trace hash and the printed ``(kind, tid, rid)`` rows."""
+    from repro.cli import main as cli_main
+
+    trace = str(tmp_path / "cli.jsonl")
+    assert cli_main(["run", "tainted_jump", "--seed", str(seed),
+                     "--trace", trace]) == 0
+    out = capsys.readouterr().out
+    rows = [(kind, int(tid), int(rid))
+            for kind, tid, rid in _VIOLATION_LINE.findall(out)]
+    return trace_hash(read_trace(trace)), rows
+
+
+def _violation_rows(verdicts):
+    """A manifest's or end frame's violations as ``(kind, tid, rid)``."""
+    return [(kind, tid, rid)
+            for kind, tid, rid, _detail in verdicts["violations"]]
 
 
 def _connection(url):
@@ -614,20 +699,63 @@ class TestLifecycle:
             serve_main(["--runners", "0", "--data-dir", str(tmp_path)])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("given", [False, True], ids=["temp", "given"])
-    def test_smoke_data_dir_outlives_the_smoke_only_when_given(
-            self, tmp_path, monkeypatch, given):
-        """``repro.serve.smoke`` without ``--data-dir`` cleans up the
-        temporary directory it made; a given directory is left alone."""
-        seen = []
 
-        def fake_run_smoke(url, data_dir, log_path, seed):
-            assert os.path.isdir(data_dir)
-            seen.append(data_dir)
-            return 0
+class TestServeProcess:
+    def test_submit_stream_and_interrupt_a_real_server(self, tmp_path,
+                                                       capsys):
+        """A ``repro serve`` process, end to end: it announces its port,
+        streams a run's trace byte for byte as ``repro run --trace``
+        writes it, and exits 0 on Ctrl-C with nothing left running."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        # A session of its own: every process the server starts joins
+        # its process group, which must be empty once it has exited.
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--data-dir", str(tmp_path / "data")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env, start_new_session=True) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 60)[0], \
+                    "the server printed nothing for 60 s"
+                first = proc.stdout.readline()
+                match = re.match(r"serving on (http://\S+) ", first)
+                assert match, f"no 'serving on' line: {first!r}"
+                base = match.group(1)
+                # The timeout runs the job in a worker process, which
+                # must be gone too.
+                status, manifest = _post(
+                    f"{base}/runs",
+                    {"workload": "tainted_jump", "seed": 7, "timeout": 120})
+                assert status == 201
+                frames = _sse(f"{base}/runs/{manifest['id']}/events",
+                              timeout=120)
+                final = _get(f"{base}/runs/{manifest['id']}")[1]
+            finally:
+                proc.send_signal(signal.SIGINT)
+                try:
+                    _out, err = proc.communicate(timeout=60)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    raise
+        assert proc.returncode == 0
+        assert "serve: interrupted, shutting down\n" in err
+        assert "Traceback" not in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
-        monkeypatch.setattr(smoke, "run_smoke", fake_run_smoke)
-        argv = ["--data-dir", str(tmp_path)] if given else []
-        assert smoke.main(argv) == 0
-        assert len(seen) == 1
-        assert os.path.isdir(seen[0]) == given
+        trace_lines = [data for event, data in frames if event == "trace"]
+        ends = [json.loads(data) for event, data in frames if event == "end"]
+        assert len(ends) == 1 and ends[0]["state"] == "done"
+        assert final["state"] == "done"
+        digest = hashlib.sha256()
+        for line in trace_lines:
+            digest.update(line.encode("utf-8") + b"\n")
+        cli_hash, cli_violations = _cli_run(7, tmp_path, capsys)
+        assert digest.hexdigest() \
+            == trace_hash(json.loads(line) for line in trace_lines) \
+            == ends[0]["trace_hash"] == final["result"]["trace_hash"] \
+            == cli_hash
+        assert len(trace_lines) == final["result"]["trace_events"]
+        assert cli_violations == _violation_rows(ends[0]["verdicts"])
+        assert cli_violations
