@@ -4,13 +4,15 @@
 Runs one benchmark under parallel TaintCheck monitoring in three
 configurations:
 
-* NOT ACCELERATED — no IT / IF / M-TLB,
+* NOT ACCELERATED — IT, IF and M-TLB all off (``accel=False``),
 * ACCELERATED, limited dependence reduction — per-core counters instead
   of per-cache-block FDR tags,
 * ACCELERATED, aggressive reduction — the full design,
 
 plus the Section 7 extension: replacing ConflictAlert broadcasts for
-small allocations with arc-inducing block touches.
+small allocations with arc-inducing block touches. ACCELERATED
+(``accel=True``, the default) turns on every accelerator the lifeguard
+uses; Figure 8 compares exactly these two accelerator settings.
 
 Usage::
 
@@ -20,7 +22,6 @@ Usage::
 import sys
 
 from repro import (
-    AcceleratorConfig,
     AddrCheck,
     CaptureMode,
     SimulationConfig,
@@ -40,12 +41,10 @@ def main():
     print(f"{benchmark}, {threads} threads; slowdowns vs no monitoring:\n")
 
     variants = [
-        ("not accelerated", config, AcceleratorConfig.all_off()),
+        ("not accelerated", config, False),
         ("accelerated, limited reduction",
-         config.replace(capture_mode=CaptureMode.PER_CORE),
-         AcceleratorConfig.all_on()),
-        ("accelerated, aggressive reduction", config,
-         AcceleratorConfig.all_on()),
+         config.replace(capture_mode=CaptureMode.PER_CORE), True),
+        ("accelerated, aggressive reduction", config, True),
     ]
     slowdowns = {}
     for label, cfg, accel in variants:

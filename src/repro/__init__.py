@@ -50,7 +50,6 @@ from repro.lifeguards import (
     Violation,
 )
 from repro.platform import (
-    AcceleratorConfig,
     RunResult,
     crash_report,
     run_no_monitoring,
@@ -70,7 +69,6 @@ from repro.workloads import PAPER_BENCHMARKS, WORKLOADS, Workload, build_workloa
 __version__ = "1.0.0"
 
 __all__ = [
-    "AcceleratorConfig",
     "AddrCheck",
     "CacheConfig",
     "CaptureMode",

@@ -41,6 +41,7 @@ from typing import Iterable, List, Tuple
 from repro.capture.events import Record, RecordKind
 from repro.common.errors import SimulationError, TraceFormatError
 from repro.isa.instructions import HLEventKind
+from repro.isa.registers import NUM_REGISTERS
 
 _SIZE_CODES = {1: 0, 2: 1, 4: 2, 8: 3}
 #: Header size code -> access size (the inverse of ``_SIZE_CODES``).
@@ -56,7 +57,9 @@ _KIND_FROM_BITS = tuple(
     RecordKind.CA_MARK if bits == 0x0F else _RECORD_KINDS.get(bits)
     for bits in range(16))
 
+_LOAD = RecordKind.LOAD
 _STORE = RecordKind.STORE
+_RMW = RecordKind.RMW
 _MOVRR = RecordKind.MOVRR
 _ALU = RecordKind.ALU
 _LOADI = RecordKind.LOADI
@@ -281,10 +284,12 @@ class RecordEncoder:
 
 
 class RecordDecoder:
-    """Inverse of :class:`RecordEncoder` for one thread's stream."""
+    """Inverse of :class:`RecordEncoder` for one thread's stream of a
+    run with ``nthreads`` threads (every arc's source tid is below it)."""
 
-    def __init__(self, tid: int):
+    def __init__(self, tid: int, nthreads: int):
         self.tid = tid
+        self.nthreads = nthreads
         self._last_addr = 0
         self._last_recv = {}
         self._rid = 0
@@ -342,9 +347,12 @@ class RecordDecoder:
                     if kind is _STORE:
                         record.rd = None
                         record.rs1 = data[offset] & 0x0F
-                    else:
+                    elif kind is _LOAD or kind is _RMW:
                         record.rd = data[offset] & 0x0F
                         record.rs1 = None
+                    else:
+                        raise TraceFormatError(
+                            f"{kind.name} record with an address delta")
                     record.rs2 = None
                     offset += 1
                 else:
@@ -357,7 +365,13 @@ class RecordDecoder:
                         offset += 1
                         if kind is _ALU:
                             rs2 = data[offset]
-                            record.rs2 = None if rs2 == 0xFF else rs2
+                            if rs2 < NUM_REGISTERS:
+                                record.rs2 = rs2
+                            elif rs2 == 0xFF:
+                                record.rs2 = None
+                            else:
+                                raise TraceFormatError(
+                                    f"invalid ALU rs2 register {rs2}")
                             offset += 1
                         else:
                             record.rs2 = None
@@ -369,6 +383,9 @@ class RecordDecoder:
                         record.rd = record.rs2 = None
                         record.rs1 = data[offset] & 0x0F
                         offset += 1
+                    elif kind is _LOAD or kind is _STORE or kind is _RMW:
+                        raise TraceFormatError(
+                            f"{kind.name} record without an address")
                     else:
                         record.rd = record.rs1 = record.rs2 = None
                 record.hl_kind = None
@@ -412,12 +429,11 @@ class RecordDecoder:
             offset += 1
             if tag == _X_CA:
                 raw_kind, offset = _read_varint(data, offset)
-                kind = _RECORD_KINDS.get(raw_kind)
-                if kind is None:
+                if raw_kind != record.kind:
                     raise TraceFormatError(
-                        f"invalid record kind {raw_kind} in the CA extras "
-                        f"section ending at offset {offset}")
-                record.kind = kind
+                        f"record kind {raw_kind} in the CA extras section "
+                        f"ending at offset {offset} differs from the "
+                        f"header's {record.kind.name}")
                 ca_id, offset = _read_varint(data, offset)
                 record.ca_id = ca_id or None
                 issuer, offset = _read_byte(data, offset)
@@ -427,6 +443,10 @@ class RecordDecoder:
                 last_recv = self._last_recv
                 for _ in range(count):
                     src_tid, offset = _read_varint(data, offset)
+                    if src_tid >= self.nthreads:
+                        raise TraceFormatError(
+                            f"arc source tid {src_tid} of a "
+                            f"{self.nthreads}-thread run")
                     raw, offset = _read_varint(data, offset)
                     src_rid = last_recv.get(src_tid, 0) + _unzigzag(raw)
                     last_recv[src_tid] = src_rid
@@ -491,17 +511,22 @@ def encode_stream(records: Iterable[Record]) -> bytes:
     return b"".join(encoder.encode(record) for record in records)
 
 
-def decode_stream(data: bytes, tid: int) -> List[Record]:
-    """Decode a whole encoded stream back into records.
+def decode_stream(data: bytes, tid: int, nthreads: int) -> List[Record]:
+    """Decode thread ``tid``'s encoded stream of an ``nthreads``-thread
+    run back into records.
 
     Any corruption — a stream cut mid-record, an over-long varint, an
     extras block announcing more bytes than remain, an invalid record
-    or high-level kind, a critical kind that is not UTF-8 — raises
+    or high-level kind, a value no encoder writes (an address delta off
+    a memory record or a memory record without one, an ALU ``rs2``
+    outside the register file, a CA extras kind other than the
+    header's, an arc from a tid not below ``nthreads``), a critical kind
+    that is not UTF-8 — raises
     :class:`~repro.common.errors.TraceFormatError` naming the record
     number and its absolute stream offset, never a bare ``IndexError``
     or ``ValueError``.
     """
-    decoder = RecordDecoder(tid)
+    decoder = RecordDecoder(tid, nthreads)
     records: List[Record] = []
     try:
         decoder._decode_into(records, data, 0, len(data))

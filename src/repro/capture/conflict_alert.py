@@ -38,7 +38,7 @@ exactly this to prove lost broadcasts are detected.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.capture.events import RecordKind
 from repro.common.errors import SimulationError

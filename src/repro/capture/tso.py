@@ -27,7 +27,7 @@ The :class:`TsoVersioner` plugs into the coherence layer's
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from repro.capture.events import Record
 from repro.capture.order_capture import OrderCapture

@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.accel import IdempotentFilter, InheritanceTracking, MetadataTLB
 from repro.capture.events import Record, RecordKind, RecordSource
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture

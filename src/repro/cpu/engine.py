@@ -416,10 +416,10 @@ class CoreActor:
     #: The bucket a bare-int ``step()`` delay is charged to.
     delay_bucket = "useful"
 
-    def __init__(self, engine: Engine, name: str, buckets: TimeBuckets = None):
+    def __init__(self, engine: Engine, name: str):
         self.engine = engine
         self.name = name
-        self.buckets = buckets if buckets is not None else TimeBuckets()
+        self.buckets = TimeBuckets()
         self.finished = False
         self.finish_time: Optional[int] = None
         self.wait_reason: Optional[str] = None

@@ -60,8 +60,7 @@ class LifeguardCore(CoreActor):
     def __init__(self, engine: Engine, name: str, core_id: int, tid: Optional[int],
                  log: LogBuffer, lifeguard: Lifeguard, memsys,
                  config: SimulationConfig, progress_table=None, ca_hub=None,
-                 version_store=None, use_it: bool = True, use_if: bool = True,
-                 use_mtlb: bool = True, enforce_arcs: Optional[bool] = None,
+                 version_store=None, *, accel: bool, enforce_arcs: bool,
                  delayed_advertising: bool = True, faults=None, tracer=None):
         super().__init__(engine, name)
         self.core_id = core_id
@@ -92,23 +91,21 @@ class LifeguardCore(CoreActor):
         self._meta_tracer = tracer_for(tracer, "meta")
 
         self.it = InheritanceTracking(
-            enabled=use_it and lifeguard.uses_it, tracer=tracer, owner=name,
+            enabled=accel and lifeguard.uses_it, tracer=tracer, owner=name,
             load_checks="load_check" in lifeguard.handlers)
         self.iff = IdempotentFilter(
             entries=config.if_entries,
-            enabled=use_if and lifeguard.uses_if,
+            enabled=accel and lifeguard.uses_if,
             track_rids=lifeguard.if_track_rids,
             tracer=tracer, owner=name,
         )
         self.mtlb = MetadataTLB(
             entries=config.mtlb_entries, costs=self.costs,
-            enabled=use_mtlb and lifeguard.uses_mtlb,
+            enabled=accel and lifeguard.uses_mtlb,
             tracer=tracer, owner=name,
         )
         #: IT's per-record entry point, resolved once (see bound_process).
         self._it_process = self.it.bound_process()
-        if enforce_arcs is None:
-            enforce_arcs = lifeguard.needs_instruction_arcs
         self.enforce_arcs = enforce_arcs
 
         #: Optional :class:`~repro.faults.FaultPlan` armed at the

@@ -57,12 +57,10 @@ _ALIGN = 8
 class OSRuntime:
     """Per-process OS services shared by all application threads."""
 
-    def __init__(self, memory: MainMemory, config: SimulationConfig,
-                 layout: type = AddressLayout):
+    def __init__(self, memory: MainMemory, config: SimulationConfig):
         self.memory = memory
         self.config = config
-        self.layout = layout
-        self._brk = layout.HEAP_BASE
+        self._brk = AddressLayout.HEAP_BASE
         self._free_blocks: List[Tuple[int, int]] = []  # (addr, total_size)
         self._allocated: Dict[int, int] = {}  # user addr -> user size
         # Allocation statistics (the Section 7 swaptions analysis).
@@ -92,7 +90,7 @@ class OSRuntime:
         if addr is None:
             addr = self._brk
             self._brk += total
-            if self._brk > self.layout.HEAP_LIMIT:
+            if self._brk > AddressLayout.HEAP_LIMIT:
                 raise SimulationError("simulated heap exhausted")
         user_addr = addr + _HEADER_BYTES
         self._allocated[user_addr] = nbytes

@@ -11,7 +11,7 @@ racing readers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.errors import SimulationError
 from repro.cpu.engine import Condition, Engine

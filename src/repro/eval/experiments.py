@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common.config import CaptureMode, ScalePreset, SimulationConfig
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import (
-    AcceleratorConfig,
     run_no_monitoring,
     run_parallel_monitoring,
     run_timesliced_monitoring,
@@ -280,7 +279,7 @@ def _figure8_cell(payload: dict) -> Dict[str, float]:
     cell: Dict[str, float] = {}
     not_accel = run_parallel_monitoring(
         build_workload(benchmark, threads, scale, seed), lifeguard, config,
-        accel=AcceleratorConfig.all_off())
+        accel=False)
     cell["not_accelerated"] = not_accel.total_cycles / base
     if payload["include_limited"]:
         limited = run_parallel_monitoring(

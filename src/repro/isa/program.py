@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.common.errors import WorkloadError
 from repro.isa import instructions as ins
-from repro.isa.instructions import HLEventKind, MicroOp, OpKind
+from repro.isa.instructions import HLEventKind, OpKind
 from repro.isa.registers import R12, R13, R14, R15
 
 #: Registers reserved for DSL-internal use (lock words, barrier counters,

@@ -53,11 +53,9 @@ class TaintCheck(Lifeguard):
     ca_flush_mtlb = frozenset()
 
     def __init__(self, costs=None, heap_range=None,
-                 taint_syscall_reads: bool = True,
                  conservative_race_taint: bool = True,
                  check_output: bool = False):
         super().__init__(costs=costs, heap_range=heap_range)
-        self.taint_syscall_reads = taint_syscall_reads
         self.conservative_race_taint = conservative_race_taint
         self.check_output = check_output
         # Every event except lock-discipline ones (no data flow) and the
@@ -191,7 +189,7 @@ class TaintCheck(Lifeguard):
                 self.range_table.insert(rec.rid, rec.tid, rec.ranges)
             else:
                 self.range_table.remove(self._find_range_key(rec))
-        if phase == HLPhase.END and self.taint_syscall_reads:
+        if phase == HLPhase.END:
             return self.fill_ranges(rec.ranges, TAINTED)
         return (2, [])
 

@@ -16,7 +16,6 @@ check all launch through it.
 """
 
 from repro.common.errors import ConfigurationError
-from repro.platform.monitor_config import AcceleratorConfig
 from repro.platform.results import RunResult, crash_report, write_crash_report
 from repro.platform.baseline import run_no_monitoring
 from repro.platform.paralog import run_parallel_monitoring
@@ -41,9 +40,9 @@ def run_scheme(scheme: str, workload, lifeguard_factory, config=None, *,
                keep_trace: bool = False) -> RunResult:
     """Run ``workload`` under the scheme named ``scheme``.
 
-    ``no_accel`` turns IT, IF and M-TLB off. ``none`` has no lifeguard,
-    accelerators or monitoring pipeline, so it ignores
-    ``lifeguard_factory``, ``no_accel``, ``fault_plan`` and
+    ``no_accel`` is the runners' ``accel=False``: IT, IF and M-TLB off.
+    ``none`` has no lifeguard, accelerators or monitoring pipeline, so
+    it ignores ``lifeguard_factory``, ``no_accel``, ``fault_plan`` and
     ``keep_trace``.
     """
     if scheme == "none":
@@ -53,15 +52,12 @@ def run_scheme(scheme: str, workload, lifeguard_factory, config=None, *,
     if runner is None:
         raise ConfigurationError(f"unknown scheme {scheme!r}; valid: "
                                  f"{', '.join(SCHEMES)}")
-    accel = (AcceleratorConfig.all_off() if no_accel
-             else AcceleratorConfig.all_on())
-    return runner(workload, lifeguard_factory, config, accel=accel,
+    return runner(workload, lifeguard_factory, config, accel=not no_accel,
                   keep_trace=keep_trace, fault_plan=fault_plan,
                   watchdog=watchdog, max_cycles=max_cycles, tracer=tracer)
 
 
 __all__ = [
-    "AcceleratorConfig",
     "MONITORED_SCHEMES",
     "RunResult",
     "SCHEMES",

@@ -31,7 +31,6 @@ class Machine:
         self.memory = MainMemory()
         self.memsys = CoherentMemorySystem(config, num_cores)
         self.os = OSRuntime(self.memory, config)
-        self.layout = AddressLayout
 
 
 def build_thread_programs(workload, machine: Machine) -> List:

@@ -10,7 +10,7 @@ lifeguard threads share one global metadata structure.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, FrozenSet, Optional
+from typing import Callable, Optional
 
 from repro.capture.conflict_alert import CAHub
 from repro.capture.log_buffer import LogBuffer
@@ -34,7 +34,6 @@ from repro.platform._wiring import (
     diagnostics_provider,
     run_result,
 )
-from repro.platform.monitor_config import AcceleratorConfig
 from repro.platform.results import RunResult
 
 
@@ -42,8 +41,7 @@ def run_parallel_monitoring(
     workload,
     lifeguard_factory: Callable,
     config: SimulationConfig = None,
-    accel: AcceleratorConfig = None,
-    containment_kinds: Optional[FrozenSet] = None,
+    accel: bool = True,
     keep_trace: bool = False,
     fault_plan=None,
     watchdog=None,
@@ -53,7 +51,10 @@ def run_parallel_monitoring(
     """Run a workload under ParaLog parallel monitoring.
 
     ``lifeguard_factory`` is called as ``factory(costs=..., heap_range=...)``
-    — a lifeguard class works directly.
+    — a lifeguard class works directly. ``accel`` switches IT, IF and
+    M-TLB on or off together (the two settings of Figure 8); each one
+    runs only where the lifeguard uses it. The application always waits
+    for its lifeguard at :data:`DEFAULT_CONTAINMENT` system calls.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) arms deterministic
     fault injection at the capture/enforce/lifeguard hook points; a plan
@@ -67,9 +68,6 @@ def run_parallel_monitoring(
     """
     nthreads = workload.nthreads
     config = config or SimulationConfig.for_threads(nthreads)
-    accel = accel or AcceleratorConfig.all_on()
-    if containment_kinds is None:
-        containment_kinds = DEFAULT_CONTAINMENT
     faults = active_faults(fault_plan)
 
     machine = Machine(config, num_cores=2 * nthreads, watchdog=watchdog,
@@ -97,7 +95,7 @@ def run_parallel_monitoring(
         ca_hub=ca_hub,
         ca_subscriptions=lifeguard.ca_subscriptions,
         progress_table=progress,
-        containment_kinds=containment_kinds,
+        containment_kinds=DEFAULT_CONTAINMENT,
         store_buffers=store_buffers,
     )
 
@@ -130,8 +128,7 @@ def run_parallel_monitoring(
             engine, f"lifeguard{tid}", core_id=nthreads + tid, tid=tid,
             log=log, lifeguard=lifeguard, memsys=machine.memsys, config=config,
             progress_table=progress, ca_hub=ca_hub, version_store=version_store,
-            use_it=accel.use_it, use_if=accel.use_if, use_mtlb=accel.use_mtlb,
-            enforce_arcs=enforce_arcs, delayed_advertising=True,
+            accel=accel, enforce_arcs=enforce_arcs, delayed_advertising=True,
             faults=faults, tracer=tracer,
         )
         lifeguard_cores.append(lifeguard_core)

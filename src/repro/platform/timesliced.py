@@ -12,7 +12,7 @@ configuration the paper's PARALLEL scheme is compared against.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, FrozenSet, Optional
+from typing import Callable, Optional
 
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
@@ -32,7 +32,6 @@ from repro.platform._wiring import (
     diagnostics_provider,
     run_result,
 )
-from repro.platform.monitor_config import AcceleratorConfig
 from repro.platform.results import RunResult
 
 
@@ -40,8 +39,7 @@ def run_timesliced_monitoring(
     workload,
     lifeguard_factory: Callable,
     config: SimulationConfig = None,
-    accel: AcceleratorConfig = None,
-    containment_kinds: Optional[FrozenSet] = None,
+    accel: bool = True,
     keep_trace: bool = False,
     fault_plan=None,
     watchdog=None,
@@ -50,16 +48,13 @@ def run_timesliced_monitoring(
 ) -> RunResult:
     """Run a workload under the time-sliced monitoring baseline.
 
-    ``fault_plan``/``watchdog``/``max_cycles``/``tracer`` mirror the
-    parallel scheme's robustness and observability surface (arc and CA
+    ``accel``, containment and ``fault_plan``/``watchdog``/
+    ``max_cycles``/``tracer`` mirror the parallel scheme (arc and CA
     trace events never fire here — a single interleaved stream has
     neither).
     """
     nthreads = workload.nthreads
     config = config or SimulationConfig.for_threads(nthreads)
-    accel = accel or AcceleratorConfig.all_on()
-    if containment_kinds is None:
-        containment_kinds = DEFAULT_CONTAINMENT
     faults = active_faults(fault_plan)
 
     # one app core, one lifeguard core
@@ -72,7 +67,7 @@ def run_timesliced_monitoring(
 
     hooks = MonitoringHooks(
         ca_hub=None, ca_subscriptions=frozenset(),
-        progress_table=progress, containment_kinds=containment_kinds,
+        progress_table=progress, containment_kinds=DEFAULT_CONTAINMENT,
     )
 
     trace = [] if keep_trace else None
@@ -96,9 +91,8 @@ def run_timesliced_monitoring(
         engine, "lifeguard", core_id=1, tid=None, log=log,
         lifeguard=lifeguard, memsys=machine.memsys, config=config,
         progress_table=progress, ca_hub=None, version_store=None,
-        use_it=accel.use_it, use_if=accel.use_if, use_mtlb=accel.use_mtlb,
-        enforce_arcs=False, delayed_advertising=False, faults=faults,
-        tracer=tracer,
+        accel=accel, enforce_arcs=False, delayed_advertising=False,
+        faults=faults, tracer=tracer,
     )
     log.not_full.owners = [lifeguard_core]
     log.not_empty.owners = [app_core]

@@ -399,7 +399,7 @@ class TraceReader:
         entry = next(e for e in self.manifest["streams"]
                      if e["tid"] == tid)
         try:
-            records = decode_stream(record_blob, tid)
+            records = decode_stream(record_blob, tid, self.nthreads)
         except TraceFormatError as exc:
             raise TraceFormatError(
                 f"{self.path}: t{tid} record blob: {exc}") from None

@@ -204,8 +204,8 @@ class TraceWriter:
         self.emitted = 0
 
     @classmethod
-    def to_path(cls, path: str, *, categories=None, ring: int = 0,
-                keep: bool = False) -> "TraceWriter":
+    def to_path(cls, path: str, *, categories=None,
+                ring: int = 0) -> "TraceWriter":
         """Open ``path`` for writing and stream events into it.
 
         The constructor runs (and validates its arguments) *before* the
@@ -217,7 +217,7 @@ class TraceWriter:
         regardless of platform locale or newline convention, so a trace
         written on one machine and served from another is byte-identical.
         """
-        writer = cls(stream=None, categories=categories, ring=ring, keep=keep)
+        writer = cls(stream=None, categories=categories, ring=ring)
         writer._stream = open(path, "wb", buffering=0)
         writer._owns_stream = True
         writer._write = _raw_line_writer(writer._stream)

@@ -10,7 +10,7 @@ pivot row across all threads (producer-to-all arcs once per step).
 from __future__ import annotations
 
 from repro.common.config import ScalePreset
-from repro.isa.registers import R0, R1, R2, R3
+from repro.isa.registers import R0, R1, R2
 from repro.workloads.base import Workload
 
 _WORD = 4

@@ -10,7 +10,7 @@ lifeguard work like LU.
 from __future__ import annotations
 
 from repro.common.config import ScalePreset
-from repro.isa.registers import R0, R1, R2, R3, R4
+from repro.isa.registers import R0, R1
 from repro.workloads.base import Workload
 
 _WORD = 4

@@ -23,14 +23,12 @@ class RacyCounters(Workload):
     """
 
     name = "racy_counters"
+    counters = 4
 
-    def __init__(self, nthreads, scale=ScalePreset.TINY, seed=1,
-                 counters: int = 4, increments: int = None):
+    def __init__(self, nthreads, scale=ScalePreset.TINY, seed=1):
         super().__init__(nthreads, scale, seed)
-        self.counters = counters
-        self.increments = (increments if increments is not None
-                           else self.sized(tiny=30, small=120, paper=1000))
-        self._base = self.galloc_lines(counters)
+        self.increments = self.sized(tiny=30, small=120, paper=1000)
+        self._base = self.galloc_lines(self.counters)
 
     def counter_addr(self, index: int) -> int:
         return self._base + (index % self.counters) * 64

@@ -222,15 +222,14 @@ class TestCommands:
     def test_no_accel_reaches_the_timesliced_scheme(self, capsys):
         # --no-accel used to be dropped here: the run printed the
         # accelerated cycle count, 21355.
-        from repro.platform import AcceleratorConfig, \
-            run_timesliced_monitoring
+        from repro.platform import run_timesliced_monitoring
         from repro.workloads import build_workload
 
         assert main(["run", "swaptions", "--scheme", "timesliced",
                      "--no-accel"]) == 0
         unaccelerated = run_timesliced_monitoring(
             build_workload("swaptions", 2), LIFEGUARDS["taintcheck"],
-            accel=AcceleratorConfig.all_off())
+            accel=False)
         assert unaccelerated.total_cycles == 35079
         assert "cycles=35079 " in capsys.readouterr().out
 

@@ -19,6 +19,9 @@ from repro.isa.instructions import HLEventKind, alu, hl_end, load, loadi, \
 from repro.isa.registers import R0, R1, R2
 
 
+#: Thread count of every decoded stream: above each arc's source tid.
+NTHREADS = 4
+
 def stream(ops, tid=0):
     return [Record.from_op(tid, rid, op)
             for rid, op in enumerate(ops, start=1)]
@@ -33,7 +36,7 @@ def fields(record):
 
 
 def assert_roundtrip(records, tid=0):
-    decoded = decode_stream(encode_stream(records), tid)
+    decoded = decode_stream(encode_stream(records), tid, NTHREADS)
     assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
         assert fields(original) == fields(copy)
@@ -127,7 +130,7 @@ class TestArcCodecs:
 
     def test_interleaved_sources_roundtrip(self):
         records = self.arc_stream()
-        decoded = decode_stream(encode_stream(records), 0)
+        decoded = decode_stream(encode_stream(records), 0, NTHREADS)
         assert [fields(r) for r in records] == [fields(r) for r in decoded]
 
     def test_last_recv_beats_absolute_on_monotone_arcs(self):
@@ -164,7 +167,7 @@ class TestRobustness:
         assert RecordEncoder().average_bytes_per_record == 0.0
 
     def test_empty_stream_decodes_empty(self):
-        assert decode_stream(b"", 0) == []
+        assert decode_stream(b"", 0, NTHREADS) == []
 
     def test_mid_record_truncation_raises_format_error(self):
         records = stream([load(R0, 0x1000), store(0x2000, R0)])
@@ -172,7 +175,7 @@ class TestRobustness:
         blob = encode_stream(records)
         # Cut one byte off the tail: mid-extras, never a boundary.
         with pytest.raises(TraceFormatError, match="offset"):
-            decode_stream(blob[:-1], 0)
+            decode_stream(blob[:-1], 0, NTHREADS)
 
     def test_every_truncation_point_fails_cleanly(self):
         # A cut can land on a record boundary (shorter valid stream) or
@@ -185,7 +188,7 @@ class TestRobustness:
         blob = encode_stream(records)
         for cut in range(1, len(blob)):
             try:
-                decoded = decode_stream(blob[:cut], 0)
+                decoded = decode_stream(blob[:cut], 0, NTHREADS)
             except TraceFormatError:
                 continue
             assert len(decoded) < len(records)
@@ -194,19 +197,19 @@ class TestRobustness:
         # A header byte promising a delta-encoded address, then a
         # varint whose continuation bit points past the end.
         with pytest.raises(TraceFormatError, match="truncated"):
-            decode_stream(bytes([0x81, 0x80]), 0)
+            decode_stream(bytes([0x81, 0x80]), 0, NTHREADS)
 
     def test_overlong_varint_raises_format_error(self):
         blob = bytes([0x81]) + b"\x80" * 12 + b"\x01"
         with pytest.raises(TraceFormatError, match="varint"):
-            decode_stream(blob, 0)
+            decode_stream(blob, 0, NTHREADS)
 
     def test_truncated_extras_block_raises_format_error(self):
         records = stream([load(R0, 0x1000)])
         records[0].add_arc(1, 1)
         blob = encode_stream(records)
         with pytest.raises(TraceFormatError, match="record #1"):
-            decode_stream(blob[:-1], 0)
+            decode_stream(blob[:-1], 0, NTHREADS)
 
     def test_unknown_extras_tag_raises_format_error(self):
         records = stream([loadi(R0)])
@@ -215,4 +218,4 @@ class TestRobustness:
         blob[0] |= 0x40  # set the has-extras flag
         blob.extend([1, 99])
         with pytest.raises(TraceFormatError, match="unknown extras tag"):
-            decode_stream(bytes(blob), 0)
+            decode_stream(bytes(blob), 0, NTHREADS)

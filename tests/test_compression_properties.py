@@ -50,6 +50,9 @@ varints = st.one_of(st.sampled_from(VARINT_BOUNDARIES),
                     st.integers(min_value=0, max_value=2 ** 48))
 ranges = st.lists(st.tuples(varints, varints), max_size=3)
 
+#: Thread count of every decoded stream: above each drawn arc's source
+#: tid (0..63).
+NTHREADS = 64
 MEMORY_KINDS = (RecordKind.LOAD, RecordKind.STORE, RecordKind.RMW)
 PLAIN_KINDS = (RecordKind.NOP, RecordKind.HL_BEGIN, RecordKind.HL_END,
                RecordKind.THREAD_EXIT)
@@ -122,7 +125,7 @@ def _fields(record):
 @given(stream=streams)
 def test_roundtrip_over_full_vocabulary(stream):
     stream = _with_stream_rids(stream)
-    decoded = decode_stream(encode_stream(stream), 0)
+    decoded = decode_stream(encode_stream(stream), 0, NTHREADS)
     assert [_fields(r) for r in stream] == [_fields(r) for r in decoded]
 
 
@@ -139,11 +142,12 @@ def test_truncation_reports_absolute_stream_offset(stream, data):
     cut_index = max(i for i, start in enumerate(starts) if start < cut)
     if starts[cut_index] + len(chunks[cut_index]) == cut:
         # A cut on a record boundary is a shorter valid stream.
-        assert len(decode_stream(blob[:cut], 0)) == cut_index + 1
+        assert (len(decode_stream(blob[:cut], 0, NTHREADS))
+                == cut_index + 1)
         return
     start = starts[cut_index]
     with pytest.raises(TraceFormatError) as info:
-        decode_stream(blob[:cut], 0)
+        decode_stream(blob[:cut], 0, NTHREADS)
     message = str(info.value)
     assert message.startswith(
         f"record #{cut_index + 1} at stream offset {start}: ")
@@ -164,7 +168,7 @@ def test_flipped_bytes_decode_or_fail_naming_the_record(stream, data):
         blob[position] ^= data.draw(st.integers(min_value=1, max_value=255))
     blob = bytes(blob)
     try:
-        decode_stream(blob, 0)
+        decode_stream(blob, 0, NTHREADS)
     except TraceFormatError as exc:
         match = re.match(r"(?:corrupt )?record #(\d+) at stream offset "
                          r"(\d+): ", str(exc))
@@ -172,7 +176,8 @@ def test_flipped_bytes_decode_or_fail_naming_the_record(stream, data):
         number, start = int(match.group(1)), int(match.group(2))
         # The named offset is where record #number begins: the bytes
         # before it decode to exactly the records before it.
-        assert len(decode_stream(blob[:start], 0)) == number - 1
+        assert (len(decode_stream(blob[:start], 0, NTHREADS))
+                == number - 1)
     # Any other exception (IndexError, ValueError, KeyError, ...)
     # escapes and fails the test.
 
@@ -203,6 +208,6 @@ def test_descending_and_boundary_address_deltas(deltas):
         record.size = 4
         record.rd = rid % 16
         stream.append(record)
-    decoded = decode_stream(encode_stream(stream), 0)
+    decoded = decode_stream(encode_stream(stream), 0, NTHREADS)
     assert [r.addr for r in decoded] == [r.addr for r in stream]
     assert [_fields(r) for r in decoded] == [_fields(r) for r in stream]

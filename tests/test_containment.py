@@ -5,22 +5,19 @@ processed every record so far — so a tainted buffer is detected *before*
 the output syscall lets the damage escape.
 """
 
-import pytest
-
 from repro import (
     SimulationConfig,
     TaintCheck,
-    build_workload,
     run_parallel_monitoring,
     run_timesliced_monitoring,
 )
-from repro.isa.instructions import HLEventKind
 from repro.isa.registers import R0, R1
 from repro.workloads import CustomWorkload
 
 
-def output_workload(padding=400):
-    """A thread that computes for a while, then calls write()."""
+def output_workload(padding=400, contained=True):
+    """A thread that computes for a while, then calls write() — or, with
+    ``contained=False``, a system call outside ``DEFAULT_CONTAINMENT``."""
 
     def kernel(api, workload):
         buf = workload.galloc_lines(2)
@@ -29,7 +26,10 @@ def output_workload(padding=400):
             yield from api.alu(R1, R0)
             yield from api.store(buf + 4, R1, value=i)
             yield from api.loop_overhead(1)
-        yield from api.syscall_write(buf, 16)
+        if contained:
+            yield from api.syscall_write(buf, 16)
+        else:
+            yield from api.syscall_other()
         yield from api.compute(8)
 
     return CustomWorkload([kernel, kernel], name="output")
@@ -39,11 +39,9 @@ class TestContainment:
     def test_containment_makes_the_app_wait_for_its_lifeguard(self):
         config = SimulationConfig.for_threads(2)
         contained = run_parallel_monitoring(
-            output_workload(), TaintCheck, config,
-            containment_kinds=frozenset({HLEventKind.SYSCALL_WRITE}))
+            output_workload(), TaintCheck, config)
         uncontained = run_parallel_monitoring(
-            output_workload(), TaintCheck, config,
-            containment_kinds=frozenset())
+            output_workload(contained=False), TaintCheck, config)
         contained_wait = sum(
             buckets.get("wait_containment", 0)
             for buckets in contained.app_buckets.values())
@@ -58,16 +56,13 @@ class TestContainment:
         record up to (and including) the HL_BEGIN."""
         config = SimulationConfig.for_threads(2)
         result = run_parallel_monitoring(
-            output_workload(), TaintCheck, config,
-            containment_kinds=frozenset({HLEventKind.SYSCALL_WRITE}),
-            keep_trace=True)
+            output_workload(), TaintCheck, config, keep_trace=True)
         assert result.total_cycles > 0  # completed despite the gate
 
     def test_timesliced_containment_deschedules_the_thread(self):
         config = SimulationConfig.for_threads(2)
         result = run_timesliced_monitoring(
-            output_workload(), TaintCheck, config,
-            containment_kinds=frozenset({HLEventKind.SYSCALL_WRITE}))
+            output_workload(), TaintCheck, config)
         assert result.total_cycles > 0
 
     def test_tainted_output_detected_before_escape(self):
@@ -87,6 +82,5 @@ class TestContainment:
             workload,
             lambda costs, heap_range: TaintCheck(
                 costs=costs, heap_range=heap_range, check_output=True),
-            SimulationConfig.for_threads(1),
-            containment_kinds=frozenset({HLEventKind.SYSCALL_WRITE}))
+            SimulationConfig.for_threads(1))
         assert result.violation_kinds().get("tainted-output") == 1

@@ -1,6 +1,8 @@
 """Documentation-quality gates: every public module, class and function
-carries a docstring, and the repo-level docs reference real artifacts."""
+carries a docstring, no module imports a name it never uses, and the
+repo-level docs reference real artifacts."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -42,6 +44,47 @@ def test_public_classes_and_functions_documented(module_name):
         if not (obj.__doc__ and obj.__doc__.strip()):
             undocumented.append(name)
     assert not undocumented, f"{module_name}: {undocumented}"
+
+
+def _unused_imports(path):
+    """Names a module imports at top level and never uses: neither as an
+    ``ast.Name`` (which is also every ``ast.Attribute`` chain's root)
+    nor inside a string annotation."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    used, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(name.id for name in ast.walk(
+                    ast.parse(node.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package_dir = pathlib.Path(repro.__file__).parent
+    unused = {}
+    for path in sorted(package_dir.rglob("*.py")):
+        names = [] if path.name == "__init__.py" else _unused_imports(path)
+        if names:
+            unused[str(path.relative_to(package_dir))] = names
+    assert not unused, unused
 
 
 class TestRepoDocs:

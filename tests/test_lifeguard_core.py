@@ -29,7 +29,7 @@ from repro.memory.coherence import CoherentMemorySystem
 class Harness:
     """One lifeguard core fed by a hand-written record stream."""
 
-    def __init__(self, tids=(0, 1), **core_kwargs):
+    def __init__(self, tids=(0, 1), enforce_arcs=True, **core_kwargs):
         self.engine = Engine()
         self.config = SimulationConfig.for_threads(2)
         self.log = LogBuffer(self.engine, LogBufferConfig(), "log")
@@ -39,7 +39,8 @@ class Harness:
         self.core = LifeguardCore(
             self.engine, "lifeguard0", core_id=2, tid=0, log=self.log,
             lifeguard=self.lifeguard, memsys=self.memsys, config=self.config,
-            progress_table=self.progress, **core_kwargs)
+            progress_table=self.progress, accel=True,
+            enforce_arcs=enforce_arcs, **core_kwargs)
         self._rid = 0
 
     def feed(self, op, arcs=None):

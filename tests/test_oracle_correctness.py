@@ -7,7 +7,6 @@ capture-mode combinations. This is the test that catches ordering bugs
 import pytest
 
 from repro import (
-    AcceleratorConfig,
     AddrCheck,
     LockSet,
     MemCheck,
@@ -69,17 +68,21 @@ def test_parallel_monitoring_matches_oracle(name, lifeguard, threads):
     assert_matches_oracle(result, lifeguard)
 
 
-@pytest.mark.parametrize("accel", [
-    AcceleratorConfig.all_on(),
-    AcceleratorConfig.all_off(),
-    AcceleratorConfig(use_it=True, use_if=False, use_mtlb=False),
-    AcceleratorConfig(use_it=False, use_if=True, use_mtlb=True),
-])
-def test_every_accelerator_combination_matches_oracle(accel):
+@pytest.mark.parametrize("accel", [True, False], ids=["accel", "no_accel"])
+@pytest.mark.parametrize("name,lifeguard,threads", [
+    # The accelerator sets a run can reach: accel=True enables the ones
+    # the lifeguard uses, accel=False none.
+    ("taint_pipeline", TaintCheck, 3),  # IT + M-TLB
+    ("heap_bugs", AddrCheck, 3),        # IF + M-TLB
+    ("swaptions", MemCheck, 2),         # IT + IF + M-TLB
+    ("racy_counters", LockSet, 4),      # M-TLB
+], ids=["taintcheck", "addrcheck", "memcheck", "lockset"])
+def test_every_accelerator_combination_matches_oracle(
+        name, lifeguard, threads, accel):
     result = run_parallel_monitoring(
-        build_workload("taint_pipeline", 3), TaintCheck,
-        SimulationConfig.for_threads(3), accel=accel, keep_trace=True)
-    assert_matches_oracle(result, TaintCheck)
+        build_workload(name, threads), lifeguard,
+        SimulationConfig.for_threads(threads), accel=accel, keep_trace=True)
+    assert_matches_oracle(result, lifeguard)
 
 
 @pytest.mark.parametrize("mode", [CaptureMode.PER_BLOCK, CaptureMode.PER_CORE])

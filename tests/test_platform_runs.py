@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    AcceleratorConfig,
     AddrCheck,
     SimulationConfig,
     TaintCheck,
@@ -181,10 +180,10 @@ class TestAcceleratorsAffectTimingOnly:
         threads = 2 if workload_name != "heap_bugs" else 2
         accelerated = run_parallel_monitoring(
             build_workload(workload_name, threads), lifeguard, config,
-            accel=AcceleratorConfig.all_on())
+            accel=True)
         plain = run_parallel_monitoring(
             build_workload(workload_name, threads), lifeguard, config,
-            accel=AcceleratorConfig.all_off())
+            accel=False)
         assert (accelerated.lifeguard_obj.metadata_fingerprint()
                 == plain.lifeguard_obj.metadata_fingerprint())
 
@@ -194,7 +193,7 @@ class TestAcceleratorsAffectTimingOnly:
             build_workload("lu", 2), TaintCheck, config)
         plain = run_parallel_monitoring(
             build_workload("lu", 2), TaintCheck, config,
-            accel=AcceleratorConfig.all_off())
+            accel=False)
         assert (accelerated.stats["events_delivered"]
                 < plain.stats["events_delivered"])
         assert accelerated.total_cycles < plain.total_cycles

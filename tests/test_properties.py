@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
-    AcceleratorConfig,
     AddrCheck,
     SimulationConfig,
     TaintCheck,
@@ -116,8 +115,7 @@ def test_random_racy_programs_match_oracle(scripts):
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_program_strategy,
-       st.sampled_from([AcceleratorConfig.all_on(),
-                        AcceleratorConfig.all_off()]))
+       st.booleans())
 def test_random_programs_accelerator_transparency(scripts, accel):
     workload = CustomWorkload([_make_kernel(s) for s in scripts],
                               name="fuzz")

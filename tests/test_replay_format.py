@@ -8,11 +8,14 @@ arcs must encode smaller than the naive full-arc baseline.
 
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.capture.compression import _X_HL
+from repro.capture.compression import _X_CA, _X_HL
 from repro.capture.events import Record, RecordKind
+from repro.cli import main
 from repro.common.config import SimulationConfig
 from repro.common.errors import TraceFormatError
 from repro.isa.instructions import HLEventKind
@@ -25,7 +28,7 @@ from repro.replay import (
     canonical_json,
     capture_archive,
     config_digest,
-    replay_archive,
+    replay_all,
     write_archive,
 )
 from repro.replay.format import _read_varint, _write_varint
@@ -339,27 +342,41 @@ class TestMalformedManifest:
         assert detail in str(info.value)
 
 
-def _redigested_archive(path, trace, patch):
-    """Archive ``trace`` (one thread), apply ``patch`` to its record
-    blob, and re-digest it so the archive opens: only decoding can tell
-    the blob is bad."""
-    write_archive(path, trace, nthreads=1)
-    data = path.read_bytes()
+def _restamped(data, patch):
+    """The archive ``data`` with ``patch`` applied to the list of its
+    blobs (each stream's record blob, then its commit blob, in tid
+    order; bytearrays) and every byte count and sha256 re-stamped, so
+    the archive opens: only decoding can tell a blob is bad."""
     manifest_len, offset = _read_varint(data, len(MAGIC) + 1)
     manifest = json.loads(data[offset:offset + manifest_len])
     offset += manifest_len
-    entry = manifest["streams"][0]
-    blob = bytearray(data[offset:offset + entry["record_bytes"]])
-    patch(blob)
-    entry["record_sha256"] = hashlib.sha256(blob).hexdigest()
+    blobs = []
+    for entry in manifest["streams"]:
+        for name in ("record", "commit"):
+            size = entry[f"{name}_bytes"]
+            blobs.append(bytearray(data[offset:offset + size]))
+            offset += size
+    patch(blobs)
+    for entry, pair in zip(manifest["streams"], zip(blobs[::2], blobs[1::2])):
+        for name, blob in zip(("record", "commit"), pair):
+            entry[f"{name}_bytes"] = len(blob)
+            entry[f"{name}_sha256"] = hashlib.sha256(blob).hexdigest()
     manifest_blob = canonical_json(manifest).encode()
     out = bytearray(MAGIC)
     out.append(FORMAT_VERSION)
     _write_varint(out, len(manifest_blob))
     out.extend(manifest_blob)
-    out.extend(blob)
-    out.extend(data[offset + entry["record_bytes"]:])
-    path.write_bytes(out)
+    for blob in blobs:
+        out.extend(blob)
+    return bytes(out)
+
+
+def _redigested_archive(path, trace, patch):
+    """Archive ``trace`` (one thread) with ``patch`` applied to its
+    record blob, re-stamped (:func:`_restamped`)."""
+    write_archive(path, trace, nthreads=1)
+    path.write_bytes(_restamped(path.read_bytes(),
+                                lambda blobs: patch(blobs[0])))
     return path
 
 
@@ -399,6 +416,53 @@ def _break_utf8(blob):
     blob[blob.index(b"ab")] = 0xFF
 
 
+def _alu_record():
+    # Encoded at offset 3 as header, register byte (rd | rs1 << 4), rs2.
+    record = Record(0, 2, RecordKind.ALU)
+    record.rd, record.rs1, record.rs2 = 1, 2, 3
+    return record
+
+
+def _set_delta_flag(blob):
+    assert blob[3] & 0x0F == int(RecordKind.ALU)
+    blob[3] |= 0x80
+
+
+def _drop_address(blob):
+    # The second load's delta flag, address delta and register byte go:
+    # its header alone reads as a LOAD with no address.
+    assert blob[3] & 0x80 and len(blob) == 6
+    blob[3] &= 0x7F
+    del blob[4:]
+
+
+def _set_rs2(blob):
+    assert blob[5] == 3
+    blob[5] = 16
+
+
+def _ca_mark_record():
+    record = Record(0, 2, RecordKind.CA_MARK)
+    record.ca_id = 1
+    return record
+
+
+def _rekind_ca_mark(blob):
+    # Record #2: header, extras length, CA tag, then the CA kind.
+    assert blob[5] == _X_CA and blob[6] == int(RecordKind.CA_MARK)
+    blob[6] = int(RecordKind.CRITICAL_USE)
+
+
+def _arc_record():
+    record = _mem(0, 2, RecordKind.LOAD, 0x24, 2, None)
+    record.add_arc(1, 1)
+    return record
+
+
+def _keep(blob):
+    """No patch: the writer does not check arc sources, a reader must."""
+
+
 class TestCorruptRecordBlob:
     """A digest-valid archive whose record blob holds a value no encoder
     writes fails with a TraceFormatError naming the record and its
@@ -409,9 +473,20 @@ class TestCorruptRecordBlob:
          _set_kind_bits, "invalid record kind 12"),
         (_hl_record, _set_hl_kind, "invalid high-level event kind 127"),
         (_critical_record, _break_utf8, "not UTF-8"),
-    ], ids=["header-kind", "hl-kind", "critical-utf8"])
-    def test_invalid_value_is_a_format_error(self, tmp_path, second, patch,
-                                             detail):
+        # Values no encoder writes that decode into a record a handler
+        # or the oracle cannot take (a register or address of None, a
+        # register past the file) or into an arc from no thread.
+        (_alu_record, _set_delta_flag, "ALU record with an address delta"),
+        (lambda: _mem(0, 2, RecordKind.LOAD, 0x24, 2, None), _drop_address,
+         "LOAD record without an address"),
+        (_alu_record, _set_rs2, "invalid ALU rs2 register 16"),
+        (_ca_mark_record, _rekind_ca_mark,
+         "record kind 8 in the CA extras section"),
+        (_arc_record, _keep, "arc source tid 1 of a 1-thread run"),
+    ], ids=["header-kind", "hl-kind", "critical-utf8", "delta-off-memory",
+            "memory-without-delta", "alu-rs2", "ca-rekind", "arc-source"])
+    def test_invalid_value_is_a_format_error(self, tmp_path, capsys, second,
+                                             patch, detail):
         path = _redigested_archive(tmp_path / "bad.plog",
                                    _load_then(second()), patch)
         reader = TraceReader(path)
@@ -421,4 +496,78 @@ class TestCorruptRecordBlob:
         assert "t0 record blob: record #2 at stream offset 3" in message
         assert detail in message
         with pytest.raises(TraceFormatError):
-            replay_archive(reader, "taintcheck")
+            replay_all(reader)
+        assert main(["replay", str(path)]) == 2
+        assert detail in capsys.readouterr().err
+
+
+def _mutated(base, stream, blob, op, position, value):
+    """The archive ``base``, re-stamped, with one byte of stream
+    ``stream``'s record (``blob`` 0) or commit (1) blob xored with
+    ``value`` (``op`` 0), set to it (1), inserted (2) or deleted (3) at
+    ``position`` (modulo the blob's length)."""
+    def mutate(blobs):
+        target = blobs[(2 * stream + blob) % len(blobs)]
+        kind = op if target else 2  # an empty blob can only grow
+        at = position % (len(target) + (kind == 2))
+        if kind == 0:
+            target[at] ^= value or 1
+        elif kind == 1:
+            target[at] = value
+        elif kind == 2:
+            target.insert(at, value)
+        else:
+            del target[at]
+    return _restamped(base, mutate)
+
+
+def _replays_or_fails_cleanly(path, data):
+    """Replay ``data`` under every lifeguard: True if it replays, False
+    on a TraceFormatError; any other exception escapes."""
+    path.write_bytes(data)
+    try:
+        replay_all(TraceReader(path))
+    except TraceFormatError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def base_archive(tmp_path_factory):
+    """The archive of racy seed 3 (two threads, captured under
+    TaintCheck) as bytes, and a scratch path for its mutants."""
+    path = tmp_path_factory.mktemp("fuzz") / "base.plog"
+    capture_archive(str(path), 3, "taintcheck")
+    return path.read_bytes(), path.with_name("mutant.plog")
+
+
+class TestMutatedArchives:
+    """An archive whose digests are valid but whose streams were
+    mutated (a buggy writer, a foreign tool, a hand edit) either
+    replays or fails with a TraceFormatError, so ``repro replay`` exits
+    0 or 2, never 1 with a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=st.integers(min_value=0), blob=st.sampled_from([0, 1]),
+           op=st.integers(min_value=0, max_value=3),
+           position=st.integers(min_value=0),
+           value=st.integers(min_value=0, max_value=255))
+    def test_replays_or_fails_cleanly(self, base_archive, stream, blob, op,
+                                      position, value):
+        base, path = base_archive
+        _replays_or_fails_cleanly(
+            path, _mutated(base, stream, blob, op, position, value))
+
+    @pytest.mark.slow
+    def test_ten_thousand_mutations(self, base_archive):
+        base, path = base_archive
+        rng = random.Random(38)
+        outcomes = [
+            _replays_or_fails_cleanly(path, _mutated(
+                base, rng.randrange(2), int(rng.random() < 0.2),
+                rng.randrange(4), rng.randrange(1 << 16),
+                rng.randrange(256)))
+            for _ in range(10_000)]
+        # Both outcomes occur: the mutants reach the decoder, and not
+        # every one of them is rejected.
+        assert 0 < sum(outcomes) < len(outcomes)

@@ -128,13 +128,6 @@ class TestHighLevelEvents:
         taint.handle(("hl", rec))
         assert taint.metadata.all_equal(0x500, 16, TAINTED)
 
-    def test_taint_policy_can_be_disabled(self):
-        taint = TaintCheck(taint_syscall_reads=False)
-        rec = record(RecordKind.HL_END, hl_kind=HLEventKind.SYSCALL_READ,
-                     ranges=((0x500, 16),))
-        taint.handle(("hl", rec))
-        assert taint.metadata.all_equal(0x500, 16, UNTAINTED)
-
     def test_output_check_flags_tainted_writes(self):
         taint = TaintCheck(check_output=True)
         taint.metadata.set_range(0x600, 8, TAINTED)

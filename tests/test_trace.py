@@ -166,12 +166,14 @@ class TestEndToEndEmission:
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        tracer = TraceWriter.to_path(path, keep=True)
+        tracer = TraceWriter.to_path(path)
         _run("parallel", tracer=tracer)
         tracer.close()
+        kept = TraceWriter(keep=True)
+        _run("parallel", tracer=kept)
         loaded = read_trace(path)
-        assert loaded == tracer.events
-        assert trace_hash(loaded) == trace_hash(tracer.events)
+        assert loaded == kept.events
+        assert trace_hash(loaded) == trace_hash(kept.events)
 
 
 class TestDisabledTracingIsBehaviorIdentical:
