@@ -2,8 +2,9 @@
 """Tutorial: writing your own lifeguard for the ParaLog platform.
 
 The platform runs any lifeguard that subclasses
-:class:`repro.lifeguards.Lifeguard`: register a handler for each event
-you handle in the ``handlers`` table, and declare which accelerators
+:class:`repro.lifeguards.Lifeguard`: name a handler method for each
+event you handle in the class's ``handler_names`` table (the platform
+binds it to the instance), and declare which accelerators
 apply and which high-level events need ConflictAlert ordering. Here we
 build a **false-sharing profiler**: it keeps one metadata byte per cache
 line recording which threads have written the line, and reports lines
@@ -38,14 +39,15 @@ class FalseSharingProfiler(Lifeguard):
     uses_mtlb = True
     monitors_allocator_internals = False
 
+    # Name a handler method per event key; the delivery hardware drops
+    # every other event (register traffic, loads, high-level events)
+    # before dispatch, for free.
+    handler_names = {"store": "_write", "rmw": "_write"}
+
     def __init__(self, costs=None, heap_range=None):
         super().__init__(costs=costs, heap_range=heap_range)
         self._line_writers = {}  # line -> set of tids
         self._reported = set()
-        # Register a handler per event key; the delivery hardware drops
-        # every other event (register traffic, loads, high-level events)
-        # before dispatch, for free.
-        self.handlers = {"store": self._write, "rmw": self._write}
 
     def _write(self, event):
         rec = event[1]

@@ -80,7 +80,7 @@ class CAHub:
         self._captures = {}  # tid -> OrderCapture
         self._active_tids: Set[int] = set()
         self._lifeguard_tids: Set[int] = set()
-        self._lifeguard_actors: Dict[int, object] = {}
+        self._lifeguard_names: Dict[int, str] = {}
         self._states: Dict[int, CAState] = {}
         self._next_id = 1
         #: Optional :class:`~repro.faults.FaultPlan` armed at ``ca_mark``.
@@ -99,13 +99,14 @@ class CAHub:
         self._active_tids.add(tid)
         self._lifeguard_tids.add(tid)
 
-    def register_lifeguard_actor(self, tid: int, actor) -> None:
+    def register_lifeguard_actor(self, tid: int, name: str) -> None:
         """Name the lifeguard core consuming ``tid``'s stream.
 
         Only used to label barrier conditions with their notifiers so
         the engine's wait-for-graph diagnostics can walk through them.
+        The hub keeps the name, not the core, which refers to the hub.
         """
-        self._lifeguard_actors[tid] = actor
+        self._lifeguard_names[tid] = name
 
     def thread_exited(self, tid: int) -> None:
         """The app thread retired THREAD_EXIT: no more CA records for it."""
@@ -130,11 +131,11 @@ class CAHub:
                              hl=hl_kind, phase=phase_kind,
                              participants=sorted(participants))
         state.all_arrived_cond.owners = [
-            self._lifeguard_actors[tid] for tid in sorted(participants)
-            if tid in self._lifeguard_actors]
-        issuer_actor = self._lifeguard_actors.get(issuer_tid)
-        if issuer_actor is not None:
-            state.complete_cond.owners = [issuer_actor]
+            self._lifeguard_names[tid] for tid in sorted(participants)
+            if tid in self._lifeguard_names]
+        issuer_name = self._lifeguard_names.get(issuer_tid)
+        if issuer_name is not None:
+            state.complete_cond.owners = [issuer_name]
         for tid in sorted(participants & self._active_tids):
             state.marks_sent.add(tid)
             capture = self._captures[tid]

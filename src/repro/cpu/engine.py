@@ -102,14 +102,11 @@ class Engine:
         self._ring: List[Optional[deque]] = [None] * _RING_SIZE
         self._overflow: List = []
         self._seq = 0
-        self._actors: List["CoreActor"] = []
-        #: Registered actors that have not finished yet. Maintained by
-        #: :meth:`register` and :meth:`note_finish` so the watchdog's
-        #: per-event liveness check is O(1) instead of an O(actors) scan.
-        self._unfinished = 0
-        #: Actors that already called :meth:`note_finish` (double-finish
-        #: guard — a second call would silently corrupt ``_unfinished``).
-        self._finished_actors = set()
+        #: Registered actors that have not finished yet, in registration
+        #: order (the values are unused). :meth:`note_finish` removes an
+        #: actor, so the watchdog's per-event liveness check is a
+        #: truth test, and a finished actor is no longer referenced.
+        self.live_actors: Dict["CoreActor", None] = {}
         #: Total events popped off the time queue (``stats["perf"]``).
         self.events_popped = 0
         #: Optional livelock detector; may also be attached after init.
@@ -134,21 +131,20 @@ class Engine:
                 + len(self._overflow))
 
     def register(self, actor: "CoreActor") -> None:
-        self._actors.append(actor)
-        self._unfinished += 1
+        self.live_actors[actor] = None
 
     def note_finish(self, actor: "CoreActor") -> None:
         """Actors report here exactly once, when they finish.
 
-        A second call for the same actor raises — it would drive
-        ``_unfinished`` negative, silently disabling the watchdog's
-        livelock check and the deadlock diagnosis.
+        A second call for the same actor raises: it would mean the
+        actor's state machine ran past ``("done",)``.
         """
-        if actor in self._finished_actors:
+        try:
+            del self.live_actors[actor]
+        except KeyError:
             raise SimulationError(
-                f"{getattr(actor, 'name', actor)}: note_finish called twice")
-        self._finished_actors.add(actor)
-        self._unfinished -= 1
+                f"{getattr(actor, 'name', actor)}: note_finish called twice"
+            ) from None
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         if delay < 0:
@@ -202,12 +198,18 @@ class Engine:
         committed to :attr:`now`, so a later ``run()`` call with a
         larger (or no) budget resumes by executing that event first —
         the crash report and a resumed run see the same queue.
+
+        A run that completes drops :attr:`diagnostics_provider` and
+        detaches from its tracer, so no reference cycle outlives it and
+        the machine is freed as soon as its last holder lets go. A raised
+        error keeps both, for the crash report and a resumed run.
         """
         watchdog = self.watchdog
         window = watchdog.window if watchdog is not None else 0
         ring = self._ring
         mask = _RING_MASK
         overflow = self._overflow
+        live = self.live_actors
         popped = 0
         try:
             # Entry check: a resumed run whose budget is still exceeded
@@ -235,7 +237,7 @@ class Engine:
                     # full scan costs (short runs end this way).
                     t = now + 1
                     end = now + _RING_SIZE
-                    if self._unfinished or any(ring):
+                    if live or any(ring):
                         while t < end and not ring[t & mask]:
                             t += 1
                     else:
@@ -260,7 +262,7 @@ class Engine:
                     popped += 1
                     callback()
                     if (window and now - self.last_retire > window
-                            and self._unfinished):
+                            and live):
                         raise self._diagnose(
                             f"livelock: no actor retired anything for "
                             f"{now - self.last_retire} cycles (window="
@@ -269,10 +271,12 @@ class Engine:
                         )
         finally:
             self.events_popped += popped
-        blocked = [a for a in self._actors if not a.finished]
-        if blocked:
+        if live:
             raise self._diagnose(
                 "simulation deadlocked with blocked actors", kind="deadlock")
+        self.diagnostics_provider = None
+        if self.tracer is not None:
+            self.tracer.detach_engine(self)
         return self.now
 
     # -- failure diagnosis --------------------------------------------------
@@ -286,15 +290,15 @@ class Engine:
         platform). A cycle through these edges is a circular wait.
         """
         graph: Dict[str, List[str]] = {}
-        for actor in self._actors:
+        for actor in self.live_actors:
             condition = actor.wait_condition
-            if actor.finished or condition is None:
+            if condition is None:
                 continue
             node = f"cond:{condition.name}"
             graph.setdefault(f"actor:{actor.name}", []).append(node)
             owners = graph.setdefault(node, [])
             for owner in condition.owners:
-                name = f"actor:{getattr(owner, 'name', owner)}"
+                name = f"actor:{owner}"
                 if name not in owners:
                     owners.append(name)
         return graph
@@ -302,8 +306,7 @@ class Engine:
     def _diagnose(self, message: str, kind: str) -> DeadlockError:
         graph = self.wait_for_graph()
         busy = "not waiting (busy)" if kind == "livelock" else "unknown"
-        waiting = {a.name: a.wait_reason or busy
-                   for a in self._actors if not a.finished}
+        waiting = {a.name: a.wait_reason or busy for a in self.live_actors}
         extra = {}
         if self.diagnostics_provider is not None:
             extra = dict(self.diagnostics_provider() or {})
@@ -358,9 +361,11 @@ def find_cycle(graph: Dict[str, List[str]]) -> Optional[List[str]]:
 class Condition:
     """A waitable, edge-triggered condition with named waiters.
 
-    ``owners`` optionally lists the actors (or named components)
-    responsible for eventually notifying this condition; the engine's
-    wait-for-graph builder uses them as the condition's outgoing edges.
+    ``owners`` optionally lists the names of the actors (or other
+    components) responsible for eventually notifying this condition;
+    the engine's wait-for-graph builder uses them as the condition's
+    outgoing edges. Names, not actors: a condition an actor waits on
+    must not refer back to it.
 
     ``waiters`` is public so a per-record notifier can skip the
     :meth:`notify_all` call when nobody waits (``if cond.waiters:``);
@@ -369,10 +374,10 @@ class Condition:
 
     __slots__ = ("name", "waiters", "owners")
 
-    def __init__(self, name: str, owners: Optional[list] = None):
+    def __init__(self, name: str, owners: Optional[List[str]] = None):
         self.name = name
         self.waiters: List["CoreActor"] = []
-        self.owners: List = list(owners or [])
+        self.owners: List[str] = list(owners or [])
 
     def add_waiter(self, actor: "CoreActor") -> None:
         self.waiters.append(actor)
@@ -431,7 +436,9 @@ class CoreActor:
         # Pre-bind the hot callbacks: every plain `self._run` / `self.wake`
         # attribute access on a class method allocates a fresh bound
         # method, which the old code paid once per scheduled event. The
-        # instance-dict copies below are created once and reused.
+        # instance-dict copies below are created once and reused, and
+        # deleted when the actor finishes (each one refers back to the
+        # actor); a stale wake after that binds on the fly.
         self._run = self._run
         self.wake = self.wake
         engine.register(self)
@@ -522,6 +529,7 @@ class CoreActor:
                     self.finished = True
                     self.finish_time = engine.now
                     engine.note_finish(self)
+                    del self._run, self.wake
                     tracer = engine.tracer
                     if tracer is not None:
                         tracer.emit("engine", "done", actor=self.name)

@@ -89,10 +89,12 @@ class LifeguardCore(CoreActor):
         self._retire_tracer = tracer_for(tracer, "engine")
         self._advert_tracer = tracer_for(tracer, "advert")
         self._meta_tracer = tracer_for(tracer, "meta")
+        #: The lifeguard's handler table, bound once for every delivery.
+        self._handlers = lifeguard.handlers
 
         self.it = InheritanceTracking(
             enabled=accel and lifeguard.uses_it, tracer=tracer, owner=name,
-            load_checks="load_check" in lifeguard.handlers)
+            load_checks="load_check" in self._handlers)
         self.iff = IdempotentFilter(
             entries=config.if_entries,
             enabled=accel and lifeguard.uses_if,
@@ -393,7 +395,7 @@ class LifeguardCore(CoreActor):
         cost = 0
         latency = 0
         lifeguard = self.lifeguard
-        handlers = lifeguard.handlers
+        handlers = self._handlers
         delivery_range = lifeguard.delivery_range
         iff = self.iff
         dispatch_cost = self._dispatch_cost
@@ -462,7 +464,7 @@ class LifeguardCore(CoreActor):
     def _deliver_flushed(self, events) -> int:
         """Process events forced out of an accelerator; returns their cost."""
         cost = 0
-        handlers = self.lifeguard.handlers
+        handlers = self._handlers
         for event in events:
             # Flushed IT rows arrive as ``reg_inherit`` events, which
             # every lifeguard that uses IT registers.

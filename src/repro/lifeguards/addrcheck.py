@@ -45,6 +45,17 @@ class AddrCheck(Lifeguard):
     })
     ca_flush_mtlb = frozenset()
 
+    # Memory accesses and allocation events; the delivery range filter
+    # (set in __init__) keeps only the heap's accesses.
+    handler_names = {
+        "load": "_access",
+        "store": "_access",
+        "rmw": "_access",
+        "load_versioned": "_load_versioned",
+        HLEventKind.MALLOC: "_malloc",
+        HLEventKind.FREE: "_free",
+    }
+
     def __init__(self, costs=None, heap_range=None):
         super().__init__(costs=costs, heap_range=heap_range)
         # Heap memory accesses and allocation events only: the delivery
@@ -52,14 +63,6 @@ class AddrCheck(Lifeguard):
         # dispatch (the wrapper library's own allocator bookkeeping never
         # reaches the table: monitors_allocator_internals is False).
         self.delivery_range = heap_range
-        self.handlers = {
-            "load": self._access,
-            "store": self._access,
-            "rmw": self._access,
-            "load_versioned": self._load_versioned,
-            HLEventKind.MALLOC: self._malloc,
-            HLEventKind.FREE: self._free,
-        }
 
     # -- handlers ---------------------------------------------------------------
 

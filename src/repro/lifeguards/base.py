@@ -1,12 +1,17 @@
 """Lifeguard framework.
 
-A lifeguard is a table of event handlers. ``handlers`` maps a *key* to a
-bound method ``handler(event) -> (cost, accesses)``, and the delivery
-hardware invokes only the handlers a lifeguard registered (paper
-Section 2): an event whose key has no entry is dropped before dispatch
-and costs nothing beyond decompression. Delivered events are plain
-tuples produced by the consumer pipeline (after Inheritance Tracking);
-register a key to receive its events:
+A lifeguard is a table of event handlers. The class attribute
+``handler_names`` maps a *key* to the name of a method
+``handler(event) -> (cost, accesses)``, and the delivery hardware
+invokes only the handlers a lifeguard registered (paper Section 2): an
+event whose key has no entry is dropped before dispatch and costs
+nothing beyond decompression. ``handlers`` binds the table to the
+instance (key -> bound method); a delivery loop reads it once, before
+its first event. The lifeguard never stores the bound table: each bound
+method refers back to the lifeguard, and that cycle would keep a
+finished run's lifeguard alive until the cyclic garbage collector ran.
+Delivered events are plain tuples produced by the consumer pipeline
+(after Inheritance Tracking); register a key to receive its events:
 
 ============================  ===================================================
 register a key                to receive
@@ -127,6 +132,9 @@ class Lifeguard:
     ca_flush_it: FrozenSet = frozenset()
     ca_invalidate_if: FrozenSet = frozenset()
     ca_flush_mtlb: FrozenSet = frozenset()
+    #: The handler table (see the module docstring): key -> handler
+    #: method name.
+    handler_names: Dict[object, str] = {}
 
     def __init__(self, costs: LifeguardCostConfig = None,
                  heap_range: Tuple[int, int] = None):
@@ -139,9 +147,6 @@ class Lifeguard:
         self.violations: List[Violation] = []
         #: Shared syscall range table, injected by the platform.
         self.range_table = None
-        #: The handler table (see the module docstring), built once by
-        #: each subclass's ``__init__``.
-        self.handlers: Dict[object, Callable[[tuple], Tuple[int, list]]] = {}
         #: The delivery hardware's address-range filter: ``(start, end)``
         #: or None. A registered instruction event whose record address
         #: lies outside it is dropped before dispatch, exactly like an
@@ -150,15 +155,25 @@ class Lifeguard:
         #: memory-access instruction keys, whose events carry that record.
         self.delivery_range: Optional[Tuple[int, int]] = None
 
+    @property
+    def handlers(self) -> Dict[object, Callable[[tuple], Tuple[int, list]]]:
+        """``handler_names`` bound to this lifeguard: key -> handler.
+
+        Built on each access; a delivery loop reads it once and keeps
+        the table for as long as it delivers.
+        """
+        return {key: getattr(self, name)
+                for key, name in self.handler_names.items()}
+
     def handle(self, event: tuple) -> Tuple[int, list]:
         """Apply one delivered event through the table; returns (cost,
         timed accesses).
 
         The generic entry for callers outside the delivery loops (which
-        index ``handlers`` themselves). Raises ``KeyError`` for an event
+        bind ``handlers`` themselves). Raises ``KeyError`` for an event
         without a registered handler; ``delivery_range`` is not applied.
         """
-        return self.handlers[event_key(event)](event)
+        return getattr(self, self.handler_names[event_key(event)])(event)
 
     def if_key(self, event: tuple):
         """Idempotent-Filter key for a filterable check event (or None)."""

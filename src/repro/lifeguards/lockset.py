@@ -60,6 +60,24 @@ class LockSet(Lifeguard):
         (HLEventKind.FREE, HLPhase.BEGIN),
     })
 
+    # Memory accesses and every high-level event; allocator-internal
+    # accesses never reach the table (Eraser does not check the
+    # allocator's own, internally synchronized, bookkeeping).
+    handler_names = {
+        "load": "_read",
+        "load_versioned": "_read",
+        "store": "_write",
+        "rmw": "_write",
+        HLEventKind.LOCK: "_lock",
+        HLEventKind.UNLOCK: "_unlock",
+        HLEventKind.FREE: "_free",
+        HLEventKind.MALLOC: "hl_nop",
+        HLEventKind.SYSCALL_READ: "hl_nop",
+        HLEventKind.SYSCALL_WRITE: "hl_nop",
+        HLEventKind.SYSCALL_OTHER: "hl_nop",
+        HLEventKind.THREAD_START: "hl_nop",
+    }
+
     def __init__(self, costs=None, heap_range=None):
         super().__init__(costs=costs, heap_range=heap_range)
         self._words = {}  # word addr -> _WordState
@@ -68,23 +86,6 @@ class LockSet(Lifeguard):
         self._raced_words = set()
         self.slow_path_entries = 0
         self.fast_path_entries = 0
-        # Memory accesses and every high-level event; allocator-internal
-        # accesses never reach the table (Eraser does not check the
-        # allocator's own, internally synchronized, bookkeeping).
-        self.handlers = {
-            "load": self._read,
-            "load_versioned": self._read,
-            "store": self._write,
-            "rmw": self._write,
-            HLEventKind.LOCK: self._lock,
-            HLEventKind.UNLOCK: self._unlock,
-            HLEventKind.FREE: self._free,
-            HLEventKind.MALLOC: self.hl_nop,
-            HLEventKind.SYSCALL_READ: self.hl_nop,
-            HLEventKind.SYSCALL_WRITE: self.hl_nop,
-            HLEventKind.SYSCALL_OTHER: self.hl_nop,
-            HLEventKind.THREAD_START: self.hl_nop,
-        }
 
     # -- helpers -----------------------------------------------------------------
 

@@ -54,28 +54,29 @@ class MemCheck(Lifeguard):
         (HLEventKind.FREE, HLPhase.BEGIN),
     })
 
+    # Every event except lock-discipline ones.
+    handler_names = {
+        "load": "_load",
+        "load_check": "_load_check",
+        "store": "_store",
+        "rmw": "_rmw",
+        "movrr": "copy_register",
+        "alu": "_alu",
+        "loadi": "_loadi",
+        "critical": "_critical",
+        "reg_inherit": "_reg_inherit",
+        "mem_inherit": "_mem_inherit",
+        "load_versioned": "_load_versioned",
+        HLEventKind.MALLOC: "_malloc",
+        HLEventKind.FREE: "_free",
+        HLEventKind.SYSCALL_READ: "hl_nop",
+        HLEventKind.SYSCALL_WRITE: "hl_nop",
+        HLEventKind.SYSCALL_OTHER: "hl_nop",
+        HLEventKind.THREAD_START: "hl_nop",
+    }
+
     def __init__(self, costs=None, heap_range=None):
         super().__init__(costs=costs, heap_range=heap_range)
-        # Every event except lock-discipline ones.
-        self.handlers = {
-            "load": self._load,
-            "load_check": self._load_check,
-            "store": self._store,
-            "rmw": self._rmw,
-            "movrr": self.copy_register,
-            "alu": self._alu,
-            "loadi": self._loadi,
-            "critical": self._critical,
-            "reg_inherit": self._reg_inherit,
-            "mem_inherit": self._mem_inherit,
-            "load_versioned": self._load_versioned,
-            HLEventKind.MALLOC: self._malloc,
-            HLEventKind.FREE: self._free,
-            HLEventKind.SYSCALL_READ: self.hl_nop,
-            HLEventKind.SYSCALL_WRITE: self.hl_nop,
-            HLEventKind.SYSCALL_OTHER: self.hl_nop,
-            HLEventKind.THREAD_START: self.hl_nop,
-        }
 
     # -- semantic helpers ----------------------------------------------------------
 

@@ -52,33 +52,34 @@ class TaintCheck(Lifeguard):
     })
     ca_flush_mtlb = frozenset()
 
+    # Every event except lock-discipline ones (no data flow) and the
+    # check half of an IT-absorbed load (taint tracking performs no
+    # checks on loads: IT defers the whole load).
+    handler_names = {
+        "load": "_load",
+        "store": "_store",
+        "rmw": "_rmw",
+        "movrr": "copy_register",
+        "alu": "_alu",
+        "loadi": "_loadi",
+        "critical": "_critical",
+        "reg_inherit": "_reg_inherit",
+        "mem_inherit": "_mem_inherit",
+        "load_versioned": "_load_versioned",
+        HLEventKind.MALLOC: "_malloc",
+        HLEventKind.FREE: "_free",
+        HLEventKind.SYSCALL_READ: "_syscall_read",
+        HLEventKind.SYSCALL_WRITE: "_syscall_write",
+        HLEventKind.SYSCALL_OTHER: "hl_nop",
+        HLEventKind.THREAD_START: "hl_nop",
+    }
+
     def __init__(self, costs=None, heap_range=None,
                  conservative_race_taint: bool = True,
                  check_output: bool = False):
         super().__init__(costs=costs, heap_range=heap_range)
         self.conservative_race_taint = conservative_race_taint
         self.check_output = check_output
-        # Every event except lock-discipline ones (no data flow) and the
-        # check half of an IT-absorbed load (taint tracking performs no
-        # checks on loads: IT defers the whole load).
-        self.handlers = {
-            "load": self._load,
-            "store": self._store,
-            "rmw": self._rmw,
-            "movrr": self.copy_register,
-            "alu": self._alu,
-            "loadi": self._loadi,
-            "critical": self._critical,
-            "reg_inherit": self._reg_inherit,
-            "mem_inherit": self._mem_inherit,
-            "load_versioned": self._load_versioned,
-            HLEventKind.MALLOC: self._malloc,
-            HLEventKind.FREE: self._free,
-            HLEventKind.SYSCALL_READ: self._syscall_read,
-            HLEventKind.SYSCALL_WRITE: self._syscall_write,
-            HLEventKind.SYSCALL_OTHER: self.hl_nop,
-            HLEventKind.THREAD_START: self.hl_nop,
-        }
 
     # -- handlers -----------------------------------------------------------------
 

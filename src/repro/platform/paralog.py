@@ -132,13 +132,13 @@ def run_parallel_monitoring(
             faults=faults, tracer=tracer,
         )
         lifeguard_cores.append(lifeguard_core)
-        ca_hub.register_lifeguard_actor(tid, lifeguard_core)
-        # Label conditions with notifier actors so wait-for-graph
+        ca_hub.register_lifeguard_actor(tid, lifeguard_core.name)
+        # Label conditions with their notifiers' names so wait-for-graph
         # diagnostics can walk blocked -> condition -> blocker edges.
-        log.not_full.owners = [lifeguard_core]
-        log.not_empty.owners = ([app_core] if drain_actor is None
-                                else [app_core, drain_actor])
-        progress.condition(tid).owners = [lifeguard_core]
+        log.not_full.owners = [lifeguard_core.name]
+        log.not_empty.owners = ([app_core.name] if drain_actor is None
+                                else [app_core.name, drain_actor.name])
+        progress.condition(tid).owners = [lifeguard_core.name]
 
     engine.diagnostics_provider = diagnostics_provider(
         lifeguard_cores, progress, logs, faults)

@@ -94,8 +94,8 @@ def run_timesliced_monitoring(
         accel=accel, enforce_arcs=False, delayed_advertising=False,
         faults=faults, tracer=tracer,
     )
-    log.not_full.owners = [lifeguard_core]
-    log.not_empty.owners = [app_core]
+    log.not_full.owners = [lifeguard_core.name]
+    log.not_empty.owners = [app_core.name]
 
     engine.diagnostics_provider = diagnostics_provider(
         [lifeguard_core], progress, [log], faults)

@@ -76,6 +76,20 @@ def canonical_json(value) -> str:
                       allow_nan=False)
 
 
+def _plain(value):
+    """``value`` as JSON-ready data: enums become their values and
+    dataclasses dicts, recursively."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {k: _plain(v) for k, v in dataclasses.asdict(value).items()}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def config_digest(config) -> Optional[str]:
     """sha256 over a :class:`~repro.common.config.SimulationConfig`.
 
@@ -84,19 +98,6 @@ def config_digest(config) -> Optional[str]:
     """
     if config is None:
         return None
-
-    def _plain(value):
-        if isinstance(value, enum.Enum):
-            return value.value
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {k: _plain(v)
-                    for k, v in dataclasses.asdict(value).items()}
-        if isinstance(value, dict):
-            return {k: _plain(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [_plain(v) for v in value]
-        return value
-
     payload = canonical_json(_plain(config)).encode()
     return hashlib.sha256(payload).hexdigest()
 
@@ -155,7 +156,9 @@ def _decode_commit_times(blob: bytes, count: int) -> List[int]:
 
 def _group_streams(trace: Iterable[Record],
                    nthreads: int) -> Dict[int, List[Record]]:
-    """Split a captured trace into dense per-thread RID streams."""
+    """Split a captured trace into dense per-thread RID streams whose
+    arcs all come from threads of the run (the reader rejects any
+    other)."""
     streams: Dict[int, List[Record]] = {tid: [] for tid in range(nthreads)}
     for record in trace:
         streams.setdefault(record.tid, []).append(record)
@@ -167,6 +170,11 @@ def _group_streams(trace: Iterable[Record],
                     f"t{tid} stream is not dense: expected rid "
                     f"{expected}, found {record.rid} — archives require "
                     f"a complete capture")
+            for src_tid, _ in record.arcs or ():
+                if not 0 <= src_tid < nthreads:
+                    raise TraceFormatError(
+                        f"t{tid}#{expected} has an arc from t{src_tid}, "
+                        f"not a thread of this {nthreads}-thread run")
     return streams
 
 

@@ -229,6 +229,13 @@ class TraceWriter:
         """Bind the simulated clock; done by the platform wiring."""
         self._engine = engine
 
+    def detach_engine(self, engine) -> None:
+        """Unbind ``engine``'s clock, if it is the bound one; a run's
+        engine does this when the run completes, so the two do not keep
+        each other alive. Later events stamp cycle 0."""
+        if self._engine is engine:
+            self._engine = None
+
     def wants(self, cat: str) -> bool:
         """Would an event in ``cat`` be recorded? (Lets callers skip
         building expensive field payloads for filtered categories.)

@@ -349,8 +349,8 @@ class TestWatchdogAndDiagnostics:
         c1, c2 = Condition("one"), Condition("two")
         a = ScriptedActor(engine, "a", [("wait", c1, "b", "needs one")])
         b = ScriptedActor(engine, "b", [("wait", c2, "b", "needs two")])
-        c1.owners = [b]  # only b ever notifies c1, and vice versa
-        c2.owners = [a]
+        c1.owners = ["b"]  # only b ever notifies c1, and vice versa
+        c2.owners = ["a"]
         a.start()
         b.start()
         with pytest.raises(DeadlockError) as exc:
@@ -369,8 +369,9 @@ class TestWatchdogAndDiagnostics:
         assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b"}
 
     def test_unfinished_counter_tracks_actor_scan_exactly(self):
-        # The O(1) watchdog liveness check must agree with the O(actors)
-        # scan it replaced at every single event pop.
+        # The live-actor dict the watchdog's liveness check tests must
+        # hold exactly the unfinished actors, in registration order, at
+        # every sampled event.
         engine = Engine()
         actors = [ScriptedActor(engine, f"a{i}", [("delay", 5 * (i + 1), "x")])
                   for i in range(4)]
@@ -379,15 +380,17 @@ class TestWatchdogAndDiagnostics:
         samples = []
 
         def sample():
-            scan = sum(1 for a in engine._actors if not a.finished)
-            samples.append((engine._unfinished, scan))
+            scan = [a for a in actors if not a.finished]
+            samples.append((list(engine.live_actors), scan))
             if len(samples) < 20:
                 engine.schedule(3, sample)
 
         engine.schedule(0, sample)
         engine.run()
-        assert samples and all(fast == scan for fast, scan in samples)
-        assert engine._unfinished == 0
+        assert samples and all(live == scan for live, scan in samples)
+        assert [len(live) for live, _ in samples[:8]] == [4, 4, 3, 3, 2, 1,
+                                                          1, 0]
+        assert not engine.live_actors
 
     def test_no_livelock_after_all_actors_finished(self):
         # Stray scheduled callbacks may keep the heap busy long past the
@@ -427,16 +430,21 @@ class TestWatchdogAndDiagnostics:
 
     def test_note_finish_double_call_raises(self):
         # Red/green for the double-finish guard: a second note_finish
-        # used to drive _unfinished negative silently, disabling the
-        # watchdog's livelock check and the deadlock diagnosis.
+        # used to corrupt the count of unfinished actors silently,
+        # disabling the watchdog's livelock check and the deadlock
+        # diagnosis.
         engine = Engine()
         actor = ScriptedActor(engine, "a", [("delay", 1, "x")])
+        other = ScriptedActor(engine, "b", [("wait", Condition("c"), "b",
+                                             "forever")])
         actor.start()
-        engine.run()
-        assert engine._unfinished == 0
+        other.start()
+        with pytest.raises(DeadlockError):
+            engine.run()
+        assert list(engine.live_actors) == [other]
         with pytest.raises(SimulationError, match="note_finish called twice"):
             engine.note_finish(actor)
-        assert engine._unfinished == 0  # the count was not corrupted
+        assert list(engine.live_actors) == [other]  # not corrupted
 
     def test_note_finish_guard_keeps_watchdog_armed(self):
         # With a corrupted (negative) _unfinished the livelock check

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capture.compression import _X_CA, _X_HL
+from repro.capture.compression import _X_ARCS, _X_CA, _X_HL
 from repro.capture.events import Record, RecordKind
 from repro.cli import main
 from repro.common.config import SimulationConfig
@@ -180,6 +180,19 @@ class TestWriteRead:
                  if not (r.tid == 0 and r.rid == 2)]
         with pytest.raises(TraceFormatError, match="not dense"):
             write_archive(tmp_path / "t.plog", trace, nthreads=2)
+
+    def test_arc_from_no_thread_rejected(self, tmp_path):
+        # Red/green: the writer used to encode this arc, and the reader
+        # then rejected its own archive ("arc source tid 1 of a
+        # 1-thread run").
+        arc = _mem(0, 2, RecordKind.LOAD, 0x24, 2, None)
+        arc.add_arc(1, 1)
+        path = tmp_path / "t.plog"
+        with pytest.raises(TraceFormatError,
+                           match="t0#2 has an arc from t1, not a thread of "
+                                 "this 1-thread run"):
+            write_archive(path, _load_then(arc), nthreads=1)
+        assert not path.exists()
 
 
 def _archive_bytes(tmp_path):
@@ -455,12 +468,16 @@ def _rekind_ca_mark(blob):
 
 def _arc_record():
     record = _mem(0, 2, RecordKind.LOAD, 0x24, 2, None)
-    record.add_arc(1, 1)
+    record.add_arc(0, 1)
     return record
 
 
-def _keep(blob):
-    """No patch: the writer does not check arc sources, a reader must."""
+def _set_arc_source(blob):
+    # Record #2: header, address delta, register, extras length, arcs
+    # tag, arc count, then the source tid. The writer rejects an arc
+    # from no thread, so the reader's check is reached by a patch.
+    assert blob[7] == _X_ARCS and blob[8] == 1 and blob[9] == 0
+    blob[9] = 1
 
 
 class TestCorruptRecordBlob:
@@ -482,7 +499,7 @@ class TestCorruptRecordBlob:
         (_alu_record, _set_rs2, "invalid ALU rs2 register 16"),
         (_ca_mark_record, _rekind_ca_mark,
          "record kind 8 in the CA extras section"),
-        (_arc_record, _keep, "arc source tid 1 of a 1-thread run"),
+        (_arc_record, _set_arc_source, "arc source tid 1 of a 1-thread run"),
     ], ids=["header-kind", "hl-kind", "critical-utf8", "delta-off-memory",
             "memory-without-delta", "alu-rs2", "ca-rekind", "arc-source"])
     def test_invalid_value_is_a_format_error(self, tmp_path, capsys, second,

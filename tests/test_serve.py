@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.common.errors import ConfigurationError
+from repro.cpu.engine import CoreActor, Engine
 from repro.faults import EXIT_ABNORMAL
 from repro.lifeguards import LIFEGUARDS
 from repro.platform import MONITORED_SCHEMES, SCHEMES
@@ -40,6 +41,7 @@ from repro.serve import (
 from repro.serve import main as serve_main
 from repro.trace import encode_event, read_trace, trace_hash
 from repro.workloads import PAPER_BENCHMARKS, WORKLOADS
+from tests.conftest import survivors
 
 
 # -- pure helpers (no server) -------------------------------------------------
@@ -306,6 +308,29 @@ class TestRunRegistry:
             registry.close()
         assert record["state"] == "failed"
         assert record["exit_code"] == 4
+
+    def test_finished_runs_leave_no_machine_in_the_server(self, tmp_path):
+        """A long-lived server must not pile up dead machines: once its
+        runs are done, inline or in a worker process (``timeout``), no
+        engine or core of theirs is alive in the server process, even
+        with the cyclic garbage collector off."""
+        def serve_runs():
+            registry = RunRegistry(str(tmp_path), runners=1)
+            try:
+                ids = [registry.create(payload)["id"] for payload in (
+                    {"workload": "tainted_jump"},
+                    {"workload": "swaptions", "scheme": "timesliced"},
+                    {"workload": "swaptions", "scheme": "none"},
+                    {"workload": "tainted_jump", "timeout": 60},
+                )]
+                return [self._wait_terminal(registry, run_id)
+                        for run_id in ids]
+            finally:
+                registry.close()
+
+        records, alive = survivors(serve_runs, Engine, CoreActor)
+        assert [record["state"] for record in records] == ["done"] * 4
+        assert alive == []
 
 
 # -- HTTP layer ---------------------------------------------------------------
