@@ -9,7 +9,8 @@ the paper-vs-measured comparison.
 
 import pytest
 
-from repro.eval import format_table, headline_summary
+from repro.eval import headline_summary
+from repro.eval.reporting import render_headline
 from repro.workloads import PAPER_BENCHMARKS
 
 pytestmark = pytest.mark.slow
@@ -17,16 +18,8 @@ pytestmark = pytest.mark.slow
 
 def test_headline_claims(publish, max_threads, scale, seed):
     summary = headline_summary(PAPER_BENCHMARKS, max_threads, scale, seed)
-    rows = []
-    for key, value in summary.items():
-        if isinstance(value, dict):
-            rows.extend((f"{key}.{inner}", inner_value)
-                        for inner, inner_value in value.items())
-        else:
-            rows.append((key, value))
     publish("headline_claims",
-            "Headline claims (abstract)\n" + format_table(
-                ["metric", "value"], rows))
+            "Headline claims (abstract)\n" + render_headline(summary))
 
     # Directional checks on the three claims.
     taintcheck = summary["taintcheck"]

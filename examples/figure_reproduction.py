@@ -23,11 +23,12 @@ from repro.eval import (
     swaptions_analysis,
     table1_setup,
 )
+from repro.eval.experiments import DEFAULT_THREADS
 from repro.eval.reporting import (
-    format_table,
     render_figure6,
     render_figure7,
     render_figure8,
+    render_headline,
     render_mapping,
 )
 
@@ -35,7 +36,7 @@ from repro.eval.reporting import (
 def main():
     scale = ScalePreset(sys.argv[1]) if len(sys.argv) > 1 else ScalePreset.TINY
     max_threads = int(sys.argv[2]) if len(sys.argv) > 2 else 4
-    thread_counts = tuple(t for t in (1, 2, 4, 8) if t <= max_threads)
+    thread_counts = tuple(t for t in DEFAULT_THREADS if t <= max_threads)
 
     print(render_mapping("Table 1: simulated machine",
                          dict(table1_setup(max_threads))))
@@ -52,16 +53,9 @@ def main():
                                      max_threads, scale)))
         print()
 
-    summary = headline_summary(PAPER_BENCHMARKS, max_threads, scale)
-    rows = []
-    for key, value in summary.items():
-        if isinstance(value, dict):
-            rows.extend((f"{key}.{inner}", inner_value)
-                        for inner, inner_value in value.items())
-        else:
-            rows.append((key, value))
     print("Headline claims (abstract):")
-    print(format_table(["metric", "value"], rows))
+    print(render_headline(headline_summary(PAPER_BENCHMARKS, max_threads,
+                                           scale)))
     print()
     print(render_mapping("Section 7 swaptions analysis",
                          swaptions_analysis(max_threads, scale)))

@@ -57,10 +57,12 @@ from repro.eval import (
     swaptions_analysis,
     table1_setup,
 )
+from repro.eval.experiments import DEFAULT_THREADS
 from repro.eval.reporting import (
     render_figure6,
     render_figure7,
     render_figure8,
+    render_headline,
     render_mapping,
 )
 from repro.lifeguards import LIFEGUARDS
@@ -146,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--trace-filter", metavar="CATS", default="all",
                             help="comma-separated event categories "
                                  f"({','.join(CATEGORIES)}; default all)")
-    run_parser.add_argument("--trace-ring", type=non_negative_int,
-                            metavar="N", default=None,
-                            help="events kept for the crash-report ring "
-                                 f"buffer (default {DEFAULT_RING_EVENTS})")
 
     for name in ("figure6", "figure7"):
         _add_sweep(sub.add_parser(name, help=f"regenerate {name}"))
@@ -265,9 +263,6 @@ def _cmd_run(args) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.trace_ring is not None and not args.crash_report:
-        print("note: --trace-ring has no effect without --crash-report",
-              file=sys.stderr)
     ignored = spec.ignored()
     if fault_plan is not None and spec.scheme not in MONITORED_SCHEMES:
         ignored = ("inject",) + ignored
@@ -277,10 +272,7 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
     # --crash-report alone arms a silent ring buffer so a failing run's
     # report still carries its last-N flight-recorder events.
-    ring = 0
-    if args.crash_report:
-        ring = (DEFAULT_RING_EVENTS if args.trace_ring is None
-                else args.trace_ring)
+    ring = DEFAULT_RING_EVENTS if args.crash_report else 0
     tracer = open_trace(args.trace, spec.trace_filter, ring=ring)
     try:
         result, exc, exit_code = spec.normalized().execute(
@@ -473,15 +465,21 @@ def _verify_live(path: str, reader) -> int:
 
 
 def _cmd_figure(args, benches, scale) -> int:
-    """Regenerate one paper figure; exit 1 if a cell fails."""
+    """Regenerate one paper figure or the headline claims; exit 1 if a
+    cell fails."""
     try:
+        if args.command == "headline":
+            print(render_headline(headline_summary(
+                benches, args.max_threads, scale, args.seed)))
+            return 0
         if args.command == "figure8":
             print(render_figure8(figure8(args.lifeguard, benches,
                                          args.max_threads, scale, args.seed,
                                          jobs=args.jobs)))
             return 0
         counts = tuple(args.thread_counts
-                       or [t for t in (1, 2, 4, 8) if t <= args.max_threads])
+                       or [t for t in DEFAULT_THREADS
+                           if t <= args.max_threads])
         figure, render = ((figure6, render_figure6)
                           if args.command == "figure6"
                           else (figure7, render_figure7))
@@ -563,21 +561,8 @@ def _dispatch(argv) -> int:
     scale = ScalePreset(args.scale)
     benches = tuple(args.benchmarks or PAPER_BENCHMARKS)
 
-    if args.command in ("figure6", "figure7", "figure8"):
+    if args.command in ("figure6", "figure7", "figure8", "headline"):
         return _cmd_figure(args, benches, scale)
-    if args.command == "headline":
-        summary = headline_summary(benches, args.max_threads, scale,
-                                   args.seed)
-        rows = []
-        for key, value in summary.items():
-            if isinstance(value, dict):
-                rows.extend((f"{key}.{inner}", inner_value)
-                            for inner, inner_value in value.items())
-            else:
-                rows.append((key, value))
-        print(format_table(["metric", "value"], rows))
-        return 0
-
     return 1
 
 

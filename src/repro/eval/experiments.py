@@ -8,15 +8,12 @@ fresh for every run (generators are single-use).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.config import CaptureMode, ScalePreset, SimulationConfig
+from repro.jobs import Job, cell_values, run_jobs
 from repro.lifeguards import LIFEGUARDS
-from repro.platform import (
-    run_no_monitoring,
-    run_parallel_monitoring,
-    run_timesliced_monitoring,
-)
+from repro.platform import run_scheme
 from repro.workloads import PAPER_BENCHMARKS, build_workload
 
 DEFAULT_THREADS = (1, 2, 4, 8)
@@ -59,8 +56,73 @@ def table1_setup(threads: int = 8) -> List[Tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# The run table every figure reads
+# ---------------------------------------------------------------------------
+
+#: run name -> (scheme, ``SimulationConfig.for_threads`` overrides,
+#: ``run_scheme`` keywords). ``parallel`` is also Figure 8's
+#: ACCELERATED/AGGRESSIVE bar.
+_RUNS = {
+    "no_monitoring": ("none", {}, {}),
+    "timesliced": ("timesliced", {}, {}),
+    "parallel": ("parallel", {}, {}),
+    "not_accelerated": ("parallel", {}, {"no_accel": True}),
+    "accelerated_limited": (
+        "parallel", {"capture_mode": CaptureMode.PER_CORE}, {}),
+}
+
+
+def _cell(payload: dict) -> Dict[str, dict]:
+    """``repro.jobs`` worker: the ``payload["runs"]`` of one (benchmark,
+    threads) machine, each as its cycle count and its lifeguard time
+    breakdown (:meth:`RunResult.lifeguard_breakdown`)."""
+    lifeguard = _lifeguard(payload["lifeguard"])
+    benchmark, threads = payload["benchmark"], payload["threads"]
+    cell = {}
+    for run in payload["runs"]:
+        scheme, overrides, keywords = _RUNS[run]
+        result = run_scheme(
+            scheme, build_workload(benchmark, threads, payload["scale"],
+                                   payload["seed"]),
+            lifeguard, SimulationConfig.for_threads(threads, **overrides),
+            **keywords)
+        cell[run] = {"cycles": result.total_cycles,
+                     "breakdown": result.lifeguard_breakdown()}
+    return cell
+
+
+Cells = Dict[Tuple[str, int], Dict[str, dict]]
+
+
+def _cells(lifeguard_name: str, benchmarks: Iterable[str],
+           thread_counts: Iterable[int], runs: Sequence[str],
+           scale: ScalePreset, seed: int, jobs: int = 1) -> Cells:
+    """``{(benchmark, threads): cell}`` for every machine, through the
+    :mod:`repro.jobs` executor (inline at ``jobs=1``, worker processes
+    otherwise). The simulator is deterministic per seed, so every
+    ``jobs`` value produces identical cells; a failed cell raises
+    ``RuntimeError`` naming it."""
+    _lifeguard(lifeguard_name)  # fail fast on unknown names
+    machines = list(dict.fromkeys(
+        (benchmark, threads) for benchmark in benchmarks
+        for threads in thread_counts))
+    job_list = [
+        Job(f"{lifeguard_name}:{benchmark}:t{threads}:s{seed}",
+            {"lifeguard": lifeguard_name, "benchmark": benchmark,
+             "threads": threads, "scale": scale.value, "seed": seed,
+             "runs": list(runs)})
+        for benchmark, threads in machines
+    ]
+    values = cell_values(run_jobs(job_list, _cell, nworkers=jobs), "figure")
+    return dict(zip(machines, values))
+
+
+# ---------------------------------------------------------------------------
 # Figure 6: execution time under the three schemes
 # ---------------------------------------------------------------------------
+
+_FIGURE6_RUNS = ("no_monitoring", "timesliced", "parallel")
+
 
 @dataclass
 class Figure6Result:
@@ -80,56 +142,25 @@ class Figure6Result:
         return row["timesliced"] / row["parallel"]
 
     def rows(self) -> List[tuple]:
-        out = []
-        for benchmark in self.cycles:
-            for threads in sorted(self.cycles[benchmark]):
-                row = self.cycles[benchmark][threads]
-                out.append((
-                    benchmark, threads,
-                    round(self.normalized(benchmark, threads, "no_monitoring"), 3),
-                    round(self.normalized(benchmark, threads, "timesliced"), 3),
-                    round(self.normalized(benchmark, threads, "parallel"), 3),
-                    round(row["timesliced"] / row["parallel"], 2),
-                ))
-        return out
+        return [(benchmark, threads,
+                 *(round(self.normalized(benchmark, threads, scheme), 3)
+                   for scheme in _FIGURE6_RUNS),
+                 round(self.speedup_over_timesliced(benchmark, threads), 2))
+                for benchmark in self.cycles
+                for threads in sorted(self.cycles[benchmark])]
 
 
-def _figure6_cell(payload: dict) -> Dict[str, int]:
-    """``repro.jobs`` worker: one (benchmark, threads) Figure 6 cell."""
-    lifeguard = _lifeguard(payload["lifeguard"])
-    benchmark = payload["benchmark"]
-    threads = payload["threads"]
-    scale = ScalePreset(payload["scale"])
-    seed = payload["seed"]
-    config = SimulationConfig.for_threads(threads)
-    base = run_no_monitoring(
-        build_workload(benchmark, threads, scale, seed), config)
-    timesliced = run_timesliced_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard, config)
-    parallel = run_parallel_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard, config)
-    return {
-        "no_monitoring": base.total_cycles,
-        "timesliced": timesliced.total_cycles,
-        "parallel": parallel.total_cycles,
-    }
-
-
-def _run_cells(figure: str, worker, payloads: List[dict],
-               jobs: int) -> List[dict]:
-    """Run figure cells through the :mod:`repro.jobs` executor (inline
-    at ``jobs=1``, worker processes otherwise). Results come back in the
-    canonical ``payloads`` order — the simulator is deterministic per
-    seed, so every ``jobs`` value produces identical cell values."""
-    from repro.jobs import Job, cell_values, run_jobs
-
-    # The index keeps ids unique when a caller repeats a benchmark.
-    job_list = [
-        Job(f"{figure}:{index}:{p['lifeguard']}:{p['benchmark']}"
-            f":t{p.get('threads', 0)}:s{p['seed']}", p)
-        for index, p in enumerate(payloads)
-    ]
-    return cell_values(run_jobs(job_list, worker, nworkers=jobs), figure)
+def _figure6_result(lifeguard_name: str, scale: ScalePreset,
+                    cells: Cells) -> Figure6Result:
+    """Figure 6 from cells holding :data:`_FIGURE6_RUNS`, normalized to
+    each benchmark's unmonitored run at its smallest thread count."""
+    result = Figure6Result(lifeguard=lifeguard_name, scale=scale)
+    for (benchmark, threads), cell in cells.items():
+        result.cycles.setdefault(benchmark, {})[threads] = {
+            run: cell[run]["cycles"] for run in _FIGURE6_RUNS}
+    for benchmark, row in result.cycles.items():
+        result.base[benchmark] = row[min(row)]["no_monitoring"]
+    return result
 
 
 def figure6(lifeguard_name: str,
@@ -145,28 +176,18 @@ def figure6(lifeguard_name: str,
     sequentially without monitoring. ``jobs=N`` fans the
     benchmark × thread-count cells out over worker processes.
     """
-    _lifeguard(lifeguard_name)  # fail fast on unknown names
-    benchmarks = tuple(benchmarks)
-    thread_counts = tuple(thread_counts)
-    payloads = [
-        {"lifeguard": lifeguard_name, "benchmark": benchmark,
-         "threads": threads, "scale": scale.value, "seed": seed}
-        for benchmark in benchmarks for threads in thread_counts
-    ]
-    cells = _run_cells("figure6", _figure6_cell, payloads, jobs)
-    result = Figure6Result(lifeguard=lifeguard_name, scale=scale)
-    for payload, cell in zip(payloads, cells):
-        result.cycles.setdefault(payload["benchmark"], {})[
-            payload["threads"]] = cell
-    for benchmark in benchmarks:
-        result.base[benchmark] = result.cycles[benchmark][
-            min(thread_counts)]["no_monitoring"]
-    return result
+    return _figure6_result(lifeguard_name, scale, _cells(
+        lifeguard_name, benchmarks, thread_counts, _FIGURE6_RUNS, scale,
+        seed, jobs))
 
 
 # ---------------------------------------------------------------------------
 # Figure 7: slowdown breakdown of PARALLEL monitoring
 # ---------------------------------------------------------------------------
+
+#: Figure 7's stacked components, each a share of the slowdown bar.
+_FIGURE7_PARTS = ("useful", "wait_dependence", "wait_application")
+
 
 @dataclass
 class Figure7Result:
@@ -177,41 +198,11 @@ class Figure7Result:
         default_factory=dict)
 
     def rows(self) -> List[tuple]:
-        out = []
-        for benchmark in self.breakdown:
-            for threads in sorted(self.breakdown[benchmark]):
-                cell = self.breakdown[benchmark][threads]
-                out.append((
-                    benchmark, threads,
-                    round(cell["slowdown"], 3),
-                    round(cell["useful"], 3),
-                    round(cell["wait_dependence"], 3),
-                    round(cell["wait_application"], 3),
-                ))
-        return out
-
-
-def _figure7_cell(payload: dict) -> Dict[str, float]:
-    """``repro.jobs`` worker: one (benchmark, threads) Figure 7 cell."""
-    lifeguard = _lifeguard(payload["lifeguard"])
-    benchmark = payload["benchmark"]
-    threads = payload["threads"]
-    scale = ScalePreset(payload["scale"])
-    seed = payload["seed"]
-    config = SimulationConfig.for_threads(threads)
-    base = run_no_monitoring(
-        build_workload(benchmark, threads, scale, seed), config)
-    parallel = run_parallel_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard, config)
-    slowdown = parallel.total_cycles / base.total_cycles
-    fractions = parallel.lifeguard_breakdown()
-    return {
-        "slowdown": slowdown,
-        # Stacked bars: each component as its share of the bar.
-        "useful": slowdown * fractions.get("useful", 0.0),
-        "wait_dependence": slowdown * fractions.get("wait_dependence", 0.0),
-        "wait_application": slowdown * fractions.get("wait_application", 0.0),
-    }
+        return [(benchmark, threads,
+                 *(round(cell[name], 3)
+                   for name in ("slowdown",) + _FIGURE7_PARTS))
+                for benchmark in self.breakdown
+                for threads, cell in sorted(self.breakdown[benchmark].items())]
 
 
 def figure7(lifeguard_name: str,
@@ -222,24 +213,31 @@ def figure7(lifeguard_name: str,
     """Regenerate Figure 7: parallel-monitoring slowdown decomposed into
     useful work, waiting-for-dependence and waiting-for-application,
     normalized to the same-thread-count unmonitored run."""
-    _lifeguard(lifeguard_name)
-    payloads = [
-        {"lifeguard": lifeguard_name, "benchmark": benchmark,
-         "threads": threads, "scale": scale.value, "seed": seed}
-        for benchmark in tuple(benchmarks)
-        for threads in tuple(thread_counts)
-    ]
-    cells = _run_cells("figure7", _figure7_cell, payloads, jobs)
+    cells = _cells(lifeguard_name, benchmarks, thread_counts,
+                   ("no_monitoring", "parallel"), scale, seed, jobs)
     result = Figure7Result(lifeguard=lifeguard_name, scale=scale)
-    for payload, cell in zip(payloads, cells):
-        result.breakdown.setdefault(payload["benchmark"], {})[
-            payload["threads"]] = cell
+    for (benchmark, threads), cell in cells.items():
+        parallel = cell["parallel"]
+        slowdown = parallel["cycles"] / cell["no_monitoring"]["cycles"]
+        fractions = parallel["breakdown"]
+        result.breakdown.setdefault(benchmark, {})[threads] = {
+            "slowdown": slowdown,
+            **{name: slowdown * fractions.get(name, 0.0)
+               for name in _FIGURE7_PARTS}}
     return result
 
 
 # ---------------------------------------------------------------------------
 # Figure 8: accelerator and dependence-reduction ablations
 # ---------------------------------------------------------------------------
+
+#: Figure 8 bar -> the run it reads.
+_FIGURE8_BARS = {
+    "not_accelerated": "not_accelerated",
+    "accelerated_limited": "accelerated_limited",
+    "accelerated_aggressive": "parallel",
+}
+
 
 @dataclass
 class Figure8Result:
@@ -266,63 +264,37 @@ class Figure8Result:
         return out
 
 
-def _figure8_cell(payload: dict) -> Dict[str, float]:
-    """``repro.jobs`` worker: one per-benchmark Figure 8 cell."""
-    lifeguard = _lifeguard(payload["lifeguard"])
-    benchmark = payload["benchmark"]
-    threads = payload["threads"]
-    scale = ScalePreset(payload["scale"])
-    seed = payload["seed"]
-    config = SimulationConfig.for_threads(threads)
-    base = run_no_monitoring(
-        build_workload(benchmark, threads, scale, seed), config).total_cycles
-    cell: Dict[str, float] = {}
-    not_accel = run_parallel_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard, config,
-        accel=False)
-    cell["not_accelerated"] = not_accel.total_cycles / base
-    if payload["include_limited"]:
-        limited = run_parallel_monitoring(
-            build_workload(benchmark, threads, scale, seed), lifeguard,
-            SimulationConfig.for_threads(
-                threads, capture_mode=CaptureMode.PER_CORE))
-        cell["accelerated_limited"] = limited.total_cycles / base
-    aggressive = run_parallel_monitoring(
-        build_workload(benchmark, threads, scale, seed), lifeguard, config)
-    cell["accelerated_aggressive"] = aggressive.total_cycles / base
-    return cell
+def _figure8_result(lifeguard_name: str, threads: int, scale: ScalePreset,
+                    cells: Cells) -> Figure8Result:
+    """Figure 8 from cells at ``threads``: each bar present in a cell as
+    its slowdown over that cell's unmonitored run."""
+    result = Figure8Result(lifeguard=lifeguard_name, threads=threads,
+                           scale=scale)
+    for (benchmark, _), cell in cells.items():
+        base = cell["no_monitoring"]["cycles"]
+        result.slowdowns[benchmark] = {
+            bar: cell[run]["cycles"] / base
+            for bar, run in _FIGURE8_BARS.items() if run in cell}
+    return result
 
 
 def figure8(lifeguard_name: str,
             benchmarks: Iterable[str] = PAPER_BENCHMARKS,
             threads: int = 8,
             scale: ScalePreset = ScalePreset.TINY,
-            seed: int = 1,
-            include_limited: Optional[bool] = None,
-            jobs: int = 1) -> Figure8Result:
+            seed: int = 1, jobs: int = 1) -> Figure8Result:
     """Regenerate Figure 8 for one lifeguard at a fixed thread count.
 
     Variants: NOT ACCELERATED (aggressive per-block dependence
     reduction, no IT/IF/M-TLB), ACCELERATED with LIMITED reduction
     (per-core counters), and ACCELERATED with AGGRESSIVE reduction.
-    The paper shows the limited-reduction bar for TaintCheck only; pass
-    ``include_limited`` to override.
+    As in the paper, the limited-reduction bar is TaintCheck's only.
     """
-    _lifeguard(lifeguard_name)
-    if include_limited is None:
-        include_limited = lifeguard_name == "taintcheck"
-    payloads = [
-        {"lifeguard": lifeguard_name, "benchmark": benchmark,
-         "threads": threads, "scale": scale.value, "seed": seed,
-         "include_limited": include_limited}
-        for benchmark in tuple(benchmarks)
-    ]
-    cells = _run_cells("figure8", _figure8_cell, payloads, jobs)
-    result = Figure8Result(lifeguard=lifeguard_name, threads=threads,
-                           scale=scale)
-    for payload, cell in zip(payloads, cells):
-        result.slowdowns[payload["benchmark"]] = cell
-    return result
+    runs = ["no_monitoring", "not_accelerated", "parallel"]
+    if lifeguard_name == "taintcheck":
+        runs.append("accelerated_limited")
+    return _figure8_result(lifeguard_name, threads, scale, _cells(
+        lifeguard_name, benchmarks, (threads,), runs, scale, seed, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +311,23 @@ def headline_summary(benchmarks: Iterable[str] = PAPER_BENCHMARKS,
     2. speedup over the time-slicing approach (min-max across both
        lifeguards), and
     3. average parallel-monitoring overhead at ``threads`` app threads.
+
+    All three read the same Figure 6/8 cells: four runs per benchmark
+    per lifeguard.
     """
     summary: Dict[str, object] = {"threads": threads, "scale": scale.value}
     ts_speedups: List[float] = []
     for lifeguard_name in ("taintcheck", "addrcheck"):
-        fig8 = figure8(lifeguard_name, benchmarks, threads, scale, seed,
-                       include_limited=False)
+        cells = _cells(lifeguard_name, benchmarks, (threads,),
+                       ("no_monitoring", "timesliced", "parallel",
+                        "not_accelerated"), scale, seed)
+        fig8 = _figure8_result(lifeguard_name, threads, scale, cells)
         speedups = [fig8.accelerator_speedup(b) for b in fig8.slowdowns]
         overheads = [cell["accelerated_aggressive"] - 1.0
                      for cell in fig8.slowdowns.values()]
-        fig6 = figure6(lifeguard_name, benchmarks, (threads,), scale, seed)
-        ts_speedups.extend(
-            fig6.speedup_over_timesliced(b, threads) for b in benchmarks)
+        fig6 = _figure6_result(lifeguard_name, scale, cells)
+        ts_speedups.extend(fig6.speedup_over_timesliced(b, threads)
+                           for b in fig6.cycles)
         summary[lifeguard_name] = {
             "accelerator_speedup_min": round(min(speedups), 2),
             "accelerator_speedup_max": round(max(speedups), 2),
@@ -366,8 +343,8 @@ def swaptions_analysis(threads: int = 8,
                        seed: int = 1) -> Dict[str, object]:
     """The Section 7 swaptions discussion: allocation counts, the
     allocation-size CDF, and ConflictAlert pressure."""
-    result = run_parallel_monitoring(
-        build_workload("swaptions", threads, scale, seed),
+    result = run_scheme(
+        "parallel", build_workload("swaptions", threads, scale, seed),
         _lifeguard("addrcheck"), SimulationConfig.for_threads(threads))
     allocations = result.stats["allocations"]
     histogram = allocations["line_histogram"]
@@ -408,19 +385,17 @@ def constant_resource_comparison(
     """
     if cores % 2:
         raise ValueError("the core budget must be even")
+    all_app = _cells("taintcheck", benchmarks, (cores,), ("no_monitoring",),
+                     scale, seed)
+    half = _cells("taintcheck", benchmarks, (cores // 2,), ("parallel",),
+                  scale, seed)
     out: Dict[str, Dict[str, float]] = {}
-    lifeguard = _lifeguard("taintcheck")
-    for benchmark in benchmarks:
-        all_app = run_no_monitoring(
-            build_workload(benchmark, cores, scale, seed),
-            SimulationConfig.for_threads(cores))
-        half_monitored = run_parallel_monitoring(
-            build_workload(benchmark, cores // 2, scale, seed), lifeguard,
-            SimulationConfig.for_threads(cores // 2))
+    for (benchmark, _), cell in all_app.items():
+        all_cycles = cell["no_monitoring"]["cycles"]
+        half_cycles = half[benchmark, cores // 2]["parallel"]["cycles"]
         out[benchmark] = {
-            "all_cores_unmonitored_cycles": all_app.total_cycles,
-            "half_cores_monitored_cycles": half_monitored.total_cycles,
-            "opportunity_cost": round(
-                half_monitored.total_cycles / all_app.total_cycles, 3),
+            "all_cores_unmonitored_cycles": all_cycles,
+            "half_cores_monitored_cycles": half_cycles,
+            "opportunity_cost": round(half_cycles / all_cycles, 3),
         }
     return out

@@ -62,3 +62,16 @@ def render_mapping(title: str, mapping: dict) -> str:
     """Render a flat metric -> value mapping as a titled table."""
     rows = [(key, value) for key, value in mapping.items()]
     return f"{title}\n{format_table(['metric', 'value'], rows)}"
+
+
+def render_headline(summary: dict) -> str:
+    """Render a :func:`~repro.eval.experiments.headline_summary` as a
+    metric/value table, nested claims flattened to ``outer.inner``."""
+    rows = []
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            rows.extend((f"{key}.{inner}", inner_value)
+                        for inner, inner_value in value.items())
+        else:
+            rows.append((key, value))
+    return format_table(["metric", "value"], rows)

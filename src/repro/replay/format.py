@@ -156,13 +156,17 @@ def _decode_commit_times(blob: bytes, count: int) -> List[int]:
 
 def _group_streams(trace: Iterable[Record],
                    nthreads: int) -> Dict[int, List[Record]]:
-    """Split a captured trace into dense per-thread RID streams whose
-    arcs all come from threads of the run (the reader rejects any
-    other)."""
+    """Split a captured trace into dense RID streams, one per thread of
+    the run, whose arcs all come from threads of the run (the reader
+    rejects anything else)."""
     streams: Dict[int, List[Record]] = {tid: [] for tid in range(nthreads)}
     for record in trace:
         streams.setdefault(record.tid, []).append(record)
     for tid, records in sorted(streams.items()):
+        if not 0 <= tid < nthreads:
+            raise TraceFormatError(
+                f"t{tid} has records, but is not a thread of this "
+                f"{nthreads}-thread run")
         records.sort(key=lambda record: record.rid)
         for expected, record in enumerate(records, start=1):
             if record.rid != expected:
@@ -358,6 +362,10 @@ class TraceReader:
         self._delivered: Optional[List[tuple]] = None
         self._retire_orders: Optional[Dict[int, List[int]]] = None
         for entry in manifest["streams"]:
+            if entry["tid"] >= manifest["nthreads"]:
+                raise TraceFormatError(
+                    f"{path}: manifest stream t{entry['tid']} is not a "
+                    f"thread of this {manifest['nthreads']}-thread run")
             record_blob = data[offset:offset + entry["record_bytes"]]
             offset += entry["record_bytes"]
             commit_blob = data[offset:offset + entry["commit_bytes"]]

@@ -34,8 +34,13 @@ class Workload:
                  seed: int = 1):
         if nthreads < 1:
             raise WorkloadError("workload needs at least one thread")
+        try:
+            self.scale = ScalePreset(scale)  # the enum or its value
+        except ValueError:
+            raise WorkloadError(
+                f"unknown scale {scale!r}; presets: "
+                f"{[preset.value for preset in ScalePreset]}") from None
         self.nthreads = nthreads
-        self.scale = scale
         self.seed = seed
         self.rng = random.Random(seed)
         self._galloc_next = AddressLayout.GLOBALS_BASE

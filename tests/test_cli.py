@@ -67,8 +67,7 @@ class TestBadIntegerFlags:
          "--length: must be >= 0"),
         (["diff", "--timeout", "inf"],
          "--timeout: must be a finite number > 0"),
-        (["run", "lu", "--crash-report", "crash.json", "--trace-ring", "-1"],
-         "--trace-ring: must be >= 0"),
+        (["headline", "--max-threads", "0"], "--max-threads: must be >= 1"),
         (["figure6", "--thread-counts", "0"],
          "--thread-counts: must be >= 1"),
         (["figure7", "--thread-counts", "-2"],
@@ -140,6 +139,8 @@ class TestRemovedExecutorFlags:
         (["diff", "--seeds", "1", "--checkpoint", "cp.jsonl"],
          "--checkpoint cp.jsonl"),
         (["diff", "--seeds", "1", "--resume"], "--resume"),
+        # --crash-report keeps a fixed ring; --trace PATH keeps it all.
+        (["run", "lu", "--trace-ring", "8"], "--trace-ring 8"),
     ])
     def test_flag_is_unrecognized(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -176,10 +177,15 @@ class TestSweepRuleAtOneJob:
                      "--timeout", "0.001"]) == 1
         assert "(timeout, exit 4)" in capsys.readouterr().err
 
-    def test_failing_figure_cell_exits_1(self, capsys):
-        assert main(["figure8", "--benchmarks", "nosuch",
+    @pytest.mark.parametrize("command", ["figure6", "figure7", "figure8",
+                                         "headline"])
+    def test_failing_figure_cell_exits_1(self, capsys, command):
+        # `headline` used to raise the cell's RuntimeError (a traceback).
+        assert main([command, "--benchmarks", "nosuch",
                      "--max-threads", "2"]) == 1
-        assert "unknown workload 'nosuch'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown workload 'nosuch'" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -256,19 +262,6 @@ class TestCommands:
                      "--memory-model", "tso"]) == 0
         assert main(["run", "swaptions", "--scheme", "parallel",
                      "--capture", "per_core"]) == 0
-        assert "note:" not in capsys.readouterr().err
-
-    def test_trace_ring_without_crash_report_gets_a_note(self, capsys):
-        # The ring only feeds a crash report; without one the flag was
-        # dropped silently.
-        assert main(["run", "swaptions", "--trace-ring", "8"]) == 0
-        assert ("note: --trace-ring has no effect without --crash-report"
-                in capsys.readouterr().err)
-
-    def test_trace_ring_with_crash_report_gets_no_note(self, tmp_path,
-                                                        capsys):
-        assert main(["run", "swaptions", "--trace-ring", "8",
-                     "--crash-report", str(tmp_path / "crash.json")]) == 0
         assert "note:" not in capsys.readouterr().err
 
     def test_run_tso_without_accel(self, capsys):

@@ -114,6 +114,23 @@ class TestSummaries:
         assert summary["addrcheck"]["average_overhead"] >= 0
         assert summary["timesliced_speedup_min"] > 0
 
+    def test_headline_simulates_each_run_once(self, monkeypatch):
+        # Per lifeguard: unmonitored, time-sliced, parallel and
+        # not-accelerated. Reading Figure 8 and then Figure 6 used to
+        # simulate the unmonitored and parallel runs twice (12 runs).
+        from repro.cpu.engine import Engine
+
+        calls = []
+        run = Engine.run
+
+        def counted(engine, *args, **kwargs):
+            calls.append(1)
+            return run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "run", counted)
+        headline_summary(("lu",), threads=2)
+        assert len(calls) == 8
+
     def test_swaptions_analysis_matches_configured_distribution(self):
         analysis = swaptions_analysis(threads=2)
         assert analysis["alloc_free_pairs"] > 0

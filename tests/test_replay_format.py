@@ -194,6 +194,18 @@ class TestWriteRead:
             write_archive(path, _load_then(arc), nthreads=1)
         assert not path.exists()
 
+    def test_record_from_no_thread_rejected(self, tmp_path):
+        # Red/green: the writer used to write t1's stream into a
+        # 1-thread archive, and the reader then decoded it.
+        trace = [_mem(0, 1, RecordKind.LOAD, 0x20, 1, 1),
+                 _mem(1, 1, RecordKind.LOAD, 0x24, 2, 2)]
+        path = tmp_path / "t.plog"
+        with pytest.raises(TraceFormatError,
+                           match="t1 has records, but is not a thread of "
+                                 "this 1-thread run"):
+            write_archive(path, trace, nthreads=1)
+        assert not path.exists()
+
 
 def _archive_bytes(tmp_path):
     path = tmp_path / "t.plog"
@@ -266,6 +278,19 @@ class TestRejection:
         path.write_bytes(out)
         with pytest.raises(TraceFormatError, match="not valid JSON"):
             TraceReader(path)
+
+    def test_stream_past_nthreads_rejected(self, tmp_path, capsys):
+        # Red/green: a manifest whose thread count disagrees with its
+        # streams used to open, and records(1) decoded t1's stream.
+        path, _data = _archive_bytes(tmp_path)
+        rewrite_manifest(path, ("nthreads",), 1)
+        with pytest.raises(TraceFormatError) as info:
+            TraceReader(path)
+        assert str(info.value) == (
+            f"{path}: manifest stream t1 is not a thread of this "
+            f"1-thread run")
+        assert main(["replay", str(path)]) == 2
+        assert "manifest stream t1" in capsys.readouterr().err
 
     def test_unknown_tid_rejected(self, tmp_path):
         path, _data = _archive_bytes(tmp_path)

@@ -93,6 +93,24 @@ def test_workload_scales_with_preset():
     assert small.n > tiny.n
 
 
+@pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
+def test_string_scale_is_its_preset(scale):
+    # A string scale used to fall through `sized` to the paper value.
+    preset = ScalePreset(scale)
+    workload = build_workload("swaptions", 4, scale=scale)
+    assert workload.scale is preset
+    assert workload.sized(1, 2, 3) == {"tiny": 1, "small": 2,
+                                       "paper": 3}[scale]
+    assert CustomWorkload([lambda api, w: iter(())],
+                          scale=scale).scale is preset
+
+
+def test_unknown_scale_rejected():
+    with pytest.raises(WorkloadError, match="unknown scale 'huge'; "
+                       "presets: \\['tiny', 'small', 'paper'\\]"):
+        build_workload("lu", 2, scale="huge")
+
+
 def test_fixed_problem_size_divides_across_threads():
     two = build_workload("swaptions", 2)
     four = build_workload("swaptions", 4)
