@@ -4,8 +4,9 @@
 The platform runs any lifeguard that subclasses
 :class:`repro.lifeguards.Lifeguard`: name a handler method for each
 event you handle in the class's ``handler_names`` table (the platform
-binds it to the instance), and declare which accelerators
-apply and which high-level events need ConflictAlert ordering. Here we
+binds it to the instance), and declare which high-level events need
+ConflictAlert ordering. The platform derives the accelerator wiring
+from those two declarations (and ``if_key``). Here we
 build a **false-sharing profiler**: it keeps one metadata byte per cache
 line recording which threads have written the line, and reports lines
 written by multiple threads — the classic scalability bug.
@@ -19,7 +20,8 @@ Design notes, mapped to the paper's framework:
 * per-line state never changes on malloc/free, so it needs *no*
   ConflictAlert subscriptions at all;
 * register events carry nothing useful, so its handler table
-  registers no key for them — the delivery hardware drops them for free;
+  registers no key for them — the delivery hardware drops them for free,
+  and with no ``reg_inherit`` handler Inheritance Tracking stays off;
 * the M-TLB accelerates its metadata address computation like any other
   lifeguard.
 """
@@ -34,9 +36,6 @@ class FalseSharingProfiler(Lifeguard):
     name = "false_sharing"
     bits_per_app_byte = 1  # modeled footprint of the line-owner map
     needs_instruction_arcs = True
-    uses_it = False
-    uses_if = False
-    uses_mtlb = True
     monitors_allocator_internals = False
 
     # Name a handler method per event key; the delivery hardware drops

@@ -6,11 +6,10 @@ simple handler's instructions. The M-TLB caches the most frequently used
 application-page -> metadata-page mappings so a hit costs one lookup
 instead of the multi-instruction two-level table walk.
 
-The M-TLB only caches *mappings*, so its entries can only be invalidated
-by high-level events that deallocate metadata pages (a sophisticated
-lifeguard freeing metadata after ``free``); simple lifeguards never
-invalidate it (Section 4.1). Both behaviours are supported via the
-ConflictAlert flush hook.
+The M-TLB only caches *mappings*, so only a high-level event that
+deallocates metadata pages (a sophisticated lifeguard freeing metadata
+after ``free``) could invalidate it. Simple lifeguards never do (Section
+4.1), and neither does any lifeguard here: no event flushes it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class MetadataTLB:
     """LRU cache of application-page -> metadata-page mappings."""
 
     __slots__ = ("capacity", "costs", "enabled", "_entries", "tracer",
-                 "owner", "hits", "misses", "flushes")
+                 "owner", "hits", "misses")
 
     def __init__(self, entries: int, costs: LifeguardCostConfig,
                  enabled: bool = True, tracer=None, owner: str = ""):
@@ -46,7 +45,6 @@ class MetadataTLB:
         # Statistics
         self.hits = 0
         self.misses = 0
-        self.flushes = 0
 
     def lookup_cost(self, app_addr: int) -> int:
         """Instruction cost of the metadata address computation for one access."""
@@ -70,12 +68,6 @@ class MetadataTLB:
             self.tracer.emit("accel", "mtlb_miss", owner=self.owner,
                              page=page)
         return self.costs.metadata_addr_cost
-
-    def flush(self) -> None:
-        """Drop all mappings (remote high-level conflict via ConflictAlert)."""
-        if self._entries:
-            self.flushes += 1
-            self._entries.clear()
 
     @property
     def entry_count(self) -> int:

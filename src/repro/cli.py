@@ -72,9 +72,15 @@ from repro.trace import CATEGORIES, DEFAULT_RING_EVENTS, open_trace
 from repro.workloads import PAPER_BENCHMARKS, WORKLOADS
 
 
-def _add_sweep(parser: argparse.ArgumentParser) -> None:
+def _add_figure(parser: argparse.ArgumentParser) -> None:
+    """A figure's sweep flags: the sweep's and ``--lifeguard``, which
+    ``headline`` does not take (it measures TaintCheck and AddrCheck)."""
     parser.add_argument("--lifeguard", choices=sorted(LIFEGUARDS),
                         default="taintcheck")
+    _add_sweep(parser)
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--benchmarks", nargs="*", default=None,
                         help="benchmark subset (default: the Table 1 suite)")
     parser.add_argument("--max-threads", type=positive_int, default=4)
@@ -150,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  f"({','.join(CATEGORIES)}; default all)")
 
     for name in ("figure6", "figure7"):
-        _add_sweep(sub.add_parser(name, help=f"regenerate {name}"))
+        _add_figure(sub.add_parser(name, help=f"regenerate {name}"))
         sub.choices[name].add_argument(
             "--thread-counts", type=positive_int, nargs="*", default=None)
         _add_jobs(sub.choices[name])
 
     fig8 = sub.add_parser("figure8", help="regenerate figure 8")
-    _add_sweep(fig8)
+    _add_figure(fig8)
     _add_jobs(fig8)
 
     diff = sub.add_parser(

@@ -451,8 +451,8 @@ class CoreActor:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, delay: int = 0) -> None:
-        self.engine.schedule(delay, self._run)
+    def start(self) -> None:
+        self.engine.schedule(0, self._run)
 
     def wake(self) -> None:
         """Called (via the engine) when a waited-on condition fires."""

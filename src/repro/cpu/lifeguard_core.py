@@ -12,8 +12,8 @@ Responsibilities, in record order (Sections 4 and 5):
    until ``progress[t] >= i``. Entering *any* stall first flushes the
    accelerators and publishes accurate progress (the delayed-advertising
    deadlock-freedom rule).
-2. **ConflictAlert barriers** — a CA_MARK record invalidates/flushes
-   accelerator state per the lifeguard's configuration, *arrives* at the
+2. **ConflictAlert barriers** — a CA_MARK record empties the IF and
+   flushes IT per the lifeguard's subscriptions, *arrives* at the
    barrier and waits for the issuer to complete; the issuing thread's HL
    record waits for all arrivals before its handler runs.
 3. **TSO versioning** — ``produce_versions`` snapshots metadata before
@@ -60,8 +60,7 @@ class LifeguardCore(CoreActor):
     def __init__(self, engine: Engine, name: str, core_id: int, tid: Optional[int],
                  log: LogBuffer, lifeguard: Lifeguard, memsys,
                  config: SimulationConfig, progress_table=None, ca_hub=None,
-                 version_store=None, *, accel: bool, enforce_arcs: bool,
-                 delayed_advertising: bool = True, faults=None, tracer=None):
+                 version_store=None, *, accel: bool, faults=None, tracer=None):
         super().__init__(engine, name)
         self.core_id = core_id
         self.tid = tid  # None for the sequential (time-sliced) consumer
@@ -78,7 +77,9 @@ class LifeguardCore(CoreActor):
         self.progress_table = progress_table
         self.ca_hub = ca_hub
         self.version_store = version_store
-        self.delayed_advertising = delayed_advertising
+        # The sequential consumer publishes accurate progress; a
+        # per-thread consumer delays it behind the RIDs IT and IF hold.
+        self.delayed_advertising = tid is not None
         #: Optional :class:`~repro.trace.TraceWriter`; this core emits
         #: ``engine`` retires, ``arc``/``ca`` stall details, ``advert``
         #: holds and ``meta`` writes, and hands the writer down to its
@@ -92,23 +93,30 @@ class LifeguardCore(CoreActor):
         #: The lifeguard's handler table, bound once for every delivery.
         self._handlers = lifeguard.handlers
 
+        # The accelerator wiring follows from the lifeguard's table
+        # (DESIGN §6): IT's flushes are ``reg_inherit`` events, so only a
+        # lifeguard that handles them can use IT; the IF caches only
+        # what ``if_key`` names.
         self.it = InheritanceTracking(
-            enabled=accel and lifeguard.uses_it, tracer=tracer, owner=name,
+            enabled=accel and "reg_inherit" in self._handlers,
+            tracer=tracer, owner=name,
             load_checks="load_check" in self._handlers)
         self.iff = IdempotentFilter(
-            entries=config.if_entries,
-            enabled=accel and lifeguard.uses_if,
+            entries=config.if_entries, enabled=accel,
             track_rids=lifeguard.if_track_rids,
             tracer=tracer, owner=name,
         )
         self.mtlb = MetadataTLB(
-            entries=config.mtlb_entries, costs=self.costs,
-            enabled=accel and lifeguard.uses_mtlb,
+            entries=config.mtlb_entries, costs=self.costs, enabled=accel,
             tracer=tracer, owner=name,
         )
         #: IT's per-record entry point, resolved once (see bound_process).
         self._it_process = self.it.bound_process()
-        self.enforce_arcs = enforce_arcs
+        # The Section 7 touch-ablation replaces CAs with plain arcs,
+        # which only order correctly if the consumer enforces them. The
+        # time-sliced stream carries no arcs, so this serves both schemes.
+        self.enforce_arcs = (lifeguard.needs_instruction_arcs
+                             or config.ca_touch_threshold_lines > 0)
 
         #: Optional :class:`~repro.faults.FaultPlan` armed at the
         #: ``lifeguard`` (stall/kill) and ``stall_flush`` (skip) sites.
@@ -420,7 +428,7 @@ class LifeguardCore(CoreActor):
             if key is not None and iff.check(key, record.rid):
                 self.events_filtered += 1
                 continue
-            if (lifeguard.if_invalidate_on_write and record.is_write
+            if (iff.track_rids and record.is_write
                     and record.addr is not None):
                 iff.invalidate_overlapping(record.addr, record.size)
             handler_cost, accesses = handler(event)
@@ -493,18 +501,17 @@ class LifeguardCore(CoreActor):
         return cost
 
     def _accel_conflict_flush(self, record: Record) -> int:
-        """Apply the lifeguard's configured accelerator response to a
-        high-level conflicting event — a received CA_MARK, or the
-        thread's own HL record (local conflicts flush the same state)."""
+        """Flush accelerator state before a high-level conflicting event
+        — a received CA_MARK, or the thread's own HL record (local
+        conflicts flush the same state): IT at a ``ca_flush_it`` event,
+        the IF at every ConflictAlert-ordered one."""
         subscription = (record.hl_kind, hl_phase_of(record))
         cost = 1
         lifeguard = self.lifeguard
         if subscription in lifeguard.ca_flush_it:
             cost += self._deliver_flushed(self.it.flush_all())
-        if subscription in lifeguard.ca_invalidate_if:
+        if subscription in lifeguard.ca_subscriptions:
             self.iff.invalidate_all()
-        if subscription in lifeguard.ca_flush_mtlb:
-            self.mtlb.flush()
         return cost
 
     def _drain_accelerators(self) -> int:

@@ -29,21 +29,12 @@ class AddrCheck(Lifeguard):
     name = "addrcheck"
     bits_per_app_byte = 1
     needs_instruction_arcs = False
-    uses_it = False
-    uses_if = True
-    uses_mtlb = True
-    if_track_rids = False
     monitors_allocator_internals = False
 
     ca_subscriptions = frozenset({
         (HLEventKind.MALLOC, HLPhase.END),
         (HLEventKind.FREE, HLPhase.BEGIN),
     })
-    ca_invalidate_if = frozenset({
-        (HLEventKind.MALLOC, HLPhase.END),
-        (HLEventKind.FREE, HLPhase.BEGIN),
-    })
-    ca_flush_mtlb = frozenset()
 
     # Memory accesses and allocation events; the delivery range filter
     # (set in __init__) keeps only the heap's accesses.

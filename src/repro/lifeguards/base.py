@@ -48,6 +48,14 @@ returns ``(cost, accesses)``: the handler-body instruction cost (the
 dispatch and metadata-address-computation costs are charged by the
 pipeline) and the application-address ranges whose metadata the handler
 touches, for cache-timing simulation.
+
+A lifeguard declares no accelerator switches: the lifeguard core derives
+its wiring from what the lifeguard already declares. With acceleration
+on, the M-TLB serves every lifeguard; the Idempotent Filter caches the
+checks ``if_key`` names; Inheritance Tracking runs iff the table
+registers ``"reg_inherit"`` (its flushes arrive as those events). Every
+``ca_subscriptions`` event, own or remote, empties the filter, and every
+``ca_flush_it`` event flushes IT.
 """
 
 from __future__ import annotations
@@ -112,26 +120,21 @@ class Lifeguard:
     #: (False for lifeguards, like AddrCheck, whose metadata only changes
     #: on high-level events — CA barriers alone order those.)
     needs_instruction_arcs = True
-    #: Which accelerators this lifeguard benefits from.
-    uses_it = False
-    uses_if = False
-    uses_mtlb = True
-    #: Do IF entries need RID tagging for delayed advertising?
+    #: Do IF entries depend on metadata that stores change? Then a local
+    #: write invalidates the overlapping entries, and each entry is
+    #: tagged with its RID for delayed advertising against remote ones.
     if_track_rids = False
-    #: Do local writes invalidate overlapping IF entries?
-    if_invalidate_on_write = False
     #: Are the wrapper library's allocator-internal memory accesses
     #: monitored? Heap checkers treat the allocator like Valgrind's
     #: replacement malloc — invisible; propagation trackers follow data
     #: through it.
     monitors_allocator_internals = True
     #: High-level events that must be ConflictAlert-broadcast:
-    #: frozenset of (HLEventKind, HLPhase).
+    #: frozenset of (HLEventKind, HLPhase). Each one, own or remote,
+    #: also empties the Idempotent Filter.
     ca_subscriptions: FrozenSet = frozenset()
-    #: CA record kinds that flush accelerator state.
+    #: High-level events, own or remote, that flush IT state.
     ca_flush_it: FrozenSet = frozenset()
-    ca_invalidate_if: FrozenSet = frozenset()
-    ca_flush_mtlb: FrozenSet = frozenset()
     #: The handler table (see the module docstring): key -> handler
     #: method name.
     handler_names: Dict[object, str] = {}

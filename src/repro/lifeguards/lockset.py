@@ -50,9 +50,6 @@ class LockSet(Lifeguard):
     name = "lockset"
     bits_per_app_byte = 2  # modeled footprint; semantic state is word-level
     needs_instruction_arcs = True
-    uses_it = False
-    uses_if = False
-    uses_mtlb = True
     monitors_allocator_internals = False
 
     ca_subscriptions = frozenset({

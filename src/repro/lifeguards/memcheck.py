@@ -33,15 +33,12 @@ class MemCheck(Lifeguard):
     name = "memcheck"
     bits_per_app_byte = 2
     needs_instruction_arcs = True
-    uses_it = True
-    uses_if = True
-    uses_mtlb = True
     # MemCheck's metadata changes on *instruction-level* events (stores
     # initialize bytes), so cached checks must be invalidated by local
     # writes and participate in delayed advertising against remote ones —
-    # the "in general" case of Section 4.1.
+    # the "in general" case of Section 4.1. Malloc and free empty the
+    # filter like any ConflictAlert-ordered event.
     if_track_rids = True
-    if_invalidate_on_write = True
     monitors_allocator_internals = False
 
     ca_subscriptions = frozenset({

@@ -71,7 +71,6 @@ class MetadataMap:
 
     __slots__ = (
         "bits_per_byte",
-        "base_addr",
         "_mask",
         "_per_byte",
         "_fill_unit",
@@ -83,13 +82,12 @@ class MetadataMap:
         "peak_chunks",
     )
 
-    def __init__(self, bits_per_byte: int, base_addr: int = META_BASE):
+    def __init__(self, bits_per_byte: int):
         if bits_per_byte not in _VALID_BITS:
             raise ConfigurationError(
                 f"bits_per_byte must be one of {_VALID_BITS}, got {bits_per_byte}"
             )
         self.bits_per_byte = bits_per_byte
-        self.base_addr = base_addr
         self._mask = (1 << bits_per_byte) - 1
         self._per_byte = 8 // bits_per_byte  # app bytes per metadata byte
         #: A 1 in every slot of one metadata byte: ``value *
@@ -501,7 +499,7 @@ class MetadataMap:
 
     def sim_addr(self, app_addr: int) -> int:
         """Simulated virtual address of the metadata for ``app_addr``."""
-        return self.base_addr + app_addr * self.bits_per_byte // 8
+        return META_BASE + app_addr * self.bits_per_byte // 8
 
     def sim_accesses(self, app_addr: int, size: int,
                      is_write: bool) -> List[Tuple[int, int, bool]]:
@@ -510,10 +508,9 @@ class MetadataMap:
         Returns ``(sim_addr, sim_size, is_write)`` tuples sized 1-8 bytes.
         """
         # sim_addr of the first and last byte, inlined.
-        base = self.base_addr
         bits = self.bits_per_byte
-        first = base + app_addr * bits // 8
-        last = base + (app_addr + size - 1) * bits // 8
+        first = META_BASE + app_addr * bits // 8
+        last = META_BASE + (app_addr + size - 1) * bits // 8
         remaining = last - first + 1
         if remaining in _CHUNK_SIZES and not first % remaining:
             return [(first, remaining, is_write)]  # one aligned chunk

@@ -32,9 +32,6 @@ class TaintCheck(Lifeguard):
     name = "taintcheck"
     bits_per_app_byte = 2
     needs_instruction_arcs = True
-    uses_it = True
-    uses_if = False
-    uses_mtlb = True
 
     ca_subscriptions = frozenset({
         (HLEventKind.MALLOC, HLPhase.END),
@@ -44,13 +41,13 @@ class TaintCheck(Lifeguard):
         (HLEventKind.SYSCALL_WRITE, HLPhase.BEGIN),
         (HLEventKind.SYSCALL_WRITE, HLPhase.END),
     })
-    # Malloc/free may remap metadata: flush inheritance state and M-TLB.
+    # Malloc/free and a finished read() rewrite metadata that IT rows
+    # may have deferred: flush inheritance state first.
     ca_flush_it = frozenset({
         (HLEventKind.MALLOC, HLPhase.END),
         (HLEventKind.FREE, HLPhase.BEGIN),
         (HLEventKind.SYSCALL_READ, HLPhase.END),
     })
-    ca_flush_mtlb = frozenset()
 
     # Every event except lock-discipline ones (no data flow) and the
     # check half of an IT-absorbed load (taint tracking performs no

@@ -99,11 +99,6 @@ def run_parallel_monitoring(
         store_buffers=store_buffers,
     )
 
-    # The Section 7 touch-ablation replaces CAs with plain arcs, which
-    # only order correctly if the consumer enforces instruction arcs.
-    enforce_arcs = (lifeguard.needs_instruction_arcs
-                    or config.ca_touch_threshold_lines > 0)
-
     programs = build_thread_programs(workload, machine)
 
     logs, captures, app_cores, lifeguard_cores = [], [], [], []
@@ -128,8 +123,7 @@ def run_parallel_monitoring(
             engine, f"lifeguard{tid}", core_id=nthreads + tid, tid=tid,
             log=log, lifeguard=lifeguard, memsys=machine.memsys, config=config,
             progress_table=progress, ca_hub=ca_hub, version_store=version_store,
-            accel=accel, enforce_arcs=enforce_arcs, delayed_advertising=True,
-            faults=faults, tracer=tracer,
+            accel=accel, faults=faults, tracer=tracer,
         )
         lifeguard_cores.append(lifeguard_core)
         ca_hub.register_lifeguard_actor(tid, lifeguard_core.name)

@@ -91,8 +91,7 @@ def run_timesliced_monitoring(
         engine, "lifeguard", core_id=1, tid=None, log=log,
         lifeguard=lifeguard, memsys=machine.memsys, config=config,
         progress_table=progress, ca_hub=None, version_store=None,
-        accel=accel, enforce_arcs=False, delayed_advertising=False,
-        faults=faults, tracer=tracer,
+        accel=accel, faults=faults, tracer=tracer,
     )
     log.not_full.owners = [lifeguard_core.name]
     log.not_empty.owners = [app_core.name]

@@ -115,10 +115,24 @@ class TestEventDeliveryFiltering:
         assert addrcheck.if_key(malloc_event(BLOCK, 8)) is None
 
     def test_ca_subscriptions_cover_allocation_events(self, addrcheck):
-        from repro.isa.instructions import HLPhase
+        from repro.isa.instructions import HLPhase, hl_begin, hl_end, load
+        from tests.test_lifeguard_core import Harness
         assert (HLEventKind.MALLOC, HLPhase.END) in addrcheck.ca_subscriptions
         assert (HLEventKind.FREE, HLPhase.BEGIN) in addrcheck.ca_subscriptions
-        assert addrcheck.ca_invalidate_if == addrcheck.ca_subscriptions
+        # Each subscribed event empties the IF, so the check after it is
+        # delivered again.
+        harness = Harness(addrcheck)
+        harness.feed(load(R0, BLOCK))
+        harness.feed(load(R0, BLOCK))  # filtered
+        harness.feed(hl_end(HLEventKind.MALLOC, ranges=((BLOCK, 8),)))
+        harness.feed(load(R0, BLOCK))
+        harness.feed(hl_begin(HLEventKind.FREE, ranges=((BLOCK, 8),)))
+        harness.feed(load(R0, BLOCK))
+        harness.run()
+        assert harness.core.iff.invalidations == 2
+        assert harness.core.events_filtered == 1
+        assert [v.kind for v in addrcheck.violations] == [
+            "unallocated-access", "unallocated-access"]
 
     def test_no_instruction_arc_requirement(self, addrcheck):
         assert not addrcheck.needs_instruction_arcs

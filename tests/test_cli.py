@@ -141,6 +141,8 @@ class TestRemovedExecutorFlags:
         (["diff", "--seeds", "1", "--resume"], "--resume"),
         # --crash-report keeps a fixed ring; --trace PATH keeps it all.
         (["run", "lu", "--trace-ring", "8"], "--trace-ring 8"),
+        # headline always measures TaintCheck and AddrCheck.
+        (["headline", "--lifeguard", "lockset"], "--lifeguard lockset"),
     ])
     def test_flag_is_unrecognized(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro import build_workload, run_parallel_monitoring
 from repro.capture.conflict_alert import CAHub
 from repro.capture.events import Record, RecordKind
 from repro.capture.log_buffer import LogBuffer
@@ -22,25 +23,28 @@ from repro.isa.instructions import (
     store,
 )
 from repro.isa.registers import R0, R1
+from repro.lifeguards import LIFEGUARDS
+from repro.lifeguards.addrcheck import AddrCheck
 from repro.lifeguards.taintcheck import TaintCheck
 from repro.memory.coherence import CoherentMemorySystem
 
 
 class Harness:
-    """One lifeguard core fed by a hand-written record stream."""
+    """One lifeguard core fed by a hand-written record stream: thread
+    0's TaintCheck consumer unless told otherwise (``tid=None`` is the
+    time-sliced scheme's sequential consumer)."""
 
-    def __init__(self, tids=(0, 1), enforce_arcs=True, **core_kwargs):
+    def __init__(self, lifeguard=None, tid=0, accel=True, config=None):
         self.engine = Engine()
-        self.config = SimulationConfig.for_threads(2)
+        self.config = config or SimulationConfig.for_threads(2)
         self.log = LogBuffer(self.engine, LogBufferConfig(), "log")
         self.memsys = CoherentMemorySystem(self.config, num_cores=4)
-        self.progress = ProgressTable(self.engine, list(tids))
-        self.lifeguard = TaintCheck()
+        self.progress = ProgressTable(self.engine, [0, 1])
+        self.lifeguard = lifeguard or TaintCheck()
         self.core = LifeguardCore(
-            self.engine, "lifeguard0", core_id=2, tid=0, log=self.log,
+            self.engine, "lifeguard0", core_id=2, tid=tid, log=self.log,
             lifeguard=self.lifeguard, memsys=self.memsys, config=self.config,
-            progress_table=self.progress, accel=True,
-            enforce_arcs=enforce_arcs, **core_kwargs)
+            progress_table=self.progress, accel=accel)
         self._rid = 0
 
     def feed(self, op, arcs=None):
@@ -96,7 +100,9 @@ class TestProcessing:
         assert harness.core.dependence_stalls == 0
 
     def test_arcs_ignored_when_not_enforced(self):
-        harness = Harness(enforce_arcs=False)
+        # AddrCheck needs no instruction arcs: CA barriers order it.
+        harness = Harness(AddrCheck())
+        assert not harness.core.enforce_arcs
         harness.feed(load(R0, 0x100), arcs=[(1, 99)])
         harness.run()  # would deadlock if the arc were enforced
         assert harness.core.dependence_stalls == 0
@@ -123,7 +129,8 @@ class TestDelayedAdvertising:
         assert harness.progress.get(0) == 2
 
     def test_advertised_lags_while_it_holds_state(self):
-        harness = Harness(delayed_advertising=True)
+        harness = Harness()
+        assert harness.core.delayed_advertising
         published = []
         original = harness.progress.publish
         harness.progress.publish = lambda tid, rid: (
@@ -137,7 +144,8 @@ class TestDelayedAdvertising:
         assert harness.progress.get(0) == 2
 
     def test_accurate_mode_publishes_processed(self):
-        harness = Harness(delayed_advertising=False)
+        harness = Harness(tid=None)  # the sequential consumer
+        assert not harness.core.delayed_advertising
         published = []
         original = harness.progress.publish
         harness.progress.publish = lambda tid, rid: (
@@ -270,3 +278,41 @@ class TestOrderGate:
         assert harness.engine.run() >= 300
         assert harness.core.ca_stalls == 1
         assert hub.state(ca_id).complete
+
+
+class TestDerivedWiring:
+    """The accelerator wiring follows from each lifeguard's handler
+    table, ``if_key`` and subscriptions (DESIGN §6)."""
+
+    IT = {"taintcheck", "memcheck"}
+    IF_KEYED = {"addrcheck", "memcheck"}
+
+    @pytest.mark.parametrize("name", sorted(LIFEGUARDS))
+    def test_accelerated_sets(self, name):
+        core = Harness(LIFEGUARDS[name]()).core
+        assert core.it.enabled == (name in self.IT)
+        assert core.mtlb.enabled and core.iff.enabled
+        assert core.iff.track_rids == (name == "memcheck")
+        assert core.enforce_arcs == (name != "addrcheck")
+
+    @pytest.mark.parametrize("name", sorted(LIFEGUARDS))
+    def test_not_accelerated_turns_every_accelerator_off(self, name):
+        core = Harness(LIFEGUARDS[name](), accel=False).core
+        assert not (core.it.enabled or core.iff.enabled
+                    or core.mtlb.enabled)
+
+    @pytest.mark.parametrize("name", sorted(LIFEGUARDS))
+    def test_only_addrcheck_and_memcheck_key_the_filter(self, name):
+        result = run_parallel_monitoring(
+            build_workload("swaptions", 2), LIFEGUARDS[name],
+            SimulationConfig.for_threads(2))
+        stats = result.stats
+        assert (stats["if_hits"] + stats["if_misses"] > 0) == (
+            name in self.IF_KEYED)
+        assert (stats["it_absorbed"] > 0) == (name in self.IT)
+        assert stats["mtlb_hits"] + stats["mtlb_misses"] > 0
+
+    def test_touch_ablation_enforces_arcs_for_every_lifeguard(self):
+        config = SimulationConfig.for_threads(2).replace(
+            ca_touch_threshold_lines=4)
+        assert Harness(AddrCheck(), config=config).core.enforce_arcs

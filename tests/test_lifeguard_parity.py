@@ -9,13 +9,16 @@ list of timed accesses. An event without an entry is dropped by
 delivery, and ``Lifeguard.handle`` refuses it.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.capture.events import Record, RecordKind
 from repro.cpu.os_model import AddressLayout
 from repro.isa.instructions import HLEventKind
 from repro.lifeguards import LIFEGUARDS
-from repro.lifeguards.base import event_key
+from repro.lifeguards.base import Lifeguard, event_key
 from repro.lifeguards.oracle import replay_events
 
 HEAP_START, _HEAP_END = AddressLayout.heap_range()
@@ -122,3 +125,59 @@ def test_handle_of_unregistered_kind_raises(name, heap_range):
     lifeguard = LIFEGUARDS[name](heap_range=heap_range)
     with pytest.raises(KeyError):
         lifeguard.handle(("bogus_kind", record(RecordKind.NOP)))
+
+
+def _undeclared_settings(cls):
+    """The public, non-callable class attributes ``cls`` (or a base
+    between it and ``Lifeguard``) sets that ``Lifeguard`` does not
+    declare: settings nothing reads."""
+    return sorted(
+        name
+        for klass in cls.__mro__[:cls.__mro__.index(Lifeguard)]
+        for name, value in vars(klass).items()
+        if not name.startswith("_") and name not in vars(Lifeguard)
+        and not callable(value)
+        and not isinstance(value, (property, staticmethod, classmethod)))
+
+
+def _all_lifeguard_classes():
+    """Every module-level lifeguard class shipped, exemplified or
+    tested: the registry, the custom-lifeguard example's profiler and
+    the test subclasses, walked through ``__subclasses__``."""
+    spec = importlib.util.spec_from_file_location(
+        "custom_lifeguard_example",
+        pathlib.Path(__file__).resolve().parent.parent / "examples"
+        / "custom_lifeguard.py")
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    from tests.test_replay_engine import PerByteMemCheck
+    seen, pending = [], [Lifeguard]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub not in seen and "<locals>" not in sub.__qualname__:
+                seen.append(sub)
+                pending.append(sub)
+    assert set(LIFEGUARDS.values()) <= set(seen)
+    assert {example.FalseSharingProfiler, PerByteMemCheck} <= set(seen)
+    return seen
+
+
+def test_lifeguards_set_only_declared_settings():
+    """A leftover setting (``uses_it = False``, say) would be silently
+    ignored: the core derives its accelerator wiring (DESIGN §6)."""
+    undeclared = {cls.__qualname__: _undeclared_settings(cls)
+                  for cls in _all_lifeguard_classes()}
+    assert {name: found for name, found in undeclared.items()
+            if found} == {}
+
+
+def test_undeclared_setting_is_caught():
+    class Leftover(LIFEGUARDS["addrcheck"]):
+        uses_it = False
+        ca_invalidate_if = frozenset()
+        name = "leftover"
+
+        def _helper(self):
+            return None
+
+    assert _undeclared_settings(Leftover) == ["ca_invalidate_if", "uses_it"]

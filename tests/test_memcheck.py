@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro import SimulationConfig
 from repro.capture.events import Record, RecordKind
+from repro.cpu.os_model import AddressLayout
 from repro.isa.instructions import HLEventKind
 from repro.isa.registers import R0, R1, R2
 from repro.lifeguards.memcheck import ADDRESSABLE, INITIALIZED, MemCheck
+from repro.lifeguards.oracle import replay
+from repro.platform import run_scheme
+from repro.workloads.base import CustomWorkload, Workload
 
 HEAP = (0x4000_0000, 0x6000_0000)
 BLOCK = 0x4000_2000
@@ -177,3 +182,83 @@ class TestVersionedLoads:
             "initialized-unaddressable", "defined"])
     def test_matches_plain_load_on_the_same_bytes(self, memcheck, snapshot):
         assert self.versioned(memcheck, snapshot) == self.live(snapshot)
+
+
+class RemoteFree(Workload):
+    """Thread 1 checks a block, thread 0 frees it, thread 1 loads it
+    again: a use-after-free across threads."""
+
+    name = "remote_free"
+
+    def __init__(self):
+        super().__init__(2)
+        self.ptr_cell = self.galloc_lines(1)
+        self.checked = self.galloc_lines(1)
+        self.freed = self.galloc_lines(1)
+
+    def thread_programs(self, apis):
+        return [self._owner(apis[0]), self._user(apis[1])]
+
+    def _wait_for(self, api, cell):
+        value = 0
+        while not value:
+            value = yield from api.load(R2, cell)
+            if not value:
+                yield from api.pause(16)
+        return value
+
+    def _owner(self, api):
+        buf = yield from api.malloc(8)
+        yield from api.loadi(R0)
+        yield from api.store(buf, R0, value=1)
+        yield from api.store(self.ptr_cell, R0, value=buf)
+        yield from self._wait_for(api, self.checked)
+        yield from api.free(buf)
+        yield from api.store(self.freed, R0, value=1)
+
+    def _user(self, api):
+        buf = yield from self._wait_for(api, self.ptr_cell)
+        yield from api.load(R1, buf)
+        yield from api.store(self.checked, R0, value=1)
+        yield from self._wait_for(api, self.freed)
+        yield from api.load(R1, buf)
+
+
+def _local_free(api, workload):
+    buf = yield from api.malloc(8)
+    yield from api.store(buf, R0, value=1)
+    yield from api.load(R1, buf)
+    yield from api.free(buf)
+    yield from api.load(R1, buf)
+
+
+class TestUseAfterFreeUnderAcceleration:
+    """Malloc and free empty the Idempotent Filter (they are
+    ConflictAlert-ordered), so a cached check of a block never hides a
+    load of that block after it is freed."""
+
+    @staticmethod
+    def kinds(scheme, workload, no_accel):
+        result = run_scheme(scheme, workload, MemCheck,
+                            SimulationConfig.for_threads(workload.nthreads),
+                            no_accel=no_accel, keep_trace=True)
+        oracle = replay(result.trace, lambda: MemCheck(
+            heap_range=AddressLayout.heap_range()))
+        return ({(v.kind, v.tid) for v in result.lifeguard_obj.violations},
+                {(v.kind, v.tid) for v in oracle.violations})
+
+    @pytest.mark.parametrize("scheme", ["parallel", "timesliced"])
+    def test_own_free(self, scheme):
+        kinds, oracle = self.kinds(
+            scheme, CustomWorkload([_local_free]), no_accel=False)
+        assert ("unaddressable-load", 0) in kinds
+        assert kinds == oracle
+        assert kinds == self.kinds(
+            scheme, CustomWorkload([_local_free]), no_accel=True)[0]
+
+    @pytest.mark.parametrize("scheme", ["parallel", "timesliced"])
+    def test_remote_free(self, scheme):
+        kinds, oracle = self.kinds(scheme, RemoteFree(), no_accel=False)
+        assert ("unaddressable-load", 1) in kinds
+        assert kinds == oracle
+        assert kinds == self.kinds(scheme, RemoteFree(), no_accel=True)[0]

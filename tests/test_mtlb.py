@@ -47,19 +47,7 @@ class TestLookup:
             MetadataTLB(entries=0, costs=costs)
 
 
-class TestFlush:
-    def test_flush_drops_mappings(self, costs):
-        mtlb = MetadataTLB(entries=4, costs=costs)
-        mtlb.lookup_cost(0x1000)
-        mtlb.flush()
-        assert mtlb.lookup_cost(0x1000) == costs.metadata_addr_cost
-        assert mtlb.flushes == 1
-
-    def test_flush_of_empty_is_free(self, costs):
-        mtlb = MetadataTLB(entries=4, costs=costs)
-        mtlb.flush()
-        assert mtlb.flushes == 0
-
+class TestStatistics:
     def test_statistics(self, costs):
         mtlb = MetadataTLB(entries=4, costs=costs)
         mtlb.lookup_cost(0x1000)
