@@ -1,7 +1,7 @@
 """Event capture: the application-side half of the monitoring platform.
 
-Per-thread order-capture components turn retired micro-ops into event
-records, attach inter-thread dependence arcs derived from coherence
+Per-thread order-capture components stamp each retired micro-op as an
+event record, attach inter-thread dependence arcs derived from coherence
 conflicts (with RTR-style transitive reduction), and commit the records
 into per-thread compressed log buffers. The ConflictAlert hub broadcasts
 serializing records for high-level events, and the TSO versioner

@@ -328,9 +328,8 @@ class RecordDecoder:
                         f"byte {header:#04x} at offset {offset}")
                 offset += 1
                 rid += 1
-                # Every slot is set exactly once here, as in
-                # RecordSource.begin_record; only an extras block
-                # overwrites.
+                # Every slot is set exactly once here; only an extras
+                # block overwrites.
                 record = new(Record)
                 record.tid = tid
                 record.rid = rid
@@ -388,6 +387,7 @@ class RecordDecoder:
                             f"{kind.name} record without an address")
                     else:
                         record.rd = record.rs1 = record.rs2 = None
+                record.value = None
                 record.hl_kind = None
                 record.ranges = ()
                 record.critical_kind = None

@@ -30,10 +30,10 @@ from typing import Dict, Iterator, Optional
 from repro.capture.events import (
     _BASE_RECORD_BYTES,
     _HIGHLEVEL_KINDS,
-    _KIND_OF_OP,
     Record,
     RecordKind,
     RecordSource,
+    recaptured,
     record_size_bytes,
 )
 from repro.capture.log_buffer import LogBuffer
@@ -72,9 +72,8 @@ class OrderCapture(RecordSource):
         #: checks that this set is empty.
         self._unfinalized = set()
         self._trace = trace
-        #: :meth:`flush` may append to the log inline: it is plain and
-        #: no ``keep_trace`` list copies each committed record.
-        self._inline_commit = trace is None and log.plain
+        #: :meth:`flush` may append to a plain log inline.
+        self._inline_commit = log.plain
         #: The store record currently being drained (TSO versioning hook).
         self.draining_record: Optional[Record] = None
         # Statistics
@@ -129,9 +128,9 @@ class OrderCapture(RecordSource):
 
     # -- pending queue / commit --------------------------------------------------
 
-    def retire(self, op) -> int:
-        """Build, stamp and queue the finalized record of a retiring
-        micro-op; returns its RID.
+    def retire(self, record: Record) -> int:
+        """Stamp and queue a retiring record that is final at retirement;
+        returns its RID.
 
         This is :meth:`~RecordSource.begin_record` followed by
         :meth:`enqueue`, in one call: the execute path of every record
@@ -140,28 +139,13 @@ class OrderCapture(RecordSource):
         marks are stamped first, and not a TSO load or store).
         """
         tid = self.tid
+        if record.rid is not None:
+            raise recaptured(tid, record)
         current_rids = self.current_rids
         rid = current_rids[tid] + 1
         current_rids[tid] = rid
-        # The slots exactly as begin_record sets them, plus the stamp.
-        record = Record.__new__(Record)
         record.tid = tid
         record.rid = rid
-        record.kind = _KIND_OF_OP[op.kind]
-        record.addr = op.addr
-        record.size = op.size
-        record.rd = op.rd
-        record.rs1 = op.rs1
-        record.rs2 = op.rs2
-        record.hl_kind = op.hl_kind
-        record.ranges = op.ranges or ()
-        record.critical_kind = op.critical_kind
-        record.arcs = None
-        record.reduced_arcs = None
-        record.ca_id = None
-        record.ca_issuer = False
-        record.consume_version = None
-        record.produce_versions = None
         record.commit_time = next(self.clock)
         self._pending.append(record)
         return rid
@@ -199,6 +183,7 @@ class OrderCapture(RecordSource):
             log = self.log
             queue = log.queue
             sizes = log._sizes
+            trace = self._trace
             while pending:
                 record = pending[0]
                 if (record.arcs or record.kind in _HIGHLEVEL_KINDS
@@ -219,6 +204,8 @@ class OrderCapture(RecordSource):
                     log.peak_bytes = occupied
                 if log.not_empty.waiters:
                     log.not_empty.notify_all(log.engine)
+                if trace is not None:
+                    trace.append(record)
                 pending.popleft()
             return True
         try_append = self.log.try_append
@@ -277,12 +264,13 @@ class OrderCapture(RecordSource):
         """Receive a broadcast: append a CA_MARK record to this stream."""
         rid = self.current_rids[self.tid] + 1
         self.current_rids[self.tid] = rid
-        record = Record(self.tid, rid, RecordKind.CA_MARK)
-        record.hl_kind = hl_kind
-        record.ranges = tuple(ranges or ())
+        # critical_kind remembers which phase of the high-level event
+        # this mark mirrors.
+        record = Record(
+            self.tid, rid, RecordKind.CA_MARK, hl_kind=hl_kind,
+            ranges=tuple(ranges or ()),
+            critical_kind=("begin" if phase_kind == RecordKind.HL_BEGIN
+                           else "end"))
         record.ca_id = ca_id
-        record.ca_issuer = False
-        # Remember which phase of the high-level event this mark mirrors.
-        record.critical_kind = "begin" if phase_kind == RecordKind.HL_BEGIN else "end"
         self.enqueue(record, finalized=True)
         return record

@@ -21,13 +21,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.capture.events import Record, RecordKind, RecordSource
+from repro.capture.events import Record, RecordKind, RecordSource, recaptured
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.capture.tso import StoreBufferEntry
 from repro.common.config import SimulationConfig
 from repro.cpu.engine import Condition, CoreActor, Engine
-from repro.isa.instructions import HLPhase, OpKind, thread_exit
+from repro.isa.instructions import HLPhase, thread_exit
 
 
 class MonitoringHooks:
@@ -46,7 +46,7 @@ class MonitoringHooks:
 
 
 class NullCapture(RecordSource):
-    """Capture stand-in for unmonitored runs: counts rids, stores nothing."""
+    """Capture stand-in for unmonitored runs: stamps records, keeps none."""
 
     __slots__ = ("fully_committed", "draining_record")
 
@@ -55,10 +55,16 @@ class NullCapture(RecordSource):
         self.fully_committed = True
         self.draining_record = None
 
-    def retire(self, op) -> int:
-        """Count one retired instruction; builds no record."""
-        rid = self.current_rids[self.tid] + 1
-        self.current_rids[self.tid] = rid
+    def retire(self, record) -> int:
+        """Stamp one retiring record (:meth:`begin_record`, inlined) and
+        drop it; returns its RID."""
+        tid = self.tid
+        if record.rid is not None:
+            raise recaptured(tid, record)
+        rid = self.current_rids[tid] + 1
+        self.current_rids[tid] = rid
+        record.tid = tid
+        record.rid = rid
         return rid
 
     def attach_conflicts(self, record, conflicts) -> None:
@@ -133,13 +139,13 @@ class TsoStoreBuffer:
 
 _FETCH, _EXECUTE, _COMMIT, _FINISH = range(4)
 
-_LOAD = OpKind.LOAD
-_STORE = OpKind.STORE
-_RMW = OpKind.RMW
-_NOP = OpKind.NOP
-_HL_BEGIN = OpKind.HL_BEGIN
-_HL_END = OpKind.HL_END
-_THREAD_EXIT = OpKind.THREAD_EXIT
+_LOAD = RecordKind.LOAD
+_STORE = RecordKind.STORE
+_RMW = RecordKind.RMW
+_NOP = RecordKind.NOP
+_HL_BEGIN = RecordKind.HL_BEGIN
+_HL_END = RecordKind.HL_END
+_THREAD_EXIT = RecordKind.THREAD_EXIT
 
 #: Kinds whose execution :meth:`AppCore.step` does not inline: a
 #: ConflictAlert broadcast stamps its marks before the HL record, and a
@@ -415,45 +421,45 @@ class AppCore(CoreActor):
             return ("wait", buffer.empty_cond, "execute", "partial forward")
         return None
 
-    def _will_broadcast(self, op) -> bool:
-        if self.hooks.ca_hub is None or op.value == 1:
+    def _will_broadcast(self, record: Record) -> bool:
+        if self.hooks.ca_hub is None or record.value == 1:
             return False
-        phase = HLPhase.BEGIN if op.kind == _HL_BEGIN else HLPhase.END
-        return (op.hl_kind, phase) in self.hooks.ca_subscriptions
+        phase = HLPhase.BEGIN if record.kind == _HL_BEGIN else HLPhase.END
+        return (record.hl_kind, phase) in self.hooks.ca_subscriptions
 
     # -- execution ------------------------------------------------------------------------
 
     def _execute(self) -> int:
         """Execute an HL record, a thread exit, or a TSO load or store."""
-        op = self._op
-        kind = op.kind
         capture = self.capture
-        record = capture.begin_record(op)
+        record = capture.begin_record(self._op)
+        kind = record.kind
         latency = 1
 
         if kind == _LOAD:
-            forwarded = self.store_buffer.forward_value(op.addr, op.size)
+            addr, size = record.addr, record.size
+            forwarded = self.store_buffer.forward_value(addr, size)
             if forwarded is not None:
                 self._ctx.result = forwarded
             else:
-                result = self.memsys.access(self.core_id, op.addr, op.size,
+                result = self.memsys.access(self.core_id, addr, size,
                                             False, record.rid)
                 if result.conflicts:
                     capture.attach_conflicts(record, result.conflicts)
-                self._ctx.result = self.memory.read(op.addr, op.size)
+                self._ctx.result = self.memory.read(addr, size)
                 latency = result.latency
             capture.enqueue(record)
 
         elif kind == _STORE:
             capture.enqueue(record, finalized=False)
-            self.store_buffer.push(
-                StoreBufferEntry(op.addr, op.size, op.value, record))
+            self.store_buffer.push(StoreBufferEntry(
+                record.addr, record.size, record.value, record))
 
         elif kind == _HL_BEGIN or kind == _HL_END:
-            latency = 1 + self._maybe_broadcast(op, record)
+            latency = 1 + self._maybe_broadcast(record)
             capture.enqueue(record)
             if (kind == _HL_BEGIN
-                    and op.hl_kind in self.hooks.containment_kinds):
+                    and record.hl_kind in self.hooks.containment_kinds):
                 self._ctx.containment_rid = record.rid
                 self._slice_end = 0  # deschedule
 
@@ -464,12 +470,12 @@ class AppCore(CoreActor):
 
         return latency
 
-    def _maybe_broadcast(self, op, record: Record) -> int:
+    def _maybe_broadcast(self, record: Record) -> int:
         hub = self.hooks.ca_hub
-        if not self._will_broadcast(op):
+        if not self._will_broadcast(record):
             return 0
         record.ca_id = hub.broadcast(
-            self._ctx.tid, op.hl_kind, RecordKind(int(op.kind)), op.ranges)
+            self._ctx.tid, record.hl_kind, record.kind, record.ranges)
         record.ca_issuer = True
         if self.hooks.store_buffers:
             self._ca_fence = list(hub.state(record.ca_id).marks)

@@ -1,18 +1,19 @@
 """Micro-op instruction set and the workload program DSL.
 
-Workload kernels are Python generators that *yield* :class:`MicroOp`
+Workload kernels are Python generators that *yield* :class:`Record`
 objects — the dynamic instruction trace of one application thread. The
 simulated core retires one micro-op at a time, sending load results back
 into the generator, so workload control flow (loops, branches, lock
 spins) runs in ordinary Python while the *memory and register behaviour*
-is fully visible to the monitoring hardware.
+is fully visible to the monitoring hardware. Capture stamps each yielded
+record in place, and it is the record the lifeguard processes.
 """
 
 from repro.isa.instructions import (
     HLEventKind,
     HLPhase,
-    MicroOp,
-    OpKind,
+    Record,
+    RecordKind,
     alu,
     critical_use,
     hl_begin,
@@ -31,9 +32,7 @@ __all__ = [
     "Barrier",
     "HLEventKind",
     "HLPhase",
-    "MicroOp",
     "NUM_REGISTERS",
-    "OpKind",
     "R0",
     "R1",
     "R2",
@@ -42,6 +41,8 @@ __all__ = [
     "R5",
     "R6",
     "R7",
+    "Record",
+    "RecordKind",
     "SpinLock",
     "ThreadApi",
     "alu",

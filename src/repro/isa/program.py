@@ -8,7 +8,7 @@ A workload kernel is written as a Python generator over a
         yield from api.alu(R2, R1)
         yield from api.store(addr + 4, R2, v + 1)
 
-Every helper is a generator that yields :class:`~repro.isa.instructions.MicroOp`
+Every helper is a generator that yields :class:`~repro.isa.instructions.Record`
 objects; the simulated core retires them one by one and ``send()``s load
 results back. Synchronization primitives (:class:`SpinLock`,
 :class:`Barrier`) are built from atomic-exchange spin loops, so locks
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.common.errors import WorkloadError
 from repro.isa import instructions as ins
-from repro.isa.instructions import HLEventKind, OpKind
+from repro.isa.instructions import HLEventKind, RecordKind
 from repro.isa.registers import R12, R13, R14, R15
 
 #: Registers reserved for DSL-internal use (lock words, barrier counters,
@@ -268,12 +268,12 @@ def run_program_sequentially(program):
         while True:
             ops.append(op)
             result = None
-            if op.kind == OpKind.LOAD:
+            if op.kind == RecordKind.LOAD:
                 result = memory.get((op.addr, op.size), 0)
-            elif op.kind == OpKind.RMW:
+            elif op.kind == RecordKind.RMW:
                 result = memory.get((op.addr, op.size), 0)
                 memory[(op.addr, op.size)] = op.value
-            elif op.kind == OpKind.STORE:
+            elif op.kind == RecordKind.STORE:
                 memory[(op.addr, op.size)] = op.value
             op = gen.send(result)
     except StopIteration:

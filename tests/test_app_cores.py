@@ -16,7 +16,7 @@ from repro.cpu.cores import (
 )
 from repro.cpu.engine import Engine
 from repro.enforce.progress import ProgressTable
-from repro.isa.instructions import HLEventKind, OpKind
+from repro.isa.instructions import HLEventKind, RecordKind
 from repro.isa.program import ThreadApi
 from repro.isa.registers import R0, R1
 from repro.memory.coherence import CoherentMemorySystem

@@ -12,7 +12,7 @@ from repro.capture.compression import (
     measure_stream,
     naive_arc_cost,
 )
-from repro.capture.events import Record, RecordKind
+from repro.capture.events import Record, RecordKind, RecordSource
 from repro.common.errors import TraceFormatError
 from repro.isa.instructions import HLEventKind, alu, hl_end, load, loadi, \
     movrr, store
@@ -23,8 +23,8 @@ from repro.isa.registers import R0, R1, R2
 NTHREADS = 4
 
 def stream(ops, tid=0):
-    return [Record.from_op(tid, rid, op)
-            for rid, op in enumerate(ops, start=1)]
+    source = RecordSource(tid, {tid: 0})
+    return [source.begin_record(op) for op in ops]
 
 
 def fields(record):
@@ -97,7 +97,7 @@ class TestCompression:
         assert average <= 3.05  # the stream's first delta costs extra
 
     def test_register_ops_cost_about_two_bytes(self):
-        records = stream([alu(R0, R1, R2)] * 100)
+        records = stream([alu(R0, R1, R2) for _ in range(100)])
         _count, _bytes, average = measure_stream(records)
         assert average <= 3.0
 

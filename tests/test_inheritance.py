@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accel.inheritance import MAX_SOURCES, InheritanceTracking
-from repro.capture.events import Record
+from repro.capture.events import RecordSource
 from repro.isa.instructions import (
     HLEventKind,
     alu,
@@ -27,7 +27,7 @@ from repro.isa.registers import R0, R1, R2, R3, R4
 
 
 class Stream:
-    """Builds records with sequential RIDs for one thread."""
+    """Stamps records with sequential RIDs for one thread."""
 
     def __init__(self, tid=0):
         self.tid = tid
@@ -35,7 +35,7 @@ class Stream:
 
     def record(self, op):
         self.rid += 1
-        return Record.from_op(self.tid, self.rid, op)
+        return RecordSource(self.tid, {self.tid: self.rid - 1}).begin_record(op)
 
 
 def kinds(events):

@@ -5,8 +5,7 @@ import pytest
 from repro.common.errors import WorkloadError
 from repro.isa.instructions import (
     HLEventKind,
-    MicroOp,
-    OpKind,
+    RecordKind,
     alu,
     critical_use,
     hl_begin,
@@ -22,13 +21,14 @@ from repro.isa.instructions import (
 from repro.isa.program import run_program_sequentially, ThreadApi
 from repro.isa.registers import NUM_REGISTERS, R0, R1
 from repro import SimulationConfig, TaintCheck, run_parallel_monitoring
+from repro.platform import run_scheme
 from repro.workloads.base import CustomWorkload
 
 
 class TestFactories:
     def test_load_populates_fields(self):
         op = load(R1, 0x1000, 4)
-        assert op.kind == OpKind.LOAD
+        assert op.kind == RecordKind.LOAD
         assert op.rd == R1
         assert op.addr == 0x1000
         assert op.size == 4
@@ -54,8 +54,8 @@ class TestFactories:
         assert critical_use(R1, "format").critical_kind == "format"
 
     def test_nop_and_thread_exit(self):
-        assert nop().kind == OpKind.NOP
-        assert thread_exit().kind == OpKind.THREAD_EXIT
+        assert nop().kind == RecordKind.NOP
+        assert thread_exit().kind == RecordKind.THREAD_EXIT
 
     def test_repr_mentions_fields(self):
         text = repr(load(R1, 0x40))
@@ -130,6 +130,21 @@ class TestValidation:
                                     SimulationConfig.for_threads(1))
 
 
+    @pytest.mark.parametrize("scheme", ["none", "timesliced", "parallel"])
+    def test_an_op_yielded_twice_is_rejected(self, scheme):
+        # The yielded op is the record capture stamps; a second yield
+        # would make two log entries one object.
+        def kernel(api, workload):
+            op = loadi(R0)
+            yield op
+            yield op
+
+        with pytest.raises(WorkloadError,
+                           match=r"thread 0 yielded .* a second time"):
+            run_scheme(scheme, CustomWorkload([kernel]), TaintCheck,
+                       SimulationConfig.for_threads(1))
+
+
 class TestSequentialRunner:
     def test_load_sees_prior_store(self):
         def program(api):
@@ -138,7 +153,7 @@ class TestSequentialRunner:
             assert value == 42
 
         ops = run_program_sequentially(program(ThreadApi(0)))
-        assert [op.kind for op in ops] == [OpKind.STORE, OpKind.LOAD]
+        assert [op.kind for op in ops] == [RecordKind.STORE, RecordKind.LOAD]
 
     def test_rmw_returns_old_value(self):
         def program(api):
@@ -155,7 +170,7 @@ class TestSequentialRunner:
 
         ops = run_program_sequentially(program(ThreadApi(0)))
         assert [op.kind for op in ops] == [
-            OpKind.LOADI, OpKind.ALU, OpKind.ALU, OpKind.ALU]
+            RecordKind.LOADI, RecordKind.ALU, RecordKind.ALU, RecordKind.ALU]
         assert all(op.rs2 is None for op in ops[1:])
 
     def test_compute_emits_unary_alus(self):
@@ -164,14 +179,14 @@ class TestSequentialRunner:
 
         ops = run_program_sequentially(program(ThreadApi(0)))
         assert len(ops) == 3
-        assert all(op.kind == OpKind.ALU for op in ops)
+        assert all(op.kind == RecordKind.ALU for op in ops)
 
     def test_pause_sets_value(self):
         def program(api):
             yield from api.pause(32)
 
         ops = run_program_sequentially(program(ThreadApi(0)))
-        assert ops[0].kind == OpKind.NOP and ops[0].value == 32
+        assert ops[0].kind == RecordKind.NOP and ops[0].value == 32
 
     def test_malloc_requires_os(self):
         def program(api):

@@ -6,7 +6,7 @@ import pytest
 
 from repro import build_workload, run_parallel_monitoring
 from repro.capture.conflict_alert import CAHub
-from repro.capture.events import Record, RecordKind
+from repro.capture.events import RecordKind, RecordSource
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.common.config import LogBufferConfig, SimulationConfig
@@ -17,6 +17,7 @@ from repro.enforce.versions import VersionStore
 from repro.isa.instructions import (
     HLEventKind,
     alu,
+    critical_use,
     hl_begin,
     load,
     loadi,
@@ -26,6 +27,7 @@ from repro.isa.registers import R0, R1
 from repro.lifeguards import LIFEGUARDS
 from repro.lifeguards.addrcheck import AddrCheck
 from repro.lifeguards.taintcheck import TaintCheck
+from repro.workloads.base import CustomWorkload
 from repro.memory.coherence import CoherentMemorySystem
 
 
@@ -45,11 +47,10 @@ class Harness:
             self.engine, "lifeguard0", core_id=2, tid=tid, log=self.log,
             lifeguard=self.lifeguard, memsys=self.memsys, config=self.config,
             progress_table=self.progress, accel=accel)
-        self._rid = 0
+        self.source = RecordSource(0, {0: 0})
 
     def feed(self, op, arcs=None):
-        self._rid += 1
-        record = Record.from_op(0, self._rid, op)
+        record = self.source.begin_record(op)
         for arc in arcs or ():
             record.add_arc(*arc)
         assert self.log.try_append(record)
@@ -91,6 +92,22 @@ class TestProcessing:
         assert total >= 500
         assert harness.core.dependence_stalls == 1
         assert harness.core.buckets.get("wait_dependence") > 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "dependence_stalls counts every re-wait after a publish that "
+        "does not satisfy the arc, not stall episodes (ROADMAP item 19)"))
+    def test_a_stall_is_counted_once_however_often_it_wakes(self):
+        harness = Harness()
+        harness.feed(load(R0, 0x100), arcs=[(1, 5)])
+        harness.log.close()
+        harness.core.start()
+        # Each publish below 5 wakes the consumer, which waits again.
+        for rid in range(1, 6):
+            harness.engine.schedule(
+                100 * rid, lambda rid=rid: harness.progress.publish(1, rid))
+        harness.engine.run()
+        assert harness.core.stall_durations == [500]
+        assert harness.core.dependence_stalls == 1
 
     def test_satisfied_arcs_do_not_stall(self):
         harness = Harness()
@@ -237,7 +254,7 @@ class TestOrderGate:
         versions = VersionStore(harness.engine)
         harness.core.version_store = versions
         gated = self.counting_gate(harness)
-        record = Record.from_op(0, 1, load(R0, 0x100))
+        record = harness.source.begin_record(load(R0, 0x100))
         record.consume_version = (7, 0x100, 4)
         assert harness.log.try_append(record)
         harness.log.close()
@@ -267,8 +284,8 @@ class TestOrderGate:
     def test_ca_issuer_stalls_until_every_participant_arrives(self):
         harness = Harness()
         hub, ca_id, _captures = self.ca_hub(harness, issuer=0)
-        record = Record.from_op(0, 1, hl_begin(HLEventKind.FREE,
-                                               ranges=self.FREE_RANGE))
+        record = harness.source.begin_record(
+            hl_begin(HLEventKind.FREE, ranges=self.FREE_RANGE))
         record.ca_id = ca_id
         record.ca_issuer = True
         assert harness.log.try_append(record)
@@ -278,6 +295,32 @@ class TestOrderGate:
         assert harness.engine.run() >= 300
         assert harness.core.ca_stalls == 1
         assert hub.state(ca_id).complete
+
+
+class TestOneObjectPerInstruction:
+    """The object a kernel yields is the record capture stamps, the log
+    holds and the lifeguard core pops: nothing copies it on the way."""
+
+    def test_lifeguard_pops_the_yielded_record(self):
+        yielded, delivered = [], []
+
+        class Witness(TaintCheck):
+            def _critical(self, event):
+                delivered.append(event[1])
+                return super()._critical(event)
+
+        def kernel(api, workload):
+            for reg in (R0, R1):
+                op = critical_use(reg)
+                yielded.append(op)
+                yield op
+
+        run_parallel_monitoring(CustomWorkload([kernel]), Witness,
+                                SimulationConfig.for_threads(1))
+        assert len(delivered) == len(yielded) == 2
+        assert all(rec is op for rec, op in zip(delivered, yielded))
+        assert [op.tid for op in yielded] == [0, 0]
+        assert yielded[1].rid == yielded[0].rid + 1
 
 
 class TestDerivedWiring:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.capture.compression import RecordEncoder
-from repro.capture.events import Record, RecordKind, record_size_bytes
+from repro.capture.events import (
+    Record,
+    RecordKind,
+    RecordSource,
+    record_size_bytes,
+)
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import LogBufferConfig
 from repro.cpu.engine import Engine
@@ -124,6 +129,11 @@ class TestLogBuffer:
         assert fired
 
 
+def stamped(rid, op):
+    """``op`` retired as thread 0's record ``rid``."""
+    return RecordSource(0, {0: rid - 1}).begin_record(op)
+
+
 def encoder_state(encoder):
     return (encoder.records, encoder.bytes, encoder.arcs, encoder.arc_bytes,
             encoder._last_addr, encoder._last_recv)
@@ -136,9 +146,9 @@ class TestCodecLog:
     def test_rejected_record_with_arcs_leaves_encoder_untouched(self):
         log = LogBuffer(Engine(), LogBufferConfig(size_bytes=8,
                                                   use_codec=True), "log")
-        first = Record.from_op(0, 1, load(R0, 0x100))
+        first = stamped(1, load(R0, 0x100))
         assert log.try_append(first)
-        rejected = Record.from_op(0, 2, load(R1, 0x4000))
+        rejected = stamped(2, load(R1, 0x4000))
         for src_rid in (10, 20, 30, 40):
             rejected.add_arc(1, src_rid)
         assert not log.try_append(rejected)
@@ -147,13 +157,13 @@ class TestCodecLog:
         reference = RecordEncoder()
         reference.encode(first)
         assert encoder_state(log._encoder) == encoder_state(reference)
-        follower = Record.from_op(0, 2, load(R1, 0x104))
+        follower = stamped(2, load(R1, 0x104))
         follower.add_arc(1, 5)
         assert log._encoder.encode(follower) == reference.encode(follower)
 
     def test_snapshot_restore_covers_every_delta_context(self):
         def arc_record(rid, addr, src_rid):
-            record = Record.from_op(0, rid, load(R0, addr))
+            record = stamped(rid, load(R0, addr))
             record.add_arc(1, src_rid)
             return record
 

@@ -13,9 +13,11 @@ from repro.common.config import (
     MemoryModel,
     SimulationConfig,
 )
+from repro.common.errors import WorkloadError
 from repro.cpu.engine import Engine
 from repro.capture.events import Record
 from repro.cpu.cores import NullCapture
+from repro.faults import Fault, FaultPlan
 from repro.isa.instructions import (
     HLEventKind,
     alu,
@@ -159,39 +161,56 @@ class TestCommit:
         assert log.pop() is pending_store
         assert log.pop() is later
 
-    OPS = [load(R0, 0x100), store(0x140, R1, value=3), rmw(R2, 0x180, 1),
-           movrr(R1, R0), alu(R2, R0, R1), critical_use(R2), nop(),
-           hl_begin(HLEventKind.MALLOC, ranges=[(0x200, 16)])]
+    @staticmethod
+    def ops():
+        """One fresh op of every kind: capture stamps each op it retires."""
+        return [load(R0, 0x100), store(0x140, R1, value=3), rmw(R2, 0x180, 1),
+                movrr(R1, R0), alu(R2, R0, R1), critical_use(R2), nop(),
+                hl_begin(HLEventKind.MALLOC, ranges=[(0x200, 16)])]
 
-    def test_retire_builds_what_begin_record_and_enqueue_build(self):
+    def test_retire_stamps_what_begin_record_and_enqueue_stamp(self):
         fused, _, _ = make_capture()
         split, _, _ = make_capture()
-        for op in self.OPS:
+        for op, twin in zip(self.ops(), self.ops()):
             rid = fused.retire(op)
-            split.enqueue(split.begin_record(op))
-            built, reference = fused._pending[-1], split._pending[-1]
-            assert rid == built.rid
+            split.enqueue(split.begin_record(twin))
+            assert fused._pending[-1] is op and split._pending[-1] is twin
+            assert rid == op.rid
             for slot in Record.__slots__:
-                assert getattr(built, slot) == getattr(reference, slot), slot
+                assert getattr(op, slot) == getattr(twin, slot), slot
 
     def test_null_capture_retire_counts_rids(self):
         capture = NullCapture(3)
-        assert [capture.retire(op) for op in self.OPS[:3]] == [1, 2, 3]
+        assert [capture.retire(op) for op in self.ops()[:3]] == [1, 2, 3]
         assert capture.current_rids == {3: 3}
+
+    def test_begin_record_rejects_a_stamped_record(self):
+        # The path HL records, thread exits and TSO accesses take; a
+        # kernel yielding one op twice reaches retire on the others
+        # (tests/test_isa.py).
+        capture, _, _ = make_capture()
+        op = capture.begin_record(hl_begin(HLEventKind.MALLOC))
+        with pytest.raises(WorkloadError, match="thread 0 yielded .* "
+                                                "a second time"):
+            capture.begin_record(op)
+        assert capture.current_rids[0] == 1
 
     @pytest.mark.parametrize("log_bytes", [4, 40, 1024])
     def test_inline_commit_matches_try_append(self, log_bytes):
-        # A keep_trace capture commits through LogBuffer.try_append; a
-        # plain one appends inline. Both must leave the log identical,
-        # whether a record fits or not.
-        def drive(trace):
+        # A plain log is appended to inline; a log with a fault plan
+        # commits through LogBuffer.try_append. With a plan that never
+        # fires, both must leave the log (and the keep_trace list)
+        # identical, whether a record fits or not.
+        def drive(faults):
             engine = Engine()
             log = LogBuffer(engine, LogBufferConfig(size_bytes=log_bytes),
-                            "log")
+                            "log", faults=faults)
+            trace = []
             capture = OrderCapture(0, SimulationConfig(), log, {0: 0, 1: 1},
                                    {}, itertools.count(1), trace=trace)
             outcomes = []
-            for index, op in enumerate(self.OPS * 3):
+            ops = [op for _ in range(3) for op in self.ops()]
+            for index, op in enumerate(ops):
                 capture.retire(op)
                 if index % 4 == 1:
                     capture.attach_to_last([Conflict(1, index, True)])
@@ -199,10 +218,15 @@ class TestCommit:
                 if index % 5 == 4 and len(log):
                     log.pop()
             return (outcomes, [(r.rid, r.kind) for r in log.queue],
+                    [(r.rid, r.kind) for r in trace],
                     list(log._sizes), log.occupied_bytes, log.total_records,
                     log.total_bytes, log.peak_bytes)
 
-        assert drive(trace=None) == drive(trace=[])
+        silent = FaultPlan((Fault("log_append", "drop", tid=1),))
+        inline = drive(faults=None)
+        assert inline == drive(faults=silent)
+        assert not silent.injected
+        assert inline[2], "the keep_trace list must see committed records"
 
     def test_commit_time_is_globally_monotone(self):
         capture, _, _ = make_capture()

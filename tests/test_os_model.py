@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import SimulationConfig
 from repro.common.errors import SimulationError, WorkloadError
 from repro.cpu.os_model import AddressLayout, OSRuntime
-from repro.isa.instructions import OpKind
+from repro.isa.instructions import RecordKind
 from repro.memory.mainmem import MainMemory
 
 
@@ -78,7 +78,7 @@ class TestWrapperOps:
     def test_malloc_touches_the_header_word(self, os_runtime):
         addr = os_runtime.heap_alloc(0, 40)
         ops = os_runtime.allocator_touch_ops(addr, acquire=True)
-        assert [op.kind for op in ops] == [OpKind.LOADI, OpKind.STORE]
+        assert [op.kind for op in ops] == [RecordKind.LOADI, RecordKind.STORE]
         assert ops[1].addr == addr - 8  # near the block boundary
         assert all(op.critical_kind == "allocator"
                    for op in ops if op.is_memory)
@@ -86,7 +86,7 @@ class TestWrapperOps:
     def test_free_reads_and_rewrites_the_header(self, os_runtime):
         addr = os_runtime.heap_alloc(0, 40)
         ops = os_runtime.allocator_touch_ops(addr, acquire=False)
-        assert [op.kind for op in ops] == [OpKind.LOAD, OpKind.STORE]
+        assert [op.kind for op in ops] == [RecordKind.LOAD, RecordKind.STORE]
 
     def test_use_ca_defaults_to_always(self, os_runtime):
         assert os_runtime.use_ca_for(8)
@@ -102,7 +102,7 @@ class TestWrapperOps:
     def test_touch_range_ops_cover_every_line(self, os_runtime):
         addr = os_runtime.heap_alloc(0, 200)
         ops = os_runtime.touch_range_ops(addr, 200)
-        stores = [op for op in ops if op.kind == OpKind.STORE]
+        stores = [op for op in ops if op.kind == RecordKind.STORE]
         lines = {op.addr // 64 for op in stores}
         expected = {line for line in range(addr // 64,
                                            (addr + 199) // 64 + 1)}

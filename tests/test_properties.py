@@ -17,7 +17,7 @@ from repro import (
     run_parallel_monitoring,
 )
 from repro.accel.inheritance import InheritanceTracking
-from repro.capture.events import Record
+from repro.capture.events import RecordSource
 from repro.cpu.os_model import AddressLayout
 from repro.isa import instructions as ins
 from repro.isa.registers import NUM_REGISTERS
@@ -143,20 +143,20 @@ class ReferenceTaint:
     def run(self, ops):
         for op in ops:
             kind = op.kind
-            if kind == ins.OpKind.LOAD:
+            if kind == ins.RecordKind.LOAD:
                 self.regs[op.rd] = self._mem_taint(op.addr, op.size)
-            elif kind == ins.OpKind.STORE:
+            elif kind == ins.RecordKind.STORE:
                 self._set_mem(op.addr, op.size, self.regs[op.rs1])
-            elif kind == ins.OpKind.MOVRR:
+            elif kind == ins.RecordKind.MOVRR:
                 self.regs[op.rd] = self.regs[op.rs1]
-            elif kind == ins.OpKind.ALU:
+            elif kind == ins.RecordKind.ALU:
                 taint = self.regs[op.rs1]
                 if op.rs2 is not None:
                     taint |= self.regs[op.rs2]
                 self.regs[op.rd] = taint
-            elif kind == ins.OpKind.LOADI:
+            elif kind == ins.RecordKind.LOADI:
                 self.regs[op.rd] = 0
-            elif kind == ins.OpKind.RMW:
+            elif kind == ins.RecordKind.RMW:
                 self.regs[op.rd] = self._mem_taint(op.addr, op.size)
                 self._set_mem(op.addr, op.size, 0)
 
@@ -208,8 +208,9 @@ def test_it_is_semantically_transparent(ops):
             if event_key(event) in lifeguard.handlers:
                 lifeguard.handle(event)
 
-    for rid, op in enumerate(ops, start=1):
-        feed(it.process(Record.from_op(0, rid, op)))
+    source = RecordSource(0, {0: 0})
+    for op in ops:
+        feed(it.process(source.begin_record(op)))
     feed(it.flush_all())
     reference.run(ops)
 

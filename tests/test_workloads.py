@@ -6,7 +6,7 @@ import pytest
 from repro.common.config import ScalePreset, SimulationConfig
 from repro.common.errors import WorkloadError
 from repro.cpu.os_model import OSRuntime
-from repro.isa.instructions import OpKind
+from repro.isa.instructions import RecordKind
 from repro.isa.program import ThreadApi
 from repro.memory.mainmem import MainMemory
 from repro.workloads import (
@@ -43,12 +43,12 @@ def drive(workload, max_ops=500_000):
             streams[tid].append(op)
             total += 1
             result = None
-            if op.kind == OpKind.LOAD:
+            if op.kind == RecordKind.LOAD:
                 result = memory.read(op.addr, op.size)
-            elif op.kind == OpKind.RMW:
+            elif op.kind == RecordKind.RMW:
                 result = memory.read(op.addr, op.size)
                 memory.write(op.addr, op.size, op.value)
-            elif op.kind == OpKind.STORE:
+            elif op.kind == RecordKind.STORE:
                 memory.write(op.addr, op.size, op.value)
             pending[tid] = (gen, result if result is not None else 0)
     return streams
@@ -136,7 +136,7 @@ class TestSwaptionsSignature:
         streams = drive(workload)
         mallocs = sum(
             1 for stream in streams for op in stream
-            if op.kind == OpKind.HL_BEGIN and op.hl_kind.name == "MALLOC")
+            if op.kind == RecordKind.HL_BEGIN and op.hl_kind.name == "MALLOC")
         assert mallocs == workload.trials_per_thread * 2 * 2
 
 
@@ -153,8 +153,8 @@ class TestDeterminism:
     def test_different_seed_changes_barnes(self):
         lhs = drive(build_workload("barnes", 2, seed=1))
         rhs = drive(build_workload("barnes", 2, seed=2))
-        lhs_addrs = [op.addr for op in lhs[0] if op.kind == OpKind.LOAD]
-        rhs_addrs = [op.addr for op in rhs[0] if op.kind == OpKind.LOAD]
+        lhs_addrs = [op.addr for op in lhs[0] if op.kind == RecordKind.LOAD]
+        rhs_addrs = [op.addr for op in rhs[0] if op.kind == RecordKind.LOAD]
         assert lhs_addrs != rhs_addrs
 
 
