@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-from repro.trace.writer import tracer_for
-
 
 class IdempotentFilter:
     """A small FIFO cache of check-event keys."""
@@ -33,11 +31,15 @@ class IdempotentFilter:
         self.enabled = enabled
         self.track_rids = track_rids
         self._cache: Dict[Hashable, int] = {}
-        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
-        #: kept only if it records them; ``owner`` names the lifeguard
-        #: core this filter belongs to.
-        self.tracer = tracer_for(tracer, "accel")
-        self.owner = owner
+        # The ``accel`` hit/miss emitters of an optional
+        # :class:`~repro.trace.TraceWriter` (None unless it records
+        # them); ``owner`` names the lifeguard core this filter serves.
+        self._hit_emit = self._miss_emit = None
+        if tracer is not None:
+            self._hit_emit = tracer.prepare("accel", "if_hit", ("rid",),
+                                            owner=owner)
+            self._miss_emit = tracer.prepare("accel", "if_miss", ("rid",),
+                                             owner=owner)
         # Statistics
         self.hits = 0
         self.misses = 0
@@ -53,17 +55,16 @@ class IdempotentFilter:
             return False
         if key in self._cache:
             self.hits += 1
-            if self.tracer is not None:
-                self.tracer.emit("accel", "if_hit", owner=self.owner,
-                                 rid=rid)
+            if self._hit_emit is not None:
+                self._hit_emit(rid)
             return True
         self.misses += 1
         if len(self._cache) >= self.capacity:
             oldest = next(iter(self._cache))
             del self._cache[oldest]
         self._cache[key] = rid
-        if self.tracer is not None:
-            self.tracer.emit("accel", "if_miss", owner=self.owner, rid=rid)
+        if self._miss_emit is not None:
+            self._miss_emit(rid)
         return False
 
     def invalidate_all(self) -> None:

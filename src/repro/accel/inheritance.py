@@ -41,7 +41,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.capture.events import Record, RecordKind
-from repro.trace.writer import tracer_for
 
 #: Maximum inherits-from addresses one register row can hold.
 MAX_SOURCES = 2
@@ -127,11 +126,15 @@ class InheritanceTracking:
         #: lifeguard core reads a present value directly, once per
         #: record, to skip delayed advertising when nothing is held.
         self.floor: Dict[int, Optional[int]] = {}
-        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
-        #: kept only if it records them; ``owner`` names the lifeguard
-        #: core this table belongs to.
-        self.tracer = tracer_for(tracer, "accel")
-        self.owner = owner
+        # The ``accel`` absorb/condense emitters of an optional
+        # :class:`~repro.trace.TraceWriter` (None unless it records
+        # them); ``owner`` names the lifeguard core this table serves.
+        self._absorb_emit = self._condense_emit = None
+        if tracer is not None:
+            self._absorb_emit = tracer.prepare(
+                "accel", "it_absorb", ("tid", "rid"), owner=owner)
+            self._condense_emit = tracer.prepare(
+                "accel", "it_condense", ("tid", "rid"), owner=owner)
         # Statistics
         self.absorbed_events = 0
         self.delivered_condensed = 0
@@ -144,26 +147,23 @@ class InheritanceTracking:
         """Feed one record through IT; returns the delivered events."""
         if not self.enabled:
             return self._passthrough(record)
-        tracer = self.tracer
-        if tracer is not None:
+        if self._absorb_emit is not None:
             absorbed_mark = self.absorbed_events
             condensed_mark = self.delivered_condensed
             out = self._process_enabled(record)
             # One trace event per record that was absorbed into (or
             # condensed out of) the table, stamped with its identity.
             if self.absorbed_events > absorbed_mark:
-                tracer.emit("accel", "it_absorb", owner=self.owner,
-                            tid=record.tid, rid=record.rid)
+                self._absorb_emit(record.tid, record.rid)
             if self.delivered_condensed > condensed_mark:
-                tracer.emit("accel", "it_condense", owner=self.owner,
-                            tid=record.tid, rid=record.rid)
+                self._condense_emit(record.tid, record.rid)
             return out
         return self._process_enabled(record)
 
     def bound_process(self):
         """:meth:`process` with its enabled/tracer checks resolved once,
         for a consumer that feeds every record of a run through it."""
-        if self.tracer is not None:
+        if self._absorb_emit is not None:
             return self.process
         if not self.enabled:
             return self._passthrough

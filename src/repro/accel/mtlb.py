@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.config import LifeguardCostConfig
-from repro.trace.writer import tracer_for
 
 #: Application page size assumed for metadata mappings.
 PAGE_BYTES = 4096
@@ -26,8 +25,8 @@ PAGE_BYTES = 4096
 class MetadataTLB:
     """LRU cache of application-page -> metadata-page mappings."""
 
-    __slots__ = ("capacity", "costs", "enabled", "_entries", "tracer",
-                 "owner", "hits", "misses")
+    __slots__ = ("capacity", "costs", "enabled", "_entries", "_hit_emit",
+                 "_miss_emit", "hits", "misses")
 
     def __init__(self, entries: int, costs: LifeguardCostConfig,
                  enabled: bool = True, tracer=None, owner: str = ""):
@@ -37,11 +36,15 @@ class MetadataTLB:
         self.costs = costs
         self.enabled = enabled
         self._entries: Dict[int, bool] = {}
-        #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events),
-        #: kept only if it records them; ``owner`` names the lifeguard
-        #: core this TLB belongs to.
-        self.tracer = tracer_for(tracer, "accel")
-        self.owner = owner
+        # The ``accel`` hit/miss emitters of an optional
+        # :class:`~repro.trace.TraceWriter` (None unless it records
+        # them); ``owner`` names the lifeguard core this TLB serves.
+        self._hit_emit = self._miss_emit = None
+        if tracer is not None:
+            self._hit_emit = tracer.prepare("accel", "mtlb_hit", ("page",),
+                                            owner=owner)
+            self._miss_emit = tracer.prepare("accel", "mtlb_miss",
+                                             ("page",), owner=owner)
         # Statistics
         self.hits = 0
         self.misses = 0
@@ -55,18 +58,16 @@ class MetadataTLB:
             self.hits += 1
             del self._entries[page]
             self._entries[page] = True  # LRU refresh
-            if self.tracer is not None:
-                self.tracer.emit("accel", "mtlb_hit", owner=self.owner,
-                                 page=page)
+            if self._hit_emit is not None:
+                self._hit_emit(page)
             return self.costs.mtlb_hit_cost
         self.misses += 1
         if len(self._entries) >= self.capacity:
             victim = next(iter(self._entries))
             del self._entries[victim]
         self._entries[page] = True
-        if self.tracer is not None:
-            self.tracer.emit("accel", "mtlb_miss", owner=self.owner,
-                             page=page)
+        if self._miss_emit is not None:
+            self._miss_emit(page)
         return self.costs.metadata_addr_cost
 
     @property

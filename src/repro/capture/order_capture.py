@@ -38,7 +38,7 @@ from repro.capture.events import (
 )
 from repro.capture.log_buffer import LogBuffer
 from repro.common.config import CaptureMode, SimulationConfig
-from repro.trace.writer import tracer_for
+
 
 class OrderCapture(RecordSource):
     """Order-capture hardware for one application thread."""
@@ -53,9 +53,14 @@ class OrderCapture(RecordSource):
         #: Optional :class:`~repro.faults.FaultPlan` armed at the ``arc``
         #: site; None (the default) leaves capture completely untouched.
         self.faults = faults
-        #: Optional :class:`~repro.trace.TraceWriter` (``arc`` events),
-        #: kept only if it records them.
-        self.tracer = tracer_for(tracer, "arc")
+        # The ``arc`` publish/reduced emitters of an optional
+        # :class:`~repro.trace.TraceWriter` (None unless it records
+        # them).
+        self._publish_emit = self._reduced_emit = None
+        if tracer is not None:
+            arc_fields = ("tid", "rid", "src_tid", "src_rid")
+            self._publish_emit = tracer.prepare("arc", "publish", arc_fields)
+            self._reduced_emit = tracer.prepare("arc", "reduced", arc_fields)
         #: Maps a physical core id to the application tid pinned on it,
         #: used to translate coherence conflicts into thread-level arcs.
         self.core_to_tid = core_to_tid
@@ -109,18 +114,15 @@ class OrderCapture(RecordSource):
                         # keep_trace runs retain the dropped arc so the
                         # archive writer can price the naive encoding.
                         record.add_reduced_arc(src_tid, src_rid)
-                    if self.tracer is not None:
-                        self.tracer.emit("arc", "reduced", tid=self.tid,
-                                         rid=record.rid, src_tid=src_tid,
-                                         src_rid=src_rid)
+                    if self._reduced_emit is not None:
+                        self._reduced_emit(self.tid, record.rid, src_tid,
+                                           src_rid)
                     continue
                 self._last_recv[src_tid] = src_rid
             record.add_arc(src_tid, src_rid)
             self.arcs_recorded += 1
-            if self.tracer is not None:
-                self.tracer.emit("arc", "publish", tid=self.tid,
-                                 rid=record.rid, src_tid=src_tid,
-                                 src_rid=src_rid)
+            if self._publish_emit is not None:
+                self._publish_emit(self.tid, record.rid, src_tid, src_rid)
 
     def attach_to_last(self, conflicts) -> None:
         """:meth:`attach_conflicts` on the record :meth:`retire` just queued."""

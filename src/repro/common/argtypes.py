@@ -34,9 +34,12 @@ def non_negative_int(text: str) -> int:
 
 
 def output_path(text: str) -> str:
-    """A file path to write: its directory must exist, and it must not
-    itself be a directory. ``-`` (stdout, for the flags that take it)
-    passes, since its directory is the current one."""
+    """A file path to write: it must not be empty, its directory must
+    exist, and it must not itself be a directory. ``-`` (stdout, for
+    the flags that take it) passes, since its directory is the current
+    one."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     parent = os.path.dirname(text) or "."
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")

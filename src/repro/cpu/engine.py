@@ -433,6 +433,15 @@ class CoreActor:
         self.wait_condition: Optional[Condition] = None
         self._wait_started: Optional[int] = None
         self._wait_bucket: Optional[str] = None
+        # The engine tracer's ``engine`` wake/done emitters (None
+        # unless it records them); ``stall`` carries strings, so it
+        # takes the writer's ``emit``.
+        tracer = engine.tracer
+        self._wake_emit = self._done_emit = None
+        if tracer is not None:
+            self._wake_emit = tracer.prepare("engine", "wake", ("waited",),
+                                             actor=name)
+            self._done_emit = tracer.prepare("engine", "done", actor=name)
         # Pre-bind the hot callbacks: every plain `self._run` / `self.wake`
         # attribute access on a class method allocates a fresh bound
         # method, which the old code paid once per scheduled event. The
@@ -471,9 +480,8 @@ class CoreActor:
         if self._wait_started is not None:
             waited = self.engine.now - self._wait_started
             self.buckets.charge(self._wait_bucket, waited)
-            tracer = self.engine.tracer
-            if tracer is not None:
-                tracer.emit("engine", "wake", actor=self.name, waited=waited)
+            if self._wake_emit is not None:
+                self._wake_emit(waited)
             self._wait_started = None
             self._wait_bucket = None
             self.wait_reason = None
@@ -530,9 +538,8 @@ class CoreActor:
                     self.finish_time = engine.now
                     engine.note_finish(self)
                     del self._run, self.wake
-                    tracer = engine.tracer
-                    if tracer is not None:
-                        tracer.emit("engine", "done", actor=self.name)
+                    if self._done_emit is not None:
+                        self._done_emit()
                     self.on_finish()
                     return
                 else:

@@ -39,7 +39,6 @@ from repro.common.config import SimulationConfig
 from repro.common.errors import SimulationError
 from repro.cpu.engine import CoreActor, Engine
 from repro.lifeguards.base import Lifeguard, hl_phase_of
-from repro.trace.writer import tracer_for
 
 _FETCH, _ORDER, _PROCESS, _FINAL = range(4)
 
@@ -80,16 +79,41 @@ class LifeguardCore(CoreActor):
         # The sequential consumer publishes accurate progress; a
         # per-thread consumer delays it behind the RIDs IT and IF hold.
         self.delayed_advertising = tid is not None
-        #: Optional :class:`~repro.trace.TraceWriter`; this core emits
-        #: ``engine`` retires, ``arc``/``ca`` stall details, ``advert``
-        #: holds and ``meta`` writes, and hands the writer down to its
-        #: accelerators for their ``accel`` events.
-        self.tracer = tracer
-        # The per-record emits, resolved once: None unless the writer
-        # records their category, so a filtered one costs nothing.
-        self._retire_tracer = tracer_for(tracer, "engine")
-        self._advert_tracer = tracer_for(tracer, "advert")
-        self._meta_tracer = tracer_for(tracer, "meta")
+        # This core's events, prepared on the optional
+        # :class:`~repro.trace.TraceWriter`: ``engine`` retires (one
+        # shape per record kind), ``arc``/``ca`` stall details, TSO
+        # versions, ``advert`` holds and ``meta`` writes. Each emitter
+        # is None unless the writer records its category, so a filtered
+        # one costs nothing. The accelerators prepare their own
+        # ``accel`` events on the same writer.
+        def prepare(cat, event, fields, **static):
+            if tracer is None:
+                return None
+            return tracer.prepare(cat, event, fields, actor=name, **static)
+
+        self._retire_emit = None
+        if tracer is not None and tracer.wants("engine"):
+            self._retire_emit = {
+                kind: prepare("engine", "retire", ("tid", "rid"),
+                              kind=kind_name)
+                for kind, kind_name in KIND_NAMES.items()}
+        advert_fields = ("tid", "processed", "advertised")
+        self._hold_emit = prepare("advert", "hold", advert_fields)
+        self._refresh_emit = prepare("advert", "refresh_flush", advert_fields)
+        self._meta_emit = prepare("meta", "write", ("addr", "size"))
+        self._arc_stall_emit = prepare(
+            "arc", "stall", ("tid", "rid", "src_tid", "src_rid"))
+        version_fields = ("tid", "rid", "version")
+        self._version_stall_emit = prepare("arc", "version_stall",
+                                           version_fields)
+        self._version_consume_emit = prepare("arc", "version_consume",
+                                             version_fields)
+        self._version_produce_emit = prepare(
+            "arc", "version_produce", (*version_fields, "addr", "size"))
+        self._completion_stall_emit = prepare("ca", "stall", ("ca",),
+                                              side="completion")
+        self._arrivals_stall_emit = prepare("ca", "stall", ("ca",),
+                                            side="arrivals")
         #: The lifeguard's handler table, bound once for every delivery.
         self._handlers = lifeguard.handlers
 
@@ -229,10 +253,8 @@ class LifeguardCore(CoreActor):
         self._last_record = record
         engine = self.engine
         engine.last_retire = engine.now  # Engine.note_retire, inlined
-        if self._retire_tracer is not None:
-            self._retire_tracer.emit("engine", "retire", actor=self.name,
-                                     tid=tid, rid=rid,
-                                     kind=KIND_NAMES[kind])
+        if self._retire_emit is not None:
+            self._retire_emit[kind](tid, rid)
         table = self.progress_table
         if table is not None:
             # _publish, inlined while it would only publish: the value
@@ -251,7 +273,7 @@ class LifeguardCore(CoreActor):
                         advertised = held - 1
                         threshold = self._advert_threshold
                         if ((threshold and rid - advertised > threshold)
-                                or self._advert_tracer is not None):
+                                or self._hold_emit is not None):
                             advertised = None
             if advertised is None:
                 cycles += self._publish(tid, rid)
@@ -292,10 +314,8 @@ class LifeguardCore(CoreActor):
                 if cost:
                     return ("delay", cost, "useful")
                 self.dependence_stalls += 1
-                if self.tracer is not None:
-                    self.tracer.emit("arc", "stall", actor=self.name,
-                                     tid=record.tid, rid=record.rid,
-                                     src_tid=unmet[0], src_rid=unmet[1])
+                if self._arc_stall_emit is not None:
+                    self._arc_stall_emit(record.tid, record.rid, *unmet)
                 return ("wait", self.progress_table.condition(unmet[0]),
                         "wait_dependence", f"arc (t{unmet[0]},#{unmet[1]})")
 
@@ -307,10 +327,9 @@ class LifeguardCore(CoreActor):
                 if cost:
                     return ("delay", cost, "useful")
                 self.dependence_stalls += 1
-                if self.tracer is not None:
-                    self.tracer.emit("arc", "version_stall", actor=self.name,
-                                     tid=record.tid, rid=record.rid,
-                                     version=version_id)
+                if self._version_stall_emit is not None:
+                    self._version_stall_emit(record.tid, record.rid,
+                                             version_id)
                 return ("wait", self.version_store.condition(version_id),
                         "wait_dependence", f"version {version_id}")
 
@@ -330,9 +349,8 @@ class LifeguardCore(CoreActor):
                 if cost:
                     return ("delay", cost, "useful")
                 self.ca_stalls += 1
-                if self.tracer is not None:
-                    self.tracer.emit("ca", "stall", actor=self.name,
-                                     ca=record.ca_id, side="completion")
+                if self._completion_stall_emit is not None:
+                    self._completion_stall_emit(record.ca_id)
                 return ("wait", state.complete_cond,
                         "wait_dependence", f"CA#{record.ca_id} completion")
 
@@ -345,9 +363,8 @@ class LifeguardCore(CoreActor):
                 if cost:
                     return ("delay", cost, "useful")
                 self.ca_stalls += 1
-                if self.tracer is not None:
-                    self.tracer.emit("ca", "stall", actor=self.name,
-                                     ca=record.ca_id, side="arrivals")
+                if self._arrivals_stall_emit is not None:
+                    self._arrivals_stall_emit(record.ca_id)
                 return ("wait", state.all_arrived_cond,
                         "wait_dependence", f"CA#{record.ca_id} arrivals")
         return None
@@ -365,11 +382,9 @@ class LifeguardCore(CoreActor):
                 snapshot = self.lifeguard.snapshot_metadata(addr, length)
                 self.version_store.produce(version_id, addr, length, snapshot)
                 cost += 4 + length // 16
-                if self.tracer is not None:
-                    self.tracer.emit("arc", "version_produce",
-                                     actor=self.name, tid=record.tid,
-                                     rid=record.rid, version=version_id,
-                                     addr=addr, size=length)
+                if self._version_produce_emit is not None:
+                    self._version_produce_emit(record.tid, record.rid,
+                                               version_id, addr, length)
 
         kind = record.kind
         if kind == _CA_MARK:
@@ -419,11 +434,9 @@ class LifeguardCore(CoreActor):
                 version = self.version_store.consume(record.consume_version[0])
                 event = ("load_versioned", event[1],
                          (version[0], version[1], version[2]))
-                if self.tracer is not None:
-                    self.tracer.emit("arc", "version_consume",
-                                     actor=self.name, tid=record.tid,
-                                     rid=record.rid,
-                                     version=record.consume_version[0])
+                if self._version_consume_emit is not None:
+                    self._version_consume_emit(record.tid, record.rid,
+                                               record.consume_version[0])
             key = lifeguard.if_key(event)
             if key is not None and iff.check(key, record.rid):
                 self.events_filtered += 1
@@ -446,16 +459,15 @@ class LifeguardCore(CoreActor):
         in-order lifeguard core.
         """
         cycles = 0
-        tracer = self._meta_tracer
+        meta_emit = self._meta_emit
         lookup_cost = self.mtlb.lookup_cost
         sim_accesses = self.lifeguard.metadata.sim_accesses
         mem_access = self.memsys.access
         core_id = self.core_id
         l1_latency = self._l1_latency
         for app_addr, size, is_write in accesses:
-            if is_write and tracer is not None:
-                tracer.emit("meta", "write", actor=self.name,
-                            addr=app_addr, size=size)
+            if is_write and meta_emit is not None:
+                meta_emit(app_addr, size)
             cycles += lookup_cost(app_addr)
             for sim_addr, sim_size, sim_write in sim_accesses(app_addr, size,
                                                               is_write):
@@ -527,21 +539,17 @@ class LifeguardCore(CoreActor):
         advertised = self._advertise_target(tid, processed)
         threshold = self._advert_threshold
         if threshold and processed - advertised > threshold:
-            if self._advert_tracer is not None:
-                self._advert_tracer.emit(
-                    "advert", "refresh_flush", actor=self.name, tid=tid,
-                    processed=processed, advertised=advertised)
+            if self._refresh_emit is not None:
+                self._refresh_emit(tid, processed, advertised)
             cost = self._deliver_flushed(
                 self.it.flush_stale(tid, processed - threshold + 1))
             if self.iff.track_rids:
                 self.iff.invalidate_all()
             advertised = self._advertise_target(tid, processed)
-        elif advertised < processed and self._advert_tracer is not None:
+        elif advertised < processed and self._hold_emit is not None:
             # Delayed advertising is holding back RIDs still cached in
             # an accelerator — the Section 4.2 contract made visible.
-            self._advert_tracer.emit(
-                "advert", "hold", actor=self.name, tid=tid,
-                processed=processed, advertised=advertised)
+            self._hold_emit(tid, processed, advertised)
         self.progress_table.publish(tid, advertised)
         return cost
 

@@ -17,7 +17,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.cpu.engine import Condition, Engine
-from repro.trace.writer import tracer_for
 
 
 class ProgressTable:
@@ -35,9 +34,10 @@ class ProgressTable:
         #: Optional :class:`~repro.faults.FaultPlan` armed at ``progress``
         #: (a suppressed publish models a lost counter update).
         self.faults = faults
-        #: Optional :class:`~repro.trace.TraceWriter` (``advert`` events),
-        #: kept only if it records them.
-        self.tracer = tracer_for(tracer, "advert")
+        # The ``advert`` publish emitter of an optional
+        # :class:`~repro.trace.TraceWriter` (None unless it records it).
+        self._publish_emit = (None if tracer is None else tracer.prepare(
+            "advert", "publish", ("tid", "rid")))
         # Statistics
         self.publishes = 0
 
@@ -55,8 +55,8 @@ class ProgressTable:
                     return  # "suppress": the counter update is lost
             self.values[tid] = rid
             self.publishes += 1
-            if self.tracer is not None:
-                self.tracer.emit("advert", "publish", tid=tid, rid=rid)
+            if self._publish_emit is not None:
+                self._publish_emit(tid, rid)
             condition = self._conditions[tid]
             if condition.waiters:
                 condition.notify_all(self.engine)

@@ -4,11 +4,17 @@ Every instrumented component (engine actors, order capture, the
 ConflictAlert hub, the progress table, the accelerators, the lifeguard
 cores) emits structured events into one :class:`TraceWriter`. The writer
 is deliberately dumb — it stamps, filters, encodes and stores — so that
-the cost of *disabled* tracing is a single ``tracer is None`` check at
-each emit site (the same contract the fault-injection hooks follow).
-A component whose emits all fall in one category holds
-``tracer_for(tracer, category)``, which is None when the writer filters
-that category out, so a filtered category costs the same.
+the cost of *disabled* tracing is a single ``is None`` check at each
+emit site (the same contract the fault-injection hooks follow).
+
+An emit site whose shape is fixed at wiring time (category, event name,
+field names, and string fields such as the actor's name) holds the
+emitter :meth:`TraceWriter.prepare` returns, which is None when the
+writer filters that category out, so a filtered category costs the
+same. The emitter takes the varying int fields positionally and fills a
+line template compiled once per shape per process. :meth:`TraceWriter.emit`
+is the general path, for events that carry strings or lists: the
+ConflictAlert hub holds ``tracer_for(tracer, "ca")`` for those.
 
 Three storage modes, freely combinable:
 
@@ -46,7 +52,7 @@ import json
 import sys
 from collections import deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -113,9 +119,9 @@ def _sanitize(value):
 def _check_category(cat: str) -> None:
     """Raise ``ConfigurationError`` unless ``cat`` is a known category.
 
-    Only the drop branches of :meth:`TraceWriter.emit` and
-    :meth:`TraceWriter.wants` call this, so a kept event pays nothing
-    for it.
+    Only the drop branches of :meth:`TraceWriter.emit`,
+    :meth:`TraceWriter.wants` and :meth:`TraceWriter.prepare` call this,
+    so a kept event pays nothing for it.
     """
     if cat not in _CATEGORY_SET:
         raise ConfigurationError(
@@ -127,10 +133,11 @@ def tracer_for(tracer: Optional[TraceWriter],
                cat: str) -> Optional[TraceWriter]:
     """``tracer`` if it records ``cat``, else None.
 
-    A component whose emits all fall in one category keeps the result
-    as its ``tracer`` at wiring time. Its ``tracer is not None`` checks
-    then skip every filtered event before any payload is built, so a
-    filtered category costs what ``tracer=None`` costs at its sites.
+    A component whose general :meth:`~TraceWriter.emit` calls all fall
+    in one category keeps the result as its ``tracer`` at wiring time.
+    Its ``tracer is not None`` checks then skip every filtered event
+    before any payload is built, so a filtered category costs what
+    ``tracer=None`` costs at its sites.
     """
     if tracer is not None and tracer.wants(cat):
         return tracer
@@ -167,11 +174,13 @@ class TraceWriter:
     the named categories are kept and every other emit is a cheap
     set-miss. A category outside :data:`CATEGORIES` is never written:
     :meth:`emit` and :meth:`wants` raise
-    :class:`~repro.common.errors.ConfigurationError` for it, so a trace
-    file never holds a line :func:`read_trace` would reject.
-    The simulation engine is attached by the platform wiring
-    (:meth:`attach_engine`) so event ``cycle`` stamps follow simulated
-    time; a writer used before/without an engine stamps cycle 0.
+    :class:`~repro.common.errors.ConfigurationError` for it, and so do
+    :meth:`emit` and :meth:`prepare` for a ``cycle`` field, which only
+    the writer stamps, so a trace file never holds a line
+    :func:`read_trace` would reject. The simulation engine is attached
+    by the platform wiring (:meth:`attach_engine`) so event ``cycle``
+    stamps follow simulated time; a writer used before/without an
+    engine stamps cycle 0.
     """
 
     __slots__ = ("categories", "events", "_engine", "_ring", "_stream",
@@ -248,10 +257,36 @@ class TraceWriter:
 
     # -- the hot path ---------------------------------------------------------
 
+    def prepare(self, cat: str, event: str, fields: Tuple[str, ...] = (),
+                **static: str) -> Optional[Callable[..., None]]:
+        """The emitter of one fixed-shape event, or None when the writer
+        filters ``cat`` (``ConfigurationError`` for an unknown ``cat``,
+        as :meth:`wants` raises).
+
+        The shape is ``cat``, ``event``, the names of the varying
+        ``fields`` and the ``static`` string fields. The emitter takes
+        the varying values positionally, in ``fields`` order, and
+        records exactly the event ``emit(cat, event, **static,
+        **fields)`` would: same cycle stamp, same count, same kept and
+        ring payload, and the same line, filled from the shape's
+        template (see :func:`_shape_binder`). A value that is not an
+        exact ``int`` takes :meth:`emit` itself.
+        """
+        if cat not in self.categories:
+            _check_category(cat)
+            return None
+        key = (cat, event, tuple(fields), tuple(static.items()))
+        bind = _SHAPES.get(key)
+        if bind is None:
+            bind = _SHAPES[key] = _shape_binder(cat, event, key[2], static)
+        return bind(self)
+
     def emit(self, cat: str, event: str, **fields) -> None:
         """Record one event (dropped silently if ``cat`` is filtered;
-        ``ConfigurationError`` if ``cat`` is not a known category).
+        ``ConfigurationError`` if ``cat`` is not a known category or
+        ``fields`` holds ``cycle``, which only the writer stamps).
 
+        The general path: a fixed-shape site uses :meth:`prepare`.
         Zero-allocation contract: the kwargs dict that the call itself
         creates *is* the stored payload — no second dict is built and no
         per-event encoder is constructed. In stream mode the payload is
@@ -260,6 +295,10 @@ class TraceWriter:
         encoder downstream (:func:`encode_event`, :func:`trace_hash`)
         sorts keys.
         """
+        if "cycle" in fields:
+            raise ConfigurationError(
+                f"trace event {cat}/{event}: the writer stamps 'cycle'; "
+                f"a caller may not pass it")
         if cat not in self.categories:
             _check_category(cat)
             return
@@ -269,10 +308,9 @@ class TraceWriter:
             for key, value in payload.items():
                 if type(value) not in passthrough:
                     payload[key] = _sanitize(value)
-        # A caller-supplied cycle stamp wins. ``cat`` and ``event`` are
-        # parameters, so ``fields`` can never hold either key.
-        if "cycle" not in payload:
-            payload["cycle"] = self._engine.now if self._engine is not None else 0
+        # ``cat`` and ``event`` are parameters, so ``fields`` can never
+        # hold either key.
+        payload["cycle"] = self._engine.now if self._engine is not None else 0
         payload["cat"] = cat
         payload["event"] = event
         self.emitted += 1
@@ -345,6 +383,92 @@ def encode_event(payload: dict) -> str:
     if _ITERENCODE is None:
         return _ENCODER.encode(payload)
     return "".join(_ITERENCODE(payload, 0))
+
+
+#: Shape key -> its compiled ``bind(writer)``. A shape is compiled once
+#: per process and shared by every writer and component that prepares
+#: it; keys are ``(cat, event, fields, static items)``, and the static
+#: strings are actor and core names, so the set stays small.
+_SHAPES: Dict[tuple, Callable] = {}
+
+_RESERVED_FIELDS = frozenset(("cycle", "cat", "event"))
+
+#: The emitter of one shape. ``{args}`` are the varying values
+#: ``v0, v1, ...``; ``{not_ints}`` is true unless every one of them is
+#: an exact int; ``{pairs}`` maps each field name to its value, and
+#: ``{ordered}`` lists ``cycle`` and the values in the template's
+#: sorted key order.
+_EMITTER_SOURCE = """\
+def bind(writer):
+    def emit({args}):
+        if {not_ints}:
+            writer.emit(cat, event, **static, **dict(zip(fields, ({args}))))
+            return
+        engine = writer._engine
+        cycle = 0 if engine is None else engine.now
+        writer.emitted += 1
+        events = writer.events
+        ring = writer._ring
+        if events is not None or ring is not None:
+            payload = {{**static, {pairs}"cycle": cycle, "cat": cat,
+                       "event": event}}
+            if events is not None:
+                events.append(payload)
+            if ring is not None:
+                ring.append(payload)
+        write = writer._write
+        if write is not None:
+            write(template % ({ordered}))
+    return emit
+"""
+
+
+def _shape_binder(cat: str, event: str, fields: Tuple[str, ...],
+                  static: Dict[str, str]) -> Callable:
+    """Compile one event shape into ``bind(writer) -> emitter``.
+
+    The line template holds the shape's keys in sorted order, each
+    static value already encoded by the trace encoder's own string
+    function, and a ``%d`` for ``cycle`` and for each varying field.
+    ``%d`` of an exact int is its ``repr``, which is how the encoder
+    writes one, so a filled template is byte for byte the line
+    :func:`encode_event` gives the same payload. Anything else (a bool,
+    an IntEnum, a float, None) would fill differently, so the emitter
+    hands it to :meth:`TraceWriter.emit`.
+    """
+    names = [*fields, *static]
+    if (any(type(name) is not str for name in names)
+            or len(set(names)) != len(names)
+            or not _RESERVED_FIELDS.isdisjoint(names)):
+        raise ConfigurationError(
+            f"trace event {cat}/{event}: fields {names!r} must be distinct "
+            f"strings, none of {', '.join(sorted(_RESERVED_FIELDS))}")
+    if any(type(value) is not str for value in static.values()):
+        raise ConfigurationError(
+            f"trace event {cat}/{event}: static fields must be strings")
+    # name -> its %d's variable, or its encoded fixed value
+    slots = {name: f"v{index}" for index, name in enumerate(fields)}
+    slots["cycle"] = "cycle"
+    fixed = {name: encode_basestring_ascii(value)
+             for name, value in (*static.items(), ("cat", cat),
+                                 ("event", event))}
+    keys = sorted((*slots, *fixed))
+    template = "{%s}\n" % ",".join(
+        (encode_basestring_ascii(name) + ":").replace("%", "%%")
+        + ("%d" if name in slots else fixed[name].replace("%", "%%"))
+        for name in keys)
+    args = "".join(f"{slots[name]}, " for name in fields)
+    source = _EMITTER_SOURCE.format(
+        args=args,
+        not_ints=" or ".join(f"{slots[name]}.__class__ is not int"
+                             for name in fields) or "False",
+        pairs="".join(f"{name!r}: {slots[name]}, " for name in fields),
+        ordered="".join(f"{slots[name]}, " for name in keys
+                        if name in slots))
+    namespace = {"cat": cat, "event": event, "fields": fields,
+                 "static": dict(static), "template": template}
+    exec(source, namespace)
+    return namespace["bind"]
 
 
 def validate_event(payload: dict) -> None:

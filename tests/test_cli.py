@@ -1,15 +1,21 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 
 from repro.cli import build_parser, main
 from repro.lifeguards import LIFEGUARDS
+from repro.platform import SCHEMES
+from repro.workloads import WORKLOADS
 from repro.replay import write_archive
 from tests.test_replay_format import (
     MALFORMED_MANIFESTS,
@@ -382,6 +388,22 @@ class TestUnwritableOutputPaths:
         assert captured.out == ""
         assert not missing.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["archive", ""],
+        ["run", "swaptions", "--trace", ""],
+        ["run", "swaptions", "--crash-report", ""],
+        ["diff", "--seeds", "1", "--output", ""],
+        ["replay", "run.plog", "--output", ""],
+    ], ids=["archive", "run-trace", "run-crash-report", "diff-output",
+            "replay-output"])
+    def test_empty_path_exits_2(self, argv, capsys):
+        # `repro archive ""` used to exit 1 with a FileNotFoundError
+        # traceback; `--trace ""` and `--crash-report ""` were ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "empty path" in capsys.readouterr().err
+
     def test_existing_directory_is_not_a_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["diff", "--seeds", "1", "--output", str(tmp_path)])
@@ -520,3 +542,136 @@ class TestBrokenPipe:
         assert completed.returncode == 3
         assert "Traceback" not in completed.stderr
         assert "BrokenPipeError" not in completed.stderr
+
+
+_NOT_POSITIVE = ["0", "-1", "", "x", "1.5"]
+_NEGATIVE = ["-1", "", "x"]
+_NOT_INT = ["", "x", "1.5"]
+_UNKNOWN_NAME = ["bogus", ""]
+_NOT_SECONDS = ["0", "-1", "nan", "inf", "", "x"]
+#: Output paths no command may write: in a missing directory, empty,
+#: and an existing directory.
+_UNWRITABLE = [os.path.join(os.path.dirname(__file__), "no-such-dir", "out"),
+               "", os.path.dirname(__file__)]
+_SWEEP_FLAGS = {
+    "--benchmarks": (_UNKNOWN_NAME, []),
+    "--max-threads": (_NOT_POSITIVE, ["1"]),
+    "--scale": (_UNKNOWN_NAME, ["tiny"]),
+    "--seed": (_NOT_INT, ["-1"]),
+}
+_FIGURE_FLAGS = dict(_SWEEP_FLAGS, **{
+    "--lifeguard": (_UNKNOWN_NAME, sorted(LIFEGUARDS)),
+    "--jobs": (_NOT_POSITIVE, ["1"]),
+})
+
+#: command -> (each positional argument's (malformed values, legal
+#: values), flag -> (malformed values, boundary values)). Each
+#: malformed value fails before any simulation starts; boundary values
+#: are legal but keep a run short. Flags that take a list
+#: (``--benchmarks``) have no boundary value, since naming none selects
+#: the full suite.
+ARGV_GRAMMAR = {
+    "table1": ([], {"--threads": (_NOT_POSITIVE, ["1"])}),
+    "list": ([], {}),
+    "run": ([(_UNKNOWN_NAME, sorted(WORKLOADS))], {
+        "--threads": (_NOT_POSITIVE, ["1"]),
+        "--scale": (_UNKNOWN_NAME, ["tiny"]),
+        "--seed": (_NEGATIVE, ["0"]),
+        "--lifeguard": (_UNKNOWN_NAME, sorted(LIFEGUARDS)),
+        "--scheme": (_UNKNOWN_NAME, list(SCHEMES)),
+        "--memory-model": (_UNKNOWN_NAME, ["tso"]),
+        "--capture": (_UNKNOWN_NAME, ["per_core"]),
+        "--max-cycles": (_NOT_POSITIVE, ["1"]),
+        "--watchdog": (_NEGATIVE, ["0"]),
+        "--inject": (["", "bogus", "arc:explode", "nosite:drop",
+                      "arc:drop:p=x", "arc:drop:when=1"], ["arc:drop:t0"]),
+        "--fault-seed": (_NOT_INT, ["-1"]),
+        "--crash-report": (_UNWRITABLE, []),
+        "--trace": (_UNWRITABLE, ["-"]),
+        "--trace-filter": (["bogus", "all,bogus"], ["all", ","]),
+    }),
+    "figure6": ([], dict(_FIGURE_FLAGS,
+                         **{"--thread-counts": (_NOT_POSITIVE, [])})),
+    "figure7": ([], dict(_FIGURE_FLAGS,
+                         **{"--thread-counts": (_NOT_POSITIVE, [])})),
+    "figure8": ([], _FIGURE_FLAGS),
+    "headline": ([], _SWEEP_FLAGS),
+    "swaptions": ([], {"--threads": (_NOT_POSITIVE, ["1"]),
+                       "--scale": (_UNKNOWN_NAME, ["tiny"]),
+                       "--seed": (_NOT_INT, ["-1"])}),
+    "diff": ([], {
+        "--seeds": (_NEGATIVE, ["0"]),
+        "--lifeguards": (_UNKNOWN_NAME, []),
+        "--threads": (_NOT_POSITIVE, ["1"]),
+        "--length": (_NEGATIVE, ["0"]),
+        "--output": (_UNWRITABLE, []),
+        "--jobs": (_NOT_POSITIVE, ["1"]),
+        "--timeout": (_NOT_SECONDS, []),
+        "--trace": (_UNWRITABLE, ["-"]),
+        # read only with --trace, so never the one malformed flag
+        "--trace-filter": ([], ["jobs"]),
+    }),
+    "archive": ([(_UNWRITABLE, [])], {
+        "--seed": (_NOT_INT, ["-1"]),
+        "--lifeguard": (_UNKNOWN_NAME, sorted(LIFEGUARDS)),
+        "--threads": (_NOT_POSITIVE, ["1"]),
+        "--length": (_NEGATIVE, ["0"]),
+    }),
+    "replay": ([(_UNWRITABLE, [])], {
+        "--lifeguards": (_UNKNOWN_NAME, ["all"]),
+        "--output": (_UNWRITABLE, []),
+    }),
+    "serve": ([], {"--port": (_NOT_INT, []),
+                   "--runners": (_NOT_POSITIVE, [])}),
+}
+
+#: Exit codes the CLI documents: 0 success, 1 a failed check or cell,
+#: 2 a bad flag, 3 interrupted or deadlocked, 4 over the cycle budget.
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+@st.composite
+def bad_argv(draw):
+    """A ``repro`` argv with at least one malformed flag or argument."""
+    command = draw(st.sampled_from(sorted(ARGV_GRAMMAR)))
+    positionals, flags = ARGV_GRAMMAR[command]
+    argv = [command]
+    for bad, good in positionals:
+        argv.append(draw(st.sampled_from(bad + good)))
+    well_formed = all(value in good
+                      for value, (_, good) in zip(argv[1:], positionals))
+    malformed = [["--bogus"]] + [[flag, value]
+                                 for flag, (values, _) in flags.items()
+                                 for value in values]
+    legal = [[flag, value] for flag, (_, values) in flags.items()
+             for value in values]
+    options = draw(st.lists(st.sampled_from(malformed + legal), max_size=3))
+    if well_formed:
+        options.append(draw(st.sampled_from(malformed)))
+    argv += [token for option in draw(st.permutations(options))
+             for token in option]
+    single = sorted(flag for flag in flags
+                    if flag not in ("--benchmarks", "--lifeguards",
+                                    "--thread-counts"))
+    if single and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(single)))  # its value is missing
+    return argv
+
+
+class TestMalformedArgv:
+    """Any ``repro`` argv built from a command's real flags with a
+    malformed or boundary value exits with a documented code, and
+    never with a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bad_argv())
+    def test_exits_cleanly(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in DOCUMENTED_EXIT_CODES, (argv, code)
+        assert "Traceback" not in stderr.getvalue(), argv

@@ -1,5 +1,5 @@
-"""A deterministic guard on the per-record host work of every scheme
-and of archive replay.
+"""A deterministic guard on the per-record host work of every scheme,
+of archive replay and of the flight recorder.
 
 Retiring one record (capture, log, the lifeguard core's delivery and
 publish, IT, the engine trampoline, the memory system) is the path
@@ -8,7 +8,9 @@ event (the delivery loop, the handler, the metadata map) is the path
 DESIGN §5l keeps free of them. Wall-clock speed is too noisy for tier
 1, but the number of host calls per simulated instruction, per
 delivered event and per record is exact: a call that does no work
-coming back onto a path shows here as a rise.
+coming back onto a path shows here as a rise. Per emitted trace event,
+the same count shows an emit site drifting back from its prepared
+emitter onto the general ``TraceWriter.emit``.
 
 Each bound is about 5% above the count measured on CPython 3.11, which
 leaves room for the interpreter versions CI runs (3.12 inlines
@@ -20,12 +22,13 @@ import pstats
 
 import pytest
 
-from repro.common.config import SimulationConfig
+from repro.common.config import MemoryModel, SimulationConfig
 from repro.lifeguards import LIFEGUARDS, TaintCheck
 from repro.lifeguards.oracle import deliver
 from repro.platform import SCHEMES, run_parallel_monitoring, run_scheme
 from repro.replay import TraceReader, replay_archive
 from repro.replay.format import write_archive
+from repro.trace import TraceWriter
 from repro.trace.diff import lifeguard_factory
 from repro.workloads import build_workload
 
@@ -125,3 +128,40 @@ def test_host_calls_per_delivered_record(radiosity_archive):
     assert calls <= DELIVER_CALL_BOUND, (
         f"deliver: {calls:.2f} host calls per record, "
         f"bound {DELIVER_CALL_BOUND}")
+
+
+#: memory model -> bound on host calls per emitted trace event of a
+#: file-traced parallel run (measured: SC 16.27, TSO 17.17; 21.20 and
+#: 22.02 when every site took ``emit``).
+TRACE_CALL_BOUNDS = {
+    "SC": 17.1,
+    "TSO": 18.0,
+}
+
+
+def traced_run(model: str, path, profiler=None) -> int:
+    """Run tiny 4-thread radiosity under TaintCheck, traced to ``path``;
+    returns the events emitted."""
+    config = SimulationConfig.for_threads(4, memory_model=MemoryModel[model])
+    tracer = TraceWriter.to_path(str(path))
+    try:
+        if profiler is not None:
+            profiler.enable()
+        run_parallel_monitoring(build_workload("radiosity", 4), TaintCheck,
+                                config, tracer=tracer)
+    finally:
+        if profiler is not None:
+            profiler.disable()
+        tracer.close()
+    return tracer.emitted
+
+
+@pytest.mark.parametrize("model", sorted(TRACE_CALL_BOUNDS))
+def test_host_calls_per_trace_event(model, tmp_path):
+    traced_run(model, tmp_path / "warm.jsonl")  # one-time work first
+    profiler = cProfile.Profile()
+    emitted = traced_run(model, tmp_path / "trace.jsonl", profiler)
+    calls = pstats.Stats(profiler).total_calls / emitted
+    assert calls <= TRACE_CALL_BOUNDS[model], (
+        f"{model}: {calls:.2f} host calls per emitted trace event, "
+        f"bound {TRACE_CALL_BOUNDS[model]}")

@@ -2,6 +2,8 @@
 emission through all three platform schemes, and the "disabled tracing
 is behavior-identical" contract."""
 
+import enum
+import functools
 import hashlib
 import io
 import json
@@ -26,6 +28,7 @@ from repro import (
 )
 from repro.trace import CATEGORIES, DEFAULT_RING_EVENTS, TraceTail, read_trace
 from repro.trace.writer import (
+    _SHAPES,
     _decode_line,
     encode_event,
     tracer_for,
@@ -529,8 +532,9 @@ class TestUnknownCategoryIsNeverWritten:
 
 
 class TestWiringTimeGating:
-    """A component whose emits all fall in one category keeps the
-    writer only when it records that category."""
+    """A component holds a prepared emitter, or the writer itself for
+    the ConflictAlert hub's general emits, only when the writer records
+    that category."""
 
     def test_tracer_for(self):
         writer = TraceWriter(categories=("arc",))
@@ -551,19 +555,21 @@ class TestWiringTimeGating:
         from repro.enforce.progress import ProgressTable
 
         writer = TraceWriter(categories=(category,))
-        accel = [InheritanceTracking(tracer=writer),
-                 IdempotentFilter(tracer=writer),
-                 MetadataTLB(4, LifeguardCostConfig(), tracer=writer)]
-        assert [c.tracer is writer for c in accel] == [keeps] * 3
-        it = accel[0]
+        it = InheritanceTracking(tracer=writer)
+        iff = IdempotentFilter(tracer=writer)
+        tlb = MetadataTLB(4, LifeguardCostConfig(), tracer=writer)
+        emitters = [it._absorb_emit, it._condense_emit, iff._hit_emit,
+                    iff._miss_emit, tlb._hit_emit, tlb._miss_emit]
+        assert [emit is not None for emit in emitters] == [keeps] * 6
         assert it.bound_process() == (it.process if keeps
                                       else it._process_enabled)
         engine = Engine()
-        assert ProgressTable(engine, [0], tracer=writer).tracer is None
+        assert ProgressTable(engine, [0], tracer=writer)._publish_emit \
+            is None
         assert CAHub(engine, tracer=writer).tracer is None
         everything = TraceWriter()
-        assert ProgressTable(engine, [0], tracer=everything).tracer \
-            is everything
+        assert ProgressTable(engine, [0], tracer=everything)._publish_emit \
+            is not None
         assert CAHub(engine, tracer=everything).tracer is everything
 
 
@@ -818,3 +824,208 @@ class TestFileWriter:
         writer.close()
         writer.emit("engine", "stall")
         assert len(read_trace(str(path))) == 1
+
+
+class TestCallerCycleStamp:
+    """Regression: ``emit`` wrote a caller's ``cycle`` unchecked, so
+    ``emit("engine", "e", cycle=True)`` left a line that ``read_trace``
+    and ``TraceTail`` reject. Only the writer stamps ``cycle``."""
+
+    @pytest.mark.parametrize("categories", [None, ("arc",)])
+    @pytest.mark.parametrize("cycle", [True, -3, "x", 5])
+    def test_emit_raises_and_writes_nothing(self, cycle, categories):
+        stream = io.StringIO()
+        writer = TraceWriter(stream=stream, categories=categories, ring=4,
+                             keep=True)
+        with pytest.raises(ConfigurationError, match="cycle"):
+            writer.emit("engine", "e", cycle=cycle)
+        assert stream.getvalue() == ""
+        assert writer.emitted == 0
+        assert writer.events == [] and writer.snapshot() == []
+
+    def test_prepare_rejects_a_cycle_field(self):
+        writer = TraceWriter()
+        with pytest.raises(ConfigurationError, match="cycle"):
+            writer.prepare("engine", "e", ("cycle",))
+        with pytest.raises(ConfigurationError, match="cycle"):
+            writer.prepare("engine", "e", cycle="x")
+
+
+class _ShapeRecorder(TraceWriter):
+    """A kept writer that also records every shape prepared on it."""
+
+    __slots__ = ("shapes",)
+
+    def __init__(self):
+        super().__init__(keep=True)
+        self.shapes = set()
+
+    def prepare(self, cat, event, fields=(), **static):
+        self.shapes.add((cat, event, tuple(fields),
+                         tuple(sorted(static.items()))))
+        return super().prepare(cat, event, fields, **static)
+
+
+def _traced_run(scheme, model, tracer):
+    from repro.common.config import MemoryModel
+
+    workload = build_workload("swaptions", nthreads=2)
+    config = SimulationConfig.for_threads(2, memory_model=MemoryModel[model])
+    if scheme == "none":
+        return run_no_monitoring(workload, config, tracer=tracer)
+    runner = (run_parallel_monitoring if scheme == "parallel"
+              else run_timesliced_monitoring)
+    return runner(workload, TaintCheck, config, tracer=tracer)
+
+
+@functools.lru_cache(maxsize=None)
+def _simulator_shapes():
+    """Every shape a traced run of each scheme under SC and TSO
+    prepares, the MemCheck-only ones included."""
+    from repro.lifeguards import MemCheck
+
+    recorder = _ShapeRecorder()
+    for scheme in ALL_SCHEMES:
+        for model in ("SC", "TSO"):
+            _traced_run(scheme, model, recorder)
+    run_parallel_monitoring(build_workload("swaptions", nthreads=2),
+                            MemCheck, SimulationConfig.for_threads(2),
+                            tracer=recorder)
+    return tuple(sorted(recorder.shapes))
+
+
+class _Clock:
+    def __init__(self, now):
+        self.now = now
+
+
+class _Kind(enum.IntEnum):
+    ONE = 1
+
+
+#: Field values :meth:`TraceWriter.emit` writes differently from ``%d``.
+_FALLBACK_VALUES = st.sampled_from([True, False, _Kind.ONE, None, 1.5,
+                                    -0.0, math.inf])
+
+
+def _emitted_both_ways(shape, rows, cycles):
+    """Emit ``rows`` through ``shape``'s prepared emitter and through
+    ``emit``; return both writers and their streams."""
+    cat, event, fields, static = shape
+    static = dict(static)
+    sides = []
+    for prepared in (True, False):
+        stream = io.StringIO()
+        writer = TraceWriter(stream=stream, ring=3, keep=True)
+        emit = writer.prepare(cat, event, fields, **static)
+        for values, cycle in zip(rows, cycles):
+            writer.attach_engine(_Clock(cycle))
+            if prepared:
+                emit(*values)
+            else:
+                writer.emit(cat, event, **static, **dict(zip(fields, values)))
+        sides.append((writer, stream.getvalue()))
+    return sides
+
+
+class TestPreparedEvents:
+    """A prepared emitter records exactly what ``emit`` of the same
+    fields records: the same line bytes, kept payload, ring payload,
+    cycle stamp and count."""
+
+    def test_the_simulator_prepares_every_converted_site(self):
+        prepared = {(cat, event) for cat, event, _, _ in _simulator_shapes()}
+        assert prepared >= {
+            ("engine", "retire"), ("engine", "wake"), ("engine", "done"),
+            ("advert", "hold"), ("advert", "refresh_flush"),
+            ("advert", "publish"), ("meta", "write"), ("arc", "stall"),
+            ("arc", "version_stall"), ("arc", "version_produce"),
+            ("arc", "version_consume"), ("arc", "publish"),
+            ("arc", "reduced"), ("ca", "stall"), ("accel", "it_absorb"),
+            ("accel", "it_condense"), ("accel", "if_hit"),
+            ("accel", "if_miss"), ("accel", "mtlb_hit"),
+            ("accel", "mtlb_miss")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_emit(self, data):
+        shape = data.draw(st.sampled_from(_simulator_shapes()))
+        width = len(shape[2])
+        value = (st.integers() | st.integers(min_value=2**63)
+                 | st.integers(max_value=-2**63))
+        if width:
+            value = value | _FALLBACK_VALUES
+        rows = data.draw(st.lists(st.tuples(*[value] * width), min_size=1,
+                                  max_size=5))
+        cycles = data.draw(st.lists(st.integers(min_value=0),
+                                    min_size=len(rows), max_size=len(rows)))
+        (prepared, lines), (reference, expected) = _emitted_both_ways(
+            shape, rows, cycles)
+        assert lines == expected
+        assert prepared.events == reference.events
+        assert prepared.snapshot() == reference.snapshot()
+        assert prepared.emitted == reference.emitted == len(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CATEGORIES), st.text(),
+           st.lists(st.text(), max_size=3, unique=True),
+           st.dictionaries(st.text(), st.text(), max_size=3),
+           st.lists(st.integers(), min_size=3, max_size=3))
+    def test_any_names_and_strings(self, cat, event, fields, static, values):
+        fields = tuple(name for name in fields
+                       if name not in ("cycle", "cat", "event"))
+        static = {name: text for name, text in static.items()
+                  if name not in (*fields, "cycle", "cat", "event", "self",
+                                  "fields")}
+        shape = (cat, event, fields, tuple(static.items()))
+        rows = [tuple(values[:len(fields)])]
+        (prepared, lines), (reference, expected) = _emitted_both_ways(
+            shape, rows, [7])
+        assert lines == expected
+        assert prepared.events == reference.events
+
+    def test_filtered_category_gives_none(self):
+        for cat, event, fields, static in _simulator_shapes():
+            others = [name for name in CATEGORIES if name != cat]
+            writer = TraceWriter(categories=others)
+            assert writer.prepare(cat, event, fields, **dict(static)) is None
+
+    def test_unknown_category_raises_at_preparation(self):
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            TraceWriter().prepare("bogus", "x", ("rid",))
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            TraceWriter(categories=("arc",)).prepare("bogus", "x")
+
+    @pytest.mark.parametrize("fields,static", [
+        (("rid", "rid"), {}), (("cat",), {}), (("rid",), {"rid": "x"}),
+        ((), {"actor": 3}), ((7,), {})])
+    def test_malformed_shape_raises(self, fields, static):
+        with pytest.raises(ConfigurationError):
+            TraceWriter().prepare("engine", "x", fields, **static)
+
+    def test_a_shape_compiles_once_per_process(self):
+        first, second = TraceWriter(), TraceWriter(keep=True)
+        shape = ("engine", "once", ("rid",))
+        first.prepare(*shape, actor="a")
+        compiled = dict(_SHAPES)
+        second.prepare(*shape, actor="a")
+        assert _SHAPES == compiled
+
+    @pytest.mark.parametrize("model", ["SC", "TSO"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_file_stream_and_kept_runs_agree(self, scheme, model, tmp_path):
+        path = tmp_path / "run.jsonl"
+        to_file = TraceWriter.to_path(str(path))
+        try:
+            _traced_run(scheme, model, to_file)
+        finally:
+            to_file.close()
+        stream = io.StringIO()
+        _traced_run(scheme, model, TraceWriter(stream=stream))
+        kept = TraceWriter(keep=True)
+        _traced_run(scheme, model, kept)
+        text = path.read_bytes().decode("ascii")
+        assert text == stream.getvalue()
+        assert text == "".join(encode_event(event) + "\n"
+                               for event in kept.events)
+        assert kept.events
